@@ -37,7 +37,11 @@ from .criteria import (
     inhomog_da_classify,
     integrability_test,
     mult_dependence_test,
+    verify_conjugating_matrix,
+    verify_first_order_witness,
+    verify_summation,
     verify_telescoper,
+    verify_twisted_ratio,
 )
 from .errors import (
     BoundExceededError,
@@ -56,17 +60,15 @@ from .numcore import (
     partial_split,
     poly_gcd,
     poly_resultant,
-    rational_roots,
     squarefree_decomposition,
 )
-from .parsing import format_matrix, format_ratfun, parse_matrix, parse_ratfun
+from .parsing import format_ratfun, parse_matrix, parse_ratfun
 from .solver import (
     MatrixRF,
     ScalarDiffEq,
     SolutionSpace,
     Status,
     VectorSolutionSpace,
-    brute_force_oracle,
     eliminate_coordinate,
     scalar_eq_from_ratfun_coeffs,
     solve_first_order,
@@ -119,12 +121,10 @@ __all__ = [
     "apply_derivation",
     "apply_op",
     "apply_sigma",
-    "brute_force_oracle",
     "companion_matrix",
     "dispersion",
     "eliminate_coordinate",
     "find_telescoper",
-    "format_matrix",
     "format_ratfun",
     "group_classify_inhomog_sum",
     "hypergeom_da_test",
@@ -140,7 +140,6 @@ __all__ = [
     "poly_gcd",
     "poly_resultant",
     "q_structure",
-    "rational_roots",
     "scalar_eq_from_ratfun_coeffs",
     "shift_structure",
     "solve_first_order",
@@ -148,5 +147,9 @@ __all__ = [
     "solve_system",
     "squarefree_decomposition",
     "universal_denominator",
+    "verify_conjugating_matrix",
+    "verify_first_order_witness",
+    "verify_summation",
     "verify_telescoper",
+    "verify_twisted_ratio",
 ]

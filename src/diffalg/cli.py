@@ -3,8 +3,11 @@ substitution-verified certificates, and a newline-delimited batch mode.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a degree cap was exceeded, 3 = internal
-invariant violation.  The environment variable DIFFALG_DEGREE_CAP overrides
-the default degree cap of 200.
+invariant violation.  A failed query reports ``{"error": {"message",
+"kind"}}`` with kind ``parse``, ``usage``, ``bound-exceeded`` or
+``internal``; a batch reports it in place of the line's report, adds the
+line number, and exits with the largest per-line code.  The environment
+variable DIFFALG_DEGREE_CAP overrides the default degree cap of 200.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,8 +31,8 @@ from .dispersion import (
 from .errors import BoundExceededError, DiffAlgError, InternalVerificationError, ParseError
 from .numcore import Rat, RatFun
 from .parsing import format_ratfun, parse_matrix, parse_poly, parse_ratfun, parse_vector
-from .solver import ScalarDiffEq, Status
-from .structures import DiffStructure, apply_sigma, q_structure, shift_structure
+from .solver import ScalarDiffEq
+from .structures import DiffStructure, q_structure, shift_structure
 
 SUBCOMMANDS = (
     "disp",
@@ -93,10 +97,6 @@ class VerdictReport:
         }
 
 
-def _rat_str(v) -> str:
-    return str(v)
-
-
 def _parse_q(text: str) -> Rat:
     f = parse_ratfun(text)
     if not f.is_constant():
@@ -105,20 +105,15 @@ def _parse_q(text: str) -> Rat:
 
 
 def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
-    verdict = {
-        Status.SOLVED: "SOLVED",
-        Status.NO_SOLUTION: "NO_SOLUTION",
-        Status.BOUND_EXCEEDED: "BOUND_EXCEEDED",
-    }[space.status]
     cert: dict = {}
     if space.particular is not None:
         g, lam = space.particular
         cert["particular"] = {
             "g": format_ratfun(g),
-            "lambda": [_rat_str(v) for v in lam],
+            "lambda": [str(v) for v in lam],
         }
     cert["homogeneous_basis"] = [
-        {"g": format_ratfun(g), "lambda": [_rat_str(v) for v in lam]}
+        {"g": format_ratfun(g), "lambda": [str(v) for v in lam]}
         for g, lam in space.homogeneous_basis
     ]
     if space.witness:
@@ -127,7 +122,7 @@ def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
         cert["universal_denominator"] = format_ratfun(RatFun.from_poly(space.universal_den))
     if space.degree_bound is not None:
         cert["degree_bound"] = space.degree_bound
-    return verdict, cert
+    return space.status.name, cert
 
 
 def _split_exprs(text: str) -> list[str]:
@@ -176,7 +171,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         cert = {
             "standard_part": format_ratfun(decomp.standard_part),
             "certificate_g": format_ratfun(decomp.certificate_g),
-            "twist_a": _rat_str(decomp.twist_a),
+            "twist_a": str(decomp.twist_a),
         }
     elif sub == "mult-form":
         f = parse_ratfun(need("f"))
@@ -208,11 +203,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             else [RatFun.zero()] * m.n
         )
         space = solver.solve_system(ds, m, rhs_vec, degree_cap=cap)
-        verdict = {
-            Status.SOLVED: "SOLVED",
-            Status.NO_SOLUTION: "NO_SOLUTION",
-            Status.BOUND_EXCEEDED: "BOUND_EXCEEDED",
-        }[space.status]
+        verdict = space.status.name
         cert = {}
         if space.particular is not None:
             cert["particular"] = [format_ratfun(v) for v in space.particular]
@@ -232,35 +223,34 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             verified = criteria.verify_telescoper(ds, funcs, tele)
             verdict = "TELESCOPER_FOUND"
             cert = {
-                "operators": [[_rat_str(c) for c in op.coeffs] for op in tele.operators],
+                "operators": [[str(c) for c in op.coeffs] for op in tele.operators],
                 "certificate_g": format_ratfun(tele.certificate_g),
             }
     elif sub == "da-hypergeom":
         b = parse_ratfun(need("b"))
         v = criteria.hypergeom_da_test(ds, b)
-        verdict = _da_verdict_code(v)
+        verdict = v.status.name
         notes = v.hypothesis_notes
         if v.certificate is not None:
-            cert = _da_certificate_dict(v)
-            verified = _reverify_hypergeom(ds, b, v)
+            cert = _da_certificate_dict(v.certificate)
+            verified = criteria.verify_twisted_ratio(ds, b, v.certificate)
     elif sub == "da-inhomog":
         a = parse_ratfun(need("a"))
         b = parse_ratfun(need("b"))
         v = criteria.inhomog_da_classify(ds, a, b, degree_cap=cap)
-        verdict = _da_verdict_code(v)
+        verdict = v.status.name
         notes = v.hypothesis_notes
         if v.certificate is not None:
-            cert = _da_certificate_dict(v)
-            verified = _reverify_inhomog(ds, a, b, v)
+            cert = _da_certificate_dict(v.certificate)
+            verified = criteria.verify_first_order_witness(ds, a, b, v.certificate)
     elif sub == "integrability":
         m = parse_matrix(need("matrix"))
         result = criteria.integrability_test(ds, m, degree_cap=cap)
-        if result.status is criteria.IntegrabilityStatus.CONSTANT_CONJUGATE:
-            verdict = "CONSTANT_CONJUGATE"
+        verdict = result.status.name
+        if result.b_matrix is not None:
             cert = {"B": [[format_ratfun(v) for v in row] for row in result.b_matrix.entries]}
-            verified = _reverify_integrability(ds, m, result.b_matrix)
+            verified = criteria.verify_conjugating_matrix(ds, m, result.b_matrix)
         else:
-            verdict = "NOT_CONSTANT_CONJUGATE"
             cert = {}
             if result.scalar_trace is not None:
                 cert["scalar_trace"] = {
@@ -270,18 +260,12 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
     elif sub == "classify-group":
         f = parse_ratfun(need("f"))
         g = criteria.group_classify_inhomog_sum(ds, f, degree_cap=cap)
-        verdict = {
-            criteria.GroupKind.TRIVIAL: "TRIVIAL",
-            criteria.GroupKind.CONSTANTS_GA: "CONSTANTS_GA",
-            criteria.GroupKind.FULL_GA: "FULL_GA",
-        }[g.kind]
+        verdict = g.kind.name
         if g.certificate_h is not None:
             cert = {"h": format_ratfun(g.certificate_h)}
-            expected = apply_sigma(ds, g.certificate_h) - g.certificate_h
             if g.certificate_c is not None:
-                cert["c"] = _rat_str(g.certificate_c)
-                expected = expected + RatFun.const(g.certificate_c)
-            verified = expected == f
+                cert["c"] = str(g.certificate_c)
+            verified = criteria.verify_summation(ds, f, g)
     else:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
 
@@ -294,7 +278,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         timing_ms=elapsed_ms,
         subcommand=sub,
         case=query.case,
-        q=_rat_str(query.q_value) if query.q_value is not None else None,
+        q=str(query.q_value) if query.q_value is not None else None,
     )
     return report, EXIT_BOUND if verdict == "BOUND_EXCEEDED" else EXIT_OK
 
@@ -315,64 +299,17 @@ def _rhs_arguments(payload) -> tuple[list[RatFun], tuple | None]:
     return basis, tuple(fixed)
 
 
-def _da_verdict_code(v: criteria.DAVerdict) -> str:
-    return {
-        criteria.DAStatus.DIFFERENTIALLY_ALGEBRAIC: "DIFFERENTIALLY_ALGEBRAIC",
-        criteria.DAStatus.DIFFERENTIALLY_TRANSCENDENTAL: "DIFFERENTIALLY_TRANSCENDENTAL",
-        criteria.DAStatus.RATIONAL_SOLUTION_EXISTS: "RATIONAL_SOLUTION_EXISTS",
-    }[v.status]
-
-
-def _da_certificate_dict(v: criteria.DAVerdict) -> dict:
+def _da_certificate_dict(c: criteria.DACertificate) -> dict:
     cert = {}
-    c = v.certificate
     if c.f is not None:
         cert["f"] = format_ratfun(c.f)
     if c.c is not None:
-        cert["c"] = _rat_str(c.c)
+        cert["c"] = str(c.c)
     if c.n_or_r is not None:
         cert["n_or_r"] = c.n_or_r
     if c.d is not None:
-        cert["d"] = _rat_str(c.d)
+        cert["d"] = str(c.d)
     return cert
-
-
-def _reverify_hypergeom(ds, b, v) -> bool:
-    c = v.certificate
-    if v.status is not criteria.DAStatus.DIFFERENTIALLY_ALGEBRAIC:
-        return False
-    n = c.n_or_r or 0
-    xn = RatFun.x() ** n if n >= 0 else RatFun.one() / (RatFun.x() ** (-n))
-    return RatFun.const(c.c) * xn * apply_sigma(ds, c.f) / c.f == b
-
-
-def _reverify_inhomog(ds, a, b, v) -> bool:
-    c = v.certificate
-    if v.status is criteria.DAStatus.RATIONAL_SOLUTION_EXISTS:
-        return apply_sigma(ds, c.f) - a * c.f == b
-    if v.status is not criteria.DAStatus.DIFFERENTIALLY_ALGEBRAIC:
-        return False
-    expected = apply_sigma(ds, c.f) - a * c.f
-    if c.d is not None:
-        r = c.n_or_r or 0
-        xr = RatFun.x() ** r if r >= 0 else RatFun.one() / (RatFun.x() ** (-r))
-        expected = expected + RatFun.const(c.d) * xr
-    return expected == b
-
-
-def _reverify_integrability(ds, a_matrix, b_matrix) -> bool:
-    from .structures import apply_derivation
-
-    a_inv = a_matrix.inverse()
-    da = a_matrix.map(lambda f: apply_derivation(ds, f))
-    lhs = b_matrix.map(lambda f: apply_sigma(ds, f))
-    rhs = (a_matrix @ b_matrix) @ a_inv
-    inhom = da @ a_inv
-    return all(
-        lhs.entries[r][s] == rhs.entries[r][s] + inhom.entries[r][s]
-        for r in range(a_matrix.n)
-        for s in range(a_matrix.n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,52 +405,76 @@ def _query_from_namespace(ns: argparse.Namespace) -> Query:
 
 
 def query_from_dict(obj: dict) -> Query:
+    """Build a query from one batch line, rejecting fields of the wrong type."""
     if not isinstance(obj, dict):
         raise ParseError("batch line must be a JSON object", 0)
     sub = obj.get("subcommand")
     if sub not in SUBCOMMANDS:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
     payload = {k: obj[k] for k in _PAYLOAD_KEYS if k in obj}
+    for key, value in payload.items():
+        if value is not None and not isinstance(value, str):
+            raise ParseError(f"field {key!r} must be a string", 0)
+    case = obj.get("case", "shift")
+    if case not in ("shift", "q"):
+        raise ParseError(f"unknown case {case!r}", 0)
+    for key in ("order_bound", "degree_cap"):
+        value = obj.get(key)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ParseError(f"field {key!r} must be an integer", 0)
     q_raw = obj.get("q")
     return Query(
         subcommand=sub,
-        case=obj.get("case", "shift"),
+        case=case,
         q_value=_parse_q(str(q_raw)) if q_raw is not None else None,
         payload=payload,
-        order_bound=int(obj.get("order_bound", 3)),
+        order_bound=obj.get("order_bound", 3),
         degree_cap=obj.get("degree_cap"),
     )
 
 
+# exception -> (error kind, exit code), first match wins
+_ERROR_KINDS = (
+    (ParseError, "parse", EXIT_USAGE),
+    (json.JSONDecodeError, "parse", EXIT_USAGE),
+    (BoundExceededError, "bound-exceeded", EXIT_BOUND),
+    (InternalVerificationError, "internal", EXIT_INTERNAL),
+    (DiffAlgError, "usage", EXIT_USAGE),
+    (OSError, "usage", EXIT_USAGE),  # an unreadable batch file
+)
+
+
+def _error_kind(exc: BaseException) -> tuple[str, int]:
+    """The report ``kind`` and exit code of a failed query; anything not
+    listed is an internal fault."""
+    for cls, kind, code in _ERROR_KINDS:
+        if isinstance(exc, cls):
+            return kind, code
+    return "internal", EXIT_INTERNAL
+
+
 def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
     """Run newline-delimited JSON queries; one report per input line, order
-    preserved, independent queries executed concurrently."""
+    preserved, independent queries executed concurrently.  A failed line
+    yields ``{"error": {"line", "message", "kind"}}``; the exit code is the
+    largest per-line code."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        jobs = [(n, line) for n, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
 
-    jobs = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            jobs.append(None)
-            continue
-        jobs.append((lineno, line))
-
-    def work(job):
-        if job is None:
-            return None
+    def work(job) -> tuple[dict, int]:
         lineno, line = job
         try:
-            query = query_from_dict(json.loads(line))
-            report, _ = run_query(query)
-            return report.to_json_dict()
-        except (DiffAlgError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
-            return {"error": {"line": lineno, "message": str(exc)}}
+            report, code = run_query(query_from_dict(json.loads(line)))
+            return report.to_json_dict(), code
+        except Exception as exc:  # one bad line must not lose the other reports
+            kind, code = _error_kind(exc)
+            if kind == "internal":
+                traceback.print_exc()
+            return {"error": {"line": lineno, "message": str(exc), "kind": kind}}, code
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = list(pool.map(work, jobs))
-    reports = [r for r in results if r is not None]
-    exit_code = EXIT_OK if all("error" not in r for r in reports) else EXIT_USAGE
-    return reports, exit_code
+    return [report for report, _ in results], max((code for _, code in results), default=EXIT_OK)
 
 
 def main(argv=None) -> int:
@@ -528,22 +489,13 @@ def main(argv=None) -> int:
             for report in reports:
                 print(json.dumps(report))
             return code
-        query = _query_from_namespace(ns)
-        report, code = run_query(query)
+        report, code = run_query(_query_from_namespace(ns))
         print(json.dumps(report.to_json_dict()))
         return code
-    except ParseError as exc:
-        print(json.dumps({"error": {"message": str(exc), "kind": "parse"}}), file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExceededError as exc:
-        print(json.dumps({"error": {"message": str(exc), "kind": "bound-exceeded"}}), file=sys.stderr)
-        return EXIT_BOUND
-    except InternalVerificationError as exc:
-        print(json.dumps({"error": {"message": str(exc), "kind": "internal"}}), file=sys.stderr)
-        return EXIT_INTERNAL
-    except DiffAlgError as exc:
-        print(json.dumps({"error": {"message": str(exc), "kind": "usage"}}), file=sys.stderr)
-        return EXIT_USAGE
+    except (DiffAlgError, OSError) as exc:
+        kind, code = _error_kind(exc)
+        print(json.dumps({"error": {"message": str(exc), "kind": kind}}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

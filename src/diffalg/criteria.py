@@ -1,10 +1,13 @@
 """Decision procedures for differential dependence of difference-equation
 solutions.
 
-Every positive verdict carries a certificate that is re-verified by exact
-substitution before it is returned: a telescoper identity, a twisted-ratio
-witness, a first-order witness f (with the extra d*x^r term in the resonant
-q case), a conjugating matrix B, or a summation witness h.  Negative
+Every positive verdict carries a certificate that is checked by exact
+substitution: a telescoper identity, a twisted-ratio witness, a first-order
+witness f (with the extra d*x^r term in the resonant q case), a conjugating
+matrix B, or a summation witness h.  Each kind has one ``verify_*``
+function here.  The CLI calls it to report ``substitution_verified``, and
+the procedure that produces the certificate calls it too, except for the
+first-order witness, which the solver has already substituted.  Negative
 verdicts are certified by the rational-solution engines (pole-orbit or
 degree obstructions); the telescoper search alone is bounded by the caller's
 order bound and a None result means only "none of order <= bound".
@@ -21,7 +24,6 @@ from .errors import (
     InternalVerificationError,
     NonStandardInputError,
     PreconditionError,
-    SingularMatrixError,
     ZeroInputError,
 )
 from .numcore import RAT_ONE, Rat, RatFun
@@ -170,27 +172,29 @@ def hypergeom_da_test(ds: DiffStructure, b: RatFun) -> DAVerdict:
     b_std, g = mform.standard_part, mform.certificate_g
     notes = "assumes a nonzero solution of sigma(u) = b*u meromorphic on the relevant domain"
     if ds.is_shift:
-        if b_std.is_constant():
-            cert = DACertificate(f=g, c=b_std.const_value(), n_or_r=0)
-            _verify_twisted_ratio(ds, b, cert)
-            return DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, notes)
+        shape = (b_std.const_value(), 0) if b_std.is_constant() else None
+    else:
+        shape = _monomial_shape(b_std)
+    if shape is None:
         return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, notes)
-    shape = _monomial_shape(b_std)
-    if shape is not None:
-        c, n = shape
-        cert = DACertificate(f=g, c=c, n_or_r=n)
-        _verify_twisted_ratio(ds, b, cert)
-        return DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, notes)
-    return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, notes)
-
-
-def _verify_twisted_ratio(ds: DiffStructure, b: RatFun, cert: DACertificate):
-    f = cert.f
-    n = cert.n_or_r or 0
-    xn = RatFun.x() ** n if n >= 0 else RatFun.one() / (RatFun.x() ** (-n))
-    expected = RatFun.const(cert.c) * xn * apply_sigma(ds, f) / f
-    if expected != b:
+    cert = DACertificate(f=g, c=shape[0], n_or_r=shape[1])
+    if not verify_twisted_ratio(ds, b, cert):
         raise InternalVerificationError("twisted-ratio certificate failed substitution")
+    return DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, notes)
+
+
+def verify_twisted_ratio(ds: DiffStructure, b: RatFun, cert: DACertificate) -> bool:
+    """b == c * x^n * sigma(f)/f."""
+    twist = RatFun.const(cert.c) * RatFun.x() ** (cert.n_or_r or 0)
+    return twist * apply_sigma(ds, cert.f) / cert.f == b
+
+
+def verify_first_order_witness(ds: DiffStructure, a: RatFun, b: RatFun, cert: DACertificate) -> bool:
+    """b == sigma(f) - a*f, plus d*x^r in the resonant q case a = q^r."""
+    expected = apply_sigma(ds, cert.f) - a * cert.f
+    if cert.d is not None:
+        expected = expected + RatFun.const(cert.d) * RatFun.x() ** (cert.n_or_r or 0)
+    return expected == b
 
 
 def inhomog_da_classify(
@@ -218,88 +222,41 @@ def inhomog_da_classify(
             "a must be standard; divide out sigma(g)/g via multiplicative_standard_form"
         )
     base_note = "hypotheses inherited from the classification: z solves sigma(z) = a*z + b"
-
-    def solve_b(extra_basis=(), extra_fixed=()):
-        basis = [b] + list(extra_basis)
-        fixed = [RAT_ONE] + list(extra_fixed)
-        return solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=degree_cap)
-
     if ds.is_shift:
-        if a.is_constant():
-            sol = solve_b()
-            _check_bound(sol)
-            if sol.is_solved():
-                cert = DACertificate(f=sol.particular[0], c=a.const_value())
-                return DAVerdict(
-                    DAStatus.DIFFERENTIALLY_ALGEBRAIC,
-                    cert,
-                    base_note + "; constant a: every solution is differentially algebraic",
-                )
-            return DAVerdict(
-                DAStatus.DIFFERENTIALLY_TRANSCENDENTAL,
-                None,
-                base_note + "; z is automatically irrational since b = sigma(f) - a*f has no rational solution",
-            )
-        sol = solve_b()
-        _check_bound(sol)
-        if sol.is_solved():
-            return DAVerdict(
-                DAStatus.RATIONAL_SOLUTION_EXISTS,
-                DACertificate(f=sol.particular[0]),
-                base_note + "; the classification assumes z is not in Q(x), "
-                "but sigma(z) = a*z + b has the rational solution reported as f; "
-                "any solution z not in Q(x) is differentially transcendental",
-            )
-        return DAVerdict(
-            DAStatus.DIFFERENTIALLY_TRANSCENDENTAL,
-            None,
-            base_note + "; nonconstant standard a",
-        )
-
-    shape = _monomial_shape(a)
-    if shape is None:
-        sol = solve_b()
-        _check_bound(sol)
-        if sol.is_solved():
-            return DAVerdict(
-                DAStatus.RATIONAL_SOLUTION_EXISTS,
-                DACertificate(f=sol.particular[0]),
-                base_note + "; the classification assumes z is not in Q(x), "
-                "but sigma(z) = a*z + b has the rational solution reported as f; "
-                "any solution z not in Q(x) is differentially transcendental",
-            )
-        return DAVerdict(
-            DAStatus.DIFFERENTIALLY_TRANSCENDENTAL,
-            None,
-            base_note + "; a is standard and not of the form c*x^n",
-        )
-    c, n = shape
+        shape = (a.const_value(), None) if a.is_constant() else None
+        kind, other = "constant a", "nonconstant standard a"
+    else:
+        shape = _monomial_shape(a)
+        kind, other = "a = c*x^n", "a is standard and not of the form c*x^n"
+    c, n = shape if shape is not None else (None, None)
     r = _q_power_log(ds, c) if n == 0 else None
-    if r is not None:
-        xr = RatFun.x() ** r if r >= 0 else RatFun.one() / (RatFun.x() ** (-r))
-        sol = solve_first_order(
-            ds, a, rhs_basis=[b, xr], lambda_fixed=[RAT_ONE, None], degree_cap=degree_cap
-        )
-        _check_bound(sol)
-        if sol.is_solved():
-            g, lam = sol.particular
-            cert = DACertificate(f=g, c=c, n_or_r=r, d=-lam[1])
-            return DAVerdict(
-                DAStatus.DIFFERENTIALLY_ALGEBRAIC,
-                cert,
-                base_note + f"; resonant case a = q^{r}",
-            )
-        return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, base_note)
-    sol = solve_b()
+    basis, fixed = ([b, RatFun.x() ** r], [RAT_ONE, None]) if r is not None else ([b], [RAT_ONE])
+    sol = solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=degree_cap)
     _check_bound(sol)
-    if sol.is_solved():
-        cert = DACertificate(f=sol.particular[0], c=c, n_or_r=n)
-        return DAVerdict(
-            DAStatus.DIFFERENTIALLY_ALGEBRAIC,
-            cert,
-            base_note + "; a = c*x^n: every solution is differentially algebraic",
-        )
-    return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, base_note)
+    if shape is None:
+        if sol.is_solved():
+            return DAVerdict(
+                DAStatus.RATIONAL_SOLUTION_EXISTS,
+                DACertificate(f=sol.particular[0]),
+                base_note + "; the classification assumes z is not in Q(x), "
+                "but sigma(z) = a*z + b has the rational solution reported as f; "
+                "any solution z not in Q(x) is differentially transcendental",
+            )
+        return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, f"{base_note}; {other}")
+    if not sol.is_solved():
+        if ds.is_shift:
+            base_note += "; z is automatically irrational since b = sigma(f) - a*f has no rational solution"
+        return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, base_note)
+    g, lam = sol.particular
+    if r is not None:
+        cert = DACertificate(f=g, c=c, n_or_r=r, d=-lam[1])
+        return DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, base_note + f"; resonant case a = q^{r}")
+    cert = DACertificate(f=g, c=c, n_or_r=n)
+    return DAVerdict(
+        DAStatus.DIFFERENTIALLY_ALGEBRAIC,
+        cert,
+        f"{base_note}; {kind}: every solution is differentially algebraic",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +289,7 @@ def integrability_test(
     coordinate; a positive answer returns a substitution-verified B.
     """
     n = a_matrix.n
-    try:
-        a_inv = a_matrix.inverse()
-    except SingularMatrixError:
-        raise
+    a_inv = a_matrix.inverse()
     da = a_matrix.map(lambda f: apply_derivation(ds, f))
     inhom = da @ a_inv
     c_vec = [inhom.entries[r][s] for r in range(n) for s in range(n)]
@@ -362,17 +316,26 @@ def integrability_test(
         )
     flat = sol.particular
     b_matrix = MatrixRF([[flat[r * n + s] for s in range(n)] for r in range(n)])
-    lhs = b_matrix.map(lambda f: apply_sigma(ds, f))
-    rhs = (a_matrix @ b_matrix) @ a_inv
-    for r in range(n):
-        for s in range(n):
-            if lhs.entries[r][s] != rhs.entries[r][s] + inhom.entries[r][s]:
-                raise InternalVerificationError("conjugating matrix failed substitution")
+    if not verify_conjugating_matrix(ds, a_matrix, b_matrix):
+        raise InternalVerificationError("conjugating matrix failed substitution")
     return IntegrabilityResult(
         IntegrabilityStatus.CONSTANT_CONJUGATE,
         b_matrix,
         sol.scalar_traces[0] if sol.scalar_traces else None,
         sol.scalar_traces,
+    )
+
+
+def verify_conjugating_matrix(ds: DiffStructure, a_matrix: MatrixRF, b_matrix: MatrixRF) -> bool:
+    """sigma(B)*A == A*B + d(A): for invertible A this is
+    sigma(B) = A*B*A^-1 + d(A)*A^-1 without the inverse."""
+    lhs = b_matrix.map(lambda f: apply_sigma(ds, f)) @ a_matrix
+    rhs = a_matrix @ b_matrix
+    da = a_matrix.map(lambda f: apply_derivation(ds, f))
+    return all(
+        lhs.entries[r][s] == rhs.entries[r][s] + da.entries[r][s]
+        for r in range(a_matrix.n)
+        for s in range(a_matrix.n)
     )
 
 
@@ -422,20 +385,28 @@ def group_classify_inhomog_sum(
     one = RatFun.one()
     sol = solve_first_order(ds, one, rhs_basis=[f], lambda_fixed=[RAT_ONE], degree_cap=degree_cap)
     _check_bound(sol)
+    group = GroupClass(GroupKind.FULL_GA)
     if sol.is_solved():
-        h = sol.particular[0]
-        if apply_sigma(ds, h) - h != f:
-            raise InternalVerificationError("summation witness failed substitution")
-        return GroupClass(GroupKind.TRIVIAL, h)
-    if not ds.is_shift:
-        sol2 = solve_first_order(
+        group = GroupClass(GroupKind.TRIVIAL, sol.particular[0])
+    elif not ds.is_shift:
+        sol = solve_first_order(
             ds, one, rhs_basis=[f, RatFun.one()], lambda_fixed=[RAT_ONE, None], degree_cap=degree_cap
         )
-        _check_bound(sol2)
-        if sol2.is_solved():
-            h, lam = sol2.particular
-            c = -lam[1]
-            if c == 0 or apply_sigma(ds, h) - h + RatFun.const(c) != f:
-                raise InternalVerificationError("constants-level witness failed")
-            return GroupClass(GroupKind.CONSTANTS_GA, h, c)
-    return GroupClass(GroupKind.FULL_GA)
+        _check_bound(sol)
+        if sol.is_solved():
+            h, lam = sol.particular
+            group = GroupClass(GroupKind.CONSTANTS_GA, h, -lam[1])
+    if group.certificate_h is not None and not verify_summation(ds, f, group):
+        raise InternalVerificationError("summation witness failed substitution")
+    return group
+
+
+def verify_summation(ds: DiffStructure, f: RatFun, group: GroupClass) -> bool:
+    """f == sigma(h) - h, plus a nonzero constant c at the constants level."""
+    h, c = group.certificate_h, group.certificate_c
+    expected = apply_sigma(ds, h) - h
+    if c is not None:
+        if c == 0:
+            return False
+        expected = expected + RatFun.const(c)
+    return expected == f

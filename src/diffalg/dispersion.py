@@ -22,22 +22,21 @@ from dataclasses import dataclass
 
 from .errors import InternalVerificationError, PreconditionError, ZeroInputError
 from .numcore import (
-    GF_PRIME as _GF_PRIME,
+    GF_PRIME,
     Poly,
     Rat,
     RatFun,
-    gf_coeffs as _gf_coeffs,
+    gf_coeffs,
     gf_gcd_degree,
     integer_roots,
     partial_split,
     poly_gcd,
     poly_resultant,
+    q_window,
     root_magnitude_bound,
     squarefree_decomposition,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly
-
-import math
 
 # direct gap scans are capped here; beyond it the shift case falls back to
 # integer roots of the interpolated resultant Res_x(Q(x), Q(x+y))
@@ -47,10 +46,6 @@ _SCAN_LIMIT = 1024
 def _radical(p: Poly) -> Poly:
     g = poly_gcd(p, p.derivative())
     return p.monic() if g.degree == 0 else p.exact_div(g).monic()
-
-
-def _gf_gcd_degree(a: list[int], b: list[int], prime: int) -> int:
-    return gf_gcd_degree(a, b, prime)
 
 
 def _gf_shift(cs: list[int], h: int, prime: int) -> list[int]:
@@ -93,10 +88,10 @@ def _shift_gap_candidates(w: Poly) -> list[int]:
     limit = int(bound2.numerator) // int(bound2.denominator) + 1
     hits: list[int] = []
     if limit <= _SCAN_LIMIT:
-        gf = _gf_coeffs(w, _GF_PRIME)
+        gf = gf_coeffs(w)
         for h in range(1, limit + 1):
             if gf is not None:
-                if _gf_gcd_degree(list(gf), _gf_shift(gf, h, _GF_PRIME), _GF_PRIME) < 1:
+                if gf_gcd_degree(gf, _gf_shift(gf, h, GF_PRIME)) < 1:
                     continue  # mod-p gcd constant certifies the Q-gcd is constant
             if poly_gcd(w, w.shift_arg(h)).degree > 0:
                 hits.append(h)
@@ -128,20 +123,21 @@ def _interpolate(points: list[tuple[Rat, Rat]]) -> Poly:
     return poly
 
 
+def _root_annulus(w: Poly) -> tuple[Rat, Rat]:
+    """(lo, hi) with lo <= |alpha| <= hi for every root alpha of w, w(0) != 0;
+    lo <= 1 <= hi."""
+    rev = Poly(list(reversed(w.coeffs)))
+    return 1 / root_magnitude_bound(rev), root_magnitude_bound(w)
+
+
 def _q_gap_limit(ds: DiffStructure, w: Poly) -> int:
     """Upper bound on L such that alpha and q^L*alpha can both be roots of w
     (w(0) != 0): |q|^L is squeezed between the smallest and largest root
     magnitudes."""
     if w.degree < 1:
         return 0
-    hi = root_magnitude_bound(w)
-    rev = Poly(list(reversed(w.coeffs)))
-    lo = 1 / root_magnitude_bound(rev)  # every root has magnitude >= lo
-    ratio = math.log(int(hi.numerator)) - math.log(int(hi.denominator))
-    ratio -= math.log(int(lo.numerator)) - math.log(int(lo.denominator))
-    q = ds.q
-    logq = abs(math.log(abs(int(q.numerator))) - math.log(abs(int(q.denominator))))
-    return int(ratio / logq) + 1
+    lo, hi = _root_annulus(w)
+    return q_window(ds.q, hi / lo)
 
 
 def _q_gap_candidates(ds: DiffStructure, w: Poly) -> list[int]:
@@ -150,12 +146,12 @@ def _q_gap_candidates(ds: DiffStructure, w: Poly) -> list[int]:
     exact gcd is constant, so only the few surviving candidates pay for exact
     big-rational arithmetic."""
     hits = []
-    gf = _gf_coeffs(w, _GF_PRIME)
-    qmod = _gf_q_mod(ds, _GF_PRIME) if gf is not None else None
+    gf = gf_coeffs(w)
+    qmod = _gf_q_mod(ds, GF_PRIME) if gf is not None else None
     for h in range(1, _q_gap_limit(ds, w) + 1):
         if qmod is not None:
-            qh = pow(qmod, h, _GF_PRIME)
-            if qh != 0 and _gf_gcd_degree(list(gf), _gf_scale(gf, qh, _GF_PRIME), _GF_PRIME) < 1:
+            qh = pow(qmod, h, GF_PRIME)
+            if qh != 0 and gf_gcd_degree(gf, _gf_scale(gf, qh, GF_PRIME)) < 1:
                 continue
         if poly_gcd(w, w.scale_arg(ds.q ** h)).degree > 0:
             hits.append(h)

@@ -64,12 +64,6 @@ def solve_affine(rows, rhs, zero, one):
     return particular, basis
 
 
-def nullspace(rows, zero, one):
-    nrows = len(rows)
-    _, basis = solve_affine(rows, [zero] * nrows, zero, one)
-    return basis
-
-
 def invert_matrix(rows, zero, one):
     """Gauss-Jordan inverse; returns None when the matrix is singular."""
     n = len(rows)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from fractions import Fraction
 
 from .errors import PreconditionError, ZeroInputError
@@ -29,11 +28,6 @@ else:
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
-
-
-def rat(numerator, denominator=1) -> Rat:
-    """Build a Rat from ints, strings like ``"3/4"``, or another rational."""
-    return Rat(numerator, denominator) if denominator != 1 else Rat(numerator)
 
 
 class Poly:
@@ -449,132 +443,6 @@ def _finalize_resultant(sign: int, h: Rat, a: Poly, b: Poly) -> Rat:
     return sign * res
 
 
-# -- integer factorization (rational-root candidates only) ------------------
-
-
-def _pollard_brent(n: int, rng: random.Random) -> int:
-    if n % 2 == 0:
-        return 2
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n != 0) as {prime: multiplicity}."""
-    if n == 0:
-        raise ZeroInputError("factorize(0)")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 100_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += wheel[i]
-        i = (i + 1) % 8
-    rng = random.Random(0xD1FFA16)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
-
-
-def rational_roots(p: Poly) -> set[Rat]:
-    """All rational roots of p, each reported once, via the rational-root
-    theorem after clearing to coprime integer coefficients."""
-    if p.is_zero():
-        raise ZeroInputError("rational_roots of the zero polynomial")
-    ip, _ = p.int_clear()
-    roots: set[Rat] = set()
-    v = ip.valuation()
-    if v > 0:
-        roots.add(RAT_ZERO)
-        ip = Poly(ip.coeffs[v:])
-    if ip.degree == 0:
-        return roots
-    a0 = int(ip.coeffs[0].numerator)
-    an = int(ip.lc().numerator)
-    for r in _divisors(a0):
-        for s in _divisors(an):
-            if math.gcd(r, s) != 1:
-                continue
-            cand = Rat(r, s)
-            if ip.eval(cand) == 0:
-                roots.add(cand)
-            if ip.eval(-cand) == 0:
-                roots.add(-cand)
-    return roots
-
-
 # -- Sturm sequences: integer roots without factoring ------------------------
 
 
@@ -631,6 +499,29 @@ def root_magnitude_bound(p: Poly) -> Rat:
         fuji = max(fuji, _iroot_ceil(ratio_ceil, k))
     fuji_bound = Rat(2 * fuji + 1)
     return min(cauchy, fuji_bound)
+
+
+def q_window(q: Rat, bound: Rat) -> int:
+    """Largest L >= 0 with Q^L <= bound, where Q = max(|q|, 1/|q|) > 1; 0 when
+    bound < Q.  Exact: binary search over the powers Q^(2^k)."""
+    a, b = abs(int(q.numerator)), abs(int(q.denominator))
+    if a == b:
+        raise PreconditionError("q_window needs |q| != 1")
+    if a < b:
+        a, b = b, a
+    c, d = int(bound.numerator), int(bound.denominator)
+    # Q^L <= bound  <=>  a^L * d <= c * b^L
+    squares = []
+    while a * d <= c * b:
+        squares.append((a, b))
+        a, b = a * a, b * b
+    window, pa, pb = 0, 1, 1
+    for k in reversed(range(len(squares))):
+        sa, sb = squares[k]
+        if pa * sa * d <= c * pb * sb:
+            pa, pb = pa * sa, pb * sb
+            window += 1 << k
+    return window
 
 
 def _floor(r: Rat) -> int:

@@ -217,9 +217,3 @@ def format_ratfun(f: RatFun) -> str:
         return num
     return f"({num})/({format_poly(f.den)})"
 
-
-def format_matrix(m: MatrixRF) -> str:
-    rows = [
-        "[" + ",".join(format_ratfun(v) for v in row) + "]" for row in m.entries
-    ]
-    return "[" + ",".join(rows) + "]"

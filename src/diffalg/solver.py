@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dispersion import (
-    _GF_PRIME,
-    _gf_coeffs,
     _gf_q_mod,
     _q_gap_candidates,
     _radical,
+    _root_annulus,
     _shift_gap_candidates,
     _strip_x_power,
     additive_standard_decomp,
@@ -47,16 +46,18 @@ from .errors import (
 )
 from .linalg import invert_matrix, solve_affine
 from .numcore import (
+    GF_PRIME,
     RAT_ONE,
     RAT_ZERO,
     Poly,
     Rat,
     RatFun,
     format_poly,
+    gf_coeffs,
     integer_roots,
     poly_gcd,
     poly_lcm,
-    root_magnitude_bound,
+    q_window,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly
 
@@ -115,6 +116,24 @@ class ScalarDiffEq:
             return (None,) * len(self.rhs_basis)
         return self.lambda_fixed
 
+    def split_rhs(self) -> tuple[RatFun, list[int], list[RatFun], list[Rat]]:
+        """(fixed part sum_k lambda_k * r_k over the pinned lambdas, slots of
+        the free lambdas, their basis functions, per-slot values with 0 where
+        free)."""
+        fixed_rf = RatFun.zero()
+        free_slots: list[int] = []
+        free_basis: list[RatFun] = []
+        fixed_values: list[Rat] = []
+        for k, (r, value) in enumerate(zip(self.rhs_basis, self.fixed_mask())):
+            if value is None:
+                free_slots.append(k)
+                free_basis.append(r)
+                fixed_values.append(RAT_ZERO)
+            else:
+                fixed_rf = fixed_rf + RatFun.const(value) * r
+                fixed_values.append(value)
+        return fixed_rf, free_slots, free_basis, fixed_values
+
     def rhs_value(self, lambdas: tuple[Rat, ...]) -> RatFun:
         acc = RatFun.zero()
         for lam, r in zip(lambdas, self.rhs_basis):
@@ -148,13 +167,16 @@ def scalar_eq_from_ratfun_coeffs(
     for c in coeffs:
         den = poly_lcm(den, c.den)
     den_rf = RatFun.from_poly(den)
-    poly_coeffs = []
-    for c in coeffs:
-        cleared = c * den_rf
-        if not cleared.is_polynomial():
-            raise InternalVerificationError("denominator clearing failed")
-        poly_coeffs.append(cleared.num * (1 / cleared.den.lc()))
-    return ScalarDiffEq(ds, tuple(poly_coeffs), tuple(r * den_rf for r in basis), lambda_fixed)
+    poly_coeffs = tuple(_cleared(c, den_rf) for c in coeffs)
+    return ScalarDiffEq(ds, poly_coeffs, tuple(r * den_rf for r in basis), lambda_fixed)
+
+
+def _cleared(r: RatFun, den_rf: RatFun) -> Poly:
+    """r * den as a polynomial; den is a multiple of den(r)."""
+    cleared = r * den_rf
+    if not cleared.is_polynomial():
+        raise InternalVerificationError("denominator clearing failed")
+    return cleared.num * (1 / cleared.den.lc())
 
 
 @dataclass(frozen=True)
@@ -276,34 +298,14 @@ class _Prepared:
 
 def _prepare(eq: ScalarDiffEq) -> _Prepared:
     ds = eq.structure
-    mask = eq.fixed_mask()
-    fixed_rf = RatFun.zero()
-    free_slots = []
-    free_rf = []
-    fixed_values: list[Rat] = []
-    for k, r in enumerate(eq.rhs_basis):
-        if mask[k] is None:
-            free_slots.append(k)
-            free_rf.append(r)
-            fixed_values.append(RAT_ZERO)
-        else:
-            fixed_rf = fixed_rf + RatFun.const(mask[k]) * r
-            fixed_values.append(mask[k])
-
+    fixed_rf, free_slots, free_rf, fixed_values = eq.split_rhs()
     den = fixed_rf.den
     for r in free_rf:
         den = poly_lcm(den, r.den)
     den_rf = RatFun.from_poly(den)
     coeffs = [p * den for p in eq.coeffs]
-
-    def cleared_poly(r: RatFun) -> Poly:
-        cleared = r * den_rf
-        if not cleared.is_polynomial():
-            raise InternalVerificationError("rhs denominator clearing failed")
-        return cleared.num * (1 / cleared.den.lc())
-
-    rhs_fixed = cleared_poly(fixed_rf) if not fixed_rf.is_zero() else Poly.zero()
-    rhs_free = [cleared_poly(r) for r in free_rf]
+    rhs_fixed = _cleared(fixed_rf, den_rf)
+    rhs_free = [_cleared(r, den_rf) for r in free_rf]
 
     # normalise operator support: drop leading/trailing zero coefficients by
     # applying sigma^(-low) to the whole equation
@@ -315,18 +317,11 @@ def _prepare(eq: ScalarDiffEq) -> _Prepared:
         high -= 1
     coeffs = coeffs[low : high + 1]
     if low > 0:
-        coeffs = [_shift_poly_back(ds, p, low) for p in coeffs]
-        rhs_fixed = _shift_poly_back(ds, rhs_fixed, low)
-        rhs_free = [_shift_poly_back(ds, p, low) for p in rhs_free]
+        # sigma^(-low) keeps polynomials polynomial in both structures
+        coeffs = [sigma_poly(ds, p, -low) for p in coeffs]
+        rhs_fixed = sigma_poly(ds, rhs_fixed, -low)
+        rhs_free = [sigma_poly(ds, p, -low) for p in rhs_free]
     return _Prepared(ds, coeffs, rhs_fixed, rhs_free, free_slots, fixed_values)
-
-
-def _shift_poly_back(ds: DiffStructure, p: Poly, amount: int) -> Poly:
-    """sigma^(-amount) of a polynomial; stays a polynomial in both structures
-    (q-dilation only rescales coefficients)."""
-    if p.is_zero():
-        return p
-    return sigma_poly(ds, p, -amount)
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +403,14 @@ def _orbit_chain(ds: DiffStructure, g: Poly, h: int) -> Poly:
 
 
 def _q_power_log(ds: DiffStructure, value: Rat) -> int | None:
-    """The integer v with q^v == value, if one exists."""
+    """The integer v with q^v == value, if one exists: |v| is the magnitude
+    window of max(|value|, 1/|value|)."""
     if value == 0:
         return None
-    q = ds.q
-    if value == 1:
-        return 0
-    num = abs(int(value.numerator))
-    den = abs(int(value.denominator))
-    qn = abs(int(q.numerator))
-    qd = abs(int(q.denominator))
-    logq = abs(math.log(qn) - math.log(qd))
-    mag = abs(math.log(num) - math.log(den))
-    vmax = int(mag / logq) + 2
-    for v in range(-vmax, vmax + 1):
-        if q ** v == value:
-            return v
+    v = q_window(ds.q, max(abs(value), 1 / abs(value)))
+    for cand in (v, -v):
+        if ds.q ** cand == value:
+            return cand
     return None
 
 
@@ -436,26 +423,20 @@ def _q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
     w, _ = _strip_x_power(p)
     if w.degree < 1:
         return []
-    hi = root_magnitude_bound(w)
-    rev = Poly(list(reversed(w.coeffs)))
-    lo = 1 / root_magnitude_bound(rev)
-    q = ds.q
-    logq = abs(math.log(abs(int(q.numerator))) - math.log(abs(int(q.denominator))))
-    log_hi = math.log(int(hi.numerator)) - math.log(int(hi.denominator))
-    log_lo = math.log(int(lo.numerator)) - math.log(int(lo.denominator))
-    vbound = int((max(abs(log_hi), abs(log_lo)) / logq)) + 2
-    gf = _gf_coeffs(w, _GF_PRIME)
-    qmod = _gf_q_mod(ds, _GF_PRIME) if gf is not None else None
+    lo, hi = _root_annulus(w)
+    vbound = q_window(ds.q, max(hi, 1 / lo))
+    gf = gf_coeffs(w)
+    qmod = _gf_q_mod(ds, GF_PRIME) if gf is not None else None
     out = []
     for v in range(-vbound, vbound + 1):
         if qmod is not None:
-            qv = pow(qmod, v, _GF_PRIME) if v >= 0 else pow(pow(qmod, _GF_PRIME - 2, _GF_PRIME), -v, _GF_PRIME)
+            qv = pow(qmod, v, GF_PRIME) if v >= 0 else pow(pow(qmod, GF_PRIME - 2, GF_PRIME), -v, GF_PRIME)
             acc = 0
             for c in reversed(gf):
-                acc = (acc * qv + c) % _GF_PRIME
+                acc = (acc * qv + c) % GF_PRIME
             if acc != 0:
                 continue
-        if w.eval(q ** v) == 0:
+        if w.eval(ds.q ** v) == 0:
             out.append(v)
     return out
 
@@ -636,53 +617,39 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
     rhs_vec = [rhs_fixed[e] for e in range(nrows)]
     particular, nullsp = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
 
-    def unpack(vec) -> tuple[RatFun, tuple[Rat, ...]]:
-        lam_free = vec[:n_lam]
+    def unpack(vec, homogeneous: bool) -> tuple[RatFun, tuple[Rat, ...]]:
         z = Poly(vec[n_lam : n_lam + n_z])
-        lam_full = list(prep.fixed_values)
-        for slot, value in zip(prep.free_slots, lam_free):
+        lam_full = [RAT_ZERO] * len(eq.rhs_basis) if homogeneous else list(prep.fixed_values)
+        for slot, value in zip(prep.free_slots, vec[:n_lam]):
             lam_full[slot] = value
         return RatFun(z, u.monic()) if not z.is_zero() else RatFun.zero(), tuple(lam_full)
 
-    def unpack_homog(vec) -> tuple[RatFun, tuple[Rat, ...]]:
-        lam_free = vec[:n_lam]
-        z = Poly(vec[n_lam : n_lam + n_z])
-        lam_full = [RAT_ZERO] * len(eq.rhs_basis)
-        for slot, value in zip(prep.free_slots, lam_free):
-            lam_full[slot] = value
-        return RatFun(z, u.monic()) if not z.is_zero() else RatFun.zero(), tuple(lam_full)
-
-    basis = tuple(unpack_homog(v) for v in nullsp)
-    basis = tuple(pair for pair in basis if not (pair[0].is_zero() and all(v == 0 for v in pair[1])))
-    for g, lam in basis:
-        if not eq.residual(g, lam).is_zero():
-            raise InternalVerificationError("homogeneous basis vector failed substitution")
+    basis = tuple(unpack(v, True) for v in nullsp)
     if particular is None:
         u_text = format_poly(u) if u.degree <= 8 else f"a degree-{u.degree} polynomial"
-        witness = (
-            "no rational solution: with denominator bound "
-            f"u = {u_text} and numerator degree bound {bound}, "
-            "the coefficient system is inconsistent"
-        )
-        return SolutionSpace(
+        space = SolutionSpace(
             Status.NO_SOLUTION,
             homogeneous_basis=basis,
-            witness=witness,
+            witness="no rational solution: with denominator bound "
+            f"u = {u_text} and numerator degree bound {bound}, "
+            "the coefficient system is inconsistent",
             universal_den=u,
             degree_bound=bound,
         )
-    space = SolutionSpace(
-        Status.SOLVED,
-        particular=unpack(particular),
-        homogeneous_basis=basis,
-        universal_den=u,
-        degree_bound=bound,
-    )
+    else:
+        space = SolutionSpace(
+            Status.SOLVED,
+            particular=unpack(particular, False),
+            homogeneous_basis=basis,
+            universal_den=u,
+            degree_bound=bound,
+        )
     _verify_space(eq, space)
     return space
 
 
 def _verify_space(eq: ScalarDiffEq, space: SolutionSpace):
+    """Substitute the particular solution and every homogeneous basis vector."""
     if space.particular is not None:
         g, lam = space.particular
         if not eq.residual(g, lam).is_zero():
@@ -738,20 +705,7 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
     at 0 (q case); the caller guarantees this.
     """
     ds = eq.structure
-    mask = eq.fixed_mask()
-    fixed_rf = RatFun.zero()
-    free_slots = []
-    free_basis: list[RatFun] = []
-    fixed_values: list[Rat] = []
-    for k, r in enumerate(eq.rhs_basis):
-        if mask[k] is None:
-            free_slots.append(k)
-            free_basis.append(r)
-            fixed_values.append(RAT_ZERO)
-        else:
-            fixed_rf = fixed_rf + RatFun.const(mask[k]) * r
-            fixed_values.append(mask[k])
-
+    fixed_rf, free_slots, free_basis, fixed_values = eq.split_rhs()
     decomp = additive_standard_decomp(ds, fixed_rf, a)
     s_part = decomp.standard_part
     _, frac = s_part.poly_part()
@@ -809,23 +763,17 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
         return g, tuple(lam_full)
 
     basis = tuple(unpack(v, True) for v in nullsp)
-    basis = tuple(p for p in basis if not (p[0].is_zero() and all(v == 0 for v in p[1])))
-    for g, lam in basis:
-        if not eq.residual(g, lam).is_zero():
-            raise InternalVerificationError("fast-path homogeneous vector failed substitution")
     if pole_witness is not None:
-        return SolutionSpace(Status.NO_SOLUTION, homogeneous_basis=basis, witness=pole_witness)
-    if particular is None:
-        witness = (
-            "Laurent obstruction: the x-power coefficients of the standard part "
-            "cannot be matched by sigma(g) - a*g with the available free constants"
+        space = SolutionSpace(Status.NO_SOLUTION, homogeneous_basis=basis, witness=pole_witness)
+    elif particular is None:
+        space = SolutionSpace(
+            Status.NO_SOLUTION,
+            homogeneous_basis=basis,
+            witness="Laurent obstruction: the x-power coefficients of the standard part "
+            "cannot be matched by sigma(g) - a*g with the available free constants",
         )
-        return SolutionSpace(Status.NO_SOLUTION, homogeneous_basis=basis, witness=witness)
-    space = SolutionSpace(
-        Status.SOLVED,
-        particular=unpack(particular, False),
-        homogeneous_basis=basis,
-    )
+    else:
+        space = SolutionSpace(Status.SOLVED, particular=unpack(particular, False), homogeneous_basis=basis)
     _verify_space(eq, space)
     return space
 
@@ -1037,81 +985,3 @@ def _verify_system(ds, m, c, space: VectorSolutionSpace):
         check(space.particular, True)
     for vec in space.homogeneous_basis:
         check(vec, False)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle (test use only)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_oracle(
-    ds: DiffStructure,
-    eq: ScalarDiffEq,
-    deg_bound: int,
-    universal_den: Poly | None = None,
-) -> SolutionSpace:
-    """Exhaustive ansatz solver for cross-checking solve_scalar in tests.
-
-    Tries y = (sum_j alpha_j x^j)/u with j <= deg_bound and u a supplied
-    universal denominator, applying the operator to each basis function with
-    plain rational-function arithmetic (no degree analysis, no polynomial
-    identity shortcuts).
-    """
-    if deg_bound > 12:
-        raise PreconditionError("oracle degree bound capped at 12")
-    u = universal_den if universal_den is not None else universal_denominator(eq)
-    u_rf = RatFun.from_poly(u)
-    mask = eq.fixed_mask()
-    free_slots = [k for k, v in enumerate(mask) if v is None]
-    fixed_rhs = RatFun.zero()
-    for k, v in enumerate(mask):
-        if v is not None:
-            fixed_rhs = fixed_rhs + RatFun.const(v) * eq.rhs_basis[k]
-
-    columns: list[RatFun] = []
-    for j in range(deg_bound + 1):
-        basis_fn = RatFun(Poly.monomial(1, j), u)
-        columns.append(eq.apply_operator(basis_fn))
-    for k in free_slots:
-        columns.append(-eq.rhs_basis[k])
-
-    den = fixed_rhs.den
-    for col in columns:
-        den = poly_lcm(den, col.den)
-    den_rf = RatFun.from_poly(den)
-    col_polys = [(col * den_rf).num for col in columns]
-    rhs_poly = (fixed_rhs * den_rf).num
-    max_e = max([p.degree for p in col_polys] + [rhs_poly.degree, 0])
-    rows = [[p[e] for p in col_polys] for e in range(max_e + 1)]
-    rhs_vec = [rhs_poly[e] for e in range(max_e + 1)]
-    particular, nullsp = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
-
-    def unpack(vec, homogeneous: bool):
-        z = Poly(vec[: deg_bound + 1])
-        g = RatFun(z, u)
-        lam = [RAT_ZERO] * len(eq.rhs_basis) if homogeneous else list(
-            v if v is not None else RAT_ZERO for v in mask
-        )
-        for slot, value in zip(free_slots, vec[deg_bound + 1 :]):
-            lam[slot] = value
-        return g, tuple(lam)
-
-    basis = tuple(unpack(v, True) for v in nullsp)
-    basis = tuple(p for p in basis if not (p[0].is_zero() and all(v == 0 for v in p[1])))
-    if particular is None:
-        return SolutionSpace(
-            Status.NO_SOLUTION,
-            homogeneous_basis=basis,
-            witness="oracle: no solution within the supplied ansatz",
-            universal_den=u,
-            degree_bound=deg_bound,
-        )
-    space = SolutionSpace(
-        Status.SOLVED,
-        particular=unpack(particular, False),
-        homogeneous_basis=basis,
-        universal_den=u,
-        degree_bound=deg_bound,
-    )
-    _verify_space(eq, space)
-    return space

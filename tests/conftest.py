@@ -15,7 +15,6 @@ from diffalg import (
     additive_standard_decomp,
     apply_derivation,
     apply_sigma,
-    brute_force_oracle,
     is_standard,
     multiplicative_standard_form,
     parse_ratfun,
@@ -24,6 +23,7 @@ from diffalg import (
     shift_structure,
     solve_scalar,
 )
+from oracle import brute_force_oracle
 
 SHIFT = shift_structure()
 Q2 = q_structure(2)

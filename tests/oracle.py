@@ -1,0 +1,74 @@
+"""Brute-force ansatz solver used to cross-check ``solve_scalar`` in tests."""
+
+from __future__ import annotations
+
+from diffalg.errors import PreconditionError
+from diffalg.linalg import solve_affine
+from diffalg.numcore import RAT_ONE, RAT_ZERO, Poly, RatFun, poly_lcm
+from diffalg.solver import ScalarDiffEq, SolutionSpace, Status, _verify_space, universal_denominator
+from diffalg.structures import DiffStructure
+
+
+def brute_force_oracle(
+    ds: DiffStructure,
+    eq: ScalarDiffEq,
+    deg_bound: int,
+    universal_den: Poly | None = None,
+) -> SolutionSpace:
+    """Exhaustive ansatz solver for cross-checking solve_scalar in tests.
+
+    Tries y = (sum_j alpha_j x^j)/u with j <= deg_bound and u a supplied
+    universal denominator, applying the operator to each basis function with
+    plain rational-function arithmetic (no degree analysis, no polynomial
+    identity shortcuts).
+    """
+    if deg_bound > 12:
+        raise PreconditionError("oracle degree bound capped at 12")
+    u = universal_den if universal_den is not None else universal_denominator(eq)
+    fixed_rhs, free_slots, free_basis, fixed_values = eq.split_rhs()
+
+    columns: list[RatFun] = []
+    for j in range(deg_bound + 1):
+        basis_fn = RatFun(Poly.monomial(1, j), u)
+        columns.append(eq.apply_operator(basis_fn))
+    for r in free_basis:
+        columns.append(-r)
+
+    den = fixed_rhs.den
+    for col in columns:
+        den = poly_lcm(den, col.den)
+    den_rf = RatFun.from_poly(den)
+    col_polys = [(col * den_rf).num for col in columns]
+    rhs_poly = (fixed_rhs * den_rf).num
+    max_e = max([p.degree for p in col_polys] + [rhs_poly.degree, 0])
+    rows = [[p[e] for p in col_polys] for e in range(max_e + 1)]
+    rhs_vec = [rhs_poly[e] for e in range(max_e + 1)]
+    particular, nullsp = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
+
+    def unpack(vec, homogeneous: bool):
+        z = Poly(vec[: deg_bound + 1])
+        g = RatFun(z, u)
+        lam = [RAT_ZERO] * len(eq.rhs_basis) if homogeneous else list(fixed_values)
+        for slot, value in zip(free_slots, vec[deg_bound + 1 :]):
+            lam[slot] = value
+        return g, tuple(lam)
+
+    basis = tuple(unpack(v, True) for v in nullsp)
+    basis = tuple(p for p in basis if not (p[0].is_zero() and all(v == 0 for v in p[1])))
+    if particular is None:
+        return SolutionSpace(
+            Status.NO_SOLUTION,
+            homogeneous_basis=basis,
+            witness="oracle: no solution within the supplied ansatz",
+            universal_den=u,
+            degree_bound=deg_bound,
+        )
+    space = SolutionSpace(
+        Status.SOLVED,
+        particular=unpack(particular, False),
+        homogeneous_basis=basis,
+        universal_den=u,
+        degree_bound=deg_bound,
+    )
+    _verify_space(eq, space)
+    return space

@@ -10,7 +10,18 @@ import pytest
 
 from conftest import SHIFT, Q2, rand_ratfun, rf
 from diffalg import ParseError, Poly, Rat, RatFun, format_ratfun, parse_matrix, parse_ratfun
-from diffalg.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, Query, main, query_from_dict, run_batch, run_query
+from diffalg import cli
+from diffalg.cli import (
+    EXIT_BOUND,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    Query,
+    main,
+    query_from_dict,
+    run_batch,
+    run_query,
+)
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "diffalg", "verdict_report.schema.json")
 
@@ -99,6 +110,10 @@ class TestRunQuery:
         cases = [
             _query("da-hypergeom", b="3*(x+1)/x"),
             _query("da-inhomog", a="2", b="1"),
+            _query("da-inhomog", case="q", q="2", a="2", b="x"),
+            _query("da-inhomog", a="x", b="1 - x"),
+            _query("da-hypergeom", case="q", q="2", b="3/x^2"),
+            _query("integrability", matrix="[[1,x],[0,1]]"),
             _query("classify-group", f="1"),
             _query("classify-group", case="q", q="2", f="2*x - x + 1"),
             _query("standard-form", f="1/x + 1/(x+2)", a="1"),
@@ -211,6 +226,66 @@ class TestBatch:
         assert serial == parallel
 
 
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "lines.jsonl"
+        path.write_text("\n".join(l if isinstance(l, str) else json.dumps(l) for l in lines) + "\n")
+        return str(path)
+
+    def test_wrong_field_types_are_parse_errors(self, tmp_path):
+        bad = [
+            {"subcommand": "disp", "poly": 5},
+            {"subcommand": "telescope", "funcs": "1/x", "degree_cap": "abc"},
+            {"subcommand": "telescope", "funcs": "1/x", "order_bound": True},
+            {"subcommand": "telescope", "funcs": "1/x", "order_bound": 1.5},
+            {"subcommand": "da-hypergeom", "case": "z", "b": "x"},
+        ]
+        for obj in bad:
+            with pytest.raises(ParseError):
+                query_from_dict(obj)
+        reports, code = run_batch(self._write(tmp_path, bad + [{"subcommand": "da-hypergeom", "b": "x"}]))
+        assert code == EXIT_USAGE
+        assert [r["error"]["kind"] for r in reports[:-1]] == ["parse"] * len(bad)
+        assert [r["error"]["line"] for r in reports[:-1]] == list(range(1, len(bad) + 1))
+        assert reports[-1]["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+
+    def test_bound_exceeded_line_matches_single_query(self, tmp_path, capsys):
+        line = {"subcommand": "telescope", "funcs": "1/x + x^3", "order_bound": 2, "degree_cap": 0}
+        reports, code = run_batch(self._write(tmp_path, [line, {"subcommand": "classify-group", "f": "1"}]))
+        assert code == EXIT_BOUND
+        assert reports[0]["error"]["kind"] == "bound-exceeded"
+        assert reports[1]["verdict"] == "TRIVIAL"
+        single = main(["telescope", "--funcs", "1/x + x^3", "--order-bound", "2", "--degree-cap", "0"])
+        assert single == EXIT_BOUND
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "bound-exceeded"
+
+    def test_unexpected_exception_is_internal(self, tmp_path, monkeypatch):
+        real = cli.run_query
+
+        def flaky(query):
+            if query.subcommand == "mult-form":
+                raise RuntimeError("boom")
+            return real(query)
+
+        monkeypatch.setattr(cli, "run_query", flaky)
+        reports, code = run_batch(self._write(tmp_path, [
+            {"subcommand": "mult-form", "f": "x"},
+            "not json",
+            {"subcommand": "da-hypergeom", "b": "x"},
+        ]))
+        assert reports[0]["error"] == {"line": 1, "message": "boom", "kind": "internal"}
+        assert reports[1]["error"]["kind"] == "parse"
+        assert reports[2]["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+        assert code == EXIT_INTERNAL
+
+    def test_exit_code_is_largest_line_code(self, tmp_path):
+        bound_verdict = {"subcommand": "solve-scalar", "coeffs": "1;1", "rhs": "x^3", "degree_cap": 0}
+        reports, code = run_batch(self._write(tmp_path, [bound_verdict, {"subcommand": "da-hypergeom", "b": "x"}]))
+        assert reports[0]["verdict"] == "BOUND_EXCEEDED"
+        assert code == EXIT_BOUND
+        _, code = run_batch(self._write(tmp_path, [bound_verdict, "{}"]))
+        assert code == EXIT_BOUND
+
+
 class TestMainEntry:
     def test_usage_error_exit_code(self):
         assert main(["da-hypergeom", "--b", "x +"]) == EXIT_USAGE
@@ -250,6 +325,10 @@ class TestMainEntry:
         )
         assert proc.returncode == EXIT_BOUND
         assert json.loads(proc.stdout)["verdict"] == "BOUND_EXCEEDED"
+
+    def test_missing_batch_file_is_usage_error(self, tmp_path, capsys):
+        assert main(["batch", str(tmp_path / "absent.jsonl")]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "usage"
 
     def test_query_from_dict_rejects_unknown(self):
         with pytest.raises(ParseError):

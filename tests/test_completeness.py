@@ -14,13 +14,13 @@ from diffalg import (
     ScalarDiffEq,
     Status,
     apply_sigma,
-    brute_force_oracle,
     dispersion,
     solve_scalar,
     solve_system,
 )
 from diffalg.linalg import solve_affine
 from diffalg.numcore import RAT_ONE, RAT_ZERO, poly_lcm
+from oracle import brute_force_oracle
 
 
 def _ratfun_combo_solvable(target, basis):

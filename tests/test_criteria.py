@@ -2,6 +2,7 @@
 first-order classification, matrix integrability, group classification."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +31,11 @@ from diffalg import (
     integrability_test,
     mult_dependence_test,
     multiplicative_standard_form,
+    verify_conjugating_matrix,
+    verify_first_order_witness,
+    verify_summation,
     verify_telescoper,
+    verify_twisted_ratio,
 )
 
 
@@ -298,19 +303,19 @@ class TestIntegrability:
         assert result.status is IntegrabilityStatus.NOT_CONSTANT_CONJUGATE
 
     def test_positive_case_verifies(self):
-        # diagonal matrix with rational-ratio entries admits B
-        a = MatrixRF([[rf("x"), 0], [0, rf("x+1")]])
+        # unipotent A admits B = [[0, x + c], [0, 0]]: sigma(b) = b + 1
+        a = MatrixRF([[1, rf("x")], [0, 1]])
         result = integrability_test(SHIFT, a)
-        if result.status is IntegrabilityStatus.CONSTANT_CONJUGATE:
-            b = result.b_matrix
-            a_inv = a.inverse()
-            da = a.map(lambda f: apply_derivation(SHIFT, f))
-            lhs = b.map(lambda f: apply_sigma(SHIFT, f))
-            rhs = (a @ b) @ a_inv
-            inhom = da @ a_inv
-            for r in range(2):
-                for s in range(2):
-                    assert lhs.entries[r][s] == rhs.entries[r][s] + inhom.entries[r][s]
+        assert result.status is IntegrabilityStatus.CONSTANT_CONJUGATE
+        b = result.b_matrix
+        a_inv = a.inverse()
+        da = a.map(lambda f: apply_derivation(SHIFT, f))
+        lhs = b.map(lambda f: apply_sigma(SHIFT, f))
+        rhs = (a @ b) @ a_inv
+        inhom = da @ a_inv
+        for r in range(2):
+            for s in range(2):
+                assert lhs.entries[r][s] == rhs.entries[r][s] + inhom.entries[r][s]
 
     def test_singular_rejected(self):
         from diffalg import SingularMatrixError
@@ -353,3 +358,53 @@ class TestGroupClassification:
             g = group_classify_inhomog_sum(ds, f)
             assert g.kind is GroupKind.TRIVIAL
             assert apply_sigma(ds, g.certificate_h) - g.certificate_h == f
+
+
+class TestCertificateVerifiers:
+    """Each verifier accepts the certificate its procedure returns and
+    rejects a tampered copy."""
+
+    def test_twisted_ratio(self):
+        for ds, b in ((SHIFT, rf("3*(x+1)/x")), (Q2, rf("5*x^3*(2*x+1)/(x+1)")), (Q2, rf("3/x^2"))):
+            cert = hypergeom_da_test(ds, b).certificate
+            assert verify_twisted_ratio(ds, b, cert)
+            assert not verify_twisted_ratio(ds, b, replace(cert, c=cert.c + 1))
+            assert not verify_twisted_ratio(ds, b, replace(cert, n_or_r=cert.n_or_r + 1))
+            assert not verify_twisted_ratio(ds, b, replace(cert, f=cert.f * rf("x+1")))
+
+    def test_first_order_witness(self):
+        cases = (
+            (SHIFT, rf("2"), rf("1")),
+            (Q2, rf("2"), rf("x")),  # resonant: d*x^r term
+            (SHIFT, rf("x"), RatFun.one() - rf("x")),  # rational solution exists
+        )
+        for ds, a, b in cases:
+            cert = inhomog_da_classify(ds, a, b).certificate
+            assert verify_first_order_witness(ds, a, b, cert)
+            assert not verify_first_order_witness(ds, a, b, replace(cert, f=cert.f + 1))
+        cert = inhomog_da_classify(Q2, rf("2"), rf("x")).certificate
+        assert cert.d == 1
+        assert not verify_first_order_witness(Q2, rf("2"), rf("x"), replace(cert, d=cert.d + 1))
+
+    def test_conjugating_matrix(self):
+        for ds, a in ((SHIFT, MatrixRF([[1, rf("x")], [0, 1]])), (Q2, MatrixRF([[2, rf("x")], [0, 1]]))):
+            result = integrability_test(ds, a)
+            assert result.status is IntegrabilityStatus.CONSTANT_CONJUGATE
+            b = result.b_matrix
+            assert verify_conjugating_matrix(ds, a, b)
+            # B + c*I is itself a certificate (I commutes with A), so tamper with x
+            entries = [list(row) for row in b.entries]
+            entries[0][0] = entries[0][0] + rf("x")
+            assert not verify_conjugating_matrix(ds, a, MatrixRF(entries))
+
+    def test_summation(self):
+        for ds, f in ((SHIFT, RatFun.one()), (Q2, rf("2*x - x + 1")), (SHIFT, rf("1/x - 1/(x+1)"))):
+            group = group_classify_inhomog_sum(ds, f)
+            assert group.kind is not GroupKind.FULL_GA
+            assert verify_summation(ds, f, group)
+            # h + 1 is itself a witness (constants telescope to 0), so add 1/x
+            h = group.certificate_h
+            assert not verify_summation(ds, f, replace(group, certificate_h=h + rf("1/x")))
+            if group.certificate_c is not None:
+                assert not verify_summation(ds, f, replace(group, certificate_c=group.certificate_c + 1))
+                assert not verify_summation(ds, f, replace(group, certificate_c=Rat(0)))

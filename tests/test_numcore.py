@@ -1,4 +1,6 @@
-"""Exact-arithmetic core: gcd, resultant, roots, squarefree, partial split."""
+"""Exact-arithmetic core: gcd, resultant, roots, squarefree, partial split,
+the q magnitude window; gcd, resultant, integer roots and squarefree
+decomposition are cross-checked against sympy."""
 
 import random
 from fractions import Fraction
@@ -15,10 +17,9 @@ from diffalg import (
     partial_split,
     poly_gcd,
     poly_resultant,
-    rational_roots,
     squarefree_decomposition,
 )
-from diffalg.numcore import integer_roots, poly_lcm, poly_xgcd
+from diffalg.numcore import integer_roots, poly_lcm, poly_xgcd, q_window
 
 
 class TestPolyBasics:
@@ -90,6 +91,16 @@ class TestGcd:
             assert g == poly_gcd(p, q)
 
 
+def _to_sympy(p: Poly):
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(sp) -> Poly:
+    return Poly([Rat(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+
+
 def _naive_resultant(p: Poly, q: Poly):
     """Independent oracle: the Euclidean recurrence
     Res(p, q) = (-1)^(deg p * deg q) * lc(q)^(deg p - deg r) * Res(q, r)."""
@@ -149,21 +160,6 @@ class TestResultant:
             assert abs(Fraction(str(poly_resultant(p, q)))) == abs(Fraction(str(theirs)))
 
 
-class TestRationalRoots:
-    def test_quadratic(self):
-        assert rational_roots(Poly([-1, -1, 2])) == {Rat(1), Rat(-1, 2)}
-
-    def test_no_rational_roots(self):
-        assert rational_roots(pp("x^2+1")) == set()
-
-    def test_with_zero_root(self):
-        assert rational_roots(pp("x*(x-3)*(x+2)")) == {Rat(0), Rat(3), Rat(-2)}
-
-    def test_big_coefficients(self):
-        p = pp("(3*x-7)*(5*x+11)") * 12345
-        assert rational_roots(p) == {Rat(7, 3), Rat(-11, 5)}
-
-
 class TestIntegerRoots:
     def test_simple(self):
         assert integer_roots(pp("x*(x-3)*(x+2)")) == {0, 3, -2}
@@ -180,8 +176,56 @@ class TestIntegerRoots:
             p = rand_poly(rng, 6, nonzero=True)
             if p.degree == 0:
                 continue
-            expected = {int(r) for r in rational_roots(p) if r.denominator == 1}
+            roots = _to_sympy(p).ground_roots()
+            expected = {int(r) for r in roots if r.is_integer}
             assert integer_roots(p) == expected
+
+
+class TestAgainstSympy:
+    def test_gcd_matches(self):
+        rng = random.Random(47)
+        for _ in range(80):
+            common = rand_poly(rng, 2)
+            p = rand_poly(rng, 4, nonzero=True) * common
+            q = rand_poly(rng, 4, nonzero=True) * common
+            theirs = _to_sympy(p).gcd(_to_sympy(q)).monic()
+            assert poly_gcd(p, q) == _from_sympy(theirs)
+
+    def test_squarefree_decomposition_matches(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            p = rand_poly(rng, 3, nonzero=True) * rand_poly(rng, 2, nonzero=True) ** rng.randint(1, 3)
+            if p.degree < 1:
+                continue
+            _, factors = _to_sympy(p).sqf_list()
+            theirs = {(_from_sympy(f).monic(), m) for f, m in factors}
+            assert set(squarefree_decomposition(p)) == theirs
+
+
+class TestQWindow:
+    @pytest.mark.parametrize("q", [Rat(2), Rat(1, 4), Rat(-3), Rat(3, 2)])
+    def test_brackets_bound(self, q):
+        base = max(abs(q), 1 / abs(q))
+        rng = random.Random(59)
+        bounds = [base ** k for k in range(12)] + [base ** k - Rat(1, 10 ** 9) for k in range(1, 12)]
+        bounds += [Rat(rng.randint(1, 10 ** 15), rng.randint(1, 10 ** 6)) for _ in range(300)]
+        for bound in bounds:
+            if bound < 1:
+                assert q_window(q, bound) == 0
+                continue
+            window = q_window(q, bound)
+            assert base ** window <= bound < base ** (window + 1), (q, bound)
+
+    def test_unit_modulus_rejected(self):
+        with pytest.raises(PreconditionError):
+            q_window(Rat(-1), Rat(8))
+
+    @pytest.mark.parametrize("q", [Rat(2), Rat(1, 4), Rat(-3), Rat(3, 2)])
+    def test_exact_powers(self, q):
+        base = max(abs(q), 1 / abs(q))
+        for k in range(40):
+            assert q_window(q, base ** k) == k
+            assert q_window(q, base ** k * Rat(1001, 1000)) == k
 
 
 class TestSquarefree:

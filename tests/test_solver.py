@@ -16,15 +16,16 @@ from diffalg import (
     SingularMatrixError,
     Status,
     apply_sigma,
-    brute_force_oracle,
     eliminate_coordinate,
+    q_structure,
     scalar_eq_from_ratfun_coeffs,
     solve_first_order,
     solve_scalar,
     solve_system,
     universal_denominator,
 )
-from diffalg.solver import _solve_first_order_const
+from diffalg.solver import _q_power_log, _solve_first_order_const
+from oracle import brute_force_oracle
 
 
 def shift_sl2_equation():
@@ -206,6 +207,15 @@ class TestSolveFirstOrder:
         sol = solve_first_order(Q2, rf("4"), rhs_basis=[])
         assert sol.status is Status.SOLVED
         assert [g for g, _ in sol.homogeneous_basis] == [rf("x^2")]
+
+    def test_q_power_log_exact(self):
+        for q in (Rat(2), Rat(1, 4), Rat(-3), Rat(3, 2)):
+            ds = q_structure(q)
+            for v in range(-9, 10):
+                assert _q_power_log(ds, q ** v) == v
+                assert _q_power_log(ds, -(q ** v)) is None
+                assert _q_power_log(ds, q ** v * Rat(5, 7)) is None
+            assert _q_power_log(ds, Rat(0)) is None
 
     def test_zero_twist_rejected(self):
         with pytest.raises(PreconditionError):
