@@ -135,6 +135,8 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
     ds = query.structure()
     payload = query.payload
     cap = query.degree_cap
+    if cap is not None and cap < 0:
+        raise ParseError(f"degree cap must be >= 0, got {cap}", 0)
     verdict = "ERROR"
     cert: dict | None = None
     verified = False

@@ -8,6 +8,10 @@ resultants) and ``fractions.Fraction`` otherwise; set
 ``DIFFALG_RAT_BACKEND=fraction`` to force the stdlib backend.  Both types obey
 the same reduced-fraction invariants (gcd(|num|, den) = 1, den > 0) and mix
 freely with ints.
+
+The quadratic polynomial kernels (product, exact division, argument shift
+and gcd) run on the primitive integer parts of their inputs and build
+rationals only for the coefficients of the result.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Rat(c) for c in coeffs]
+        cs = [c if type(c) is Rat else Rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -151,13 +155,18 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _PZERO
-        out = [RAT_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(out)
+        if len(a) == 1 or len(b) == 1:
+            c, p = (a[0], b) if len(a) == 1 else (b[0], a)
+            return Poly([c * v for v in p])
+        # the product of the primitive integer parts, times both contents
+        ia, ib = primitive_ints(self.coeffs), primitive_ints(other.coeffs)
+        content = (a[-1] / ia[-1]) * (b[-1] / ib[-1])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(ia):
+            if x:
+                for j, y in enumerate(ib):
+                    out[i + j] += x * y
+        return Poly([content * v for v in out])
 
     __rmul__ = __mul__
 
@@ -198,10 +207,27 @@ class Poly:
         return self.divmod(other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        """self / other when other divides self.  Runs on the primitive
+        integer parts: by Gauss's lemma their quotient is integral."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero():
+            return _PZERO
+        a, b = primitive_ints(self.coeffs), primitive_ints(other.coeffs)
+        db, lb = len(b) - 1, b[-1]
+        content = (self.coeffs[-1] / a[-1]) / (other.coeffs[-1] / lb)
+        quo = [0] * max(len(a) - db, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c, r = divmod(a[k + db], lb)
+            if r:
+                raise ValueError("exact_div with nonzero remainder")
+            quo[k] = c
+            if c:
+                for j in range(db):
+                    a[k + j] -= c * b[j]
+        if any(a[:db]) or not quo:
             raise ValueError("exact_div with nonzero remainder")
-        return q
+        return Poly([content * c for c in quo])
 
     # -- calculus / substitution ----------------------------------------
 
@@ -214,19 +240,24 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def compose_linear(self, a, b) -> "Poly":
-        """Return p(a*x + b) via Horner over the polynomial ring."""
-        a = Rat(a)
-        b = Rat(b)
-        lin = Poly([b, a])
-        acc = _PZERO
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.const(c)
-        return acc
-
     def shift_arg(self, c) -> "Poly":
-        """p(x + c)."""
-        return self.compose_linear(1, c)
+        """p(x + c), by a Taylor shift on integer coefficients: with c = u/v
+        and p = k*P (P integral), T(y) = v^n * P(y/v) is shifted by u and
+        coefficient j of the result is k * T(x + u)_j / v^(n-j)."""
+        if self.degree < 1 or not c:
+            return self
+        c = Rat(c)
+        u, v = int(c.numerator), int(c.denominator)
+        ints = primitive_ints(self.coeffs)
+        n = len(ints) - 1
+        content = self.coeffs[-1] / ints[-1]
+        t = ints if v == 1 else [a * v ** (n - j) for j, a in enumerate(ints)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                t[j] += u * t[j + 1]
+        if v == 1:
+            return Poly([content * a for a in t])
+        return Poly([content * Rat(a, v ** (n - j)) for j, a in enumerate(t)])
 
     def scale_arg(self, c) -> "Poly":
         """p(c * x)."""
@@ -247,20 +278,14 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def int_clear(self) -> tuple["Poly", Rat]:
-        """Return (P, c) with P having coprime integer coefficients and
-        self = c * P.  Zero maps to (0, 1)."""
+        """Return (P, c) with P having coprime integer coefficients and a
+        positive leading coefficient, and self = c * P.  Zero maps to (0, 1)."""
         if self.is_zero():
             return self, RAT_ONE
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * int(c.denominator) // math.gcd(den_lcm, int(c.denominator))
-        ints = [int(c.numerator) * (den_lcm // int(c.denominator)) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        ints = primitive_ints(self.coeffs)
         if ints[-1] < 0:
-            g = -g
-        return Poly([v // g for v in ints]), Rat(g, den_lcm)
+            ints = [-v for v in ints]
+        return Poly(ints), self.coeffs[-1] / ints[-1]
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -307,10 +332,10 @@ GF_PRIME = (1 << 31) - 1
 
 
 def gf_coeffs(p: Poly, prime: int = GF_PRIME) -> list[int] | None:
-    """Coefficients of an integer-cleared image of p mod prime, lowest first;
-    None when the reduction degenerates (leading coefficient vanishes)."""
-    ip, _ = p.int_clear()
-    out = [int(c.numerator) % prime for c in ip.coeffs]
+    """Coefficients of a primitive integer multiple of p mod prime, lowest
+    first; None when the reduction degenerates (leading coefficient
+    vanishes)."""
+    out = [v % prime for v in primitive_ints(p.coeffs)]
     if not out or out[-1] == 0:
         return None
     return out
@@ -350,23 +375,68 @@ def _gf_coprime(p: Poly, q: Poly) -> bool:
     return gf_gcd_degree(ga, gb) < 1
 
 
+def primitive_ints(values) -> list[int]:
+    """The integer vector with coprime entries proportional to a vector of
+    rationals (or ints); all zeros stay zeros."""
+    den = math.lcm(*[v.denominator for v in values])
+    ints = [int(v.numerator) * (den // int(v.denominator)) for v in values]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _int_prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero multiple of the pseudo-remainder of a by b (integer
+    coefficient lists without trailing zeros, deg a >= deg b); each step
+    scales the remainder only by lc(b) / gcd(lc(b), lc(r))."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        lr = r[-1]
+        g = math.gcd(lb, lr)
+        sa, sb = lb // g, lr // g
+        off = len(r) - 1 - db
+        if sa != 1:
+            r = [sa * v for v in r]
+        for k in range(db):
+            r[off + k] -= sb * b[k]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    if not p.is_zero() and not q.is_zero() and p.degree > 0 and q.degree > 0:
-        if _gf_coprime(p, q):
+    """Monic greatest common divisor; gcd(0, 0) = 0.
+
+    After the one-prime coprimality shortcut, the primitive PRS (Collins
+    1967) runs on integer coefficients; the result is made monic once.
+    """
+    if p.is_zero() or q.is_zero():
+        return (q if p.is_zero() else p).monic()
+    if p.degree == 0 or q.degree == 0:
+        return _PONE
+    if _gf_coprime(p, q):
+        return _PONE
+    a, b = primitive_ints(p.coeffs), primitive_ints(q.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _int_prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:
             return _PONE
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, (a % b)
-        if not b.is_zero():
-            b = b.monic()
-    return a.monic()
+        g = math.gcd(*r)
+        a, b = b, ([v // g for v in r] if g > 1 else r)
+    lead = b[-1]
+    return Poly([Rat(v, lead) for v in b])
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         return Poly.zero()
-    return (p * q).exact_div(poly_gcd(p, q)).monic()
+    return (p * q.exact_div(poly_gcd(p, q))).monic()
 
 
 def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:

@@ -6,6 +6,11 @@ Grammar: the single variable ``x``, optionally signed integer literals
 bracketed rows of expressions like ``[[0,-1],[1,x]]``.  Whitespace is
 ignored.  Printing produces strings that reparse to an identical reduced
 rational function.
+
+Input size is capped so that no expression can run without bound: an
+exponent above ``MAX_DEGREE`` in magnitude, an integer literal, a power or
+any intermediate result of degree above ``MAX_DEGREE`` or with coefficients
+above ``MAX_COEFF_BITS`` bits is a parse error.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ from __future__ import annotations
 from .errors import ParseError
 from .numcore import Poly, RatFun, format_poly
 from .solver import MatrixRF
+
+MAX_DEGREE = 256
+MAX_COEFF_BITS = 1 << 13
 
 
 class _Scanner:
@@ -49,10 +57,10 @@ def _parse_expr(sc: _Scanner) -> RatFun:
         ch = sc.peek()
         if ch == "+":
             sc.take()
-            value = value + _parse_term(sc)
+            value = _checked(sc, value + _parse_term(sc))
         elif ch == "-":
             sc.take()
-            value = value - _parse_term(sc)
+            value = _checked(sc, value - _parse_term(sc))
         else:
             return value
 
@@ -63,13 +71,13 @@ def _parse_term(sc: _Scanner) -> RatFun:
         ch = sc.peek()
         if ch == "*":
             sc.take()
-            value = value * _parse_unary(sc)
+            value = _checked(sc, value * _parse_unary(sc))
         elif ch == "/":
             sc.take()
             divisor = _parse_unary(sc)
             if divisor.is_zero():
                 sc.fail("division by zero")
-            value = value / divisor
+            value = _checked(sc, value / divisor)
         else:
             return value
 
@@ -90,8 +98,26 @@ def _parse_power(sc: _Scanner) -> RatFun:
         exponent = _parse_exponent(sc)
         if exponent < 0 and base.is_zero():
             sc.fail("zero to a negative power")
+        # estimates made before the power is computed
+        if abs(exponent) * max(base.num.degree, base.den.degree) > MAX_DEGREE:
+            sc.fail(f"power of degree above the cap {MAX_DEGREE}")
+        if abs(exponent) * (_coeff_bits(base) + base.num.degree.bit_length()) > MAX_COEFF_BITS:
+            sc.fail(f"power with coefficients above the cap of {MAX_COEFF_BITS} bits")
         return base ** exponent
     return base
+
+
+def _coeff_bits(value: RatFun) -> int:
+    coeffs = value.num.coeffs + value.den.coeffs
+    return max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+
+
+def _checked(sc: _Scanner, value: RatFun) -> RatFun:
+    if max(value.num.degree, value.den.degree) > MAX_DEGREE:
+        sc.fail(f"expression of degree above the cap {MAX_DEGREE}")
+    if _coeff_bits(value) > MAX_COEFF_BITS:
+        sc.fail(f"expression with coefficients above the cap of {MAX_COEFF_BITS} bits")
+    return value
 
 
 def _parse_exponent(sc: _Scanner) -> int:
@@ -102,11 +128,17 @@ def _parse_exponent(sc: _Scanner) -> int:
     ch = sc.peek()
     if not ch.isdigit():
         sc.fail("expected an integer exponent")
-    digits = []
+    digits = _take_digits(sc)
+    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        sc.fail(f"exponent above the cap {MAX_DEGREE}")
+    return sign * int(digits)
+
+
+def _take_digits(sc: _Scanner) -> str:
+    start = sc.pos
     while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-        digits.append(sc.text[sc.pos])
         sc.pos += 1
-    return sign * int("".join(digits))
+    return sc.text[start : sc.pos]
 
 
 def _parse_atom(sc: _Scanner) -> RatFun:
@@ -120,11 +152,11 @@ def _parse_atom(sc: _Scanner) -> RatFun:
         sc.take()
         return RatFun.x()
     if ch.isdigit():
-        digits = []
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            digits.append(sc.text[sc.pos])
-            sc.pos += 1
-        return RatFun.const(int("".join(digits)))
+        digits = _take_digits(sc)
+        # log2(10) < 10/3: a literal of this many digits fits the bit cap
+        if len(digits) * 10 > MAX_COEFF_BITS * 3:
+            sc.fail(f"integer literal above the cap of {MAX_COEFF_BITS} bits")
+        return RatFun.const(int(digits))
     sc.fail(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 

@@ -57,6 +57,7 @@ from .numcore import (
     integer_roots,
     poly_gcd,
     poly_lcm,
+    primitive_ints,
     q_window,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly
@@ -65,13 +66,12 @@ DEFAULT_DEGREE_CAP = 200
 
 
 def configured_degree_cap() -> int:
-    raw = os.environ.get("DIFFALG_DEGREE_CAP", "")
-    if raw.strip():
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_DEGREE_CAP
+    """DIFFALG_DEGREE_CAP when it holds an integer >= 0, else the default."""
+    try:
+        cap = int(os.environ.get("DIFFALG_DEGREE_CAP", ""))
+    except ValueError:
+        return DEFAULT_DEGREE_CAP
+    return cap if cap >= 0 else DEFAULT_DEGREE_CAP
 
 
 class Status(Enum):
@@ -458,14 +458,6 @@ def _q_valuation_floor(prep: _Prepared) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _falling_factorial_over_fact(t: int) -> Poly:
-    """binomial(d, t) as a polynomial in d."""
-    out = Poly.one()
-    for u in range(t):
-        out = out * Poly([Rat(-u), RAT_ONE])
-    return out * Rat(1, math.factorial(t))
-
-
 def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -> int | None:
     """Certified bound on deg(z) for polynomial solutions z of
     sum_i coeffs[i]*sigma^i(z) = rhs; None if the analysis degenerates."""
@@ -474,22 +466,20 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
     rhs_deg = max((r.degree for r in rhs_list if not r.is_zero()), default=None)
     if ds.is_shift:
         # coefficient of x^(D+d-s) in sum_i Q_i*(x+i)^d is
-        # c_s(d) = sum_t binom(d,t) * [x^(D-(s-t))] A_t,  A_t = sum_i i^t Q_i
-        max_s = big_d + m + 1
-        a_t = []
-        for t in range(max_s + 1):
-            acc = Poly.zero()
-            for i, p in enumerate(coeffs):
-                w = Rat(i) ** t if t > 0 else RAT_ONE
-                if i == 0 and t > 0:
-                    continue
-                acc = acc + p * w
-            a_t.append(acc)
-        binoms = [_falling_factorial_over_fact(t) for t in range(max_s + 1)]
-        for s in range(max_s + 1):
+        # c_s(d) = sum_t binom(d,t) * [x^(D-(s-t))] A_t,  A_t = sum_i i^t Q_i;
+        # the binomials (polynomials in d) are built only as far as the first
+        # nonzero c_s needs them
+        binoms = [Poly.one()]
+        for s in range(big_d + m + 2):
+            while len(binoms) <= s:
+                t = len(binoms)
+                binoms.append(binoms[-1] * Poly([Rat(1 - t, t), Rat(1, t)]))
             c_s = Poly.zero()
             for t in range(s + 1):
-                beta = a_t[t][big_d - (s - t)] if big_d - (s - t) >= 0 else RAT_ZERO
+                k = big_d - (s - t)
+                if k < 0:
+                    continue
+                beta = sum((i ** t * p[k] for i, p in enumerate(coeffs)), RAT_ZERO)  # [x^k] A_t
                 if beta != 0:
                     c_s = c_s + binoms[t] * beta
             if not c_s.is_zero():
@@ -568,30 +558,42 @@ def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpa
     return space
 
 
-def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[Poly], bound: int) -> list[Poly]:
-    """Column polynomial for each z_j: sum_i Q_i * sigma^i(x^j), j = 0..bound."""
+def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[list[int]], bound: int) -> list[list]:
+    """Coefficient list (lowest first) of sum_i Q_i * sigma^i(x^j) for each
+    z_j, j = 0..bound, from integer coefficient lists of the Q_i.  Shift
+    columns are integers: (x+i)^j is expanded with integer binomials."""
     m = len(q_coeffs) - 1
-    cols = [Poly.zero() for _ in range(bound + 1)]
+    cols = [[] for _ in range(bound + 1)]
     if ds.is_shift:
-        for i in range(m + 1):
-            if q_coeffs[i].is_zero():
+        for i, qi in enumerate(q_coeffs):
+            if not qi:
                 continue
-            pw = Poly.one()
-            lin = Poly([Rat(i), RAT_ONE])
+            pw = [1]  # (x + i)^j
             for j in range(bound + 1):
-                cols[j] = cols[j] + q_coeffs[i] * pw
+                col = cols[j]
+                need = len(qi) + j - len(col)
+                if need > 0:
+                    col.extend([0] * need)
+                for k, a in enumerate(qi):
+                    if a:
+                        for t, b in enumerate(pw):
+                            col[k + t] += a * b
                 if j < bound:
-                    pw = pw * lin
+                    pw = [0] + pw
+                    for t in range(len(pw) - 1):
+                        pw[t] += i * pw[t + 1]
     else:
         q = ds.q
         qi = [q ** i for i in range(m + 1)]
         mult = [RAT_ONE] * (m + 1)
+        width = max(len(c) for c in q_coeffs)
         for j in range(bound + 1):
-            s = Poly.zero()
+            s = [RAT_ZERO] * width
             for i in range(m + 1):
-                if not q_coeffs[i].is_zero() and mult[i] != 0:
-                    s = s + q_coeffs[i] * mult[i]
-            cols[j] = Poly([RAT_ZERO] * j + list(s.coeffs))
+                for k, a in enumerate(q_coeffs[i]):
+                    if a:
+                        s[k] += a * mult[i]
+            cols[j] = [RAT_ZERO] * j + s
             for i in range(m + 1):
                 mult[i] = mult[i] * qi[i]
     return cols
@@ -601,20 +603,26 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
     ds = prep.ds
     n_lam = len(rhs_free)
     n_z = bound + 1
-    cols = _sigma_basis_columns(ds, q_coeffs, bound) if bound >= 0 else []
-    max_deg = max(
-        [c.degree for c in cols if not c.is_zero()]
-        + [rhs_fixed.degree]
-        + [r.degree for r in rhs_free if not r.is_zero()]
-        + [0]
-    )
-    nrows = max_deg + 1
+    # one common scale makes the whole coefficient system integral
+    polys = [p.coeffs for p in q_coeffs + [rhs_fixed] + rhs_free]
+    flat = iter(primitive_ints([c for p in polys for c in p]))
+    polys = [[next(flat) for _ in p] for p in polys]
+    q_int, fixed_int, free_int = polys[: len(q_coeffs)], polys[len(q_coeffs)], polys[len(q_coeffs) + 1 :]
+    cols = _sigma_basis_columns(ds, q_int, bound) if bound >= 0 else []
+    for col in cols:
+        while col and not col[-1]:
+            col.pop()
+    nrows = max([len(c) for c in cols] + [len(fixed_int)] + [len(r) for r in free_int] + [1])
+
+    def at(coeffs, e):
+        return coeffs[e] if e < len(coeffs) else 0
+
     rows = []
     for e in range(nrows):
-        row = [(-r[e]) for r in rhs_free]
-        row.extend(c[e] for c in cols)
+        row = [-at(r, e) for r in free_int]
+        row.extend(at(c, e) for c in cols)
         rows.append(row)
-    rhs_vec = [rhs_fixed[e] for e in range(nrows)]
+    rhs_vec = [at(fixed_int, e) for e in range(nrows)]
     particular, nullsp = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
 
     def unpack(vec, homogeneous: bool) -> tuple[RatFun, tuple[Rat, ...]]:

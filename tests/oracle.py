@@ -1,10 +1,16 @@
-"""Brute-force ansatz solver used to cross-check ``solve_scalar`` in tests."""
+"""Brute-force ansatz solver used to cross-check ``solve_scalar`` in tests.
+
+It shares no linear algebra with the package: its linear solve is the
+textbook Gauss-Jordan elimination over ``Fraction`` below, not the integer
+kernel of ``diffalg.linalg``.
+"""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from diffalg.errors import PreconditionError
-from diffalg.linalg import solve_affine
-from diffalg.numcore import RAT_ONE, RAT_ZERO, Poly, RatFun, poly_lcm
+from diffalg.numcore import RAT_ZERO, Poly, RatFun, poly_lcm
 from diffalg.solver import ScalarDiffEq, SolutionSpace, Status, _verify_space, universal_denominator
 from diffalg.structures import DiffStructure
 
@@ -43,7 +49,7 @@ def brute_force_oracle(
     max_e = max([p.degree for p in col_polys] + [rhs_poly.degree, 0])
     rows = [[p[e] for p in col_polys] for e in range(max_e + 1)]
     rhs_vec = [rhs_poly[e] for e in range(max_e + 1)]
-    particular, nullsp = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
+    particular, nullsp = fraction_solve(rows, rhs_vec)
 
     def unpack(vec, homogeneous: bool):
         z = Poly(vec[: deg_bound + 1])
@@ -72,3 +78,43 @@ def brute_force_oracle(
     )
     _verify_space(eq, space)
     return space
+
+
+def fraction_solve(rows, rhs):
+    """Reference solve of rows * v = rhs over Q by Gauss-Jordan on Fractions.
+
+    Returns (particular with free variables 0 or None when inconsistent,
+    canonical nullspace basis with one vector per free column), the contract
+    of ``diffalg.linalg.solve_affine``.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(aug, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None, basis
+    particular = [Fraction(0)] * ncols
+    for row, pc in zip(aug, pivots):
+        particular[pc] = row[ncols]
+    return particular, basis

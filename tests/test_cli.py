@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -88,6 +89,72 @@ def _query(sub: str, case: str = "shift", q: str | None = None, **payload) -> Qu
         payload=payload,
         order_bound=payload.pop("order_bound", 3) if "order_bound" in payload else 3,
     )
+
+
+class TestParserCaps:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^99999999",
+            "x^-99999999",
+            "x^257",
+            "(x^2+1)^200",
+            "x^200*x^100",
+            "(9^256)^256",
+            "9" * 5000,
+            "*".join(["9^256"] * 20),
+        ],
+    )
+    def test_oversized_input_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_ratfun(text)
+
+    def test_inputs_at_the_caps_parse(self):
+        assert parse_ratfun("x^256").num.degree == 256
+        assert parse_ratfun("x^-256").den.degree == 256
+        assert parse_ratfun("x^256 + x^200").num.degree == 256
+
+    def test_huge_exponent_cli_is_fast_parse_error(self, capsys):
+        start = time.monotonic()
+        code = main(["disp", "--f", "x^99999999"])
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
+    def test_huge_exponent_batch_line_is_fast_parse_error(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        path.write_text(
+            json.dumps({"subcommand": "disp", "f": "x^99999999"})
+            + "\n"
+            + json.dumps({"subcommand": "da-hypergeom", "b": "x"})
+            + "\n"
+        )
+        start = time.monotonic()
+        reports, code = run_batch(str(path))
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert reports[0]["error"]["kind"] == "parse"
+        assert reports[1]["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+
+
+class TestNegativeDegreeCap:
+    def test_cli_rejects_negative_cap(self, capsys):
+        code = main(["solve-scalar", "--coeffs", "1;1", "--rhs", "x", "--degree-cap", "-3"])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
+    def test_batch_rejects_negative_cap(self, tmp_path):
+        path = tmp_path / "cap.jsonl"
+        line = {"subcommand": "solve-scalar", "coeffs": "1;1", "rhs": "x", "degree_cap": -3}
+        path.write_text(json.dumps(line) + "\n")
+        reports, code = run_batch(str(path))
+        assert code == EXIT_USAGE
+        assert reports[0]["error"]["kind"] == "parse"
+
+    def test_zero_cap_still_allowed(self):
+        report, code = run_query(Query("solve-scalar", payload={"coeffs": "1;1", "rhs": "x^3"}, degree_cap=0))
+        assert report.verdict == "BOUND_EXCEEDED"
+        assert code == EXIT_BOUND
 
 
 class TestRunQuery:

@@ -191,6 +191,37 @@ class TestAgainstSympy:
             theirs = _to_sympy(p).gcd(_to_sympy(q)).monic()
             assert poly_gcd(p, q) == _from_sympy(theirs)
 
+    def test_gcd_and_lcm_match_on_large_rational_gcds(self):
+        rng = random.Random(59)
+
+        def rational_poly(deg):
+            coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(deg)]
+            return Poly(coeffs + [Fraction(rng.choice([-7, -3, -1, 2, 5]), rng.randint(1, 6))])
+
+        negative_leads = 0
+        for _ in range(40):
+            common = rational_poly(rng.randint(4, 6))
+            p = rational_poly(rng.randint(0, 4)) * common
+            q = rational_poly(rng.randint(0, 4)) * common
+            negative_leads += p.lc() < 0
+            sp, sq = _to_sympy(p), _to_sympy(q)
+            g = poly_gcd(p, q)
+            assert g.degree >= 4
+            assert g == _from_sympy(sp.gcd(sq).monic())
+            assert poly_lcm(p, q) == _from_sympy(sp.lcm(sq).monic())
+        assert 0 < negative_leads < 40
+
+    def test_gcd_and_lcm_with_zero_arguments(self):
+        rng = random.Random(61)
+        zero = Poly.zero()
+        for _ in range(20):
+            p = rand_poly(rng, 5, nonzero=True) * Fraction(-3, 7)
+            theirs = _from_sympy(_to_sympy(p).gcd(_to_sympy(zero)).monic())
+            assert poly_gcd(p, zero) == poly_gcd(zero, p) == theirs == p.monic()
+            assert poly_lcm(p, zero) == poly_lcm(zero, p) == zero
+        assert poly_gcd(zero, zero) == zero
+        assert poly_gcd(Poly.const(Fraction(-2, 3)), zero) == Poly.one()
+
     def test_squarefree_decomposition_matches(self):
         rng = random.Random(53)
         for _ in range(60):

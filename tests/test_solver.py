@@ -24,7 +24,13 @@ from diffalg import (
     solve_system,
     universal_denominator,
 )
-from diffalg.solver import _q_power_log, _solve_first_order_const
+from diffalg.solver import (
+    DEFAULT_DEGREE_CAP,
+    _degree_bound,
+    _q_power_log,
+    _solve_first_order_const,
+    configured_degree_cap,
+)
 from oracle import brute_force_oracle
 
 
@@ -81,6 +87,42 @@ class TestUniversalDenominator:
                 assert (u % gg.den).is_zero(), (eq, gg)
                 checked += 1
         assert checked >= 40
+
+
+class TestDegreeBound:
+    # (coefficients Q_0..Q_m, right-hand sides, bound recorded with the eager
+    # implementation); s is the index of the first nonzero c_s
+    PINNED = [
+        (["-(x+2)", "x"], [], 2),  # s = 1, c_1 = d - 2
+        (["-(x+10)", "x"], ["x^2"], 10),  # s = 1, c_1 = d - 10
+        (["1", "-2", "1"], ["x^3"], 5),  # s = 2, c_2 = d*(d-1)
+        (["-1", "3", "-3", "1"], ["x^2"], 5),  # s = 3, c_3 = d*(d-1)*(d-2)
+        (["x^2+1", "-2*x^2+3", "x^2-x"], [], -1),  # s = 1, c_1 = -1
+        (["(x+1)*(x+2)", "-2*x*(x+2)", "x*(x+1)"], ["x"], 2),  # s = 2
+        (["-(2*x+5)/3", "2*x/3"], ["1/2"], 0),  # s = 1, root 5/2 not integral
+        (["0", "0"], [], None),  # no c_s is nonzero: the analysis degenerates
+        (["0", "0"], ["x"], None),
+    ]
+
+    @pytest.mark.parametrize("coeffs, rhs, expected", PINNED)
+    def test_pinned_shift_bounds(self, coeffs, rhs, expected):
+        assert _degree_bound(SHIFT, [pp(c) for c in coeffs], [pp(r) for r in rhs]) == expected
+
+
+class TestConfiguredDegreeCap:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("", DEFAULT_DEGREE_CAP),
+            ("abc", DEFAULT_DEGREE_CAP),
+            ("-3", DEFAULT_DEGREE_CAP),
+            ("0", 0),
+            (" 17 ", 17),
+        ],
+    )
+    def test_env_values(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("DIFFALG_DEGREE_CAP", raw)
+        assert configured_degree_cap() == expected
 
 
 class TestSolveScalar:
