@@ -30,7 +30,14 @@ from .dispersion import (
 )
 from .errors import BoundExceededError, DiffAlgError, InternalVerificationError, ParseError
 from .numcore import Rat, RatFun
-from .parsing import format_ratfun, parse_matrix, parse_poly, parse_ratfun, parse_vector
+from .parsing import (
+    MAX_ORDER_BOUND,
+    format_ratfun,
+    parse_matrix,
+    parse_poly,
+    parse_ratfun,
+    parse_vector,
+)
 from .solver import ScalarDiffEq
 from .structures import DiffStructure, q_structure, shift_structure
 
@@ -62,6 +69,10 @@ class Query:
     payload: dict = field(default_factory=dict)
     order_bound: int = 3
     degree_cap: int | None = None
+
+    def __post_init__(self):
+        if self.order_bound > MAX_ORDER_BOUND:
+            raise ParseError(f"order bound above the cap {MAX_ORDER_BOUND}", 0)
 
     def structure(self) -> DiffStructure:
         if self.case == "shift":
@@ -366,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subparsers.add_parser("telescope", help="constant-operator telescoper search")
     common(sp)
     sp.add_argument("--funcs", required=True, help="semicolon-separated inputs a_1;...;a_n")
-    sp.add_argument("--order-bound", type=int, default=3)
+    sp.add_argument("--order-bound", type=int, default=3, help=f"at most {MAX_ORDER_BOUND}")
 
     sp = subparsers.add_parser("da-hypergeom", help="sigma(u) = b*u differential algebraicity")
     common(sp)
@@ -430,7 +441,7 @@ def query_from_dict(obj: dict) -> Query:
         case=case,
         q_value=_parse_q(str(q_raw)) if q_raw is not None else None,
         payload=payload,
-        order_bound=obj.get("order_bound", 3),
+        order_bound=3 if obj.get("order_bound") is None else obj["order_bound"],
         degree_cap=obj.get("degree_cap"),
     )
 
@@ -494,8 +505,10 @@ def main(argv=None) -> int:
         report, code = run_query(_query_from_namespace(ns))
         print(json.dumps(report.to_json_dict()))
         return code
-    except (DiffAlgError, OSError) as exc:
+    except Exception as exc:
         kind, code = _error_kind(exc)
+        if kind == "internal":
+            traceback.print_exc()
         print(json.dumps({"error": {"message": str(exc), "kind": kind}}), file=sys.stderr)
         return code
 

@@ -77,7 +77,7 @@ def _gf_q_mod(ds: DiffStructure, prime: int) -> int | None:
     qd = int(ds.q.denominator) % prime
     if qn == 0 or qd == 0:
         return None
-    return qn * pow(qd, prime - 2, prime) % prime
+    return qn * pow(qd, -1, prime) % prime
 
 
 def _shift_gap_candidates(w: Poly) -> list[int]:

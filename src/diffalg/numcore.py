@@ -9,9 +9,12 @@ resultants) and ``fractions.Fraction`` otherwise; set
 the same reduced-fraction invariants (gcd(|num|, den) = 1, den > 0) and mix
 freely with ints.
 
-The quadratic polynomial kernels (product, exact division, argument shift
-and gcd) run on the primitive integer parts of their inputs and build
-rationals only for the coefficients of the result.
+A ``Poly`` is stored as one rational content times a primitive integer
+polynomial (coprime integer coefficients, positive leading coefficient), the
+canonical form of Geddes-Czapor-Labahn, ch. 2.  Ring operations, division,
+argument substitution, evaluation and the gcd run on the integer parts and
+spend one rational operation on the content; rational coefficients are only
+built when a caller reads them.
 """
 
 from __future__ import annotations
@@ -35,20 +38,27 @@ RAT_ONE = Rat(1)
 
 
 class Poly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q, stored as content times primitive
+    part.
 
-    Coefficients are stored lowest degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree -1 (the
-    sentinel).  Instances are immutable and safe to share between threads.
+    ``_ints`` holds integer coefficients, lowest degree first, with gcd 1, a
+    positive leading (last) entry and no trailing zeros; ``_content`` is a
+    nonzero rational, and the polynomial is
+    ``_content * sum(_ints[i] * x^i)``.  The zero polynomial has ``_ints = ()``,
+    content 1 and degree -1 (the sentinel).  The form is canonical, so
+    equality and hashing compare the pair.  ``coeffs`` builds the rational
+    coefficients on demand.  Instances are immutable and safe to share
+    between threads.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_content")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Rat else Rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if type(c) in _EXACT else Rat(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        ints, content = _primitive([c.numerator * (den // c.denominator) for c in cs], 1, den)
+        _set_ints(self, ints)
+        _set_content(self, content)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -69,72 +79,93 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([c])
+        if not c:
+            return _PZERO
+        return _poly((1,), c if type(c) is Rat else Rat(c))
 
     @staticmethod
     def monomial(c, n: int) -> "Poly":
         if n < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return Poly([0] * n + [c])
+        if not c:
+            return _PZERO
+        return _poly((0,) * n + (1,), c if type(c) is Rat else Rat(c))
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients, lowest degree first."""
+        c = self._content
+        return tuple([c * v for v in self._ints])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._ints) <= 1
 
     def lc(self) -> Rat:
-        if not self.coeffs:
+        if not self._ints:
             return RAT_ZERO
-        return self.coeffs[-1]
+        return self._content * self._ints[-1]
 
     def __getitem__(self, i: int) -> Rat:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._ints):
+            return self._content * self._ints[i]
         return RAT_ZERO
 
     def valuation(self) -> int:
-        """Order of vanishing at 0; degree+1 convention is avoided: zero
-        polynomial returns -1."""
-        if not self.coeffs:
-            return -1
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        """Order of vanishing at 0; the zero polynomial returns -1."""
+        for i, c in enumerate(self._ints):
+            if c:
                 return i
-        return -1  # unreachable
+        return -1
 
     # -- ring operations -----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._ints == other._ints and self._content == other._content
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._ints, self._content))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        if not self._ints:
+            return self
+        return _poly(self._ints, -self._content)
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
+        if not b:
+            return self
+        if not a:
+            return other
+        # ca*A + cb*B = (h / lcm(da, db)) * (sa*A + sb*B) with integers sa, sb
+        ca, cb = self._content, other._content
+        na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+        g = math.gcd(da, db)
+        sa, sb = na * (db // g), nb * (da // g)
+        h = math.gcd(sa, sb)
+        if h != 1:
+            sa, sb = sa // h, sb // h
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+            a, b, sa, sb = b, a, sb, sa
+        out = [sa * v for v in a] if sa != 1 else list(a)
+        for i, v in enumerate(b):
+            out[i] += sb * v
+        return _normal(out, h, da // g * db)
 
     __radd__ = __add__
 
@@ -148,25 +179,22 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = Rat(other)
-            if c == 0:
+            if not other or not self._ints:
                 return _PZERO
-            return Poly([c * a for a in self.coeffs])
-        a, b = self.coeffs, other.coeffs
+            return _poly(self._ints, self._content * (other if type(other) in _EXACT else Rat(other)))
+        a, b = self._ints, other._ints
         if not a or not b:
             return _PZERO
+        content = self._content * other._content
+        # Gauss's lemma: the product of primitive parts is primitive
         if len(a) == 1 or len(b) == 1:
-            c, p = (a[0], b) if len(a) == 1 else (b[0], a)
-            return Poly([c * v for v in p])
-        # the product of the primitive integer parts, times both contents
-        ia, ib = primitive_ints(self.coeffs), primitive_ints(other.coeffs)
-        content = (a[-1] / ia[-1]) * (b[-1] / ib[-1])
+            return _poly(b if len(a) == 1 else a, content)
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(ia):
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(ib):
+                for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Poly([content * v for v in out])
+        return _poly(tuple(out), content)
 
     __rmul__ = __mul__
 
@@ -183,22 +211,40 @@ class Poly:
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        """(quotient, remainder) over Q, by pseudo-division on the primitive
+        parts: each step scales the remainder only by lc / gcd(lc, lead)."""
+        b = other._ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
+        a = self._ints
+        db, lb = len(b) - 1, b[-1]
+        if len(a) <= db:
             return _PZERO, self
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quo = [RAT_ZERO] * (dq + 1)
-        dlc = other.lc()
-        oc = other.coeffs
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] / dlc
-            quo[k] = c
-            if c != 0:
-                for j in range(len(oc)):
-                    rem[j + k] -= c * oc[j]
-        return Poly(quo), Poly(rem[: other.degree])
+        r = list(a)
+        # invariant s*A = Q*B + r; quo[k] is recorded at scale scales[k] <= s
+        quo = [0] * (len(a) - db)
+        scales = [1] * len(quo)
+        s = 1
+        for k in range(len(quo) - 1, -1, -1):
+            lr = r[k + db]
+            if not lr:
+                continue
+            g = math.gcd(lb, lr)
+            sa, sb = lb // g, lr // g
+            if sa != 1:
+                s *= sa
+                for j in range(k + db):
+                    r[j] *= sa
+            quo[k], scales[k] = sb, s
+            for j in range(db):
+                r[k + j] -= sb * b[j]
+            r[k + db] = 0
+        ca, cb = self._content, other._content
+        cq = ca / cb
+        quotient = _normal(
+            [v * (s // t) for v, t in zip(quo, scales)], cq.numerator, cq.denominator * s
+        )
+        return quotient, _normal(r[:db], ca.numerator, ca.denominator * s)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -208,14 +254,15 @@ class Poly:
 
     def exact_div(self, other: "Poly") -> "Poly":
         """self / other when other divides self.  Runs on the primitive
-        integer parts: by Gauss's lemma their quotient is integral."""
-        if other.is_zero():
+        parts: by Gauss's lemma their quotient is a primitive integer
+        polynomial with a positive leading coefficient."""
+        b = other._ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
+        if not self._ints:
             return _PZERO
-        a, b = primitive_ints(self.coeffs), primitive_ints(other.coeffs)
+        a = list(self._ints)
         db, lb = len(b) - 1, b[-1]
-        content = (self.coeffs[-1] / a[-1]) / (other.coeffs[-1] / lb)
         quo = [0] * max(len(a) - db, 0)
         for k in range(len(quo) - 1, -1, -1):
             c, r = divmod(a[k + db], lb)
@@ -227,76 +274,136 @@ class Poly:
                     a[k + j] -= c * b[j]
         if any(a[:db]) or not quo:
             raise ValueError("exact_div with nonzero remainder")
-        return Poly([content * c for c in quo])
+        return _poly(tuple(quo), self._content / other._content)
 
     # -- calculus / substitution ----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        c = self._content
+        return _normal([i * v for i, v in enumerate(self._ints)][1:], c.numerator, c.denominator)
 
     def eval(self, point) -> Rat:
-        acc = RAT_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        ints = self._ints
+        if not ints:
+            return RAT_ZERO
+        if type(point) not in _EXACT:
+            point = Rat(point)
+        u, v = point.numerator, point.denominator
+        acc = 0
+        if v == 1:
+            for a in reversed(ints):
+                acc = acc * u + a
+            return self._content * acc
+        # acc = v^n * P(u/v), homogeneous Horner
+        vp = 1
+        for a in reversed(ints):
+            acc = acc * u + a * vp
+            vp *= v
+        c = self._content
+        return Rat(c.numerator * acc, c.denominator * (vp // v))
 
     def shift_arg(self, c) -> "Poly":
-        """p(x + c), by a Taylor shift on integer coefficients: with c = u/v
-        and p = k*P (P integral), T(y) = v^n * P(y/v) is shifted by u and
-        coefficient j of the result is k * T(x + u)_j / v^(n-j)."""
+        """p(x + c), by a Taylor shift of the primitive part P: with
+        c = u/v and n = deg P, T(y) = v^n * P(y/v) is shifted by u, and
+        v^n * P(x + c) = T(v*x + u)."""
         if self.degree < 1 or not c:
             return self
-        c = Rat(c)
-        u, v = int(c.numerator), int(c.denominator)
-        ints = primitive_ints(self.coeffs)
+        if type(c) not in _EXACT:
+            c = Rat(c)
+        u, v = c.numerator, c.denominator
+        ints = self._ints
         n = len(ints) - 1
-        content = self.coeffs[-1] / ints[-1]
-        t = ints if v == 1 else [a * v ** (n - j) for j, a in enumerate(ints)]
+        t = list(ints) if v == 1 else [a * v ** (n - j) for j, a in enumerate(ints)]
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 t[j] += u * t[j + 1]
         if v == 1:
-            return Poly([content * a for a in t])
-        return Poly([content * Rat(a, v ** (n - j)) for j, a in enumerate(t)])
+            # an integer shift is unimodular on Z[x]: still primitive
+            return _poly(tuple(t), self._content)
+        k = self._content
+        return _normal([a * v ** j for j, a in enumerate(t)], k.numerator, k.denominator * v ** n)
 
     def scale_arg(self, c) -> "Poly":
-        """p(c * x)."""
-        c = Rat(c)
-        power = RAT_ONE
-        out = []
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Poly(out)
+        """p(c * x): with c = u/v, v^n * P(c*x) has integer coefficients
+        a_j * u^j * v^(n-j)."""
+        ints = self._ints
+        if len(ints) <= 1:
+            return self
+        if not c:
+            return Poly.const(self[0])
+        if type(c) not in _EXACT:
+            c = Rat(c)
+        u, v = c.numerator, c.denominator
+        n = len(ints) - 1
+        out = list(ints)
+        pu = 1
+        for j in range(1, n + 1):
+            pu *= u
+            out[j] *= pu
+        if v != 1:
+            pv = 1
+            for j in range(n - 1, -1, -1):
+                pv *= v
+                out[j] *= pv
+        k = self._content
+        return _normal(out, k.numerator, k.denominator * v ** n)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        ints = self._ints
+        if not ints:
             return self
-        lead = self.lc()
-        if lead == 1:
+        content = self._content
+        if content.numerator == 1 and content.denominator == ints[-1]:
             return self
-        return Poly([c / lead for c in self.coeffs])
+        return _poly(ints, Rat(1, ints[-1]))
 
     def int_clear(self) -> tuple["Poly", Rat]:
         """Return (P, c) with P having coprime integer coefficients and a
         positive leading coefficient, and self = c * P.  Zero maps to (0, 1)."""
-        if self.is_zero():
+        if not self._ints:
             return self, RAT_ONE
-        ints = primitive_ints(self.coeffs)
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return Poly(ints), self.coeffs[-1] / ints[-1]
+        return _poly(self._ints, RAT_ONE), self._content
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
 
-_PZERO = Poly.__new__(Poly)
-object.__setattr__(_PZERO, "coeffs", ())
-_PONE = Poly.__new__(Poly)
-object.__setattr__(_PONE, "coeffs", (RAT_ONE,))
-_PX = Poly.__new__(Poly)
-object.__setattr__(_PX, "coeffs", (RAT_ZERO, RAT_ONE))
+_EXACT = (int, Rat)
+_set_ints = Poly._ints.__set__
+_set_content = Poly._content.__set__
+
+
+def _poly(ints: tuple, content) -> Poly:
+    """The polynomial content * sum(ints[i] * x^i) from a canonical pair."""
+    p = object.__new__(Poly)
+    _set_ints(p, ints)
+    _set_content(p, content)
+    return p
+
+
+def _primitive(ints: list, num: int, den: int) -> tuple[tuple, Rat]:
+    """The canonical (primitive part, content) of (num/den) * sum(ints[i] * x^i)
+    for any integer list (trailing zeros allowed; num != 0)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return (), RAT_ONE
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return tuple(ints), Rat(num * g, den)
+
+
+def _normal(ints: list, num: int, den: int) -> Poly:
+    """The polynomial (num/den) * sum(ints[i] * x^i), any integer list."""
+    return _poly(*_primitive(ints, num, den))
+
+
+_PZERO = _poly((), RAT_ONE)
+_PONE = _poly((1,), RAT_ONE)
+_PX = _poly((0, 1), RAT_ONE)
 
 
 def format_poly(p: Poly, var: str = "x") -> str:
@@ -332,10 +439,10 @@ GF_PRIME = (1 << 31) - 1
 
 
 def gf_coeffs(p: Poly, prime: int = GF_PRIME) -> list[int] | None:
-    """Coefficients of a primitive integer multiple of p mod prime, lowest
+    """Coefficients of the primitive integer part of p mod prime, lowest
     first; None when the reduction degenerates (leading coefficient
     vanishes)."""
-    out = [v % prime for v in primitive_ints(p.coeffs)]
+    out = [v % prime for v in p._ints]
     if not out or out[-1] == 0:
         return None
     return out
@@ -353,7 +460,7 @@ def gf_gcd_degree(a: list[int], b: list[int], prime: int = GF_PRIME) -> int:
     a, b = list(a), list(b)
     da, db = deg(a), deg(b)
     while db >= 0:
-        inv = pow(b[db], prime - 2, prime)
+        inv = pow(b[db], -1, prime)
         while da >= db:
             f = a[da] * inv % prime
             if f:
@@ -418,7 +525,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _PONE
     if _gf_coprime(p, q):
         return _PONE
-    a, b = primitive_ints(p.coeffs), primitive_ints(q.coeffs)
+    a, b = list(p._ints), list(q._ints)
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -429,8 +536,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             return _PONE
         g = math.gcd(*r)
         a, b = b, ([v // g for v in r] if g > 1 else r)
-    lead = b[-1]
-    return Poly([Rat(v, lead) for v in b])
+    if b[-1] < 0:
+        b = [-v for v in b]
+    return _poly(tuple(b), Rat(1, b[-1]))
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -499,7 +607,7 @@ def _int_resultant(a: Poly, b: Poly) -> Rat:
             # b (nonconstant here) is a factor of a up to a constant
             return RAT_ZERO
         a = b
-        b = Poly([c / (g * h ** delta) for c in rem.coeffs])
+        b = rem * (1 / (g * h ** delta))
         g = a.lc()
         h = (g ** delta) / (h ** (delta - 1)) if delta > 0 else h
         if b.degree == 0:
@@ -556,13 +664,13 @@ def root_magnitude_bound(p: Poly) -> Rat:
     computed exactly with integer k-th roots."""
     if p.is_zero() or p.degree == 0:
         return RAT_ONE
-    ip, _ = p.int_clear()
-    n = ip.degree
-    lead = abs(int(ip.lc().numerator))
-    cauchy = 1 + Rat(max(abs(int(c.numerator)) for c in ip.coeffs[:-1]), lead)
+    ints = p._ints
+    n = len(ints) - 1
+    lead = ints[-1]
+    cauchy = 1 + Rat(max(abs(c) for c in ints[:-1]), lead)
     fuji = 0
     for k in range(1, n + 1):
-        a = abs(int(ip.coeffs[n - k].numerator))
+        a = abs(ints[n - k])
         if a == 0:
             continue
         ratio_ceil = -(-a // lead)
@@ -762,6 +870,11 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         other = RatFun._coerce(other)
+        # both operands are reduced: a zero summand leaves the other as it is
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -776,6 +889,8 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         other = RatFun._coerce(other)
+        if not self.num or not other.num:
+            return RF_ZERO
         return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -21,6 +21,9 @@ from .solver import MatrixRF
 
 MAX_DEGREE = 256
 MAX_COEFF_BITS = 1 << 13
+# the largest telescoper order bound a query may ask for: the search grows
+# steeply with it (two functions at bound 128 take tens of seconds)
+MAX_ORDER_BOUND = 64
 
 
 class _Scanner:

@@ -57,7 +57,6 @@ from .numcore import (
     integer_roots,
     poly_gcd,
     poly_lcm,
-    primitive_ints,
     q_window,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly
@@ -240,12 +239,6 @@ class MatrixRF:
 
     def __hash__(self):
         return hash(self.entries)
-
-    @staticmethod
-    def identity(n: int) -> "MatrixRF":
-        return MatrixRF(
-            [[RatFun.one() if i == j else RatFun.zero() for j in range(n)] for i in range(n)]
-        )
 
     def __matmul__(self, other: "MatrixRF") -> "MatrixRF":
         n = self.n
@@ -430,7 +423,7 @@ def _q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
     out = []
     for v in range(-vbound, vbound + 1):
         if qmod is not None:
-            qv = pow(qmod, v, GF_PRIME) if v >= 0 else pow(pow(qmod, GF_PRIME - 2, GF_PRIME), -v, GF_PRIME)
+            qv = pow(qmod, v, GF_PRIME)
             acc = 0
             for c in reversed(gf):
                 acc = (acc * qv + c) % GF_PRIME
@@ -558,10 +551,12 @@ def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpa
     return space
 
 
-def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[list[int]], bound: int) -> list[list]:
-    """Coefficient list (lowest first) of sum_i Q_i * sigma^i(x^j) for each
-    z_j, j = 0..bound, from integer coefficient lists of the Q_i.  Shift
-    columns are integers: (x+i)^j is expanded with integer binomials."""
+def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[list[int]], bound: int) -> tuple[list[list[int]], int]:
+    """Integer coefficient lists (lowest first) of scale * sum_i Q_i *
+    sigma^i(x^j) for each z_j, j = 0..bound, from integer coefficient lists of
+    the Q_i; returns (columns, scale).  Shift columns expand (x+i)^j with
+    integer binomials (scale 1).  With q = a/b the scale is b^(m*bound), and
+    column j is sum_i Q_i * a^(i*j) * b^(m*bound - i*j)."""
     m = len(q_coeffs) - 1
     cols = [[] for _ in range(bound + 1)]
     if ds.is_shift:
@@ -582,33 +577,46 @@ def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[list[int]], bound: in
                     pw = [0] + pw
                     for t in range(len(pw) - 1):
                         pw[t] += i * pw[t + 1]
-    else:
-        q = ds.q
-        qi = [q ** i for i in range(m + 1)]
-        mult = [RAT_ONE] * (m + 1)
-        width = max(len(c) for c in q_coeffs)
-        for j in range(bound + 1):
-            s = [RAT_ZERO] * width
-            for i in range(m + 1):
-                for k, a in enumerate(q_coeffs[i]):
-                    if a:
-                        s[k] += a * mult[i]
-            cols[j] = [RAT_ZERO] * j + s
-            for i in range(m + 1):
-                mult[i] = mult[i] * qi[i]
-    return cols
+        return cols, 1
+    top = m * bound
+    a_pow, b_pow = [1], [1]
+    for _ in range(top):
+        a_pow.append(a_pow[-1] * ds.q.numerator)
+        b_pow.append(b_pow[-1] * ds.q.denominator)
+    width = max(len(c) for c in q_coeffs)
+    for j in range(bound + 1):
+        s = [0] * width
+        for i, qi in enumerate(q_coeffs):
+            f = a_pow[i * j] * b_pow[top - i * j]
+            for k, c in enumerate(qi):
+                if c:
+                    s[k] += c * f
+        cols[j] = [0] * j + s
+    return cols, b_pow[top]
 
 
 def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> SolutionSpace:
     ds = prep.ds
     n_lam = len(rhs_free)
     n_z = bound + 1
-    # one common scale makes the whole coefficient system integral
-    polys = [p.coeffs for p in q_coeffs + [rhs_fixed] + rhs_free]
-    flat = iter(primitive_ints([c for p in polys for c in p]))
-    polys = [[next(flat) for _ in p] for p in polys]
+    # one common scale makes the whole coefficient system integral: each
+    # primitive part times its content over the common denominator, divided
+    # by the gcd of those multipliers
+    polys = q_coeffs + [rhs_fixed] + rhs_free
+    contents = [p._content for p in polys if p._ints]
+    den = math.lcm(*[c.denominator for c in contents])
+    g = math.gcd(*[c.numerator * (den // c.denominator) for c in contents])
+
+    def scaled(p):
+        k = p._content.numerator * (den // p._content.denominator) // g
+        return [k * v for v in p._ints]
+
+    polys = [scaled(p) for p in polys]
     q_int, fixed_int, free_int = polys[: len(q_coeffs)], polys[len(q_coeffs)], polys[len(q_coeffs) + 1 :]
-    cols = _sigma_basis_columns(ds, q_int, bound) if bound >= 0 else []
+    cols, scale = _sigma_basis_columns(ds, q_int, bound) if bound >= 0 else ([], 1)
+    if scale != 1:
+        fixed_int = [scale * v for v in fixed_int]
+        free_int = [[scale * v for v in r] for r in free_int]
     for col in cols:
         while col and not col[-1]:
             col.pop()
@@ -821,40 +829,36 @@ def _laurent_coeffs(ds: DiffStructure, f: RatFun, lo: int, hi: int) -> list[Rat]
 # ---------------------------------------------------------------------------
 
 
-def _system_iterates(ds: DiffStructure, m: MatrixRF, c: list[RatFun], count: int):
-    """(M_k, c_k) with sigma^k(v) = M_k v + c_k for k = 0..count."""
-    n = m.n
-    mats = [MatrixRF.identity(n)]
-    vecs: list[list[RatFun]] = [[RatFun.zero()] * n]
-    for _ in range(count):
-        mk = mats[-1].map(lambda f: apply_sigma(ds, f, 1))
-        ck = [apply_sigma(ds, f, 1) for f in vecs[-1]]
-        mats.append(mk @ m)
-        vecs.append([a + b for a, b in zip(mk.mat_vec(c), ck)])
-    return mats, vecs
-
-
 def eliminate_coordinate(
     ds: DiffStructure, m: MatrixRF, c, coord: int
 ) -> ScalarDiffEq:
     """The minimal-order scalar equation satisfied by coordinate ``coord`` of
-    every solution of sigma(v) = M v + c."""
+    every solution of sigma(v) = M v + c.
+
+    Only row ``coord`` of sigma^k(v) = M_k v + c_k is needed:
+    sigma^k(v_coord) = rho_k . v + gamma_k with rho_0 = e_coord, gamma_0 = 0,
+    rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k).
+    """
     c = [RatFun._coerce(v) for v in c]
     n = m.n
-    mats, vecs = _system_iterates(ds, m, c, n)
-    rows_so_far: list[list[RatFun]] = [list(mats[0].entries[coord])]
+    zero = RatFun.zero()
+    rho = [RatFun.one() if j == coord else zero for j in range(n)]
+    gammas = [zero]
+    rows_so_far: list[list[RatFun]] = [rho]
     for k in range(1, n + 1):
-        target = [-v for v in mats[k].entries[coord]]
+        s_rho = [apply_sigma(ds, f, 1) for f in rho]
+        rho = [sum((s_rho[i] * m.entries[i][j] for i in range(n)), zero) for j in range(n)]
+        gammas.append(sum((s_rho[i] * c[i] for i in range(n)), zero) + apply_sigma(ds, gammas[-1], 1))
         cols = list(zip(*rows_so_far))  # n x k matrix (columns = previous rows)
-        sol, _ = solve_affine([list(col) for col in cols], target, RatFun.zero(), RatFun.one())
+        sol, _ = solve_affine([list(col) for col in cols], [-v for v in rho], zero, RatFun.one())
         if sol is not None:
             e = list(sol) + [RatFun.one()]
-            rhs = sum((e[i] * vecs[i][coord] for i in range(k + 1)), RatFun.zero())
+            rhs = sum((e[i] * gammas[i] for i in range(k + 1)), zero)
             return scalar_eq_from_ratfun_coeffs(
                 ds, e, rhs_basis=[rhs] if not rhs.is_zero() else [],
                 lambda_fixed=[RAT_ONE] if not rhs.is_zero() else None,
             )
-        rows_so_far.append(list(mats[k].entries[coord]))
+        rows_so_far.append(rho)
     raise InternalVerificationError("coordinate elimination found no relation")
 
 

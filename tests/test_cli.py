@@ -157,6 +157,48 @@ class TestNegativeDegreeCap:
         assert code == EXIT_BOUND
 
 
+class TestOrderBoundCap:
+    def test_cli_huge_order_bound_is_fast_parse_error(self, capsys):
+        start = time.monotonic()
+        code = main(["telescope", "--funcs", "1/x", "--order-bound", "100000"])
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
+    def test_batch_huge_order_bound_is_fast_parse_error(self, tmp_path):
+        line = {"subcommand": "telescope", "funcs": "1/x", "order_bound": 100000}
+        with pytest.raises(ParseError):
+            query_from_dict(line)
+        path = tmp_path / "order.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        start = time.monotonic()
+        reports, code = run_batch(str(path))
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert reports[0]["error"]["kind"] == "parse"
+
+    def test_order_bound_at_the_cap_accepted(self):
+        line = {"subcommand": "telescope", "funcs": "1/x", "order_bound": cli.MAX_ORDER_BOUND}
+        assert query_from_dict(line).order_bound == cli.MAX_ORDER_BOUND
+
+    def test_null_order_bound_is_the_default(self):
+        line = {"subcommand": "telescope", "funcs": "1/x", "order_bound": None}
+        assert query_from_dict(line).order_bound == 3
+
+
+class TestMainErrorPath:
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        def broken(query):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "run_query", broken)
+        code = main(["disp", "--f", "x"])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: boom" in err
+        assert json.loads(err.strip().splitlines()[-1]) == {"error": {"message": "boom", "kind": "internal"}}
+
+
 class TestRunQuery:
     def test_gamma_ratio(self):
         report, code = run_query(_query("da-hypergeom", b="x"))

@@ -290,7 +290,7 @@ class TestIntegrability:
         assert eq_b.lambda_fixed == (Rat(1),)
 
     def test_identity_is_constant_conjugate(self):
-        result = integrability_test(SHIFT, MatrixRF.identity(2))
+        result = integrability_test(SHIFT, MatrixRF([[1, 0], [0, 1]]))
         assert result.status is IntegrabilityStatus.CONSTANT_CONJUGATE
         assert all(v.is_zero() for row in result.b_matrix.entries for v in row)
 
