@@ -2,11 +2,12 @@
 substitution-verified certificates, and a newline-delimited batch mode.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
-1 = parse/usage error, 2 = a degree cap was exceeded, 3 = internal
-invariant violation.  A failed query reports ``{"error": {"message",
-"kind"}}`` with kind ``parse``, ``usage``, ``bound-exceeded`` or
-``internal``; a batch reports it in place of the line's report, adds the
-line number, and exits with the largest per-line code.  The environment
+1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
+coefficient above ``parsing.MAX_COEFF_BITS`` bits, 3 = internal invariant
+violation.  A failed query reports ``{"error": {"message", "kind"}}`` with
+kind ``parse``, ``usage``, ``bound-exceeded`` or ``internal``; a batch
+reports it in place of the line's report, adds the line number, and exits
+with the largest per-line code.  The environment
 variable DIFFALG_DEGREE_CAP overrides the default degree cap of 200.
 """
 
@@ -32,6 +33,7 @@ from .errors import BoundExceededError, DiffAlgError, InternalVerificationError,
 from .numcore import Rat, RatFun
 from .parsing import (
     MAX_ORDER_BOUND,
+    format_rat,
     format_ratfun,
     parse_matrix,
     parse_poly,
@@ -121,10 +123,10 @@ def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
         g, lam = space.particular
         cert["particular"] = {
             "g": format_ratfun(g),
-            "lambda": [str(v) for v in lam],
+            "lambda": [format_rat(v) for v in lam],
         }
     cert["homogeneous_basis"] = [
-        {"g": format_ratfun(g), "lambda": [str(v) for v in lam]}
+        {"g": format_ratfun(g), "lambda": [format_rat(v) for v in lam]}
         for g, lam in space.homogeneous_basis
     ]
     if space.witness:
@@ -184,7 +186,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         cert = {
             "standard_part": format_ratfun(decomp.standard_part),
             "certificate_g": format_ratfun(decomp.certificate_g),
-            "twist_a": str(decomp.twist_a),
+            "twist_a": format_rat(decomp.twist_a),
         }
     elif sub == "mult-form":
         f = parse_ratfun(need("f"))
@@ -236,7 +238,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             verified = criteria.verify_telescoper(ds, funcs, tele)
             verdict = "TELESCOPER_FOUND"
             cert = {
-                "operators": [[str(c) for c in op.coeffs] for op in tele.operators],
+                "operators": [[format_rat(c) for c in op.coeffs] for op in tele.operators],
                 "certificate_g": format_ratfun(tele.certificate_g),
             }
     elif sub == "da-hypergeom":
@@ -277,7 +279,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         if g.certificate_h is not None:
             cert = {"h": format_ratfun(g.certificate_h)}
             if g.certificate_c is not None:
-                cert["c"] = str(g.certificate_c)
+                cert["c"] = format_rat(g.certificate_c)
             verified = criteria.verify_summation(ds, f, g)
     else:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
@@ -317,11 +319,11 @@ def _da_certificate_dict(c: criteria.DACertificate) -> dict:
     if c.f is not None:
         cert["f"] = format_ratfun(c.f)
     if c.c is not None:
-        cert["c"] = str(c.c)
+        cert["c"] = format_rat(c.c)
     if c.n_or_r is not None:
         cert["n_or_r"] = c.n_or_r
     if c.d is not None:
-        cert["d"] = str(c.d)
+        cert["d"] = format_rat(c.d)
     return cert
 
 

@@ -73,8 +73,8 @@ def _gf_scale(cs: list[int], factor: int, prime: int) -> list[int]:
 
 
 def _gf_q_mod(ds: DiffStructure, prime: int) -> int | None:
-    qn = int(ds.q.numerator) % prime
-    qd = int(ds.q.denominator) % prime
+    qn = ds.q.numerator % prime
+    qd = ds.q.denominator % prime
     if qn == 0 or qd == 0:
         return None
     return qn * pow(qd, -1, prime) % prime
@@ -85,7 +85,7 @@ def _shift_gap_candidates(w: Poly) -> list[int]:
     if w.degree < 1:
         return []
     bound2 = 2 * root_magnitude_bound(w)
-    limit = int(bound2.numerator) // int(bound2.denominator) + 1
+    limit = bound2.numerator // bound2.denominator + 1
     hits: list[int] = []
     if limit <= _SCAN_LIMIT:
         gf = gf_coeffs(w)

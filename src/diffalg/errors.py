@@ -24,7 +24,8 @@ class NonStandardInputError(DiffAlgError):
 
 class BoundExceededError(DiffAlgError):
     """A solver hit the configured degree cap before its certified bound
-    applied; the verdict is undetermined rather than negative."""
+    applied, or a result has a coefficient too large to report; the verdict
+    is undetermined rather than negative."""
 
 
 class ParseError(DiffAlgError):

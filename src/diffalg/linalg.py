@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and over Q(x).
+"""Exact linear algebra over Q and over Q(x).
 
 Both solvers bring the augmented system to reduced row echelon form and
 return the solution space as a particular solution (free variables set to 0)
@@ -9,8 +9,16 @@ way it is computed.
 The element type picks the path:
 
 - Over Q (``zero`` is an int or a rational), each augmented row is cleared to
-  integers and Gauss-Jordan runs on primitive integer rows: a row update is
-  ``pv*row_i - f*row_r`` divided by the gcd of the result.  Rationals are only
+  a sparse primitive integer row ``{column: value}`` and the reduced form is
+  built one row at a time, in the order of sympy's ``sdm_irref``: rows are
+  taken by descending leading column; each is reduced against the pivot rows
+  found so far (``pv*row - f*pivot_row``, divided by its gcd once), takes its
+  leftmost nonzero as a new pivot, and clears that column from the earlier
+  pivot rows that have it (a column -> rows map names them).  The solver's
+  ansatz systems are banded, with entries of hundreds of bits: this order
+  touches only nonzeros, takes one gcd per row update, and never visits a
+  row again once it reduces to zero, where sweeping every row at every
+  pivot spends most of its time on zeros and gcds.  Rationals are only
   built for the entries that leave the kernel, as ``numerator / pivot``.
 - Over Q(x) (``zero`` is a rational function), plain Gauss-Jordan runs on the
   field elements, which only need +, -, *, /, and truthiness for zero.
@@ -19,6 +27,7 @@ The element type picks the path:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from numbers import Rational
 
 from .numcore import Rat, primitive_ints
@@ -36,43 +45,94 @@ def solve_affine(rows, rhs, zero, one):
 
 
 def _solve_affine_int(rows, rhs, zero, one):
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [primitive_ints(list(r) + [b]) for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        # the smallest pivot keeps the integers small; the reduced form is the
-        # same whichever row is chosen
-        pr, best = None, 0
-        for i in range(r, nrows):
-            v = abs(aug[i][c])
-            if v and (pr is None or v < best):
-                pr, best = i, v
-                if v == 1:
-                    break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        row_r = aug[r]
-        pv = row_r[c]
-        for i in range(nrows):
-            row_i = aug[i]
-            f = row_i[c]
-            if i == r or not f:
-                continue
+    ncols = len(rows[0]) if rows else 0
+    pending = []
+    for r, b in zip(rows, rhs):
+        cols = [c for c, v in enumerate(r) if v]
+        vals = [r[c] for c in cols]
+        if b:
+            cols.append(ncols)
+            vals.append(b)
+        if cols:
+            pending.append(dict(zip(cols, primitive_ints(vals))))
+    # rows are taken by descending leading column, as in sympy's sdm_irref
+    pending.sort(key=min)
+    pivot_rows: dict[int, dict[int, int]] = {}
+    reduced: set[int] = set()  # pivots whose row holds nothing but the pivot
+    unreduced: set[int] = set()
+    holders = defaultdict(set)  # column -> unreduced pivots nonzero there
+    inconsistent = False
+    while pending:
+        row = pending.pop()
+        for j in reduced.intersection(row):
+            del row[j]
+        for j in unreduced.intersection(row):
+            prow = pivot_rows[j]
+            pv, f = prow[j], row.pop(j)
             g = math.gcd(pv, f)
             a, b = pv // g, f // g
-            if a == 1:
-                new = [x - b * y for x, y in zip(row_i, row_r)]
-            else:
-                new = [a * x - b * y for x, y in zip(row_i, row_r)]
-            g = math.gcd(*new)
-            aug[i] = [v // g for v in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                if c != j:
+                    v = row.get(c, 0) - b * v
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+        if not row:
+            continue
+        j = min(row)
+        if j == ncols:
+            # zero on the left, nonzero on the right
+            inconsistent = True
+            continue
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {c: v // g for c, v in row.items()}
+        pivot_rows[j] = row
+        pv = row[j]
+        # clear the new pivot column from the earlier pivot rows that have it
+        for k in holders.pop(j, ()):
+            prow = pivot_rows[k]
+            f = prow.pop(j)
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            if a != 1:
+                prow = {c: a * v for c, v in prow.items()}
+            for c, v in row.items():
+                if c != j:
+                    v = prow.get(c, 0) - b * v
+                    if v:
+                        if c not in prow:
+                            holders[c].add(k)
+                        prow[c] = v
+                    else:
+                        del prow[c]
+                        holders[c].discard(k)
+            g = math.gcd(*prow.values())
+            if g > 1:
+                prow = {c: v // g for c, v in prow.items()}
+            pivot_rows[k] = prow
+            if len(prow) == 1:
+                unreduced.remove(k)
+                reduced.add(k)
+        if len(row) == 1:
+            reduced.add(j)
+        else:
+            unreduced.add(j)
+            for c in row:
+                if c != j:
+                    holders[c].add(j)
+    pivots = sorted(pivot_rows)
+    aug = []
+    for pc in pivots:
+        dense = [0] * (ncols + 1)
+        for c, v in pivot_rows[pc].items():
+            dense[c] = v
+        aug.append(dense)
+    if inconsistent:
+        aug.append([0] * ncols + [1])
     return _read_off(aug, pivots, ncols, zero, one, Rat)
 
 

@@ -2,12 +2,10 @@
 rational functions, and the gcd / resultant / root primitives everything else
 consumes.
 
-All coefficients live in Q.  The ``Rat`` type is ``gmpy2.mpq`` when gmpy2 is
-importable (it is several times faster on the big numerators that show up in
-resultants) and ``fractions.Fraction`` otherwise; set
-``DIFFALG_RAT_BACKEND=fraction`` to force the stdlib backend.  Both types obey
-the same reduced-fraction invariants (gcd(|num|, den) = 1, den > 0) and mix
-freely with ints.
+All coefficients live in Q.  The ``Rat`` type is the stdlib
+``fractions.Fraction`` (reduced, gcd(|num|, den) = 1, den > 0), which mixes
+freely with ints; the hot kernels run on Python ints and build rationals only
+at their edges.
 
 A ``Poly`` is stored as one rational content times a primitive integer
 polynomial (coprime integer coefficients, positive leading coefficient), the
@@ -20,18 +18,11 @@ built when a caller reads them.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .errors import PreconditionError, ZeroInputError
 
-if os.environ.get("DIFFALG_RAT_BACKEND", "").lower() == "fraction":
-    Rat = Fraction
-else:
-    try:
-        from gmpy2 import mpq as Rat  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover
-        Rat = Fraction  # type: ignore[misc]
+Rat = Fraction
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
@@ -486,7 +477,7 @@ def primitive_ints(values) -> list[int]:
     """The integer vector with coprime entries proportional to a vector of
     rationals (or ints); all zeros stay zeros."""
     den = math.lcm(*[v.denominator for v in values])
-    ints = [int(v.numerator) * (den // int(v.denominator)) for v in values]
+    ints = [v.numerator * (den // v.denominator) for v in values]
     g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -682,12 +673,12 @@ def root_magnitude_bound(p: Poly) -> Rat:
 def q_window(q: Rat, bound: Rat) -> int:
     """Largest L >= 0 with Q^L <= bound, where Q = max(|q|, 1/|q|) > 1; 0 when
     bound < Q.  Exact: binary search over the powers Q^(2^k)."""
-    a, b = abs(int(q.numerator)), abs(int(q.denominator))
+    a, b = abs(q.numerator), abs(q.denominator)
     if a == b:
         raise PreconditionError("q_window needs |q| != 1")
     if a < b:
         a, b = b, a
-    c, d = int(bound.numerator), int(bound.denominator)
+    c, d = bound.numerator, bound.denominator
     # Q^L <= bound  <=>  a^L * d <= c * b^L
     squares = []
     while a * d <= c * b:
@@ -703,11 +694,11 @@ def q_window(q: Rat, bound: Rat) -> int:
 
 
 def _floor(r: Rat) -> int:
-    return int(r.numerator) // int(r.denominator)
+    return r.numerator // r.denominator
 
 
 def _ceil(r: Rat) -> int:
-    return -(-int(r.numerator) // int(r.denominator))
+    return -(-r.numerator // r.denominator)
 
 
 def integer_roots(p: Poly) -> set[int]:
@@ -847,7 +838,7 @@ class RatFun:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFun):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)) or type(other) is type(RAT_ZERO):
+        if isinstance(other, (int, Fraction)):
             return self.den == _PONE and self.num == Poly.const(other)
         return NotImplemented
 

@@ -10,12 +10,16 @@ rational function.
 Input size is capped so that no expression can run without bound: an
 exponent above ``MAX_DEGREE`` in magnitude, an integer literal, a power or
 any intermediate result of degree above ``MAX_DEGREE`` or with coefficients
-above ``MAX_COEFF_BITS`` bits is a parse error.
+above ``MAX_COEFF_BITS`` bits is a parse error.  The same bit cap bounds what
+is printed: a result coefficient above it is a BoundExceededError (kind
+``bound-exceeded`` in a report), never a report too large to print.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+import math
+
+from .errors import BoundExceededError, ParseError
 from .numcore import Poly, RatFun, format_poly
 from .solver import MatrixRF
 
@@ -110,9 +114,19 @@ def _parse_power(sc: _Scanner) -> RatFun:
     return base
 
 
+def _coeff_bit_sizes(value: RatFun):
+    """``bits(numerator) + bits(denominator)`` of each coefficient of the
+    numerator and denominator, read from the content ``cn/cd`` and the
+    integer part: gcd(cn, cd) = 1, so ``cn*i/cd`` reduces by gcd(i, cd)."""
+    for p in (value.num, value.den):
+        cn, cd = p._content.numerator, p._content.denominator
+        for i in p._ints:
+            g = math.gcd(i, cd)
+            yield (cn * i // g).bit_length() + (cd // g).bit_length()
+
+
 def _coeff_bits(value: RatFun) -> int:
-    coeffs = value.num.coeffs + value.den.coeffs
-    return max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+    return max(_coeff_bit_sizes(value))
 
 
 def _checked(sc: _Scanner, value: RatFun) -> RatFun:
@@ -245,8 +259,27 @@ def _parse_entry(sc: _Scanner) -> RatFun:
         raise ParseError(str(exc), start + exc.position) from None
 
 
+def _check_printable(bit_sizes) -> None:
+    # a result may not print a coefficient an input could not hold; the first
+    # one above the cap decides, so a huge result is not read to the end
+    for bits in bit_sizes:
+        if bits > MAX_COEFF_BITS:
+            raise BoundExceededError(
+                f"result coefficient of {bits} bits above the cap of {MAX_COEFF_BITS} bits"
+            )
+
+
+def format_rat(c) -> str:
+    """A rational of a result as text; BoundExceededError above the
+    coefficient cap."""
+    _check_printable((c.numerator.bit_length() + c.denominator.bit_length(),))
+    return str(c)
+
+
 def format_ratfun(f: RatFun) -> str:
-    """Canonical text form; reparses to an identical RatFun."""
+    """Canonical text form; reparses to an identical RatFun.  A coefficient
+    above ``MAX_COEFF_BITS`` bits raises BoundExceededError."""
+    _check_printable(_coeff_bit_sizes(f))
     num = format_poly(f.num)
     if f.den == Poly.one():
         return num

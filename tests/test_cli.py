@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import SHIFT, Q2, rand_ratfun, rf
-from diffalg import ParseError, Poly, Rat, RatFun, format_ratfun, parse_matrix, parse_ratfun
+from diffalg import BoundExceededError, ParseError, Poly, Rat, RatFun, format_ratfun, parse_matrix, parse_ratfun
 from diffalg import cli
 from diffalg.cli import (
     EXIT_BOUND,
@@ -23,6 +23,7 @@ from diffalg.cli import (
     run_batch,
     run_query,
 )
+from diffalg.parsing import MAX_COEFF_BITS, format_rat
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "diffalg", "verdict_report.schema.json")
 
@@ -184,6 +185,50 @@ class TestOrderBoundCap:
     def test_null_order_bound_is_the_default(self):
         line = {"subcommand": "telescope", "funcs": "1/x", "order_bound": None}
         assert query_from_dict(line).order_bound == 3
+
+
+# the q = 1/4 family with coefficients (1/4)^k at k = 80: SOLVED, with a
+# solution whose coefficients run to about 31000 bits
+_HUGE_RESULT = {
+    "subcommand": "solve-scalar",
+    "case": "q",
+    "q": "1/4",
+    "coeffs": "5*(1/4)^80*x+1;-((1/4)^80+5)*x+2;x+3",
+    "rhs": "x^2+1",
+}
+
+
+class TestResultSizeCap:
+    def test_cli_reports_bound_exceeded(self, capsys):
+        q = _HUGE_RESULT
+        code = main(["solve-scalar", "--case", "q", "--q", q["q"], f"--coeffs={q['coeffs']}", f"--rhs={q['rhs']}"])
+        assert code == EXIT_BOUND
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["kind"] == "bound-exceeded"
+        assert f"above the cap of {MAX_COEFF_BITS} bits" in error["message"]
+
+    def test_batch_line_reports_bound_exceeded(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps(_HUGE_RESULT) + "\n" + json.dumps({"subcommand": "da-hypergeom", "b": "x"}) + "\n")
+        reports, code = run_batch(str(path))
+        assert code == EXIT_BOUND
+        assert reports[0]["error"]["kind"] == "bound-exceeded"
+        assert reports[0]["error"]["line"] == 1
+        assert reports[1]["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+
+    def test_printing_at_the_cap(self):
+        # bits(numerator) + bits(denominator): 8191 + 1 is at the cap
+        at_cap = Rat(2**8191 - 1)
+        assert format_rat(at_cap) == str(at_cap)
+        assert format_ratfun(RatFun.const(at_cap)) == str(at_cap)
+        assert format_ratfun(RatFun.x() / at_cap) == f"1/{at_cap}*x"
+        for over in (Rat(2**8191), Rat(1, 2**8191), Rat(3, 2**8190)):
+            with pytest.raises(BoundExceededError):
+                format_rat(over)
+            with pytest.raises(BoundExceededError):
+                format_ratfun(RatFun.x() + over)
 
 
 class TestMainErrorPath:

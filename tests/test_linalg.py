@@ -1,6 +1,6 @@
-"""The exact linear solve over Q (integer kernel) against sympy's reduced row
-echelon form and against the Fraction reference in ``oracle.py``; the field
-path over Q(x) on a small system."""
+"""The exact linear solve over Q (sparse row-incremental integer kernel)
+against sympy's reduced row echelon form and against the Fraction reference
+in ``oracle.py``; the field path over Q(x) on a small system."""
 
 import math
 import random
@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import RatFun
+from diffalg import Poly, RatFun, ScalarDiffEq, parse_ratfun, q_structure, solver
 from diffalg.linalg import invert_matrix, solve_affine
 from diffalg.numcore import RAT_ONE, RAT_ZERO
+from diffalg.parsing import parse_poly
 from oracle import fraction_solve
 
 
@@ -73,14 +74,21 @@ def _rand_system(rng):
     return rows, rhs, ncols
 
 
+def _check(rows, rhs):
+    """solve_affine agrees with the Fraction reference and with sympy."""
+    ncols = len(rows[0]) if rows else 0
+    ours = solve_affine(rows, rhs, RAT_ZERO, RAT_ONE)
+    assert ours == fraction_solve(rows, rhs)
+    assert ours == _sympy_solution(rows, rhs, ncols)
+    return ours
+
+
 class TestSolveAffineOverQ:
     def test_matches_sympy_rref(self):
         rng = random.Random(2024)
         for _ in range(250):
-            rows, rhs, ncols = _rand_system(rng)
-            ours = solve_affine(rows, rhs, RAT_ZERO, RAT_ONE)
-            assert ours == _sympy_solution(rows, rhs, ncols)
-            assert ours == fraction_solve(rows, rhs)
+            rows, rhs, _ = _rand_system(rng)
+            _check(rows, rhs)
 
     def test_integer_rows_scaled_per_row(self):
         rng = random.Random(7)
@@ -110,6 +118,121 @@ class TestSolveAffineOverQ:
         particular, _ = solve_affine([[3, 6], [0, 7]], [1, 2], RAT_ZERO, RAT_ONE)
         assert particular == [Fraction(-5, 21), Fraction(2, 7)]
         assert all(type(v) is type(RAT_ZERO) for v in particular)
+
+
+def _ansatz_system(rng, sigma, order, bound):
+    """The coefficient system of sum_i p_i(x) * sigma^i(y) = rhs for a
+    polynomial y of degree <= bound: column j holds the coefficients of
+    sum_i p_i * sigma^i(x^j), so the rows form a band."""
+    ps = [Poly([rng.randint(-4, 4) for _ in range(2)] + [rng.choice([-2, 1, 3])]) for _ in range(order + 1)]
+    cols = []
+    for j in range(bound + 1):
+        xj = Poly.monomial(1, j)
+        col = Poly.zero()
+        for i, p in enumerate(ps):
+            col = col + p * sigma(xj, i)
+        cols.append(col)
+    height = max(c.degree for c in cols) + 1
+    rows = [[c[k] for c in cols] for k in range(height)]
+    if rng.random() < 0.5:
+        # a planted solution: consistent
+        y = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in cols]
+        rhs = [sum((v * w for v, w in zip(row, y)), Fraction(0)) for row in rows]
+    else:
+        rhs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+    order_ = list(range(len(rows)))
+    rng.shuffle(order_)
+    return [rows[k] for k in order_], [rhs[k] for k in order_]
+
+
+class TestKernelShapes:
+    """Inputs shaped like the solver's systems and the kernel's edge cases:
+    banded ansatz systems, repeated and zero rows, right-hand-side-only
+    inconsistency, rank deficiency, shared powers of two."""
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            lambda p, i: p.shift_arg(i),
+            lambda p, i: p.scale_arg(Fraction(2) ** i),
+            lambda p, i: p.scale_arg(Fraction(1, 4) ** i),
+        ],
+        ids=["shift", "q=2", "q=1/4"],
+    )
+    def test_banded_ansatz_systems_shuffled(self, sigma):
+        rng = random.Random(11)
+        for _ in range(12):
+            rows, rhs = _ansatz_system(rng, sigma, rng.randint(1, 3), rng.randint(2, 12))
+            _check(rows, rhs)
+
+    def test_duplicated_and_zero_rows(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            rows, rhs, ncols = _rand_system(rng)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(rows))
+                s = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                for row, b in (([s * v for v in rows[k]], s * rhs[k]), ([Fraction(0)] * ncols, Fraction(0))):
+                    at = rng.randrange(len(rows) + 1)
+                    rows.insert(at, row)
+                    rhs.insert(at, b)
+            _check(rows, rhs)
+
+    def test_inconsistent_only_in_the_right_hand_side(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            ncols = rng.randint(1, 6)
+            base = [[_rand_rational(rng) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+            brhs = [_rand_rational(rng) for _ in base]
+            # a combination of the rows whose right-hand side is off by one
+            w = [Fraction(rng.randint(-2, 2)) for _ in base]
+            combo = [sum((a * row[c] for a, row in zip(w, base)), Fraction(0)) for c in range(ncols)]
+            rows = base + [combo]
+            rhs = brhs + [sum((a * b for a, b in zip(w, brhs)), Fraction(0)) + 1]
+            particular, _ = _check(rows, rhs)
+            assert particular is None
+        assert _check([[Fraction(0)] * 3] * 2, [Fraction(0), Fraction(2)])[0] is None
+
+    def test_rank_deficient(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            nrows, ncols, rank = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 3)
+            left = [[Fraction(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(nrows)]
+            right = [[_rand_rational(rng) for _ in range(ncols)] for _ in range(rank)]
+            rows = [[sum((l[t] * right[t][c] for t in range(rank)), Fraction(0)) for c in range(ncols)] for l in left]
+            if rng.random() < 0.5:
+                y = [_rand_rational(rng) for _ in range(ncols)]
+                rhs = [sum((v * w for v, w in zip(row, y)), Fraction(0)) for row in rows]
+            else:
+                rhs = [_rand_rational(rng) for _ in rows]
+            _check(rows, rhs)
+
+    def test_rows_sharing_a_large_power_of_two(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            rows, rhs, ncols = _rand_system(rng)
+            big = [2 ** rng.randint(100, 400) for _ in rows]
+            rows = [[v * 2 ** rng.randint(0, 60) * k for v in row] for row, k in zip(rows, big)]
+            rhs = [b * k for b, k in zip(rhs, big)]
+            _check(rows, rhs)
+
+    def test_adversarial_family_k40(self, monkeypatch):
+        """The q = 1/4 equations with coefficients (1/4)^k of the solver's
+        adversarial family, at k = 40: every Q system the solver builds."""
+        systems = []
+        real = solver.solve_affine
+
+        def record(rows, rhs, zero, one):
+            systems.append(([list(r) for r in rows], list(rhs)))
+            return real(rows, rhs, zero, one)
+
+        monkeypatch.setattr(solver, "solve_affine", record)
+        coeffs = [parse_poly(t) for t in ("5*(1/4)^40*x+1", "-((1/4)^40+5)*x+2", "x+3")]
+        eq = ScalarDiffEq(q_structure(Fraction(1, 4)), tuple(coeffs), (parse_ratfun("x^2+1"),), (RAT_ONE,))
+        assert solver.solve_scalar(eq).is_solved()
+        assert max(len(rows) for rows, _ in systems) > 40
+        for rows, rhs in systems:
+            _check(rows, rhs)
 
 
 class TestFieldPath:

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from diffalg import Poly, Rat, poly_gcd
+from diffalg import Poly, Rat, RatFun, poly_gcd
+from diffalg.parsing import _coeff_bits
 
 # derandomized: tier-1 runs the same examples every time
 props = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -212,3 +213,22 @@ def test_equal_polynomials_compare_and_hash_equal(a, c, b):
         check_canonical(q)
         assert q == p
         assert hash(q) == hash(p)
+
+
+wide_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-40, 40), st.integers(-(2**90), 2**90)),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**60), st.sampled_from([2**40, 3 * 2**37, 5**20])),
+)
+
+
+@props
+@given(
+    st.lists(st.one_of(st.just(Fraction(0)), wide_rationals), max_size=6).map(ref_trim),
+    st.lists(wide_rationals, min_size=1, max_size=5).map(ref_trim).filter(bool),
+)
+def test_coeff_bits_matches_fraction_definition(num, den):
+    # the parser's cap reads content and integer part; this is its meaning
+    f = RatFun(Poly(num), Poly(den))
+    coeffs = f.num.coeffs + f.den.coeffs
+    assert _coeff_bits(f) == max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
