@@ -165,22 +165,24 @@ def _strip_x_power(p: Poly) -> tuple[Poly, int]:
     return Poly(p.coeffs[v:]), v
 
 
-def dispersion(ds: DiffStructure, poly: Poly) -> int:
-    """Largest L >= 0 such that some root pair of ``poly`` sits L apart in the
-    structure's orbit sense; 0 when there is no such pair."""
+def orbit_gaps(ds: DiffStructure, poly: Poly) -> list[int]:
+    """Every L > 0, ascending, such that some root pair of ``poly`` sits L
+    apart in the structure's orbit sense (nonzero roots in the q case)."""
     if poly.is_zero():
         raise ZeroInputError("dispersion of the zero polynomial")
     if poly.degree < 1:
-        return 0
+        return []
     w = _radical(poly)
-    if not ds.is_shift:
-        w, _ = _strip_x_power(w)
-        if w.degree < 1:
-            return 0
-        cands = _q_gap_candidates(ds, w)
-    else:
-        cands = _shift_gap_candidates(w)
-    return max(cands, default=0)
+    if ds.is_shift:
+        return _shift_gap_candidates(w)
+    w, _ = _strip_x_power(w)
+    return _q_gap_candidates(ds, w) if w.degree > 0 else []
+
+
+def dispersion(ds: DiffStructure, poly: Poly) -> int:
+    """Largest L >= 0 such that some root pair of ``poly`` sits L apart in the
+    structure's orbit sense; 0 when there is no such pair."""
+    return max(orbit_gaps(ds, poly), default=0)
 
 
 def polar_dispersion(ds: DiffStructure, f: RatFun) -> int:
@@ -287,10 +289,11 @@ def multiplicative_standard_form(ds: DiffStructure, f: RatFun) -> MultStandardFo
     """Write f = f_std * sigma(g)/g with f_std standard.
 
     Zero/pole orbits of f are merged without root isolation: while the
-    combined zero/pole polynomial has dispersion L > 0, each squarefree layer
-    v sitting at the low end of a maximal orbit is replaced by sigma^{-L}(v),
-    and the telescoping ratio v/sigma^{-L}(v) = sigma(G)/G with
-    G = prod_{j=1}^{L} sigma^{-j}(v) is absorbed into the certificate.
+    combined zero/pole polynomial has dispersion L > 0, the orbit-primary
+    part v of the numerator (and of the denominator) on the low ends of the
+    maximal orbits is replaced by sigma^{-L}(v), and the telescoping ratio
+    v/sigma^{-L}(v) = sigma(G)/G with G = prod_{j=1}^{L} sigma^{-j}(v) is
+    absorbed into the certificate.
     """
     if f.is_zero():
         raise ZeroInputError("multiplicative standard form of zero")
@@ -305,23 +308,16 @@ def multiplicative_standard_form(ds: DiffStructure, f: RatFun) -> MultStandardFo
             break
         rad = _radical(combined)
         w = poly_gcd(rad, sigma_poly(ds, rad, gap).monic())
-        for source, exponent in ((num, 1), (den, -1)):
-            for factor, mult in squarefree_decomposition(source):
-                shared = poly_gcd(factor, w)
-                if shared.degree == 0:
-                    continue
-                moved = sigma_poly(ds, shared, -gap).monic()
-                piece = RatFun.from_poly(shared)
-                chain = RatFun.one()
-                for j in range(1, gap + 1):
-                    chain = chain * apply_sigma(ds, piece, -j)
-                if exponent == 1:
-                    num = num.exact_div(shared ** mult) * moved ** mult
-                    cert = cert * chain ** mult
-                else:
-                    den = den.exact_div(shared ** mult) * moved ** mult
-                    cert = cert / chain ** mult
-        reduced = RatFun(num, den)
+        moved, chains = [], []
+        for source in (num, den):
+            v = _orbit_primary_part(source, w)
+            chain = Poly.one()
+            for j in range(1, gap + 1):
+                chain = chain * sigma_poly(ds, v, -j)
+            moved.append(source.exact_div(v) * sigma_poly(ds, v, -gap).monic())
+            chains.append(chain)
+        cert = cert * RatFun(*chains)
+        reduced = RatFun(*moved)
         num, den = reduced.num, reduced.den
     if not cert.num.is_zero() and cert.num.lc() != 1:
         cert = cert * RatFun.const(1 / cert.num.lc())  # sigma(g)/g is scale-invariant

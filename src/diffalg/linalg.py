@@ -21,7 +21,9 @@ The element type picks the path:
   pivot spends most of its time on zeros and gcds.  Rationals are only
   built for the entries that leave the kernel, as ``numerator / pivot``.
 - Over Q(x) (``zero`` is a rational function), plain Gauss-Jordan runs on the
-  field elements, which only need +, -, *, /, and truthiness for zero.
+  field elements, which only need +, -, *, /, and truthiness for zero.  This
+  is the one elimination over Q(x): a matrix inverse and an invertibility
+  test are read off a nullspace it computes (``solver.MatrixRF``).
 """
 
 from __future__ import annotations
@@ -189,26 +191,3 @@ def _read_off(aug, pivots, ncols, zero, one, ratio):
             particular[pc] = ratio(row[ncols], row[pc])
     return particular, basis
 
-
-def invert_matrix(rows, zero, one):
-    """Gauss-Jordan inverse; returns None when the matrix is singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        if pv != one:
-            aug[c] = [v / pv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                row_c = aug[c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], row_c)]
-    return [row[n:] for row in aug]

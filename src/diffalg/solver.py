@@ -31,12 +31,11 @@ from enum import Enum
 
 from .dispersion import (
     _gf_q_mod,
-    _q_gap_candidates,
     _radical,
     _root_annulus,
-    _shift_gap_candidates,
     _strip_x_power,
     additive_standard_decomp,
+    orbit_gaps,
 )
 from .errors import (
     InternalVerificationError,
@@ -44,7 +43,7 @@ from .errors import (
     SingularMatrixError,
     ZeroInputError,
 )
-from .linalg import invert_matrix, solve_affine
+from .linalg import solve_affine
 from .numcore import (
     GF_PRIME,
     RAT_ONE,
@@ -115,23 +114,26 @@ class ScalarDiffEq:
             return (None,) * len(self.rhs_basis)
         return self.lambda_fixed
 
-    def split_rhs(self) -> tuple[RatFun, list[int], list[RatFun], list[Rat]]:
-        """(fixed part sum_k lambda_k * r_k over the pinned lambdas, slots of
-        the free lambdas, their basis functions, per-slot values with 0 where
-        free)."""
+    def split_rhs(self) -> tuple[RatFun, list[RatFun]]:
+        """(fixed part sum_k lambda_k * r_k over the pinned lambdas, basis
+        functions of the free lambdas in slot order)."""
         fixed_rf = RatFun.zero()
-        free_slots: list[int] = []
         free_basis: list[RatFun] = []
-        fixed_values: list[Rat] = []
-        for k, (r, value) in enumerate(zip(self.rhs_basis, self.fixed_mask())):
+        for r, value in zip(self.rhs_basis, self.fixed_mask()):
             if value is None:
-                free_slots.append(k)
                 free_basis.append(r)
-                fixed_values.append(RAT_ZERO)
             else:
                 fixed_rf = fixed_rf + RatFun.const(value) * r
-                fixed_values.append(value)
-        return fixed_rf, free_slots, free_basis, fixed_values
+        return fixed_rf, free_basis
+
+    def lambdas(self, free_values, homogeneous: bool) -> tuple[Rat, ...]:
+        """The full lambda vector: ``free_values`` fill the free slots in
+        order; a pinned slot keeps its value, or 0 when ``homogeneous``."""
+        free = iter(free_values)
+        return tuple(
+            next(free) if value is None else (RAT_ZERO if homogeneous else value)
+            for value in self.fixed_mask()
+        )
 
     def rhs_value(self, lambdas: tuple[Rat, ...]) -> RatFun:
         acc = RatFun.zero()
@@ -262,13 +264,20 @@ class MatrixRF:
         return MatrixRF([[fn(v) for v in row] for row in self.entries])
 
     def inverse(self) -> "MatrixRF":
-        inv = invert_matrix([list(r) for r in self.entries], RatFun.zero(), RatFun.one())
-        if inv is None:
+        """Read off the nullspace of [A | -I]: its canonical basis vectors
+        are (x_j, e_j), so A x_j = e_j, exactly when A is invertible."""
+        n, zero, one = self.n, RatFun.zero(), RatFun.one()
+        eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        rows = [list(row) + [-v for v in e] for row, e in zip(self.entries, eye)]
+        _, basis = solve_affine(rows, [zero] * n, zero, one)
+        if [vec[n:] for vec in basis] != eye:
             raise SingularMatrixError("matrix is singular over Q(x)")
-        return MatrixRF(inv)
+        return MatrixRF([[vec[i] for vec in basis] for i in range(n)])
 
     def is_invertible(self) -> bool:
-        return invert_matrix([list(r) for r in self.entries], RatFun.zero(), RatFun.one()) is not None
+        zero = RatFun.zero()
+        _, basis = solve_affine([list(r) for r in self.entries], [zero] * self.n, zero, RatFun.one())
+        return not basis
 
     def __repr__(self):
         return f"MatrixRF({self.entries!r})"
@@ -285,13 +294,11 @@ class _Prepared:
     coeffs: list[Poly]          # polynomial, trailing/leading nonzero
     rhs_fixed: Poly             # fixed part, denominator cleared
     rhs_free: list[Poly]        # free basis, denominator cleared
-    free_slots: list[int]       # index into the original rhs_basis
-    fixed_values: list[Rat]     # per original slot; 0 where free
 
 
 def _prepare(eq: ScalarDiffEq) -> _Prepared:
     ds = eq.structure
-    fixed_rf, free_slots, free_rf, fixed_values = eq.split_rhs()
+    fixed_rf, free_rf = eq.split_rhs()
     den = fixed_rf.den
     for r in free_rf:
         den = poly_lcm(den, r.den)
@@ -314,7 +321,7 @@ def _prepare(eq: ScalarDiffEq) -> _Prepared:
         coeffs = [sigma_poly(ds, p, -low) for p in coeffs]
         rhs_fixed = sigma_poly(ds, rhs_fixed, -low)
         rhs_free = [sigma_poly(ds, p, -low) for p in rhs_free]
-    return _Prepared(ds, coeffs, rhs_fixed, rhs_free, free_slots, fixed_values)
+    return _Prepared(ds, coeffs, rhs_fixed, rhs_free)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +364,7 @@ def _universal_denominator_prepared(prep: _Prepared) -> Poly:
         a_side = a_side.monic()
         b_side = b_side.monic()
 
-    combined = _radical(a_side * b_side)
-    if ds.is_shift:
-        gaps = _shift_gap_candidates(combined)
-    else:
-        stripped, _ = _strip_x_power(combined)
-        gaps = _q_gap_candidates(ds, stripped) if stripped.degree > 0 else []
-
+    gaps = orbit_gaps(ds, a_side * b_side)
     u = Poly.one()
     reversed_chains = Poly.one()
     for h in sorted(set([0] + gaps), reverse=True):
@@ -533,17 +534,14 @@ def solve_scalar(eq: ScalarDiffEq, degree_cap: int | None = None) -> SolutionSpa
 def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpace:
     p0 = prep.coeffs[0]
     p0_rf = RatFun.from_poly(p0)
-    particular_g = RatFun.from_poly(prep.rhs_fixed) / p0_rf
-    basis = []
-    lam_template = list(prep.fixed_values)
-    for slot, r in zip(prep.free_slots, prep.rhs_free):
-        lam = [RAT_ZERO] * len(eq.rhs_basis)
-        lam[slot] = RAT_ONE
-        basis.append((RatFun.from_poly(r) / p0_rf, tuple(lam)))
+    n_lam = len(prep.rhs_free)
+    units = [[RAT_ONE if i == k else RAT_ZERO for i in range(n_lam)] for k in range(n_lam)]
     space = SolutionSpace(
         Status.SOLVED,
-        particular=(particular_g, tuple(lam_template)),
-        homogeneous_basis=tuple(basis),
+        particular=(RatFun.from_poly(prep.rhs_fixed) / p0_rf, eq.lambdas([RAT_ZERO] * n_lam, False)),
+        homogeneous_basis=tuple(
+            (RatFun.from_poly(r) / p0_rf, eq.lambdas(unit, True)) for r, unit in zip(prep.rhs_free, units)
+        ),
         universal_den=p0.monic(),
         degree_bound=None,
     )
@@ -635,10 +633,8 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
 
     def unpack(vec, homogeneous: bool) -> tuple[RatFun, tuple[Rat, ...]]:
         z = Poly(vec[n_lam : n_lam + n_z])
-        lam_full = [RAT_ZERO] * len(eq.rhs_basis) if homogeneous else list(prep.fixed_values)
-        for slot, value in zip(prep.free_slots, vec[:n_lam]):
-            lam_full[slot] = value
-        return RatFun(z, u.monic()) if not z.is_zero() else RatFun.zero(), tuple(lam_full)
+        g = RatFun(z, u.monic()) if not z.is_zero() else RatFun.zero()
+        return g, eq.lambdas(vec[:n_lam], homogeneous)
 
     basis = tuple(unpack(v, True) for v in nullsp)
     if particular is None:
@@ -721,7 +717,7 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
     at 0 (q case); the caller guarantees this.
     """
     ds = eq.structure
-    fixed_rf, free_slots, free_basis, fixed_values = eq.split_rhs()
+    fixed_rf, free_basis = eq.split_rhs()
     decomp = additive_standard_decomp(ds, fixed_rf, a)
     s_part = decomp.standard_part
     _, frac = s_part.poly_part()
@@ -770,13 +766,8 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
         return RatFun(Poly(list(hcoeffs)), Poly.monomial(1, -lo))
 
     def unpack(vec, homogeneous: bool):
-        lam_free = vec[:n_lam]
         h = to_ratfun(vec[n_lam:])
-        g = h if homogeneous else h + decomp.certificate_g
-        lam_full = [RAT_ZERO] * len(eq.rhs_basis) if homogeneous else list(fixed_values)
-        for slot, value in zip(free_slots, lam_free):
-            lam_full[slot] = value
-        return g, tuple(lam_full)
+        return h if homogeneous else h + decomp.certificate_g, eq.lambdas(vec[:n_lam], homogeneous)
 
     basis = tuple(unpack(v, True) for v in nullsp)
     if pole_witness is not None:
@@ -900,50 +891,29 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
         part = sol.particular[0] if sol.particular is not None else RatFun.zero()
         per_coord.append((part, [g for g, _ in sol.homogeneous_basis]))
 
-    # affine parameterisation v_j = p_j + sum_t mu_{j,t} b_{j,t}
-    mu_index: list[tuple[int, int]] = []
-    for j in range(n):
-        for t in range(len(per_coord[j][1])):
-            mu_index.append((j, t))
+    # affine parameterisation v_j = p_j + sum_k mu_k b_k: one unknown mu_k per
+    # (coordinate j, homogeneous basis function b_k) pair
+    params = [(j, b) for j, (_, basis) in enumerate(per_coord) for b in basis]
 
-    def coord_affine(j: int) -> tuple[RatFun, dict[int, RatFun]]:
-        base = per_coord[j][0]
-        lin = {}
-        for mu_i, (jj, t) in enumerate(mu_index):
-            if jj == j:
-                lin[mu_i] = per_coord[j][1][t]
-        return base, lin
+    def term(i: int, j: int, f: RatFun) -> RatFun:
+        """What f in coordinate j contributes to residual i."""
+        return (apply_sigma(ds, f, 1) if j == i else RatFun.zero()) - m.entries[i][j] * f
 
     # residual rows: sigma(v_i) - sum_j M_ij v_j - c_i == 0
     rows: list[list[Rat]] = []
     rhs_vec: list[Rat] = []
     for i in range(n):
-        base_i, lin_i = coord_affine(i)
-        res_base = apply_sigma(ds, base_i, 1) - c[i]
-        res_lin: dict[int, RatFun] = {k: apply_sigma(ds, v, 1) for k, v in lin_i.items()}
-        for j in range(n):
-            base_j, lin_j = coord_affine(j)
-            mij = m.entries[i][j]
-            if mij.is_zero():
-                continue
-            res_base = res_base - mij * base_j
-            for k, v in lin_j.items():
-                res_lin[k] = res_lin.get(k, RatFun.zero()) - mij * v
+        res_base = sum((term(i, j, base) for j, (base, _) in enumerate(per_coord)), -c[i])
+        res_lin = [term(i, j, b) for j, b in params]
         # clear to a common denominator and emit coefficient rows
         den = res_base.den
-        for v in res_lin.values():
+        for v in res_lin:
             den = poly_lcm(den, v.den)
         den_rf = RatFun.from_poly(den)
         base_poly = (res_base * den_rf).num
-        lin_polys = {k: (v * den_rf).num for k, v in res_lin.items()}
-        max_e = max(
-            [base_poly.degree] + [p.degree for p in lin_polys.values()] + [0]
-        )
-        for e in range(max_e + 1):
-            row = [RAT_ZERO] * len(mu_index)
-            for k, p in lin_polys.items():
-                row[k] = p[e]
-            rows.append(row)
+        lin_polys = [(v * den_rf).num for v in res_lin]
+        for e in range(max([base_poly.degree] + [p.degree for p in lin_polys] + [0]) + 1):
+            rows.append([p[e] for p in lin_polys])
             rhs_vec.append(-base_poly[e])
 
     particular_mu, null_mu = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
@@ -956,14 +926,10 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
         )
 
     def assemble(mu, include_base: bool) -> tuple[RatFun, ...]:
-        out = []
-        for j in range(n):
-            base, lin = coord_affine(j)
-            v = base if include_base else RatFun.zero()
-            for k, fn in lin.items():
-                if mu[k] != 0:
-                    v = v + RatFun.const(mu[k]) * fn
-            out.append(v)
+        out = [base if include_base else RatFun.zero() for base, _ in per_coord]
+        for (j, b), value in zip(params, mu):
+            if value != 0:
+                out[j] = out[j] + RatFun.const(value) * b
         return tuple(out)
 
     particular_vec = assemble(particular_mu, True)

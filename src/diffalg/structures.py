@@ -46,11 +46,6 @@ class DiffStructure:
     def is_shift(self) -> bool:
         return self.variant is Variant.SHIFT
 
-    def describe(self) -> str:
-        if self.is_shift:
-            return "shift: sigma(x) = x+1, derivation d/dx"
-        return f"q-dilation: sigma(x) = {self.q}*x, derivation x*d/dx"
-
 
 def shift_structure() -> DiffStructure:
     return DiffStructure(Variant.SHIFT)
@@ -113,10 +108,6 @@ class ConstLinDiffOp:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def as_poly(self) -> Poly:
-        """The operator's symbol as a polynomial in the derivation."""
-        return Poly(self.coeffs)
 
 
 def apply_op(ds: DiffStructure, op: ConstLinDiffOp, f: RatFun) -> RatFun:

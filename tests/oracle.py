@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from diffalg.errors import PreconditionError
-from diffalg.numcore import RAT_ZERO, Poly, RatFun, poly_lcm
+from diffalg.numcore import Poly, RatFun, poly_lcm
 from diffalg.solver import ScalarDiffEq, SolutionSpace, Status, _verify_space, universal_denominator
 from diffalg.structures import DiffStructure
 
@@ -31,7 +31,7 @@ def brute_force_oracle(
     if deg_bound > 12:
         raise PreconditionError("oracle degree bound capped at 12")
     u = universal_den if universal_den is not None else universal_denominator(eq)
-    fixed_rhs, free_slots, free_basis, fixed_values = eq.split_rhs()
+    fixed_rhs, free_basis = eq.split_rhs()
 
     columns: list[RatFun] = []
     for j in range(deg_bound + 1):
@@ -54,10 +54,7 @@ def brute_force_oracle(
     def unpack(vec, homogeneous: bool):
         z = Poly(vec[: deg_bound + 1])
         g = RatFun(z, u)
-        lam = [RAT_ZERO] * len(eq.rhs_basis) if homogeneous else list(fixed_values)
-        for slot, value in zip(free_slots, vec[deg_bound + 1 :]):
-            lam[slot] = value
-        return g, tuple(lam)
+        return g, eq.lambdas(vec[deg_bound + 1 :], homogeneous)
 
     basis = tuple(unpack(v, True) for v in nullsp)
     basis = tuple(p for p in basis if not (p[0].is_zero() and all(v == 0 for v in p[1])))

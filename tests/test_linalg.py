@@ -1,6 +1,7 @@
 """The exact linear solve over Q (sparse row-incremental integer kernel)
 against sympy's reduced row echelon form and against the Fraction reference
-in ``oracle.py``; the field path over Q(x) on a small system."""
+in ``oracle.py``; the field path over Q(x) on a small system and through the
+``MatrixRF`` inverse and invertibility test it serves."""
 
 import math
 import random
@@ -8,8 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import Poly, RatFun, ScalarDiffEq, parse_ratfun, q_structure, solver
-from diffalg.linalg import invert_matrix, solve_affine
+from diffalg import (
+    MatrixRF,
+    Poly,
+    RatFun,
+    ScalarDiffEq,
+    SingularMatrixError,
+    parse_ratfun,
+    q_structure,
+    solver,
+)
+from diffalg.linalg import solve_affine
 from diffalg.numcore import RAT_ONE, RAT_ZERO
 from diffalg.parsing import parse_poly
 from oracle import fraction_solve
@@ -245,7 +255,59 @@ class TestFieldPath:
 
     def test_invert_over_qx(self):
         x = RatFun.x()
-        m = [[x, RatFun.one()], [RatFun.zero(), x + 1]]
-        inv = invert_matrix(m, RatFun.zero(), RatFun.one())
-        assert inv == [[1 / x, -1 / (x * (x + 1))], [RatFun.zero(), 1 / (x + 1)]]
-        assert invert_matrix([[x, x], [x, x]], RatFun.zero(), RatFun.one()) is None
+        m = MatrixRF([[x, RatFun.one()], [RatFun.zero(), x + 1]])
+        assert m.is_invertible()
+        assert m.inverse() == MatrixRF([[1 / x, -1 / (x * (x + 1))], [RatFun.zero(), 1 / (x + 1)]])
+        singular = MatrixRF([[x, x], [x, x]])
+        assert not singular.is_invertible()
+        with pytest.raises(SingularMatrixError):
+            singular.inverse()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_inverse_matches_sympy_det(self, n):
+        sympy = pytest.importorskip("sympy")
+        sx = sympy.Symbol("x")
+
+        def sym(cs):
+            return sum(c * sx**i for i, c in enumerate(cs))
+
+        rng = random.Random(8100 + n)
+        identity = MatrixRF([[int(i == j) for j in range(n)] for i in range(n)])
+        outcomes = set()
+        for _ in range(25):
+            # entries num/den with small integer coefficients; zeros and
+            # constants are common, so some matrices come out singular
+            entries = [
+                [
+                    ([rng.choice((0, 0, 1, -1, 2)) for _ in range(rng.randint(1, 2))],
+                     [rng.randint(-2, 2), 1] if rng.random() < 0.3 else [1])
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            m = MatrixRF([[RatFun(Poly(a), Poly(b)) for a, b in row] for row in entries])
+            det = sympy.Matrix([[sym(a) / sym(b) for a, b in row] for row in entries]).det()
+            invertible = sympy.cancel(det) != 0
+            assert m.is_invertible() == invertible
+            outcomes.add(invertible)
+            if invertible:
+                assert m @ m.inverse() == identity
+            else:
+                with pytest.raises(SingularMatrixError):
+                    m.inverse()
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["x", "1", "x^2"], ["0", "0", "0"], ["1", "1/x", "x+1"]],  # zero row
+            [["x", "1", "2"], ["1/(x+1)", "x", "3"], ["x", "1", "2"]],  # repeated row
+            # rank one: the column (1, x, 1/(x-1)) times the row (x+2, 3, 1/x)
+            [["x+2", "3", "1/x"], ["x*(x+2)", "3*x", "1"], ["(x+2)/(x-1)", "3/(x-1)", "1/(x*(x-1))"]],
+        ],
+    )
+    def test_singular_matrix_raises(self, rows):
+        m = MatrixRF([[parse_ratfun(v) for v in row] for row in rows])
+        assert not m.is_invertible()
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
