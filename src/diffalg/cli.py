@@ -1,6 +1,13 @@
 """Command-line interface: subcommand dispatch, JSON verdict reports with
 substitution-verified certificates, and a newline-delimited batch mode.
 
+``COMMANDS`` is the one list of subcommands and of the arguments each takes;
+the argument parser, the batch reader and ``run_query`` all read it.  A
+command line and a batch line go through the same ``query_from_dict``: a
+batch field is the long flag name with ``_`` for ``-`` (``rhs_basis`` for
+``--rhs-basis``), and a field the subcommand does not take, a negative
+``order_bound`` or ``degree_cap``, or an empty ``q`` is a ``parse`` error.
+
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
 coefficient above ``parsing.MAX_COEFF_BITS`` bits, 3 = internal invariant
@@ -43,24 +50,53 @@ from .parsing import (
 from .solver import ScalarDiffEq
 from .structures import DiffStructure, q_structure, shift_structure
 
-SUBCOMMANDS = (
-    "disp",
-    "standard-form",
-    "mult-form",
-    "solve-first-order",
-    "solve-scalar",
-    "solve-system",
-    "telescope",
-    "da-hypergeom",
-    "da-inhomog",
-    "integrability",
-    "classify-group",
-)
+REQUIRED = object()  # the default of an argument that has none
+
+# subcommand -> (help, arguments); each argument is (payload key, help,
+# default or REQUIRED), and its flag is the key with "-" for "_".  Every
+# subcommand also takes --case, --q and --degree-cap, and telescope takes
+# --order-bound; these are Query fields, not payload.
+COMMANDS = {
+    "disp": ("dispersion / polar dispersion / standardness", (("poly", None, None), ("f", None, None))),
+    "standard-form": ("additive standard decomposition", (
+        ("f", None, REQUIRED),
+        ("a", "constant twist (default 1)", "1"),
+    )),
+    "mult-form": ("multiplicative standard form", (("f", None, REQUIRED),)),
+    "solve-first-order": ("sigma(g) - a*g = rhs", (
+        ("a", None, REQUIRED),
+        ("rhs", "fixed right-hand side", None),
+        ("rhs_basis", "semicolon-separated free basis", None),
+    )),
+    "solve-scalar": ("sum p_i sigma^i(y) = rhs", (
+        ("coeffs", "semicolon-separated p_0;...;p_m", REQUIRED),
+        ("rhs", None, None),
+        ("rhs_basis", None, None),
+    )),
+    "solve-system": ("sigma(v) = M v + c", (
+        ("matrix", None, REQUIRED),
+        ("rhs_vector", "[e1, ..., en]", None),
+    )),
+    "telescope": ("constant-operator telescoper search", (
+        ("funcs", "semicolon-separated inputs a_1;...;a_n", REQUIRED),
+    )),
+    "da-hypergeom": ("sigma(u) = b*u differential algebraicity", (("b", None, REQUIRED),)),
+    "da-inhomog": ("sigma(z) = a*z + b classification", (("a", None, REQUIRED), ("b", None, REQUIRED))),
+    "integrability": ("sigma(B) = A B A^-1 + d(A) A^-1 test", (("matrix", None, REQUIRED),)),
+    "classify-group": ("group of sigma(y) - y = f", (("f", None, REQUIRED),)),
+}
+
+# the batch fields every subcommand takes besides its payload keys
+_COMMON_FIELDS = ("subcommand", "case", "q", "degree_cap")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BOUND = 2
 EXIT_INTERNAL = 3
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass
@@ -73,8 +109,12 @@ class Query:
     degree_cap: int | None = None
 
     def __post_init__(self):
+        if self.order_bound < 0:
+            raise ParseError(f"order bound must be >= 0, got {self.order_bound}", 0)
         if self.order_bound > MAX_ORDER_BOUND:
             raise ParseError(f"order bound above the cap {MAX_ORDER_BOUND}", 0)
+        if self.degree_cap is not None and self.degree_cap < 0:
+            raise ParseError(f"degree cap must be >= 0, got {self.degree_cap}", 0)
 
     def structure(self) -> DiffStructure:
         if self.case == "shift":
@@ -88,26 +128,19 @@ class Query:
 
 @dataclass
 class VerdictReport:
+    """One query's report; the fields are in the JSON key order."""
+
+    subcommand: str
+    case: str
+    q: str | None
     verdict: str
     certificate: dict | None
     substitution_verified: bool
     hypothesis_notes: str
     timing_ms: int
-    subcommand: str
-    case: str
-    q: str | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "case": self.case,
-            "q": self.q,
-            "verdict": self.verdict,
-            "certificate": self.certificate,
-            "substitution_verified": self.substitution_verified,
-            "hypothesis_notes": self.hypothesis_notes,
-            "timing_ms": self.timing_ms,
-        }
+        return dict(vars(self))
 
 
 def _parse_q(text: str) -> Rat:
@@ -148,19 +181,17 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
     ds = query.structure()
     payload = query.payload
     cap = query.degree_cap
-    if cap is not None and cap < 0:
-        raise ParseError(f"degree cap must be >= 0, got {cap}", 0)
+    sub = query.subcommand
+    if sub not in COMMANDS:
+        raise ParseError(f"unknown subcommand {sub!r}", 0)
+    for key, _, default in COMMANDS[sub][1]:
+        if default is REQUIRED and payload.get(key) is None:
+            raise ParseError(f"missing required argument {_flag(key)}", 0)
     verdict = "ERROR"
     cert: dict | None = None
     verified = False
     notes = ""
 
-    def need(key: str) -> str:
-        if key not in payload or payload[key] is None:
-            raise ParseError(f"missing required argument --{key.replace('_', '-')}", 0)
-        return payload[key]
-
-    sub = query.subcommand
     if sub == "disp":
         verdict = "DISPERSION"
         cert = {}
@@ -176,7 +207,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             raise ParseError("disp needs --poly or --f", 0)
         verified = True
     elif sub == "standard-form":
-        f = parse_ratfun(need("f"))
+        f = parse_ratfun(payload["f"])
         a = parse_ratfun(payload.get("a") or "1")
         if not a.is_constant():
             raise ParseError("--a must be a rational constant", 0)
@@ -189,7 +220,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             "twist_a": format_rat(decomp.twist_a),
         }
     elif sub == "mult-form":
-        f = parse_ratfun(need("f"))
+        f = parse_ratfun(payload["f"])
         mform = multiplicative_standard_form(ds, f)
         verified = mform.reconstruct() == f
         verdict = "MULT_STANDARD_FORM"
@@ -198,20 +229,20 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             "certificate_g": format_ratfun(mform.certificate_g),
         }
     elif sub == "solve-first-order":
-        a = parse_ratfun(need("a"))
+        a = parse_ratfun(payload["a"])
         basis, fixed = _rhs_arguments(payload)
         space = solver.solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=cap)
         verdict, cert = _solution_space_payload(space)
         verified = space.is_solved()
     elif sub == "solve-scalar":
-        coeffs = [parse_poly(p) for p in _split_exprs(need("coeffs"))]
+        coeffs = [parse_poly(p) for p in _split_exprs(payload["coeffs"])]
         basis, fixed = _rhs_arguments(payload)
         eq = ScalarDiffEq(ds, tuple(coeffs), tuple(basis), fixed)
         space = solver.solve_scalar(eq, degree_cap=cap)
         verdict, cert = _solution_space_payload(space)
         verified = space.is_solved()
     elif sub == "solve-system":
-        m = parse_matrix(need("matrix"))
+        m = parse_matrix(payload["matrix"])
         rhs_vec = (
             parse_vector(payload["rhs_vector"])
             if payload.get("rhs_vector")
@@ -229,7 +260,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             cert["witness"] = space.witness
         verified = space.is_solved()
     elif sub == "telescope":
-        funcs = [parse_ratfun(t) for t in _split_exprs(need("funcs"))]
+        funcs = [parse_ratfun(t) for t in _split_exprs(payload["funcs"])]
         tele = criteria.find_telescoper(ds, funcs, query.order_bound, degree_cap=cap)
         if tele is None:
             verdict = "NO_TELESCOPER"
@@ -242,7 +273,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
                 "certificate_g": format_ratfun(tele.certificate_g),
             }
     elif sub == "da-hypergeom":
-        b = parse_ratfun(need("b"))
+        b = parse_ratfun(payload["b"])
         v = criteria.hypergeom_da_test(ds, b)
         verdict = v.status.name
         notes = v.hypothesis_notes
@@ -250,8 +281,8 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             cert = _da_certificate_dict(v.certificate)
             verified = criteria.verify_twisted_ratio(ds, b, v.certificate)
     elif sub == "da-inhomog":
-        a = parse_ratfun(need("a"))
-        b = parse_ratfun(need("b"))
+        a = parse_ratfun(payload["a"])
+        b = parse_ratfun(payload["b"])
         v = criteria.inhomog_da_classify(ds, a, b, degree_cap=cap)
         verdict = v.status.name
         notes = v.hypothesis_notes
@@ -259,7 +290,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             cert = _da_certificate_dict(v.certificate)
             verified = criteria.verify_first_order_witness(ds, a, b, v.certificate)
     elif sub == "integrability":
-        m = parse_matrix(need("matrix"))
+        m = parse_matrix(payload["matrix"])
         result = criteria.integrability_test(ds, m, degree_cap=cap)
         verdict = result.status.name
         if result.b_matrix is not None:
@@ -273,7 +304,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
                     "rhs": [format_ratfun(r) for r in result.scalar_trace.rhs_basis],
                 }
     elif sub == "classify-group":
-        f = parse_ratfun(need("f"))
+        f = parse_ratfun(payload["f"])
         g = criteria.group_classify_inhomog_sum(ds, f, degree_cap=cap)
         verdict = g.kind.name
         if g.certificate_h is not None:
@@ -281,8 +312,6 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             if g.certificate_c is not None:
                 cert["c"] = format_rat(g.certificate_c)
             verified = criteria.verify_summation(ds, f, g)
-    else:
-        raise ParseError(f"unknown subcommand {sub!r}", 0)
 
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = VerdictReport(
@@ -339,64 +368,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "(q-)difference equations over Q(x), with machine-checkable certificates.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
+    for name, (help_text, arguments) in COMMANDS.items():
+        sp = subparsers.add_parser(name, help=help_text)
         sp.add_argument("--case", choices=["shift", "q"], default="shift")
         sp.add_argument("--q", default=None, help="rational q for the q case, e.g. 1/4")
         sp.add_argument("--degree-cap", type=int, default=None)
-
-    sp = subparsers.add_parser("disp", help="dispersion / polar dispersion / standardness")
-    common(sp)
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--f", default=None)
-
-    sp = subparsers.add_parser("standard-form", help="additive standard decomposition")
-    common(sp)
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--a", default="1", help="constant twist (default 1)")
-
-    sp = subparsers.add_parser("mult-form", help="multiplicative standard form")
-    common(sp)
-    sp.add_argument("--f", required=True)
-
-    sp = subparsers.add_parser("solve-first-order", help="sigma(g) - a*g = rhs")
-    common(sp)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--rhs", default=None, help="fixed right-hand side")
-    sp.add_argument("--rhs-basis", default=None, help="semicolon-separated free basis")
-
-    sp = subparsers.add_parser("solve-scalar", help="sum p_i sigma^i(y) = rhs")
-    common(sp)
-    sp.add_argument("--coeffs", required=True, help="semicolon-separated p_0;...;p_m")
-    sp.add_argument("--rhs", default=None)
-    sp.add_argument("--rhs-basis", default=None)
-
-    sp = subparsers.add_parser("solve-system", help="sigma(v) = M v + c")
-    common(sp)
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--rhs-vector", default=None, help="[e1, ..., en]")
-
-    sp = subparsers.add_parser("telescope", help="constant-operator telescoper search")
-    common(sp)
-    sp.add_argument("--funcs", required=True, help="semicolon-separated inputs a_1;...;a_n")
-    sp.add_argument("--order-bound", type=int, default=3, help=f"at most {MAX_ORDER_BOUND}")
-
-    sp = subparsers.add_parser("da-hypergeom", help="sigma(u) = b*u differential algebraicity")
-    common(sp)
-    sp.add_argument("--b", required=True)
-
-    sp = subparsers.add_parser("da-inhomog", help="sigma(z) = a*z + b classification")
-    common(sp)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-
-    sp = subparsers.add_parser("integrability", help="sigma(B) = A B A^-1 + d(A) A^-1 test")
-    common(sp)
-    sp.add_argument("--matrix", required=True)
-
-    sp = subparsers.add_parser("classify-group", help="group of sigma(y) - y = f")
-    common(sp)
-    sp.add_argument("--f", required=True)
+        for key, arg_help, default in arguments:
+            if default is REQUIRED:
+                sp.add_argument(_flag(key), required=True, help=arg_help)
+            else:
+                sp.add_argument(_flag(key), default=default, help=arg_help)
+        if name == "telescope":
+            sp.add_argument("--order-bound", type=int, default=3, help=f"at most {MAX_ORDER_BOUND}")
 
     sp = subparsers.add_parser("batch", help="run newline-delimited JSON queries")
     sp.add_argument("path")
@@ -404,29 +387,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PAYLOAD_KEYS = ("poly", "f", "a", "b", "rhs", "rhs_basis", "coeffs", "matrix", "rhs_vector", "funcs")
-
-
-def _query_from_namespace(ns: argparse.Namespace) -> Query:
-    payload = {k: getattr(ns, k) for k in _PAYLOAD_KEYS if hasattr(ns, k)}
-    return Query(
-        subcommand=ns.subcommand,
-        case=getattr(ns, "case", "shift"),
-        q_value=_parse_q(ns.q) if getattr(ns, "q", None) else None,
-        payload=payload,
-        order_bound=getattr(ns, "order_bound", 3),
-        degree_cap=getattr(ns, "degree_cap", None),
-    )
-
-
 def query_from_dict(obj: dict) -> Query:
-    """Build a query from one batch line, rejecting fields of the wrong type."""
+    """Build a query from one batch line or parsed command line, rejecting
+    unknown fields and fields of the wrong type."""
     if not isinstance(obj, dict):
         raise ParseError("batch line must be a JSON object", 0)
     sub = obj.get("subcommand")
-    if sub not in SUBCOMMANDS:
+    if sub not in COMMANDS:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
-    payload = {k: obj[k] for k in _PAYLOAD_KEYS if k in obj}
+    keys = [key for key, _, _ in COMMANDS[sub][1]]
+    fields = (*_COMMON_FIELDS, *keys, *(("order_bound",) if sub == "telescope" else ()))
+    for key in obj:
+        if key not in fields:
+            raise ParseError(f"unknown field {key!r} for {sub}", 0)
+    payload = {k: obj[k] for k in keys if k in obj}
     for key, value in payload.items():
         if value is not None and not isinstance(value, str):
             raise ParseError(f"field {key!r} must be a string", 0)
@@ -468,6 +442,15 @@ def _error_kind(exc: BaseException) -> tuple[str, int]:
     return "internal", EXIT_INTERNAL
 
 
+def _error_report(exc: BaseException, **where) -> tuple[dict, int]:
+    """``{"error": {**where, "message", "kind"}}`` and the exit code of a
+    failed query; an internal fault also prints its traceback on stderr."""
+    kind, code = _error_kind(exc)
+    if kind == "internal":
+        traceback.print_exc()
+    return {"error": {**where, "message": str(exc), "kind": kind}}, code
+
+
 def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
     """Run newline-delimited JSON queries; one report per input line, order
     preserved, independent queries executed concurrently.  A failed line
@@ -482,10 +465,7 @@ def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
             report, code = run_query(query_from_dict(json.loads(line)))
             return report.to_json_dict(), code
         except Exception as exc:  # one bad line must not lose the other reports
-            kind, code = _error_kind(exc)
-            if kind == "internal":
-                traceback.print_exc()
-            return {"error": {"line": lineno, "message": str(exc), "kind": kind}}, code
+            return _error_report(exc, line=lineno)
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = list(pool.map(work, jobs))
@@ -504,14 +484,13 @@ def main(argv=None) -> int:
             for report in reports:
                 print(json.dumps(report))
             return code
-        report, code = run_query(_query_from_namespace(ns))
+        query = query_from_dict({k: v for k, v in vars(ns).items() if v is not None})
+        report, code = run_query(query)
         print(json.dumps(report.to_json_dict()))
         return code
     except Exception as exc:
-        kind, code = _error_kind(exc)
-        if kind == "internal":
-            traceback.print_exc()
-        print(json.dumps({"error": {"message": str(exc), "kind": kind}}), file=sys.stderr)
+        error, code = _error_report(exc)
+        print(json.dumps(error), file=sys.stderr)
         return code
 
 

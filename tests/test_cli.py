@@ -158,6 +158,27 @@ class TestNegativeDegreeCap:
         assert code == EXIT_BOUND
 
 
+class TestNegativeOrderBound:
+    def test_cli_rejects_negative_order_bound(self, capsys):
+        code = main(["telescope", "--funcs", "1/x", "--order-bound", "-1"])
+        assert code == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "parse"
+        assert "order bound must be >= 0, got -1" in error["message"]
+
+    def test_batch_rejects_negative_order_bound(self, tmp_path):
+        line = {"subcommand": "telescope", "funcs": "1/x", "order_bound": -1}
+        path = tmp_path / "order.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        reports, code = run_batch(str(path))
+        assert code == EXIT_USAGE
+        assert reports[0]["error"]["kind"] == "parse"
+        assert "order bound must be >= 0, got -1" in reports[0]["error"]["message"]
+
+    def test_zero_order_bound_still_allowed(self):
+        assert Query("telescope", payload={"funcs": "1/x"}, order_bound=0).order_bound == 0
+
+
 class TestOrderBoundCap:
     def test_cli_huge_order_bound_is_fast_parse_error(self, capsys):
         start = time.monotonic()
@@ -401,6 +422,36 @@ class TestBatch:
         assert [r["error"]["kind"] for r in reports[:-1]] == ["parse"] * len(bad)
         assert [r["error"]["line"] for r in reports[:-1]] == list(range(1, len(bad) + 1))
         assert reports[-1]["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+
+    def test_unknown_fields_are_parse_errors(self, tmp_path):
+        typo = {"subcommand": "solve-scalar", "coeffs": "-1;1", "rhs-basis": "1"}
+        foreign = {"subcommand": "da-hypergeom", "b": "x", "a": "1"}
+        stray_order_bound = {"subcommand": "da-hypergeom", "b": "x", "order_bound": 2}
+        for obj in (typo, foreign, stray_order_bound):
+            with pytest.raises(ParseError):
+                query_from_dict(obj)
+        good = {"subcommand": "classify-group", "f": "1"}
+        reports, code = run_batch(self._write(tmp_path, [good, typo, good, foreign, stray_order_bound]))
+        assert code == EXIT_USAGE
+        assert [r["error"]["line"] for r in reports[1::2]] == [2, 4]
+        assert [r["error"]["kind"] for r in reports[1::2]] == ["parse", "parse"]
+        assert "'rhs-basis'" in reports[1]["error"]["message"]
+        assert "'a'" in reports[3]["error"]["message"]
+        assert reports[4]["error"] == {
+            "line": 5, "message": "unknown field 'order_bound' for da-hypergeom (at position 0)", "kind": "parse",
+        }
+        assert reports[0]["verdict"] == reports[2]["verdict"] == "TRIVIAL"
+
+    def test_empty_q_is_parse_error(self, tmp_path, capsys):
+        line = {"subcommand": "da-hypergeom", "b": "x", "q": ""}
+        reports, code = run_batch(self._write(tmp_path, [line]))
+        assert code == EXIT_USAGE
+        assert reports[0]["error"]["kind"] == "parse"
+        # the command line goes through the same check: an empty --q is not absent
+        assert main(["da-hypergeom", "--b", "x", "--q", ""]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "message": reports[0]["error"]["message"], "kind": "parse",
+        }
 
     def test_bound_exceeded_line_matches_single_query(self, tmp_path, capsys):
         line = {"subcommand": "telescope", "funcs": "1/x + x^3", "order_bound": 2, "degree_cap": 0}

@@ -1,7 +1,8 @@
 """Pinned CLI outputs: each hand-written query in data/golden_reports.json
 must still give the exact JSON report (``timing_ms`` left out) and exit code
-recorded there.  The queries cover all eleven subcommands, the shift and q
-cases and every verdict, plus a few error reports.
+recorded there, both as a batch line and as a command line.  The queries
+cover all eleven subcommands, the shift and q cases and every verdict, plus
+a few error reports.
 
 A change that is meant to alter an output regenerates the file with
 
@@ -10,6 +11,8 @@ A change that is meant to alter an output regenerates the file with
 and its diff shows every report that moved.
 """
 
+import contextlib
+import io
 import json
 import os
 
@@ -119,6 +122,37 @@ def test_report_unchanged(index):
     entry = _load()[index]
     report, code = run_one(entry["query"])
     assert (report, code) == (entry["report"], entry["exit_code"])
+
+
+def argv_of(line: dict) -> list[str]:
+    """The command line of a query: ``--key-with-dashes=value`` per field (with
+    ``=``, argparse keeps a value such as ``-1;1`` from reading as a flag)."""
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in line.items() if key != "subcommand"]
+    return [line["subcommand"], *flags]
+
+
+@pytest.mark.parametrize("index", range(len(QUERIES)))
+def test_command_line_matches_pinned_report(index):
+    entry = _load()[index]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv_of(entry["query"]))
+    assert code == entry["exit_code"]
+    if "error" in entry["report"]:
+        assert stdout.getvalue() == ""
+        assert json.loads(stderr.getvalue()) == entry["report"]
+    else:
+        report = json.loads(stdout.getvalue())
+        del report["timing_ms"]
+        assert report == entry["report"]
+        assert stderr.getvalue() == ""
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_help_formats(name, capsys):
+    # argparse formats help strings only when asked to
+    assert cli.main([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: diffalg {name}")
 
 
 if __name__ == "__main__":
