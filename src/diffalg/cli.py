@@ -387,6 +387,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_option_values(argv: list[str]) -> list[str]:
+    """``--flag -1;1`` as ``--flag=-1;1``.  Every long option but ``--help``
+    takes one value, and argparse would read a value that starts with ``-``
+    as an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev != "--help"
+        if takes_value and arg.startswith("-") and not arg.startswith("--") and arg != "-h":
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def query_from_dict(obj: dict) -> Query:
     """Build a query from one batch line or parsed command line, rejecting
     unknown fields and fields of the wrong type."""
@@ -475,7 +490,7 @@ def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

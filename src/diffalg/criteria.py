@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dispersion import is_standard, multiplicative_standard_form, _strip_x_power
+from .dispersion import is_standard, multiplicative_standard_form, q_power_log
 from .errors import (
     BoundExceededError,
     InternalVerificationError,
@@ -32,11 +32,10 @@ from .solver import (
     ScalarDiffEq,
     SolutionSpace,
     Status,
-    _q_power_log,
     solve_first_order,
     solve_system,
 )
-from .structures import ConstLinDiffOp, DiffStructure, apply_derivation, apply_op, apply_sigma
+from .structures import ConstLinDiffOp, DiffStructure, apply_derivation, apply_op, apply_sigma, split_x_power
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +146,10 @@ class DAVerdict:
     hypothesis_notes: str
 
 
-def _monomial_shape(f: RatFun) -> tuple[Rat, int] | None:
-    """(c, n) with f = c*x^n (n in Z), or None."""
-    num, den = f.num, f.den
-    num_stripped, vn = _strip_x_power(num)
-    den_stripped, vd = _strip_x_power(den)
+def _monomial_shape(ds: DiffStructure, f: RatFun) -> tuple[Rat, int] | None:
+    """(c, n) with f = c*x^n, n in Z (q case) or n = 0 (shift case), or None."""
+    num_stripped, vn = split_x_power(ds, f.num)
+    den_stripped, vd = split_x_power(ds, f.den)
     if num_stripped.degree != 0 or den_stripped.degree != 0:
         return None
     return num_stripped.lc() / den_stripped.lc(), vn - vd
@@ -171,10 +169,7 @@ def hypergeom_da_test(ds: DiffStructure, b: RatFun) -> DAVerdict:
     mform = multiplicative_standard_form(ds, b)
     b_std, g = mform.standard_part, mform.certificate_g
     notes = "assumes a nonzero solution of sigma(u) = b*u meromorphic on the relevant domain"
-    if ds.is_shift:
-        shape = (b_std.const_value(), 0) if b_std.is_constant() else None
-    else:
-        shape = _monomial_shape(b_std)
+    shape = _monomial_shape(ds, b_std)
     if shape is None:
         return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, notes)
     cert = DACertificate(f=g, c=shape[0], n_or_r=shape[1])
@@ -222,14 +217,16 @@ def inhomog_da_classify(
             "a must be standard; divide out sigma(g)/g via multiplicative_standard_form"
         )
     base_note = "hypotheses inherited from the classification: z solves sigma(z) = a*z + b"
+    shape = _monomial_shape(ds, a)
+    c, n = shape if shape is not None else (None, None)
+    r = None
     if ds.is_shift:
-        shape = (a.const_value(), None) if a.is_constant() else None
+        n = None  # a is constant: the shift certificate carries no exponent
         kind, other = "constant a", "nonconstant standard a"
     else:
-        shape = _monomial_shape(a)
         kind, other = "a = c*x^n", "a is standard and not of the form c*x^n"
-    c, n = shape if shape is not None else (None, None)
-    r = _q_power_log(ds, c) if n == 0 else None
+        if n == 0:
+            r = q_power_log(ds, c)
     basis, fixed = ([b, RatFun.x() ** r], [RAT_ONE, None]) if r is not None else ([b], [RAT_ONE])
     sol = solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=degree_cap)
     _check_bound(sol)

@@ -14,6 +14,13 @@ with exact certificates.  Everything is factorization-free: orbits are
 detected through gcds of shifted polynomials, and orbit gaps come from
 root-magnitude bounds (with an interpolated-resultant fallback for the shift
 case when the bounds are large).
+
+The q-case scans all live here and share one root-magnitude window: the
+orbit gaps of a polynomial prime to x (``_q_gap_candidates``), the integers
+v with p(q^v) = 0 (``q_power_roots``, which the solver's valuation and
+degree bounds read) and the exponent v of a constant q^v (``q_power_log``).
+The power of x itself, which x -> q*x fixes, is split off by
+``structures.split_x_power`` before any scan.
 """
 
 from __future__ import annotations
@@ -36,14 +43,15 @@ from .numcore import (
     root_magnitude_bound,
     squarefree_decomposition,
 )
-from .structures import DiffStructure, apply_sigma, sigma_poly
+from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
 # direct gap scans are capped here; beyond it the shift case falls back to
 # integer roots of the interpolated resultant Res_x(Q(x), Q(x+y))
 _SCAN_LIMIT = 1024
 
 
-def _radical(p: Poly) -> Poly:
+def radical(p: Poly) -> Poly:
+    """The monic squarefree part of p."""
     g = poly_gcd(p, p.derivative())
     return p.monic() if g.degree == 0 else p.exact_div(g).monic()
 
@@ -72,18 +80,9 @@ def _gf_scale(cs: list[int], factor: int, prime: int) -> list[int]:
     return out
 
 
-def _gf_q_mod(ds: DiffStructure, prime: int) -> int | None:
-    qn = ds.q.numerator % prime
-    qd = ds.q.denominator % prime
-    if qn == 0 or qd == 0:
-        return None
-    return qn * pow(qd, -1, prime) % prime
-
-
 def _shift_gap_candidates(w: Poly) -> list[int]:
-    """Positive integers h with gcd(w(x), w(x+h)) nonconstant, w squarefree."""
-    if w.degree < 1:
-        return []
+    """Positive integers h with gcd(w(x), w(x+h)) nonconstant, w squarefree
+    and nonconstant."""
     bound2 = 2 * root_magnitude_bound(w)
     limit = bound2.numerator // bound2.denominator + 1
     hits: list[int] = []
@@ -123,32 +122,26 @@ def _interpolate(points: list[tuple[Rat, Rat]]) -> Poly:
     return poly
 
 
-def _root_annulus(w: Poly) -> tuple[Rat, Rat]:
-    """(lo, hi) with lo <= |alpha| <= hi for every root alpha of w, w(0) != 0;
-    lo <= 1 <= hi."""
+def _q_root_window(ds: DiffStructure, w: Poly) -> tuple[Rat, Rat, list[int] | None, int | None]:
+    """What every q-case scan of w (degree >= 1, w(0) != 0) starts from:
+    (lo, hi) with lo <= |alpha| <= hi for every root alpha and lo <= 1 <= hi,
+    then w and q mod GF_PRIME, each None where it does not reduce."""
     rev = Poly(list(reversed(w.coeffs)))
-    return 1 / root_magnitude_bound(rev), root_magnitude_bound(w)
-
-
-def _q_gap_limit(ds: DiffStructure, w: Poly) -> int:
-    """Upper bound on L such that alpha and q^L*alpha can both be roots of w
-    (w(0) != 0): |q|^L is squeezed between the smallest and largest root
-    magnitudes."""
-    if w.degree < 1:
-        return 0
-    lo, hi = _root_annulus(w)
-    return q_window(ds.q, hi / lo)
+    gf = gf_coeffs(w)
+    qn, qd = ds.q.numerator % GF_PRIME, ds.q.denominator % GF_PRIME
+    qmod = qn * pow(qd, -1, GF_PRIME) % GF_PRIME if gf is not None and qn and qd else None
+    return 1 / root_magnitude_bound(rev), root_magnitude_bound(w), gf, qmod
 
 
 def _q_gap_candidates(ds: DiffStructure, w: Poly) -> list[int]:
-    """Positive integers h with gcd(w(x), w(q^h x)) nonconstant; w squarefree
-    and coprime to x.  A gcd that is constant mod a large prime certifies the
-    exact gcd is constant, so only the few surviving candidates pay for exact
-    big-rational arithmetic."""
+    """Positive integers h with gcd(w(x), w(q^h x)) nonconstant; w squarefree,
+    nonconstant and coprime to x.  |q|^h is squeezed between the smallest and
+    largest root magnitudes.  A gcd that is constant mod a large prime
+    certifies the exact gcd is constant, so only the few surviving candidates
+    pay for exact big-rational arithmetic."""
     hits = []
-    gf = gf_coeffs(w)
-    qmod = _gf_q_mod(ds, GF_PRIME) if gf is not None else None
-    for h in range(1, _q_gap_limit(ds, w) + 1):
+    lo, hi, gf, qmod = _q_root_window(ds, w)
+    for h in range(1, q_window(ds.q, hi / lo) + 1):
         if qmod is not None:
             qh = pow(qmod, h, GF_PRIME)
             if qh != 0 and gf_gcd_degree(gf, _gf_scale(gf, qh, GF_PRIME)) < 1:
@@ -158,11 +151,41 @@ def _q_gap_candidates(ds: DiffStructure, w: Poly) -> list[int]:
     return hits
 
 
-def _strip_x_power(p: Poly) -> tuple[Poly, int]:
-    v = p.valuation()
-    if v <= 0:
-        return p, 0
-    return Poly(p.coeffs[v:]), v
+def q_power_log(ds: DiffStructure, value: Rat) -> int | None:
+    """The integer v with q^v == value, if one exists: |v| is the magnitude
+    window of max(|value|, 1/|value|)."""
+    if value == 0:
+        return None
+    v = q_window(ds.q, max(abs(value), 1 / abs(value)))
+    for cand in (v, -v):
+        if ds.q ** cand == value:
+            return cand
+    return None
+
+
+def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
+    """All integers v with p(q^v) = 0, found by scanning the magnitude window
+    allowed by the root bounds (no factoring); evaluation mod a large prime
+    certifies the nonroots cheaply."""
+    if p.is_zero():
+        raise ZeroInputError("q-power roots of the zero polynomial")
+    w, _ = split_x_power(ds, p)
+    if w.degree < 1:
+        return []
+    lo, hi, gf, qmod = _q_root_window(ds, w)
+    vbound = q_window(ds.q, max(hi, 1 / lo))
+    out = []
+    for v in range(-vbound, vbound + 1):
+        if qmod is not None:
+            qv = pow(qmod, v, GF_PRIME)
+            acc = 0
+            for c in reversed(gf):
+                acc = (acc * qv + c) % GF_PRIME
+            if acc != 0:
+                continue
+        if w.eval(ds.q ** v) == 0:
+            out.append(v)
+    return out
 
 
 def orbit_gaps(ds: DiffStructure, poly: Poly) -> list[int]:
@@ -172,11 +195,10 @@ def orbit_gaps(ds: DiffStructure, poly: Poly) -> list[int]:
         raise ZeroInputError("dispersion of the zero polynomial")
     if poly.degree < 1:
         return []
-    w = _radical(poly)
-    if ds.is_shift:
-        return _shift_gap_candidates(w)
-    w, _ = _strip_x_power(w)
-    return _q_gap_candidates(ds, w) if w.degree > 0 else []
+    w, _ = split_x_power(ds, radical(poly))
+    if w.degree < 1:
+        return []
+    return _shift_gap_candidates(w) if ds.is_shift else _q_gap_candidates(ds, w)
 
 
 def dispersion(ds: DiffStructure, poly: Poly) -> int:
@@ -257,11 +279,10 @@ def additive_standard_decomp(ds: DiffStructure, f: RatFun, a) -> StandardDecomp:
         raise PreconditionError("twist constant a must be nonzero")
     poly_piece, frac = f.poly_part()
     passthrough = RatFun.from_poly(poly_piece)
-    if not ds.is_shift and not frac.is_zero():
-        stripped, m = _strip_x_power(frac.den)
-        if m > 0:
-            at_zero, frac = partial_split(frac, Poly.monomial(1, m), stripped)
-            passthrough = passthrough + at_zero
+    stripped, m = split_x_power(ds, frac.den)
+    if m > 0:
+        at_zero, frac = partial_split(frac, Poly.monomial(1, m), stripped)
+        passthrough = passthrough + at_zero
 
     g_total = RatFun.zero()
     while not frac.is_zero():
@@ -269,7 +290,7 @@ def additive_standard_decomp(ds: DiffStructure, f: RatFun, a) -> StandardDecomp:
         if gap == 0:
             break
         shifted = sigma_poly(ds, frac.den, gap).monic()
-        w = poly_gcd(_radical(frac.den), _radical(shifted))
+        w = poly_gcd(radical(frac.den), radical(shifted))
         d1 = _orbit_primary_part(frac.den, w)
         block, rest = partial_split(frac, d1, frac.den.exact_div(d1))
         moved = apply_sigma(ds, block, -gap)
@@ -300,13 +321,11 @@ def multiplicative_standard_form(ds: DiffStructure, f: RatFun) -> MultStandardFo
     num, den = f.num, f.den
     cert = RatFun.one()
     while True:
-        combined = num * den
-        if not ds.is_shift:
-            combined, _ = _strip_x_power(combined)
+        combined, _ = split_x_power(ds, num * den)
         gap = dispersion(ds, combined)
         if gap == 0:
             break
-        rad = _radical(combined)
+        rad = radical(combined)
         w = poly_gcd(rad, sigma_poly(ds, rad, gap).monic())
         moved, chains = [], []
         for source in (num, den):

@@ -15,7 +15,10 @@ solve one exact linear system for the numerator coefficients and the free
 lambdas.  Negative answers are certified: either the linear system is
 inconsistent inside certified bounds (NoSolution, with a witness) or the
 certified bound exceeded the configured cap (BoundExceeded; never a wrong
-NoSolution).
+NoSolution).  In the q case the power of x comes from
+``structures.split_x_power``, and the scans for powers of q
+(``q_power_roots``, ``q_power_log``) from ``dispersion``, beside the q gap
+scan.
 
 First-order equations with a constant twist take a fast path through the
 additive standard decomposition, and first-order systems are uncoupled by
@@ -29,14 +32,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .dispersion import (
-    _gf_q_mod,
-    _radical,
-    _root_annulus,
-    _strip_x_power,
-    additive_standard_decomp,
-    orbit_gaps,
-)
+from .dispersion import additive_standard_decomp, orbit_gaps, q_power_log, q_power_roots, radical
 from .errors import (
     InternalVerificationError,
     PreconditionError,
@@ -45,20 +41,17 @@ from .errors import (
 )
 from .linalg import solve_affine
 from .numcore import (
-    GF_PRIME,
     RAT_ONE,
     RAT_ZERO,
     Poly,
     Rat,
     RatFun,
     format_poly,
-    gf_coeffs,
     integer_roots,
     poly_gcd,
     poly_lcm,
-    q_window,
 )
-from .structures import DiffStructure, apply_sigma, sigma_poly
+from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
 DEFAULT_DEGREE_CAP = 200
 
@@ -347,23 +340,18 @@ def _universal_denominator_prepared(prep: _Prepared) -> Poly:
     ds = prep.ds
     coeffs = prep.coeffs
     m = len(coeffs) - 1
-    if m == 0:
-        u = coeffs[0].monic()
-        if not ds.is_shift:
-            u, _ = _strip_x_power(u)
-            u = u * Poly.monomial(1, max(0, -_q_valuation_floor(prep)))
-        return u
+    u, _ = split_x_power(ds, coeffs[0].monic())
+    if m > 0:
+        leading, _ = split_x_power(ds, sigma_poly(ds, coeffs[m], -m).monic())
+        u = _orbit_chains(ds, u, leading)
+    if not ds.is_shift:
+        u = u * Poly.monomial(1, max(0, -_q_valuation_floor(prep)))
+    return u
 
-    trailing = coeffs[0]
-    leading = sigma_poly(ds, coeffs[m], -m)
-    if ds.is_shift:
-        a_side, b_side = trailing.monic(), leading.monic()
-    else:
-        a_side, _ = _strip_x_power(trailing.monic())
-        b_side, _ = _strip_x_power(leading.monic())
-        a_side = a_side.monic()
-        b_side = b_side.monic()
 
+def _orbit_chains(ds: DiffStructure, a_side: Poly, b_side: Poly) -> Poly:
+    """The monic product of the orbit chains between the roots of the
+    trailing side a_side and those of the shifted leading side b_side."""
     gaps = orbit_gaps(ds, a_side * b_side)
     u = Poly.one()
     reversed_chains = Poly.one()
@@ -381,12 +369,9 @@ def _universal_denominator_prepared(prep: _Prepared) -> Poly:
                 # reversed orientation: not part of the sharp pole-span
                 # analysis, so nothing is stripped and a squarefree chain
                 # merged by lcm is enough
-                chain = _orbit_chain(ds, _radical(g2), h)
+                chain = _orbit_chain(ds, radical(g2), h)
                 reversed_chains = poly_lcm(reversed_chains, chain)
-    u = poly_lcm(u, reversed_chains).monic()
-    if not ds.is_shift:
-        u = u * Poly.monomial(1, max(0, -_q_valuation_floor(prep)))
-    return u
+    return poly_lcm(u, reversed_chains).monic()
 
 
 def _orbit_chain(ds: DiffStructure, g: Poly, h: int) -> Poly:
@@ -396,51 +381,12 @@ def _orbit_chain(ds: DiffStructure, g: Poly, h: int) -> Poly:
     return chain
 
 
-def _q_power_log(ds: DiffStructure, value: Rat) -> int | None:
-    """The integer v with q^v == value, if one exists: |v| is the magnitude
-    window of max(|value|, 1/|value|)."""
-    if value == 0:
-        return None
-    v = q_window(ds.q, max(abs(value), 1 / abs(value)))
-    for cand in (v, -v):
-        if ds.q ** cand == value:
-            return cand
-    return None
-
-
-def _q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
-    """All integers v with p(q^v) = 0, found by scanning the magnitude window
-    allowed by the root bounds (no factoring); evaluation mod a large prime
-    certifies the nonroots cheaply."""
-    if p.is_zero():
-        raise ZeroInputError("q-power roots of the zero polynomial")
-    w, _ = _strip_x_power(p)
-    if w.degree < 1:
-        return []
-    lo, hi = _root_annulus(w)
-    vbound = q_window(ds.q, max(hi, 1 / lo))
-    gf = gf_coeffs(w)
-    qmod = _gf_q_mod(ds, GF_PRIME) if gf is not None else None
-    out = []
-    for v in range(-vbound, vbound + 1):
-        if qmod is not None:
-            qv = pow(qmod, v, GF_PRIME)
-            acc = 0
-            for c in reversed(gf):
-                acc = (acc * qv + c) % GF_PRIME
-            if acc != 0:
-                continue
-        if w.eval(ds.q ** v) == 0:
-            out.append(v)
-    return out
-
-
 def _q_valuation_floor(prep: _Prepared) -> int:
     """Lower bound on the valuation at 0 of any rational solution (q case)."""
     vals = [p.valuation() for p in prep.coeffs if not p.is_zero()]
     vmin_coeff = min(vals)
     psi = Poly([p[vmin_coeff] for p in prep.coeffs])
-    cands = _q_power_roots(prep.ds, psi) if not psi.is_zero() else []
+    cands = q_power_roots(prep.ds, psi) if not psi.is_zero() else []
     for r in [prep.rhs_fixed] + prep.rhs_free:
         if not r.is_zero():
             cands.append(r.valuation() - vmin_coeff)
@@ -484,7 +430,7 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
         return None
     # q case: coefficient of x^(d+D) is z_d * phi_D(q^d)
     phi = Poly([p[big_d] for p in coeffs])
-    cands = _q_power_roots(ds, phi)
+    cands = q_power_roots(ds, phi)
     if rhs_deg is not None:
         cands.append(rhs_deg - big_d)
     return max(cands, default=-1)
@@ -701,10 +647,8 @@ def solve_first_order(
 
 
 def _is_laurent(ds: DiffStructure, r: RatFun) -> bool:
-    if ds.is_shift:
-        return r.is_polynomial()
-    stripped, _ = _strip_x_power(r.den)
-    return stripped.degree == 0
+    """A polynomial (shift) or a polynomial over a power of x (q case)."""
+    return split_x_power(ds, r.den)[0].degree == 0
 
 
 def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
@@ -733,18 +677,16 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
 
     # remaining problem: sigma(h) - a*h = laurent(s_part) + sum lambda_k r_k
     lo, hi = _laurent_span(ds, [s_part] + free_basis)
-    r_pow = _q_power_log(ds, a) if not ds.is_shift else None
-    if r_pow is not None:
-        lo = min(lo, r_pow)
-        hi = max(hi, r_pow)
     if ds.is_shift:
-        lo = 0
         hi = hi + 1  # a = 1 raises the degree by one
+    else:
+        r_pow = q_power_log(ds, a)
+        if r_pow is not None:
+            lo = min(lo, r_pow)
+            hi = max(hi, r_pow)
     n_lam = len(free_basis)
-    n_h = hi - lo + 1
     s_coeffs = _laurent_coeffs(ds, s_part, lo, hi)
     free_coeffs = [_laurent_coeffs(ds, r, lo, hi) for r in free_basis]
-    q = ds.q if not ds.is_shift else None
     rows = []
     for idx, j in enumerate(range(lo, hi + 1)):
         row = [(-fc[idx]) for fc in free_coeffs]
@@ -756,7 +698,7 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
                     v = v - a
                 row.append(v)
         else:
-            row.extend((q ** j - a) if t == j else RAT_ZERO for t in range(lo, hi + 1))
+            row.extend((ds.q ** j - a) if t == j else RAT_ZERO for t in range(lo, hi + 1))
         rows.append(row)
     particular, nullsp = solve_affine(rows, s_coeffs, RAT_ZERO, RAT_ONE)
 
@@ -786,17 +728,15 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
 
 
 def _laurent_span(ds: DiffStructure, funcs) -> tuple[int, int]:
+    """(lo, hi) with lo <= 0 <= hi spanning the x-powers of Laurent
+    functions; lo stays 0 in the shift case, where they are polynomials."""
     lo, hi = 0, 0
     for f in funcs:
         if f.is_zero():
             continue
-        num, den = f.num, f.den
-        if ds.is_shift:
-            hi = max(hi, num.degree - den.degree)
-        else:
-            _, xm = _strip_x_power(den)
-            lo = min(lo, num.valuation() - xm)
-            hi = max(hi, num.degree - xm)
+        _, xm = split_x_power(ds, f.den)
+        lo = min(lo, f.num.valuation() - xm)
+        hi = max(hi, f.num.degree - xm)
     return lo, hi
 
 
@@ -805,7 +745,7 @@ def _laurent_coeffs(ds: DiffStructure, f: RatFun, lo: int, hi: int) -> list[Rat]
     (denominator a power of x; shift case requires a polynomial)."""
     if f.is_zero():
         return [RAT_ZERO] * (hi - lo + 1)
-    stripped, xm = _strip_x_power(f.den)
+    stripped, xm = split_x_power(ds, f.den)
     if stripped.degree != 0:
         raise PreconditionError("not a Laurent function")
     scale = 1 / stripped.lc()
@@ -932,17 +872,12 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
                 out[j] = out[j] + RatFun.const(value) * b
         return tuple(out)
 
-    particular_vec = assemble(particular_mu, True)
-    basis_vecs = []
-    for vec in null_mu:
-        hv = assemble(vec, False)
-        if any(not f.is_zero() for f in hv):
-            basis_vecs.append(hv)
-
+    # each coordinate's homogeneous functions are a basis and no free lambda
+    # survives elimination, so a nonzero mu never assembles to zero
     space = VectorSolutionSpace(
         Status.SOLVED,
-        particular=particular_vec,
-        homogeneous_basis=tuple(basis_vecs),
+        particular=assemble(particular_mu, True),
+        homogeneous_basis=tuple(assemble(vec, False) for vec in null_mu),
         scalar_traces=tuple(traces),
     )
     _verify_system(ds, m, c, space)

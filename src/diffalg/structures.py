@@ -5,6 +5,11 @@ for a rational q with |q| != 1 (which in particular rules out roots of
 unity).  Both satisfy sigma(d(f)) = d(sigma(f)) for every rational function
 f, and both expose sigma, its inverse, the derivation, and application of
 constant-coefficient operators in the derivation.
+
+x -> q*x fixes the point 0, so every q-case orbit argument runs over the
+part of a polynomial prime to x and treats the power of x on its own;
+``split_x_power`` is the one place that splits it off (and splits off
+nothing in the shift case, which has no fixed point).
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ def shift_structure() -> DiffStructure:
 
 def q_structure(q) -> DiffStructure:
     return DiffStructure(Variant.Q_DILATION, Rat(q))
+
+
+def split_x_power(ds: DiffStructure, p: Poly) -> tuple[Poly, int]:
+    """(p / x^v, v) with v the order of p at 0 in the q case; (p, 0) in the
+    shift case."""
+    v = 0 if ds.is_shift else p.valuation()
+    if v <= 0:
+        return p, 0
+    return Poly(p.coeffs[v:]), v
 
 
 def sigma_poly(ds: DiffStructure, p: Poly, power: int = 1) -> Poly:

@@ -400,6 +400,26 @@ class TestBatch:
             b.pop("timing_ms")
         assert serial == parallel
 
+    def test_main_prints_one_report_per_line(self, tmp_path, capsys):
+        lines = [
+            json.dumps({"subcommand": "da-hypergeom", "b": "x"}),
+            "",
+            "this is not json",
+            json.dumps({"subcommand": "solve-scalar", "coeffs": "1;1", "rhs": "x^3", "degree_cap": 0}),
+            json.dumps({"subcommand": "classify-group", "f": "1"}),
+        ]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        # the largest line code: the bad line exits 1, the BOUND_EXCEEDED verdict 2
+        assert main(["batch", str(path)]) == EXIT_BOUND
+        out = capsys.readouterr()
+        reports = [json.loads(line) for line in out.out.splitlines()]
+        assert [r.get("verdict") for r in reports] == [
+            "DIFFERENTIALLY_TRANSCENDENTAL", None, "BOUND_EXCEEDED", "TRIVIAL",
+        ]
+        assert reports[1]["error"]["line"] == 3
+        assert reports[1]["error"]["kind"] == "parse"
+        assert out.err == ""
 
     def _write(self, tmp_path, lines):
         path = tmp_path / "lines.jsonl"

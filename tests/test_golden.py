@@ -124,28 +124,34 @@ def test_report_unchanged(index):
     assert (report, code) == (entry["report"], entry["exit_code"])
 
 
-def argv_of(line: dict) -> list[str]:
-    """The command line of a query: ``--key-with-dashes=value`` per field (with
-    ``=``, argparse keeps a value such as ``-1;1`` from reading as a flag)."""
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in line.items() if key != "subcommand"]
-    return [line["subcommand"], *flags]
+def argv_of(line: dict, joined: bool) -> list[str]:
+    """The command line of a query: one ``--key-with-dashes`` flag per field,
+    followed by ``=value`` when ``joined``, else by the value as the next
+    argument (a value such as ``-1;1`` must not read as a flag either way)."""
+    out = [line["subcommand"]]
+    for key, value in line.items():
+        if key != "subcommand":
+            flag = f"--{key.replace('_', '-')}"
+            out += [f"{flag}={value}"] if joined else [flag, str(value)]
+    return out
 
 
 @pytest.mark.parametrize("index", range(len(QUERIES)))
 def test_command_line_matches_pinned_report(index):
     entry = _load()[index]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv_of(entry["query"]))
-    assert code == entry["exit_code"]
-    if "error" in entry["report"]:
-        assert stdout.getvalue() == ""
-        assert json.loads(stderr.getvalue()) == entry["report"]
-    else:
-        report = json.loads(stdout.getvalue())
-        del report["timing_ms"]
-        assert report == entry["report"]
-        assert stderr.getvalue() == ""
+    for joined in (True, False):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv_of(entry["query"], joined))
+        assert code == entry["exit_code"], joined
+        if "error" in entry["report"]:
+            assert stdout.getvalue() == ""
+            assert json.loads(stderr.getvalue()) == entry["report"]
+        else:
+            report = json.loads(stdout.getvalue())
+            del report["timing_ms"]
+            assert report == entry["report"]
+            assert stderr.getvalue() == ""
 
 
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))

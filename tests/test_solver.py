@@ -24,10 +24,10 @@ from diffalg import (
     solve_system,
     universal_denominator,
 )
+from diffalg.dispersion import q_power_log
 from diffalg.solver import (
     DEFAULT_DEGREE_CAP,
     _degree_bound,
-    _q_power_log,
     _solve_first_order_const,
     configured_degree_cap,
 )
@@ -63,6 +63,17 @@ class TestUniversalDenominator:
         eq = ScalarDiffEq(Q2, (pp("-(x-1)"), pp("x-2")), (RatFun.one(),), (Rat(1),))
         u = universal_denominator(eq)
         assert (u % pp("(x-1)*(x-2)")).is_zero()
+
+    @pytest.mark.parametrize("ds, expected", [(SHIFT, "x^3 - 3*x^2"), (Q2, "x^2 - 3*x")], ids=["shift", "q2"])
+    def test_order_zero(self, ds, expected):
+        # x^2*(x-3)*y = x: in the shift case u is p_0 itself; in the q case
+        # the power of x comes from the valuation bound at 0, and y = 1/(x*(x-3))
+        eq = ScalarDiffEq(ds, (pp("x^2*(x-3)"),), (rf("x"),), (Rat(1),))
+        u = universal_denominator(eq)
+        assert u == pp(expected)
+        sol = solve_scalar(eq)
+        assert sol.particular[0] == rf("1/(x*(x-3))")
+        assert (u % sol.particular[0].den).is_zero()
 
     def test_divides_solution_denominators(self):
         # random equations rarely have rational solutions, so build solvable
@@ -254,10 +265,10 @@ class TestSolveFirstOrder:
         for q in (Rat(2), Rat(1, 4), Rat(-3), Rat(3, 2)):
             ds = q_structure(q)
             for v in range(-9, 10):
-                assert _q_power_log(ds, q ** v) == v
-                assert _q_power_log(ds, -(q ** v)) is None
-                assert _q_power_log(ds, q ** v * Rat(5, 7)) is None
-            assert _q_power_log(ds, Rat(0)) is None
+                assert q_power_log(ds, q ** v) == v
+                assert q_power_log(ds, -(q ** v)) is None
+                assert q_power_log(ds, q ** v * Rat(5, 7)) is None
+            assert q_power_log(ds, Rat(0)) is None
 
     def test_zero_twist_rejected(self):
         with pytest.raises(PreconditionError):
