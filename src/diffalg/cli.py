@@ -14,8 +14,8 @@ coefficient above ``parsing.MAX_COEFF_BITS`` bits, 3 = internal invariant
 violation.  A failed query reports ``{"error": {"message", "kind"}}`` with
 kind ``parse``, ``usage``, ``bound-exceeded`` or ``internal``; a batch
 reports it in place of the line's report, adds the line number, and exits
-with the largest per-line code.  The environment
-variable DIFFALG_DEGREE_CAP overrides the default degree cap of 200.
+with the largest per-line code.  ``--degree-cap`` (batch ``degree_cap``)
+bounds the numerator degree of every ansatz; it defaults to 200.
 """
 
 from __future__ import annotations

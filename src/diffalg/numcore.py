@@ -348,13 +348,6 @@ class Poly:
             return self
         return _poly(ints, Rat(1, ints[-1]))
 
-    def int_clear(self) -> tuple["Poly", Rat]:
-        """Return (P, c) with P having coprime integer coefficients and a
-        positive leading coefficient, and self = c * P.  Zero maps to (0, 1)."""
-        if not self._ints:
-            return self, RAT_ONE
-        return _poly(self._ints, RAT_ONE), self._content
-
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
@@ -555,61 +548,27 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.monic(), s0 * inv, t0 * inv
 
 
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, computed without
-    fractions appearing (inputs are integer polynomials)."""
-    d = a.degree - b.degree
-    return (a * (b.lc() ** (d + 1))) % b
-
-
 def poly_resultant(p: Poly, q: Poly) -> Rat:
     """Resultant with the convention Res(p, q) = lc(p)^deg(q) * prod q(roots of p).
 
-    Computed by the subresultant PRS on integer-cleared inputs to control
-    coefficient growth; zero iff p and q share a nonconstant factor.
+    Euclidean remainder sequence: with r = a mod b,
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r), and
+    Res(a, c) = c^(deg a) for a constant c.  Each remainder is kept as a
+    primitive integer polynomial times its content.  Zero iff p and q share a
+    nonconstant factor.
     """
     if p.is_zero() or q.is_zero():
         raise ZeroInputError("resultant of a zero polynomial")
-    if p.degree == 0:
-        return p.lc() ** q.degree
-    if q.degree == 0:
-        return q.lc() ** p.degree
-    pa, ca = p.int_clear()
-    qa, cb = q.int_clear()
-    scale = (ca ** q.degree) * (cb ** p.degree)
-    return scale * _int_resultant(pa, qa)
-
-
-def _int_resultant(a: Poly, b: Poly) -> Rat:
-    """Subresultant PRS resultant for primitive integer polynomials."""
-    sign = 1
-    if a.degree < b.degree:
-        if (a.degree & 1) and (b.degree & 1):
-            sign = -sign
-        a, b = b, a
-    g = Rat(1)
-    h = Rat(1)
-    while True:
-        delta = a.degree - b.degree
-        if (a.degree & 1) and (b.degree & 1):
-            sign = -sign
-        rem = _prem(a, b)
-        if rem.is_zero():
-            # b (nonconstant here) is a factor of a up to a constant
+    a, b, res = p, q, RAT_ONE
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero():
             return RAT_ZERO
-        a = b
-        b = rem * (1 / (g * h ** delta))
-        g = a.lc()
-        h = (g ** delta) / (h ** (delta - 1)) if delta > 0 else h
-        if b.degree == 0:
-            return _finalize_resultant(sign, h, a, b)
-
-
-def _finalize_resultant(sign: int, h: Rat, a: Poly, b: Poly) -> Rat:
-    if b.degree > 0:
-        return RAT_ZERO
-    res = (b.lc() ** a.degree) / (h ** (a.degree - 1)) if a.degree > 0 else RAT_ONE
-    return sign * res
+        if a.degree % 2 and b.degree % 2:
+            res = -res
+        res = res * b.lc() ** (a.degree - r.degree)
+        a, b = b, r
+    return res * b.lc() ** a.degree
 
 
 # -- Sturm sequences: integer roots without factoring ------------------------

@@ -14,25 +14,25 @@ infinity (plus the analogous valuation analysis at 0 in the q case), then
 solve one exact linear system for the numerator coefficients and the free
 lambdas.  Negative answers are certified: either the linear system is
 inconsistent inside certified bounds (NoSolution, with a witness) or the
-certified bound exceeded the configured cap (BoundExceeded; never a wrong
+certified bound exceeded the degree cap (BoundExceeded; never a wrong
 NoSolution).  In the q case the power of x comes from
-``structures.split_x_power``, and the scans for powers of q
-(``q_power_roots``, ``q_power_log``) from ``dispersion``, beside the q gap
-scan.
+``structures.split_x_power``, and the scan for powers of q
+(``q_power_roots``) from ``dispersion``, beside the q gap scan.
 
-First-order equations with a constant twist take a fast path through the
-additive standard decomposition, and first-order systems are uncoupled by
-eliminating coordinates in ascending index order.
+First-order equations with a constant twist first go through the additive
+standard decomposition, which moves long pole orbits of the right-hand side
+and certifies a pole-orbit obstruction; the Laurent remainder then goes to
+``solve_scalar`` like any other equation.  First-order systems are uncoupled
+by eliminating coordinates in ascending index order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .dispersion import additive_standard_decomp, orbit_gaps, q_power_log, q_power_roots, radical
+from .dispersion import additive_standard_decomp, orbit_gaps, q_power_roots, radical
 from .errors import (
     InternalVerificationError,
     PreconditionError,
@@ -54,15 +54,6 @@ from .numcore import (
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
 DEFAULT_DEGREE_CAP = 200
-
-
-def configured_degree_cap() -> int:
-    """DIFFALG_DEGREE_CAP when it holds an integer >= 0, else the default."""
-    try:
-        cap = int(os.environ.get("DIFFALG_DEGREE_CAP", ""))
-    except ValueError:
-        return DEFAULT_DEGREE_CAP
-    return cap if cap >= 0 else DEFAULT_DEGREE_CAP
 
 
 class Status(Enum):
@@ -443,7 +434,7 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
 
 def solve_scalar(eq: ScalarDiffEq, degree_cap: int | None = None) -> SolutionSpace:
     """Complete affine solution space of the equation over Q(x) x Q^t."""
-    cap = configured_degree_cap() if degree_cap is None else degree_cap
+    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     prep = _prepare(eq)
     ds = prep.ds
     m = len(prep.coeffs) - 1
@@ -488,7 +479,7 @@ def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpa
         homogeneous_basis=tuple(
             (RatFun.from_poly(r) / p0_rf, eq.lambdas(unit, True)) for r, unit in zip(prep.rhs_free, units)
         ),
-        universal_den=p0.monic(),
+        universal_den=_universal_denominator_prepared(prep),
         degree_bound=None,
     )
     _verify_space(eq, space)
@@ -618,7 +609,7 @@ def _verify_space(eq: ScalarDiffEq, space: SolutionSpace):
 
 
 # ---------------------------------------------------------------------------
-# first-order convenience with constant-twist fast path
+# first-order convenience with constant-twist pole-orbit reduction
 # ---------------------------------------------------------------------------
 
 
@@ -642,7 +633,7 @@ def solve_first_order(
             _is_laurent(ds, r) for r, fixed in zip(eq.rhs_basis, mask) if fixed is None
         )
         if laurent_ok:
-            return _solve_first_order_const(eq, a.const_value())
+            return _solve_first_order_const(eq, a.const_value(), degree_cap=degree_cap)
     return solve_scalar(eq, degree_cap=degree_cap)
 
 
@@ -651,11 +642,13 @@ def _is_laurent(ds: DiffStructure, r: RatFun) -> bool:
     return split_x_power(ds, r.den)[0].degree == 0
 
 
-def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
-    """sigma(g) - a*g = rhs with constant a, via the additive standard
-    decomposition: the fixed rhs is rewritten as standard + (sigma - a)(w);
-    a standard part with a pole (a nonzero pole in the q case) is a certified
-    obstruction, and what remains is a small Laurent-coefficient system.
+def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = None) -> SolutionSpace:
+    """sigma(g) - a*g = rhs with constant a.  The additive standard
+    decomposition rewrites the fixed rhs as s + (sigma - a)(w), which moves
+    long pole orbits without building orbit chains; an s with a pole (a
+    nonzero pole in the q case) is a certified obstruction.  The Laurent
+    remainder sigma(h) - a*h = s + sum lambda_k r_k goes to ``solve_scalar``,
+    and g = h + w.
 
     Requires every free rhs basis element to be polynomial (shift) or Laurent
     at 0 (q case); the caller guarantees this.
@@ -665,9 +658,8 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
     decomp = additive_standard_decomp(ds, fixed_rf, a)
     s_part = decomp.standard_part
     _, frac = s_part.poly_part()
-    blocked = not frac.is_zero() and not _is_laurent(ds, frac)
     pole_witness = None
-    if blocked:
+    if not frac.is_zero() and not _is_laurent(ds, frac):
         pole_witness = (
             "pole-orbit obstruction: the standard part of the right-hand side "
             f"keeps a pole block with denominator {format_poly(frac.den)} "
@@ -675,46 +667,16 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
         )
         s_part = RatFun.zero()  # solve on for the homogeneous kernel only
 
-    # remaining problem: sigma(h) - a*h = laurent(s_part) + sum lambda_k r_k
-    lo, hi = _laurent_span(ds, [s_part] + free_basis)
-    if ds.is_shift:
-        hi = hi + 1  # a = 1 raises the degree by one
-    else:
-        r_pow = q_power_log(ds, a)
-        if r_pow is not None:
-            lo = min(lo, r_pow)
-            hi = max(hi, r_pow)
-    n_lam = len(free_basis)
-    s_coeffs = _laurent_coeffs(ds, s_part, lo, hi)
-    free_coeffs = [_laurent_coeffs(ds, r, lo, hi) for r in free_basis]
-    rows = []
-    for idx, j in enumerate(range(lo, hi + 1)):
-        row = [(-fc[idx]) for fc in free_coeffs]
-        if ds.is_shift:
-            # coefficient of x^j in (x+1)^t - a*x^t, column t
-            for t in range(lo, hi + 1):
-                v = Rat(math.comb(t, j)) if 0 <= j <= t else RAT_ZERO
-                if t == j:
-                    v = v - a
-                row.append(v)
-        else:
-            row.extend((ds.q ** j - a) if t == j else RAT_ZERO for t in range(lo, hi + 1))
-        rows.append(row)
-    particular, nullsp = solve_affine(rows, s_coeffs, RAT_ZERO, RAT_ONE)
-
-    def to_ratfun(hcoeffs) -> RatFun:
-        if lo >= 0:
-            return RatFun.from_poly(Poly([RAT_ZERO] * lo + list(hcoeffs)))
-        return RatFun(Poly(list(hcoeffs)), Poly.monomial(1, -lo))
-
-    def unpack(vec, homogeneous: bool):
-        h = to_ratfun(vec[n_lam:])
-        return h if homogeneous else h + decomp.certificate_g, eq.lambdas(vec[:n_lam], homogeneous)
-
-    basis = tuple(unpack(v, True) for v in nullsp)
+    rest = solve_scalar(
+        ScalarDiffEq(ds, (-a, 1), (s_part, *free_basis), (1,) + (None,) * len(free_basis)),
+        degree_cap=degree_cap,
+    )
+    if rest.status is Status.BOUND_EXCEEDED:
+        return rest
+    basis = tuple((h, eq.lambdas(lam[1:], True)) for h, lam in rest.homogeneous_basis)
     if pole_witness is not None:
         space = SolutionSpace(Status.NO_SOLUTION, homogeneous_basis=basis, witness=pole_witness)
-    elif particular is None:
+    elif rest.particular is None:
         space = SolutionSpace(
             Status.NO_SOLUTION,
             homogeneous_basis=basis,
@@ -722,37 +684,11 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat) -> SolutionSpace:
             "cannot be matched by sigma(g) - a*g with the available free constants",
         )
     else:
-        space = SolutionSpace(Status.SOLVED, particular=unpack(particular, False), homogeneous_basis=basis)
+        h, lam = rest.particular
+        particular = (h + decomp.certificate_g, eq.lambdas(lam[1:], False))
+        space = SolutionSpace(Status.SOLVED, particular=particular, homogeneous_basis=basis)
     _verify_space(eq, space)
     return space
-
-
-def _laurent_span(ds: DiffStructure, funcs) -> tuple[int, int]:
-    """(lo, hi) with lo <= 0 <= hi spanning the x-powers of Laurent
-    functions; lo stays 0 in the shift case, where they are polynomials."""
-    lo, hi = 0, 0
-    for f in funcs:
-        if f.is_zero():
-            continue
-        _, xm = split_x_power(ds, f.den)
-        lo = min(lo, f.num.valuation() - xm)
-        hi = max(hi, f.num.degree - xm)
-    return lo, hi
-
-
-def _laurent_coeffs(ds: DiffStructure, f: RatFun, lo: int, hi: int) -> list[Rat]:
-    """Coefficients of x^lo .. x^hi of a Laurent rational function
-    (denominator a power of x; shift case requires a polynomial)."""
-    if f.is_zero():
-        return [RAT_ZERO] * (hi - lo + 1)
-    stripped, xm = split_x_power(ds, f.den)
-    if stripped.degree != 0:
-        raise PreconditionError("not a Laurent function")
-    scale = 1 / stripped.lc()
-    out = []
-    for j in range(lo, hi + 1):
-        out.append(f.num[j + xm] * scale)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -303,11 +303,16 @@ class TestRunQuery:
             assert report.substitution_verified, (q.subcommand, report.verdict)
 
     def test_bound_exceeded_exit_code(self):
-        q = _query("solve-scalar", coeffs="1;1", rhs="x^3")
-        q.degree_cap = 0
-        report, code = run_query(q)
-        assert report.verdict == "BOUND_EXCEEDED"
-        assert code == EXIT_BOUND
+        # the constant-twist first-order path honours the cap like every ansatz
+        cases = [
+            (_query("solve-scalar", coeffs="1;1", rhs="x^3"), 0),
+            (_query("solve-first-order", a="1", rhs="x^3"), 2),
+        ]
+        for q, cap in cases:
+            q.degree_cap = cap
+            report, code = run_query(q)
+            assert report.verdict == "BOUND_EXCEEDED", q.subcommand
+            assert code == EXIT_BOUND
 
     def test_reports_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -530,26 +535,6 @@ class TestMainEntry:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
-
-    def test_degree_cap_env_var(self):
-        env = dict(os.environ, DIFFALG_DEGREE_CAP="0")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "diffalg.cli",
-                "solve-scalar",
-                "--coeffs",
-                "1;1",
-                "--rhs",
-                "x^3",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == EXIT_BOUND
-        assert json.loads(proc.stdout)["verdict"] == "BOUND_EXCEEDED"
 
     def test_missing_batch_file_is_usage_error(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.jsonl")]) == EXIT_USAGE

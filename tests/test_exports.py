@@ -1,5 +1,6 @@
 """The package's public names all resolve, so a deletion cannot leave a stale
-export behind, and no module reaches into a sibling's private helpers."""
+export behind; no module reaches into a sibling's private helpers; and no
+module reads the environment, so every setting is an option or an argument."""
 
 import ast
 import os
@@ -7,6 +8,14 @@ import os
 import diffalg
 
 PACKAGE_DIR = os.path.dirname(diffalg.__file__)
+
+
+def _module_trees():
+    """(file name, syntax tree) of every package module."""
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as fh:
+                yield filename, ast.parse(fh.read(), filename)
 
 
 def test_every_export_resolves():
@@ -17,11 +26,7 @@ def test_every_export_resolves():
 
 def test_no_module_imports_a_private_sibling_name():
     offenders = []
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename)
+    for filename, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [
@@ -29,4 +34,23 @@ def test_no_module_imports_a_private_sibling_name():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    knobs = {"environ", "getenv"}
+    offenders = []
+    for filename, tree in _module_trees():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in knobs
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in knobs for alias in node.names)
+            ):
+                offenders.append(f"{filename}:{node.lineno}")
     assert offenders == []

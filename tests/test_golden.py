@@ -93,6 +93,15 @@ QUERIES = [
     {"subcommand": "da-hypergeom", "b": "x +"},
     {"subcommand": "mult-form", "f": "0"},
     {"subcommand": "solve-scalar", "coeffs": "1;1", "rhs": "x", "degree_cap": -3},
+    # constant twist: sigma(g) - a*g = rhs after the additive standard decomposition
+    {"subcommand": "solve-first-order", "case": "q", "q": "2", "a": "1/4", "rhs_basis": "x^-3;x^2+1/x"},
+    {"subcommand": "solve-first-order", "case": "q", "q": "2", "a": "1/4", "rhs": "1/x^2+x", "rhs_basis": "1"},
+    {"subcommand": "solve-first-order", "case": "q", "q": "1/4", "a": "16", "rhs": "1/(x-1)-1/(16*x-1)+x^-1"},
+    {"subcommand": "solve-first-order", "case": "q", "q": "-3", "a": "9", "rhs": "x^2", "rhs_basis": "x^-1"},
+    {"subcommand": "solve-first-order", "a": "-1", "rhs": "1/x", "rhs_basis": "1;x"},
+    {"subcommand": "classify-group", "f": "x^7 - 1/(x*(x+12))"},
+    {"subcommand": "classify-group", "case": "q", "q": "3", "f": "1/x^2 + 5 + x"},
+    {"subcommand": "da-inhomog", "case": "q", "q": "2", "a": "8", "b": "1/x + x^3"},
 ]
 
 

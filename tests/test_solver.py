@@ -1,5 +1,5 @@
 """Rational-solution engines: universal denominators, the scalar solver, the
-constant-twist fast path, first-order systems, and the brute-force oracle."""
+constant-twist first-order path, first-order systems, and the brute-force oracle."""
 
 import random
 
@@ -16,6 +16,7 @@ from diffalg import (
     SingularMatrixError,
     Status,
     apply_sigma,
+    cli,
     eliminate_coordinate,
     q_structure,
     scalar_eq_from_ratfun_coeffs,
@@ -25,12 +26,7 @@ from diffalg import (
     universal_denominator,
 )
 from diffalg.dispersion import q_power_log
-from diffalg.solver import (
-    DEFAULT_DEGREE_CAP,
-    _degree_bound,
-    _solve_first_order_const,
-    configured_degree_cap,
-)
+from diffalg.solver import _degree_bound, _solve_first_order_const
 from oracle import brute_force_oracle
 
 
@@ -64,8 +60,12 @@ class TestUniversalDenominator:
         u = universal_denominator(eq)
         assert (u % pp("(x-1)*(x-2)")).is_zero()
 
-    @pytest.mark.parametrize("ds, expected", [(SHIFT, "x^3 - 3*x^2"), (Q2, "x^2 - 3*x")], ids=["shift", "q2"])
-    def test_order_zero(self, ds, expected):
+    @pytest.mark.parametrize(
+        "ds, case, expected",
+        [(SHIFT, {}, "x^3 - 3*x^2"), (Q2, {"case": "q", "q": "2"}, "x^2 - 3*x")],
+        ids=["shift", "q2"],
+    )
+    def test_order_zero(self, ds, case, expected):
         # x^2*(x-3)*y = x: in the shift case u is p_0 itself; in the q case
         # the power of x comes from the valuation bound at 0, and y = 1/(x*(x-3))
         eq = ScalarDiffEq(ds, (pp("x^2*(x-3)"),), (rf("x"),), (Rat(1),))
@@ -74,6 +74,11 @@ class TestUniversalDenominator:
         sol = solve_scalar(eq)
         assert sol.particular[0] == rf("1/(x*(x-3))")
         assert (u % sol.particular[0].den).is_zero()
+        # the solver's report names the same u
+        assert sol.universal_den == u
+        query = {"subcommand": "solve-scalar", "coeffs": "x^2*(x-3)", "rhs": "x", **case}
+        report, _ = cli.run_query(cli.query_from_dict(query))
+        assert report.to_json_dict()["certificate"]["universal_denominator"] == expected
 
     def test_divides_solution_denominators(self):
         # random equations rarely have rational solutions, so build solvable
@@ -118,22 +123,6 @@ class TestDegreeBound:
     @pytest.mark.parametrize("coeffs, rhs, expected", PINNED)
     def test_pinned_shift_bounds(self, coeffs, rhs, expected):
         assert _degree_bound(SHIFT, [pp(c) for c in coeffs], [pp(r) for r in rhs]) == expected
-
-
-class TestConfiguredDegreeCap:
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            ("", DEFAULT_DEGREE_CAP),
-            ("abc", DEFAULT_DEGREE_CAP),
-            ("-3", DEFAULT_DEGREE_CAP),
-            ("0", 0),
-            (" 17 ", 17),
-        ],
-    )
-    def test_env_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("DIFFALG_DEGREE_CAP", raw)
-        assert configured_degree_cap() == expected
 
 
 class TestSolveScalar:
