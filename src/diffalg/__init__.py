@@ -7,9 +7,10 @@ polynomial differential equation: telescoper searches for indefinite sums,
 the twisted-ratio test for hypergeometric-type products, the full
 classification for sigma(z) = a*z + b, a matrix integrability test, and the
 inverse-problem classification of sigma(y) - y = f.  Everything reduces to
-rational-solution problems solved in exact arithmetic; positive verdicts are
-re-verified by substitution and negative verdicts carry obstruction
-witnesses.
+rational-solution problems solved in exact arithmetic.  The procedure that
+makes a positive certificate checks it once, by exact substitution, and
+raises ``InternalVerificationError`` if it fails; negative verdicts carry
+obstruction witnesses.
 """
 
 from .dispersion import (

@@ -5,9 +5,9 @@ Every positive verdict carries a certificate that is checked by exact
 substitution: a telescoper identity, a twisted-ratio witness, a first-order
 witness f (with the extra d*x^r term in the resonant q case), a conjugating
 matrix B, or a summation witness h.  Each kind has one ``verify_*``
-function here.  The CLI calls it to report ``substitution_verified``, and
-the procedure that produces the certificate calls it too, except for the
-first-order witness, which the solver has already substituted.  Negative
+function here, and the procedure that makes the certificate runs it once,
+in the terms it returns, raising ``InternalVerificationError`` if it fails;
+a caller gets only checked certificates and need not check again.  Negative
 verdicts are certified by the rational-solution engines (pole-orbit or
 degree obstructions); the telescoper search alone is bounded by the caller's
 order bound and a None result means only "none of order <= bound".
@@ -30,7 +30,6 @@ from .numcore import RAT_ONE, Rat, RatFun
 from .solver import (
     MatrixRF,
     ScalarDiffEq,
-    SolutionSpace,
     Status,
     solve_first_order,
     solve_system,
@@ -55,7 +54,7 @@ class Telescoper:
         return any(not op.is_zero() for op in self.operators)
 
 
-def _check_bound(sol: SolutionSpace):
+def _check_bound(sol):  # a scalar or a system solution space
     if sol.status is Status.BOUND_EXCEEDED:
         raise BoundExceededError(sol.witness or "degree cap exceeded")
 
@@ -230,30 +229,33 @@ def inhomog_da_classify(
     basis, fixed = ([b, RatFun.x() ** r], [RAT_ONE, None]) if r is not None else ([b], [RAT_ONE])
     sol = solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=degree_cap)
     _check_bound(sol)
-    if shape is None:
-        if sol.is_solved():
-            return DAVerdict(
-                DAStatus.RATIONAL_SOLUTION_EXISTS,
-                DACertificate(f=sol.particular[0]),
-                base_note + "; the classification assumes z is not in Q(x), "
-                "but sigma(z) = a*z + b has the rational solution reported as f; "
-                "any solution z not in Q(x) is differentially transcendental",
-            )
-        return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, f"{base_note}; {other}")
     if not sol.is_solved():
+        if shape is None:
+            return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, f"{base_note}; {other}")
         if ds.is_shift:
             base_note += "; z is automatically irrational since b = sigma(f) - a*f has no rational solution"
         return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, base_note)
     g, lam = sol.particular
-    if r is not None:
+    if shape is None:
+        verdict = DAVerdict(
+            DAStatus.RATIONAL_SOLUTION_EXISTS,
+            DACertificate(f=g),
+            base_note + "; the classification assumes z is not in Q(x), "
+            "but sigma(z) = a*z + b has the rational solution reported as f; "
+            "any solution z not in Q(x) is differentially transcendental",
+        )
+    elif r is not None:
         cert = DACertificate(f=g, c=c, n_or_r=r, d=-lam[1])
-        return DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, base_note + f"; resonant case a = q^{r}")
-    cert = DACertificate(f=g, c=c, n_or_r=n)
-    return DAVerdict(
-        DAStatus.DIFFERENTIALLY_ALGEBRAIC,
-        cert,
-        f"{base_note}; {kind}: every solution is differentially algebraic",
-    )
+        verdict = DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, f"{base_note}; resonant case a = q^{r}")
+    else:
+        verdict = DAVerdict(
+            DAStatus.DIFFERENTIALLY_ALGEBRAIC,
+            DACertificate(f=g, c=c, n_or_r=n),
+            f"{base_note}; {kind}: every solution is differentially algebraic",
+        )
+    if not verify_first_order_witness(ds, a, b, verdict.certificate):
+        raise InternalVerificationError("first-order witness failed substitution")
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +302,7 @@ def integrability_test(
             rows.append(row)
     big_m = MatrixRF(rows)
     sol = solve_system(ds, big_m, c_vec, degree_cap=degree_cap)
-    if sol.status is Status.BOUND_EXCEEDED:
-        raise BoundExceededError(sol.witness or "degree cap exceeded in system solve")
+    _check_bound(sol)
     if sol.status is Status.NO_SOLUTION:
         trace = None
         if sol.obstructed_coordinate is not None and sol.scalar_traces:

@@ -40,4 +40,5 @@ class ParseError(DiffAlgError):
 
 
 class InternalVerificationError(DiffAlgError):
-    """A certificate failed its substitution re-check; indicates a bug."""
+    """A certificate failed the substitution check that the procedure which
+    made it runs before returning it; indicates a bug."""

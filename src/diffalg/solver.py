@@ -21,9 +21,10 @@ NoSolution).  In the q case the power of x comes from
 
 First-order equations with a constant twist first go through the additive
 standard decomposition, which moves long pole orbits of the right-hand side
-and certifies a pole-orbit obstruction; the Laurent remainder then goes to
-``solve_scalar`` like any other equation.  First-order systems are uncoupled
-by eliminating coordinates in ascending index order.
+and certifies a pole-orbit obstruction; the Laurent remainder then goes
+through the same ansatz as any other equation.  First-order systems are
+uncoupled by eliminating coordinates in ascending index order.  Each public
+solver substitutes the space it returns once, at its exit.
 """
 
 from __future__ import annotations
@@ -197,9 +198,6 @@ class VectorSolutionSpace:
     witness: str | None = None
     scalar_traces: tuple[ScalarDiffEq, ...] = ()
     obstructed_coordinate: int | None = None
-
-    def is_solved(self) -> bool:
-        return self.status is Status.SOLVED
 
 
 class MatrixRF:
@@ -434,6 +432,12 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
 
 def solve_scalar(eq: ScalarDiffEq, degree_cap: int | None = None) -> SolutionSpace:
     """Complete affine solution space of the equation over Q(x) x Q^t."""
+    space = _solve_unverified(eq, degree_cap)
+    _verify_space(eq, space)
+    return space
+
+
+def _solve_unverified(eq: ScalarDiffEq, degree_cap: int | None) -> SolutionSpace:
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     prep = _prepare(eq)
     ds = prep.ds
@@ -473,7 +477,7 @@ def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpa
     p0_rf = RatFun.from_poly(p0)
     n_lam = len(prep.rhs_free)
     units = [[RAT_ONE if i == k else RAT_ZERO for i in range(n_lam)] for k in range(n_lam)]
-    space = SolutionSpace(
+    return SolutionSpace(
         Status.SOLVED,
         particular=(RatFun.from_poly(prep.rhs_fixed) / p0_rf, eq.lambdas([RAT_ZERO] * n_lam, False)),
         homogeneous_basis=tuple(
@@ -482,8 +486,6 @@ def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpa
         universal_den=_universal_denominator_prepared(prep),
         degree_bound=None,
     )
-    _verify_space(eq, space)
-    return space
 
 
 def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[list[int]], bound: int) -> tuple[list[list[int]], int]:
@@ -576,7 +578,7 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
     basis = tuple(unpack(v, True) for v in nullsp)
     if particular is None:
         u_text = format_poly(u) if u.degree <= 8 else f"a degree-{u.degree} polynomial"
-        space = SolutionSpace(
+        return SolutionSpace(
             Status.NO_SOLUTION,
             homogeneous_basis=basis,
             witness="no rational solution: with denominator bound "
@@ -585,16 +587,13 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
             universal_den=u,
             degree_bound=bound,
         )
-    else:
-        space = SolutionSpace(
-            Status.SOLVED,
-            particular=unpack(particular, False),
-            homogeneous_basis=basis,
-            universal_den=u,
-            degree_bound=bound,
-        )
-    _verify_space(eq, space)
-    return space
+    return SolutionSpace(
+        Status.SOLVED,
+        particular=unpack(particular, False),
+        homogeneous_basis=basis,
+        universal_den=u,
+        degree_bound=bound,
+    )
 
 
 def _verify_space(eq: ScalarDiffEq, space: SolutionSpace):
@@ -627,14 +626,13 @@ def solve_first_order(
     eq = scalar_eq_from_ratfun_coeffs(
         ds, [-a, RatFun.one()], rhs_basis=rhs_basis, lambda_fixed=lambda_fixed
     )
-    if a.is_constant():
-        mask = eq.fixed_mask()
-        laurent_ok = all(
-            _is_laurent(ds, r) for r, fixed in zip(eq.rhs_basis, mask) if fixed is None
-        )
-        if laurent_ok:
-            return _solve_first_order_const(eq, a.const_value(), degree_cap=degree_cap)
-    return solve_scalar(eq, degree_cap=degree_cap)
+    if not a.is_constant() or not all(
+        _is_laurent(ds, r) for r, fixed in zip(eq.rhs_basis, eq.fixed_mask()) if fixed is None
+    ):
+        return solve_scalar(eq, degree_cap=degree_cap)
+    space = _solve_first_order_const(eq, a.const_value(), degree_cap=degree_cap)
+    _verify_space(eq, space)
+    return space
 
 
 def _is_laurent(ds: DiffStructure, r: RatFun) -> bool:
@@ -646,9 +644,10 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = 
     """sigma(g) - a*g = rhs with constant a.  The additive standard
     decomposition rewrites the fixed rhs as s + (sigma - a)(w), which moves
     long pole orbits without building orbit chains; an s with a pole (a
-    nonzero pole in the q case) is a certified obstruction.  The Laurent
-    remainder sigma(h) - a*h = s + sum lambda_k r_k goes to ``solve_scalar``,
-    and g = h + w.
+    nonzero pole in the q case) is a certified obstruction, whatever the
+    degree cap.  The Laurent remainder sigma(h) - a*h = s + sum lambda_k r_k
+    is solved like any scalar equation, and g = h + w; the caller substitutes
+    g into ``eq``, which also checks h.
 
     Requires every free rhs basis element to be polynomial (shift) or Laurent
     at 0 (q case); the caller guarantees this.
@@ -667,28 +666,27 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = 
         )
         s_part = RatFun.zero()  # solve on for the homogeneous kernel only
 
-    rest = solve_scalar(
+    rest = _solve_unverified(
         ScalarDiffEq(ds, (-a, 1), (s_part, *free_basis), (1,) + (None,) * len(free_basis)),
-        degree_cap=degree_cap,
+        degree_cap,
     )
-    if rest.status is Status.BOUND_EXCEEDED:
-        return rest
     basis = tuple((h, eq.lambdas(lam[1:], True)) for h, lam in rest.homogeneous_basis)
     if pole_witness is not None:
-        space = SolutionSpace(Status.NO_SOLUTION, homogeneous_basis=basis, witness=pole_witness)
-    elif rest.particular is None:
-        space = SolutionSpace(
+        if rest.status is Status.BOUND_EXCEEDED:
+            pole_witness += f"; the homogeneous solutions are not listed: {rest.witness}"
+        return SolutionSpace(Status.NO_SOLUTION, homogeneous_basis=basis, witness=pole_witness)
+    if rest.status is Status.BOUND_EXCEEDED:
+        return rest
+    if rest.particular is None:
+        return SolutionSpace(
             Status.NO_SOLUTION,
             homogeneous_basis=basis,
             witness="Laurent obstruction: the x-power coefficients of the standard part "
             "cannot be matched by sigma(g) - a*g with the available free constants",
         )
-    else:
-        h, lam = rest.particular
-        particular = (h + decomp.certificate_g, eq.lambdas(lam[1:], False))
-        space = SolutionSpace(Status.SOLVED, particular=particular, homogeneous_basis=basis)
-    _verify_space(eq, space)
-    return space
+    h, lam = rest.particular
+    particular = (h + decomp.certificate_g, eq.lambdas(lam[1:], False))
+    return SolutionSpace(Status.SOLVED, particular=particular, homogeneous_basis=basis)
 
 
 # ---------------------------------------------------------------------------

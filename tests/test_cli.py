@@ -11,7 +11,7 @@ import pytest
 
 from conftest import SHIFT, Q2, rand_ratfun, rf
 from diffalg import BoundExceededError, ParseError, Poly, Rat, RatFun, format_ratfun, parse_matrix, parse_ratfun
-from diffalg import cli
+from diffalg import MatrixRF, MultStandardForm, ScalarDiffEq, StandardDecomp, cli, criteria, solver
 from diffalg.cli import (
     EXIT_BOUND,
     EXIT_INTERNAL,
@@ -265,6 +265,50 @@ class TestMainErrorPath:
         assert json.loads(err.strip().splitlines()[-1]) == {"error": {"message": "boom", "kind": "internal"}}
 
 
+class TestCertificateChecks:
+    """The procedure that makes a certificate checks it once; the CLI checks
+    nothing itself, so a failed check ends the query as ``internal``."""
+
+    # kind -> (owner and name of its verifier, a query whose verdict carries it)
+    CASES = {
+        "twisted-ratio": (criteria, "verify_twisted_ratio", ["da-hypergeom", "--b", "3*(x+1)/x"]),
+        "first-order-da": (criteria, "verify_first_order_witness", ["da-inhomog", "--a", "2", "--b", "1"]),
+        "first-order-rational": (criteria, "verify_first_order_witness", ["da-inhomog", "--a", "x", "--b", "1 - x"]),
+        "telescoper": (criteria, "verify_telescoper", ["telescope", "--funcs", "1/x - 1/(x+1)"]),
+        "conjugating-matrix": (criteria, "verify_conjugating_matrix", ["integrability", "--matrix", "[[1,x],[0,1]]"]),
+        "summation": (criteria, "verify_summation", ["classify-group", "--f", "1"]),
+        "additive-decomposition": (StandardDecomp, "reconstruct", ["standard-form", "--f", "1/x + 1/(x+2)"]),
+        "multiplicative-form": (MultStandardForm, "reconstruct", ["mult-form", "--f", "(x+1)/x"]),
+        "scalar-space": (solver, "_verify_space", ["solve-scalar", "--coeffs", "-1;1", "--rhs", "x"]),
+        "first-order-space": (solver, "_verify_space", ["solve-first-order", "--a", "2", "--rhs", "1"]),
+        "system-space": (solver, "_verify_system", ["solve-system", "--matrix", "[[1,0],[0,1]]"]),
+    }
+    # the solution-space verifiers raise rather than return False: break
+    # what they substitute through instead
+    BREAK = {
+        "_verify_space": (ScalarDiffEq, "residual", lambda *args: RatFun.one()),
+        "_verify_system": (MatrixRF, "mat_vec", lambda m, vec: [RatFun.one()] * m.n),
+    }
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_checked_once(self, kind, monkeypatch, capsys):
+        owner, name, argv = self.CASES[kind]
+        real, calls = getattr(owner, name), []
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["substitution_verified"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_failed_check_is_internal(self, kind, monkeypatch, capsys):
+        owner, name, argv = self.CASES[kind]
+        monkeypatch.setattr(*self.BREAK.get(name, (owner, name, lambda *args: False)))
+        assert main(argv) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1])["error"]["kind"] == "internal"
+
+
 class TestRunQuery:
     def test_gamma_ratio(self):
         report, code = run_query(_query("da-hypergeom", b="x"))
@@ -487,6 +531,26 @@ class TestBatch:
         single = main(["telescope", "--funcs", "1/x + x^3", "--order-bound", "2", "--degree-cap", "0"])
         assert single == EXIT_BOUND
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "bound-exceeded"
+
+    def test_pole_orbit_line_matches_single_query(self, tmp_path, capsys):
+        # the pole orbit of 1/x certifies NO_SOLUTION at any cap; the kernel,
+        # whose degree bound 4 is over the cap, is not listed, and the
+        # witness says so
+        line = {"subcommand": "solve-first-order", "a": "1", "rhs": "1/x", "rhs_basis": "x^3", "degree_cap": 2}
+        reports, code = run_batch(self._write(tmp_path, [line]))
+        single = main(["solve-first-order", "--a", "1", "--rhs", "1/x", "--rhs-basis", "x^3", "--degree-cap", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == single == EXIT_OK
+        for out in (reports[0], report):
+            del out["timing_ms"]
+        assert reports[0] == report
+        assert report["verdict"] == "NO_SOLUTION"
+        assert report["certificate"] == {
+            "homogeneous_basis": [],
+            "witness": "pole-orbit obstruction: the standard part of the right-hand side keeps a pole "
+            "block with denominator x (polar dispersion 0), which sigma(g) - a*g cannot produce; "
+            "the homogeneous solutions are not listed: certified degree bound 4 exceeds cap 2",
+        }
 
     def test_unexpected_exception_is_internal(self, tmp_path, monkeypatch):
         real = cli.run_query

@@ -25,7 +25,8 @@ from diffalg import (
     polar_dispersion,
     q_structure,
 )
-from diffalg.numcore import Poly
+from diffalg.dispersion import _SCAN_LIMIT, orbit_gaps, radical
+from diffalg.numcore import Poly, root_magnitude_bound
 
 
 class TestDispersion:
@@ -77,6 +78,50 @@ class TestDispersion:
         # route must still find it
         p = pp("x*(x-1000000)")
         assert dispersion(SHIFT, p) == 1000000
+
+
+def _resultant_route(p: Poly) -> bool:
+    """The shift gap scan of p takes the resultant route, not the direct one."""
+    return 2 * root_magnitude_bound(radical(p)) > _SCAN_LIMIT
+
+
+class TestShiftGapsAgainstSympy:
+    """Shift-case gaps against sympy's factor-based dispersion (Man and
+    Wright, ISSAC 1994), which shares no code with diffalg's gcd and
+    resultant scans."""
+
+    @staticmethod
+    def _check(p: Poly):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.dispersion import dispersion as sympy_dispersion, dispersionset
+
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        theirs = sympy.Poly(coeffs, sympy.Symbol("x"))
+        assert orbit_gaps(SHIFT, p) == sorted(dispersionset(theirs) - {0}), p
+        assert dispersion(SHIFT, p) == sympy_dispersion(theirs), p
+
+    @pytest.mark.parametrize("text", ["x^2 - 10^40", "x^4 - 10^20", "(x^2 - 10^12)*(x - 3)"])
+    def test_large_roots(self, text):
+        p = pp(text)
+        assert _resultant_route(p)
+        self._check(p)
+
+    def test_seeded_products_of_shifted_factors(self):
+        # linear and irreducible factors, shifted by small integers and, in
+        # about one input of three, by one shift past the direct-scan limit
+        bases = [pp(t) for t in ("x", "2*x + 1", "x^2 + 1", "x^2 - 2", "x^2 + x + 1", "x^3 - 2")]
+        rng = random.Random(1107)
+        routes = set()
+        for _ in range(40):
+            large = rng.random() < 0.35
+            p = Poly.one()
+            for k in range(rng.randint(2, 2 if large else 4)):
+                base = rng.choice(bases[:2] if large else bases)
+                shift = rng.randint(600, 3000) if large and k == 0 else rng.randint(-6, 6)
+                p = p * base.shift_arg(shift) ** rng.choice([1, 1, 2])
+            routes.add(_resultant_route(p))
+            self._check(p)
+        assert routes == {False, True}
 
 
 class TestPolarDispersion:

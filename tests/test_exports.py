@@ -1,6 +1,8 @@
 """The package's public names all resolve, so a deletion cannot leave a stale
-export behind; no module reaches into a sibling's private helpers; and no
-module reads the environment, so every setting is an option or an argument."""
+export behind; no module reaches into a sibling's private helpers; no
+module reads the environment, so every setting is an option or an argument;
+and the CLI substitutes nothing, since each procedure checks the certificate
+it makes."""
 
 import ast
 import os
@@ -53,4 +55,18 @@ def test_no_module_reads_the_environment():
                 and any(alias.name in knobs for alias in node.names)
             ):
                 offenders.append(f"{filename}:{node.lineno}")
+    assert offenders == []
+
+
+def test_cli_runs_no_substitution():
+    offenders = []
+    for filename, tree in _module_trees():
+        if filename != "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name.startswith("verify_") or name in ("reconstruct", "_verify_space"):
+                    offenders.append(f"{filename}:{node.lineno} {name}")
     assert offenders == []

@@ -23,6 +23,7 @@ from diffalg import (
     solve_first_order,
     solve_scalar,
     solve_system,
+    solver,
     universal_denominator,
 )
 from diffalg.dispersion import q_power_log
@@ -243,6 +244,16 @@ class TestSolveFirstOrder:
             assert fast.homogeneous_dimension() == general.homogeneous_dimension()
             if fast.is_solved():
                 assert eq.residual(*fast.particular).is_zero()
+
+    def test_constant_twist_space_substituted_once(self, monkeypatch):
+        # the Laurent remainder is not checked on its own: substituting
+        # g = h + w into the original equation checks h too
+        calls = []
+        real = solver._verify_space
+        monkeypatch.setattr(solver, "_verify_space", lambda eq, space: calls.append(eq) or real(eq, space))
+        sol = solve_first_order(SHIFT, rf("2"), rhs_basis=[rf("x + 1/(x+1) - 2/x"), rf("1")], lambda_fixed=[Rat(1), None])
+        assert sol.status is Status.SOLVED and sol.homogeneous_basis
+        assert len(calls) == 1
 
     def test_q_resonant_kernel(self):
         # a = q^2: the homogeneous kernel is spanned by x^2
