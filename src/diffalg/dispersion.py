@@ -40,6 +40,7 @@ from .numcore import (
     poly_gcd,
     poly_resultant,
     q_window,
+    radical,
     root_magnitude_bound,
     squarefree_decomposition,
 )
@@ -50,14 +51,9 @@ from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 _SCAN_LIMIT = 1024
 
 
-def radical(p: Poly) -> Poly:
-    """The monic squarefree part of p."""
-    g = poly_gcd(p, p.derivative())
-    return p.monic() if g.degree == 0 else p.exact_div(g).monic()
-
-
-def _gf_shift(cs: list[int], h: int, prime: int) -> list[int]:
-    """Coefficients of p(x + h) mod prime via Horner."""
+def _gf_shift(cs: list[int], h: int) -> list[int]:
+    """Coefficients of p(x + h) mod GF_PRIME via Horner."""
+    prime = GF_PRIME
     acc: list[int] = []
     for c in reversed(cs):
         # acc = acc*(x+h) + c
@@ -70,13 +66,13 @@ def _gf_shift(cs: list[int], h: int, prime: int) -> list[int]:
     return acc
 
 
-def _gf_scale(cs: list[int], factor: int, prime: int) -> list[int]:
-    """Coefficients of p(factor * x) mod prime."""
+def _gf_scale(cs: list[int], factor: int) -> list[int]:
+    """Coefficients of p(factor * x) mod GF_PRIME."""
     out = []
     t = 1
     for c in cs:
-        out.append(c * t % prime)
-        t = t * factor % prime
+        out.append(c * t % GF_PRIME)
+        t = t * factor % GF_PRIME
     return out
 
 
@@ -90,7 +86,7 @@ def _shift_gap_candidates(w: Poly) -> list[int]:
         gf = gf_coeffs(w)
         for h in range(1, limit + 1):
             if gf is not None:
-                if gf_gcd_degree(gf, _gf_shift(gf, h, GF_PRIME)) < 1:
+                if gf_gcd_degree(gf, _gf_shift(gf, h)) < 1:
                     continue  # mod-p gcd constant certifies the Q-gcd is constant
             if poly_gcd(w, w.shift_arg(h)).degree > 0:
                 hits.append(h)
@@ -144,7 +140,7 @@ def _q_gap_candidates(ds: DiffStructure, w: Poly) -> list[int]:
     for h in range(1, q_window(ds.q, hi / lo) + 1):
         if qmod is not None:
             qh = pow(qmod, h, GF_PRIME)
-            if qh != 0 and gf_gcd_degree(gf, _gf_scale(gf, qh, GF_PRIME)) < 1:
+            if qh != 0 and gf_gcd_degree(gf, _gf_scale(gf, qh)) < 1:
                 continue
         if poly_gcd(w, w.scale_arg(ds.q ** h)).degree > 0:
             hits.append(h)

@@ -12,7 +12,10 @@ polynomial (coprime integer coefficients, positive leading coefficient), the
 canonical form of Geddes-Czapor-Labahn, ch. 2.  Ring operations, division,
 argument substitution, evaluation and the gcd run on the integer parts and
 spend one rational operation on the content; rational coefficients are only
-built when a caller reads them.
+built when a caller reads them.  Division, exact division and the gcd share
+one integer pseudo-division loop, ``_pseudo_divmod``.  No other module reads
+the integer form: they go through ``integer_multiples``,
+``coefficient_bits`` and ``gf_coeffs``.
 """
 
 from __future__ import annotations
@@ -202,40 +205,21 @@ class Poly:
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """(quotient, remainder) over Q, by pseudo-division on the primitive
-        parts: each step scales the remainder only by lc / gcd(lc, lead)."""
+        """(quotient, remainder) over Q, by pseudo-division of the primitive
+        parts (``_pseudo_divmod``)."""
         b = other._ints
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         a = self._ints
-        db, lb = len(b) - 1, b[-1]
-        if len(a) <= db:
+        if len(a) < len(b):
             return _PZERO, self
-        r = list(a)
-        # invariant s*A = Q*B + r; quo[k] is recorded at scale scales[k] <= s
-        quo = [0] * (len(a) - db)
-        scales = [1] * len(quo)
-        s = 1
-        for k in range(len(quo) - 1, -1, -1):
-            lr = r[k + db]
-            if not lr:
-                continue
-            g = math.gcd(lb, lr)
-            sa, sb = lb // g, lr // g
-            if sa != 1:
-                s *= sa
-                for j in range(k + db):
-                    r[j] *= sa
-            quo[k], scales[k] = sb, s
-            for j in range(db):
-                r[k + j] -= sb * b[j]
-            r[k + db] = 0
+        quo, scales, s, r = _pseudo_divmod(a, b)
         ca, cb = self._content, other._content
         cq = ca / cb
         quotient = _normal(
             [v * (s // t) for v, t in zip(quo, scales)], cq.numerator, cq.denominator * s
         )
-        return quotient, _normal(r[:db], ca.numerator, ca.denominator * s)
+        return quotient, _normal(r, ca.numerator, ca.denominator * s)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -244,26 +228,17 @@ class Poly:
         return self.divmod(other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        """self / other when other divides self.  Runs on the primitive
-        parts: by Gauss's lemma their quotient is a primitive integer
-        polynomial with a positive leading coefficient."""
+        """self / other when other divides self, else ValueError.  Runs on
+        the primitive parts: by Gauss's lemma their quotient is a primitive
+        integer polynomial with a positive leading coefficient, so the
+        pseudo-division never scales."""
         b = other._ints
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._ints:
             return _PZERO
-        a = list(self._ints)
-        db, lb = len(b) - 1, b[-1]
-        quo = [0] * max(len(a) - db, 0)
-        for k in range(len(quo) - 1, -1, -1):
-            c, r = divmod(a[k + db], lb)
-            if r:
-                raise ValueError("exact_div with nonzero remainder")
-            quo[k] = c
-            if c:
-                for j in range(db):
-                    a[k + j] -= c * b[j]
-        if any(a[:db]) or not quo:
+        quo, _, s, r = _pseudo_divmod(self._ints, b)
+        if s != 1 or r:
             raise ValueError("exact_div with nonzero remainder")
         return _poly(tuple(quo), self._content / other._content)
 
@@ -385,12 +360,45 @@ def _normal(ints: list, num: int, den: int) -> Poly:
     return _poly(*_primitive(ints, num, den))
 
 
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int, list[int]]:
+    """The one integer division loop: pseudo-division of integer coefficient
+    sequences (lowest degree first, no trailing zeros, b nonempty).
+
+    Returns (quo, scales, s, r) with s*A = Q*B + R, where
+    Q = sum(quo[k] * (s // scales[k]) * x^k) and r is R without trailing
+    zeros.  Each step scales the remainder only by lc(b) / gcd(lc(b), lc(r)),
+    so s is the product of those factors; quo[k] is recorded at the scale
+    scales[k] reached by its step.
+    """
+    db, lb = len(b) - 1, b[-1]
+    n = max(len(a) - db, 0)
+    r = list(a)
+    quo = [0] * n
+    scales = [1] * n
+    s = 1
+    for k in range(n - 1, -1, -1):
+        lr = r.pop()
+        if not lr:
+            continue
+        g = math.gcd(lb, lr)
+        sa, sb = lb // g, lr // g
+        if sa != 1:
+            s *= sa
+            r = [sa * v for v in r]
+        quo[k], scales[k] = sb, s
+        for j in range(db):
+            r[k + j] -= sb * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return quo, scales, s, r
+
+
 _PZERO = _poly((), RAT_ONE)
 _PONE = _poly((1,), RAT_ONE)
 _PX = _poly((0, 1), RAT_ONE)
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -401,7 +409,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if i == 0:
             term = str(c)
         else:
-            xo = var if i == 1 else f"{var}^{i}"
+            xo = "x" if i == 1 else f"x^{i}"
             if c == 1:
                 term = xo
             elif c == -1:
@@ -422,18 +430,19 @@ def format_poly(p: Poly, var: str = "x") -> str:
 GF_PRIME = (1 << 31) - 1
 
 
-def gf_coeffs(p: Poly, prime: int = GF_PRIME) -> list[int] | None:
-    """Coefficients of the primitive integer part of p mod prime, lowest
+def gf_coeffs(p: Poly) -> list[int] | None:
+    """Coefficients of the primitive integer part of p mod GF_PRIME, lowest
     first; None when the reduction degenerates (leading coefficient
     vanishes)."""
-    out = [v % prime for v in p._ints]
+    out = [v % GF_PRIME for v in p._ints]
     if not out or out[-1] == 0:
         return None
     return out
 
 
-def gf_gcd_degree(a: list[int], b: list[int], prime: int = GF_PRIME) -> int:
-    """Degree of gcd over GF(prime); inputs are coefficient lists."""
+def gf_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd over GF(GF_PRIME); inputs are coefficient lists."""
+    prime = GF_PRIME
 
     def deg(v):
         d = len(v) - 1
@@ -475,26 +484,24 @@ def primitive_ints(values) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero multiple of the pseudo-remainder of a by b (integer
-    coefficient lists without trailing zeros, deg a >= deg b); each step
-    scales the remainder only by lc(b) / gcd(lc(b), lc(r))."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) > db:
-        lr = r[-1]
-        g = math.gcd(lb, lr)
-        sa, sb = lb // g, lr // g
-        off = len(r) - 1 - db
-        if sa != 1:
-            r = [sa * v for v in r]
-        for k in range(db):
-            r[off + k] -= sb * b[k]
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-    return r
+def integer_multiples(polys) -> list[list[int]]:
+    """Integer coefficient lists (lowest degree first) of c*p for each p in
+    polys, with the one rational c > 0 that makes them integral and coprime
+    as a whole; a zero polynomial gives []."""
+    ks = primitive_ints([p._content if p._ints else RAT_ZERO for p in polys])
+    return [[k * v for v in p._ints] for k, p in zip(ks, polys)]
+
+
+def coefficient_bits(*polys: Poly):
+    """``bits(numerator) + bits(denominator)`` of each rational coefficient
+    of the polys, read from the content cn/cd and the integer part without
+    building rationals: gcd(cn, cd) = 1, so ``cn*i/cd`` reduces by
+    gcd(i, cd)."""
+    for p in polys:
+        cn, cd = p._content.numerator, p._content.denominator
+        for i in p._ints:
+            g = math.gcd(i, cd)
+            yield (cn * i // g).bit_length() + (cd // g).bit_length()
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -509,11 +516,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _PONE
     if _gf_coprime(p, q):
         return _PONE
-    a, b = list(p._ints), list(q._ints)
+    a, b = p._ints, q._ints
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _int_prem(a, b)
+        r = _pseudo_divmod(a, b)[3]
         if not r:
             break
         if len(r) == 1:
@@ -666,8 +673,7 @@ def integer_roots(p: Poly) -> set[int]:
         raise ZeroInputError("integer_roots of the zero polynomial")
     if p.degree == 0:
         return set()
-    g = poly_gcd(p, p.derivative())
-    sqfree = p.exact_div(g) if g.degree > 0 else p
+    sqfree = radical(p)
     chain = _sturm_chain(sqfree)
     bound = _floor(root_magnitude_bound(sqfree)) + 1
     roots: set[int] = set()
@@ -692,6 +698,12 @@ def integer_roots(p: Poly) -> set[int]:
     if p.eval(lo) == 0:
         roots.add(-bound)
     return roots
+
+
+def radical(p: Poly) -> Poly:
+    """The monic squarefree part of p."""
+    g = poly_gcd(p, p.derivative())
+    return p.monic() if g.degree == 0 else p.exact_div(g).monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

@@ -17,10 +17,8 @@ is printed: a result coefficient above it is a BoundExceededError (kind
 
 from __future__ import annotations
 
-import math
-
 from .errors import BoundExceededError, ParseError
-from .numcore import Poly, RatFun, format_poly
+from .numcore import Poly, RatFun, coefficient_bits, format_poly
 from .solver import MatrixRF
 
 MAX_DEGREE = 256
@@ -114,19 +112,8 @@ def _parse_power(sc: _Scanner) -> RatFun:
     return base
 
 
-def _coeff_bit_sizes(value: RatFun):
-    """``bits(numerator) + bits(denominator)`` of each coefficient of the
-    numerator and denominator, read from the content ``cn/cd`` and the
-    integer part: gcd(cn, cd) = 1, so ``cn*i/cd`` reduces by gcd(i, cd)."""
-    for p in (value.num, value.den):
-        cn, cd = p._content.numerator, p._content.denominator
-        for i in p._ints:
-            g = math.gcd(i, cd)
-            yield (cn * i // g).bit_length() + (cd // g).bit_length()
-
-
 def _coeff_bits(value: RatFun) -> int:
-    return max(_coeff_bit_sizes(value))
+    return max(coefficient_bits(value.num, value.den))
 
 
 def _checked(sc: _Scanner, value: RatFun) -> RatFun:
@@ -177,14 +164,19 @@ def _parse_atom(sc: _Scanner) -> RatFun:
     sc.fail(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
-def parse_ratfun(text: str) -> RatFun:
-    """Parse an expression into an exact reduced rational function."""
+def _parse_whole(text: str, rule):
+    """``rule`` applied to a scanner over text, which it must consume."""
     sc = _Scanner(text)
-    value = _parse_expr(sc)
+    value = rule(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.fail(f"trailing input {sc.text[sc.pos:]!r}")
     return value
+
+
+def parse_ratfun(text: str) -> RatFun:
+    """Parse an expression into an exact reduced rational function."""
+    return _parse_whole(text, _parse_expr)
 
 
 def parse_poly(text: str) -> Poly:
@@ -196,45 +188,29 @@ def parse_poly(text: str) -> Poly:
 
 def parse_matrix(text: str) -> MatrixRF:
     """Parse ``[[e, e, ...], ...]`` into a square matrix over Q(x)."""
-    sc = _Scanner(text)
-    sc.expect("[")
-    rows = []
-    while True:
-        rows.append(_parse_row(sc))
-        ch = sc.peek()
-        if ch == ",":
-            sc.take()
-            continue
-        sc.expect("]")
-        break
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        sc.fail(f"trailing input {sc.text[sc.pos:]!r}")
+    rows = _parse_whole(text, lambda sc: _bracketed(sc, _parse_row))
     if any(len(r) != len(rows) for r in rows):
-        sc.fail("matrix must be square")
+        raise ParseError("matrix must be square", len(text))
     return MatrixRF(rows)
 
 
 def parse_vector(text: str) -> list[RatFun]:
-    sc = _Scanner(text)
-    row = _parse_row(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        sc.fail(f"trailing input {sc.text[sc.pos:]!r}")
-    return row
+    return _parse_whole(text, _parse_row)
+
+
+def _bracketed(sc: _Scanner, item) -> list:
+    """``[item, item, ...]``: one or more items, comma separated."""
+    sc.expect("[")
+    items = [item(sc)]
+    while sc.peek() == ",":
+        sc.take()
+        items.append(item(sc))
+    sc.expect("]")
+    return items
 
 
 def _parse_row(sc: _Scanner) -> list[RatFun]:
-    sc.expect("[")
-    entries = []
-    while True:
-        entries.append(_parse_entry(sc))
-        ch = sc.peek()
-        if ch == ",":
-            sc.take()
-            continue
-        sc.expect("]")
-        return entries
+    return _bracketed(sc, _parse_entry)
 
 
 def _parse_entry(sc: _Scanner) -> RatFun:
@@ -279,7 +255,7 @@ def format_rat(c) -> str:
 def format_ratfun(f: RatFun) -> str:
     """Canonical text form; reparses to an identical RatFun.  A coefficient
     above ``MAX_COEFF_BITS`` bits raises BoundExceededError."""
-    _check_printable(_coeff_bit_sizes(f))
+    _check_printable(coefficient_bits(f.num, f.den))
     num = format_poly(f.num)
     if f.den == Poly.one():
         return num

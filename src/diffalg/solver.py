@@ -29,11 +29,10 @@ solver substitutes the space it returns once, at its exit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dispersion import additive_standard_decomp, orbit_gaps, q_power_roots, radical
+from .dispersion import additive_standard_decomp, orbit_gaps, q_power_roots
 from .errors import (
     InternalVerificationError,
     PreconditionError,
@@ -48,9 +47,11 @@ from .numcore import (
     Rat,
     RatFun,
     format_poly,
+    integer_multiples,
     integer_roots,
     poly_gcd,
     poly_lcm,
+    radical,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
@@ -536,19 +537,8 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
     ds = prep.ds
     n_lam = len(rhs_free)
     n_z = bound + 1
-    # one common scale makes the whole coefficient system integral: each
-    # primitive part times its content over the common denominator, divided
-    # by the gcd of those multipliers
-    polys = q_coeffs + [rhs_fixed] + rhs_free
-    contents = [p._content for p in polys if p._ints]
-    den = math.lcm(*[c.denominator for c in contents])
-    g = math.gcd(*[c.numerator * (den // c.denominator) for c in contents])
-
-    def scaled(p):
-        k = p._content.numerator * (den // p._content.denominator) // g
-        return [k * v for v in p._ints]
-
-    polys = [scaled(p) for p in polys]
+    # one common scale makes the whole coefficient system integral
+    polys = integer_multiples(q_coeffs + [rhs_fixed] + rhs_free)
     q_int, fixed_int, free_int = polys[: len(q_coeffs)], polys[len(q_coeffs)], polys[len(q_coeffs) + 1 :]
     cols, scale = _sigma_basis_columns(ds, q_int, bound) if bound >= 0 else ([], 1)
     if scale != 1:

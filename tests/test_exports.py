@@ -1,6 +1,7 @@
 """The package's public names all resolve, so a deletion cannot leave a stale
-export behind; no module reaches into a sibling's private helpers; no
-module reads the environment, so every setting is an option or an argument;
+export behind; no module reaches into a sibling's private helpers or into
+the integer form of a ``Poly`` outside ``numcore``; no module reads the
+environment, so every setting is an option or an argument;
 and the CLI substitutes nothing, since each procedure checks the certificate
 it makes."""
 
@@ -36,6 +37,21 @@ def test_no_module_imports_a_private_sibling_name():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def test_only_numcore_reads_the_integer_form_of_a_poly():
+    # a Poly is content times primitive integers; every other module reads
+    # it through numcore's public functions
+    offenders = []
+    for filename, tree in _module_trees():
+        if filename == "numcore.py":
+            continue
+        offenders += [
+            f"{filename}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_ints", "_content")
+        ]
     assert offenders == []
 
 

@@ -6,6 +6,7 @@ for equal polynomials built different ways."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import Poly, Rat, RatFun, poly_gcd
@@ -155,6 +156,18 @@ def test_exact_div(a, b):
     quo = prod.exact_div(Poly(b))
     check_canonical(quo)
     assert as_list(quo) == a
+
+
+@props
+@given(coeff_lists, nonzero_lists, nonzero_lists)
+def test_exact_div_rejects_a_remainder(a, b, r):
+    # deg b >= 1 and deg r < deg b: r is the nonzero remainder of a*b + r
+    b = b + [Fraction(1)]
+    r = ref_trim(r[: len(b) - 1]) or [Fraction(1)]
+    with pytest.raises(ValueError):
+        Poly(ref_add(ref_mul(a, b), r)).exact_div(Poly(b))
+    with pytest.raises(ValueError):
+        Poly(r).exact_div(Poly(b))
 
 
 @props
