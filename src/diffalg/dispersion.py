@@ -76,11 +76,24 @@ def _gf_scale(cs: list[int], factor: int) -> list[int]:
     return out
 
 
+def _shift_gap_window(w: Poly) -> int:
+    """An integer above every root difference of w (degree >= 1).  A gap is
+    at most twice the root magnitude about any point, so the bound is taken
+    about 0 and about the integer c nearest the centroid of the roots; an
+    integer c keeps the shift unimodular."""
+    n = w.degree
+    bound = root_magnitude_bound(w)
+    c = round(-w[n - 1] / (n * w[n]))
+    if c:
+        bound = min(bound, root_magnitude_bound(w.shift_arg(c)))
+    bound2 = 2 * bound
+    return bound2.numerator // bound2.denominator + 1
+
+
 def _shift_gap_candidates(w: Poly) -> list[int]:
     """Positive integers h with gcd(w(x), w(x+h)) nonconstant, w squarefree
     and nonconstant."""
-    bound2 = 2 * root_magnitude_bound(w)
-    limit = bound2.numerator // bound2.denominator + 1
+    limit = _shift_gap_window(w)
     hits: list[int] = []
     if limit <= _SCAN_LIMIT:
         gf = gf_coeffs(w)

@@ -13,8 +13,10 @@ canonical form of Geddes-Czapor-Labahn, ch. 2.  Ring operations, division,
 argument substitution, evaluation and the gcd run on the integer parts and
 spend one rational operation on the content; rational coefficients are only
 built when a caller reads them.  Division, exact division and the gcd share
-one integer pseudo-division loop, ``_pseudo_divmod``.  No other module reads
-the integer form: they go through ``integer_multiples``,
+one integer pseudo-division loop, ``_pseudo_divmod``, and one mod-p Euclid,
+``_gf_gcd``: the gcd lifts its image mod ``GF_PRIME`` and checks it by trial
+division, and the primitive PRS runs only when that lift is rejected.  No
+other module reads the integer form: they go through ``integer_multiples``,
 ``coefficient_bits`` and ``gf_coeffs``.
 """
 
@@ -440,39 +442,35 @@ def gf_coeffs(p: Poly) -> list[int] | None:
     return out
 
 
-def gf_gcd_degree(a: list[int], b: list[int]) -> int:
-    """Degree of gcd over GF(GF_PRIME); inputs are coefficient lists."""
+def _gf_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The monic gcd over GF(GF_PRIME) of two coefficient lists (lowest
+    first, trailing zeros allowed); [] when both are zero."""
     prime = GF_PRIME
-
-    def deg(v):
-        d = len(v) - 1
-        while d >= 0 and v[d] == 0:
-            d -= 1
-        return d
-
     a, b = list(a), list(b)
-    da, db = deg(a), deg(b)
+    da, db = len(a) - 1, len(b) - 1
+    while da >= 0 and not a[da]:
+        da -= 1
+    while db >= 0 and not b[db]:
+        db -= 1
     while db >= 0:
         inv = pow(b[db], -1, prime)
         while da >= db:
             f = a[da] * inv % prime
             if f:
-                for i in range(db + 1):
-                    a[da - db + i] = (a[da - db + i] - f * b[i]) % prime
-            while da >= 0 and a[da] == 0:
+                k = da - db
+                for i in range(db):
+                    a[k + i] = (a[k + i] - f * b[i]) % prime
+            da -= 1
+            while da >= 0 and not a[da]:
                 da -= 1
         a, b, da, db = b, a, db, da
-    return da
+    inv = pow(a[da], -1, prime) if da >= 0 else 1
+    return [v * inv % prime for v in a[: da + 1]]
 
 
-def _gf_coprime(p: Poly, q: Poly) -> bool:
-    """True certifies gcd(p, q) = 1: the modular gcd degree only ever exceeds
-    the exact one (when neither leading coefficient vanishes mod the prime)."""
-    ga = gf_coeffs(p)
-    gb = gf_coeffs(q)
-    if ga is None or gb is None:
-        return False
-    return gf_gcd_degree(ga, gb) < 1
+def gf_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd over GF(GF_PRIME); inputs are coefficient lists."""
+    return len(_gf_gcd(a, b)) - 1
 
 
 def primitive_ints(values) -> list[int]:
@@ -507,16 +505,31 @@ def coefficient_bits(*polys: Poly):
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0.
 
-    After the one-prime coprimality shortcut, the primitive PRS (Collins
-    1967) runs on integer coefficients; the result is made monic once.
+    The gcd mod GF_PRIME is lifted first (Brown 1971): with
+    gamma = gcd(lc p, lc q), the symmetric residues of gamma times the monic
+    image, made primitive, are the gcd if they divide both operands.  When
+    the prime divides neither leading coefficient no image has lower degree
+    than the gcd, so a constant image certifies 1 and a lift that divides
+    both is the gcd.  A rejected lift falls back to the primitive PRS
+    (Collins 1967) on the integer coefficients; the result is made monic
+    once.
     """
     if p.is_zero() or q.is_zero():
         return (q if p.is_zero() else p).monic()
     if p.degree == 0 or q.degree == 0:
         return _PONE
-    if _gf_coprime(p, q):
-        return _PONE
     a, b = p._ints, q._ints
+    ga, gb = gf_coeffs(p), gf_coeffs(q)
+    if ga is not None and gb is not None:
+        image = _gf_gcd(ga, gb)
+        if len(image) == 1:
+            return _PONE
+        gamma = math.gcd(a[-1], b[-1])
+        half = GF_PRIME // 2
+        lift = [v - GF_PRIME if v > half else v for v in (gamma * v % GF_PRIME for v in image)]
+        lift = _primitive(lift, 1, 1)[0]
+        if not gamma % lift[-1] and _divides(lift, a) and _divides(lift, b):
+            return _poly(lift, Rat(1, lift[-1]))
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -530,6 +543,14 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if b[-1] < 0:
         b = [-v for v in b]
     return _poly(tuple(b), Rat(1, b[-1]))
+
+
+def _divides(d, a) -> bool:
+    """True when the integer polynomial d divides a in Z[x]."""
+    if d == a:
+        return True
+    _, _, s, r = _pseudo_divmod(a, d)
+    return s == 1 and not r
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -737,10 +758,22 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 # ---------------------------------------------------------------------------
 
 
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for g = gcd(a, b); a constant operand runs no gcd."""
+    if a.degree < 1 or b.degree < 1:
+        return _PONE, a, b
+    g = poly_gcd(a, b)
+    if g.degree < 1:
+        return _PONE, a, b
+    return g, a.exact_div(g), b.exact_div(g)
+
+
 class RatFun:
     """Reduced rational function num/den with gcd(num, den) = 1 and den monic.
 
-    Immutable; all arithmetic re-reduces.
+    Immutable.  Arithmetic keeps the form by Henrici's rule: since both
+    operands are reduced, only gcds of cross terms are taken, never of the
+    products, and a constant or polynomial operand runs no gcd at all.
     """
 
     __slots__ = ("num", "den")
@@ -758,10 +791,7 @@ class RatFun:
             if num.is_zero():
                 den = _PONE
             else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                _, num, den = _cancel(num, den)
                 lead = den.lc()
                 if lead != 1:
                     num = num * (1 / lead)
@@ -837,9 +867,17 @@ class RatFun:
             return self
         if not self.num:
             return other
+        # Henrici's rule (Knuth, TAOCP 4.5.1): with d1 = g*e1 and d2 = g*e2,
+        # t = n1*e2 + n2*e1 is prime to e1*e2, so only gcd(t, g) can cancel
         if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+            g, e1, e2 = self.den, _PONE, _PONE
+        else:
+            g, e1, e2 = _cancel(self.den, other.den)
+        t = self.num * e2 + other.num * e1
+        if not t:
+            return RF_ZERO
+        _, t, g = _cancel(t, g)
+        return RatFun(t, e1 * e2 * g, _reduced=True)
 
     __radd__ = __add__
 
@@ -853,7 +891,10 @@ class RatFun:
         other = RatFun._coerce(other)
         if not self.num or not other.num:
             return RF_ZERO
-        return RatFun(self.num * other.num, self.den * other.den)
+        # both operands are reduced: only cross pairs can share a factor
+        _, n1, d2 = _cancel(self.num, other.den)
+        _, n2, d1 = _cancel(other.num, self.den)
+        return RatFun(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__
 
@@ -861,7 +902,8 @@ class RatFun:
         other = RatFun._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        n = other.num
+        return self * RatFun(other.den * (1 / n.lc()), n.monic(), _reduced=True)
 
     def __rtruediv__(self, other) -> "RatFun":
         return RatFun._coerce(other) / self
@@ -869,12 +911,13 @@ class RatFun:
     def __pow__(self, n: int) -> "RatFun":
         if n < 0:
             return (RF_ONE / self) ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
+        # powers of coprime polynomials stay coprime
+        return RatFun(self.num ** n, self.den ** n, _reduced=True)
 
     def derivative(self) -> "RatFun":
         """d/dx via the quotient rule."""
         if self.is_polynomial():
-            return RatFun(self.num.derivative(), self.den)
+            return RatFun.from_poly(self.num.derivative())
         n, d = self.num, self.den
         return RatFun(n.derivative() * d - n * d.derivative(), d * d)
 

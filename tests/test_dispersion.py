@@ -25,8 +25,8 @@ from diffalg import (
     polar_dispersion,
     q_structure,
 )
-from diffalg.dispersion import _SCAN_LIMIT, orbit_gaps, radical
-from diffalg.numcore import Poly, root_magnitude_bound
+from diffalg.dispersion import _SCAN_LIMIT, _shift_gap_window, orbit_gaps, radical
+from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
 
 
 class TestDispersion:
@@ -73,6 +73,13 @@ class TestDispersion:
                 scaled = q.scale_arg(Q2.q ** k)
                 assert dispersion(Q2, q * scaled) >= k
 
+    def test_many_roots_of_unity(self):
+        # the gcd of the 2-gap lifts its mod-p image; the PRS on these
+        # inputs took seconds
+        p = pp("x^256 - 1")
+        assert poly_gcd(p, p.shift_arg(2)) == pp("x + 1")
+        assert dispersion(SHIFT, p) == 2
+
     def test_huge_root_bound_falls_back_to_resultant(self):
         # gap 10^6: the direct scan is capped, the interpolated-resultant
         # route must still find it
@@ -82,7 +89,7 @@ class TestDispersion:
 
 def _resultant_route(p: Poly) -> bool:
     """The shift gap scan of p takes the resultant route, not the direct one."""
-    return 2 * root_magnitude_bound(radical(p)) > _SCAN_LIMIT
+    return _shift_gap_window(radical(p)) > _SCAN_LIMIT
 
 
 class TestShiftGapsAgainstSympy:
@@ -100,10 +107,25 @@ class TestShiftGapsAgainstSympy:
         assert orbit_gaps(SHIFT, p) == sorted(dispersionset(theirs) - {0}), p
         assert dispersion(SHIFT, p) == sympy_dispersion(theirs), p
 
-    @pytest.mark.parametrize("text", ["x^2 - 10^40", "x^4 - 10^20", "(x^2 - 10^12)*(x - 3)"])
+    # the last one is an off-centre cluster whose roots +-i keep the window
+    # about the centroid wide
+    @pytest.mark.parametrize(
+        "text", ["x^2 - 10^40", "x^4 - 10^20", "(x^2 - 10^12)*(x - 3)", "(x-5000)*(x-5003)*(x^2+1)"]
+    )
     def test_large_roots(self, text):
         p = pp(text)
         assert _resultant_route(p)
+        self._check(p)
+
+    @pytest.mark.parametrize(
+        "text", ["(2*x+9001)*(2*x+9007)", "(x-5000)*(x-5003)*((x-5000)^2+1)", "(x+3000)^2*(x+3004)*(x+2999)"]
+    )
+    def test_off_centre_clusters_scan_directly(self, text):
+        # roots far from 0 but close together: the bound about 0 would take
+        # the resultant route, the window about the centroid scans directly
+        p = pp(text)
+        assert 2 * root_magnitude_bound(radical(p)) > _SCAN_LIMIT
+        assert not _resultant_route(p)
         self._check(p)
 
     def test_seeded_products_of_shifted_factors(self):

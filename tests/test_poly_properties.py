@@ -1,7 +1,10 @@
 """Property tests for ``Poly`` (content times primitive integer part) against
 a plain reference on lists of ``Fraction`` coefficients, plus the canonical
 form: primitive part, positive leading entry, and ``==``/``hash`` agreeing
-for equal polynomials built different ways."""
+for equal polynomials built different ways.  ``poly_gcd`` is also checked
+against sympy's gcd on every branch (lifted mod-p image, rejected lift,
+no image), and ``RatFun`` arithmetic by Henrici's rule against the
+unreduced construction it replaces."""
 
 import math
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import Poly, Rat, RatFun, poly_gcd
+from diffalg.numcore import GF_PRIME, gf_coeffs, gf_gcd_degree
 from diffalg.parsing import _coeff_bits
 
 # derandomized: tier-1 runs the same examples every time
@@ -200,6 +204,112 @@ def test_gcd(a, b, common):
     g = poly_gcd(Poly(a), Poly(b))
     check_canonical(g)
     assert as_list(g) == ref_gcd(a, b)
+
+
+def sympy_gcd(a: Poly, b: Poly) -> Poly:
+    """Independent oracle: sympy's gcd over QQ, made monic."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], x,
+                          domain="QQ")
+
+    g = to_sympy(a).gcd(to_sympy(b))
+    if g.is_zero:
+        return Poly.zero()
+    return Poly([Rat(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())])
+
+
+# integer coefficients beyond GF_PRIME/2 defeat the lift of the mod-p image,
+# and multiples of GF_PRIME leave no image at all
+wide_ints = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-(2**40), 2**40),
+    st.sampled_from([GF_PRIME, -GF_PRIME, 3 * GF_PRIME, GF_PRIME + 1]),
+)
+planted_factors = st.lists(wide_ints, min_size=1, max_size=4).map(ref_trim).filter(bool)
+
+
+@props
+@given(nonzero_lists, nonzero_lists, planted_factors)
+def test_gcd_of_planted_factors_against_sympy(a, b, common):
+    p, q = Poly(ref_mul(a, common)), Poly(ref_mul(b, common))
+    g = poly_gcd(p, q)
+    check_canonical(g)
+    assert g == sympy_gcd(p, q)
+
+
+class TestGcdBranches:
+    """One deterministic input per fallback of ``poly_gcd``, each against
+    sympy."""
+
+    def test_lift_beyond_half_the_prime_falls_back_to_the_prs(self):
+        # the image x + (2^40 mod p) lifts to the wrong symmetric residue
+        big = Poly([2**40, 1])
+        assert 2**40 > GF_PRIME // 2
+        p, q = big * Poly([-1, 1]), big * Poly([3, 2])
+        assert poly_gcd(p, q) == big == sympy_gcd(p, q)
+
+    def test_unlucky_image_is_rejected(self):
+        p, x = Poly([GF_PRIME, 1]), Poly.x()
+        assert gf_gcd_degree(gf_coeffs(p), gf_coeffs(x)) == 1  # the image is x
+        assert poly_gcd(p, x) == Poly.one() == sympy_gcd(p, x)
+
+    def test_leading_coefficient_divisible_by_the_prime_gives_no_image(self):
+        common = Poly([5, 3, 1])
+        p, q = Poly([1, GF_PRIME]) * common, Poly([-2, 1]) * common
+        assert gf_coeffs(p) is None
+        assert poly_gcd(p, q) == common.monic() == sympy_gcd(p, q)
+
+
+# RatFun operands of every shape: constants, polynomials, and fractions whose
+# numerators and denominators draw on a few shared factors, so cross terms
+# cancel often
+shared_factors = [Poly([0, 1]), Poly([1, 1]), Poly([-2, 1]), Poly([1, 2]), Poly([1, 0, 1])]
+factor_products = st.lists(st.sampled_from(shared_factors), max_size=3).map(
+    lambda fs: math.prod(fs, start=Poly.one())
+)
+
+
+@st.composite
+def reduced_ratfuns(draw):
+    kind = draw(st.sampled_from(["const", "poly", "frac"]))
+    if kind == "const":
+        return RatFun.const(draw(rationals))
+    num = Poly(draw(coeff_lists)) * draw(factor_products)
+    if kind == "poly":
+        return RatFun(num)
+    return RatFun(num, Poly(draw(nonzero_lists)) * draw(factor_products))
+
+
+@props
+@given(reduced_ratfuns(), reduced_ratfuns(), st.sampled_from(["any", "same_den", "complement", "negation"]),
+       st.integers(-3, 3))
+def test_ratfun_arithmetic_matches_the_unreduced_construction(a, c, mode, k):
+    if mode == "same_den":
+        c = RatFun(c.num, a.den)
+    elif mode == "complement":
+        # a + c = the old c, with most of a's denominator cancelling
+        c = RatFun(c.num * a.den - a.num * c.den, c.den * a.den)
+    elif mode == "negation":
+        c = -a
+    n1, d1, n2, d2 = a.num, a.den, c.num, c.den
+    cases = [
+        (a * c, RatFun(n1 * n2, d1 * d2)),
+        (a + c, RatFun(n1 * d2 + n2 * d1, d1 * d2)),
+        (a - c, RatFun(n1 * d2 - n2 * d1, d1 * d2)),
+    ]
+    if c:
+        cases.append((a / c, RatFun(n1 * d2, d1 * n2)))
+    if k >= 0:
+        cases.append((a ** k, RatFun(n1 ** k, d1 ** k)))
+    elif a:
+        cases.append((a ** k, RatFun(d1 ** -k, n1 ** -k)))
+    for got, ref in cases:
+        check_canonical(got.num)
+        check_canonical(got.den)
+        assert (got.num, got.den) == (ref.num, ref.den)
 
 
 @props
