@@ -262,6 +262,14 @@ class MultStandardForm:
         return self.standard_part * sigma_g / self.certificate_g
 
 
+def _orbit_ends(ds: DiffStructure, p: Poly, gap: int) -> Poly:
+    """gcd(w, sigma^gap(w)) for w the radical of p prime to x, as in
+    ``orbit_gaps``: its roots are the roots of w with another root gap steps
+    along their orbit, so it is constant when gap is no orbit gap of p."""
+    w, _ = split_x_power(ds, radical(p))
+    return poly_gcd(w, sigma_poly(ds, w, gap).monic())
+
+
 def _orbit_primary_part(q: Poly, w: Poly) -> Poly:
     """The factor of q carrying all roots shared with w, full multiplicity."""
     d1 = Poly.one()
@@ -282,6 +290,8 @@ def additive_standard_decomp(ds: DiffStructure, f: RatFun, a) -> StandardDecomp:
 
         sigma^L(C) - a^L*C = sigma(G) - a*G,
         G = sum_{j=0}^{L-1} a^(L-1-j) * sigma^j(C).
+
+    The gaps L come from one scan, largest first (see the multiplicative form).
     """
     a = Rat(a)
     if a == 0:
@@ -294,12 +304,10 @@ def additive_standard_decomp(ds: DiffStructure, f: RatFun, a) -> StandardDecomp:
         passthrough = passthrough + at_zero
 
     g_total = RatFun.zero()
-    while not frac.is_zero():
-        gap = dispersion(ds, frac.den)
-        if gap == 0:
-            break
-        shifted = sigma_poly(ds, frac.den, gap).monic()
-        w = poly_gcd(radical(frac.den), radical(shifted))
+    for gap in reversed(orbit_gaps(ds, frac.den)):
+        w = _orbit_ends(ds, frac.den, gap)
+        if w.degree < 1:
+            continue
         d1 = _orbit_primary_part(frac.den, w)
         block, rest = partial_split(frac, d1, frac.den.exact_div(d1))
         moved = apply_sigma(ds, block, -gap)
@@ -318,24 +326,23 @@ def additive_standard_decomp(ds: DiffStructure, f: RatFun, a) -> StandardDecomp:
 def multiplicative_standard_form(ds: DiffStructure, f: RatFun) -> MultStandardForm:
     """Write f = f_std * sigma(g)/g with f_std standard.
 
-    Zero/pole orbits of f are merged without root isolation: while the
-    combined zero/pole polynomial has dispersion L > 0, the orbit-primary
-    part v of the numerator (and of the denominator) on the low ends of the
-    maximal orbits is replaced by sigma^{-L}(v), and the telescoping ratio
-    v/sigma^{-L}(v) = sigma(G)/G with G = prod_{j=1}^{L} sigma^{-j}(v) is
-    absorbed into the certificate.
+    Zero/pole orbits of f are merged without root isolation: for each orbit
+    gap L > 0 of the combined zero/pole polynomial, largest first, the
+    orbit-primary part v of the numerator (and of the denominator) on the
+    low ends of the orbits with gap L is replaced by sigma^{-L}(v), and the
+    telescoping ratio v/sigma^{-L}(v) = sigma(G)/G with
+    G = prod_{j=1}^{L} sigma^{-j}(v) is absorbed into the certificate.  A
+    step moves roots onto roots, so the gaps of the first scan are the only
+    candidates; a gap that an earlier step removed has constant orbit ends.
     """
     if f.is_zero():
         raise ZeroInputError("multiplicative standard form of zero")
     num, den = f.num, f.den
     cert = RatFun.one()
-    while True:
-        combined, _ = split_x_power(ds, num * den)
-        gap = dispersion(ds, combined)
-        if gap == 0:
-            break
-        rad = radical(combined)
-        w = poly_gcd(rad, sigma_poly(ds, rad, gap).monic())
+    for gap in reversed(orbit_gaps(ds, num * den)):
+        w = _orbit_ends(ds, num * den, gap)
+        if w.degree < 1:
+            continue
         moved, chains = [], []
         for source in (num, den):
             v = _orbit_primary_part(source, w)

@@ -12,9 +12,10 @@ The element type picks the path:
   a sparse primitive integer row ``{column: value}`` and the reduced form is
   built one row at a time, in the order of sympy's ``sdm_irref``: rows are
   taken by descending leading column; each is reduced against the pivot rows
-  found so far (``pv*row - f*pivot_row``, divided by its gcd once), takes its
-  leftmost nonzero as a new pivot, and clears that column from the earlier
-  pivot rows that have it (a column -> rows map names them).  The solver's
+  found so far, takes its leftmost nonzero as a new pivot, and clears that
+  column from the earlier pivot rows that have it.  Both steps are the one
+  row update ``pv*row - f*pivot_row``, divided by gcd(pv, f); a new or
+  changed pivot row is then made primitive.  The solver's
   ansatz systems are banded, with entries of hundreds of bits: this order
   touches only nonzeros, takes one gcd per row update, and never visits a
   row again once it reduces to zero, where sweeping every row at every
@@ -29,7 +30,6 @@ The element type picks the path:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from numbers import Rational
 
 from .numcore import Rat, primitive_ints
@@ -60,28 +60,11 @@ def _solve_affine_int(rows, rhs, zero, one):
     # rows are taken by descending leading column, as in sympy's sdm_irref
     pending.sort(key=min)
     pivot_rows: dict[int, dict[int, int]] = {}
-    reduced: set[int] = set()  # pivots whose row holds nothing but the pivot
-    unreduced: set[int] = set()
-    holders = defaultdict(set)  # column -> unreduced pivots nonzero there
     inconsistent = False
     while pending:
         row = pending.pop()
-        for j in reduced.intersection(row):
-            del row[j]
-        for j in unreduced.intersection(row):
-            prow = pivot_rows[j]
-            pv, f = prow[j], row.pop(j)
-            g = math.gcd(pv, f)
-            a, b = pv // g, f // g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for c, v in prow.items():
-                if c != j:
-                    v = row.get(c, 0) - b * v
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
+        for j in row.keys() & pivot_rows.keys():
+            row = _row_update(row, pivot_rows[j], j)
         if not row:
             continue
         j = min(row)
@@ -89,43 +72,13 @@ def _solve_affine_int(rows, rhs, zero, one):
             # zero on the left, nonzero on the right
             inconsistent = True
             continue
-        g = math.gcd(*row.values())
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
+        row = _primitive_row(row)
+        # clear the new pivot column from the earlier pivot rows; they stay
+        # zero in every other pivot column
+        for k, prow in pivot_rows.items():
+            if j in prow:
+                pivot_rows[k] = _primitive_row(_row_update(prow, row, j))
         pivot_rows[j] = row
-        pv = row[j]
-        # clear the new pivot column from the earlier pivot rows that have it
-        for k in holders.pop(j, ()):
-            prow = pivot_rows[k]
-            f = prow.pop(j)
-            g = math.gcd(pv, f)
-            a, b = pv // g, f // g
-            if a != 1:
-                prow = {c: a * v for c, v in prow.items()}
-            for c, v in row.items():
-                if c != j:
-                    v = prow.get(c, 0) - b * v
-                    if v:
-                        if c not in prow:
-                            holders[c].add(k)
-                        prow[c] = v
-                    else:
-                        del prow[c]
-                        holders[c].discard(k)
-            g = math.gcd(*prow.values())
-            if g > 1:
-                prow = {c: v // g for c, v in prow.items()}
-            pivot_rows[k] = prow
-            if len(prow) == 1:
-                unreduced.remove(k)
-                reduced.add(k)
-        if len(row) == 1:
-            reduced.add(j)
-        else:
-            unreduced.add(j)
-            for c in row:
-                if c != j:
-                    holders[c].add(j)
     pivots = sorted(pivot_rows)
     aug = []
     for pc in pivots:
@@ -136,6 +89,29 @@ def _solve_affine_int(rows, rhs, zero, one):
     if inconsistent:
         aug.append([0] * ncols + [1])
     return _read_off(aug, pivots, ncols, zero, one, Rat)
+
+
+def _row_update(row, prow, j):
+    """(pv*row - f*prow) / gcd(pv, f), with pv and f the entries of prow and
+    row in prow's pivot column j: row without column j.  Consumes row."""
+    pv, f = prow[j], row.pop(j)
+    g = math.gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in prow.items():
+        if c != j:
+            v = row.get(c, 0) - b * v
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    return row
+
+
+def _primitive_row(row):
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _solve_affine_field(rows, rhs, zero, one):

@@ -148,22 +148,18 @@ def scalar_eq_from_ratfun_coeffs(
     """Build a ScalarDiffEq from rational-function coefficients by clearing
     their common denominator (the rhs basis is scaled by the same factor, so
     the lambda semantics are unchanged)."""
-    coeffs = [RatFun._coerce(c) for c in coeffs]
-    basis = [RatFun._coerce(r) for r in rhs_basis]
-    den = Poly.one()
-    for c in coeffs:
-        den = poly_lcm(den, c.den)
+    den, poly_coeffs = _common_denominator([RatFun._coerce(c) for c in coeffs])
     den_rf = RatFun.from_poly(den)
-    poly_coeffs = tuple(_cleared(c, den_rf) for c in coeffs)
-    return ScalarDiffEq(ds, poly_coeffs, tuple(r * den_rf for r in basis), lambda_fixed)
+    basis = tuple(RatFun._coerce(r) * den_rf for r in rhs_basis)
+    return ScalarDiffEq(ds, tuple(poly_coeffs), basis, lambda_fixed)
 
 
-def _cleared(r: RatFun, den_rf: RatFun) -> Poly:
-    """r * den as a polynomial; den is a multiple of den(r)."""
-    cleared = r * den_rf
-    if not cleared.is_polynomial():
-        raise InternalVerificationError("denominator clearing failed")
-    return cleared.num * (1 / cleared.den.lc())
+def _common_denominator(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
+    """(d, [f * d for f in fs]) for d the monic lcm of the denominators."""
+    d = Poly.one()
+    for f in fs:
+        d = poly_lcm(d, f.den)
+    return d, [f.num * d.exact_div(f.den) for f in fs]
 
 
 @dataclass(frozen=True)
@@ -282,13 +278,8 @@ class _Prepared:
 def _prepare(eq: ScalarDiffEq) -> _Prepared:
     ds = eq.structure
     fixed_rf, free_rf = eq.split_rhs()
-    den = fixed_rf.den
-    for r in free_rf:
-        den = poly_lcm(den, r.den)
-    den_rf = RatFun.from_poly(den)
+    den, (rhs_fixed, *rhs_free) = _common_denominator([fixed_rf, *free_rf])
     coeffs = [p * den for p in eq.coeffs]
-    rhs_fixed = _cleared(fixed_rf, den_rf)
-    rhs_free = [_cleared(r, den_rf) for r in free_rf]
 
     # normalise operator support: drop leading/trailing zero coefficients by
     # applying sigma^(-low) to the whole equation
@@ -770,12 +761,7 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
         res_base = sum((term(i, j, base) for j, (base, _) in enumerate(per_coord)), -c[i])
         res_lin = [term(i, j, b) for j, b in params]
         # clear to a common denominator and emit coefficient rows
-        den = res_base.den
-        for v in res_lin:
-            den = poly_lcm(den, v.den)
-        den_rf = RatFun.from_poly(den)
-        base_poly = (res_base * den_rf).num
-        lin_polys = [(v * den_rf).num for v in res_lin]
+        _, (base_poly, *lin_polys) = _common_denominator([res_base, *res_lin])
         for e in range(max([base_poly.degree] + [p.degree for p in lin_polys] + [0]) + 1):
             rows.append([p[e] for p in lin_polys])
             rhs_vec.append(-base_poly[e])

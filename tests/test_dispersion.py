@@ -1,6 +1,7 @@
 """Dispersion, polar dispersion, standardness, and the two standard-form
 decompositions with their exact certificates."""
 
+import importlib
 import random
 
 import pytest
@@ -27,6 +28,9 @@ from diffalg import (
 )
 from diffalg.dispersion import _SCAN_LIMIT, _shift_gap_window, orbit_gaps, radical
 from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
+
+# the package exports the function ``dispersion`` under the module's name
+dispersion_module = importlib.import_module("diffalg.dispersion")
 
 
 class TestDispersion:
@@ -247,6 +251,37 @@ class TestMultiplicativeForm:
         m = multiplicative_standard_form(SHIFT, f)
         assert m.reconstruct() == f
         assert is_standard(SHIFT, m.standard_part)
+
+
+class TestOneGapScan:
+    """Each standard form walks the gaps of one scan, largest first; the
+    final verification scans once more."""
+
+    @pytest.mark.parametrize(
+        "ds, text, form",
+        [
+            (SHIFT, "1/x + 1/(x+3) + 1/(x+10)", "additive"),
+            (SHIFT, "(x+10)*(x+3)/(x*(x+1)*(x+7))", "multiplicative"),
+            (Q2, "1/(x-1) + 1/(x-8) + 1/(x-64)", "additive"),
+            (Q2, "(x-64)/((x-1)*(x-8))", "multiplicative"),
+        ],
+    )
+    def test_two_scans(self, monkeypatch, ds, text, form):
+        calls = []
+        scan = dispersion_module.orbit_gaps
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(dispersion_module, "orbit_gaps", counted)
+        f = rf(text)
+        if form == "additive":
+            result = additive_standard_decomp(ds, f, 1)
+        else:
+            result = multiplicative_standard_form(ds, f)
+        assert result.reconstruct() == f
+        assert len(calls) == 2
 
 
 class TestRandomSuites:

@@ -27,7 +27,8 @@ from diffalg import (
     universal_denominator,
 )
 from diffalg.dispersion import q_power_log
-from diffalg.solver import _degree_bound, _solve_first_order_const
+from diffalg.numcore import poly_lcm
+from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
 from oracle import brute_force_oracle
 
 
@@ -124,6 +125,41 @@ class TestDegreeBound:
     @pytest.mark.parametrize("coeffs, rhs, expected", PINNED)
     def test_pinned_shift_bounds(self, coeffs, rhs, expected):
         assert _degree_bound(SHIFT, [pp(c) for c in coeffs], [pp(r) for r in rhs]) == expected
+
+
+def _lcm_rf(fs) -> RatFun:
+    den = Poly.one()
+    for f in fs:
+        den = poly_lcm(den, f.den)
+    return RatFun.from_poly(den)
+
+
+class TestDenominatorClearing:
+    """Clearing a common denominator gives what the RatFun products give."""
+
+    @pytest.mark.parametrize("ds", [SHIFT, Q2])
+    def test_against_ratfun_products(self, ds):
+        rng = random.Random(229)
+        for _ in range(40):
+            order = rng.randint(0, 2)
+            coeffs = [rand_ratfun(rng, ds) if i in (0, order) or rng.random() < 0.7 else RatFun.zero()
+                      for i in range(order + 1)]
+            basis = [rand_ratfun(rng, ds) for _ in range(rng.randint(0, 3))]
+            fixed = tuple(rng.choice([None, Rat(1), Rat(-2, 3)]) for _ in basis)
+            eq = scalar_eq_from_ratfun_coeffs(ds, coeffs, basis, fixed)
+            d = _lcm_rf(coeffs)
+            for got, c in zip(eq.coeffs, coeffs, strict=True):
+                assert (c * d).is_polynomial()
+                assert got == (c * d).num
+            assert list(eq.rhs_basis) == [r * d for r in basis]
+
+            prep = _prepare(eq)
+            fixed_rf, free_rf = eq.split_rhs()
+            d = _lcm_rf([fixed_rf, *free_rf])
+            assert prep.coeffs == [p * d.num for p in eq.coeffs]
+            for got, r in zip([prep.rhs_fixed, *prep.rhs_free], [fixed_rf, *free_rf], strict=True):
+                assert (r * d).is_polynomial()
+                assert got == (r * d).num
 
 
 class TestSolveScalar:
