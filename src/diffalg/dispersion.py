@@ -16,9 +16,10 @@ root-magnitude bounds (with an interpolated-resultant fallback for the shift
 case when the bounds are large).
 
 The q-case scans all live here and share one root-magnitude window: the
-orbit gaps of a polynomial prime to x (``_q_gap_candidates``), the integers
-v with p(q^v) = 0 (``q_power_roots``, which the solver's valuation and
-degree bounds read) and the exponent v of a constant q^v (``q_power_log``).
+orbit gaps between polynomials prime to x (``_q_gap_candidates``), the
+integers v with p(q^v) = 0 (``q_power_roots``, which the solver's valuation
+and degree bounds read) and the exponent v of a constant q^v
+(``q_power_log``).
 The power of x itself, which x -> q*x fixes, is split off by
 ``structures.split_x_power`` before any scan.
 """
@@ -76,43 +77,40 @@ def _gf_scale(cs: list[int], factor: int) -> list[int]:
     return out
 
 
-def _shift_gap_window(w: Poly) -> int:
-    """An integer above every root difference of w (degree >= 1).  A gap is
-    at most twice the root magnitude about any point, so the bound is taken
-    about 0 and about the integer c nearest the centroid of the roots; an
-    integer c keeps the shift unimodular."""
-    n = w.degree
-    bound = root_magnitude_bound(w)
-    c = round(-w[n - 1] / (n * w[n]))
-    if c:
-        bound = min(bound, root_magnitude_bound(w.shift_arg(c)))
-    bound2 = 2 * bound
-    return bound2.numerator // bound2.denominator + 1
+def _shift_gap_window(a: Poly, b: Poly | None = None) -> int:
+    """An integer above every difference alpha - beta of a root alpha of a
+    and a root beta of b (both of degree >= 1; b = a when omitted).  Such a
+    difference is at most the sum of the root magnitudes about any point, so
+    the bound is taken about 0 and about the integer c nearest the centroid
+    of the roots of a*b; an integer c keeps the shift unimodular."""
+    b = a if b is None else b
+    c = round(-(a[a.degree - 1] / a.lc() + b[b.degree - 1] / b.lc()) / (a.degree + b.degree))
+    bound = min(root_magnitude_bound(a.shift_arg(t)) + root_magnitude_bound(b.shift_arg(t)) for t in {0, c})
+    return bound.numerator // bound.denominator + 1
 
 
-def _shift_gap_candidates(w: Poly) -> list[int]:
-    """Positive integers h with gcd(w(x), w(x+h)) nonconstant, w squarefree
-    and nonconstant."""
-    limit = _shift_gap_window(w)
+def _shift_gap_candidates(a: Poly, b: Poly) -> list[int]:
+    """Positive integers h, ascending, with gcd(a(x+h), b) nonconstant; a and
+    b nonconstant."""
+    limit = _shift_gap_window(a, b)
     hits: list[int] = []
     if limit <= _SCAN_LIMIT:
-        gf = gf_coeffs(w)
+        gf_a, gf_b = gf_coeffs(a), gf_coeffs(b)
         for h in range(1, limit + 1):
-            if gf is not None:
-                if gf_gcd_degree(gf, _gf_shift(gf, h)) < 1:
-                    continue  # mod-p gcd constant certifies the Q-gcd is constant
-            if poly_gcd(w, w.shift_arg(h)).degree > 0:
+            if gf_a and gf_b and gf_gcd_degree(gf_b, _gf_shift(gf_a, h)) < 1:
+                continue  # mod-p gcd constant certifies the Q-gcd is constant
+            if poly_gcd(b, a.shift_arg(h)).degree > 0:
                 hits.append(h)
         return hits
-    # resultant route: R(y) = Res_x(w(x), w(x+y)) vanishes exactly at the
-    # root differences; interpolate R from deg(w)^2 + 1 values
-    n = w.degree
-    pts = [(Rat(k), poly_resultant(w, w.shift_arg(k))) for k in range(n * n + 1)]
+    # resultant route: R(y) = Res_x(b(x), a(x+y)) vanishes exactly at the
+    # root differences; interpolate R from deg(a)*deg(b) + 1 values
+    n = a.degree * b.degree
+    pts = [(Rat(k), poly_resultant(b, a.shift_arg(k))) for k in range(n + 1)]
     res_poly = _interpolate(pts)
-    if res_poly.is_zero():  # cannot happen for nonzero w; guard anyway
+    if res_poly.is_zero():  # cannot happen for nonzero a, b; guard anyway
         raise InternalVerificationError("interpolated resultant vanished identically")
     for h in sorted(integer_roots(res_poly)):
-        if h >= 1 and poly_gcd(w, w.shift_arg(h)).degree > 0:
+        if h >= 1 and poly_gcd(b, a.shift_arg(h)).degree > 0:
             hits.append(h)
     return hits
 
@@ -142,20 +140,23 @@ def _q_root_window(ds: DiffStructure, w: Poly) -> tuple[Rat, Rat, list[int] | No
     return 1 / root_magnitude_bound(rev), root_magnitude_bound(w), gf, qmod
 
 
-def _q_gap_candidates(ds: DiffStructure, w: Poly) -> list[int]:
-    """Positive integers h with gcd(w(x), w(q^h x)) nonconstant; w squarefree,
-    nonconstant and coprime to x.  |q|^h is squeezed between the smallest and
-    largest root magnitudes.  A gcd that is constant mod a large prime
-    certifies the exact gcd is constant, so only the few surviving candidates
-    pay for exact big-rational arithmetic."""
+def _q_gap_candidates(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
+    """Positive integers h, ascending, with gcd(a(q^h x), b) nonconstant; a
+    and b nonconstant and coprime to x.  |q|^h is the ratio of a root of a
+    to a root of b, at most hi(a)/lo(b) when |q| > 1 and at least
+    lo(a)/hi(b) when |q| < 1.  A gcd that is constant mod a large prime
+    certifies the exact gcd is constant, so only the few surviving
+    candidates pay for exact big-rational arithmetic."""
     hits = []
-    lo, hi, gf, qmod = _q_root_window(ds, w)
-    for h in range(1, q_window(ds.q, hi / lo) + 1):
-        if qmod is not None:
+    lo_a, hi_a, gf_a, qmod = _q_root_window(ds, a)
+    lo_b, hi_b, gf_b, _ = _q_root_window(ds, b)
+    ratio = hi_a / lo_b if abs(ds.q) > 1 else hi_b / lo_a
+    for h in range(1, q_window(ds.q, ratio) + 1):
+        if qmod is not None and gf_b is not None:
             qh = pow(qmod, h, GF_PRIME)
-            if qh != 0 and gf_gcd_degree(gf, _gf_scale(gf, qh)) < 1:
+            if qh != 0 and gf_gcd_degree(gf_b, _gf_scale(gf_a, qh)) < 1:
                 continue
-        if poly_gcd(w, w.scale_arg(ds.q ** h)).degree > 0:
+        if poly_gcd(b, a.scale_arg(ds.q ** h)).degree > 0:
             hits.append(h)
     return hits
 
@@ -202,12 +203,17 @@ def orbit_gaps(ds: DiffStructure, poly: Poly) -> list[int]:
     apart in the structure's orbit sense (nonzero roots in the q case)."""
     if poly.is_zero():
         raise ZeroInputError("dispersion of the zero polynomial")
-    if poly.degree < 1:
-        return []
     w, _ = split_x_power(ds, radical(poly))
-    if w.degree < 1:
+    return orbit_gaps_between(ds, w, w)
+
+
+def orbit_gaps_between(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
+    """Every h > 0, ascending, with gcd(sigma^h(a), b) nonconstant: some root
+    of a sits h steps along the orbit of a root of b.  a and b are nonzero,
+    and coprime to x in the q case."""
+    if a.degree < 1 or b.degree < 1:
         return []
-    return _shift_gap_candidates(w) if ds.is_shift else _q_gap_candidates(ds, w)
+    return _shift_gap_candidates(a, b) if ds.is_shift else _q_gap_candidates(ds, a, b)
 
 
 def dispersion(ds: DiffStructure, poly: Poly) -> int:

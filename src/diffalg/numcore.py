@@ -239,10 +239,10 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._ints:
             return _PZERO
-        quo, _, s, r = _pseudo_divmod(self._ints, b)
-        if s != 1 or r:
+        quo = _exact_quotient(self._ints, b)
+        if quo is None:
             raise ValueError("exact_div with nonzero remainder")
-        return _poly(tuple(quo), self._content / other._content)
+        return _poly(quo, self._content / other._content)
 
     # -- calculus / substitution ----------------------------------------
 
@@ -395,6 +395,16 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int, list[int]]:
     return quo, scales, s, r
 
 
+def _exact_quotient(a, d) -> tuple | None:
+    """a / d when the integer polynomial d divides a in Z[x], else None
+    (coefficient sequences as in ``_pseudo_divmod``): a division that never
+    scales records its quotient digits exactly."""
+    if d == a:
+        return (1,)
+    quo, _, s, r = _pseudo_divmod(a, d)
+    return tuple(quo) if s == 1 and not r else None
+
+
 _PZERO = _poly((), RAT_ONE)
 _PONE = _poly((1,), RAT_ONE)
 _PX = _poly((0, 1), RAT_ONE)
@@ -503,33 +513,43 @@ def coefficient_bits(*polys: Poly):
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0.
+    """Monic greatest common divisor; gcd(0, 0) = 0 (see ``_gcd_cofactors``)."""
+    if p.is_zero() or q.is_zero():
+        return (q if p.is_zero() else p).monic()
+    return _gcd_cofactors(p, q)[0]
+
+
+def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g) for g the monic gcd; a constant or zero operand gives
+    (1, p, q) and runs no gcd.
 
     The gcd mod GF_PRIME is lifted first (Brown 1971): with
     gamma = gcd(lc p, lc q), the symmetric residues of gamma times the monic
     image, made primitive, are the gcd if they divide both operands.  When
     the prime divides neither leading coefficient no image has lower degree
     than the gcd, so a constant image certifies 1 and a lift that divides
-    both is the gcd.  A rejected lift falls back to the primitive PRS
-    (Collins 1967) on the integer coefficients; the result is made monic
-    once.
+    both is the gcd; the two trial divisions give the cofactors.  A rejected
+    lift falls back to the primitive PRS (Collins 1967) on the integer
+    coefficients, and only then are the cofactors divided out.
     """
-    if p.is_zero() or q.is_zero():
-        return (q if p.is_zero() else p).monic()
-    if p.degree == 0 or q.degree == 0:
-        return _PONE
+    if p.degree < 1 or q.degree < 1:
+        return _PONE, p, q
     a, b = p._ints, q._ints
     ga, gb = gf_coeffs(p), gf_coeffs(q)
     if ga is not None and gb is not None:
         image = _gf_gcd(ga, gb)
         if len(image) == 1:
-            return _PONE
+            return _PONE, p, q
         gamma = math.gcd(a[-1], b[-1])
         half = GF_PRIME // 2
         lift = [v - GF_PRIME if v > half else v for v in (gamma * v % GF_PRIME for v in image)]
         lift = _primitive(lift, 1, 1)[0]
-        if not gamma % lift[-1] and _divides(lift, a) and _divides(lift, b):
-            return _poly(lift, Rat(1, lift[-1]))
+        lc = lift[-1]
+        qa = None if gamma % lc else _exact_quotient(a, lift)
+        qb = None if qa is None else _exact_quotient(b, lift)
+        if qb is not None:
+            # p = c*a = (c*lc) * qa * (lift/lc), with lift/lc the monic gcd
+            return _poly(lift, Rat(1, lc)), _poly(qa, p._content * lc), _poly(qb, q._content * lc)
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -537,26 +557,19 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         if not r:
             break
         if len(r) == 1:
-            return _PONE
+            return _PONE, p, q
         g = math.gcd(*r)
         a, b = b, ([v // g for v in r] if g > 1 else r)
     if b[-1] < 0:
         b = [-v for v in b]
-    return _poly(tuple(b), Rat(1, b[-1]))
-
-
-def _divides(d, a) -> bool:
-    """True when the integer polynomial d divides a in Z[x]."""
-    if d == a:
-        return True
-    _, _, s, r = _pseudo_divmod(a, d)
-    return s == 1 and not r
+    g = _poly(tuple(b), Rat(1, b[-1]))
+    return g, p.exact_div(g), q.exact_div(g)
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         return Poly.zero()
-    return (p * q.exact_div(poly_gcd(p, q))).monic()
+    return (p * _gcd_cofactors(p, q)[2]).monic()
 
 
 def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -723,8 +736,7 @@ def integer_roots(p: Poly) -> set[int]:
 
 def radical(p: Poly) -> Poly:
     """The monic squarefree part of p."""
-    g = poly_gcd(p, p.derivative())
-    return p.monic() if g.degree == 0 else p.exact_div(g).monic()
+    return _gcd_cofactors(p, p.derivative())[1].monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -758,16 +770,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, a/g, b/g) for g = gcd(a, b); a constant operand runs no gcd."""
-    if a.degree < 1 or b.degree < 1:
-        return _PONE, a, b
-    g = poly_gcd(a, b)
-    if g.degree < 1:
-        return _PONE, a, b
-    return g, a.exact_div(g), b.exact_div(g)
-
-
 class RatFun:
     """Reduced rational function num/den with gcd(num, den) = 1 and den monic.
 
@@ -791,7 +793,7 @@ class RatFun:
             if num.is_zero():
                 den = _PONE
             else:
-                _, num, den = _cancel(num, den)
+                _, num, den = _gcd_cofactors(num, den)
                 lead = den.lc()
                 if lead != 1:
                     num = num * (1 / lead)
@@ -872,11 +874,11 @@ class RatFun:
         if self.den == other.den:
             g, e1, e2 = self.den, _PONE, _PONE
         else:
-            g, e1, e2 = _cancel(self.den, other.den)
+            g, e1, e2 = _gcd_cofactors(self.den, other.den)
         t = self.num * e2 + other.num * e1
         if not t:
             return RF_ZERO
-        _, t, g = _cancel(t, g)
+        _, t, g = _gcd_cofactors(t, g)
         return RatFun(t, e1 * e2 * g, _reduced=True)
 
     __radd__ = __add__
@@ -892,8 +894,8 @@ class RatFun:
         if not self.num or not other.num:
             return RF_ZERO
         # both operands are reduced: only cross pairs can share a factor
-        _, n1, d2 = _cancel(self.num, other.den)
-        _, n2, d1 = _cancel(other.num, self.den)
+        _, n1, d2 = _gcd_cofactors(self.num, other.den)
+        _, n2, d1 = _gcd_cofactors(other.num, self.den)
         return RatFun(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__

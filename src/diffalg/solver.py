@@ -7,10 +7,11 @@
 
 over Q(x) x Q^t, where each lambda_k is either a fixed rational or a free
 constant.  The pipeline is: clear denominators, normalise the operator
-support, bound every solution's denominator by an Abramov-style universal
-denominator (orbit chains between trailing and leading coefficient roots),
-bound the numerator degree by the indicial analysis of the operator at
-infinity (plus the analogous valuation analysis at 0 in the q case), then
+support, bound every solution's denominator by Abramov's universal
+denominator (forward orbit chains from the roots of the shifted leading
+coefficient up to those of the trailing one), bound the numerator degree by
+the indicial analysis of the operator at infinity (plus the analogous
+valuation analysis at 0 in the q case), then
 solve one exact linear system for the numerator coefficients and the free
 lambdas.  Negative answers are certified: either the linear system is
 inconsistent inside certified bounds (NoSolution, with a witness) or the
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dispersion import additive_standard_decomp, orbit_gaps, q_power_roots
+from .dispersion import additive_standard_decomp, orbit_gaps_between, q_power_roots
 from .errors import (
     InternalVerificationError,
     PreconditionError,
@@ -51,7 +52,6 @@ from .numcore import (
     integer_roots,
     poly_gcd,
     poly_lcm,
-    radical,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
@@ -304,17 +304,22 @@ def _prepare(eq: ScalarDiffEq) -> _Prepared:
 
 
 def universal_denominator(eq: ScalarDiffEq) -> Poly:
-    """A polynomial u such that den(g) | u for every rational solution g.
+    """A polynomial u such that den(g) | u for every rational solution g
+    (Abramov 1995).
 
-    Built from orbit chains between the roots of the (denominator-cleared)
-    trailing coefficient and of the shifted leading coefficient, extracted
-    for the largest candidate gaps first; both orientations of each root
-    pairing contribute a chain, which can only enlarge u.  In the q case the
+    Let p_0..p_m be the denominator-cleared coefficients.  The poles of g in
+    one sigma-orbit run from a bottom pole beta up to a top pole
+    sigma^h(beta), h >= 0.  At the top pole only p_0*g has a pole, since
+    p_1..p_m multiply sigma^i(g), whose poles there would sit above the top
+    pole; so p_0 vanishes at sigma^h(beta).  At sigma^(-m)(beta) only
+    p_m*sigma^m(g) has a pole, likewise; so sigma^(-m)(p_m) vanishes at
+    beta.  Every pole orbit is therefore a forward chain from a root of
+    sigma^(-m)(p_m) up to a root of p_0, and u is the product of those
+    chains, extracted for the largest gaps h first.  In the q case the
     chains run over the prime-to-x parts and the power of x is bounded by
     the valuation analysis of the equation at 0.
     """
-    prep = _prepare(eq)
-    return _universal_denominator_prepared(prep)
+    return _universal_denominator_prepared(_prepare(eq))
 
 
 def _universal_denominator_prepared(prep: _Prepared) -> Poly:
@@ -331,35 +336,20 @@ def _universal_denominator_prepared(prep: _Prepared) -> Poly:
 
 
 def _orbit_chains(ds: DiffStructure, a_side: Poly, b_side: Poly) -> Poly:
-    """The monic product of the orbit chains between the roots of the
-    trailing side a_side and those of the shifted leading side b_side."""
-    gaps = orbit_gaps(ds, a_side * b_side)
+    """The monic product of the forward orbit chains from roots beta of the
+    shifted leading side b_side up to roots sigma^h(beta) of the trailing
+    side a_side, h >= 0 (see ``universal_denominator``), for the gaps h of
+    one scan of the pair, largest first; the ends of each chain are
+    stripped from both sides before shorter gaps."""
     u = Poly.one()
-    reversed_chains = Poly.one()
-    for h in sorted(set([0] + gaps), reverse=True):
-        shifted_a = sigma_poly(ds, a_side, h).monic()
-        g1 = poly_gcd(shifted_a, b_side)
-        if g1.degree > 0:
-            a_side = a_side.exact_div(sigma_poly(ds, g1, -h).monic())
-            b_side = b_side.exact_div(g1)
-            u = u * _orbit_chain(ds, g1, h)
-        if h > 0:
-            shifted_b = sigma_poly(ds, b_side, h).monic()
-            g2 = poly_gcd(shifted_b, a_side)
-            if g2.degree > 0:
-                # reversed orientation: not part of the sharp pole-span
-                # analysis, so nothing is stripped and a squarefree chain
-                # merged by lcm is enough
-                chain = _orbit_chain(ds, radical(g2), h)
-                reversed_chains = poly_lcm(reversed_chains, chain)
-    return poly_lcm(u, reversed_chains).monic()
-
-
-def _orbit_chain(ds: DiffStructure, g: Poly, h: int) -> Poly:
-    chain = Poly.one()
-    for j in range(h + 1):
-        chain = chain * sigma_poly(ds, g, -j).monic()
-    return chain
+    for h in [*reversed(orbit_gaps_between(ds, a_side, b_side)), 0]:
+        g = poly_gcd(sigma_poly(ds, a_side, h), b_side)
+        if g.degree > 0:
+            a_side = a_side.exact_div(sigma_poly(ds, g, -h))
+            b_side = b_side.exact_div(g)
+            for j in range(h + 1):
+                u = u * sigma_poly(ds, g, -j).monic()
+    return u
 
 
 def _q_valuation_floor(prep: _Prepared) -> int:

@@ -9,10 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from diffalg.dispersion import orbit_gaps
 from diffalg.errors import PreconditionError
-from diffalg.numcore import Poly, RatFun, poly_lcm
-from diffalg.solver import ScalarDiffEq, SolutionSpace, Status, _verify_space, universal_denominator
-from diffalg.structures import DiffStructure
+from diffalg.numcore import Poly, RatFun, poly_gcd, poly_lcm, radical
+from diffalg.solver import (
+    ScalarDiffEq,
+    SolutionSpace,
+    Status,
+    _prepare,
+    _q_valuation_floor,
+    _verify_space,
+    universal_denominator,
+)
+from diffalg.structures import DiffStructure, sigma_poly, split_x_power
 
 
 def brute_force_oracle(
@@ -75,6 +84,44 @@ def brute_force_oracle(
     )
     _verify_space(eq, space)
     return space
+
+
+def two_sided_universal_denominator(eq: ScalarDiffEq) -> Poly:
+    """A wider universal denominator, kept as a reference for the sharp one
+    of ``diffalg.solver.universal_denominator``: besides each forward chain
+    from a root of the shifted leading coefficient up to a root of the
+    trailing one, it takes the squarefree chain of every reversed pairing,
+    and it scans the gaps of the product of the two sides, internal gaps
+    included.  It can only enlarge u."""
+    prep = _prepare(eq)
+    ds, coeffs = prep.ds, prep.coeffs
+    m = len(coeffs) - 1
+    u, _ = split_x_power(ds, coeffs[0].monic())
+    if m > 0:
+        a_side = u
+        b_side, _ = split_x_power(ds, sigma_poly(ds, coeffs[m], -m).monic())
+        u = reversed_chains = Poly.one()
+        for h in sorted(set([0] + orbit_gaps(ds, a_side * b_side)), reverse=True):
+            g1 = poly_gcd(sigma_poly(ds, a_side, h), b_side)
+            if g1.degree > 0:
+                a_side = a_side.exact_div(sigma_poly(ds, g1, -h))
+                b_side = b_side.exact_div(g1)
+                u = u * _chain(ds, g1, h)
+            if h > 0:
+                g2 = poly_gcd(sigma_poly(ds, b_side, h), a_side)
+                if g2.degree > 0:
+                    reversed_chains = poly_lcm(reversed_chains, _chain(ds, radical(g2), h))
+        u = poly_lcm(u, reversed_chains)
+    if not ds.is_shift:
+        u = u * Poly.monomial(1, max(0, -_q_valuation_floor(prep)))
+    return u
+
+
+def _chain(ds: DiffStructure, g: Poly, h: int) -> Poly:
+    chain = Poly.one()
+    for j in range(h + 1):
+        chain = chain * sigma_poly(ds, g, -j).monic()
+    return chain
 
 
 def fraction_solve(rows, rhs):

@@ -102,6 +102,9 @@ QUERIES = [
     {"subcommand": "classify-group", "f": "x^7 - 1/(x*(x+12))"},
     {"subcommand": "classify-group", "case": "q", "q": "3", "f": "1/x^2 + 5 + x"},
     {"subcommand": "da-inhomog", "case": "q", "q": "2", "a": "8", "b": "1/x + x^3"},
+    # the kernel x*(x+1)*...*(x+199) has degree 200, the default cap: a
+    # denominator with backward orbit chains would lift the bound above it
+    {"subcommand": "solve-scalar", "coeffs": "x+200;-x", "rhs": "1"},
 ]
 
 

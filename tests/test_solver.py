@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import Q2, SHIFT, pp, rand_ratfun, rand_scalar_eq, rf, run_oracle_agreement_suite
+from conftest import Q2, Q14, QM3, SHIFT, pp, rand_poly, rand_ratfun, rand_scalar_eq, rf, run_oracle_agreement_suite
 from diffalg import (
     MatrixRF,
     Poly,
@@ -29,7 +29,8 @@ from diffalg import (
 from diffalg.dispersion import q_power_log
 from diffalg.numcore import poly_lcm
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
-from oracle import brute_force_oracle
+from diffalg.structures import sigma_poly
+from oracle import brute_force_oracle, fraction_solve, two_sided_universal_denominator
 
 
 def shift_sl2_equation():
@@ -44,23 +45,45 @@ def shift_sl2_equation():
 
 class TestUniversalDenominator:
     def test_rhs_pole_orbit_included(self):
-        # x*sigma(y) - x*y = 1: any solution of sigma(y)-y = 1/x has
-        # denominator divisible by x (brute-force confirmed vacuously: the
-        # ansatz search below also relies on this bound)
+        # x*sigma(y) - x*y = 1, that is sigma(y) - y = 1/x: no root of
+        # sigma^(-1)(x) = x - 1 lies at or below the root 0 of p_0 = -x on its
+        # orbit, so no solution has a pole and u = 1; there is none (the
+        # harmonic numbers are not rational)
         eq = ScalarDiffEq(SHIFT, (pp("-x"), pp("x")), (RatFun.one(),), (Rat(1),))
-        u = universal_denominator(eq)
-        assert (u % pp("x")).is_zero()
+        assert universal_denominator(eq) == Poly.one()
+        assert solve_scalar(eq).status is Status.NO_SOLUTION
 
     def test_constant_coefficients_polynomial_rhs(self):
         eq = ScalarDiffEq(SHIFT, (pp("1"), pp("1")), (rf("x"),), (Rat(1),))
         assert universal_denominator(eq) == Poly.one()
 
     def test_q_candidate_chain(self):
-        # leading root 2 = q * trailing root 1 is detected; the connecting
-        # chain (x-1)(x-2) divides u
+        # the leading root 2 is q times the trailing root 1, a backward
+        # pairing: the shifted leading root 4 lies on no forward chain to 1,
+        # so u is the power of x from the valuation bound at 0 alone
         eq = ScalarDiffEq(Q2, (pp("-(x-1)"), pp("x-2")), (RatFun.one(),), (Rat(1),))
-        u = universal_denominator(eq)
-        assert (u % pp("(x-1)*(x-2)")).is_zero()
+        assert universal_denominator(eq) == pp("x")
+        sol = solve_scalar(eq)
+        assert sol.particular[0] == rf("-2/x")
+        assert [g for g, _ in sol.homogeneous_basis] == [rf("(x-2)/x")]
+
+    @pytest.mark.parametrize(
+        "ds, coeffs, y",
+        [
+            # sigma(y)/y = x/(x+2): the root -1 of sigma^(-1)(x+2) runs one
+            # step up to the root 0 of p_0 = -x
+            (SHIFT, ("-x", "x+2"), "1/(x*(x+1))"),
+            # sigma(y)/y = (x-2)/(2*(2*x-1)): the root 1 of sigma^(-1)(p_1)
+            # runs one q-step up to the root 2 of p_0 = -(x-2)
+            (Q2, ("-(x-2)", "2*(2*x-1)"), "1/((x-1)*(x-2))"),
+        ],
+        ids=["shift", "q2"],
+    )
+    def test_forward_chain(self, ds, coeffs, y):
+        eq = ScalarDiffEq(ds, tuple(pp(c) for c in coeffs))
+        assert universal_denominator(eq) == rf(y).den
+        sol = solve_scalar(eq)
+        assert [g for g, _ in sol.homogeneous_basis] == [rf(y)]
 
     @pytest.mark.parametrize(
         "ds, case, expected",
@@ -105,6 +128,64 @@ class TestUniversalDenominator:
                 assert (u % gg.den).is_zero(), (eq, gg)
                 checked += 1
         assert checked >= 40
+
+
+def _in_span(basis, target) -> bool:
+    """Whether the (g, lambdas) pair ``target`` is a rational combination of
+    the pairs in ``basis``."""
+    pairs = [*basis, target]
+    den = Poly.one()
+    for g, _ in pairs:
+        den = poly_lcm(den, g.den)
+    nums = [(g * RatFun.from_poly(den)).num for g, _ in pairs]
+    width = max(n.degree for n in nums) + 1
+    vecs = [[n[e] for e in range(width)] + list(lam) for n, (_, lam) in zip(nums, pairs)]
+    rows = [list(col) for col in zip(*vecs[:-1])] or [[] for _ in vecs[-1]]
+    return fraction_solve(rows, vecs[-1])[0] is not None
+
+
+def _in_space(space, g, lam) -> bool:
+    pg, plam = space.particular
+    return _in_span(space.homogeneous_basis, (g - pg, tuple(a - b for a, b in zip(lam, plam))))
+
+
+def planted_pole_chains(ds, seed: int, count: int):
+    """``count`` equations (eq, y0, lambdas) with y0 a solution whose poles
+    form forward chains prod_{j<=h} sigma^(-j)(x - c), h <= 3, each factor of
+    multiplicity <= 2, times x^k in the q case.  Even ones are inhomogeneous,
+    L(y) = L(y0) for a random L; odd ones are homogeneous, with
+    L = (c1*sigma + c0) o (y0*sigma - sigma(y0)), denominators cleared."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        den = Poly.one()
+        for _ in range(rng.randint(1, 2)):
+            base = Poly([-rng.choice([-3, -2, -1, 1, 2, 3]), 1])
+            for j in range(rng.randint(0, 3) + 1):
+                den = den * sigma_poly(ds, base, -j).monic() ** rng.randint(1, 2)
+        if not ds.is_shift:
+            den = den * Poly.monomial(1, rng.randint(0, 2))
+        y0 = RatFun(rand_poly(rng, 2, nonzero=True), den)
+        if trial % 2 == 0:
+            order = rng.randint(1, 2)
+            coeffs = tuple(rand_poly(rng, 2, nonzero=i in (0, order)) for i in range(order + 1))
+            rhs = ScalarDiffEq(ds, coeffs).apply_operator(y0)
+            yield ScalarDiffEq(ds, coeffs, (rhs,), (Rat(1),)), y0, (Rat(1),)
+        else:
+            c0, c1 = (RatFun.from_poly(rand_poly(rng, 1, nonzero=True)) for _ in range(2))
+            s1, s2 = apply_sigma(ds, y0, 1), apply_sigma(ds, y0, 2)
+            yield scalar_eq_from_ratfun_coeffs(ds, [-c0 * s1, c0 * y0 - c1 * s2, c1 * s1]), y0, ()
+
+
+class TestPlantedPoleChains:
+    @pytest.mark.parametrize(
+        "ds, seed", [(SHIFT, 401), (Q2, 402), (Q14, 403), (QM3, 404)], ids=["shift", "q2", "q1/4", "q-3"]
+    )
+    def test_planted_solution_in_space(self, ds, seed):
+        for eq, y0, lam in planted_pole_chains(ds, seed, 150):
+            sol = solve_scalar(eq)
+            assert sol.is_solved(), eq
+            assert (sol.universal_den % y0.den).is_zero(), (eq, y0)
+            assert _in_space(sol, y0, lam), (eq, y0)
 
 
 class TestDegreeBound:
@@ -408,6 +489,32 @@ class TestBruteForceOracle:
         eq = ScalarDiffEq(SHIFT, (pp("-1"), pp("1")))
         with pytest.raises(PreconditionError):
             brute_force_oracle(SHIFT, eq, 13)
+
+    def test_sharp_denominator_against_two_sided(self):
+        # acceptance-7 instances: the sharp u divides the wider two-sided one,
+        # and the ansatz over the wider u finds the same affine space; that
+        # ansatz needs the solver's degree bound plus the degree gained
+        compared = 0
+        for ds, seed in ((SHIFT, 20260814), (Q2, 20260815)):
+            rng = random.Random(seed)
+            for _ in range(150):
+                eq = rand_scalar_eq(rng, ds)
+                sol = solve_scalar(eq)
+                wide = two_sided_universal_denominator(eq)
+                assert (wide % sol.universal_den).is_zero(), eq
+                if sol.status is Status.BOUND_EXCEEDED:
+                    continue
+                bound = max(sol.degree_bound + wide.degree - sol.universal_den.degree, 0)
+                if bound > 12:
+                    continue
+                oracle = brute_force_oracle(ds, eq, bound, universal_den=wide)
+                assert oracle.status is sol.status, eq
+                assert oracle.homogeneous_dimension() == sol.homogeneous_dimension(), eq
+                assert all(_in_span(sol.homogeneous_basis, pair) for pair in oracle.homogeneous_basis), eq
+                if sol.is_solved():
+                    assert _in_space(sol, *oracle.particular), eq
+                compared += 1
+        assert compared >= 280
 
     def test_agreement_sample(self):
         assert run_oracle_agreement_suite(SHIFT, 40, seed=301) == 40
