@@ -284,8 +284,10 @@ def integrability_test(
     group of derivation constants).
 
     The matrix equation is flattened to a first-order system on the n^2
-    entries of B (row-major), which is then uncoupled coordinate by
-    coordinate; a positive answer returns a substitution-verified B.
+    entries of B (row-major) and handed to ``solve_system``: when entry 0
+    is cyclic, its one scalar equation decides the system (and the
+    invertibility of the flattened matrix); otherwise every entry is
+    eliminated.  A positive answer returns a substitution-verified B.
     """
     n = a_matrix.n
     a_inv = a_matrix.inverse()

@@ -23,9 +23,11 @@ NoSolution).  In the q case the power of x comes from
 First-order equations with a constant twist first go through the additive
 standard decomposition, which moves long pole orbits of the right-hand side
 and certifies a pole-orbit obstruction; the Laurent remainder then goes
-through the same ansatz as any other equation.  First-order systems are
-uncoupled by eliminating coordinates in ascending index order.  Each public
-solver substitutes the space it returns once, at its exit.
+through the same ansatz as any other equation.  A first-order system is
+solved through the scalar equation of coordinate 0 when that coordinate is
+cyclic, and otherwise uncoupled by eliminating every coordinate in ascending
+index order.  Each public solver substitutes the space it returns once, at
+its exit.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .numcore import (
     integer_roots,
     poly_gcd,
     poly_lcm,
+    radical,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
@@ -187,7 +190,9 @@ class SolutionSpace:
 @dataclass(frozen=True)
 class VectorSolutionSpace:
     """Solution space of a first-order system sigma(v) = M v + c, with the
-    per-coordinate eliminated scalar equations retained for audit."""
+    eliminated scalar equations it was solved through retained for audit:
+    coordinate 0's alone when that coordinate is cyclic, else one per
+    coordinate up to the first that has no solution."""
 
     status: Status
     particular: tuple[RatFun, ...] | None = None
@@ -340,9 +345,11 @@ def _orbit_chains(ds: DiffStructure, a_side: Poly, b_side: Poly) -> Poly:
     shifted leading side b_side up to roots sigma^h(beta) of the trailing
     side a_side, h >= 0 (see ``universal_denominator``), for the gaps h of
     one scan of the pair, largest first; the ends of each chain are
-    stripped from both sides before shorter gaps."""
+    stripped from both sides before shorter gaps.  The gaps depend only on
+    roots, so the scan reads the squarefree parts of the sides; repeated
+    factors would only raise the degree of every gcd it takes."""
     u = Poly.one()
-    for h in [*reversed(orbit_gaps_between(ds, a_side, b_side)), 0]:
+    for h in [*reversed(orbit_gaps_between(ds, radical(a_side), radical(b_side))), 0]:
         g = poly_gcd(sigma_poly(ds, a_side, h), b_side)
         if g.degree > 0:
             a_side = a_side.exact_div(sigma_poly(ds, g, -h))
@@ -674,65 +681,131 @@ def eliminate_coordinate(
     Only row ``coord`` of sigma^k(v) = M_k v + c_k is needed:
     sigma^k(v_coord) = rho_k . v + gamma_k with rho_0 = e_coord, gamma_0 = 0,
     rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k).
+    The first rho_k in the span of rho_0..rho_(k-1) gives the relation
+    sum_i e_i rho_i = 0 with e_k = 1, and the equation
+    sum_i e_i sigma^i(y) = sum_i e_i gamma_i.
     """
-    c = [RatFun._coerce(v) for v in c]
+    return _eliminate(ds, m, [RatFun._coerce(v) for v in c], coord)[0]
+
+
+def _eliminate(
+    ds: DiffStructure, m: MatrixRF, c: list[RatFun], coord: int
+) -> tuple[ScalarDiffEq, list[list[RatFun]], list[RatFun]]:
+    """(equation, [rho_0..rho_(k-1)], [gamma_0..gamma_(k-1)]) for the order k
+    of the equation of ``eliminate_coordinate``; k == n exactly when the
+    coordinate is cyclic."""
     n = m.n
-    zero = RatFun.zero()
-    rho = [RatFun.one() if j == coord else zero for j in range(n)]
+    zero, one = RatFun.zero(), RatFun.one()
+    rho = [one if j == coord else zero for j in range(n)]
+    rows: list[list[RatFun]] = [rho]
     gammas = [zero]
-    rows_so_far: list[list[RatFun]] = [rho]
+    # n + 1 vectors of length n are dependent, so the loop returns by k = n
     for k in range(1, n + 1):
         s_rho = [apply_sigma(ds, f, 1) for f in rho]
         rho = [sum((s_rho[i] * m.entries[i][j] for i in range(n)), zero) for j in range(n)]
-        gammas.append(sum((s_rho[i] * c[i] for i in range(n)), zero) + apply_sigma(ds, gammas[-1], 1))
-        cols = list(zip(*rows_so_far))  # n x k matrix (columns = previous rows)
-        sol, _ = solve_affine([list(col) for col in cols], [-v for v in rho], zero, RatFun.one())
+        gamma = sum((s_rho[i] * c[i] for i in range(n)), zero) + apply_sigma(ds, gammas[-1], 1)
+        cols = [list(col) for col in zip(*rows)]  # n x k matrix (columns = previous rows)
+        sol, _ = solve_affine(cols, [-v for v in rho], zero, one)
         if sol is not None:
-            e = list(sol) + [RatFun.one()]
-            rhs = sum((e[i] * gammas[i] for i in range(k + 1)), zero)
-            return scalar_eq_from_ratfun_coeffs(
+            e = [*sol, one]
+            rhs = sum((ei * g for ei, g in zip(e, [*gammas, gamma])), zero)
+            eq = scalar_eq_from_ratfun_coeffs(
                 ds, e, rhs_basis=[rhs] if not rhs.is_zero() else [],
                 lambda_fixed=[RAT_ONE] if not rhs.is_zero() else None,
             )
-        rows_so_far.append(rho)
+            return eq, rows, gammas
+        rows.append(rho)
+        gammas.append(gamma)
     raise InternalVerificationError("coordinate elimination found no relation")
 
 
 def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = None) -> VectorSolutionSpace:
     """All rational vector solutions of sigma(v) = M v + c.
 
-    Coordinates are eliminated in ascending index order to scalar equations;
-    each scalar solution space is parameterised and the parameters are then
-    cut down by substituting back into the full system.  Recovered vectors
-    are verified by substitution.
+    Coordinate 0 is eliminated first (see ``eliminate_coordinate``).  When it
+    is cyclic, that is rho_0..rho_(n-1) are independent, R = (rho_i) is
+    invertible and its one scalar equation e carries the whole system (the
+    cyclic-vector method, van der Put and Singer 1997):
+
+    - every solution v gives y = v_0 with sigma^i(y) = rho_i . v + gamma_i,
+      so e(y) = sum e_i gamma_i and v = R^-1 (sigma^i(y) - gamma_i)_i;
+    - conversely, for every rational solution y of e, the v defined so
+      satisfies sigma(R) (M v + c) = (sigma^(i+1)(y) - sigma(gamma_i))_i,
+      row by row from the recurrence for rho and gamma, and for the last row
+      from rho_n = -sum_(i<n) e_i rho_i and e(y); that is sigma(R) sigma(v),
+      and sigma(R) is invertible, so sigma(v) = M v + c.
+
+    So y -> v is a bijection of the rational solution spaces with inverse
+    v -> v_0: the particular solution and each homogeneous basis function of
+    e map to the system's (without the gammas for the latter).  The rows of
+    sigma(R) M are rho_1..rho_n, so sigma(R) M = C R for the companion matrix
+    C of e, with det C = +-e_0; M is invertible exactly when e_0 != 0, and
+    no separate invertibility test runs.
+
+    Otherwise every coordinate is eliminated to a scalar equation, in
+    ascending index order; each scalar solution space is parameterised and
+    the parameters are cut down by substituting back into the full system
+    over Q.  Either way the recovered vectors are verified by substitution.
     """
     c = [RatFun._coerce(v) for v in c]
     n = m.n
     if len(c) != n:
         raise PreconditionError("inhomogeneous term has wrong dimension")
-    if not m.is_invertible():
+    eq0, rows, gammas = _eliminate(ds, m, c, 0)
+    cyclic = len(rows) == n
+    if eq0.coeffs[0].is_zero() if cyclic else not m.is_invertible():
         raise SingularMatrixError("system matrix must be invertible over Q(x)")
+    if cyclic:
+        space = _solve_cyclic(ds, eq0, rows, gammas, degree_cap)
+    else:
+        space = _solve_by_coordinates(ds, m, c, degree_cap, eq0)
+    if space.status is Status.SOLVED:
+        _verify_system(ds, m, c, space)
+    return space
 
+
+def _obstructed(sol: SolutionSpace, j: int, traces: list[ScalarDiffEq]) -> VectorSolutionSpace:
+    """The system's space when coordinate j's scalar equation is not solved."""
+    if sol.status is Status.BOUND_EXCEEDED:
+        witness = f"coordinate {j}: {sol.witness}"
+    else:
+        witness = f"coordinate {j} has no rational solution: {sol.witness}"
+    return VectorSolutionSpace(
+        sol.status, witness=witness, scalar_traces=tuple(traces), obstructed_coordinate=j
+    )
+
+
+def _solve_cyclic(ds, eq0, rows, gammas, degree_cap) -> VectorSolutionSpace:
+    """Lift the solutions y of coordinate 0's equation to v = R^-1 (sigma^i(y) - gamma_i)_i."""
+    sol = solve_scalar(eq0, degree_cap=degree_cap)
+    if sol.status is not Status.SOLVED:
+        return _obstructed(sol, 0, [eq0])
+    r_inv = MatrixRF(rows).inverse()
+
+    def lift(y: RatFun, shifts: list[RatFun]) -> tuple[RatFun, ...]:
+        return tuple(r_inv.mat_vec([apply_sigma(ds, y, i) - g for i, g in enumerate(shifts)]))
+
+    zeros = [RatFun.zero()] * len(rows)
+    return VectorSolutionSpace(
+        Status.SOLVED,
+        particular=lift(sol.particular[0], gammas),
+        homogeneous_basis=tuple(lift(y, zeros) for y, _ in sol.homogeneous_basis),
+        scalar_traces=(eq0,),
+    )
+
+
+def _solve_by_coordinates(ds, m, c, degree_cap, eq0) -> VectorSolutionSpace:
+    """Solve every coordinate's scalar equation (``eq0`` is coordinate 0's),
+    then the coupling system over Q for the joint affine parameters."""
+    n = m.n
     traces: list[ScalarDiffEq] = []
     per_coord: list[tuple[RatFun, list[RatFun]]] = []  # (particular, basis funcs)
     for j in range(n):
-        eq_j = eliminate_coordinate(ds, m, c, j)
+        eq_j = eq0 if j == 0 else eliminate_coordinate(ds, m, c, j)
         traces.append(eq_j)
         sol = solve_scalar(eq_j, degree_cap=degree_cap)
-        if sol.status is Status.BOUND_EXCEEDED:
-            return VectorSolutionSpace(
-                Status.BOUND_EXCEEDED,
-                witness=f"coordinate {j}: {sol.witness}",
-                scalar_traces=tuple(traces),
-                obstructed_coordinate=j,
-            )
-        if sol.status is Status.NO_SOLUTION:
-            return VectorSolutionSpace(
-                Status.NO_SOLUTION,
-                witness=f"coordinate {j} has no rational solution: {sol.witness}",
-                scalar_traces=tuple(traces),
-                obstructed_coordinate=j,
-            )
+        if sol.status is not Status.SOLVED:
+            return _obstructed(sol, j, traces)
         part = sol.particular[0] if sol.particular is not None else RatFun.zero()
         per_coord.append((part, [g for g, _ in sol.homogeneous_basis]))
 
@@ -774,14 +847,12 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
 
     # each coordinate's homogeneous functions are a basis and no free lambda
     # survives elimination, so a nonzero mu never assembles to zero
-    space = VectorSolutionSpace(
+    return VectorSolutionSpace(
         Status.SOLVED,
         particular=assemble(particular_mu, True),
         homogeneous_basis=tuple(assemble(vec, False) for vec in null_mu),
         scalar_traces=tuple(traces),
     )
-    _verify_system(ds, m, c, space)
-    return space
 
 
 def _verify_system(ds, m, c, space: VectorSolutionSpace):

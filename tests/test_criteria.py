@@ -317,6 +317,16 @@ class TestIntegrability:
             for s in range(2):
                 assert lhs.entries[r][s] == rhs.entries[r][s] + inhom.entries[r][s]
 
+    def test_cyclic_kronecker_matrix_needs_no_invertibility_test(self, monkeypatch):
+        # entry 0 of B is cyclic for this A, so the trailing coefficient of
+        # its eliminated equation decides invertibility of the flattened system
+        def refuse(matrix):
+            raise AssertionError(f"separate invertibility test of {matrix}")
+
+        monkeypatch.setattr(MatrixRF, "is_invertible", refuse)
+        result = integrability_test(SHIFT, MatrixRF([[0, -1], [1, rf("x")]]))
+        assert result.status is IntegrabilityStatus.NOT_CONSTANT_CONJUGATE
+
     def test_singular_rejected(self):
         from diffalg import SingularMatrixError
 

@@ -1,6 +1,7 @@
 """Rational-solution engines: universal denominators, the scalar solver, the
 constant-twist first-order path, first-order systems, and the brute-force oracle."""
 
+import importlib
 import random
 
 import pytest
@@ -27,10 +28,12 @@ from diffalg import (
     universal_denominator,
 )
 from diffalg.dispersion import q_power_log
-from diffalg.numcore import poly_lcm
+from diffalg.numcore import poly_lcm, radical
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
 from diffalg.structures import sigma_poly
 from oracle import brute_force_oracle, fraction_solve, two_sided_universal_denominator
+
+dispersion_module = importlib.import_module("diffalg.dispersion")
 
 
 def shift_sl2_equation():
@@ -86,6 +89,35 @@ class TestUniversalDenominator:
         assert [g for g, _ in sol.homogeneous_basis] == [rf(y)]
 
     @pytest.mark.parametrize(
+        "ds, scan, y",
+        [
+            (SHIFT, "_shift_gap_candidates", "1/((x^2+2)^3*(x^2+2*x+3)^2*(x-4)^2)"),
+            (Q2, "_q_gap_candidates", "1/((x-3)^3*(x-6)^2*(x+5)^2)"),
+        ],
+        ids=["shift", "q2"],
+    )
+    def test_gap_scan_reads_squarefree_sides(self, monkeypatch, ds, scan, y):
+        # the kernel y of y*sigma - sigma(y) has repeated pole factors on a
+        # chain; the gaps depend only on roots, so the scan must not pay for
+        # the repeated factors of the sides
+        seen = []
+        real = getattr(dispersion_module, scan)
+
+        def recording(*args):
+            seen.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(dispersion_module, scan, recording)
+        y = rf(y)
+        eq = scalar_eq_from_ratfun_coeffs(ds, [-apply_sigma(ds, y), y])
+        sol = solve_scalar(eq)
+        assert seen
+        for side in (p for pair in seen for p in pair):
+            assert radical(side) == side.monic(), side
+        assert (sol.universal_den % y.den).is_zero()
+        assert _in_span([_pair_vector(*pair) for pair in sol.homogeneous_basis], (y,))
+
+    @pytest.mark.parametrize(
         "ds, case, expected",
         [(SHIFT, {}, "x^3 - 3*x^2"), (Q2, {"case": "q", "q": "2"}, "x^2 - 3*x")],
         ids=["shift", "q2"],
@@ -131,22 +163,30 @@ class TestUniversalDenominator:
 
 
 def _in_span(basis, target) -> bool:
-    """Whether the (g, lambdas) pair ``target`` is a rational combination of
-    the pairs in ``basis``."""
-    pairs = [*basis, target]
+    """Whether the vector of rational functions ``target`` is a rational
+    combination of the ``basis`` vectors."""
+    vecs = [*basis, target]
     den = Poly.one()
-    for g, _ in pairs:
-        den = poly_lcm(den, g.den)
-    nums = [(g * RatFun.from_poly(den)).num for g, _ in pairs]
-    width = max(n.degree for n in nums) + 1
-    vecs = [[n[e] for e in range(width)] + list(lam) for n, (_, lam) in zip(nums, pairs)]
-    rows = [list(col) for col in zip(*vecs[:-1])] or [[] for _ in vecs[-1]]
-    return fraction_solve(rows, vecs[-1])[0] is not None
+    for vec in vecs:
+        for f in vec:
+            den = poly_lcm(den, f.den)
+    nums = [[(f * RatFun.from_poly(den)).num for f in vec] for vec in vecs]
+    width = max(p.degree for vec in nums for p in vec) + 1
+    flat = [[p[e] for p in vec for e in range(width)] for vec in nums]
+    rows = [list(col) for col in zip(*flat[:-1])] or [[] for _ in flat[-1]]
+    return fraction_solve(rows, flat[-1])[0] is not None
+
+
+def _pair_vector(g, lam) -> tuple[RatFun, ...]:
+    """A scalar solution pair (g, lambdas) as one vector (g, *lambdas)."""
+    return (g, *(RatFun.const(v) for v in lam))
 
 
 def _in_space(space, g, lam) -> bool:
+    """Whether the pair (g, lambdas) lies in a scalar solution space."""
     pg, plam = space.particular
-    return _in_span(space.homogeneous_basis, (g - pg, tuple(a - b for a, b in zip(lam, plam))))
+    delta = _pair_vector(g - pg, [a - b for a, b in zip(lam, plam)])
+    return _in_span([_pair_vector(*pair) for pair in space.homogeneous_basis], delta)
 
 
 def planted_pole_chains(ds, seed: int, count: int):
@@ -443,6 +483,96 @@ class TestSolveSystem:
         with pytest.raises(SingularMatrixError):
             solve_system(SHIFT, MatrixRF([[1, 1], [1, 1]]), [RatFun.zero(), RatFun.zero()])
 
+    @pytest.mark.parametrize(
+        "entries, cyclic", [([[1, 1], [rf("x"), rf("x")]], True), ([[1, 0], [0, 0]], False)], ids=["cyclic", "fallback"]
+    )
+    def test_singular_matrix_rejected_on_each_route(self, entries, cyclic):
+        # on the cyclic route the trailing coefficient e_0 of coordinate 0's
+        # equation is zero; the fallback route tests M itself
+        m, zeros = MatrixRF(entries), [RatFun.zero(), RatFun.zero()]
+        eq0, rows, _ = solver._eliminate(SHIFT, m, zeros, 0)
+        assert (len(rows) == 2) is cyclic
+        assert eq0.coeffs[0].is_zero() is cyclic
+        with pytest.raises(SingularMatrixError):
+            solve_system(SHIFT, m, zeros)
+
+
+def planted_systems(ds, seed: int, count: int, n: int = 2):
+    """``count`` systems (M, c, v, k) with a rational solution v of
+    sigma(v) = M v + c and a rational kernel vector k, sigma(k) = M k: the
+    last column of a random M over Q(x) is solved for from k, then
+    c = sigma(v) - M v."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        k = [rand_ratfun(rng, ds) for _ in range(n)]
+        v = [rand_ratfun(rng, ds) for _ in range(n)]
+        entries = [[rand_ratfun(rng, ds) for _ in range(n - 1)] for _ in range(n)]
+        for i, row in enumerate(entries):
+            known = sum((row[j] * k[j] for j in range(n - 1)), RatFun.zero())
+            row.append((apply_sigma(ds, k[i]) - known) / k[n - 1])
+        m = MatrixRF(entries)
+        if not m.is_invertible():
+            continue
+        c = [apply_sigma(ds, f) - g for f, g in zip(v, m.mat_vec(v))]
+        made += 1
+        yield m, c, v, k
+
+
+def _same_route_result(ds, m, c, sol):
+    """The per-coordinate route, run on the same input, finds a space of the
+    same status and dimension."""
+    reference = solver._solve_by_coordinates(ds, m, c, None, eliminate_coordinate(ds, m, c, 0))
+    assert reference.status is sol.status
+    assert len(reference.homogeneous_basis) == len(sol.homogeneous_basis)
+
+
+class TestSystemRoutes:
+    @pytest.mark.parametrize(
+        "ds, seed, n", [(SHIFT, 701, 2), (Q2, 702, 2), (Q14, 703, 2), (SHIFT, 704, 3)],
+        ids=["shift", "q2", "q1/4", "shift-3x3"],
+    )
+    def test_cyclic_route_planted(self, ds, seed, n):
+        for m, c, v, k in planted_systems(ds, seed, 8 if n == 2 else 2, n):
+            assert len(solver._eliminate(ds, m, c, 0)[1]) == n  # coordinate 0 is cyclic
+            sol = solve_system(ds, m, c)
+            assert sol.status is Status.SOLVED
+            assert len(sol.scalar_traces) == 1
+            assert sol.homogeneous_basis
+            assert _in_span(sol.homogeneous_basis, k)
+            assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
+            _same_route_result(ds, m, c, sol)
+
+    @pytest.mark.parametrize(
+        "entries, dim",
+        [([[1, 0], [1, 1]], 2), ([[2, 0], [0, 3]], 0), ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2)],
+        ids=["unipotent", "diagonal", "diagonal-3x3"],
+    )
+    def test_fallback_route(self, entries, dim):
+        # coordinate 0 satisfies a first-order equation on its own; in the
+        # unipotent matrix coordinate 1 would be cyclic, but only 0 is tried
+        m = MatrixRF(entries)
+        n = m.n
+        v = [rf("1/(x+1)"), rf("x^2"), rf("x/(x+2)")][:n]
+        c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
+        assert len(solver._eliminate(SHIFT, m, c, 0)[1]) < n
+        sol = solve_system(SHIFT, m, c)
+        assert sol.status is Status.SOLVED
+        assert len(sol.scalar_traces) == n
+        assert len(sol.homogeneous_basis) == dim
+        assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
+        _same_route_result(SHIFT, m, c, sol)
+
+    def test_cyclic_route_obstruction(self):
+        # sigma(v) = [[0, 1], [1, 0]] v + (1/x, 0): coordinate 0 is cyclic
+        # with sigma^2(y) - y = 1/(x+1), which has no rational solution
+        m, c = MatrixRF([[0, 1], [1, 0]]), [rf("1/x"), RatFun.zero()]
+        sol = solve_system(SHIFT, m, c)
+        assert sol.status is Status.NO_SOLUTION
+        assert sol.obstructed_coordinate == 0
+        assert sol.scalar_traces == (eliminate_coordinate(SHIFT, m, c, 0),)
+        _same_route_result(SHIFT, m, c, sol)
+
 
 def _proportional(eq_a: ScalarDiffEq, eq_b: ScalarDiffEq) -> bool:
     """Same equation up to one overall rational-function unit."""
@@ -510,7 +640,8 @@ class TestBruteForceOracle:
                 oracle = brute_force_oracle(ds, eq, bound, universal_den=wide)
                 assert oracle.status is sol.status, eq
                 assert oracle.homogeneous_dimension() == sol.homogeneous_dimension(), eq
-                assert all(_in_span(sol.homogeneous_basis, pair) for pair in oracle.homogeneous_basis), eq
+                basis = [_pair_vector(*pair) for pair in sol.homogeneous_basis]
+                assert all(_in_span(basis, _pair_vector(*pair)) for pair in oracle.homogeneous_basis), eq
                 if sol.is_solved():
                     assert _in_space(sol, *oracle.particular), eq
                 compared += 1
