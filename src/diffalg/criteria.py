@@ -283,15 +283,24 @@ def integrability_test(
     solution B (equivalently, whether the associated group is conjugate to a
     group of derivation constants).
 
-    The matrix equation is flattened to a first-order system on the n^2
-    entries of B (row-major) and handed to ``solve_system``: when entry 0
-    is cyclic, its one scalar equation decides the system (and the
-    invertibility of the flattened matrix); otherwise every entry is
-    eliminated.  A positive answer returns a substitution-verified B.
+    When d(A) = 0, that is when every entry of A is constant, B = 0 solves
+    sigma(B) = A*B*A^-1 and no system is solved; the result carries no
+    scalar trace.  Otherwise the matrix equation is flattened to a
+    first-order system on the n^2 entries of B (row-major) and handed to
+    ``solve_system``: when entry 0 is cyclic, its one scalar equation
+    decides the system (and the invertibility of the flattened matrix);
+    otherwise every entry is eliminated.  ``inverse()`` runs first on both
+    routes, so a singular A raises ``SingularMatrixError``.  A positive
+    answer returns a substitution-verified B.
     """
     n = a_matrix.n
     a_inv = a_matrix.inverse()
     da = a_matrix.map(lambda f: apply_derivation(ds, f))
+    if all(v.is_zero() for row in da.entries for v in row):
+        b_zero = MatrixRF([[RatFun.zero()] * n for _ in range(n)])
+        if not verify_conjugating_matrix(ds, a_matrix, b_zero):
+            raise InternalVerificationError("conjugating matrix failed substitution")
+        return IntegrabilityResult(IntegrabilityStatus.CONSTANT_CONJUGATE, b_zero, None)
     inhom = da @ a_inv
     c_vec = [inhom.entries[r][s] for r in range(n) for s in range(n)]
     rows = []

@@ -4,15 +4,18 @@ consumes.
 
 All coefficients live in Q.  The ``Rat`` type is the stdlib
 ``fractions.Fraction`` (reduced, gcd(|num|, den) = 1, den > 0), which mixes
-freely with ints; the hot kernels run on Python ints and build rationals only
-at their edges.
+freely with ints; the kernels run on Python ints, and a ``Rat`` is built
+only at the API edge, where a caller reads one (``coeffs``, ``lc``, ``p[i]``,
+``eval``, ``RatFun.const_value``).
 
-A ``Poly`` is stored as one rational content times a primitive integer
-polynomial (coprime integer coefficients, positive leading coefficient), the
-canonical form of Geddes-Czapor-Labahn, ch. 2.  Ring operations, division,
-argument substitution, evaluation and the gcd run on the integer parts and
-spend one rational operation on the content; rational coefficients are only
-built when a caller reads them.  Division, exact division and the gcd share
+A ``Poly`` is stored as a content times a primitive integer polynomial
+(coprime integer coefficients, positive leading coefficient), the canonical
+form of Geddes-Czapor-Labahn, ch. 2, with the content a reduced pair of
+integers.  Ring operations, division, argument substitution, evaluation and
+the gcd run on the integer parts; contents combine through one integer
+helper, ``_qmul``, which multiplies reduced pairs by the cross gcds
+(Knuth, TAOCP 4.5.1), and ``RatFun`` normalises its denominator to monic
+the same way (``_over_monic``).  Division, exact division and the gcd share
 one integer pseudo-division loop, ``_pseudo_divmod``, and one mod-p Euclid,
 ``_gf_gcd``: the gcd lifts its image mod ``GF_PRIME`` and checks it by trial
 division, and the primitive PRS runs only when that lift is rejected.  No
@@ -38,23 +41,25 @@ class Poly:
     part.
 
     ``_ints`` holds integer coefficients, lowest degree first, with gcd 1, a
-    positive leading (last) entry and no trailing zeros; ``_content`` is a
-    nonzero rational, and the polynomial is
-    ``_content * sum(_ints[i] * x^i)``.  The zero polynomial has ``_ints = ()``,
-    content 1 and degree -1 (the sentinel).  The form is canonical, so
-    equality and hashing compare the pair.  ``coeffs`` builds the rational
-    coefficients on demand.  Instances are immutable and safe to share
-    between threads.
+    positive leading (last) entry and no trailing zeros.  The content is the
+    integer pair ``_cn / _cd``, reduced (gcd(_cn, _cd) = 1) with ``_cd > 0``
+    and ``_cn != 0``, and the polynomial is ``(_cn / _cd) * sum(_ints[i] * x^i)``.
+    The zero polynomial is ``((), 1, 1)`` with degree -1 (the sentinel).  The
+    form is canonical, so equality and hashing compare the triple.  Contents
+    combine through the integer helper ``_qmul`` only; ``coeffs``, ``lc``,
+    ``p[i]`` and ``eval`` build the rationals a caller reads.  Instances are
+    immutable and safe to share between threads.
     """
 
-    __slots__ = ("_ints", "_content")
+    __slots__ = ("_ints", "_cn", "_cd")
 
     def __init__(self, coeffs=()):
         cs = [c if type(c) in _EXACT else Rat(c) for c in coeffs]
         den = math.lcm(*[c.denominator for c in cs])
-        ints, content = _primitive([c.numerator * (den // c.denominator) for c in cs], 1, den)
+        ints, cn, cd = _primitive([c.numerator * (den // c.denominator) for c in cs], 1, den)
         _set_ints(self, ints)
-        _set_content(self, content)
+        _set_cn(self, cn)
+        _set_cd(self, cd)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -77,7 +82,7 @@ class Poly:
     def const(c) -> "Poly":
         if not c:
             return _PZERO
-        return _poly((1,), c if type(c) is Rat else Rat(c))
+        return _poly((1,), *_pair(c))
 
     @staticmethod
     def monomial(c, n: int) -> "Poly":
@@ -85,15 +90,15 @@ class Poly:
             raise ValueError("monomial exponent must be >= 0")
         if not c:
             return _PZERO
-        return _poly((0,) * n + (1,), c if type(c) is Rat else Rat(c))
+        return _poly((0,) * n + (1,), *_pair(c))
 
     # -- basic queries -------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
         """The rational coefficients, lowest degree first."""
-        c = self._content
-        return tuple([c * v for v in self._ints])
+        cn, cd = self._cn, self._cd
+        return tuple([Rat(cn * v, cd) for v in self._ints])
 
     @property
     def degree(self) -> int:
@@ -108,11 +113,11 @@ class Poly:
     def lc(self) -> Rat:
         if not self._ints:
             return RAT_ZERO
-        return self._content * self._ints[-1]
+        return Rat(self._cn * self._ints[-1], self._cd)
 
     def __getitem__(self, i: int) -> Rat:
         if 0 <= i < len(self._ints):
-            return self._content * self._ints[i]
+            return Rat(self._cn * self._ints[i], self._cd)
         return RAT_ZERO
 
     def valuation(self) -> int:
@@ -126,11 +131,11 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._ints == other._ints and self._content == other._content
+            return self._ints == other._ints and self._cn == other._cn and self._cd == other._cd
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._ints, self._content))
+        return hash((self._ints, self._cn, self._cd))
 
     def __bool__(self) -> bool:
         return bool(self._ints)
@@ -138,7 +143,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         if not self._ints:
             return self
-        return _poly(self._ints, -self._content)
+        return _poly(self._ints, -self._cn, self._cd)
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -148,9 +153,10 @@ class Poly:
             return self
         if not a:
             return other
-        # ca*A + cb*B = (h / lcm(da, db)) * (sa*A + sb*B) with integers sa, sb
-        ca, cb = self._content, other._content
-        na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+        # ca*A + cb*B = (h / lcm(da, db)) * (sa*A + sb*B) with integers sa, sb;
+        # a prime of lcm(da, db) divides one of sa, sb at most, so h is prime
+        # to the lcm
+        na, da, nb, db = self._cn, self._cd, other._cn, other._cd
         g = math.gcd(da, db)
         sa, sb = na * (db // g), nb * (da // g)
         h = math.gcd(sa, sb)
@@ -177,20 +183,20 @@ class Poly:
         if not isinstance(other, Poly):
             if not other or not self._ints:
                 return _PZERO
-            return _poly(self._ints, self._content * (other if type(other) in _EXACT else Rat(other)))
+            return _poly(self._ints, *_qmul(self._cn, self._cd, *_pair(other)))
         a, b = self._ints, other._ints
         if not a or not b:
             return _PZERO
-        content = self._content * other._content
+        cn, cd = _qmul(self._cn, self._cd, other._cn, other._cd)
         # Gauss's lemma: the product of primitive parts is primitive
         if len(a) == 1 or len(b) == 1:
-            return _poly(b if len(a) == 1 else a, content)
+            return _poly(b if len(a) == 1 else a, cn, cd)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _poly(tuple(out), content)
+        return _poly(tuple(out), cn, cd)
 
     __rmul__ = __mul__
 
@@ -216,12 +222,10 @@ class Poly:
         if len(a) < len(b):
             return _PZERO, self
         quo, scales, s, r = _pseudo_divmod(a, b)
-        ca, cb = self._content, other._content
-        cq = ca / cb
-        quotient = _normal(
-            [v * (s // t) for v, t in zip(quo, scales)], cq.numerator, cq.denominator * s
-        )
-        return quotient, _normal(r, ca.numerator, ca.denominator * s)
+        cn, cd = self._cn, self._cd
+        qn, qd = _qmul(cn, cd, other._cd, other._cn)
+        quotient = _normal([v * (s // t) for v, t in zip(quo, scales)], qn, qd, s)
+        return quotient, _normal(r, cn, cd, s)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -242,33 +246,29 @@ class Poly:
         quo = _exact_quotient(self._ints, b)
         if quo is None:
             raise ValueError("exact_div with nonzero remainder")
-        return _poly(quo, self._content / other._content)
+        return _poly(quo, *_qmul(self._cn, self._cd, other._cd, other._cn))
 
     # -- calculus / substitution ----------------------------------------
 
     def derivative(self) -> "Poly":
-        c = self._content
-        return _normal([i * v for i, v in enumerate(self._ints)][1:], c.numerator, c.denominator)
+        return _normal([i * v for i, v in enumerate(self._ints)][1:], self._cn, self._cd)
 
     def eval(self, point) -> Rat:
         ints = self._ints
         if not ints:
             return RAT_ZERO
-        if type(point) not in _EXACT:
-            point = Rat(point)
-        u, v = point.numerator, point.denominator
+        u, v = _pair(point)
         acc = 0
         if v == 1:
             for a in reversed(ints):
                 acc = acc * u + a
-            return self._content * acc
+            return Rat(self._cn * acc, self._cd)
         # acc = v^n * P(u/v), homogeneous Horner
         vp = 1
         for a in reversed(ints):
             acc = acc * u + a * vp
             vp *= v
-        c = self._content
-        return Rat(c.numerator * acc, c.denominator * (vp // v))
+        return Rat(self._cn * acc, self._cd * (vp // v))
 
     def shift_arg(self, c) -> "Poly":
         """p(x + c), by a Taylor shift of the primitive part P: with
@@ -276,9 +276,7 @@ class Poly:
         v^n * P(x + c) = T(v*x + u)."""
         if self.degree < 1 or not c:
             return self
-        if type(c) not in _EXACT:
-            c = Rat(c)
-        u, v = c.numerator, c.denominator
+        u, v = _pair(c)
         ints = self._ints
         n = len(ints) - 1
         t = list(ints) if v == 1 else [a * v ** (n - j) for j, a in enumerate(ints)]
@@ -287,9 +285,8 @@ class Poly:
                 t[j] += u * t[j + 1]
         if v == 1:
             # an integer shift is unimodular on Z[x]: still primitive
-            return _poly(tuple(t), self._content)
-        k = self._content
-        return _normal([a * v ** j for j, a in enumerate(t)], k.numerator, k.denominator * v ** n)
+            return _poly(tuple(t), self._cn, self._cd)
+        return _normal([a * v ** j for j, a in enumerate(t)], self._cn, self._cd, v ** n)
 
     def scale_arg(self, c) -> "Poly":
         """p(c * x): with c = u/v, v^n * P(c*x) has integer coefficients
@@ -298,10 +295,8 @@ class Poly:
         if len(ints) <= 1:
             return self
         if not c:
-            return Poly.const(self[0])
-        if type(c) not in _EXACT:
-            c = Rat(c)
-        u, v = c.numerator, c.denominator
+            return _normal([ints[0]], self._cn, self._cd)
+        u, v = _pair(c)
         n = len(ints) - 1
         out = list(ints)
         pu = 1
@@ -313,17 +308,13 @@ class Poly:
             for j in range(n - 1, -1, -1):
                 pv *= v
                 out[j] *= pv
-        k = self._content
-        return _normal(out, k.numerator, k.denominator * v ** n)
+        return _normal(out, self._cn, self._cd, v ** n)
 
     def monic(self) -> "Poly":
         ints = self._ints
-        if not ints:
+        if not ints or (self._cn == 1 and self._cd == ints[-1]):
             return self
-        content = self._content
-        if content.numerator == 1 and content.denominator == ints[-1]:
-            return self
-        return _poly(ints, Rat(1, ints[-1]))
+        return _poly(ints, 1, ints[-1])
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -331,35 +322,79 @@ class Poly:
 
 _EXACT = (int, Rat)
 _set_ints = Poly._ints.__set__
-_set_content = Poly._content.__set__
+_set_cn = Poly._cn.__set__
+_set_cd = Poly._cd.__set__
 
 
-def _poly(ints: tuple, content) -> Poly:
-    """The polynomial content * sum(ints[i] * x^i) from a canonical pair."""
+def _poly(ints: tuple, cn: int, cd: int) -> Poly:
+    """The polynomial (cn/cd) * sum(ints[i] * x^i) from a canonical triple."""
     p = object.__new__(Poly)
     _set_ints(p, ints)
-    _set_content(p, content)
+    _set_cn(p, cn)
+    _set_cd(p, cd)
     return p
 
 
-def _primitive(ints: list, num: int, den: int) -> tuple[tuple, Rat]:
-    """The canonical (primitive part, content) of (num/den) * sum(ints[i] * x^i)
-    for any integer list (trailing zeros allowed; num != 0)."""
+def _pair(c) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of an int or rational scalar."""
+    if type(c) not in _EXACT:
+        c = Rat(c)
+    return c.numerator, c.denominator
+
+
+def _qmul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """The reduced pair of (an/ad) * (bn/bd), the one content operation:
+    both pairs reduced and nonzero, ad > 0, bd of either sign (so
+    ``_qmul(an, ad, bd, bn)`` divides).  Only the cross gcds gcd(an, bd) and
+    gcd(bn, ad) can cancel (Knuth, TAOCP 4.5.1)."""
+    g = math.gcd(an, bd)
+    if g != 1:
+        an, bd = an // g, bd // g
+    g = math.gcd(bn, ad)
+    if g != 1:
+        bn, ad = bn // g, ad // g
+    if bd < 0:
+        return -an * bn, -ad * bd
+    return an * bn, ad * bd
+
+
+def _primitive(ints: list, cn: int, cd: int, s: int = 1) -> tuple[tuple, int, int]:
+    """The canonical triple of (cn/cd) * (1/s) * sum(ints[i] * x^i) for any
+    integer list (trailing zeros allowed), a reduced nonzero content cn/cd
+    and an integer s > 0."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return (), RAT_ONE
+        return (), 1, 1
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-    return tuple(ints), Rat(num * g, den)
+    if s != 1:
+        t = math.gcd(g, s)
+        g, s = g // t, s // t
+    if g == 1 and s == 1:
+        return tuple(ints), cn, cd
+    return (tuple(ints), *_qmul(cn, cd, g, s))
 
 
-def _normal(ints: list, num: int, den: int) -> Poly:
-    """The polynomial (num/den) * sum(ints[i] * x^i), any integer list."""
-    return _poly(*_primitive(ints, num, den))
+def _normal(ints: list, cn: int, cd: int, s: int = 1) -> Poly:
+    """The polynomial (cn/cd) * (1/s) * sum(ints[i] * x^i), any integer list
+    (see ``_primitive``)."""
+    return _poly(*_primitive(ints, cn, cd, s))
+
+
+def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num / c, den / c) for c = lc(den), den nonzero: the same quotient
+    over a monic denominator."""
+    ints = den._ints
+    if den._cn == 1 and den._cd == ints[-1]:
+        return num, den
+    if num._ints:
+        ln, ld = _qmul(den._cn, den._cd, ints[-1], 1)
+        num = _poly(num._ints, *_qmul(num._cn, num._cd, ld, ln))
+    return num, _poly(ints, 1, ints[-1])
 
 
 def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int, list[int]]:
@@ -405,9 +440,9 @@ def _exact_quotient(a, d) -> tuple | None:
     return tuple(quo) if s == 1 and not r else None
 
 
-_PZERO = _poly((), RAT_ONE)
-_PONE = _poly((1,), RAT_ONE)
-_PX = _poly((0, 1), RAT_ONE)
+_PZERO = _poly((), 1, 1)
+_PONE = _poly((1,), 1, 1)
+_PX = _poly((0, 1), 1, 1)
 
 
 def format_poly(p: Poly) -> str:
@@ -496,8 +531,10 @@ def integer_multiples(polys) -> list[list[int]]:
     """Integer coefficient lists (lowest degree first) of c*p for each p in
     polys, with the one rational c > 0 that makes them integral and coprime
     as a whole; a zero polynomial gives []."""
-    ks = primitive_ints([p._content if p._ints else RAT_ZERO for p in polys])
-    return [[k * v for v in p._ints] for k, p in zip(ks, polys)]
+    den = math.lcm(*[p._cd for p in polys])
+    ks = [p._cn * (den // p._cd) if p._ints else 0 for p in polys]
+    g = math.gcd(*ks) or 1
+    return [[k // g * v for v in p._ints] for k, p in zip(ks, polys)]
 
 
 def coefficient_bits(*polys: Poly):
@@ -506,7 +543,7 @@ def coefficient_bits(*polys: Poly):
     building rationals: gcd(cn, cd) = 1, so ``cn*i/cd`` reduces by
     gcd(i, cd)."""
     for p in polys:
-        cn, cd = p._content.numerator, p._content.denominator
+        cn, cd = p._cn, p._cd
         for i in p._ints:
             g = math.gcd(i, cd)
             yield (cn * i // g).bit_length() + (cd // g).bit_length()
@@ -549,7 +586,11 @@ def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         qb = None if qa is None else _exact_quotient(b, lift)
         if qb is not None:
             # p = c*a = (c*lc) * qa * (lift/lc), with lift/lc the monic gcd
-            return _poly(lift, Rat(1, lc)), _poly(qa, p._content * lc), _poly(qb, q._content * lc)
+            return (
+                _poly(lift, 1, lc),
+                _poly(qa, *_qmul(p._cn, p._cd, lc, 1)),
+                _poly(qb, *_qmul(q._cn, q._cd, lc, 1)),
+            )
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -562,7 +603,7 @@ def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         a, b = b, ([v // g for v in r] if g > 1 else r)
     if b[-1] < 0:
         b = [-v for v in b]
-    g = _poly(tuple(b), Rat(1, b[-1]))
+    g = _poly(tuple(b), 1, b[-1])
     return g, p.exact_div(g), q.exact_div(g)
 
 
@@ -584,9 +625,8 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quo * t1
     if r0.is_zero():
         return r0, s0, t0
-    lead = r0.lc()
-    inv = 1 / lead
-    return r0.monic(), s0 * inv, t0 * inv
+    s0, g = _over_monic(s0, r0)
+    return g, s0, _over_monic(t0, r0)[0]
 
 
 def poly_resultant(p: Poly, q: Poly) -> Rat:
@@ -658,7 +698,7 @@ def root_magnitude_bound(p: Poly) -> Rat:
     ints = p._ints
     n = len(ints) - 1
     lead = ints[-1]
-    cauchy = 1 + Rat(max(abs(c) for c in ints[:-1]), lead)
+    cauchy = lead + max(abs(c) for c in ints[:-1])  # 1 + max|a_k|/a_n, times a_n
     fuji = 0
     for k in range(1, n + 1):
         a = abs(ints[n - k])
@@ -666,8 +706,8 @@ def root_magnitude_bound(p: Poly) -> Rat:
             continue
         ratio_ceil = -(-a // lead)
         fuji = max(fuji, _iroot_ceil(ratio_ceil, k))
-    fuji_bound = Rat(2 * fuji + 1)
-    return min(cauchy, fuji_bound)
+    fuji = 2 * fuji + 1
+    return Rat(cauchy, lead) if cauchy <= fuji * lead else Rat(fuji)
 
 
 def q_window(q: Rat, bound: Rat) -> int:
@@ -794,10 +834,7 @@ class RatFun:
                 den = _PONE
             else:
                 _, num, den = _gcd_cofactors(num, den)
-                lead = den.lc()
-                if lead != 1:
-                    num = num * (1 / lead)
-                    den = den.monic()
+                num, den = _over_monic(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -904,8 +941,7 @@ class RatFun:
         other = RatFun._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        n = other.num
-        return self * RatFun(other.den * (1 / n.lc()), n.monic(), _reduced=True)
+        return self * RatFun(*_over_monic(other.den, other.num), _reduced=True)
 
     def __rtruediv__(self, other) -> "RatFun":
         return RatFun._coerce(other) / self
@@ -932,7 +968,7 @@ class RatFun:
     def poly_part(self) -> tuple[Poly, "RatFun"]:
         """Split into (polynomial part, proper remainder)."""
         if self.is_polynomial():
-            return self.num * (1 / self.den.lc()), RF_ZERO
+            return _over_monic(self.num, self.den)[0], RF_ZERO
         q, r = self.num.divmod(self.den)
         return q, RatFun(r, self.den, _reduced=True)
 

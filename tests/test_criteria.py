@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import Q2, Q14, SHIFT, pp, rand_ratfun, rf
+from diffalg import criteria
 from diffalg import (
     BoundExceededError,
     ConstLinDiffOp,
@@ -31,6 +32,7 @@ from diffalg import (
     integrability_test,
     mult_dependence_test,
     multiplicative_standard_form,
+    solve_system,
     verify_conjugating_matrix,
     verify_first_order_witness,
     verify_summation,
@@ -332,6 +334,52 @@ class TestIntegrability:
 
         with pytest.raises(SingularMatrixError):
             integrability_test(SHIFT, MatrixRF([[1, 1], [1, 1]]))
+
+    @staticmethod
+    def _refuse_solve(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("constant A needs no flattened system")
+
+        monkeypatch.setattr(criteria, "solve_system", refuse)
+
+    @pytest.mark.parametrize("ds", [SHIFT, Q2], ids=["shift", "q2"])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[2, Rat(1, 3)], [-1, 5]],
+            [[2, 1, 0, 0, 0], [0, 3, 1, 0, 0], [1, 0, 5, 0, 0], [0, 0, 1, 7, 0], [0, 0, 0, 1, 11]],
+        ],
+        ids=["2x2", "5x5"],
+    )
+    def test_constant_a_is_conjugate_by_zero(self, monkeypatch, ds, entries):
+        # d(A) = 0, so B = 0 solves sigma(B) = A B A^-1 without the n^2 x n^2 solve
+        self._refuse_solve(monkeypatch)
+        a = MatrixRF(entries)
+        result = integrability_test(ds, a, degree_cap=0)
+        assert result.status is IntegrabilityStatus.CONSTANT_CONJUGATE
+        assert all(v.is_zero() for row in result.b_matrix.entries for v in row)
+        assert result.scalar_trace is None and result.scalar_traces == ()
+        assert verify_conjugating_matrix(ds, a, result.b_matrix)
+
+    @pytest.mark.parametrize("ds", [SHIFT, Q2], ids=["shift", "q2"])
+    def test_singular_constant_a_still_raises(self, monkeypatch, ds):
+        from diffalg import SingularMatrixError
+
+        self._refuse_solve(monkeypatch)
+        with pytest.raises(SingularMatrixError):
+            integrability_test(ds, MatrixRF([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+
+    def test_nonconstant_a_reaches_the_flattened_system(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_system(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "solve_system", counted)
+        result = integrability_test(SHIFT, MatrixRF([[0, -1], [1, rf("x")]]))
+        assert result.status is IntegrabilityStatus.NOT_CONSTANT_CONJUGATE
+        assert len(calls) == 1
 
 
 class TestGroupClassification:

@@ -50,7 +50,7 @@ def test_only_numcore_reads_the_integer_form_of_a_poly():
         offenders += [
             f"{filename}:{node.lineno} {node.attr}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("_ints", "_content")
+            if isinstance(node, ast.Attribute) and node.attr in ("_ints", "_cn", "_cd")
         ]
     assert offenders == []
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import Poly, Rat, RatFun, poly_gcd
-from diffalg.numcore import GF_PRIME, gf_coeffs, gf_gcd_degree
+from diffalg.numcore import GF_PRIME, _gcd_cofactors, gf_coeffs, gf_gcd_degree
 from diffalg.parsing import _coeff_bits
 
 # derandomized: tier-1 runs the same examples every time
@@ -104,15 +104,17 @@ def as_list(p: Poly):
 
 
 def check_canonical(p: Poly):
-    ints, content = p._ints, p._content
+    ints, cn, cd = p._ints, p._cn, p._cd
+    assert type(cn) is int and type(cd) is int
     if not ints:
-        assert p.degree == -1 and content == 1
+        assert p.degree == -1 and (cn, cd) == (1, 1)
         return
     assert all(type(v) is int for v in ints)
     assert math.gcd(*ints) == 1
     assert ints[-1] > 0
-    assert content != 0
-    assert p.coeffs == tuple(content * v for v in ints)
+    assert cn != 0 and cd > 0
+    assert math.gcd(cn, cd) == 1
+    assert p.coeffs == tuple(Fraction(cn * v, cd) for v in ints)
     assert all(type(v) is Rat for v in p.coeffs)
     assert p.coeffs[-1] != 0
 
@@ -352,3 +354,104 @@ def test_coeff_bits_matches_fraction_definition(num, den):
     f = RatFun(Poly(num), Poly(den))
     coeffs = f.num.coeffs + f.den.coeffs
     assert _coeff_bits(f) == max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+
+
+# contents far from 1: negative, and hundreds of bits in numerator and
+# denominator, so every content operation has cross gcds to cancel
+big_contents = st.builds(
+    Fraction,
+    st.one_of(st.integers(-(2**300), -1), st.integers(1, 2**300)),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**300)),
+)
+scaled_lists = st.tuples(coeff_lists, big_contents).map(lambda t: [c * t[1] for c in t[0]])
+scaled_nonzero_lists = scaled_lists.filter(bool)
+
+
+@props
+@given(scaled_lists, scaled_nonzero_lists, nonzero_lists, st.integers(-5, 5), big_contents)
+def test_kernels_with_wide_contents_match_the_reference(a, b, common, k, c):
+    pa, pb = Poly(a), Poly(b)
+    ab = ref_mul(a, ref_mul(b, common))
+    q, r = pa.divmod(pb)
+    g, ca, cb = _gcd_cofactors(Poly(ab), pb)
+    cases = [
+        (pa + pb, ref_add(a, b)),
+        (pa - pb, ref_add(a, ref_neg(b))),
+        (pa * pb, ref_mul(a, b)),
+        (pa * c, [v * c for v in a]),
+        (q, ref_divmod(a, b)[0]),
+        (r, ref_divmod(a, b)[1]),
+        (Poly(ab).exact_div(pb), ref_mul(a, common) if a else []),
+        (pa.derivative(), ref_derivative(a)),
+        (pa.shift_arg(k), ref_compose_linear(a, 1, k)),
+        (pa.shift_arg(c), ref_compose_linear(a, 1, c)),
+        (pa.scale_arg(c), ref_compose_linear(a, c, 0)),
+        (pa.monic(), ref_monic(a)),
+        # a zero or constant operand runs no gcd
+        (g, ref_gcd(ab, b) if len(ab) > 1 and len(b) > 1 else [1]),
+        (ca, ref_divmod(ab, as_list(g))[0]),
+        (cb, ref_divmod(b, as_list(g))[0]),
+    ]
+    for got, ref in cases:
+        check_canonical(got)
+        assert as_list(got) == ref
+    # RatFun normalisation makes the denominator monic whatever its content
+    f = RatFun(pa, pb)
+    check_canonical(f.num)
+    check_canonical(f.den)
+    assert f.den.lc() == 1
+    assert f.num * pb == pa * f.den
+
+
+def _count_fractions(monkeypatch):
+    """Patch every way the stdlib builds a Fraction to count the builds."""
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            built.append(args)
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return built
+
+
+def test_kernels_build_no_fraction(monkeypatch):
+    # contents -3/7 and (2^200+1)/3^90 share no factor with the operands'
+    # integer parts, so every content operation does real work
+    big = Fraction(2**200 + 1, 3**90)
+    p = Poly([Fraction(-3, 7), Fraction(6, 7), Fraction(-9, 7)]) * Poly([1, 1])
+    q = Poly([Fraction(2, 5), Fraction(-1, 3), 1]) * Poly([1, 1]) * big
+    d = Poly([Fraction(3, 4), Fraction(-5, 6)])
+    f, h = RatFun(q, p), RatFun(d, Poly([1, -2, 1]) * big)
+    built = _count_fractions(monkeypatch)
+    Fraction(1, 2)  # the counter sees a direct construction
+    assert len(built) == 1
+    built.clear()
+    for op in (
+        lambda: p + q,
+        lambda: p - q,
+        lambda: p * q,
+        lambda: (p * q).divmod(d),
+        lambda: (p * q).exact_div(q),
+        lambda: q.derivative(),
+        lambda: q.shift_arg(3),
+        lambda: q.shift_arg(-2),
+        lambda: q.monic(),
+        lambda: _gcd_cofactors(p, q),
+        lambda: _gcd_cofactors(Poly([2**40, 1]) * p, Poly([2**40, 1]) * q),  # PRS fallback
+        lambda: f + h,
+        lambda: f * h,
+        lambda: f / h,
+        lambda: RatFun(p, q),
+    ):
+        op()
+        assert built == [], op
