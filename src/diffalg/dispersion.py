@@ -11,9 +11,12 @@ producing
     f = standard_part * sigma(g)/g              (multiplicative)
 
 with exact certificates.  Everything is factorization-free: orbits are
-detected through gcds of shifted polynomials, and orbit gaps come from
-root-magnitude bounds (with an interpolated-resultant fallback for the shift
-case when the bounds are large).
+detected through gcds of shifted polynomials over a window of candidate
+gaps.  A shift gap h = alpha - beta between a root alpha of a and a root
+beta of b is scanned over 1..c_a - c_b + r_a + r_b, for discs |alpha - c| <= r
+about integer centres (``numcore.root_disc``), so the window is one-sided
+and empty when the roots of a lie left of those of b; past ``_SCAN_LIMIT``
+the integer roots of an interpolated resultant replace the scan.
 
 The q-case scans all live here and share one root-magnitude window: the
 orbit gaps between polynomials prime to x (``_q_gap_candidates``), the
@@ -42,6 +45,8 @@ from .numcore import (
     poly_resultant,
     q_window,
     radical,
+    reciprocal_root_bound,
+    root_disc,
     root_magnitude_bound,
     squarefree_decomposition,
 )
@@ -78,21 +83,27 @@ def _gf_scale(cs: list[int], factor: int) -> list[int]:
 
 
 def _shift_gap_window(a: Poly, b: Poly | None = None) -> int:
-    """An integer above every difference alpha - beta of a root alpha of a
-    and a root beta of b (both of degree >= 1; b = a when omitted).  Such a
-    difference is at most the sum of the root magnitudes about any point, so
-    the bound is taken about 0 and about the integer c nearest the centroid
-    of the roots of a*b; an integer c keeps the shift unimodular."""
-    b = a if b is None else b
-    c = round(-(a[a.degree - 1] / a.lc() + b[b.degree - 1] / b.lc()) / (a.degree + b.degree))
-    bound = min(root_magnitude_bound(a.shift_arg(t)) + root_magnitude_bound(b.shift_arg(t)) for t in {0, c})
-    return bound.numerator // bound.denominator + 1
+    """An integer at or above every integer difference h = alpha - beta of
+    a root alpha of a and a root beta of b (both of degree >= 1; b = a when
+    omitted); 0 or less when no such h is positive.
+
+    With (c_a, r_a) and (c_b, r_b) from ``root_disc``,
+    h = (c_a - c_b) + (alpha - c_a) - (beta - c_b)
+      <= (c_a - c_b) + |alpha - c_a| + |beta - c_b| <= c_a - c_b + r_a + r_b.
+    The window is one-sided: when every root of a lies left of the roots of
+    b, no shift is scanned at all.  It only limits which h are tried; each
+    candidate still passes the mod-p filter and the exact gcd."""
+    c_a, r_a = root_disc(a)
+    c_b, r_b = (c_a, r_a) if b is None or b is a else root_disc(b)
+    return c_a - c_b + r_a + r_b
 
 
 def _shift_gap_candidates(a: Poly, b: Poly) -> list[int]:
     """Positive integers h, ascending, with gcd(a(x+h), b) nonconstant; a and
     b nonconstant."""
     limit = _shift_gap_window(a, b)
+    if limit < 1:
+        return []
     hits: list[int] = []
     if limit <= _SCAN_LIMIT:
         gf_a, gf_b = gf_coeffs(a), gf_coeffs(b)
@@ -133,11 +144,10 @@ def _q_root_window(ds: DiffStructure, w: Poly) -> tuple[Rat, Rat, list[int] | No
     """What every q-case scan of w (degree >= 1, w(0) != 0) starts from:
     (lo, hi) with lo <= |alpha| <= hi for every root alpha and lo <= 1 <= hi,
     then w and q mod GF_PRIME, each None where it does not reduce."""
-    rev = Poly(list(reversed(w.coeffs)))
     gf = gf_coeffs(w)
     qn, qd = ds.q.numerator % GF_PRIME, ds.q.denominator % GF_PRIME
     qmod = qn * pow(qd, -1, GF_PRIME) % GF_PRIME if gf is not None and qn and qd else None
-    return 1 / root_magnitude_bound(rev), root_magnitude_bound(w), gf, qmod
+    return 1 / reciprocal_root_bound(w), root_magnitude_bound(w), gf, qmod
 
 
 def _q_gap_candidates(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:

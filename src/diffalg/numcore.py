@@ -20,7 +20,12 @@ one integer pseudo-division loop, ``_pseudo_divmod``, and one mod-p Euclid,
 ``_gf_gcd``: the gcd lifts its image mod ``GF_PRIME`` and checks it by trial
 division, and the primitive PRS runs only when that lift is rejected.  No
 other module reads the integer form: they go through ``integer_multiples``,
-``coefficient_bits`` and ``gf_coeffs``.
+``coefficient_bits``, ``coefficient_bits_above`` and ``gf_coeffs``.
+
+The root bounds read the integer form too: ``root_magnitude_bound`` and
+``reciprocal_root_bound`` (the q windows and integer roots), and
+``root_disc``, an integer centre and radius for the shift gap windows,
+sharpened by Graeffe root-squaring and read off bit lengths.
 """
 
 from __future__ import annotations
@@ -549,6 +554,20 @@ def coefficient_bits(*polys: Poly):
             yield (cn * i // g).bit_length() + (cd // g).bit_length()
 
 
+def coefficient_bits_above(cap: int, *polys: Poly) -> int | None:
+    """The first size of ``coefficient_bits`` above ``cap``, or None when
+    every coefficient fits.  bits(cn) + bits(cd) + bits(max |_ints|) bounds
+    every size of a polynomial, so its coefficients are counted only when
+    that bound exceeds ``cap``."""
+    for p in polys:
+        ints = p._ints
+        if ints and p._cn.bit_length() + p._cd.bit_length() + max(map(abs, ints)).bit_length() > cap:
+            for bits in coefficient_bits(p):
+                if bits > cap:
+                    return bits
+    return None
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0 (see ``_gcd_cofactors``)."""
     if p.is_zero() or q.is_zero():
@@ -695,9 +714,23 @@ def root_magnitude_bound(p: Poly) -> Rat:
     computed exactly with integer k-th roots."""
     if p.is_zero() or p.degree == 0:
         return RAT_ONE
-    ints = p._ints
+    return _magnitude_bound(p._ints)
+
+
+def reciprocal_root_bound(p: Poly) -> Rat:
+    """``root_magnitude_bound`` of the reversed polynomial x^n * p(1/x), an
+    upper bound on 1/|alpha| over the roots alpha of p (p(0) != 0), read off
+    the reversed integer coefficients."""
+    if p.degree < 1:
+        return RAT_ONE
+    return _magnitude_bound(p._ints[::-1])
+
+
+def _magnitude_bound(ints) -> Rat:
+    """``root_magnitude_bound`` of sum(ints[i] * x^i), degree >= 1; the
+    leading entry may be negative."""
     n = len(ints) - 1
-    lead = ints[-1]
+    lead = abs(ints[-1])
     cauchy = lead + max(abs(c) for c in ints[:-1])  # 1 + max|a_k|/a_n, times a_n
     fuji = 0
     for k in range(1, n + 1):
@@ -708,6 +741,64 @@ def root_magnitude_bound(p: Poly) -> Rat:
         fuji = max(fuji, _iroot_ceil(ratio_ceil, k))
     fuji = 2 * fuji + 1
     return Rat(cauchy, lead) if cauchy <= fuji * lead else Rat(fuji)
+
+
+# root-squaring steps of ``root_disc``: after K of them Fujiwara's
+# overestimate enters as its 2^K-th root; each step squares two half-length
+# integer polynomials, and the coefficient lengths double
+_GRAEFFE_STEPS = 3
+
+
+def root_disc(p: Poly) -> tuple[int, int]:
+    """Integers (c, r) with |alpha - c| <= r for every complex root alpha of
+    p (degree >= 1): c is the integer nearest the root centroid
+    -a_(n-1)/(n*a_n), and r bounds the roots of P(x) = p(x + c).
+
+    r comes from Fujiwara's bound |z| <= 2*max_k |b_(n-k)/b_n|^(1/k) on the
+    roots z of G, the K-th Graeffe image of P: G has the roots
+    (alpha - c)^(2^K), so |alpha - c| <= (2*max_k |b_(n-k)/b_n|^(1/k))^(1/2^K).
+    Fujiwara overestimates clustered roots by up to a factor 2n (van der
+    Sluis, Numer. Math. 15, 1970); on G that factor shrinks to its 2^K-th
+    root.  The ratios are read off bit lengths,
+    |b_(n-k)/b_n| < 2^(bits(b_(n-k)) - bits(b_n) + 1) = 2^e_k, so
+    |alpha - c| < max_k 2^((e_k + k)/(k*2^K)), and r is the least integer at
+    or above that power of 2; rounding up only raises the bound.  No
+    rational is built.  r is 0 when P = x^n."""
+    ints = p._ints
+    n = len(ints) - 1
+    lead = ints[-1]
+    c = (n * lead - 2 * ints[-2]) // (2 * n * lead)  # floor(centroid + 1/2)
+    g = list(p.shift_arg(c)._ints)
+    for _ in range(_GRAEFFE_STEPS):
+        # g(x) = e(x^2) + x*o(x^2), and e(y)^2 - y*o(y)^2 = +-g(x)g(-x) at y = x^2
+        odd = _int_square(g[1::2])
+        g = _int_square(g[0::2]) + [0] * (n % 2)
+        for i, v in enumerate(odd):
+            g[i + 1] -= v
+    lead_bits = g[-1].bit_length()
+    num, den = 0, 1  # the largest (e_k + k)/k so far, 0 when none is positive
+    for k in range(1, n + 1):
+        b = g[n - k]
+        if b:
+            e_k = b.bit_length() - lead_bits + 1
+            if (e_k + k) * den > num * k:
+                num, den = e_k + k, k
+    if num == 0:
+        return c, int(any(g[:-1]))
+    return c, _iroot_ceil(1 << num, den << _GRAEFFE_STEPS)
+
+
+def _int_square(a: list[int]) -> list[int]:
+    """Coefficients of A(x)^2 for the integer coefficient list a (lowest
+    first, nonempty)."""
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = 2 * x
+            for j in range(i + 1, len(a)):
+                out[i + j] += x2 * a[j]
+    return out
 
 
 def q_window(q: Rat, bound: Rat) -> int:

@@ -18,7 +18,7 @@ is printed: a result coefficient above it is a BoundExceededError (kind
 from __future__ import annotations
 
 from .errors import BoundExceededError, ParseError
-from .numcore import Poly, RatFun, coefficient_bits, format_poly
+from .numcore import Poly, RatFun, coefficient_bits, coefficient_bits_above, format_poly
 from .solver import MatrixRF
 
 MAX_DEGREE = 256
@@ -119,7 +119,7 @@ def _coeff_bits(value: RatFun) -> int:
 def _checked(sc: _Scanner, value: RatFun) -> RatFun:
     if max(value.num.degree, value.den.degree) > MAX_DEGREE:
         sc.fail(f"expression of degree above the cap {MAX_DEGREE}")
-    if _coeff_bits(value) > MAX_COEFF_BITS:
+    if coefficient_bits_above(MAX_COEFF_BITS, value.num, value.den) is not None:
         sc.fail(f"expression with coefficients above the cap of {MAX_COEFF_BITS} bits")
     return value
 
@@ -235,27 +235,27 @@ def _parse_entry(sc: _Scanner) -> RatFun:
         raise ParseError(str(exc), start + exc.position) from None
 
 
-def _check_printable(bit_sizes) -> None:
-    # a result may not print a coefficient an input could not hold; the first
-    # one above the cap decides, so a huge result is not read to the end
-    for bits in bit_sizes:
-        if bits > MAX_COEFF_BITS:
-            raise BoundExceededError(
-                f"result coefficient of {bits} bits above the cap of {MAX_COEFF_BITS} bits"
-            )
+def _check_printable(*polys: Poly) -> None:
+    # a result may not print a coefficient an input could not hold; the
+    # first one above the cap is reported
+    bits = coefficient_bits_above(MAX_COEFF_BITS, *polys)
+    if bits is not None:
+        raise BoundExceededError(
+            f"result coefficient of {bits} bits above the cap of {MAX_COEFF_BITS} bits"
+        )
 
 
 def format_rat(c) -> str:
     """A rational of a result as text; BoundExceededError above the
     coefficient cap."""
-    _check_printable((c.numerator.bit_length() + c.denominator.bit_length(),))
+    _check_printable(Poly.const(c))
     return str(c)
 
 
 def format_ratfun(f: RatFun) -> str:
     """Canonical text form; reparses to an identical RatFun.  A coefficient
     above ``MAX_COEFF_BITS`` bits raises BoundExceededError."""
-    _check_printable(coefficient_bits(f.num, f.den))
+    _check_printable(f.num, f.den)
     num = format_poly(f.num)
     if f.den == Poly.one():
         return num

@@ -745,7 +745,9 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
     Otherwise every coordinate is eliminated to a scalar equation, in
     ascending index order; each scalar solution space is parameterised and
     the parameters are cut down by substituting back into the full system
-    over Q.  Either way the recovered vectors are verified by substitution.
+    over Q.  Either way the recovered vectors are verified by substitution
+    into the system, once: the scalar spaces they come from are not
+    substituted into their own equations on this path.
     """
     c = [RatFun._coerce(v) for v in c]
     n = m.n
@@ -777,7 +779,7 @@ def _obstructed(sol: SolutionSpace, j: int, traces: list[ScalarDiffEq]) -> Vecto
 
 def _solve_cyclic(ds, eq0, rows, gammas, degree_cap) -> VectorSolutionSpace:
     """Lift the solutions y of coordinate 0's equation to v = R^-1 (sigma^i(y) - gamma_i)_i."""
-    sol = solve_scalar(eq0, degree_cap=degree_cap)
+    sol = _solve_unverified(eq0, degree_cap)
     if sol.status is not Status.SOLVED:
         return _obstructed(sol, 0, [eq0])
     r_inv = MatrixRF(rows).inverse()
@@ -803,7 +805,7 @@ def _solve_by_coordinates(ds, m, c, degree_cap, eq0) -> VectorSolutionSpace:
     for j in range(n):
         eq_j = eq0 if j == 0 else eliminate_coordinate(ds, m, c, j)
         traces.append(eq_j)
-        sol = solve_scalar(eq_j, degree_cap=degree_cap)
+        sol = _solve_unverified(eq_j, degree_cap)
         if sol.status is not Status.SOLVED:
             return _obstructed(sol, j, traces)
         part = sol.particular[0] if sol.particular is not None else RatFun.zero()

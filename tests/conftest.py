@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from diffalg import (
     Poly,
     Rat,
@@ -20,15 +22,24 @@ from diffalg import (
     parse_ratfun,
     polar_dispersion,
     q_structure,
+    scalar_eq_from_ratfun_coeffs,
     shift_structure,
     solve_scalar,
 )
-from oracle import brute_force_oracle
+from diffalg.structures import sigma_poly
+from oracle import brute_force_oracle, two_sided_universal_denominator
 
 SHIFT = shift_structure()
 Q2 = q_structure(2)
 Q14 = q_structure(Rat(1, 4))
 QM3 = q_structure(-3)
+
+
+def to_sympy(p: Poly):
+    """p as a sympy polynomial over QQ in x; skips the test without sympy."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
 
 
 def rf(text: str) -> RatFun:
@@ -166,4 +177,57 @@ def run_oracle_agreement_suite(ds, count: int, seed: int, max_attempts: int = 10
         assert (sol.status is Status.SOLVED) == (oracle.status is Status.SOLVED), eq
         assert sol.homogeneous_dimension() == oracle.homogeneous_dimension(), eq
         compared += 1
+    return compared
+
+
+def planted_pole_chains(ds, seed: int, count: int):
+    """``count`` equations (eq, y0, lambdas) with y0 a solution whose poles
+    form forward chains prod_{j<=h} sigma^(-j)(x - c), h <= 3, each factor of
+    multiplicity <= 2, times x^k in the q case.  Even ones are inhomogeneous,
+    L(y) = L(y0) for a random L; odd ones are homogeneous, with
+    L = (c1*sigma + c0) o (y0*sigma - sigma(y0)), denominators cleared."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        den = Poly.one()
+        for _ in range(rng.randint(1, 2)):
+            base = Poly([-rng.choice([-3, -2, -1, 1, 2, 3]), 1])
+            for j in range(rng.randint(0, 3) + 1):
+                den = den * sigma_poly(ds, base, -j).monic() ** rng.randint(1, 2)
+        if not ds.is_shift:
+            den = den * Poly.monomial(1, rng.randint(0, 2))
+        y0 = RatFun(rand_poly(rng, 2, nonzero=True), den)
+        if trial % 2 == 0:
+            order = rng.randint(1, 2)
+            coeffs = tuple(rand_poly(rng, 2, nonzero=i in (0, order)) for i in range(order + 1))
+            rhs = ScalarDiffEq(ds, coeffs).apply_operator(y0)
+            yield ScalarDiffEq(ds, coeffs, (rhs,), (Rat(1),)), y0, (Rat(1),)
+        else:
+            c0, c1 = (RatFun.from_poly(rand_poly(rng, 1, nonzero=True)) for _ in range(2))
+            s1, s2 = apply_sigma(ds, y0, 1), apply_sigma(ds, y0, 2)
+            yield scalar_eq_from_ratfun_coeffs(ds, [-c0 * s1, c0 * y0 - c1 * s2, c1 * s1]), y0, ()
+
+
+def run_planted_oracle_suite(ds, count: int, seed: int) -> int:
+    """solve_scalar vs the brute-force oracle on ``planted_pole_chains``
+    instances, where the universal denominator has positive degree.  The
+    oracle takes the wider ``two_sided_universal_denominator`` and the
+    solver's degree bound plus the degree it adds, so it checks that the
+    sharp u misses no pole; instances whose oracle bound exceeds its cap of
+    12 are skipped, and ``count`` are compared."""
+    compared = 0
+    for eq, _, _ in planted_pole_chains(ds, seed, 4 * count):
+        sol = solve_scalar(eq)
+        wide = two_sided_universal_denominator(eq)
+        assert sol.universal_den.degree > 0 and (wide % sol.universal_den).is_zero(), eq
+        if sol.status is Status.BOUND_EXCEEDED:
+            continue
+        bound = max(sol.degree_bound + wide.degree - sol.universal_den.degree, 0)
+        if bound > 12:
+            continue
+        oracle = brute_force_oracle(ds, eq, bound, universal_den=wide)
+        assert oracle.status is sol.status, eq
+        assert oracle.homogeneous_dimension() == sol.homogeneous_dimension(), eq
+        compared += 1
+        if compared == count:
+            return compared
     return compared

@@ -16,6 +16,7 @@ from conftest import (
     pp,
     rf,
     run_oracle_agreement_suite,
+    run_planted_oracle_suite,
     run_positive_pdisp_suite,
     run_standard_roundtrip_suite,
 )
@@ -166,6 +167,13 @@ def test_criterion_7_oracle_equivalence():
     n_q = run_oracle_agreement_suite(Q2, 150, seed=20260815)
     elapsed = time.monotonic() - start
     _report(7, "oracle equivalence (300 instances)", n_shift + n_q == 300, elapsed, budget)
+    # the random instances above rarely give u a positive degree; planted
+    # pole chains always do, and the oracle there takes the wider two-sided u
+    start = time.monotonic()
+    n_shift = run_planted_oracle_suite(SHIFT, 75, seed=20260817)
+    n_q = run_planted_oracle_suite(Q2, 75, seed=20260818)
+    elapsed += time.monotonic() - start
+    _report(7, "oracle equivalence on planted pole chains (150 instances)", n_shift + n_q == 150, elapsed, budget)
 
 
 def test_criterion_8_telescoper_soundness():

@@ -3,8 +3,10 @@ decompositions with their exact certificates."""
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     Q2,
@@ -14,6 +16,7 @@ from conftest import (
     rf,
     run_positive_pdisp_suite,
     run_standard_roundtrip_suite,
+    to_sympy,
 )
 from diffalg import (
     RatFun,
@@ -26,7 +29,7 @@ from diffalg import (
     polar_dispersion,
     q_structure,
 )
-from diffalg.dispersion import _SCAN_LIMIT, _shift_gap_window, orbit_gaps, radical
+from diffalg.dispersion import _SCAN_LIMIT, _shift_gap_window, orbit_gaps, orbit_gaps_between, radical
 from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
 
 # the package exports the function ``dispersion`` under the module's name
@@ -96,6 +99,35 @@ def _resultant_route(p: Poly) -> bool:
     return _shift_gap_window(radical(p)) > _SCAN_LIMIT
 
 
+def _product(factors) -> Poly:
+    out = Poly.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+# factors to plant shifts of: linear, quadratic (real, double or complex
+# roots) and clusters of 2-4 roots less than 1 apart, real or complex
+_linear = st.builds(lambda n, d: Poly([-Fraction(n, d), 1]), st.integers(-4, 4), st.integers(1, 3))
+_quadratic = st.builds(lambda c0, c1: Poly([c0, c1, 1]), st.integers(-5, 5), st.integers(-5, 5))
+
+
+def _cluster_factor(r: int, m: int, k: int, real: bool) -> Poly:
+    if real:
+        return _product(Poly([-r - Fraction(j, m), 1]) for j in range(k))
+    return Poly([r * r + Fraction(1, m), -2 * r, 1])  # roots r +- i/sqrt(m)
+
+
+_cluster = st.builds(
+    _cluster_factor,
+    st.integers(-3, 3),
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.booleans(),
+)
+_planted = st.lists(st.tuples(st.integers(0, 2), st.integers(-6, 6)), min_size=1, max_size=3)
+
+
 class TestShiftGapsAgainstSympy:
     """Shift-case gaps against sympy's factor-based dispersion (Man and
     Wright, ISSAC 1994), which shares no code with diffalg's gcd and
@@ -103,13 +135,41 @@ class TestShiftGapsAgainstSympy:
 
     @staticmethod
     def _check(p: Poly):
-        sympy = pytest.importorskip("sympy")
+        theirs = to_sympy(p)
         from sympy.polys.dispersion import dispersion as sympy_dispersion, dispersionset
 
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-        theirs = sympy.Poly(coeffs, sympy.Symbol("x"))
         assert orbit_gaps(SHIFT, p) == sorted(dispersionset(theirs) - {0}), p
         assert dispersion(SHIFT, p) == sympy_dispersion(theirs), p
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.one_of(_linear, _quadratic, _cluster), min_size=1, max_size=3),
+        _planted,
+        _planted,
+        st.sampled_from([0, 0, -30, 30]),
+    )
+    def test_gaps_between_two_polynomials(self, bases, picks_a, picks_b, offset):
+        # a and b are products of integer shifts of shared factors, so gaps
+        # are planted; offset 30 puts every root of a left of the roots of b
+        # (no positive gap), offset -30 puts them right (gaps near 30)
+        a, b = (_product(bases[i % len(bases)].shift_arg(h) for i, h in picks) for picks in (picks_a, picks_b))
+        a = a.shift_arg(offset)
+        theirs_a, theirs_b = to_sympy(a), to_sympy(b)
+        from sympy.polys.dispersion import dispersionset
+
+        expected = sorted(dispersionset(theirs_b, theirs_a) - {0})
+        assert orbit_gaps_between(SHIFT, a, b) == expected, (a, b)
+
+    def test_window_is_sharp(self):
+        # roots +-i*sqrt(k), k <= 30: no positive real difference, yet the
+        # Fujiwara bound about the centroid alone gives a window of 91
+        p = _product(pp(f"x^2 + {k}") for k in range(1, 31))
+        assert _shift_gap_window(p) <= 24
+        # every root of a left of every root of b: nothing to scan
+        a = _product(pp(f"x + {k}") for k in range(20, 28))
+        b = _product(pp(f"x^2 - {k}") for k in range(1, 5)) * pp("x - 1")
+        assert _shift_gap_window(a, b) < 1
+        assert orbit_gaps_between(SHIFT, a, b) == []
 
     # the last one is an off-centre cluster whose roots +-i keep the window
     # about the centroid wide

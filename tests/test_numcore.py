@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pp, rand_poly, rf
+from conftest import pp, rand_poly, rf, to_sympy
 from diffalg import (
     Poly,
     Rat,
@@ -19,7 +19,15 @@ from diffalg import (
     poly_resultant,
     squarefree_decomposition,
 )
-from diffalg.numcore import integer_roots, poly_lcm, poly_xgcd, q_window
+from diffalg.numcore import (
+    integer_roots,
+    poly_lcm,
+    poly_xgcd,
+    q_window,
+    reciprocal_root_bound,
+    root_disc,
+    root_magnitude_bound,
+)
 
 
 class TestPolyBasics:
@@ -83,12 +91,6 @@ class TestGcd:
             g, s, t = poly_xgcd(p, q)
             assert s * p + t * q == g
             assert g == poly_gcd(p, q)
-
-
-def _to_sympy(p: Poly):
-    sympy = pytest.importorskip("sympy")
-    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
 
 
 def _from_sympy(sp) -> Poly:
@@ -183,7 +185,7 @@ class TestIntegerRoots:
             p = rand_poly(rng, 6, nonzero=True)
             if p.degree == 0:
                 continue
-            roots = _to_sympy(p).ground_roots()
+            roots = to_sympy(p).ground_roots()
             expected = {int(r) for r in roots if r.is_integer}
             assert integer_roots(p) == expected
 
@@ -195,7 +197,7 @@ class TestAgainstSympy:
             common = rand_poly(rng, 2)
             p = rand_poly(rng, 4, nonzero=True) * common
             q = rand_poly(rng, 4, nonzero=True) * common
-            theirs = _to_sympy(p).gcd(_to_sympy(q)).monic()
+            theirs = to_sympy(p).gcd(to_sympy(q)).monic()
             assert poly_gcd(p, q) == _from_sympy(theirs)
 
     def test_gcd_and_lcm_match_on_large_rational_gcds(self):
@@ -211,7 +213,7 @@ class TestAgainstSympy:
             p = rational_poly(rng.randint(0, 4)) * common
             q = rational_poly(rng.randint(0, 4)) * common
             negative_leads += p.lc() < 0
-            sp, sq = _to_sympy(p), _to_sympy(q)
+            sp, sq = to_sympy(p), to_sympy(q)
             g = poly_gcd(p, q)
             assert g.degree >= 4
             assert g == _from_sympy(sp.gcd(sq).monic())
@@ -223,7 +225,7 @@ class TestAgainstSympy:
         zero = Poly.zero()
         for _ in range(20):
             p = rand_poly(rng, 5, nonzero=True) * Fraction(-3, 7)
-            theirs = _from_sympy(_to_sympy(p).gcd(_to_sympy(zero)).monic())
+            theirs = _from_sympy(to_sympy(p).gcd(to_sympy(zero)).monic())
             assert poly_gcd(p, zero) == poly_gcd(zero, p) == theirs == p.monic()
             assert poly_lcm(p, zero) == poly_lcm(zero, p) == zero
         assert poly_gcd(zero, zero) == zero
@@ -235,7 +237,7 @@ class TestAgainstSympy:
             p = rand_poly(rng, 3, nonzero=True) * rand_poly(rng, 2, nonzero=True) ** rng.randint(1, 3)
             if p.degree < 1:
                 continue
-            _, factors = _to_sympy(p).sqf_list()
+            _, factors = to_sympy(p).sqf_list()
             theirs = {(_from_sympy(f).monic(), m) for f, m in factors}
             assert set(squarefree_decomposition(p)) == theirs
 
@@ -264,6 +266,40 @@ class TestQWindow:
         for k in range(40):
             assert q_window(q, base ** k) == k
             assert q_window(q, base ** k * Rat(1001, 1000)) == k
+
+
+class TestRootBounds:
+    @staticmethod
+    def _polys():
+        rng = random.Random(67)
+        for _ in range(60):
+            p = rand_poly(rng, 6, lo=-30, hi=30, nonzero=True)
+            if p.degree >= 1:
+                yield p
+        # clusters far from 0 and wide spreads, where the centre and the
+        # root-squaring matter
+        yield pp("(x-5000)*(x-5003)*((x-5000)^2+1)")
+        yield pp("(2*x+9001)*(2*x+9007)*(x+4500)^3")
+        yield pp("x^8 - 10^12")
+        yield pp("(x^2+1)*(x^2+2)*(x^2+3)*(x^2+4)*(x^2+5)")
+        yield pp("(x-7)^5")
+
+    def test_disc_holds_every_root(self):
+        for p in self._polys():
+            c, r = root_disc(p)
+            lead, sub = p.coeffs[-1], p.coeffs[-2]
+            assert abs(c + sub / (p.degree * lead)) <= Rat(1, 2), p  # c is the nearest integer
+            for root in to_sympy(p).sqf_part().nroots(n=30, maxsteps=200):
+                assert abs(complex(root) - c) <= r + 1e-9, (p, root, c, r)
+
+    def test_disc_is_exact_on_one_point(self):
+        assert root_disc(pp("(x-7)^5")) == (7, 0)
+        assert root_disc(pp("3*x+12")) == (-4, 0)
+
+    def test_reciprocal_bound_is_bound_of_reversal(self):
+        for p in self._polys():
+            if p[0] != 0:
+                assert reciprocal_root_bound(p) == root_magnitude_bound(Poly(list(reversed(p.coeffs)))), p
 
 
 class TestSquarefree:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import Poly, Rat, RatFun, poly_gcd
-from diffalg.numcore import GF_PRIME, _gcd_cofactors, gf_coeffs, gf_gcd_degree
+from diffalg.numcore import GF_PRIME, _gcd_cofactors, coefficient_bits_above, gf_coeffs, gf_gcd_degree
 from diffalg.parsing import _coeff_bits
 
 # derandomized: tier-1 runs the same examples every time
@@ -354,6 +354,19 @@ def test_coeff_bits_matches_fraction_definition(num, den):
     f = RatFun(Poly(num), Poly(den))
     coeffs = f.num.coeffs + f.den.coeffs
     assert _coeff_bits(f) == max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+
+
+@props
+@given(
+    st.lists(st.one_of(st.just(Fraction(0)), wide_rationals), max_size=6).map(ref_trim),
+    st.lists(wide_rationals, min_size=1, max_size=5).map(ref_trim).filter(bool),
+    st.integers(0, 200),
+)
+def test_coefficient_bits_above_is_first_size_above_cap(num, den, cap):
+    # the bit-length prefilter may only skip polynomials with no size above cap
+    f = RatFun(Poly(num), Poly(den))
+    sizes = [c.numerator.bit_length() + c.denominator.bit_length() for c in f.num.coeffs + f.den.coeffs]
+    assert coefficient_bits_above(cap, f.num, f.den) == next((s for s in sizes if s > cap), None)
 
 
 # contents far from 1: negative, and hundreds of bits in numerator and

@@ -6,7 +6,19 @@ import random
 
 import pytest
 
-from conftest import Q2, Q14, QM3, SHIFT, pp, rand_poly, rand_ratfun, rand_scalar_eq, rf, run_oracle_agreement_suite
+from conftest import (
+    Q2,
+    Q14,
+    QM3,
+    SHIFT,
+    planted_pole_chains,
+    pp,
+    rand_poly,
+    rand_ratfun,
+    rand_scalar_eq,
+    rf,
+    run_oracle_agreement_suite,
+)
 from diffalg import (
     MatrixRF,
     Poly,
@@ -30,7 +42,6 @@ from diffalg import (
 from diffalg.dispersion import q_power_log
 from diffalg.numcore import poly_lcm, radical
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
-from diffalg.structures import sigma_poly
 from oracle import brute_force_oracle, fraction_solve, two_sided_universal_denominator
 
 dispersion_module = importlib.import_module("diffalg.dispersion")
@@ -187,33 +198,6 @@ def _in_space(space, g, lam) -> bool:
     pg, plam = space.particular
     delta = _pair_vector(g - pg, [a - b for a, b in zip(lam, plam)])
     return _in_span([_pair_vector(*pair) for pair in space.homogeneous_basis], delta)
-
-
-def planted_pole_chains(ds, seed: int, count: int):
-    """``count`` equations (eq, y0, lambdas) with y0 a solution whose poles
-    form forward chains prod_{j<=h} sigma^(-j)(x - c), h <= 3, each factor of
-    multiplicity <= 2, times x^k in the q case.  Even ones are inhomogeneous,
-    L(y) = L(y0) for a random L; odd ones are homogeneous, with
-    L = (c1*sigma + c0) o (y0*sigma - sigma(y0)), denominators cleared."""
-    rng = random.Random(seed)
-    for trial in range(count):
-        den = Poly.one()
-        for _ in range(rng.randint(1, 2)):
-            base = Poly([-rng.choice([-3, -2, -1, 1, 2, 3]), 1])
-            for j in range(rng.randint(0, 3) + 1):
-                den = den * sigma_poly(ds, base, -j).monic() ** rng.randint(1, 2)
-        if not ds.is_shift:
-            den = den * Poly.monomial(1, rng.randint(0, 2))
-        y0 = RatFun(rand_poly(rng, 2, nonzero=True), den)
-        if trial % 2 == 0:
-            order = rng.randint(1, 2)
-            coeffs = tuple(rand_poly(rng, 2, nonzero=i in (0, order)) for i in range(order + 1))
-            rhs = ScalarDiffEq(ds, coeffs).apply_operator(y0)
-            yield ScalarDiffEq(ds, coeffs, (rhs,), (Rat(1),)), y0, (Rat(1),)
-        else:
-            c0, c1 = (RatFun.from_poly(rand_poly(rng, 1, nonzero=True)) for _ in range(2))
-            s1, s2 = apply_sigma(ds, y0, 1), apply_sigma(ds, y0, 2)
-            yield scalar_eq_from_ratfun_coeffs(ds, [-c0 * s1, c0 * y0 - c1 * s2, c1 * s1]), y0, ()
 
 
 class TestPlantedPoleChains:
@@ -562,6 +546,23 @@ class TestSystemRoutes:
         assert len(sol.homogeneous_basis) == dim
         assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
         _same_route_result(SHIFT, m, c, sol)
+
+    @pytest.mark.parametrize(
+        "entries, cyclic", [([[0, 1], [1, 0]], True), ([[1, 0], [1, 1]], False)], ids=["cyclic", "fallback"]
+    )
+    def test_system_substituted_once(self, monkeypatch, entries, cyclic):
+        # the returned vectors are substituted into the system; the scalar
+        # spaces they are built from are not checked on their own
+        calls = []
+        for name in ("_verify_space", "_verify_system"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        m = MatrixRF(entries)
+        v = [rf("1/(x+1)"), rf("x^2")]
+        c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
+        assert (len(solver._eliminate(SHIFT, m, c, 0)[1]) == 2) is cyclic
+        assert solve_system(SHIFT, m, c).status is Status.SOLVED
+        assert calls == ["_verify_system"]
 
     def test_cyclic_route_obstruction(self):
         # sigma(v) = [[0, 1], [1, 0]] v + (1/x, 0): coordinate 0 is cyclic
