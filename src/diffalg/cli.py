@@ -46,7 +46,9 @@ from .parsing import (
     format_ratfun,
     parse_matrix,
     parse_poly,
+    parse_poly_list,
     parse_ratfun,
+    parse_ratfun_list,
     parse_vector,
 )
 from .solver import ScalarDiffEq
@@ -153,10 +155,10 @@ class VerdictReport:
         return dict(vars(self))
 
 
-def _parse_q(text: str) -> Rat:
+def _parse_constant(text: str, flag: str) -> Rat:
     f = parse_ratfun(text)
     if not f.is_constant():
-        raise ParseError("--q must be a rational constant", 0)
+        raise ParseError(f"{flag} must be a rational constant", 0)
     return f.const_value()
 
 
@@ -179,10 +181,6 @@ def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
     if space.degree_bound is not None:
         cert["degree_bound"] = space.degree_bound
     return space.status.name, cert
-
-
-def _split_exprs(text: str) -> list[str]:
-    return [chunk for chunk in (piece.strip() for piece in text.split(";")) if chunk]
 
 
 def run_query(query: Query) -> tuple[VerdictReport, int]:
@@ -216,10 +214,8 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
             raise ParseError("disp needs --poly or --f", 0)
     elif sub == "standard-form":
         f = parse_ratfun(payload["f"])
-        a = parse_ratfun(payload.get("a") or "1")
-        if not a.is_constant():
-            raise ParseError("--a must be a rational constant", 0)
-        decomp = additive_standard_decomp(ds, f, a.const_value())
+        a = _parse_constant(payload.get("a") or "1", "--a")
+        decomp = additive_standard_decomp(ds, f, a)
         verdict = "STANDARD_DECOMP"
         cert = {
             "standard_part": format_ratfun(decomp.standard_part),
@@ -240,7 +236,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         space = solver.solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=cap)
         verdict, cert = _solution_space_payload(space)
     elif sub == "solve-scalar":
-        coeffs = [parse_poly(p) for p in _split_exprs(payload["coeffs"])]
+        coeffs = parse_poly_list(payload["coeffs"])
         basis, fixed = _rhs_arguments(payload)
         eq = ScalarDiffEq(ds, tuple(coeffs), tuple(basis), fixed)
         space = solver.solve_scalar(eq, degree_cap=cap)
@@ -263,7 +259,7 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         if space.witness:
             cert["witness"] = space.witness
     elif sub == "telescope":
-        funcs = [parse_ratfun(t) for t in _split_exprs(payload["funcs"])]
+        funcs = parse_ratfun_list(payload["funcs"])
         tele = criteria.find_telescoper(ds, funcs, query.order_bound, degree_cap=cap)
         if tele is None:
             verdict = "NO_TELESCOPER"
@@ -325,20 +321,12 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
     return report, EXIT_BOUND if verdict == "BOUND_EXCEEDED" else EXIT_OK
 
 
-def _rhs_arguments(payload) -> tuple[list[RatFun], tuple | None]:
+def _rhs_arguments(payload) -> tuple[list[RatFun], tuple]:
     """--rhs is a fixed right-hand side (lambda pinned to 1); --rhs-basis
     adds free-lambda basis functions."""
-    basis: list[RatFun] = []
-    fixed: list = []
-    if payload.get("rhs"):
-        basis.append(parse_ratfun(payload["rhs"]))
-        fixed.append(Rat(1))
-    for chunk in _split_exprs(payload.get("rhs_basis") or ""):
-        basis.append(parse_ratfun(chunk))
-        fixed.append(None)
-    if not basis:
-        return [], None
-    return basis, tuple(fixed)
+    fixed = [parse_ratfun(payload["rhs"])] if payload.get("rhs") else []
+    free = parse_ratfun_list(payload.get("rhs_basis") or "")
+    return fixed + free, (Rat(1),) * len(fixed) + (None,) * len(free)
 
 
 def _da_certificate_dict(c: criteria.DACertificate) -> dict:
@@ -428,7 +416,7 @@ def query_from_dict(obj: dict) -> Query:
     return Query(
         subcommand=sub,
         case=case,
-        q_value=_parse_q(str(q_raw)) if q_raw is not None else None,
+        q_value=_parse_constant(str(q_raw), "--q") if q_raw is not None else None,
         payload=payload,
         order_bound=3 if obj.get("order_bound") is None else obj["order_bound"],
         degree_cap=obj.get("degree_cap"),
@@ -475,7 +463,11 @@ def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
     def work(job) -> tuple[dict, int]:
         lineno, line = job
         try:
-            report, code = run_query(query_from_dict(json.loads(line)))
+            try:
+                obj = json.loads(line)
+            except RecursionError:  # nested deeper than the interpreter's limit
+                raise ParseError("batch line nested too deeply", 0) from None
+            report, code = run_query(query_from_dict(obj))
             return report.to_json_dict(), code
         except Exception as exc:  # one bad line must not lose the other reports
             return _error_report(exc, line=lineno)

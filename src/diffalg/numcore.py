@@ -824,14 +824,6 @@ def q_window(q: Rat, bound: Rat) -> int:
     return window
 
 
-def _floor(r: Rat) -> int:
-    return r.numerator // r.denominator
-
-
-def _ceil(r: Rat) -> int:
-    return -(-r.numerator // r.denominator)
-
-
 def integer_roots(p: Poly) -> set[int]:
     """Integer roots of p via Sturm-sequence isolation (no factorization)."""
     if p.is_zero():
@@ -840,28 +832,21 @@ def integer_roots(p: Poly) -> set[int]:
         return set()
     sqfree = radical(p)
     chain = _sturm_chain(sqfree)
-    bound = _floor(root_magnitude_bound(sqfree)) + 1
+    bound = math.floor(root_magnitude_bound(sqfree)) + 1  # above every root's magnitude
     roots: set[int] = set()
-
-    def explore(lo: Rat, hi: Rat, v_lo: int, v_hi: int):
-        # Sturm: v_lo - v_hi roots in the half-open interval (lo, hi]
-        if v_lo - v_hi == 0:
-            return
-        if hi - lo <= 1:
-            for n in range(_ceil(lo), _floor(hi) + 1):
-                if p.eval(Rat(n)) == 0:
-                    roots.add(n)
-            return
-        mid = (lo + hi) / 2
-        v_mid = _sign_changes(chain, mid)
-        explore(lo, mid, v_lo, v_mid)
-        explore(mid, hi, v_mid, v_hi)
-
-    lo = Rat(-bound)
-    hi = Rat(bound)
-    explore(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))
-    if p.eval(lo) == 0:
-        roots.add(-bound)
+    # Sturm: v_lo - v_hi roots in the half-open interval (lo, hi]; bisected
+    # on integer endpoints down to (hi - 1, hi], whose one integer is hi
+    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(chain, mid)
+            stack += ((lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi))
+        elif sqfree.eval(hi) == 0:
+            roots.add(hi)
     return roots
 
 

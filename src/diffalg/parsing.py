@@ -1,56 +1,69 @@
 """Expression parsing and printing for the CLI.
 
-Grammar: the single variable ``x``, optionally signed integer literals
-(rationals are written with the division operator, e.g. ``1/4``), operators
-``+ - * / ^`` with the usual precedence, parentheses, and matrices as
-bracketed rows of expressions like ``[[0,-1],[1,x]]``.  Whitespace is
-ignored.  Printing produces strings that reparse to an identical reduced
-rational function.
+Grammar: the single variable ``x``, optionally signed integer literals (runs
+of the Unicode decimal digits ``int`` reads; rationals are written with the
+division operator, e.g. ``1/4``), operators ``+ - * / ^`` with the usual
+precedence, parentheses, matrices as bracketed rows of expressions like
+``[[0,-1],[1,x]]``, and ``;`` lists of expressions with empty items skipped.
+Whitespace is ignored.  A field is parsed in place, so an error position is
+an offset into the whole field.  Printing produces strings that reparse to
+an identical reduced rational function.
 
 Input size is capped so that no expression can run without bound: an
-exponent above ``MAX_DEGREE`` in magnitude, an integer literal, a power or
-any intermediate result of degree above ``MAX_DEGREE`` or with coefficients
-above ``MAX_COEFF_BITS`` bits is a parse error.  The same bit cap bounds what
-is printed: a result coefficient above it is a BoundExceededError (kind
-``bound-exceeded`` in a report), never a report too large to print.
+exponent above ``MAX_DEGREE`` in magnitude, parentheses nested deeper than
+``MAX_NESTING``, an integer literal, a power or any intermediate result of
+degree above ``MAX_DEGREE`` or with coefficients above ``MAX_COEFF_BITS``
+bits is a parse error.  The same bit cap bounds what is printed: a result
+coefficient above it is a BoundExceededError (kind ``bound-exceeded`` in a
+report), never a report too large to print.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import BoundExceededError, ParseError
 from .numcore import Poly, RatFun, coefficient_bits, coefficient_bits_above, format_poly
 from .solver import MatrixRF
 
 MAX_DEGREE = 256
+# open parentheses; at a few frames each, far below the recursion limit
+MAX_NESTING = 64
 MAX_COEFF_BITS = 1 << 13
 # the largest telescoper order bound a query may ask for: the search grows
 # steeply with it (two functions at bound 128 take tens of seconds)
 MAX_ORDER_BOUND = 64
 
+_TOKEN = re.compile(r"\s*(\d+|\S)")
+
 
 class _Scanner:
+    """The tokens of a field (digit runs, other characters one by one) with
+    their start offsets.  Taking a token leaves ``pos`` at its end; peeking
+    moves ``pos`` to the next token's start, or to the end of the text."""
+
     def __init__(self, text: str):
         self.text = text
+        self.tokens = [(m.start(1), m[1]) for m in _TOKEN.finditer(text)]
+        self.tokens.append((len(text), ""))
+        self.index = 0
         self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.depth = 0  # parentheses open
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos, token = self.tokens[self.index]
+        return token
 
     def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+        token = self.peek()
+        self.index += 1
+        self.pos += len(token)
+        return token
 
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise ParseError(f"expected '{ch}', found {got!r}", self.pos)
-        self.pos += 1
+    def expect(self, token: str):
+        if self.peek() != token:
+            self.fail(f"expected '{token}', found {self.peek()[:1]!r}")
+        self.take()
 
     def fail(self, message: str):
         raise ParseError(message, self.pos)
@@ -129,49 +142,51 @@ def _parse_exponent(sc: _Scanner) -> int:
     if sc.peek() == "-":
         sc.take()
         sign = -1
-    ch = sc.peek()
-    if not ch.isdigit():
+    digits = sc.peek()
+    if not digits.isdecimal():
         sc.fail("expected an integer exponent")
-    digits = _take_digits(sc)
+    sc.take()
     if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
         sc.fail(f"exponent above the cap {MAX_DEGREE}")
     return sign * int(digits)
 
 
-def _take_digits(sc: _Scanner) -> str:
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-        sc.pos += 1
-    return sc.text[start : sc.pos]
-
-
 def _parse_atom(sc: _Scanner) -> RatFun:
-    ch = sc.peek()
-    if ch == "(":
+    token = sc.peek()
+    if token == "(":
         sc.take()
+        if sc.depth == MAX_NESTING:
+            sc.fail(f"parentheses nested above the cap {MAX_NESTING}")
+        sc.depth += 1
         value = _parse_expr(sc)
         sc.expect(")")
+        sc.depth -= 1
         return value
-    if ch == "x":
+    if token == "x":
         sc.take()
         return RatFun.x()
-    if ch.isdigit():
-        digits = _take_digits(sc)
+    if token.isdecimal():
+        sc.take()
         # log2(10) < 10/3: a literal of this many digits fits the bit cap
-        if len(digits) * 10 > MAX_COEFF_BITS * 3:
+        if len(token) * 10 > MAX_COEFF_BITS * 3:
             sc.fail(f"integer literal above the cap of {MAX_COEFF_BITS} bits")
-        return RatFun.const(int(digits))
-    sc.fail(f"unexpected character {ch!r}" if ch else "unexpected end of input")
+        return RatFun.const(int(token))
+    sc.fail(f"unexpected character {token!r}" if token else "unexpected end of input")
 
 
 def _parse_whole(text: str, rule):
     """``rule`` applied to a scanner over text, which it must consume."""
     sc = _Scanner(text)
     value = rule(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
+    if sc.peek():
         sc.fail(f"trailing input {sc.text[sc.pos:]!r}")
     return value
+
+
+def _polynomial(f: RatFun, position: int) -> Poly:
+    if not f.is_polynomial():
+        raise ParseError("expected a polynomial (no denominator)", position)
+    return f.num * (1 / f.den.lc())
 
 
 def parse_ratfun(text: str) -> RatFun:
@@ -180,10 +195,30 @@ def parse_ratfun(text: str) -> RatFun:
 
 
 def parse_poly(text: str) -> Poly:
-    f = parse_ratfun(text)
-    if not f.is_polynomial():
-        raise ParseError("expected a polynomial (no denominator)", 0)
-    return f.num * (1 / f.den.lc())
+    return _polynomial(parse_ratfun(text), 0)
+
+
+def parse_ratfun_list(text: str) -> list[RatFun]:
+    """Parse ``e; e; ...``, skipping empty items."""
+    return [f for _, f in _parse_whole(text, _semicolon_list)]
+
+
+def parse_poly_list(text: str) -> list[Poly]:
+    """Parse ``p; p; ...``, skipping empty items; each item must be a
+    polynomial, checked once the whole list has parsed."""
+    return [_polynomial(f, start) for start, f in _parse_whole(text, _semicolon_list)]
+
+
+def _semicolon_list(sc: _Scanner) -> list[tuple[int, RatFun]]:
+    """The items of ``e; e; ...``, each with the offset where it starts."""
+    items = []
+    while sc.peek():
+        if sc.peek() != ";":
+            start = sc.pos
+            items.append((start, _parse_expr(sc)))
+        if sc.peek():
+            sc.expect(";")
+    return items
 
 
 def parse_matrix(text: str) -> MatrixRF:
@@ -214,25 +249,10 @@ def _parse_row(sc: _Scanner) -> list[RatFun]:
 
 
 def _parse_entry(sc: _Scanner) -> RatFun:
-    # an expression terminated by ',' or ']' at depth zero
     start = sc.pos
-    depth = 0
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in ",]":
-            break
-        sc.pos += 1
-    chunk = sc.text[start : sc.pos]
-    if not chunk.strip():
+    if sc.peek() in (",", "]", ""):
         raise ParseError("empty matrix entry", start)
-    try:
-        return parse_ratfun(chunk)
-    except ParseError as exc:
-        raise ParseError(str(exc), start + exc.position) from None
+    return _parse_expr(sc)
 
 
 def _check_printable(*polys: Poly) -> None:

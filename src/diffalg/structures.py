@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import PreconditionError
+from .errors import BoundExceededError, PreconditionError
 from .numcore import Poly, Rat, RatFun
 
 MAX_SIGMA_POWER = 2 ** 31
@@ -72,7 +72,7 @@ def split_x_power(ds: DiffStructure, p: Poly) -> tuple[Poly, int]:
 def sigma_poly(ds: DiffStructure, p: Poly, power: int = 1) -> Poly:
     """sigma^power applied to a polynomial (composition with x+power or q^power*x)."""
     if abs(power) > MAX_SIGMA_POWER:
-        raise OverflowError("sigma power out of range")
+        raise BoundExceededError("sigma power above the cap")
     if power == 0:
         return p
     if ds.is_shift:

@@ -23,7 +23,7 @@ from diffalg.cli import (
     run_batch,
     run_query,
 )
-from diffalg.parsing import MAX_COEFF_BITS, format_rat
+from diffalg.parsing import MAX_COEFF_BITS, MAX_NESTING, format_rat, parse_poly_list, parse_ratfun_list
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "diffalg", "verdict_report.schema.json")
 
@@ -56,6 +56,33 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_ratfun("x + $")
         assert err.value.position == 4
+
+    def test_matrix_entry_error_position_is_absolute(self):
+        with pytest.raises(ParseError) as err:
+            parse_matrix("[[1,x+$],[0,1]]")
+        assert str(err.value) == "unexpected character '$' (at position 6)"
+        with pytest.raises(ParseError) as err:
+            parse_matrix("[[1, ],[0,1]]")
+        assert str(err.value) == "empty matrix entry (at position 4)"
+
+    def test_list_item_error_position_is_absolute(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly_list("x+1; x + $")
+        assert str(err.value) == "unexpected character '$' (at position 9)"
+        with pytest.raises(ParseError) as err:
+            parse_poly_list("x;  1/x")
+        assert str(err.value) == "expected a polynomial (no denominator) (at position 4)"
+
+    def test_list_skips_empty_items(self):
+        assert parse_ratfun_list(" ;1;; x ;") == [rf("1"), rf("x")]
+        assert parse_ratfun_list("  ") == []
+
+    def test_literals_are_decimal_digits(self):
+        assert parse_ratfun("\u0663 + x") == rf("3 + x")  # ARABIC-INDIC DIGIT THREE
+        for text, position in (("\u00b2", 0), ("x^\u00b2", 2), ("1\u00b2", 1)):
+            with pytest.raises(ParseError) as err:
+                parse_ratfun(text)
+            assert err.value.position == position
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -104,6 +131,7 @@ class TestParserCaps:
             "(9^256)^256",
             "9" * 5000,
             "*".join(["9^256"] * 20),
+            "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
         ],
     )
     def test_oversized_input_is_parse_error(self, text):
@@ -111,6 +139,7 @@ class TestParserCaps:
             parse_ratfun(text)
 
     def test_inputs_at_the_caps_parse(self):
+        assert parse_ratfun("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == rf("x")
         assert parse_ratfun("x^256").num.degree == 256
         assert parse_ratfun("x^-256").den.degree == 256
         assert parse_ratfun("x^256 + x^200").num.degree == 256
@@ -136,6 +165,48 @@ class TestParserCaps:
         assert code == EXIT_USAGE
         assert reports[0]["error"]["kind"] == "parse"
         assert reports[1]["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+
+
+class TestInputBoundary:
+    """Inputs that once escaped every parser cap as ``internal`` errors."""
+
+    @pytest.mark.parametrize(
+        "line, kind, code",
+        [
+            ({"subcommand": "integrability", "matrix": "[[1,x+$],[0,1]]"}, "parse", EXIT_USAGE),
+            ({"subcommand": "solve-scalar", "coeffs": "x+1; x + $"}, "parse", EXIT_USAGE),
+            ({"subcommand": "da-hypergeom", "b": "\u00b2"}, "parse", EXIT_USAGE),
+            ({"subcommand": "da-hypergeom", "b": "x^\u00b2"}, "parse", EXIT_USAGE),
+            ({"subcommand": "da-hypergeom", "b": "(" * 250 + "x" + ")" * 250}, "parse", EXIT_USAGE),
+            ('{"subcommand": "disp", "poly": ' + "[" * 50000 + "]" * 50000 + "}", "parse", EXIT_USAGE),
+            ({"subcommand": "disp", "poly": f"x*(x+{2 ** 3000})"}, None, EXIT_OK),
+            ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
+            ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 3000})"}, "bound-exceeded", EXIT_BOUND),
+            ({"subcommand": "standard-form", "f": f"1/x + 1/(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
+        ],
+        ids=["matrix-entry", "list-item", "superscript", "superscript-exponent", "nesting",
+             "deep-json", "huge-root", "sigma-2^900", "sigma-2^3000", "standard-form-2^900"],
+    )
+    def test_kind_and_exit_code(self, line, kind, code, tmp_path, capsys):
+        path = tmp_path / "line.jsonl"
+        path.write_text((line if isinstance(line, str) else json.dumps(line)) + "\n")
+        reports, batch_code = run_batch(str(path))
+        if isinstance(line, dict):
+            argv = [line["subcommand"]] + [f"--{k}={v}" for k, v in line.items() if k != "subcommand"]
+        else:
+            argv = ["batch", str(path)]
+        main_code = main(argv)
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        assert batch_code == main_code == code
+        report = reports[0]
+        main_report = json.loads(out.out or out.err)
+        if kind is None:
+            assert report == {**main_report, "timing_ms": report["timing_ms"]}
+            assert report["certificate"] == {"dispersion": 2 ** 3000}
+        else:
+            assert report["error"]["kind"] == kind
+            assert main_report["error"]["kind"] == kind
 
 
 class TestNegativeDegreeCap:
@@ -521,6 +592,22 @@ class TestBatch:
         assert json.loads(capsys.readouterr().err)["error"] == {
             "message": reports[0]["error"]["message"], "kind": "parse",
         }
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ([1, 2], "batch line must be a JSON object"),
+            ({"subcommand": "da-hypergeom"}, "missing required argument --b"),
+            ({"subcommand": "da-hypergeom", "case": "q", "b": "x"}, "q case requires --q"),
+            ({"subcommand": "da-hypergeom", "case": "q", "q": "x", "b": "x"}, "--q must be a rational constant"),
+            ({"subcommand": "standard-form", "f": "1/x", "a": "x"}, "--a must be a rational constant"),
+            ({"subcommand": "disp"}, "disp needs --poly or --f"),
+        ],
+    )
+    def test_rejected_line_is_parse_error(self, tmp_path, line, message):
+        reports, code = run_batch(self._write(tmp_path, [line]))
+        assert code == EXIT_USAGE
+        assert reports[0]["error"] == {"line": 1, "message": f"{message} (at position 0)", "kind": "parse"}
 
     def test_bound_exceeded_line_matches_single_query(self, tmp_path, capsys):
         line = {"subcommand": "telescope", "funcs": "1/x + x^3", "order_bound": 2, "degree_cap": 0}

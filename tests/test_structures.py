@@ -6,6 +6,7 @@ import pytest
 
 from conftest import Q2, SHIFT, pp, rand_ratfun, rf
 from diffalg import (
+    BoundExceededError,
     ConstLinDiffOp,
     PreconditionError,
     Rat,
@@ -55,7 +56,7 @@ class TestSigma:
                 assert apply_sigma(ds, apply_sigma(ds, f, -2), 2) == f
 
     def test_power_overflow_guard(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(BoundExceededError):
             apply_sigma(SHIFT, rf("x"), 2 ** 40)
 
 
