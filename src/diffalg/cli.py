@@ -27,7 +27,6 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import criteria, solver
@@ -457,6 +456,8 @@ def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
     preserved, independent queries executed concurrently.  A failed line
     yields ``{"error": {"line", "message", "kind"}}``; the exit code is the
     largest per-line code."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with open(path, "r", encoding="utf-8") as fh:
         jobs = [(n, line) for n, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
 

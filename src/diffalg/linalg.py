@@ -1,52 +1,51 @@
-"""Exact linear algebra over Q and over Q(x).
+"""Exact linear algebra: the solve over Q and the one elimination over Q[x].
 
-Both solvers bring the augmented system to reduced row echelon form and
-return the solution space as a particular solution (free variables set to 0)
-plus a canonical nullspace basis (one vector per free column).  The reduced
-form is unique, so downstream certificate output is deterministic whichever
-way it is computed.
+``solve_affine`` brings an augmented system over Q to reduced row echelon
+form and returns the solution space as a particular solution (free variables
+set to 0) plus a canonical nullspace basis (one vector per free column).
+The reduced form is unique, so downstream certificate output is
+deterministic whichever way it is computed.  Each augmented row is cleared
+to a sparse primitive integer row ``{column: value}`` and the reduced form is
+built one row at a time, in the order of sympy's ``sdm_irref``: rows are
+taken by descending leading column; each is reduced against the pivot rows
+found so far, takes its leftmost nonzero as a new pivot, and clears that
+column from the earlier pivot rows that have it.  Both steps are the one
+row update ``pv*row - f*pivot_row``, divided by gcd(pv, f); a new or changed
+pivot row is then made primitive.  The solver's ansatz systems are banded,
+with entries of hundreds of bits: this order touches only nonzeros, takes
+one gcd per row update, and never visits a row again once it reduces to
+zero, where sweeping every row at every pivot spends most of its time on
+zeros and gcds.  Rationals are only built for the entries that leave the
+kernel, as ``numerator / pivot``.
 
-The element type picks the path:
-
-- Over Q (``zero`` is an int or a rational), each augmented row is cleared to
-  a sparse primitive integer row ``{column: value}`` and the reduced form is
-  built one row at a time, in the order of sympy's ``sdm_irref``: rows are
-  taken by descending leading column; each is reduced against the pivot rows
-  found so far, takes its leftmost nonzero as a new pivot, and clears that
-  column from the earlier pivot rows that have it.  Both steps are the one
-  row update ``pv*row - f*pivot_row``, divided by gcd(pv, f); a new or
-  changed pivot row is then made primitive.  The solver's
-  ansatz systems are banded, with entries of hundreds of bits: this order
-  touches only nonzeros, takes one gcd per row update, and never visits a
-  row again once it reduces to zero, where sweeping every row at every
-  pivot spends most of its time on zeros and gcds.  Rationals are only
-  built for the entries that leave the kernel, as ``numerator / pivot``.
-- Over Q(x) (``zero`` is a rational function), plain Gauss-Jordan runs on the
-  field elements, which only need +, -, *, /, and truthiness for zero.  This
-  is the one elimination over Q(x): a matrix inverse and an invertibility
-  test are read off a nullspace it computes (``solver.MatrixRF``).
+Over Q(x) nothing is solved as fractions.  A caller clears its rows to
+polynomial rows over Q[x] and adds them one at a time to a
+``FractionFreeRows``, which keeps them in fraction-free echelon form
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every entry is a minor of the rows, so
+no gcd is taken and each division is exact.  The first row that depends on
+the earlier ones comes back as a polynomial relation.  Once n independent
+rows of length n are kept, the same elimination continues by back
+substitution to adj(P)*b for any b, with det(P) its denominator, so
+P^-1 b = adj(P) b / det(P) needs no second elimination.  This is the one
+elimination over Q(x): it gives the cyclic equation of a first-order system
+and its lift (``solver._eliminate``), and the inverse and invertibility test
+of ``solver.MatrixRF``.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Rational
 
-from .numcore import Rat, primitive_ints
+from .numcore import Poly, Rat, primitive_ints
 
 
 def solve_affine(rows, rhs, zero, one):
-    """Solve rows * v = rhs.
+    """Solve rows * v = rhs over Q.
 
     Returns (particular, basis): ``particular`` is None when the system is
     inconsistent (the basis of the homogeneous system is still returned).
     """
-    if isinstance(zero, Rational):
-        return _solve_affine_int(rows, rhs, zero, one)
-    return _solve_affine_field(rows, rhs, zero, one)
-
-
-def _solve_affine_int(rows, rhs, zero, one):
     ncols = len(rows[0]) if rows else 0
     pending = []
     for r, b in zip(rows, rhs):
@@ -88,7 +87,7 @@ def _solve_affine_int(rows, rhs, zero, one):
         aug.append(dense)
     if inconsistent:
         aug.append([0] * ncols + [1])
-    return _read_off(aug, pivots, ncols, zero, one, Rat)
+    return _read_off(aug, pivots, ncols, zero, one)
 
 
 def _row_update(row, prow, j):
@@ -114,41 +113,11 @@ def _primitive_row(row):
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _solve_affine_field(rows, rhs, zero, one):
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        if pv != one:
-            aug[r] = [v / pv for v in aug[r]]
-        row_r = aug[r]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # pivot rows are scaled to pivot one: entries are read as they are
-    return _read_off(aug, pivots, ncols, zero, one, lambda v, pivot: v)
-
-
-def _read_off(aug, pivots, ncols, zero, one, ratio):
-    """(particular, canonical nullspace) of a reduced augmented matrix whose
-    row k has its pivot in column pivots[k]; an entry v of that row stands
-    for ratio(v, pivot).  Rows below the pivot rows are zero on the left."""
+def _read_off(aug, pivots, ncols, zero, one):
+    """(particular, canonical nullspace) of a reduced integer augmented
+    matrix whose row k has its pivot in column pivots[k]; an entry v of that
+    row stands for v / pivot.  Rows below the pivot rows are zero on the
+    left."""
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -157,13 +126,97 @@ def _read_off(aug, pivots, ncols, zero, one, ratio):
         vec[fc] = one
         for row, pc in zip(aug, pivots):
             if row[fc]:
-                vec[pc] = ratio(-row[fc], row[pc])
+                vec[pc] = Rat(-row[fc], row[pc])
         basis.append(vec)
     if any(row[ncols] for row in aug[len(pivots):]):
         return None, basis
     particular = [zero] * ncols
     for row, pc in zip(aug, pivots):
         if row[ncols]:
-            particular[pc] = ratio(row[ncols], row[pc])
+            particular[pc] = Rat(row[ncols], row[pc])
     return particular, basis
 
+
+
+class FractionFreeRows:
+    """Rows over Q[x] added one at a time and kept, while they are linearly
+    independent, in fraction-free echelon form (Bareiss 1968).
+
+    Kept row s has its pivot p_s at column ``pivots[s]`` and zeros at the
+    earlier pivot columns; its entry at column j is the minor of rows 0..s
+    on columns pivots[0..s-1] and j, and ``combos[s]`` writes it as a
+    combination of rows 0..s.  A new row is reduced by one step per kept
+    row, row <- (p_s*row - row[pivots[s]]*kept_s) / p_(s-1) with p_(-1) = 1,
+    and every division is exact by Sylvester's identity: no gcd is taken.
+    ``den``, the last pivot, is +-det of the kept rows on the pivot columns.
+    """
+
+    __slots__ = ("pivots", "values", "rows", "combos")
+
+    def __init__(self):
+        self.pivots: list[int] = []
+        self.values: list[Poly] = []
+        self.rows: list[list[Poly]] = []
+        self.combos: list[list[Poly]] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def den(self) -> Poly:
+        return self.values[-1] if self.values else Poly.one()
+
+    def add(self, row: list[Poly]) -> list[Poly] | None:
+        """Keep ``row`` and return None when it is independent of the kept
+        rows.  Otherwise keep nothing and return the relation c over the
+        kept rows and then this one: sum_i c[i]*row_i = 0, with
+        c[-1] = den != 0."""
+        zero = Poly.zero()
+        new = list(row)
+        # the coefficients of the kept rows: those past step s are still
+        # zero there, and this row's own coefficient is always prev
+        combo = [zero] * len(self.rows)
+        # columns that are not yet a pivot: the others are zero in new
+        free = list(range(len(row)))
+        prev = Poly.one()
+        for j, p, kept, kept_combo in zip(self.pivots, self.values, self.rows, self.combos):
+            free.remove(j)
+            f = new[j]
+            new[j] = zero
+            for i in free:
+                new[i] = _bareiss_step(p, new[i], f, kept[i], prev)
+            for i, b in enumerate(kept_combo):
+                combo[i] = _bareiss_step(p, combo[i], f, b, prev)
+            prev = p
+        combo.append(prev)
+        # the pivot of lowest degree keeps the next minors small
+        col = min((j for j in free if new[j]), key=lambda j: new[j].degree, default=None)
+        if col is None:
+            return combo
+        self.pivots.append(col)
+        self.values.append(new[col])
+        self.rows.append(new)
+        self.combos.append(combo)
+        return None
+
+    def solve(self, b: list[Poly]) -> list[Poly]:
+        """adj(P)*b, up to the sign of ``den``, for the n kept rows P of
+        length n: P^-1 b = solve(b) / den.  The kept rows are the upper
+        triangle U = L*P, so U x = L*b is solved for y = den*x by back
+        substitution, each step an exact division by its pivot."""
+        zero, det = Poly.zero(), self.den
+        y = [zero] * len(self.rows)
+        for s in range(len(self.rows) - 1, -1, -1):
+            kept = self.rows[s]
+            acc = det * sum((li * bi for li, bi in zip(self.combos[s], b) if li and bi), zero)
+            for t in self.pivots[s + 1 :]:
+                if kept[t] and y[t]:
+                    acc = acc - kept[t] * y[t]
+            y[self.pivots[s]] = acc.exact_div(self.values[s])
+        return y
+
+
+def _bareiss_step(p: Poly, a: Poly, f: Poly, b: Poly, prev: Poly) -> Poly:
+    """(p*a - f*b) / prev, an exact division."""
+    v = p * a - f * b if f and b else p * a
+    return v.exact_div(prev) if prev != Poly.one() else v

@@ -42,7 +42,7 @@ from .errors import (
     SingularMatrixError,
     ZeroInputError,
 )
-from .linalg import solve_affine
+from .linalg import FractionFreeRows, solve_affine
 from .numcore import (
     RAT_ONE,
     RAT_ZERO,
@@ -203,7 +203,9 @@ class VectorSolutionSpace:
 
 
 class MatrixRF:
-    """Square matrix over Q(x); invertibility is checked on demand."""
+    """Square matrix over Q(x).  Its inverse and invertibility test clear
+    each row to a polynomial row over its own denominator and run one
+    fraction-free elimination over Q[x] (``linalg.FractionFreeRows``)."""
 
     __slots__ = ("n", "entries")
 
@@ -248,20 +250,29 @@ class MatrixRF:
         return MatrixRF([[fn(v) for v in row] for row in self.entries])
 
     def inverse(self) -> "MatrixRF":
-        """Read off the nullspace of [A | -I]: its canonical basis vectors
-        are (x_j, e_j), so A x_j = e_j, exactly when A is invertible."""
-        n, zero, one = self.n, RatFun.zero(), RatFun.one()
-        eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        rows = [list(row) + [-v for v in e] for row, e in zip(self.entries, eye)]
-        _, basis = solve_affine(rows, [zero] * n, zero, one)
-        if [vec[n:] for vec in basis] != eye:
+        """A^-1 = P^-1 diag(l_i) for P = diag(l_i) A, where l_i clears the
+        denominators of row i: column i is adj(P) (l_i e_i) / det(P), one
+        normalised ``RatFun`` per entry."""
+        elim, dens = self._cleared_rows()
+        if elim is None:
             raise SingularMatrixError("matrix is singular over Q(x)")
-        return MatrixRF([[vec[i] for vec in basis] for i in range(n)])
+        zero, det, n = Poly.zero(), elim.den, self.n
+        cols = [elim.solve([dens[i] if k == i else zero for k in range(n)]) for i in range(n)]
+        return MatrixRF([[RatFun(col[j], det) for col in cols] for j in range(n)])
 
     def is_invertible(self) -> bool:
-        zero = RatFun.zero()
-        _, basis = solve_affine([list(r) for r in self.entries], [zero] * self.n, zero, RatFun.one())
-        return not basis
+        return self._cleared_rows()[0] is not None
+
+    def _cleared_rows(self) -> tuple[FractionFreeRows | None, list[Poly]]:
+        """(the elimination of the cleared rows P, [l_i]); None for the
+        elimination as soon as a row depends on the earlier ones."""
+        elim, dens = FractionFreeRows(), []
+        for row in self.entries:
+            den, prow = _common_denominator(list(row))
+            if elim.add(prow) is not None:
+                return None, dens
+            dens.append(den)
+        return elim, dens
 
     def __repr__(self):
         return f"MatrixRF({self.entries!r})"
@@ -680,43 +691,98 @@ def eliminate_coordinate(
 
     Only row ``coord`` of sigma^k(v) = M_k v + c_k is needed:
     sigma^k(v_coord) = rho_k . v + gamma_k with rho_0 = e_coord, gamma_0 = 0,
-    rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k).
+    rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k),
+    that is [rho_(k+1) | gamma_(k+1)] = sigma([rho_k | gamma_k]) [[M, c], [0, 1]].
     The first rho_k in the span of rho_0..rho_(k-1) gives the relation
     sum_i e_i rho_i = 0 with e_k = 1, and the equation
-    sum_i e_i sigma^i(y) = sum_i e_i gamma_i.
+    sum_i e_i sigma^i(y) = sum_i e_i gamma_i, with its coefficients cleared
+    to coprime polynomials and sigma^k(y)'s made monic.
+
+    No rational function is formed on the way: with [[M, c], [0, 1]] = N/D
+    over one polynomial D, each row is a polynomial row [P_k | G_k] over one
+    denominator d_k, [P_(k+1) | G_(k+1)] = sigma([P_k | G_k]) N and
+    d_(k+1) = sigma(d_k) D.  Each P_k is added to one fraction-free
+    elimination over Q[x] (``linalg.FractionFreeRows``); the first dependent
+    one returns sum_i c_i P_i = 0, so e_i is proportional to c_i d_i and the
+    right-hand side to sum_i c_i G_i.
     """
     return _eliminate(ds, m, [RatFun._coerce(v) for v in c], coord)[0]
 
 
+class _ShiftRows:
+    """The rows [rho_i | gamma_i] = [P_i | G_i] / d_i, i < k, of an
+    elimination (see ``eliminate_coordinate``), with the fraction-free
+    elimination of P_0..P_(k-1); len is the order k of the equation."""
+
+    __slots__ = ("elim", "dens", "gs")
+
+    def __init__(self, elim: FractionFreeRows, dens: list[Poly], gs: list[Poly]):
+        self.elim, self.dens, self.gs = elim, dens, gs
+
+    def __len__(self) -> int:
+        return len(self.elim)
+
+    def lift(self, ds: DiffStructure, y: RatFun, inhomogeneous: bool) -> tuple[RatFun, ...]:
+        """v = R^-1 (sigma^i(y) - gamma_i)_i for R = (rho_i) when k = n
+        (``gamma_i`` only when ``inhomogeneous``).  With R = diag(1/d_i) P,
+        v = adj(P) b / det(P) for b_i = d_i sigma^i(y) - G_i, and over the
+        product of the shifted denominators of y each coordinate is one
+        polynomial: one normalised ``RatFun`` per coordinate."""
+        n = len(self.elim)
+        nums = [sigma_poly(ds, y.num, i) for i in range(n)]
+        y_dens = [sigma_poly(ds, y.den, i) for i in range(n)]
+        den = Poly.one()
+        for d in y_dens:
+            den = den * d
+        b = [d_i * t * den.exact_div(d) for d_i, t, d in zip(self.dens, nums, y_dens)]
+        if inhomogeneous:
+            b = [bi - g * den for bi, g in zip(b, self.gs)]
+        det_den = self.elim.den * den
+        return tuple(RatFun(v, det_den) for v in self.elim.solve(b))
+
+
 def _eliminate(
     ds: DiffStructure, m: MatrixRF, c: list[RatFun], coord: int
-) -> tuple[ScalarDiffEq, list[list[RatFun]], list[RatFun]]:
-    """(equation, [rho_0..rho_(k-1)], [gamma_0..gamma_(k-1)]) for the order k
-    of the equation of ``eliminate_coordinate``; k == n exactly when the
+) -> tuple[ScalarDiffEq, _ShiftRows]:
+    """(equation, rows) for the equation of ``eliminate_coordinate`` and
+    the rows rho_0..rho_(k-1) it came from; k == n exactly when the
     coordinate is cyclic."""
     n = m.n
-    zero, one = RatFun.zero(), RatFun.one()
-    rho = [one if j == coord else zero for j in range(n)]
-    rows: list[list[RatFun]] = [rho]
-    gammas = [zero]
-    # n + 1 vectors of length n are dependent, so the loop returns by k = n
-    for k in range(1, n + 1):
-        s_rho = [apply_sigma(ds, f, 1) for f in rho]
-        rho = [sum((s_rho[i] * m.entries[i][j] for i in range(n)), zero) for j in range(n)]
-        gamma = sum((s_rho[i] * c[i] for i in range(n)), zero) + apply_sigma(ds, gammas[-1], 1)
-        cols = [list(col) for col in zip(*rows)]  # n x k matrix (columns = previous rows)
-        sol, _ = solve_affine(cols, [-v for v in rho], zero, one)
-        if sol is not None:
-            e = [*sol, one]
-            rhs = sum((ei * g for ei, g in zip(e, [*gammas, gamma])), zero)
-            eq = scalar_eq_from_ratfun_coeffs(
-                ds, e, rhs_basis=[rhs] if not rhs.is_zero() else [],
-                lambda_fixed=[RAT_ONE] if not rhs.is_zero() else None,
-            )
-            return eq, rows, gammas
-        rows.append(rho)
-        gammas.append(gamma)
-    raise InternalVerificationError("coordinate elimination found no relation")
+    big_d, cleared = _common_denominator([*(v for row in m.entries for v in row), *c])
+    num_m = [cleared[i * n : (i + 1) * n] for i in range(n)]
+    num_c = cleared[n * n :]
+    zero = Poly.zero()
+    p_row = [Poly.one() if j == coord else zero for j in range(n)]
+    g_k, d_k = zero, Poly.one()
+    dens: list[Poly] = []
+    gs: list[Poly] = []
+    elim = FractionFreeRows()
+    # n + 1 rows of length n are dependent, so the loop breaks by k = n
+    for _ in range(n + 1):
+        dens.append(d_k)
+        gs.append(g_k)
+        relation = elim.add(p_row)
+        if relation is not None:
+            break
+        s_row = [sigma_poly(ds, v) for v in p_row]
+        p_row = [sum((f * num_m[i][j] for i, f in enumerate(s_row) if f), zero) for j in range(n)]
+        g_k = sum((f * num_c[i] for i, f in enumerate(s_row) if f), sigma_poly(ds, g_k) * big_d)
+        d_k = sigma_poly(ds, d_k) * big_d
+    else:
+        raise InternalVerificationError("coordinate elimination found no relation")
+    w = [ci * di for ci, di in zip(relation, dens)]
+    rhs = sum((ci * gi for ci, gi in zip(relation, gs) if gi), zero)
+    g = zero
+    for wi in w:
+        if wi:
+            g = poly_gcd(g, wi)
+    scale = g * w[-1].exact_div(g).lc()
+    coeffs = tuple(wi.exact_div(scale) for wi in w)
+    if rhs:
+        eq = ScalarDiffEq(ds, coeffs, (RatFun(rhs, scale),), (RAT_ONE,))
+    else:
+        eq = ScalarDiffEq(ds, coeffs)
+    return eq, _ShiftRows(elim, dens[:-1], gs[:-1])
 
 
 def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = None) -> VectorSolutionSpace:
@@ -737,10 +803,13 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
 
     So y -> v is a bijection of the rational solution spaces with inverse
     v -> v_0: the particular solution and each homogeneous basis function of
-    e map to the system's (without the gammas for the latter).  The rows of
-    sigma(R) M are rho_1..rho_n, so sigma(R) M = C R for the companion matrix
-    C of e, with det C = +-e_0; M is invertible exactly when e_0 != 0, and
-    no separate invertibility test runs.
+    e map to the system's (without the gammas for the latter).  R^-1 is
+    adj(P) diag(d_i) / det(P) for the polynomial rows P = diag(d_i) R, read
+    off the elimination that found e, so each coordinate of v is one
+    normalised rational function.  The rows of sigma(R) M are
+    rho_1..rho_n, so sigma(R) M = C R for the companion matrix C of e, with
+    det C = +-e_0; M is invertible exactly when e_0 != 0, and no separate
+    invertibility test runs.
 
     Otherwise every coordinate is eliminated to a scalar equation, in
     ascending index order; each scalar solution space is parameterised and
@@ -753,12 +822,12 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
     n = m.n
     if len(c) != n:
         raise PreconditionError("inhomogeneous term has wrong dimension")
-    eq0, rows, gammas = _eliminate(ds, m, c, 0)
+    eq0, rows = _eliminate(ds, m, c, 0)
     cyclic = len(rows) == n
     if eq0.coeffs[0].is_zero() if cyclic else not m.is_invertible():
         raise SingularMatrixError("system matrix must be invertible over Q(x)")
     if cyclic:
-        space = _solve_cyclic(ds, eq0, rows, gammas, degree_cap)
+        space = _solve_cyclic(ds, eq0, rows, degree_cap)
     else:
         space = _solve_by_coordinates(ds, m, c, degree_cap, eq0)
     if space.status is Status.SOLVED:
@@ -777,21 +846,15 @@ def _obstructed(sol: SolutionSpace, j: int, traces: list[ScalarDiffEq]) -> Vecto
     )
 
 
-def _solve_cyclic(ds, eq0, rows, gammas, degree_cap) -> VectorSolutionSpace:
+def _solve_cyclic(ds, eq0, rows: _ShiftRows, degree_cap) -> VectorSolutionSpace:
     """Lift the solutions y of coordinate 0's equation to v = R^-1 (sigma^i(y) - gamma_i)_i."""
     sol = _solve_unverified(eq0, degree_cap)
     if sol.status is not Status.SOLVED:
         return _obstructed(sol, 0, [eq0])
-    r_inv = MatrixRF(rows).inverse()
-
-    def lift(y: RatFun, shifts: list[RatFun]) -> tuple[RatFun, ...]:
-        return tuple(r_inv.mat_vec([apply_sigma(ds, y, i) - g for i, g in enumerate(shifts)]))
-
-    zeros = [RatFun.zero()] * len(rows)
     return VectorSolutionSpace(
         Status.SOLVED,
-        particular=lift(sol.particular[0], gammas),
-        homogeneous_basis=tuple(lift(y, zeros) for y, _ in sol.homogeneous_basis),
+        particular=rows.lift(ds, sol.particular[0], True),
+        homogeneous_basis=tuple(rows.lift(ds, y, False) for y, _ in sol.homogeneous_basis),
         scalar_traces=(eq0,),
     )
 

@@ -246,13 +246,6 @@ class TestKernelShapes:
 
 
 class TestFieldPath:
-    def test_solve_over_qx(self):
-        x = RatFun.x()
-        rows = [[x, RatFun.one()], [RatFun.one(), RatFun.one() / x]]
-        particular, basis = solve_affine(rows, [x * x, x], RatFun.zero(), RatFun.one())
-        assert particular == [x, RatFun.zero()]
-        assert basis == [[-1 / x, RatFun.one()]]
-
     def test_invert_over_qx(self):
         x = RatFun.x()
         m = MatrixRF([[x, RatFun.one()], [RatFun.zero(), x + 1]])

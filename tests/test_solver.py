@@ -474,7 +474,7 @@ class TestSolveSystem:
         # on the cyclic route the trailing coefficient e_0 of coordinate 0's
         # equation is zero; the fallback route tests M itself
         m, zeros = MatrixRF(entries), [RatFun.zero(), RatFun.zero()]
-        eq0, rows, _ = solver._eliminate(SHIFT, m, zeros, 0)
+        eq0, rows = solver._eliminate(SHIFT, m, zeros, 0)
         assert (len(rows) == 2) is cyclic
         assert eq0.coeffs[0].is_zero() is cyclic
         with pytest.raises(SingularMatrixError):
@@ -573,6 +573,98 @@ class TestSystemRoutes:
         assert sol.obstructed_coordinate == 0
         assert sol.scalar_traces == (eliminate_coordinate(SHIFT, m, c, 0),)
         _same_route_result(SHIFT, m, c, sol)
+
+
+def _plain_rows(ds, m, c, coord):
+    """[(rho_k, gamma_k)] for k = 0..n by the RatFun recurrence
+    rho_(k+1) = sigma(rho_k) M, gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k)."""
+    n, zero = m.n, RatFun.zero()
+    rho, gamma = [RatFun.one() if j == coord else zero for j in range(n)], zero
+    out = [(rho, gamma)]
+    for _ in range(n):
+        s_rho = [apply_sigma(ds, f) for f in rho]
+        rho = [sum((s_rho[i] * m.entries[i][j] for i in range(n)), zero) for j in range(n)]
+        gamma = sum((s_rho[i] * c[i] for i in range(n)), apply_sigma(ds, gamma))
+        out.append((rho, gamma))
+    return out
+
+
+def _rank_at_points(vectors) -> int:
+    """The largest rank over Q of the vectors evaluated at a few points:
+    their rank over Q(x) when it is reached at one of them."""
+    best = 0
+    for point in (Rat(7, 3), Rat(-11, 5), Rat(13, 2), Rat(-17, 7)):
+        try:
+            rows = [[f.eval(point) for f in vec] for vec in vectors]
+        except ZeroDivisionError:
+            continue
+        rank = 0
+        for col in range(len(rows[0]) if rows else 0):
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for r in range(rank + 1, len(rows)):
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            rank += 1
+        best = max(best, rank)
+    return best
+
+
+def _rand_entry(rng, ds):
+    """Zero, a small constant, or a low-degree polynomial over at most one
+    linear factor prime to x."""
+    roll = rng.random()
+    if roll < 0.3:
+        return RatFun.zero()
+    if roll < 0.5:
+        return RatFun.const(rng.choice((1, 2, -1, 3)))
+    num = rand_poly(rng, 1, lo=-3, hi=3, nonzero=True)
+    if rng.random() < 0.5:
+        return RatFun(num)
+    return RatFun(num, Poly([rng.choice((-3, -2, -1, 1, 2, 4)), 1]))
+
+
+class TestEliminateCoordinate:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ds", [SHIFT, Q2, Q14], ids=["shift", "q2", "q1/4"])
+    def test_matches_plain_recurrence(self, ds, n):
+        """The equation sum_i e_i sigma^i(y) = rhs of every coordinate has
+        sum_i e_i rho_i = 0 and rhs = sum_i e_i gamma_i for the rho_k, gamma_k
+        of the RatFun recurrence; its order k is the first k with rho_k in
+        the span of rho_0..rho_(k-1); and it is the equation
+        ``scalar_eq_from_ratfun_coeffs`` builds from e / e_k."""
+        rng = random.Random(9100 + 10 * n + (0 if ds is SHIFT else 1 if ds is Q2 else 2))
+        orders = set()
+        for trial in range(4):
+            entries = [[_rand_entry(rng, ds) for _ in range(n)] for _ in range(n)]
+            if trial % 2:
+                # the other coordinates' equations do not read the last
+                # coordinate, so none of them is cyclic
+                for i in range(n - 1):
+                    entries[i][n - 1] = RatFun.zero()
+            m = MatrixRF(entries)
+            c = [_rand_entry(rng, ds) for _ in range(n)]
+            for coord in range(n):
+                eq = eliminate_coordinate(ds, m, c, coord)
+                k = eq.order
+                orders.add(k == n)
+                plain = _plain_rows(ds, m, c, coord)
+                e = [RatFun.from_poly(p) for p in eq.coeffs]
+                assert not e[-1].is_zero()
+                for j in range(n):
+                    assert sum((ei * rho[j] for ei, (rho, _) in zip(e, plain)), RatFun.zero()).is_zero()
+                rhs = sum((ei * gamma for ei, (_, gamma) in zip(e, plain)), RatFun.zero())
+                assert (eq.rhs_value((Rat(1),)) if eq.rhs_basis else RatFun.zero()) == rhs
+                assert _rank_at_points([rho for rho, _ in plain[:k]]) == k
+                ek = e[-1]
+                expected = scalar_eq_from_ratfun_coeffs(
+                    ds, [ei / ek for ei in e], rhs_basis=[rhs / ek] if rhs else [],
+                    lambda_fixed=[Rat(1)] if rhs else None,
+                )
+                assert eq == expected
+        assert orders == {True, False}  # cyclic and not
 
 
 def _proportional(eq_a: ScalarDiffEq, eq_b: ScalarDiffEq) -> bool:
