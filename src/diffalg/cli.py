@@ -18,6 +18,11 @@ reports ``{"error": {"message", "kind"}}`` with kind ``parse``, ``usage``,
 line's report, adds the line number, and exits with the largest per-line
 code.  ``--degree-cap`` (batch ``degree_cap``) bounds the numerator degree
 of every ansatz; it defaults to 200.
+
+One process answers one query, so start-up is part of every query's
+latency.  The package's records are named tuples, so a cold query imports
+no data-class machinery, ``inspect`` or ``typing``; it loads the thread pool
+only in ``run_batch`` and ``traceback`` only for an internal error.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ import argparse
 import json
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import criteria, solver
 from .dispersion import (
@@ -110,22 +114,34 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-@dataclass
-class Query:
-    subcommand: str
-    case: str = "shift"
-    q_value: Rat | None = None
-    payload: dict = field(default_factory=dict)
-    order_bound: int = 3
-    degree_cap: int | None = None
+class Query(namedtuple("Query", "subcommand case q_value payload order_bound degree_cap")):
+    """One query: the subcommand, its case and q, the subcommand's
+    arguments in ``payload`` (an empty dict when None) and the order bound
+    and degree cap, checked against their caps."""
 
-    def __post_init__(self):
-        if self.order_bound < 0:
-            raise ParseError(f"order bound must be >= 0, got {self.order_bound}", 0)
-        if self.order_bound > MAX_ORDER_BOUND:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        subcommand: str,
+        case: str = "shift",
+        q_value: Rat | None = None,
+        payload: dict | None = None,
+        order_bound: int = 3,
+        degree_cap: int | None = None,
+    ):
+        if order_bound < 0:
+            raise ParseError(f"order bound must be >= 0, got {order_bound}", 0)
+        if order_bound > MAX_ORDER_BOUND:
             raise ParseError(f"order bound above the cap {MAX_ORDER_BOUND}", 0)
-        if self.degree_cap is not None and self.degree_cap < 0:
-            raise ParseError(f"degree cap must be >= 0, got {self.degree_cap}", 0)
+        if degree_cap is not None and degree_cap < 0:
+            raise ParseError(f"degree cap must be >= 0, got {degree_cap}", 0)
+        payload = {} if payload is None else payload
+        return tuple.__new__(cls, (subcommand, case, q_value, payload, order_bound, degree_cap))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates like the constructor
+        return cls(*fields)
 
     def structure(self) -> DiffStructure:
         if self.case == "shift":
@@ -137,21 +153,16 @@ class Query:
         raise ParseError(f"unknown case {self.case!r}", 0)
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(namedtuple(
+    "VerdictReport",
+    "subcommand case q verdict certificate substitution_verified hypothesis_notes timing_ms",
+)):
     """One query's report; the fields are in the JSON key order."""
 
-    subcommand: str
-    case: str
-    q: str | None
-    verdict: str
-    certificate: dict | None
-    substitution_verified: bool
-    hypothesis_notes: str
-    timing_ms: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 def _parse_constant(text: str, flag: str) -> Rat:
@@ -447,6 +458,8 @@ def _error_report(exc: BaseException, **where) -> tuple[dict, int]:
     failed query; an internal fault also prints its traceback on stderr."""
     kind, code = _error_kind(exc)
     if kind == "internal":
+        import traceback
+
         traceback.print_exc()
     return {"error": {**where, "message": str(exc), "kind": kind}}, code
 

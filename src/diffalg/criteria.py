@@ -15,7 +15,7 @@ order bound and a None result means only "none of order <= bound".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .dispersion import is_standard, multiplicative_standard_form, q_power_log
@@ -29,7 +29,6 @@ from .errors import (
 from .numcore import RAT_ONE, Rat, RatFun
 from .solver import (
     MatrixRF,
-    ScalarDiffEq,
     Status,
     solve_first_order,
     solve_system,
@@ -42,13 +41,11 @@ from .structures import ConstLinDiffOp, DiffStructure, apply_derivation, apply_o
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Telescoper:
+class Telescoper(namedtuple("Telescoper", "operators certificate_g")):
     """Operators L_1..L_n (not all zero) and a certificate g with
     sum_i L_i(a_i) = sigma(g) - g for the inputs it was produced from."""
 
-    operators: tuple[ConstLinDiffOp, ...]
-    certificate_g: RatFun
+    __slots__ = ()
 
     def is_nonzero(self) -> bool:
         return any(not op.is_zero() for op in self.operators)
@@ -130,19 +127,19 @@ class DAStatus(Enum):
     RATIONAL_SOLUTION_EXISTS = "RationalSolutionExists"
 
 
-@dataclass(frozen=True)
-class DACertificate:
-    f: RatFun | None = None
-    c: Rat | None = None
-    n_or_r: int | None = None
-    d: Rat | None = None
+class DACertificate(namedtuple("DACertificate", "f c n_or_r d", defaults=(None,) * 4)):
+    """Witness of a DA verdict: the rational function f, the constants c
+    and d and the exponent n_or_r that ``verify_twisted_ratio`` or
+    ``verify_first_order_witness`` reads; a field it does not read is None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DAVerdict:
-    status: DAStatus
-    certificate: DACertificate | None
-    hypothesis_notes: str
+class DAVerdict(namedtuple("DAVerdict", "status certificate hypothesis_notes")):
+    """A ``DAStatus``, its ``DACertificate`` (None for a transcendence
+    verdict) and the hypotheses the verdict rests on."""
+
+    __slots__ = ()
 
 
 def _monomial_shape(ds: DiffStructure, f: RatFun) -> tuple[Rat, int] | None:
@@ -268,12 +265,14 @@ class IntegrabilityStatus(Enum):
     NOT_CONSTANT_CONJUGATE = "NotConstantConjugate"
 
 
-@dataclass(frozen=True)
-class IntegrabilityResult:
-    status: IntegrabilityStatus
-    b_matrix: MatrixRF | None
-    scalar_trace: ScalarDiffEq | None
-    scalar_traces: tuple[ScalarDiffEq, ...] = ()
+class IntegrabilityResult(namedtuple(
+    "IntegrabilityResult", "status b_matrix scalar_trace scalar_traces", defaults=((),)
+)):
+    """An ``IntegrabilityStatus``, the verified ``MatrixRF`` B when there is
+    one, the ``ScalarDiffEq`` that decided the system (None when none was
+    solved) and every scalar equation the system was solved through."""
+
+    __slots__ = ()
 
 
 def integrability_test(
@@ -373,11 +372,11 @@ class GroupKind(Enum):
     FULL_GA = "FullGa"
 
 
-@dataclass(frozen=True)
-class GroupClass:
-    kind: GroupKind
-    certificate_h: RatFun | None = None
-    certificate_c: Rat | None = None
+class GroupClass(namedtuple("GroupClass", "kind certificate_h certificate_c", defaults=(None, None))):
+    """A ``GroupKind`` and the witness ``verify_summation`` reads: h with
+    f = sigma(h) - h, plus the constant c at the constants level."""
+
+    __slots__ = ()
 
 
 def group_classify_inhomog_sum(

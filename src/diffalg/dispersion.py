@@ -29,7 +29,7 @@ The power of x itself, which x -> q*x fixes, is split off by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalVerificationError, PreconditionError, ZeroInputError
 from .numcore import (
@@ -249,29 +249,22 @@ def is_standard(ds: DiffStructure, f: RatFun) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardDecomp:
+class StandardDecomp(namedtuple("StandardDecomp", "structure twist_a standard_part certificate_g")):
     """Certified decomposition f = standard_part + sigma(g) - a*g with
     polar dispersion of the standard part equal to 0."""
 
-    structure: DiffStructure
-    twist_a: Rat
-    standard_part: RatFun
-    certificate_g: RatFun
+    __slots__ = ()
 
     def reconstruct(self) -> RatFun:
         sigma_g = apply_sigma(self.structure, self.certificate_g)
         return self.standard_part + sigma_g - RatFun.const(self.twist_a) * self.certificate_g
 
 
-@dataclass(frozen=True)
-class MultStandardForm:
+class MultStandardForm(namedtuple("MultStandardForm", "structure standard_part certificate_g")):
     """Certified decomposition f = standard_part * sigma(g)/g with a standard
     standard_part."""
 
-    structure: DiffStructure
-    standard_part: RatFun
-    certificate_g: RatFun
+    __slots__ = ()
 
     def reconstruct(self) -> RatFun:
         sigma_g = apply_sigma(self.structure, self.certificate_g)

@@ -14,13 +14,15 @@ form of Geddes-Czapor-Labahn, ch. 2, with the content a reduced pair of
 integers.  Ring operations, division, argument substitution, evaluation and
 the gcd run on the integer parts; contents combine through one integer
 helper, ``_qmul``, which multiplies reduced pairs by the cross gcds
-(Knuth, TAOCP 4.5.1), and ``RatFun`` normalises its denominator to monic
-the same way (``_over_monic``).  Division, exact division and the gcd share
-one integer pseudo-division loop, ``_pseudo_divmod``, and one mod-p Euclid,
-``_gf_gcd``: the gcd lifts its image mod ``GF_PRIME`` and checks it by trial
-division, and the primitive PRS runs only when that lift is rejected.  No
-other module reads the integer form: they go through ``integer_multiples``,
-``coefficient_bits``, ``coefficient_bits_above`` and ``gf_coeffs``.
+(Knuth, TAOCP 4.5.1), and ``RatFun`` and ``structures.apply_sigma``
+normalise a denominator to monic the same way (``over_monic``).  Division,
+exact division and the gcd share one integer pseudo-division loop,
+``_pseudo_divmod``, and one mod-p Euclid, ``_gf_gcd``: the gcd lifts its
+image mod ``GF_PRIME`` and checks it by trial division, and the primitive
+PRS runs only when that lift is rejected.  No other module reads the integer
+form: they go through ``over_monic``, ``divide_out_x``,
+``integer_multiples``, ``coefficient_bits``, ``coefficient_bits_above`` and
+``gf_coeffs``.
 
 The root bounds read the integer form too: ``root_magnitude_bound`` and
 ``reciprocal_root_bound`` (the q windows and integer roots), and
@@ -390,7 +392,7 @@ def _normal(ints: list, cn: int, cd: int, s: int = 1) -> Poly:
     return _poly(*_primitive(ints, cn, cd, s))
 
 
-def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """(num / c, den / c) for c = lc(den), den nonzero: the same quotient
     over a monic denominator."""
     ints = den._ints
@@ -400,6 +402,15 @@ def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         ln, ld = _qmul(den._cn, den._cd, ints[-1], 1)
         num = _poly(num._ints, *_qmul(num._cn, num._cd, ld, ln))
     return num, _poly(ints, 1, ints[-1])
+
+
+def divide_out_x(p: Poly) -> tuple[Poly, int]:
+    """(p / x^v, v) for v the order of p at 0, or (p, 0) when p is zero or
+    prime to x: dropping zero low coefficients keeps the triple canonical."""
+    v = p.valuation()
+    if v <= 0:
+        return p, 0
+    return _poly(p._ints[v:], p._cn, p._cd), v
 
 
 def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int, list[int]]:
@@ -644,8 +655,8 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quo * t1
     if r0.is_zero():
         return r0, s0, t0
-    s0, g = _over_monic(s0, r0)
-    return g, s0, _over_monic(t0, r0)[0]
+    s0, g = over_monic(s0, r0)
+    return g, s0, over_monic(t0, r0)[0]
 
 
 def poly_resultant(p: Poly, q: Poly) -> Rat:
@@ -910,7 +921,7 @@ class RatFun:
                 den = _PONE
             else:
                 _, num, den = _gcd_cofactors(num, den)
-                num, den = _over_monic(num, den)
+                num, den = over_monic(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -1017,7 +1028,7 @@ class RatFun:
         other = RatFun._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFun(*_over_monic(other.den, other.num), _reduced=True)
+        return self * RatFun(*over_monic(other.den, other.num), _reduced=True)
 
     def __rtruediv__(self, other) -> "RatFun":
         return RatFun._coerce(other) / self
@@ -1044,7 +1055,7 @@ class RatFun:
     def poly_part(self) -> tuple[Poly, "RatFun"]:
         """Split into (polynomial part, proper remainder)."""
         if self.is_polynomial():
-            return _over_monic(self.num, self.den)[0], RF_ZERO
+            return over_monic(self.num, self.den)[0], RF_ZERO
         q, r = self.num.divmod(self.den)
         return q, RatFun(r, self.den, _reduced=True)
 

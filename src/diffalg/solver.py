@@ -32,7 +32,7 @@ its exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .dispersion import additive_standard_decomp, orbit_gaps_between, q_power_roots
@@ -67,8 +67,7 @@ class Status(Enum):
     BOUND_EXCEEDED = "BoundExceeded"
 
 
-@dataclass(frozen=True)
-class ScalarDiffEq:
+class ScalarDiffEq(namedtuple("ScalarDiffEq", "structure coeffs rhs_basis lambda_fixed")):
     """sum_i coeffs[i] * sigma^i(y) = sum_k lambda_k * rhs_basis[k].
 
     ``lambda_fixed`` pins individual lambdas to rational values; a None entry
@@ -76,23 +75,28 @@ class ScalarDiffEq:
     lambdas are free.
     """
 
-    structure: DiffStructure
-    coeffs: tuple[Poly, ...]
-    rhs_basis: tuple[RatFun, ...] = ()
-    lambda_fixed: tuple[Rat | None, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(c if isinstance(c, Poly) else Poly.const(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        basis = tuple(r if isinstance(r, RatFun) else RatFun._coerce(r) for r in self.rhs_basis)
-        object.__setattr__(self, "rhs_basis", basis)
-        if self.lambda_fixed is not None:
-            lf = tuple(None if v is None else Rat(v) for v in self.lambda_fixed)
-            if len(lf) != len(basis):
+    def __new__(
+        cls,
+        structure: DiffStructure,
+        coeffs: tuple[Poly, ...],
+        rhs_basis: tuple[RatFun, ...] = (),
+        lambda_fixed: tuple[Rat | None, ...] | None = None,
+    ):
+        coeffs = tuple(c if isinstance(c, Poly) else Poly.const(c) for c in coeffs)
+        rhs_basis = tuple(r if isinstance(r, RatFun) else RatFun._coerce(r) for r in rhs_basis)
+        if lambda_fixed is not None:
+            lambda_fixed = tuple(None if v is None else Rat(v) for v in lambda_fixed)
+            if len(lambda_fixed) != len(rhs_basis):
                 raise PreconditionError("lambda_fixed length must match rhs_basis")
-            object.__setattr__(self, "lambda_fixed", lf)
         if not coeffs or all(c.is_zero() for c in coeffs):
             raise PreconditionError("equation needs a nonzero operator")
+        return tuple.__new__(cls, (structure, coeffs, rhs_basis, lambda_fixed))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates like the constructor
+        return cls(*fields)
 
     @property
     def order(self) -> int:
@@ -165,20 +169,21 @@ def _common_denominator(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
     return d, [f.num * d.exact_div(f.den) for f in fs]
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(namedtuple(
+    "SolutionSpace",
+    "status particular homogeneous_basis witness universal_den degree_bound",
+    defaults=(None, (), None, None, None),
+)):
     """Affine space of rational solutions (g, lambda).
 
     Every stored pair satisfies its equation under exact substitution;
-    NoSolution carries a human-readable obstruction witness.
+    NoSolution carries a human-readable obstruction witness.  ``particular``
+    is a pair (g, lambdas), ``homogeneous_basis`` a tuple of such pairs;
+    ``universal_den`` and ``degree_bound`` are the certified bounds the
+    ansatz used, when one ran.
     """
 
-    status: Status
-    particular: tuple[RatFun, tuple[Rat, ...]] | None = None
-    homogeneous_basis: tuple[tuple[RatFun, tuple[Rat, ...]], ...] = ()
-    witness: str | None = None
-    universal_den: Poly | None = None
-    degree_bound: int | None = None
+    __slots__ = ()
 
     def homogeneous_dimension(self) -> int:
         return len(self.homogeneous_basis)
@@ -187,19 +192,17 @@ class SolutionSpace:
         return self.status is Status.SOLVED
 
 
-@dataclass(frozen=True)
-class VectorSolutionSpace:
+class VectorSolutionSpace(namedtuple(
+    "VectorSolutionSpace",
+    "status particular homogeneous_basis witness scalar_traces obstructed_coordinate",
+    defaults=(None, (), None, (), None),
+)):
     """Solution space of a first-order system sigma(v) = M v + c, with the
     eliminated scalar equations it was solved through retained for audit:
     coordinate 0's alone when that coordinate is cyclic, else one per
     coordinate up to the first that has no solution."""
 
-    status: Status
-    particular: tuple[RatFun, ...] | None = None
-    homogeneous_basis: tuple[tuple[RatFun, ...], ...] = ()
-    witness: str | None = None
-    scalar_traces: tuple[ScalarDiffEq, ...] = ()
-    obstructed_coordinate: int | None = None
+    __slots__ = ()
 
 
 class MatrixRF:
@@ -283,12 +286,12 @@ class MatrixRF:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Prepared:
-    ds: DiffStructure
-    coeffs: list[Poly]          # polynomial, trailing/leading nonzero
-    rhs_fixed: Poly             # fixed part, denominator cleared
-    rhs_free: list[Poly]        # free basis, denominator cleared
+class _Prepared(namedtuple("_Prepared", "ds coeffs rhs_fixed rhs_free")):
+    """An equation over one denominator: ``coeffs`` polynomial with nonzero
+    trailing and leading entries, ``rhs_fixed`` the fixed part and
+    ``rhs_free`` the free basis, both with the denominator cleared."""
+
+    __slots__ = ()
 
 
 def _prepare(eq: ScalarDiffEq) -> _Prepared:

@@ -14,11 +14,11 @@ nothing in the shift case, which has no fixed point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from .errors import BoundExceededError, PreconditionError
-from .numcore import Poly, Rat, RatFun
+from .numcore import Poly, Rat, RatFun, divide_out_x, over_monic
 
 MAX_SIGMA_POWER = 2 ** 31
 
@@ -28,24 +28,26 @@ class Variant(Enum):
     Q_DILATION = "q"
 
 
-@dataclass(frozen=True)
-class DiffStructure:
-    variant: Variant
-    q: Rat | None = None
+class DiffStructure(namedtuple("DiffStructure", "variant q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant is Variant.Q_DILATION:
-            if self.q is None:
+    def __new__(cls, variant: Variant, q: Rat | None = None):
+        if variant is Variant.Q_DILATION:
+            if q is None:
                 raise PreconditionError("q-dilation structure needs a q value")
-            object.__setattr__(self, "q", Rat(self.q))
-            num, den = abs(self.q.numerator), abs(self.q.denominator)
-            if self.q == 0 or num == den:
+            q = Rat(q)
+            if q == 0 or abs(q.numerator) == abs(q.denominator):
                 raise PreconditionError(
                     "q must be a nonzero rational with |q| != 1 "
                     "(|numerator| != |denominator|)"
                 )
-        elif self.q is not None:
+        elif q is not None:
             raise PreconditionError("shift structure takes no q value")
+        return tuple.__new__(cls, (variant, q))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates like the constructor
+        return cls(*fields)
 
     @property
     def is_shift(self) -> bool:
@@ -63,10 +65,9 @@ def q_structure(q) -> DiffStructure:
 def split_x_power(ds: DiffStructure, p: Poly) -> tuple[Poly, int]:
     """(p / x^v, v) with v the order of p at 0 in the q case; (p, 0) in the
     shift case."""
-    v = 0 if ds.is_shift else p.valuation()
-    if v <= 0:
+    if ds.is_shift:
         return p, 0
-    return Poly(p.coeffs[v:]), v
+    return divide_out_x(p)
 
 
 def sigma_poly(ds: DiffStructure, p: Poly, power: int = 1) -> Poly:
@@ -84,14 +85,9 @@ def apply_sigma(ds: DiffStructure, f: RatFun, power: int = 1) -> RatFun:
     """sigma^power(f); power may be negative since sigma is invertible."""
     if power == 0:
         return f
-    num = sigma_poly(ds, f.num, power)
-    den = sigma_poly(ds, f.den, power)
     # composition with an invertible affine map preserves coprimality;
     # only the monic normalisation of the denominator is redone
-    lead = den.lc()
-    if lead != 1:
-        num = num * (1 / lead)
-        den = den.monic()
+    num, den = over_monic(sigma_poly(ds, f.num, power), sigma_poly(ds, f.den, power))
     return RatFun(num, den, _reduced=True)
 
 
@@ -103,18 +99,21 @@ def apply_derivation(ds: DiffStructure, f: RatFun) -> RatFun:
     return RatFun.x() * d
 
 
-@dataclass(frozen=True)
-class ConstLinDiffOp:
+class ConstLinDiffOp(namedtuple("ConstLinDiffOp", "coeffs")):
     """Constant-coefficient operator c_0 + c_1*D + ... + c_s*D^s in the
     structure's derivation D; the zero operator has an empty tuple."""
 
-    coeffs: tuple[Rat, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = [Rat(c) for c in self.coeffs]
+    def __new__(cls, coeffs=()):
+        cs = [Rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return tuple.__new__(cls, (tuple(cs),))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace coerces like the constructor
+        return cls(*fields)
 
     @property
     def order(self) -> int:

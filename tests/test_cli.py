@@ -424,8 +424,7 @@ class TestRunQuery:
             (_query("solve-first-order", a="1", rhs="x^3"), 2),
         ]
         for q, cap in cases:
-            q.degree_cap = cap
-            report, code = run_query(q)
+            report, code = run_query(q._replace(degree_cap=cap))
             assert report.verdict == "BOUND_EXCEEDED", q.subcommand
             assert code == EXIT_BOUND
 

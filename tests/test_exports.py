@@ -2,11 +2,13 @@
 export behind; no module reaches into a sibling's private helpers or into
 the integer form of a ``Poly`` outside ``numcore``; no module reads the
 environment, so every setting is an option or an argument;
-and the CLI substitutes nothing, since each procedure checks the certificate
-it makes."""
+the CLI substitutes nothing, since each procedure checks the certificate
+it makes; and a cold CLI start loads only the modules a query computes with."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import diffalg
 
@@ -86,3 +88,20 @@ def test_cli_runs_no_substitution():
                 if name.startswith("verify_") or name in ("reconstruct", "_verify_space"):
                     offenders.append(f"{filename}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_cli_import_loads_no_unused_stdlib_modules():
+    # a fresh interpreter without site-packages, whose .pth files may import
+    # typing first; the thread pool and traceback load only when used
+    code = (
+        "import sys; before = set(sys.modules); import diffalg.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.dirname(PACKAGE_DIR)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "diffalg.cli" in out
+    heavy = {"dataclasses", "inspect", "typing", "traceback", "concurrent.futures"}
+    assert sorted(heavy.intersection(out)) == []
