@@ -270,7 +270,7 @@ class IntegrabilityResult(namedtuple(
 )):
     """An ``IntegrabilityStatus``, the verified ``MatrixRF`` B when there is
     one, the ``ScalarDiffEq`` that decided the system (None when none was
-    solved) and every scalar equation the system was solved through."""
+    solved) and the system's ``scalar_traces``: that one equation, or ()."""
 
     __slots__ = ()
 
@@ -286,11 +286,12 @@ def integrability_test(
     sigma(B) = A*B*A^-1 and no system is solved; the result carries no
     scalar trace.  Otherwise the matrix equation is flattened to a
     first-order system on the n^2 entries of B (row-major) and handed to
-    ``solve_system``: when entry 0 is cyclic, its one scalar equation
-    decides the system (and the invertibility of the flattened matrix);
-    otherwise every entry is eliminated.  ``inverse()`` runs first on both
-    routes, so a singular A raises ``SingularMatrixError``.  A positive
-    answer returns a substitution-verified B.
+    ``solve_system``, whose one scalar equation, that of its cyclic vector
+    (entry 0 when that entry is cyclic), decides the system and is the
+    result's scalar trace.  ``inverse()`` runs first, so a singular A raises
+    ``SingularMatrixError``; A (x) A^-T is then invertible, and no other
+    invertibility test runs.  A positive answer returns a
+    substitution-verified B.
     """
     n = a_matrix.n
     a_inv = a_matrix.inverse()
@@ -314,13 +315,8 @@ def integrability_test(
     sol = solve_system(ds, big_m, c_vec, degree_cap=degree_cap)
     _check_bound(sol)
     if sol.status is Status.NO_SOLUTION:
-        trace = None
-        if sol.obstructed_coordinate is not None and sol.scalar_traces:
-            trace = sol.scalar_traces[sol.obstructed_coordinate]
-        elif sol.scalar_traces:
-            trace = sol.scalar_traces[0]
         return IntegrabilityResult(
-            IntegrabilityStatus.NOT_CONSTANT_CONJUGATE, None, trace, sol.scalar_traces
+            IntegrabilityStatus.NOT_CONSTANT_CONJUGATE, None, sol.scalar_traces[0], sol.scalar_traces
         )
     flat = sol.particular
     b_matrix = MatrixRF([[flat[r * n + s] for s in range(n)] for r in range(n)])
@@ -329,7 +325,7 @@ def integrability_test(
     return IntegrabilityResult(
         IntegrabilityStatus.CONSTANT_CONJUGATE,
         b_matrix,
-        sol.scalar_traces[0] if sol.scalar_traces else None,
+        sol.scalar_traces[0],
         sol.scalar_traces,
     )
 

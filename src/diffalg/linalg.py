@@ -29,8 +29,7 @@ rows of length n are kept, the same elimination continues by back
 substitution to adj(P)*b for any b, with det(P) its denominator, so
 P^-1 b = adj(P) b / det(P) needs no second elimination.  This is the one
 elimination over Q(x): it gives the cyclic equation of a first-order system
-and its lift (``solver._eliminate``), and the inverse and invertibility test
-of ``solver.MatrixRF``.
+and its lift (``solver._eliminate``), and the inverse of ``solver.MatrixRF``.
 """
 
 from __future__ import annotations

@@ -24,16 +24,16 @@ First-order equations with a constant twist first go through the additive
 standard decomposition, which moves long pole orbits of the right-hand side
 and certifies a pole-orbit obstruction; the Laurent remainder then goes
 through the same ansatz as any other equation.  A first-order system is
-solved through the scalar equation of coordinate 0 when that coordinate is
-cyclic, and otherwise uncoupled by eliminating every coordinate in ascending
-index order.  Each public solver substitutes the space it returns once, at
-its exit.
+solved through the scalar equation of one cyclic vector, coordinate 0 when
+it is cyclic, else the first cyclic vector of a fixed search.  Each public
+solver substitutes the space it returns once, at its exit.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import combinations, count, product
 
 from .dispersion import additive_standard_decomp, orbit_gaps_between, q_power_roots
 from .errors import (
@@ -194,21 +194,20 @@ class SolutionSpace(namedtuple(
 
 class VectorSolutionSpace(namedtuple(
     "VectorSolutionSpace",
-    "status particular homogeneous_basis witness scalar_traces obstructed_coordinate",
-    defaults=(None, (), None, (), None),
+    "status particular homogeneous_basis witness scalar_traces",
+    defaults=(None, (), None, ()),
 )):
     """Solution space of a first-order system sigma(v) = M v + c, with the
-    eliminated scalar equations it was solved through retained for audit:
-    coordinate 0's alone when that coordinate is cyclic, else one per
-    coordinate up to the first that has no solution."""
+    one scalar equation it was solved through, that of its cyclic vector,
+    retained for audit in ``scalar_traces``."""
 
     __slots__ = ()
 
 
 class MatrixRF:
-    """Square matrix over Q(x).  Its inverse and invertibility test clear
-    each row to a polynomial row over its own denominator and run one
-    fraction-free elimination over Q[x] (``linalg.FractionFreeRows``)."""
+    """Square matrix over Q(x).  Its inverse clears each row to a
+    polynomial row over its own denominator and runs one fraction-free
+    elimination over Q[x] (``linalg.FractionFreeRows``)."""
 
     __slots__ = ("n", "entries")
 
@@ -256,26 +255,15 @@ class MatrixRF:
         """A^-1 = P^-1 diag(l_i) for P = diag(l_i) A, where l_i clears the
         denominators of row i: column i is adj(P) (l_i e_i) / det(P), one
         normalised ``RatFun`` per entry."""
-        elim, dens = self._cleared_rows()
-        if elim is None:
-            raise SingularMatrixError("matrix is singular over Q(x)")
-        zero, det, n = Poly.zero(), elim.den, self.n
-        cols = [elim.solve([dens[i] if k == i else zero for k in range(n)]) for i in range(n)]
-        return MatrixRF([[RatFun(col[j], det) for col in cols] for j in range(n)])
-
-    def is_invertible(self) -> bool:
-        return self._cleared_rows()[0] is not None
-
-    def _cleared_rows(self) -> tuple[FractionFreeRows | None, list[Poly]]:
-        """(the elimination of the cleared rows P, [l_i]); None for the
-        elimination as soon as a row depends on the earlier ones."""
         elim, dens = FractionFreeRows(), []
         for row in self.entries:
             den, prow = _common_denominator(list(row))
             if elim.add(prow) is not None:
-                return None, dens
+                raise SingularMatrixError("matrix is singular over Q(x)")
             dens.append(den)
-        return elim, dens
+        zero, det, n = Poly.zero(), elim.den, self.n
+        cols = [elim.solve([dens[i] if k == i else zero for k in range(n)]) for i in range(n)]
+        return MatrixRF([[RatFun(col[j], det) for col in cols] for j in range(n)])
 
     def __repr__(self):
         return f"MatrixRF({self.entries!r})"
@@ -690,10 +678,11 @@ def eliminate_coordinate(
     ds: DiffStructure, m: MatrixRF, c, coord: int
 ) -> ScalarDiffEq:
     """The minimal-order scalar equation satisfied by coordinate ``coord`` of
-    every solution of sigma(v) = M v + c.
+    every solution of sigma(v) = M v + c: that of y = t . v for the unit row
+    vector t = e_coord.
 
-    Only row ``coord`` of sigma^k(v) = M_k v + c_k is needed:
-    sigma^k(v_coord) = rho_k . v + gamma_k with rho_0 = e_coord, gamma_0 = 0,
+    For any row vector t, only t . sigma^k(v) of sigma^k(v) = M_k v + c_k is
+    needed: sigma^k(y) = rho_k . v + gamma_k with rho_0 = t, gamma_0 = 0,
     rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k),
     that is [rho_(k+1) | gamma_(k+1)] = sigma([rho_k | gamma_k]) [[M, c], [0, 1]].
     The first rho_k in the span of rho_0..rho_(k-1) gives the relation
@@ -702,14 +691,16 @@ def eliminate_coordinate(
     to coprime polynomials and sigma^k(y)'s made monic.
 
     No rational function is formed on the way: with [[M, c], [0, 1]] = N/D
-    over one polynomial D, each row is a polynomial row [P_k | G_k] over one
-    denominator d_k, [P_(k+1) | G_(k+1)] = sigma([P_k | G_k]) N and
-    d_(k+1) = sigma(d_k) D.  Each P_k is added to one fraction-free
-    elimination over Q[x] (``linalg.FractionFreeRows``); the first dependent
-    one returns sum_i c_i P_i = 0, so e_i is proportional to c_i d_i and the
-    right-hand side to sum_i c_i G_i.
+    over one polynomial D and t polynomial, each row is a polynomial row
+    [P_k | G_k] over one denominator d_k, with P_0 = t and d_0 = 1,
+    [P_(k+1) | G_(k+1)] = sigma([P_k | G_k]) N and d_(k+1) = sigma(d_k) D.
+    Each P_k is added to one fraction-free elimination over Q[x]
+    (``linalg.FractionFreeRows``); the first dependent one returns
+    sum_i c_i P_i = 0, so e_i is proportional to c_i d_i and the right-hand
+    side to sum_i c_i G_i.
     """
-    return _eliminate(ds, m, [RatFun._coerce(v) for v in c], coord)[0]
+    t = [Poly.one() if j == coord else Poly.zero() for j in range(m.n)]
+    return _eliminate(ds, m, [RatFun._coerce(v) for v in c], t)[0]
 
 
 class _ShiftRows:
@@ -745,17 +736,17 @@ class _ShiftRows:
 
 
 def _eliminate(
-    ds: DiffStructure, m: MatrixRF, c: list[RatFun], coord: int
+    ds: DiffStructure, m: MatrixRF, c: list[RatFun], t: list[Poly]
 ) -> tuple[ScalarDiffEq, _ShiftRows]:
-    """(equation, rows) for the equation of ``eliminate_coordinate`` and
-    the rows rho_0..rho_(k-1) it came from; k == n exactly when the
-    coordinate is cyclic."""
+    """(equation, rows) for the equation of y = t . v (see
+    ``eliminate_coordinate``) and the rows rho_0..rho_(k-1) it came from;
+    k == n exactly when t is a cyclic vector."""
     n = m.n
     big_d, cleared = _common_denominator([*(v for row in m.entries for v in row), *c])
     num_m = [cleared[i * n : (i + 1) * n] for i in range(n)]
     num_c = cleared[n * n :]
     zero = Poly.zero()
-    p_row = [Poly.one() if j == coord else zero for j in range(n)]
+    p_row = t
     g_k, d_k = zero, Poly.one()
     dens: list[Poly] = []
     gs: list[Poly] = []
@@ -772,7 +763,7 @@ def _eliminate(
         g_k = sum((f * num_c[i] for i, f in enumerate(s_row) if f), sigma_poly(ds, g_k) * big_d)
         d_k = sigma_poly(ds, d_k) * big_d
     else:
-        raise InternalVerificationError("coordinate elimination found no relation")
+        raise InternalVerificationError("elimination found no relation")
     w = [ci * di for ci, di in zip(relation, dens)]
     rhs = sum((ci * gi for ci, gi in zip(relation, gs) if gi), zero)
     g = zero
@@ -788,15 +779,37 @@ def _eliminate(
     return eq, _ShiftRows(elim, dens[:-1], gs[:-1])
 
 
+def _candidate_vectors(n: int):
+    """The row vectors t that ``solve_system`` tries, in order; each is built
+    only once every earlier one has failed to be cyclic.  Among the rows of
+    one degree bound, those with fewer nonzero coefficients come first, and
+    among those the smaller values, so the unit vectors lead the constant
+    rows."""
+    zero = Poly.zero()
+    yield [Poly.one()] + [zero] * (n - 1)
+    yield [Poly.monomial(1, j) for j in range(n)]
+    for width in count(1):
+        slots = n * width  # slot s is the coefficient of x^(s % width) in entry s // width
+        for size in range(1, slots + 1):
+            for values in product(range(1, n + 1), repeat=size):
+                for support in combinations(range(slots), size):
+                    coeffs = [0] * slots
+                    for slot, value in zip(support, values):
+                        coeffs[slot] = value
+                    yield [Poly(coeffs[j * width : (j + 1) * width]) for j in range(n)]
+
+
 def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = None) -> VectorSolutionSpace:
-    """All rational vector solutions of sigma(v) = M v + c.
+    """All rational vector solutions of sigma(v) = M v + c, through the
+    scalar equation e of one cyclic vector (the cyclic-vector method, van der
+    Put and Singer 1997).
 
-    Coordinate 0 is eliminated first (see ``eliminate_coordinate``).  When it
-    is cyclic, that is rho_0..rho_(n-1) are independent, R = (rho_i) is
-    invertible and its one scalar equation e carries the whole system (the
-    cyclic-vector method, van der Put and Singer 1997):
+    A row vector t of polynomials is eliminated to the equation e of
+    y = t . v (see ``eliminate_coordinate``).  t is cyclic when
+    rho_0..rho_(n-1) are independent, that is when e has order n; then
+    R = (rho_i) is invertible and e carries the whole system:
 
-    - every solution v gives y = v_0 with sigma^i(y) = rho_i . v + gamma_i,
+    - every solution v gives y = t . v with sigma^i(y) = rho_i . v + gamma_i,
       so e(y) = sum e_i gamma_i and v = R^-1 (sigma^i(y) - gamma_i)_i;
     - conversely, for every rational solution y of e, the v defined so
       satisfies sigma(R) (M v + c) = (sigma^(i+1)(y) - sigma(gamma_i))_i,
@@ -805,122 +818,70 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
       and sigma(R) is invertible, so sigma(v) = M v + c.
 
     So y -> v is a bijection of the rational solution spaces with inverse
-    v -> v_0: the particular solution and each homogeneous basis function of
-    e map to the system's (without the gammas for the latter).  R^-1 is
+    v -> t . v: the particular solution and each homogeneous basis function
+    of e map to the system's (without the gammas for the latter).  R^-1 is
     adj(P) diag(d_i) / det(P) for the polynomial rows P = diag(d_i) R, read
     off the elimination that found e, so each coordinate of v is one
     normalised rational function.  The rows of sigma(R) M are
     rho_1..rho_n, so sigma(R) M = C R for the companion matrix C of e, with
-    det C = +-e_0; M is invertible exactly when e_0 != 0, and no separate
-    invertibility test runs.
+    det C = +-e_0: for a cyclic t, M is invertible exactly when e_0 != 0.
 
-    Otherwise every coordinate is eliminated to a scalar equation, in
-    ascending index order; each scalar solution space is parameterised and
-    the parameters are cut down by substituting back into the full system
-    over Q.  Either way the recovered vectors are verified by substitution
-    into the system, once: the scalar spaces they come from are not
-    substituted into their own equations on this path.
+    The candidates t are tried in one fixed order: e_0 = (1, 0, ..., 0),
+    so that a cyclic coordinate 0 is solved through its own equation; then
+    (1, x, ..., x^(n-1)); then, for J = 0, 1, 2, ..., every nonzero t whose
+    entries are polynomials of degree <= J with coefficients in {0, ..., n},
+    the sparsest first, so that J = 0 starts with the n unit vectors.  A
+    candidate with e_0 = 0 raises ``SingularMatrixError``, and the first
+    cyclic one is solved.  This is sound, and the search ends:
+
+    1. e_0 = 0 makes M singular, whatever t.  Then sum_(i>=1) e_i rho_i = 0,
+       and w = sum_(i>=1) sigma^-1(e_i) rho_(i-1) is nonzero, since e_k = 1
+       and rho_0..rho_(k-1) are independent; sigma(w) M is that sum, so
+       sigma(w) M = 0.
+    2. A singular M ends the search within n + 2 candidates.  For i >= 1,
+       rho_i = sigma(rho_(i-1)) M lies in M's row space, so a relation with
+       e_0 != 0 would put t = rho_0 there too: every t outside that proper
+       subspace gives e_0 = 0, and some unit vector is outside it.
+    3. An invertible M ends it at a cyclic t.  rho -> sigma(rho) M is then a
+       difference module on the row vectors over Q(x), and sigma has
+       infinite order (|q| != 1 in the q case), so the module has a cyclic
+       vector.  It can be taken polynomial, of some degree J: scaling t by
+       a polynomial d scales rho_i by sigma^i(d).  Each rho_i is linear in
+       the coefficients of t, so det R is a polynomial of total degree <= n
+       in them, nonzero since it does not vanish at that cyclic vector.  By
+       Schwartz-Zippel it cannot vanish on the whole grid with n + 1 values
+       per coefficient, so some candidate of degree <= J is cyclic.
+
+    The vectors recovered from e are verified by substitution into the
+    system, once: the scalar space they come from is not substituted into
+    its own equation.
     """
     c = [RatFun._coerce(v) for v in c]
     n = m.n
     if len(c) != n:
         raise PreconditionError("inhomogeneous term has wrong dimension")
-    eq0, rows = _eliminate(ds, m, c, 0)
-    cyclic = len(rows) == n
-    if eq0.coeffs[0].is_zero() if cyclic else not m.is_invertible():
-        raise SingularMatrixError("system matrix must be invertible over Q(x)")
-    if cyclic:
-        space = _solve_cyclic(ds, eq0, rows, degree_cap)
-    else:
-        space = _solve_by_coordinates(ds, m, c, degree_cap, eq0)
-    if space.status is Status.SOLVED:
-        _verify_system(ds, m, c, space)
-    return space
-
-
-def _obstructed(sol: SolutionSpace, j: int, traces: list[ScalarDiffEq]) -> VectorSolutionSpace:
-    """The system's space when coordinate j's scalar equation is not solved."""
-    if sol.status is Status.BOUND_EXCEEDED:
-        witness = f"coordinate {j}: {sol.witness}"
-    else:
-        witness = f"coordinate {j} has no rational solution: {sol.witness}"
-    return VectorSolutionSpace(
-        sol.status, witness=witness, scalar_traces=tuple(traces), obstructed_coordinate=j
-    )
-
-
-def _solve_cyclic(ds, eq0, rows: _ShiftRows, degree_cap) -> VectorSolutionSpace:
-    """Lift the solutions y of coordinate 0's equation to v = R^-1 (sigma^i(y) - gamma_i)_i."""
-    sol = _solve_unverified(eq0, degree_cap)
+    for tried, t in enumerate(_candidate_vectors(n)):
+        eq, rows = _eliminate(ds, m, c, t)
+        if eq.coeffs[0].is_zero():
+            raise SingularMatrixError("system matrix must be invertible over Q(x)")
+        if len(rows) == n:
+            break
+    sol = _solve_unverified(eq, degree_cap)
     if sol.status is not Status.SOLVED:
-        return _obstructed(sol, 0, [eq0])
-    return VectorSolutionSpace(
+        name = "coordinate 0" if tried == 0 else f"y = t.v for t = ({', '.join(map(format_poly, t))})"
+        if sol.status is Status.BOUND_EXCEEDED:
+            witness = f"{name}: {sol.witness}"
+        else:
+            witness = f"{name} has no rational solution: {sol.witness}"
+        return VectorSolutionSpace(sol.status, witness=witness, scalar_traces=(eq,))
+    space = VectorSolutionSpace(
         Status.SOLVED,
         particular=rows.lift(ds, sol.particular[0], True),
         homogeneous_basis=tuple(rows.lift(ds, y, False) for y, _ in sol.homogeneous_basis),
-        scalar_traces=(eq0,),
+        scalar_traces=(eq,),
     )
-
-
-def _solve_by_coordinates(ds, m, c, degree_cap, eq0) -> VectorSolutionSpace:
-    """Solve every coordinate's scalar equation (``eq0`` is coordinate 0's),
-    then the coupling system over Q for the joint affine parameters."""
-    n = m.n
-    traces: list[ScalarDiffEq] = []
-    per_coord: list[tuple[RatFun, list[RatFun]]] = []  # (particular, basis funcs)
-    for j in range(n):
-        eq_j = eq0 if j == 0 else eliminate_coordinate(ds, m, c, j)
-        traces.append(eq_j)
-        sol = _solve_unverified(eq_j, degree_cap)
-        if sol.status is not Status.SOLVED:
-            return _obstructed(sol, j, traces)
-        part = sol.particular[0] if sol.particular is not None else RatFun.zero()
-        per_coord.append((part, [g for g, _ in sol.homogeneous_basis]))
-
-    # affine parameterisation v_j = p_j + sum_k mu_k b_k: one unknown mu_k per
-    # (coordinate j, homogeneous basis function b_k) pair
-    params = [(j, b) for j, (_, basis) in enumerate(per_coord) for b in basis]
-
-    def term(i: int, j: int, f: RatFun) -> RatFun:
-        """What f in coordinate j contributes to residual i."""
-        return (apply_sigma(ds, f, 1) if j == i else RatFun.zero()) - m.entries[i][j] * f
-
-    # residual rows: sigma(v_i) - sum_j M_ij v_j - c_i == 0
-    rows: list[list[Rat]] = []
-    rhs_vec: list[Rat] = []
-    for i in range(n):
-        res_base = sum((term(i, j, base) for j, (base, _) in enumerate(per_coord)), -c[i])
-        res_lin = [term(i, j, b) for j, b in params]
-        # clear to a common denominator and emit coefficient rows
-        _, (base_poly, *lin_polys) = _common_denominator([res_base, *res_lin])
-        for e in range(max([base_poly.degree] + [p.degree for p in lin_polys] + [0]) + 1):
-            rows.append([p[e] for p in lin_polys])
-            rhs_vec.append(-base_poly[e])
-
-    particular_mu, null_mu = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
-    if particular_mu is None:
-        return VectorSolutionSpace(
-            Status.NO_SOLUTION,
-            witness="per-coordinate solutions exist but no joint assignment "
-            "satisfies the full system",
-            scalar_traces=tuple(traces),
-        )
-
-    def assemble(mu, include_base: bool) -> tuple[RatFun, ...]:
-        out = [base if include_base else RatFun.zero() for base, _ in per_coord]
-        for (j, b), value in zip(params, mu):
-            if value != 0:
-                out[j] = out[j] + RatFun.const(value) * b
-        return tuple(out)
-
-    # each coordinate's homogeneous functions are a basis and no free lambda
-    # survives elimination, so a nonzero mu never assembles to zero
-    return VectorSolutionSpace(
-        Status.SOLVED,
-        particular=assemble(particular_mu, True),
-        homogeneous_basis=tuple(assemble(vec, False) for vec in null_mu),
-        scalar_traces=tuple(traces),
-    )
+    _verify_system(ds, m, c, space)
+    return space
 
 
 def _verify_system(ds, m, c, space: VectorSolutionSpace):

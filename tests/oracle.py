@@ -1,6 +1,7 @@
-"""Brute-force ansatz solver used to cross-check ``solve_scalar`` in tests.
+"""Brute-force ansatz solvers used to cross-check ``solve_scalar`` and
+``solve_system`` in tests.
 
-It shares no linear algebra with the package: its linear solve is the
+They share no linear algebra with the package: their linear solve is the
 textbook Gauss-Jordan elimination over ``Fraction`` below, not the integer
 kernel of ``diffalg.linalg``.
 """
@@ -13,15 +14,18 @@ from diffalg.dispersion import orbit_gaps
 from diffalg.errors import PreconditionError
 from diffalg.numcore import Poly, RatFun, poly_gcd, poly_lcm, radical
 from diffalg.solver import (
+    MatrixRF,
     ScalarDiffEq,
     SolutionSpace,
     Status,
+    VectorSolutionSpace,
     _prepare,
     _q_valuation_floor,
     _verify_space,
+    eliminate_coordinate,
     universal_denominator,
 )
-from diffalg.structures import DiffStructure, sigma_poly, split_x_power
+from diffalg.structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
 
 def brute_force_oracle(
@@ -84,6 +88,55 @@ def brute_force_oracle(
     )
     _verify_space(eq, space)
     return space
+
+
+def system_oracle(ds: DiffStructure, m: MatrixRF, c, deg_bound: int) -> VectorSolutionSpace:
+    """Stacked-ansatz solver for cross-checking solve_system in tests.
+
+    Coordinate j of every solution of sigma(v) = M v + c solves the scalar
+    equation ``eliminate_coordinate(ds, m, c, j)``, so its denominator
+    divides that equation's universal denominator u_j.  The ansatz is
+    v_j = P_j / u_j with deg P_j <= deg u_j + deg_bound, the numerator
+    coefficients of all coordinates stacked into one unknown vector.  Each
+    residual sigma(v_i) - sum_j M_ij v_j - c_i is built with plain
+    rational-function arithmetic and cleared to a polynomial whose
+    coefficients must vanish: no cyclic vector, no lift and no solve over
+    Q(x).  The space is complete among the v whose coordinates have degree
+    (numerator minus denominator) at most ``deg_bound``.
+    """
+    n = m.n
+    c = [RatFun._coerce(v) for v in c]
+    columns: list[tuple[int, RatFun]] = []  # (coordinate, ansatz function)
+    for j in range(n):
+        u = universal_denominator(eliminate_coordinate(ds, m, c, j))
+        columns += [(j, RatFun(Poly.monomial(1, e), u)) for e in range(u.degree + deg_bound + 1)]
+    rows, rhs_vec = [], []
+    for i in range(n):
+        res = [(apply_sigma(ds, f) if j == i else RatFun.zero()) - m.entries[i][j] * f for j, f in columns]
+        den = c[i].den
+        for r in res:
+            den = poly_lcm(den, r.den)
+        den_rf = RatFun.from_poly(den)
+        polys = [(r * den_rf).num for r in res]
+        target = (c[i] * den_rf).num
+        for e in range(max([p.degree for p in polys] + [target.degree, 0]) + 1):
+            rows.append([p[e] for p in polys])
+            rhs_vec.append(target[e])
+    particular, nullsp = fraction_solve(rows, rhs_vec)
+
+    def unpack(vec) -> tuple[RatFun, ...]:
+        out = [RatFun.zero()] * n
+        for (j, f), a in zip(columns, vec):
+            if a:
+                out[j] = out[j] + RatFun.const(a) * f
+        return tuple(out)
+
+    basis = tuple(unpack(v) for v in nullsp)
+    if particular is None:
+        return VectorSolutionSpace(
+            Status.NO_SOLUTION, homogeneous_basis=basis, witness="oracle: no solution within the stacked ansatz"
+        )
+    return VectorSolutionSpace(Status.SOLVED, particular=unpack(particular), homogeneous_basis=basis)
 
 
 def two_sided_universal_denominator(eq: ScalarDiffEq) -> Poly:

@@ -12,6 +12,7 @@ from diffalg import (
     Rat,
     RatFun,
     ScalarDiffEq,
+    SingularMatrixError,
     Status,
     apply_sigma,
     dispersion,
@@ -103,7 +104,9 @@ class TestPlantedSystemSolutions:
             ds = SHIFT if rng.random() < 0.5 else Q2
             entries = [[rand_ratfun(rng, ds) for _ in range(2)] for _ in range(2)]
             m = MatrixRF(entries)
-            if not m.is_invertible():
+            try:
+                m.inverse()
+            except SingularMatrixError:
                 continue
             v = [rand_ratfun(rng, ds), rand_ratfun(rng, ds)]
             c = [apply_sigma(ds, v[i]) - sum(m.entries[i][j] * v[j] for j in range(2)) for i in range(2)]

@@ -18,6 +18,8 @@ from diffalg import (
     Poly,
     Rat,
     RatFun,
+    SingularMatrixError,
+    Status,
     ZeroInputError,
     apply_derivation,
     apply_op,
@@ -256,6 +258,15 @@ class TestInhomogDA:
         assert v.status is DAStatus.RATIONAL_SOLUTION_EXISTS
 
 
+def _flattened(ds, a: MatrixRF) -> tuple[MatrixRF, list[RatFun]]:
+    """The first-order system sigma(B) = A B A^-1 + d(A) A^-1 on the
+    row-major entries of B, as ``integrability_test`` builds it."""
+    n, a_inv = a.n, a.inverse()
+    inhom = a.map(lambda f: apply_derivation(ds, f)) @ a_inv
+    rows = [[a.entries[r][u] * a_inv.entries[v][s] for u in range(n) for v in range(n)] for r in range(n) for s in range(n)]
+    return MatrixRF(rows), [inhom.entries[r][s] for r in range(n) for s in range(n)]
+
+
 class TestIntegrability:
     def test_shift_sl2_matrix(self):
         a = MatrixRF([[0, -1], [1, rf("x")]])
@@ -266,19 +277,7 @@ class TestIntegrability:
     def test_b_entry_trace_matches_displayed_equation(self):
         # eliminating the other entries, the matrix entry at row-major
         # position 1 satisfies exactly the displayed third-order equation
-        a = MatrixRF([[0, -1], [1, rf("x")]])
-        a_inv = a.inverse()
-        da = a.map(lambda f: apply_derivation(SHIFT, f))
-        inhom = da @ a_inv
-        n = 2
-        rows = []
-        for r in range(n):
-            for s in range(n):
-                rows.append(
-                    [a.entries[r][u] * a_inv.entries[v][s] for u in range(n) for v in range(n)]
-                )
-        big_m = MatrixRF(rows)
-        c_vec = [inhom.entries[r][s] for r in range(n) for s in range(n)]
+        big_m, c_vec = _flattened(SHIFT, MatrixRF([[0, -1], [1, rf("x")]]))
         eq_b = eliminate_coordinate(SHIFT, big_m, c_vec, 1)
         expected_coeffs = (
             pp("-(x+1)"),
@@ -319,18 +318,24 @@ class TestIntegrability:
                 assert lhs.entries[r][s] == rhs.entries[r][s] + inhom.entries[r][s]
 
     def test_cyclic_kronecker_matrix_needs_no_invertibility_test(self, monkeypatch):
-        # entry 0 of B is cyclic for this A, so the trailing coefficient of
-        # its eliminated equation decides invertibility of the flattened system
+        # the trailing coefficient of the cyclic vector's equation decides
+        # whether M is invertible, so solve_system never inverts M: not when
+        # entry 0 of B is cyclic, not when a later candidate is, and not
+        # when M is singular
+        flat = [_flattened(SHIFT, MatrixRF(a)) for a in ([[0, -1], [1, rf("x")]], [[1, rf("x")], [0, 1]])]
+
         def refuse(matrix):
             raise AssertionError(f"separate invertibility test of {matrix}")
 
-        monkeypatch.setattr(MatrixRF, "is_invertible", refuse)
-        result = integrability_test(SHIFT, MatrixRF([[0, -1], [1, rf("x")]]))
-        assert result.status is IntegrabilityStatus.NOT_CONSTANT_CONJUGATE
+        monkeypatch.setattr(MatrixRF, "inverse", refuse)
+        for (big_m, c_vec), status in zip(flat, (Status.NO_SOLUTION, Status.SOLVED)):
+            entry_0_cyclic = eliminate_coordinate(SHIFT, big_m, c_vec, 0).order == 4
+            assert entry_0_cyclic is (status is Status.NO_SOLUTION)
+            assert solve_system(SHIFT, big_m, c_vec).status is status
+        with pytest.raises(SingularMatrixError):
+            solve_system(SHIFT, MatrixRF([[1, 0], [0, 0]]), [RatFun.zero(), RatFun.zero()])
 
     def test_singular_rejected(self):
-        from diffalg import SingularMatrixError
-
         with pytest.raises(SingularMatrixError):
             integrability_test(SHIFT, MatrixRF([[1, 1], [1, 1]]))
 
@@ -362,8 +367,6 @@ class TestIntegrability:
 
     @pytest.mark.parametrize("ds", [SHIFT, Q2], ids=["shift", "q2"])
     def test_singular_constant_a_still_raises(self, monkeypatch, ds):
-        from diffalg import SingularMatrixError
-
         self._refuse_solve(monkeypatch)
         with pytest.raises(SingularMatrixError):
             integrability_test(ds, MatrixRF([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))

@@ -1,7 +1,7 @@
 """The exact linear solve over Q (sparse row-incremental integer kernel)
 against sympy's reduced row echelon form and against the Fraction reference
 in ``oracle.py``; the field path over Q(x) on a small system and through the
-``MatrixRF`` inverse and invertibility test it serves."""
+``MatrixRF`` inverse it serves."""
 
 import math
 import random
@@ -249,10 +249,8 @@ class TestFieldPath:
     def test_invert_over_qx(self):
         x = RatFun.x()
         m = MatrixRF([[x, RatFun.one()], [RatFun.zero(), x + 1]])
-        assert m.is_invertible()
         assert m.inverse() == MatrixRF([[1 / x, -1 / (x * (x + 1))], [RatFun.zero(), 1 / (x + 1)]])
         singular = MatrixRF([[x, x], [x, x]])
-        assert not singular.is_invertible()
         with pytest.raises(SingularMatrixError):
             singular.inverse()
 
@@ -281,7 +279,6 @@ class TestFieldPath:
             m = MatrixRF([[RatFun(Poly(a), Poly(b)) for a, b in row] for row in entries])
             det = sympy.Matrix([[sym(a) / sym(b) for a, b in row] for row in entries]).det()
             invertible = sympy.cancel(det) != 0
-            assert m.is_invertible() == invertible
             outcomes.add(invertible)
             if invertible:
                 assert m @ m.inverse() == identity
@@ -301,6 +298,5 @@ class TestFieldPath:
     )
     def test_singular_matrix_raises(self, rows):
         m = MatrixRF([[parse_ratfun(v) for v in row] for row in rows])
-        assert not m.is_invertible()
         with pytest.raises(SingularMatrixError):
             m.inverse()

@@ -61,9 +61,9 @@ RECORDS = [
     (
         VectorSolutionSpace,
         (Status.NO_SOLUTION,),
-        ("status", "particular", "homogeneous_basis", "witness", "scalar_traces", "obstructed_coordinate"),
-        {"particular": None, "homogeneous_basis": (), "witness": None, "scalar_traces": (), "obstructed_coordinate": None},
-        {"obstructed_coordinate": 1},
+        ("status", "particular", "homogeneous_basis", "witness", "scalar_traces"),
+        {"particular": None, "homogeneous_basis": (), "witness": None, "scalar_traces": ()},
+        {"witness": "coordinate 0 has no rational solution"},
         True,
     ),
     (

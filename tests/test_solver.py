@@ -2,6 +2,7 @@
 constant-twist first-order path, first-order systems, and the brute-force oracle."""
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -42,7 +43,7 @@ from diffalg import (
 from diffalg.dispersion import q_power_log
 from diffalg.numcore import poly_lcm, radical
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
-from oracle import brute_force_oracle, fraction_solve, two_sided_universal_denominator
+from oracle import brute_force_oracle, fraction_solve, system_oracle, two_sided_universal_denominator
 
 dispersion_module = importlib.import_module("diffalg.dispersion")
 
@@ -467,18 +468,60 @@ class TestSolveSystem:
         with pytest.raises(SingularMatrixError):
             solve_system(SHIFT, MatrixRF([[1, 1], [1, 1]]), [RatFun.zero(), RatFun.zero()])
 
+    @pytest.mark.parametrize("ds", [SHIFT, Q2], ids=["shift", "q2"])
     @pytest.mark.parametrize(
-        "entries, cyclic", [([[1, 1], [rf("x"), rf("x")]], True), ([[1, 0], [0, 0]], False)], ids=["cyclic", "fallback"]
+        "entries",
+        [
+            [[0, 0], [0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[1, 0], [0, 0]],
+            [[1, 1], [rf("x"), rf("x")]],
+            # the row space holds e_0, (1, x, ..., x^4), e_3 and e_4 but not
+            # e_1 or e_2: only a unit vector ends the search
+            [[1, 0, 0, 0, 0], [0, rf("x"), rf("x^2"), 0, 0], [0] * 5, [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+        ],
+        ids=["zero-2x2", "zero-3x3", "diag-1-0-0", "diag-1-0", "rank-one", "misses-e1-e2"],
     )
-    def test_singular_matrix_rejected_on_each_route(self, entries, cyclic):
-        # on the cyclic route the trailing coefficient e_0 of coordinate 0's
-        # equation is zero; the fallback route tests M itself
-        m, zeros = MatrixRF(entries), [RatFun.zero(), RatFun.zero()]
-        eq0, rows = solver._eliminate(SHIFT, m, zeros, 0)
-        assert (len(rows) == 2) is cyclic
-        assert eq0.coeffs[0].is_zero() is cyclic
+    def test_singular_matrix_ends_candidate_search(self, monkeypatch, ds, entries):
+        # every candidate outside M's row space has e_0 = 0, and some unit
+        # vector is outside it: the search raises once the unit vectors that
+        # lead the constant candidates are tried (e_0 and (1, x, ...) come
+        # first)
+        n = len(entries)
+        tried = []
+        real = solver._eliminate
+        monkeypatch.setattr(solver, "_eliminate", lambda *args: tried.append(args[3]) or real(*args))
         with pytest.raises(SingularMatrixError):
-            solve_system(SHIFT, m, zeros)
+            solve_system(ds, MatrixRF(entries), [RatFun.zero()] * n)
+        assert 1 <= len(tried) <= n + 2
+
+    @pytest.mark.parametrize(
+        "ds, entries, dim",
+        [
+            (Q2, [[rf("x"), 0], [0, rf("x")]], 0),
+            (SHIFT, [[int(i == j) for j in range(3)] for i in range(3)], 3),
+            (SHIFT, [[2 * int(i == j) for j in range(4)] for i in range(4)], 0),
+        ],
+        ids=["x-I2-q2", "I3", "2-I4"],
+    )
+    def test_scalar_matrix_needs_nonconstant_cyclic_vector(self, ds, entries, dim):
+        # M = a*I gives rho_1 = sigma(t) a = a*t for every constant t, so no
+        # constant t is cyclic; (1, x, ..., x^(n-1)) is
+        m = MatrixRF(entries)
+        n = m.n
+        zeros = [RatFun.zero()] * n
+        for coeffs in itertools.product(range(n + 1), repeat=n):
+            if any(coeffs):
+                assert len(solver._eliminate(ds, m, zeros, [Poly([a]) for a in coeffs])[1]) < n
+        v = [rf("1/(x+1)"), rf("x^2"), rf("x/(x+2)"), rf("1")][:n]
+        c = [apply_sigma(ds, f) - g for f, g in zip(v, m.mat_vec(v))]
+        sol = solve_system(ds, m, c)
+        assert sol.status is Status.SOLVED
+        assert [eq.order for eq in sol.scalar_traces] == [n]
+        assert len(sol.homogeneous_basis) == dim
+        assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
+        _matches_system_oracle(ds, m, c, sol)
 
 
 def planted_systems(ds, seed: int, count: int, n: int = 2):
@@ -496,19 +539,30 @@ def planted_systems(ds, seed: int, count: int, n: int = 2):
             known = sum((row[j] * k[j] for j in range(n - 1)), RatFun.zero())
             row.append((apply_sigma(ds, k[i]) - known) / k[n - 1])
         m = MatrixRF(entries)
-        if not m.is_invertible():
+        try:
+            m.inverse()
+        except SingularMatrixError:
             continue
         c = [apply_sigma(ds, f) - g for f, g in zip(v, m.mat_vec(v))]
         made += 1
         yield m, c, v, k
 
 
-def _same_route_result(ds, m, c, sol):
-    """The per-coordinate route, run on the same input, finds a space of the
-    same status and dimension."""
-    reference = solver._solve_by_coordinates(ds, m, c, None, eliminate_coordinate(ds, m, c, 0))
+def _matches_system_oracle(ds, m, c, sol):
+    """The stacked-ansatz oracle finds the same status and, for a solved
+    system, a space of the same dimension, each space lying in the other:
+    every basis vector, and the difference of the particular solutions."""
+    reference = system_oracle(ds, m, c, 4)
     assert reference.status is sol.status
+    if sol.status is not Status.SOLVED:
+        return
     assert len(reference.homogeneous_basis) == len(sol.homogeneous_basis)
+    for mine, theirs in ((sol, reference), (reference, sol)):
+        for vec in mine.homogeneous_basis:
+            assert _in_span(theirs.homogeneous_basis, vec)
+    delta = [a - b for a, b in zip(sol.particular, reference.particular)]
+    assert _in_span(reference.homogeneous_basis, delta)
+    assert _in_span(sol.homogeneous_basis, delta)
 
 
 class TestSystemRoutes:
@@ -518,14 +572,15 @@ class TestSystemRoutes:
     )
     def test_cyclic_route_planted(self, ds, seed, n):
         for m, c, v, k in planted_systems(ds, seed, 8 if n == 2 else 2, n):
-            assert len(solver._eliminate(ds, m, c, 0)[1]) == n  # coordinate 0 is cyclic
+            eq0 = eliminate_coordinate(ds, m, c, 0)
+            assert eq0.order == n  # coordinate 0 is cyclic
             sol = solve_system(ds, m, c)
             assert sol.status is Status.SOLVED
-            assert len(sol.scalar_traces) == 1
+            assert sol.scalar_traces == (eq0,)
             assert sol.homogeneous_basis
             assert _in_span(sol.homogeneous_basis, k)
             assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
-            _same_route_result(ds, m, c, sol)
+            _matches_system_oracle(ds, m, c, sol)
 
     @pytest.mark.parametrize(
         "entries, dim",
@@ -533,19 +588,21 @@ class TestSystemRoutes:
         ids=["unipotent", "diagonal", "diagonal-3x3"],
     )
     def test_fallback_route(self, entries, dim):
-        # coordinate 0 satisfies a first-order equation on its own; in the
-        # unipotent matrix coordinate 1 would be cyclic, but only 0 is tried
+        # coordinate 0 satisfies a first-order equation on its own, so the
+        # search falls back to the next candidate, t = (1, x, ...), which is
+        # cyclic here
         m = MatrixRF(entries)
         n = m.n
         v = [rf("1/(x+1)"), rf("x^2"), rf("x/(x+2)")][:n]
         c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
-        assert len(solver._eliminate(SHIFT, m, c, 0)[1]) < n
+        assert eliminate_coordinate(SHIFT, m, c, 0).order < n
+        t = [Poly.monomial(1, j) for j in range(n)]
         sol = solve_system(SHIFT, m, c)
         assert sol.status is Status.SOLVED
-        assert len(sol.scalar_traces) == n
+        assert sol.scalar_traces == (solver._eliminate(SHIFT, m, c, t)[0],)
         assert len(sol.homogeneous_basis) == dim
         assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
-        _same_route_result(SHIFT, m, c, sol)
+        _matches_system_oracle(SHIFT, m, c, sol)
 
     @pytest.mark.parametrize(
         "entries, cyclic", [([[0, 1], [1, 0]], True), ([[1, 0], [1, 1]], False)], ids=["cyclic", "fallback"]
@@ -560,9 +617,11 @@ class TestSystemRoutes:
         m = MatrixRF(entries)
         v = [rf("1/(x+1)"), rf("x^2")]
         c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
-        assert (len(solver._eliminate(SHIFT, m, c, 0)[1]) == 2) is cyclic
-        assert solve_system(SHIFT, m, c).status is Status.SOLVED
+        assert (eliminate_coordinate(SHIFT, m, c, 0).order == 2) is cyclic
+        sol = solve_system(SHIFT, m, c)
+        assert sol.status is Status.SOLVED
         assert calls == ["_verify_system"]
+        _matches_system_oracle(SHIFT, m, c, sol)
 
     def test_cyclic_route_obstruction(self):
         # sigma(v) = [[0, 1], [1, 0]] v + (1/x, 0): coordinate 0 is cyclic
@@ -570,9 +629,9 @@ class TestSystemRoutes:
         m, c = MatrixRF([[0, 1], [1, 0]]), [rf("1/x"), RatFun.zero()]
         sol = solve_system(SHIFT, m, c)
         assert sol.status is Status.NO_SOLUTION
-        assert sol.obstructed_coordinate == 0
+        assert sol.witness.startswith("coordinate 0 has no rational solution: ")
         assert sol.scalar_traces == (eliminate_coordinate(SHIFT, m, c, 0),)
-        _same_route_result(SHIFT, m, c, sol)
+        _matches_system_oracle(SHIFT, m, c, sol)
 
 
 def _plain_rows(ds, m, c, coord):
