@@ -3,31 +3,30 @@ certificates that the library procedures have checked before returning, and
 a newline-delimited batch mode.  The CLI substitutes nothing itself.
 
 ``COMMANDS`` is the one list of subcommands and of the arguments each takes;
-the argument parser, the batch reader and ``run_query`` all read it.  A
-command line and a batch line go through the same ``query_from_dict``: a
-batch field is the long flag name with ``_`` for ``-`` (``rhs_basis`` for
-``--rhs-basis``), and a field the subcommand does not take, a negative
-``order_bound`` or ``degree_cap``, or an empty ``q`` is a ``parse`` error.
+``--help``, the batch reader and ``run_query`` all read it.  A command line
+is read into the fields of a batch line (the long flag name with ``_`` for
+``-``) and goes through the same ``query_from_dict``, so a stray, repeated,
+valueless or unknown argument, a non-integer or negative ``order_bound`` or
+``degree_cap``, or an empty ``q`` is a ``parse`` error on either route.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
 coefficient above ``parsing.MAX_COEFF_BITS`` bits, 3 = internal invariant
 violation, such as a certificate that failed its check.  A failed query
-reports ``{"error": {"message", "kind"}}`` with kind ``parse``, ``usage``,
-``bound-exceeded`` or ``internal``; a batch reports it in place of the
-line's report, adds the line number, and exits with the largest per-line
-code.  ``--degree-cap`` (batch ``degree_cap``) bounds the numerator degree
-of every ansatz; it defaults to 200.
+reports ``{"error": {"message", "kind"}}`` on stderr, with kind ``parse``,
+``usage``, ``bound-exceeded`` or ``internal``; a batch reports it in place
+of the line's report, adds the line number, and exits with the largest
+per-line code.
 
 One process answers one query, so start-up is part of every query's
-latency.  The package's records are named tuples, so a cold query imports
-no data-class machinery, ``inspect`` or ``typing``; it loads the thread pool
-only in ``run_batch`` and ``traceback`` only for an internal error.
+latency.  The records are named tuples and the command line is read here,
+so a cold query imports no ``dataclasses``, ``inspect``, ``typing`` or
+``argparse``; it loads the thread pool only in ``run_batch`` and
+``traceback`` only for an internal error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -57,44 +56,45 @@ from .parsing import (
 from .solver import ScalarDiffEq
 from .structures import DiffStructure, q_structure, shift_structure
 
-REQUIRED = object()  # the default of an argument that has none
-
 # subcommand -> (help, arguments); each argument is (payload key, help,
-# default or REQUIRED), and its flag is the key with "-" for "_".  Every
-# subcommand also takes --case, --q and --degree-cap, and telescope takes
-# --order-bound; these are Query fields, not payload.
+# required), its flag the key with "-" for "_"; all also take _QUERY_FLAGS.
 COMMANDS = {
-    "disp": ("dispersion / polar dispersion / standardness", (("poly", None, None), ("f", None, None))),
+    "disp": ("dispersion / polar dispersion / standardness", (("poly", None, False), ("f", None, False))),
     "standard-form": ("additive standard decomposition", (
-        ("f", None, REQUIRED),
-        ("a", "constant twist (default 1)", "1"),
+        ("f", None, True),
+        ("a", "constant twist (default 1)", False),
     )),
-    "mult-form": ("multiplicative standard form", (("f", None, REQUIRED),)),
+    "mult-form": ("multiplicative standard form", (("f", None, True),)),
     "solve-first-order": ("sigma(g) - a*g = rhs", (
-        ("a", None, REQUIRED),
-        ("rhs", "fixed right-hand side", None),
-        ("rhs_basis", "semicolon-separated free basis", None),
+        ("a", None, True),
+        ("rhs", "fixed right-hand side", False),
+        ("rhs_basis", "semicolon-separated free basis", False),
     )),
     "solve-scalar": ("sum p_i sigma^i(y) = rhs", (
-        ("coeffs", "semicolon-separated p_0;...;p_m", REQUIRED),
-        ("rhs", None, None),
-        ("rhs_basis", None, None),
+        ("coeffs", "semicolon-separated p_0;...;p_m", True),
+        ("rhs", None, False),
+        ("rhs_basis", None, False),
     )),
     "solve-system": ("sigma(v) = M v + c", (
-        ("matrix", None, REQUIRED),
-        ("rhs_vector", "[e1, ..., en]", None),
+        ("matrix", None, True),
+        ("rhs_vector", "[e1, ..., en]", False),
     )),
     "telescope": ("constant-operator telescoper search", (
-        ("funcs", "semicolon-separated inputs a_1;...;a_n", REQUIRED),
+        ("funcs", "semicolon-separated inputs a_1;...;a_n", True),
     )),
-    "da-hypergeom": ("sigma(u) = b*u differential algebraicity", (("b", None, REQUIRED),)),
-    "da-inhomog": ("sigma(z) = a*z + b classification", (("a", None, REQUIRED), ("b", None, REQUIRED))),
-    "integrability": ("sigma(B) = A B A^-1 + d(A) A^-1 test", (("matrix", None, REQUIRED),)),
-    "classify-group": ("group of sigma(y) - y = f", (("f", None, REQUIRED),)),
+    "da-hypergeom": ("sigma(u) = b*u differential algebraicity", (("b", None, True),)),
+    "da-inhomog": ("sigma(z) = a*z + b classification", (("a", None, True), ("b", None, True))),
+    "integrability": ("sigma(B) = A B A^-1 + d(A) A^-1 test", (("matrix", None, True),)),
+    "classify-group": ("group of sigma(y) - y = f", (("f", None, True),)),
 }
 
-# the batch fields every subcommand takes besides its payload keys
-_COMMON_FIELDS = ("subcommand", "case", "q", "degree_cap")
+# the Query fields that subcommands take besides payload; only telescope takes order_bound
+_QUERY_FLAGS = (
+    ("case", "shift (the default) or q"),
+    ("q", "rational q for the q case, e.g. 1/4"),
+    ("degree_cap", f"numerator degree cap of every ansatz (default {solver.DEFAULT_DEGREE_CAP})"),
+    ("order_bound", f"largest telescoper order, at most {MAX_ORDER_BOUND} (default 3)"),
+)
 
 # the verdicts whose reports are ``substitution_verified``: each carries a
 # certificate that the procedure making it checked exactly
@@ -173,17 +173,11 @@ def _parse_constant(text: str, flag: str) -> Rat:
 
 
 def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
-    cert: dict = {}
-    if space.particular is not None:
-        g, lam = space.particular
-        cert["particular"] = {
-            "g": format_ratfun(g),
-            "lambda": [format_rat(v) for v in lam],
-        }
-    cert["homogeneous_basis"] = [
-        {"g": format_ratfun(g), "lambda": [format_rat(v) for v in lam]}
-        for g, lam in space.homogeneous_basis
-    ]
+    def solution(g: RatFun, lam: tuple) -> dict:
+        return {"g": format_ratfun(g), "lambda": [format_rat(v) for v in lam]}
+
+    cert = {} if space.particular is None else {"particular": solution(*space.particular)}
+    cert["homogeneous_basis"] = [solution(g, lam) for g, lam in space.homogeneous_basis]
     if space.witness:
         cert["witness"] = space.witness
     if space.universal_den is not None:
@@ -202,8 +196,8 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
     sub = query.subcommand
     if sub not in COMMANDS:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
-    for key, _, default in COMMANDS[sub][1]:
-        if default is REQUIRED and payload.get(key) is None:
+    for key, _, required in COMMANDS[sub][1]:
+        if required and payload.get(key) is None:
             raise ParseError(f"missing required argument {_flag(key)}", 0)
     verdict = "ERROR"
     cert: dict | None = None
@@ -356,46 +350,46 @@ def _da_certificate_dict(c: criteria.DACertificate) -> dict:
 # argument handling
 # ---------------------------------------------------------------------------
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diffalg",
-        description="Differential-transcendence decision procedures for linear "
-        "(q-)difference equations over Q(x), with machine-checkable certificates.",
-    )
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, arguments) in COMMANDS.items():
-        sp = subparsers.add_parser(name, help=help_text)
-        sp.add_argument("--case", choices=["shift", "q"], default="shift")
-        sp.add_argument("--q", default=None, help="rational q for the q case, e.g. 1/4")
-        sp.add_argument("--degree-cap", type=int, default=None)
-        for key, arg_help, default in arguments:
-            if default is REQUIRED:
-                sp.add_argument(_flag(key), required=True, help=arg_help)
-            else:
-                sp.add_argument(_flag(key), default=default, help=arg_help)
-        if name == "telescope":
-            sp.add_argument("--order-bound", type=int, default=3, help=f"at most {MAX_ORDER_BOUND}")
-
-    sp = subparsers.add_parser("batch", help="run newline-delimited JSON queries")
-    sp.add_argument("path")
-    sp.add_argument("--workers", type=int, default=4)
-    return parser
+_INTEGER_FIELDS = ("order_bound", "degree_cap", "workers")  # read as integers
 
 
-def _join_option_values(argv: list[str]) -> list[str]:
-    """``--flag -1;1`` as ``--flag=-1;1``.  Every long option but ``--help``
-    takes one value, and argparse would read a value that starts with ``-``
-    as an option of its own."""
-    out: list[str] = []
-    for arg in argv:
-        prev = out[-1] if out else ""
-        takes_value = prev.startswith("--") and "=" not in prev and prev != "--help"
-        if takes_value and arg.startswith("-") and not arg.startswith("--") and arg != "-h":
-            out[-1] = f"{prev}={arg}"
-        else:
-            out.append(arg)
-    return out
+def _read_command_line(argv: list[str]) -> tuple[dict, list[str]]:
+    """``SUBCOMMAND --flag value ...`` as batch-line fields and the other
+    positional arguments.  A value is the next argument whatever it starts
+    with; a non-integer value of an integer field stays text, for
+    ``query_from_dict`` to reject."""
+    fields, positional = {"subcommand": argv[0] if argv else None}, []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--help" or not arg.startswith("--"):
+            positional.append(arg)
+            continue
+        key, has_value, value = arg[2:].partition("=")
+        key, value = key.replace("-", "_"), value if has_value else next(args, None)
+        if value is None:
+            raise ParseError(f"{arg} needs a value", 0)
+        if key in fields:
+            raise ParseError(f"repeated argument {_flag(key)}", 0)
+        if key in _INTEGER_FIELDS:
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        fields[key] = value
+    return fields, positional
+
+
+def _help(sub: str | None) -> str:
+    """The ``--help`` text of a subcommand, or the list of subcommands."""
+    if sub in COMMANDS:
+        summary, arguments = COMMANDS[sub]
+        head = f"usage: diffalg {sub} [--flag value ...]\n\n{summary}"
+        rows = [(_flag(key), (text or "") + " (required)" * required) for key, text, required in arguments]
+        rows += [(_flag(k), text) for k, text in _QUERY_FLAGS if k != "order_bound" or sub == "telescope"]
+    else:
+        head = "usage: diffalg SUBCOMMAND [--flag value ...]\n       diffalg batch PATH [--workers N]"
+        rows = [(name, summary) for name, (summary, _) in COMMANDS.items()]
+    return head + "\n\n" + "\n".join(f"  {left:<18} {right}".rstrip() for left, right in rows)
 
 
 def query_from_dict(obj: dict) -> Query:
@@ -407,7 +401,8 @@ def query_from_dict(obj: dict) -> Query:
     if sub not in COMMANDS:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
     keys = [key for key, _, _ in COMMANDS[sub][1]]
-    fields = (*_COMMON_FIELDS, *keys, *(("order_bound",) if sub == "telescope" else ()))
+    flags = (key for key, _ in _QUERY_FLAGS if key != "order_bound" or sub == "telescope")
+    fields = ("subcommand", *keys, *flags)
     for key in obj:
         if key not in fields:
             raise ParseError(f"unknown field {key!r} for {sub}", 0)
@@ -492,19 +487,23 @@ def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        if ns.subcommand == "batch":
-            reports, code = run_batch(ns.path, ns.workers)
+        fields, positional = _read_command_line(sys.argv[1:] if argv is None else list(argv))
+        sub = fields["subcommand"]
+        if {sub, *positional} & {"--help", "-h"}:
+            print(_help(sub))
+            return EXIT_OK
+        if sub == "batch":
+            workers = fields.pop("workers", 4)
+            if fields.keys() != {"subcommand"} or len(positional) != 1 or not isinstance(workers, int):
+                raise ParseError("usage: diffalg batch PATH [--workers N]", 0)
+            reports, code = run_batch(positional[0], workers)
             for report in reports:
                 print(json.dumps(report))
             return code
-        query = query_from_dict({k: v for k, v in vars(ns).items() if v is not None})
-        report, code = run_query(query)
+        if positional:
+            raise ParseError(f"unexpected argument {positional[0]!r}", 0)
+        report, code = run_query(query_from_dict(fields))
         print(json.dumps(report.to_json_dict()))
         return code
     except Exception as exc:

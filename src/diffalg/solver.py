@@ -869,11 +869,7 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
     sol = _solve_unverified(eq, degree_cap)
     if sol.status is not Status.SOLVED:
         name = "coordinate 0" if tried == 0 else f"y = t.v for t = ({', '.join(map(format_poly, t))})"
-        if sol.status is Status.BOUND_EXCEEDED:
-            witness = f"{name}: {sol.witness}"
-        else:
-            witness = f"{name} has no rational solution: {sol.witness}"
-        return VectorSolutionSpace(sol.status, witness=witness, scalar_traces=(eq,))
+        return VectorSolutionSpace(sol.status, witness=f"{name}: {sol.witness}", scalar_traces=(eq,))
     space = VectorSolutionSpace(
         Status.SOLVED,
         particular=rows.lift(ds, sol.particular[0], True),

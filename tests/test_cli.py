@@ -693,3 +693,94 @@ class TestMainEntry:
     def test_query_from_dict_rejects_unknown(self):
         with pytest.raises(ParseError):
             query_from_dict({"subcommand": "explode"})
+
+
+def _run_main(argv, capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestCommandLine:
+    """A command line is read into the fields of a batch line: every usage
+    error is one JSON error on stderr, with the kind, exit code and message
+    of the batch line holding the same fields."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["solve-scalar", "--rhs", "x"], {"subcommand": "solve-scalar", "rhs": "x"}),
+            (["solve-scalar", "--coeffs", "1;1", "--degree-cap", "2.5"],
+             {"subcommand": "solve-scalar", "coeffs": "1;1", "degree_cap": 2.5}),
+            (["solve-scalar", "--coeffs", "1;1", "--case", "z"],
+             {"subcommand": "solve-scalar", "coeffs": "1;1", "case": "z"}),
+            (["da-hypergeom", "--b", "x", "--foo", "1"], {"subcommand": "da-hypergeom", "b": "x", "foo": "1"}),
+            (["telescope", "--funcs", "1/x", "--order", "5"],
+             {"subcommand": "telescope", "funcs": "1/x", "order": 5}),
+            (["da-hypergeom", "--b", "x", "--subcommand", "disp"], None),
+            (["solve-scalar", "--coeffs", "1;1", "x"], None),
+            (["solve-scalar", "--coeffs", "1;1", "--coeffs", "1;2"], None),
+            (["solve-scalar", "--coeffs", "1;1", "--rhs"], None),
+            (["explode", "--b", "x"], {"subcommand": "explode", "b": "x"}),
+            ([], {}),
+        ],
+        ids=["missing-required", "non-integer-cap", "unknown-case", "unknown-flag", "abbreviated-flag",
+             "repeated-subcommand", "stray-argument", "repeated-flag", "flag-without-value",
+             "unknown-subcommand", "no-subcommand"],
+    )
+    def test_usage_error_matches_batch_line(self, argv, line, tmp_path, capsys):
+        code, out, err = _run_main(argv, capsys)
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert (error["kind"], code) == ("parse", EXIT_USAGE)
+        if line is not None:
+            path = tmp_path / "line.jsonl"
+            path.write_text(json.dumps(line) + "\n")
+            reports, batch_code = run_batch(str(path))
+            assert batch_code == code
+            assert reports[0]["error"] == {"line": 1, **error}
+
+    def test_value_is_next_argument_whatever_it_starts_with(self, capsys):
+        reports = []
+        for argv in (["--coeffs", "-1;1", "--rhs", "-1/x"], ["--coeffs=-1;1", "--rhs=-1/x"]):
+            code, out, err = _run_main(["solve-scalar", *argv], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            reports.append(json.loads(out))
+            del reports[-1]["timing_ms"]
+        assert reports[0] == reports[1]
+        assert reports[0]["verdict"] == "NO_SOLUTION"
+        # "--help" as a value is text, not a request for help
+        code, out, err = _run_main(["da-hypergeom", "--b", "--help"], capsys)
+        assert (code, out, json.loads(err)["error"]["kind"]) == (EXIT_USAGE, "", "parse")
+
+    def test_integer_fields_are_read_as_integers(self, capsys):
+        argv = ["telescope", "--funcs", "1/x + x^3", "--order-bound=2", "--degree-cap", "0"]
+        code, _, err = _run_main(argv, capsys)
+        assert (code, json.loads(err)["error"]["kind"]) == (EXIT_BOUND, "bound-exceeded")
+        code, _, err = _run_main(["telescope", "--funcs", "1/x", "--order-bound", "9" * 5000], capsys)
+        assert (code, json.loads(err)["error"]["kind"]) == (EXIT_USAGE, "parse")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["explode", "--help"], ["batch", "--help"]])
+    def test_top_level_help(self, argv, capsys):
+        code, out, err = _run_main(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: diffalg SUBCOMMAND")
+        assert all(name in out for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["batch"], ["batch", "a.jsonl", "b.jsonl"], ["batch", "a.jsonl", "--workers", "two"],
+         ["batch", "a.jsonl", "--path", "b.jsonl"], ["batch", "a.jsonl", "--workers"]],
+        ids=["no-path", "two-paths", "non-integer-workers", "unknown-flag", "workers-without-value"],
+    )
+    def test_batch_usage_error(self, argv, capsys):
+        code, out, err = _run_main(argv, capsys)
+        assert (code, out, json.loads(err)["error"]["kind"]) == (EXIT_USAGE, "", "parse")
+
+    def test_batch_workers(self, tmp_path, capsys):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(json.dumps({"subcommand": "da-hypergeom", "b": "x"}) + "\n")
+        for argv in (["batch", str(path), "--workers", "1"], ["batch", "--workers=2", str(path)]):
+            code, out, err = _run_main(argv, capsys)
+            assert (code, err) == (EXIT_OK, "")
+            assert json.loads(out)["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"

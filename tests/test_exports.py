@@ -3,9 +3,10 @@ export behind; no module reaches into a sibling's private helpers or into
 the integer form of a ``Poly`` outside ``numcore``; no module reads the
 environment, so every setting is an option or an argument;
 the CLI substitutes nothing, since each procedure checks the certificate
-it makes; and a cold CLI start loads only the modules a query computes with."""
+it makes; and a cold CLI query loads only the modules it computes with."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -92,16 +93,25 @@ def test_cli_runs_no_substitution():
 
 def test_cli_import_loads_no_unused_stdlib_modules():
     # a fresh interpreter without site-packages, whose .pth files may import
-    # typing first; the thread pool and traceback load only when used
+    # typing first, imports the CLI and answers one query through main; the
+    # thread pool and traceback load only when used, and the command line is
+    # read without argparse (whose help formatting loads shutil, bz2 and lzma)
     code = (
         "import sys; before = set(sys.modules); import diffalg.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        "code = diffalg.cli.main(['solve-scalar', '--coeffs', '-1;1', '--rhs', '1/x']); "
+        "print(code, *sorted(set(sys.modules) - before))"
     )
     src = os.path.dirname(PACKAGE_DIR)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
+    report, modules = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    ).stdout.splitlines()
+    assert json.loads(report)["verdict"] == "NO_SOLUTION"
+    code, *out = modules.split()
+    assert code == "0"
     assert "diffalg.cli" in out
-    heavy = {"dataclasses", "inspect", "typing", "traceback", "concurrent.futures"}
+    heavy = {
+        "dataclasses", "inspect", "typing", "traceback", "concurrent.futures",
+        "argparse", "gettext", "locale", "shutil",
+    }
     assert sorted(heavy.intersection(out)) == []

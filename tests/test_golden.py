@@ -168,9 +168,11 @@ def test_command_line_matches_pinned_report(index):
 
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_help_formats(name, capsys):
-    # argparse formats help strings only when asked to
     assert cli.main([name, "--help"]) == 0
-    assert capsys.readouterr().out.startswith(f"usage: diffalg {name}")
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: diffalg {name}")
+    for key, _, _ in cli.COMMANDS[name][1]:
+        assert f"--{key.replace('_', '-')}" in out
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ RECORDS = [
         (Status.NO_SOLUTION,),
         ("status", "particular", "homogeneous_basis", "witness", "scalar_traces"),
         {"particular": None, "homogeneous_basis": (), "witness": None, "scalar_traces": ()},
-        {"witness": "coordinate 0 has no rational solution"},
+        {"witness": "coordinate 0: no rational solution"},
         True,
     ),
     (
