@@ -398,6 +398,8 @@ def query_from_dict(obj: dict) -> Query:
     if not isinstance(obj, dict):
         raise ParseError("batch line must be a JSON object", 0)
     sub = obj.get("subcommand")
+    if sub is None:
+        raise ParseError("missing subcommand", 0)
     if sub not in COMMANDS:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
     keys = [key for key, _, _ in COMMANDS[sub][1]]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .dispersion import is_standard, multiplicative_standard_form, q_power_log
+from .dispersion import is_standard, multiplicative_standard_form, q_power_roots
 from .errors import (
     BoundExceededError,
     InternalVerificationError,
@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ZeroInputError,
 )
-from .numcore import RAT_ONE, Rat, RatFun
+from .numcore import RAT_ONE, Poly, Rat, RatFun
 from .solver import (
     MatrixRF,
     Status,
@@ -222,7 +222,8 @@ def inhomog_da_classify(
     else:
         kind, other = "a = c*x^n", "a is standard and not of the form c*x^n"
         if n == 0:
-            r = q_power_log(ds, c)
+            # the one r with q^r = c, if any (|q| != 1)
+            r = max(q_power_roots(ds, Poly([-c, 1])), default=None)
     basis, fixed = ([b, RatFun.x() ** r], [RAT_ONE, None]) if r is not None else ([b], [RAT_ONE])
     sol = solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=degree_cap)
     _check_bound(sol)
@@ -265,12 +266,10 @@ class IntegrabilityStatus(Enum):
     NOT_CONSTANT_CONJUGATE = "NotConstantConjugate"
 
 
-class IntegrabilityResult(namedtuple(
-    "IntegrabilityResult", "status b_matrix scalar_trace scalar_traces", defaults=((),)
-)):
+class IntegrabilityResult(namedtuple("IntegrabilityResult", "status b_matrix scalar_trace")):
     """An ``IntegrabilityStatus``, the verified ``MatrixRF`` B when there is
-    one, the ``ScalarDiffEq`` that decided the system (None when none was
-    solved) and the system's ``scalar_traces``: that one equation, or ()."""
+    one, and the ``ScalarDiffEq`` that decided the system (None when no
+    system was solved)."""
 
     __slots__ = ()
 
@@ -315,19 +314,12 @@ def integrability_test(
     sol = solve_system(ds, big_m, c_vec, degree_cap=degree_cap)
     _check_bound(sol)
     if sol.status is Status.NO_SOLUTION:
-        return IntegrabilityResult(
-            IntegrabilityStatus.NOT_CONSTANT_CONJUGATE, None, sol.scalar_traces[0], sol.scalar_traces
-        )
+        return IntegrabilityResult(IntegrabilityStatus.NOT_CONSTANT_CONJUGATE, None, sol.scalar_trace)
     flat = sol.particular
     b_matrix = MatrixRF([[flat[r * n + s] for s in range(n)] for r in range(n)])
     if not verify_conjugating_matrix(ds, a_matrix, b_matrix):
         raise InternalVerificationError("conjugating matrix failed substitution")
-    return IntegrabilityResult(
-        IntegrabilityStatus.CONSTANT_CONJUGATE,
-        b_matrix,
-        sol.scalar_traces[0],
-        sol.scalar_traces,
-    )
+    return IntegrabilityResult(IntegrabilityStatus.CONSTANT_CONJUGATE, b_matrix, sol.scalar_trace)
 
 
 def verify_conjugating_matrix(ds: DiffStructure, a_matrix: MatrixRF, b_matrix: MatrixRF) -> bool:

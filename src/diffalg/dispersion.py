@@ -18,11 +18,11 @@ about integer centres (``numcore.root_disc``), so the window is one-sided
 and empty when the roots of a lie left of those of b; past ``_SCAN_LIMIT``
 the integer roots of an interpolated resultant replace the scan.
 
-The q-case scans all live here and share one root-magnitude window: the
-orbit gaps between polynomials prime to x (``_q_gap_candidates``), the
+The q-case scans both live here and share one root-magnitude window: the
+orbit gaps between polynomials prime to x (``_q_gap_candidates``) and the
 integers v with p(q^v) = 0 (``q_power_roots``, which the solver's valuation
-and degree bounds read) and the exponent v of a constant q^v
-(``q_power_log``).
+and degree bounds read, and which finds the exponent r of a constant
+c = q^r as the root of x - c).
 The power of x itself, which x -> q*x fixes, is split off by
 ``structures.split_x_power`` before any scan.
 """
@@ -82,10 +82,10 @@ def _gf_scale(cs: list[int], factor: int) -> list[int]:
     return out
 
 
-def _shift_gap_window(a: Poly, b: Poly | None = None) -> int:
+def _shift_gap_window(a: Poly, b: Poly) -> int:
     """An integer at or above every integer difference h = alpha - beta of
-    a root alpha of a and a root beta of b (both of degree >= 1; b = a when
-    omitted); 0 or less when no such h is positive.
+    a root alpha of a and a root beta of b (both of degree >= 1); 0 or less
+    when no such h is positive.
 
     With (c_a, r_a) and (c_b, r_b) from ``root_disc``,
     h = (c_a - c_b) + (alpha - c_a) - (beta - c_b)
@@ -94,7 +94,7 @@ def _shift_gap_window(a: Poly, b: Poly | None = None) -> int:
     b, no shift is scanned at all.  It only limits which h are tried; each
     candidate still passes the mod-p filter and the exact gcd."""
     c_a, r_a = root_disc(a)
-    c_b, r_b = (c_a, r_a) if b is None or b is a else root_disc(b)
+    c_b, r_b = (c_a, r_a) if b is a else root_disc(b)
     return c_a - c_b + r_a + r_b
 
 
@@ -163,24 +163,12 @@ def _q_gap_candidates(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
     ratio = hi_a / lo_b if abs(ds.q) > 1 else hi_b / lo_a
     for h in range(1, q_window(ds.q, ratio) + 1):
         if qmod is not None and gf_b is not None:
-            qh = pow(qmod, h, GF_PRIME)
-            if qh != 0 and gf_gcd_degree(gf_b, _gf_scale(gf_a, qh)) < 1:
+            # qmod is a unit mod GF_PRIME, so q^h never reduces to 0
+            if gf_gcd_degree(gf_b, _gf_scale(gf_a, pow(qmod, h, GF_PRIME))) < 1:
                 continue
         if poly_gcd(b, a.scale_arg(ds.q ** h)).degree > 0:
             hits.append(h)
     return hits
-
-
-def q_power_log(ds: DiffStructure, value: Rat) -> int | None:
-    """The integer v with q^v == value, if one exists: |v| is the magnitude
-    window of max(|value|, 1/|value|)."""
-    if value == 0:
-        return None
-    v = q_window(ds.q, max(abs(value), 1 / abs(value)))
-    for cand in (v, -v):
-        if ds.q ** cand == value:
-            return cand
-    return None
 
 
 def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
@@ -195,12 +183,13 @@ def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
     lo, hi, gf, qmod = _q_root_window(ds, w)
     vbound = q_window(ds.q, max(hi, 1 / lo))
     out = []
+    qv = pow(qmod, -vbound, GF_PRIME) if qmod is not None else None  # q^v mod GF_PRIME
     for v in range(-vbound, vbound + 1):
         if qmod is not None:
-            qv = pow(qmod, v, GF_PRIME)
             acc = 0
             for c in reversed(gf):
                 acc = (acc * qv + c) % GF_PRIME
+            qv = qv * qmod % GF_PRIME
             if acc != 0:
                 continue
         if w.eval(ds.q ** v) == 0:

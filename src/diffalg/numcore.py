@@ -27,7 +27,8 @@ form: they go through ``over_monic``, ``divide_out_x``,
 The root bounds read the integer form too: ``root_magnitude_bound`` and
 ``reciprocal_root_bound`` (the q windows and integer roots), and
 ``root_disc``, an integer centre and radius for the shift gap windows,
-sharpened by Graeffe root-squaring and read off bit lengths.
+the same bound read on a Graeffe root-squaring image.  ``_magnitude_bound``
+is the one root-bound formula behind all three.
 """
 
 from __future__ import annotations
@@ -702,21 +703,29 @@ def _sign_changes(chain: list[Poly], point: Rat) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _iroot_floor(n: int, k: int) -> int:
+    """Largest integer r >= 0 with r^k <= n (n >= 0, k >= 1).
+
+    Integer Newton steps x -> ((k-1)*x + n // x^(k-1)) // k never fall below
+    r from any start x >= r (arithmetic-geometric mean), and stop decreasing
+    exactly at x = r.  The start, one more than the root of n's leading bits
+    shifted back, lies above r and carries about half of r's bits, so a few
+    steps finish where a bisection takes one step per bit of r."""
+    if n < 2 or k == 1:
+        return n
+    s = n.bit_length() // (2 * k)
+    x = (_iroot_floor(n >> (k * s), k) + 1) << s if s else 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _iroot_ceil(n: int, k: int) -> int:
-    """Smallest integer r >= 0 with r^k >= n (n >= 0)."""
-    if n <= 1:
-        return n
-    if k == 1:
-        return n
-    hi = 1 << ((n.bit_length() + k - 1) // k)
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k >= n:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Smallest integer r >= 0 with r^k >= n (n >= 0, k >= 1)."""
+    r = _iroot_floor(n, k)
+    return r if r ** k == n else r + 1
 
 
 def root_magnitude_bound(p: Poly) -> Rat:
@@ -765,38 +774,26 @@ def root_disc(p: Poly) -> tuple[int, int]:
     p (degree >= 1): c is the integer nearest the root centroid
     -a_(n-1)/(n*a_n), and r bounds the roots of P(x) = p(x + c).
 
-    r comes from Fujiwara's bound |z| <= 2*max_k |b_(n-k)/b_n|^(1/k) on the
-    roots z of G, the K-th Graeffe image of P: G has the roots
-    (alpha - c)^(2^K), so |alpha - c| <= (2*max_k |b_(n-k)/b_n|^(1/k))^(1/2^K).
-    Fujiwara overestimates clustered roots by up to a factor 2n (van der
-    Sluis, Numer. Math. 15, 1970); on G that factor shrinks to its 2^K-th
-    root.  The ratios are read off bit lengths,
-    |b_(n-k)/b_n| < 2^(bits(b_(n-k)) - bits(b_n) + 1) = 2^e_k, so
-    |alpha - c| < max_k 2^((e_k + k)/(k*2^K)), and r is the least integer at
-    or above that power of 2; rounding up only raises the bound.  No
-    rational is built.  r is 0 when P = x^n."""
+    r reads ``_magnitude_bound`` on G, the K-th Graeffe image of P: G has
+    the roots (alpha - c)^(2^K), so |alpha - c| <= B(G)^(1/2^K), and r is
+    the least integer at or above that root of ceil(B(G)).  Fujiwara's bound
+    overestimates clustered roots by up to a factor 2n (van der Sluis,
+    Numer. Math. 15, 1970); on G that factor shrinks to its 2^K-th root.
+    r is 0 when P = x^n."""
     ints = p._ints
     n = len(ints) - 1
     lead = ints[-1]
     c = (n * lead - 2 * ints[-2]) // (2 * n * lead)  # floor(centroid + 1/2)
     g = list(p.shift_arg(c)._ints)
+    if not any(g[:-1]):
+        return c, 0
     for _ in range(_GRAEFFE_STEPS):
         # g(x) = e(x^2) + x*o(x^2), and e(y)^2 - y*o(y)^2 = +-g(x)g(-x) at y = x^2
         odd = _int_square(g[1::2])
         g = _int_square(g[0::2]) + [0] * (n % 2)
         for i, v in enumerate(odd):
             g[i + 1] -= v
-    lead_bits = g[-1].bit_length()
-    num, den = 0, 1  # the largest (e_k + k)/k so far, 0 when none is positive
-    for k in range(1, n + 1):
-        b = g[n - k]
-        if b:
-            e_k = b.bit_length() - lead_bits + 1
-            if (e_k + k) * den > num * k:
-                num, den = e_k + k, k
-    if num == 0:
-        return c, int(any(g[:-1]))
-    return c, _iroot_ceil(1 << num, den << _GRAEFFE_STEPS)
+    return c, _iroot_ceil(math.ceil(_magnitude_bound(g)), 1 << _GRAEFFE_STEPS)
 
 
 def _int_square(a: list[int]) -> list[int]:

@@ -194,12 +194,12 @@ class SolutionSpace(namedtuple(
 
 class VectorSolutionSpace(namedtuple(
     "VectorSolutionSpace",
-    "status particular homogeneous_basis witness scalar_traces",
-    defaults=(None, (), None, ()),
+    "status particular homogeneous_basis witness scalar_trace",
+    defaults=(None, (), None, None),
 )):
     """Solution space of a first-order system sigma(v) = M v + c, with the
     one scalar equation it was solved through, that of its cyclic vector,
-    retained for audit in ``scalar_traces``."""
+    retained for audit in ``scalar_trace``."""
 
     __slots__ = ()
 
@@ -378,9 +378,17 @@ def _q_valuation_floor(prep: _Prepared) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -> int | None:
+def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -> int:
     """Certified bound on deg(z) for polynomial solutions z of
-    sum_i coeffs[i]*sigma^i(z) = rhs; None if the analysis degenerates."""
+    sum_i coeffs[i]*sigma^i(z) = rhs, for coeffs[0] and coeffs[m] nonzero.
+
+    The shift case always meets a nonzero c_s with s <= D + m + 1.  The
+    coefficient of x^(D+d-s) in L(x^d) is c_s(d), and L(x^d) has degree at
+    most D + d, so if every such c_s vanished, L(x^d) = 0 for d = 0..m+1:
+    m + 2 solutions of distinct degrees, independent over Q, of an equation
+    of order m with p_0 and p_m nonzero, which has at most m.  Reaching the
+    end of the loop is therefore an internal fault.  In the q case phi, the
+    coefficients of x^D, is nonzero by the choice of D."""
     m = len(coeffs) - 1
     big_d = max(p.degree for p in coeffs)
     rhs_deg = max((r.degree for r in rhs_list if not r.is_zero()), default=None)
@@ -407,7 +415,7 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
                 if rhs_deg is not None:
                     cands.append(rhs_deg - big_d + s)
                 return max(cands, default=-1)
-        return None
+        raise InternalVerificationError("no nonzero c_s below D + m + 2: coeffs[0] or coeffs[m] is zero")
     # q case: coefficient of x^(d+D) is z_d * phi_D(q^d)
     phi = Poly([p[big_d] for p in coeffs])
     cands = q_power_roots(ds, phi)
@@ -449,13 +457,10 @@ def _solve_unverified(eq: ScalarDiffEq, degree_cap: int | None) -> SolutionSpace
     rhs_free = [r * big_u for r in prep.rhs_free]
 
     bound = _degree_bound(ds, q_coeffs, [rhs_fixed] + rhs_free)
-    if bound is None or bound > cap:
-        searched = cap if bound is None else bound
+    if bound > cap:
         return SolutionSpace(
             Status.BOUND_EXCEEDED,
-            witness=f"certified degree bound {bound} exceeds cap {cap}"
-            if bound is not None
-            else f"degree analysis degenerated; cap {searched} reached",
+            witness=f"certified degree bound {bound} exceeds cap {cap}",
             universal_den=u,
             degree_bound=bound,
         )
@@ -869,12 +874,12 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
     sol = _solve_unverified(eq, degree_cap)
     if sol.status is not Status.SOLVED:
         name = "coordinate 0" if tried == 0 else f"y = t.v for t = ({', '.join(map(format_poly, t))})"
-        return VectorSolutionSpace(sol.status, witness=f"{name}: {sol.witness}", scalar_traces=(eq,))
+        return VectorSolutionSpace(sol.status, witness=f"{name}: {sol.witness}", scalar_trace=eq)
     space = VectorSolutionSpace(
         Status.SOLVED,
         particular=rows.lift(ds, sol.particular[0], True),
         homogeneous_basis=tuple(rows.lift(ds, y, False) for y, _ in sol.homogeneous_basis),
-        scalar_traces=(eq,),
+        scalar_trace=eq,
     )
     _verify_system(ds, m, c, space)
     return space

@@ -740,6 +740,11 @@ class TestCommandLine:
             assert batch_code == code
             assert reports[0]["error"] == {"line": 1, **error}
 
+    def test_missing_subcommand_is_named(self, capsys):
+        # the batch line {} gives the same error (see no-subcommand above)
+        _, _, err = _run_main([], capsys)
+        assert json.loads(err)["error"]["message"].startswith("missing subcommand")
+
     def test_value_is_next_argument_whatever_it_starts_with(self, capsys):
         reports = []
         for argv in (["--coeffs", "-1;1", "--rhs", "-1/x"], ["--coeffs=-1;1", "--rhs=-1/x"]):

@@ -362,7 +362,7 @@ class TestIntegrability:
         result = integrability_test(ds, a, degree_cap=0)
         assert result.status is IntegrabilityStatus.CONSTANT_CONJUGATE
         assert all(v.is_zero() for row in result.b_matrix.entries for v in row)
-        assert result.scalar_trace is None and result.scalar_traces == ()
+        assert result.scalar_trace is None
         assert verify_conjugating_matrix(ds, a, result.b_matrix)
 
     @pytest.mark.parametrize("ds", [SHIFT, Q2], ids=["shift", "q2"])

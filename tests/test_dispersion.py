@@ -96,7 +96,8 @@ class TestDispersion:
 
 def _resultant_route(p: Poly) -> bool:
     """The shift gap scan of p takes the resultant route, not the direct one."""
-    return _shift_gap_window(radical(p)) > _SCAN_LIMIT
+    w = radical(p)
+    return _shift_gap_window(w, w) > _SCAN_LIMIT
 
 
 def _product(factors) -> Poly:
@@ -164,7 +165,7 @@ class TestShiftGapsAgainstSympy:
         # roots +-i*sqrt(k), k <= 30: no positive real difference, yet the
         # Fujiwara bound about the centroid alone gives a window of 91
         p = _product(pp(f"x^2 + {k}") for k in range(1, 31))
-        assert _shift_gap_window(p) <= 24
+        assert _shift_gap_window(p, p) <= 24
         # every root of a left of every root of b: nothing to scan
         a = _product(pp(f"x + {k}") for k in range(20, 28))
         b = _product(pp(f"x^2 - {k}") for k in range(1, 5)) * pp("x - 1")

@@ -20,6 +20,7 @@ from diffalg import (
     squarefree_decomposition,
 )
 from diffalg.numcore import (
+    _iroot_ceil,
     integer_roots,
     poly_lcm,
     poly_xgcd,
@@ -266,6 +267,23 @@ class TestQWindow:
         for k in range(40):
             assert q_window(q, base ** k) == k
             assert q_window(q, base ** k * Rat(1001, 1000)) == k
+
+
+class TestIntegerRoot:
+    def test_ceil_root_is_least(self):
+        # the root bounds round every k-th root up through _iroot_ceil
+        rng = random.Random(71)
+        cases = [(n, k) for n in range(300) for k in range(1, 9)]
+        for _ in range(400):
+            k = rng.randint(1, 60)
+            r = rng.getrandbits(rng.randint(1, 80))
+            cases += [(r ** k, k), (r ** k + 1, k), (rng.getrandbits(rng.randint(1, 3000)), k)]
+            if r:
+                cases.append((r ** k - 1, k))
+        cases.append((rng.getrandbits(48000), 2))  # 24000 steps for a bisection
+        for n, k in cases:
+            r = _iroot_ceil(n, k)
+            assert r ** k >= n and (r == 0 or (r - 1) ** k < n), (n, k)
 
 
 class TestRootBounds:

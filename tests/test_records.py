@@ -61,8 +61,8 @@ RECORDS = [
     (
         VectorSolutionSpace,
         (Status.NO_SOLUTION,),
-        ("status", "particular", "homogeneous_basis", "witness", "scalar_traces"),
-        {"particular": None, "homogeneous_basis": (), "witness": None, "scalar_traces": ()},
+        ("status", "particular", "homogeneous_basis", "witness", "scalar_trace"),
+        {"particular": None, "homogeneous_basis": (), "witness": None, "scalar_trace": None},
         {"witness": "coordinate 0: no rational solution"},
         True,
     ),
@@ -95,8 +95,8 @@ RECORDS = [
     (
         IntegrabilityResult,
         (IntegrabilityStatus.NOT_CONSTANT_CONJUGATE, None, EQ),
-        ("status", "b_matrix", "scalar_trace", "scalar_traces"),
-        {"scalar_traces": ()},
+        ("status", "b_matrix", "scalar_trace"),
+        {},
         {"b_matrix": MatrixRF([[1]])},
         True,
     ),

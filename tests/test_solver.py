@@ -3,6 +3,7 @@ constant-twist first-order path, first-order systems, and the brute-force oracle
 
 import importlib
 import itertools
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     run_oracle_agreement_suite,
 )
 from diffalg import (
+    InternalVerificationError,
     MatrixRF,
     Poly,
     PreconditionError,
@@ -40,7 +42,7 @@ from diffalg import (
     solver,
     universal_denominator,
 )
-from diffalg.dispersion import q_power_log
+from diffalg.dispersion import q_power_roots
 from diffalg.numcore import poly_lcm, radical
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
 from oracle import brute_force_oracle, fraction_solve, system_oracle, two_sided_universal_denominator
@@ -224,13 +226,32 @@ class TestDegreeBound:
         (["x^2+1", "-2*x^2+3", "x^2-x"], [], -1),  # s = 1, c_1 = -1
         (["(x+1)*(x+2)", "-2*x*(x+2)", "x*(x+1)"], ["x"], 2),  # s = 2
         (["-(2*x+5)/3", "2*x/3"], ["1/2"], 0),  # s = 1, root 5/2 not integral
-        (["0", "0"], [], None),  # no c_s is nonzero: the analysis degenerates
-        (["0", "0"], ["x"], None),
     ]
 
     @pytest.mark.parametrize("coeffs, rhs, expected", PINNED)
     def test_pinned_shift_bounds(self, coeffs, rhs, expected):
         assert _degree_bound(SHIFT, [pp(c) for c in coeffs], [pp(r) for r in rhs]) == expected
+
+    @pytest.mark.parametrize("rhs", [[], ["x"]])
+    def test_zero_operator_raises(self, rhs):
+        # no c_s is nonzero; a prepared equation never has this operator
+        with pytest.raises(InternalVerificationError):
+            _degree_bound(SHIFT, [pp("0"), pp("0")], [pp(r) for r in rhs])
+
+    @pytest.mark.parametrize("ds", [SHIFT, Q2, Q14], ids=["shift", "q2", "q1/4"])
+    def test_total_with_nonzero_ends(self, ds):
+        # with p_0 and p_m nonzero some c_s with s <= D + m + 1 is nonzero, so
+        # every order 0-4 operator gets an integer bound: Delta^k = (sigma - 1)^k,
+        # Delta^k times a polynomial, and random operators
+        rng = random.Random(433)
+        for m in range(5):
+            delta = [Poly.const(math.comb(m, i) * (-1) ** (m - i)) for i in range(m + 1)]
+            ops = [delta, [p * rand_poly(rng, 3, nonzero=True) for p in delta]]
+            for _ in range(12):
+                ops.append([rand_poly(rng, 3, nonzero=i in (0, m)) for i in range(m + 1)])
+            for coeffs in ops:
+                for rhs in ([], [rand_poly(rng, 4, nonzero=True)]):
+                    assert type(_degree_bound(ds, coeffs, rhs)) is int, (coeffs, rhs)
 
 
 def _lcm_rf(fs) -> RatFun:
@@ -403,14 +424,16 @@ class TestSolveFirstOrder:
         assert sol.status is Status.SOLVED
         assert [g for g, _ in sol.homogeneous_basis] == [rf("x^2")]
 
-    def test_q_power_log_exact(self):
+    def test_q_power_roots_of_constants(self):
+        # the resonant exponent r of a = q^r is the one q-power root of x - a
         for q in (Rat(2), Rat(1, 4), Rat(-3), Rat(3, 2)):
             ds = q_structure(q)
-            for v in range(-9, 10):
-                assert q_power_log(ds, q ** v) == v
-                assert q_power_log(ds, -(q ** v)) is None
-                assert q_power_log(ds, q ** v * Rat(5, 7)) is None
-            assert q_power_log(ds, Rat(0)) is None
+            for v in range(-300, 301):
+                c = q ** v
+                assert q_power_roots(ds, Poly([-c, 1])) == [v]
+                assert q_power_roots(ds, Poly([c, 1])) == []  # -q^v
+                assert q_power_roots(ds, Poly([-c * Rat(5, 7), 1])) == []
+            assert q_power_roots(ds, Poly([0, 1])) == []
 
     def test_zero_twist_rejected(self):
         with pytest.raises(PreconditionError):
@@ -518,7 +541,7 @@ class TestSolveSystem:
         c = [apply_sigma(ds, f) - g for f, g in zip(v, m.mat_vec(v))]
         sol = solve_system(ds, m, c)
         assert sol.status is Status.SOLVED
-        assert [eq.order for eq in sol.scalar_traces] == [n]
+        assert sol.scalar_trace.order == n
         assert len(sol.homogeneous_basis) == dim
         assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
         _matches_system_oracle(ds, m, c, sol)
@@ -576,7 +599,7 @@ class TestSystemRoutes:
             assert eq0.order == n  # coordinate 0 is cyclic
             sol = solve_system(ds, m, c)
             assert sol.status is Status.SOLVED
-            assert sol.scalar_traces == (eq0,)
+            assert sol.scalar_trace == eq0
             assert sol.homogeneous_basis
             assert _in_span(sol.homogeneous_basis, k)
             assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
@@ -599,7 +622,7 @@ class TestSystemRoutes:
         t = [Poly.monomial(1, j) for j in range(n)]
         sol = solve_system(SHIFT, m, c)
         assert sol.status is Status.SOLVED
-        assert sol.scalar_traces == (solver._eliminate(SHIFT, m, c, t)[0],)
+        assert sol.scalar_trace == solver._eliminate(SHIFT, m, c, t)[0]
         assert len(sol.homogeneous_basis) == dim
         assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
         _matches_system_oracle(SHIFT, m, c, sol)
@@ -630,7 +653,7 @@ class TestSystemRoutes:
         sol = solve_system(SHIFT, m, c)
         assert sol.status is Status.NO_SOLUTION
         assert sol.witness.startswith("coordinate 0: no rational solution: ")
-        assert sol.scalar_traces == (eliminate_coordinate(SHIFT, m, c, 0),)
+        assert sol.scalar_trace == eliminate_coordinate(SHIFT, m, c, 0)
         _matches_system_oracle(SHIFT, m, c, sol)
 
 
