@@ -11,18 +11,16 @@ producing
     f = standard_part * sigma(g)/g              (multiplicative)
 
 with exact certificates.  Everything is factorization-free: orbits are
-detected through gcds of shifted polynomials over a window of candidate
-gaps.  A shift gap h = alpha - beta between a root alpha of a and a root
-beta of b is scanned over 1..c_a - c_b + r_a + r_b, for discs |alpha - c| <= r
-about integer centres (``numcore.root_disc``), so the window is one-sided
-and empty when the roots of a lie left of those of b; past ``_SCAN_LIMIT``
-the integer roots of an interpolated resultant replace the scan.
-
-The q-case scans both live here and share one root-magnitude window: the
-orbit gaps between polynomials prime to x (``_q_gap_candidates``) and the
-integers v with p(q^v) = 0 (``q_power_roots``, which the solver's valuation
-and degree bounds read, and which finds the exponent r of a constant
-c = q^r as the root of x - c).
+detected through gcds of sigma^h(a) and b over a window of candidate gaps h,
+in one scan for both structures (``orbit_gaps_between``).  Its window
+(``_gap_window``) reads root discs |alpha - c| <= r about integer centres
+(``numcore.root_disc``) in the shift case, so it is one-sided and empty when
+the roots of a lie left of those of b, and the root-magnitude bounds in the
+q case.  Past ``_SCAN_LIMIT`` the shift case reads the integer roots of an
+interpolated resultant instead.  ``q_power_roots`` finds the integers v with
+p(q^v) = 0 over the same magnitude bounds: the solver's valuation and degree
+bounds read it, and it finds the exponent r of a constant c = q^r as the
+root of x - c.
 The power of x itself, which x -> q*x fixes, is split off by
 ``structures.split_x_power`` before any scan.
 """
@@ -57,73 +55,58 @@ from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 _SCAN_LIMIT = 1024
 
 
-def _gf_shift(cs: list[int], h: int) -> list[int]:
-    """Coefficients of p(x + h) mod GF_PRIME via Horner."""
-    prime = GF_PRIME
-    acc: list[int] = []
-    for c in reversed(cs):
-        # acc = acc*(x+h) + c
-        new = [0] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            new[i + 1] = (new[i + 1] + a) % prime
-            new[i] = (new[i] + a * h) % prime
-        new[0] = (new[0] + c) % prime
-        acc = new
-    return acc
-
-
-def _gf_scale(cs: list[int], factor: int) -> list[int]:
-    """Coefficients of p(factor * x) mod GF_PRIME."""
-    out = []
-    t = 1
-    for c in cs:
-        out.append(c * t % GF_PRIME)
-        t = t * factor % GF_PRIME
+def _gf_shift(cs: list[int]) -> list[int]:
+    """Coefficients of p(x + 1) mod GF_PRIME: the Taylor shift by one as
+    repeated synthetic division by x - 1, in additions only."""
+    out = list(cs)
+    n = len(out) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            out[j] = (out[j] + out[j + 1]) % GF_PRIME
     return out
 
 
-def _shift_gap_window(a: Poly, b: Poly) -> int:
-    """An integer at or above every integer difference h = alpha - beta of
-    a root alpha of a and a root beta of b (both of degree >= 1); 0 or less
-    when no such h is positive.
+def _gf_unit(q: Rat) -> int | None:
+    """q mod GF_PRIME, or None when q is no unit there."""
+    qn, qd = q.numerator % GF_PRIME, q.denominator % GF_PRIME
+    return qn * pow(qd, -1, GF_PRIME) % GF_PRIME if qn and qd else None
 
-    With (c_a, r_a) and (c_b, r_b) from ``root_disc``,
+
+def _gap_window(ds: DiffStructure, a: Poly, b: Poly) -> int:
+    """An integer at or above every orbit gap h > 0 between a root alpha of a
+    and a root beta of b (both of degree >= 1, coprime to x in the q case);
+    0 or less when there is none.  It only limits which h are tried; each
+    candidate still passes the mod-p filter and the exact gcd.
+
+    Shift case: with (c_a, r_a) and (c_b, r_b) from ``root_disc``,
     h = (c_a - c_b) + (alpha - c_a) - (beta - c_b)
-      <= (c_a - c_b) + |alpha - c_a| + |beta - c_b| <= c_a - c_b + r_a + r_b.
-    The window is one-sided: when every root of a lies left of the roots of
-    b, no shift is scanned at all.  It only limits which h are tried; each
-    candidate still passes the mod-p filter and the exact gcd."""
-    c_a, r_a = root_disc(a)
-    c_b, r_b = (c_a, r_a) if b is a else root_disc(b)
-    return c_a - c_b + r_a + r_b
+      <= (c_a - c_b) + |alpha - c_a| + |beta - c_b| <= c_a - c_b + r_a + r_b,
+    one-sided: when every root of a lies left of the roots of b, no shift is
+    scanned at all.
+
+    q case: alpha = q^h * beta, so |q|^h = |alpha|/|beta| is at most
+    hi(a)/lo(b) when |q| > 1, and |q|^-h at most hi(b)/lo(a) when |q| < 1,
+    with hi the root magnitude bound and 1/lo the reciprocal one."""
+    if ds.is_shift:
+        c_a, r_a = root_disc(a)
+        c_b, r_b = (c_a, r_a) if b is a else root_disc(b)
+        return c_a - c_b + r_a + r_b
+    if abs(ds.q) < 1:
+        a, b = b, a
+    return q_window(ds.q, root_magnitude_bound(a) * reciprocal_root_bound(b))
 
 
-def _shift_gap_candidates(a: Poly, b: Poly) -> list[int]:
-    """Positive integers h, ascending, with gcd(a(x+h), b) nonconstant; a and
-    b nonconstant."""
-    limit = _shift_gap_window(a, b)
-    if limit < 1:
-        return []
-    hits: list[int] = []
-    if limit <= _SCAN_LIMIT:
-        gf_a, gf_b = gf_coeffs(a), gf_coeffs(b)
-        for h in range(1, limit + 1):
-            if gf_a and gf_b and gf_gcd_degree(gf_b, _gf_shift(gf_a, h)) < 1:
-                continue  # mod-p gcd constant certifies the Q-gcd is constant
-            if poly_gcd(b, a.shift_arg(h)).degree > 0:
-                hits.append(h)
-        return hits
-    # resultant route: R(y) = Res_x(b(x), a(x+y)) vanishes exactly at the
-    # root differences; interpolate R from deg(a)*deg(b) + 1 values
+def _resultant_gaps(a: Poly, b: Poly) -> list[int]:
+    """Positive integers h, ascending, with gcd(a(x+h), b) nonconstant, for
+    shift windows past ``_SCAN_LIMIT``: R(y) = Res_x(b(x), a(x+y)) vanishes
+    exactly at the root differences; interpolate R from deg(a)*deg(b) + 1
+    values."""
     n = a.degree * b.degree
     pts = [(Rat(k), poly_resultant(b, a.shift_arg(k))) for k in range(n + 1)]
     res_poly = _interpolate(pts)
     if res_poly.is_zero():  # cannot happen for nonzero a, b; guard anyway
         raise InternalVerificationError("interpolated resultant vanished identically")
-    for h in sorted(integer_roots(res_poly)):
-        if h >= 1 and poly_gcd(b, a.shift_arg(h)).degree > 0:
-            hits.append(h)
-    return hits
+    return [h for h in sorted(integer_roots(res_poly)) if h >= 1 and poly_gcd(b, a.shift_arg(h)).degree > 0]
 
 
 def _interpolate(points: list[tuple[Rat, Rat]]) -> Poly:
@@ -140,37 +123,6 @@ def _interpolate(points: list[tuple[Rat, Rat]]) -> Poly:
     return poly
 
 
-def _q_root_window(ds: DiffStructure, w: Poly) -> tuple[Rat, Rat, list[int] | None, int | None]:
-    """What every q-case scan of w (degree >= 1, w(0) != 0) starts from:
-    (lo, hi) with lo <= |alpha| <= hi for every root alpha and lo <= 1 <= hi,
-    then w and q mod GF_PRIME, each None where it does not reduce."""
-    gf = gf_coeffs(w)
-    qn, qd = ds.q.numerator % GF_PRIME, ds.q.denominator % GF_PRIME
-    qmod = qn * pow(qd, -1, GF_PRIME) % GF_PRIME if gf is not None and qn and qd else None
-    return 1 / reciprocal_root_bound(w), root_magnitude_bound(w), gf, qmod
-
-
-def _q_gap_candidates(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
-    """Positive integers h, ascending, with gcd(a(q^h x), b) nonconstant; a
-    and b nonconstant and coprime to x.  |q|^h is the ratio of a root of a
-    to a root of b, at most hi(a)/lo(b) when |q| > 1 and at least
-    lo(a)/hi(b) when |q| < 1.  A gcd that is constant mod a large prime
-    certifies the exact gcd is constant, so only the few surviving
-    candidates pay for exact big-rational arithmetic."""
-    hits = []
-    lo_a, hi_a, gf_a, qmod = _q_root_window(ds, a)
-    lo_b, hi_b, gf_b, _ = _q_root_window(ds, b)
-    ratio = hi_a / lo_b if abs(ds.q) > 1 else hi_b / lo_a
-    for h in range(1, q_window(ds.q, ratio) + 1):
-        if qmod is not None and gf_b is not None:
-            # qmod is a unit mod GF_PRIME, so q^h never reduces to 0
-            if gf_gcd_degree(gf_b, _gf_scale(gf_a, pow(qmod, h, GF_PRIME))) < 1:
-                continue
-        if poly_gcd(b, a.scale_arg(ds.q ** h)).degree > 0:
-            hits.append(h)
-    return hits
-
-
 def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
     """All integers v with p(q^v) = 0, found by scanning the magnitude window
     allowed by the root bounds (no factoring); evaluation mod a large prime
@@ -180,8 +132,9 @@ def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
     w, _ = split_x_power(ds, p)
     if w.degree < 1:
         return []
-    lo, hi, gf, qmod = _q_root_window(ds, w)
-    vbound = q_window(ds.q, max(hi, 1 / lo))
+    vbound = q_window(ds.q, max(root_magnitude_bound(w), reciprocal_root_bound(w)))
+    gf = gf_coeffs(w)
+    qmod = _gf_unit(ds.q) if gf is not None else None
     out = []
     qv = pow(qmod, -vbound, GF_PRIME) if qmod is not None else None  # q^v mod GF_PRIME
     for v in range(-vbound, vbound + 1):
@@ -209,10 +162,33 @@ def orbit_gaps(ds: DiffStructure, poly: Poly) -> list[int]:
 def orbit_gaps_between(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
     """Every h > 0, ascending, with gcd(sigma^h(a), b) nonconstant: some root
     of a sits h steps along the orbit of a root of b.  a and b are nonzero,
-    and coprime to x in the q case."""
+    and coprime to x in the q case.
+
+    One scan serves both structures: h runs over ``_gap_window``, and the
+    image of sigma^h(a) mod GF_PRIME is stepped from that of sigma^(h-1)(a)
+    (a Taylor shift by one, or coefficient j times q^j), so only the few h
+    whose image shares a factor with b's pay for an exact gcd of
+    big-rational polynomials."""
     if a.degree < 1 or b.degree < 1:
         return []
-    return _shift_gap_candidates(a, b) if ds.is_shift else _q_gap_candidates(ds, a, b)
+    window = _gap_window(ds, a, b)
+    if ds.is_shift and window > _SCAN_LIMIT:
+        return _resultant_gaps(a, b)
+    image, gf_b = gf_coeffs(a), gf_coeffs(b)
+    qmod = None if ds.is_shift else _gf_unit(ds.q)
+    # the leading coefficient of each image stays a unit (q is one), so a
+    # gcd constant mod the prime certifies the exact gcd is constant
+    filtered = image is not None and gf_b is not None and (ds.is_shift or qmod is not None)
+    powers = [pow(qmod, j, GF_PRIME) for j in range(a.degree + 1)] if qmod is not None else []
+    hits = []
+    for h in range(1, window + 1):
+        if filtered:
+            image = _gf_shift(image) if ds.is_shift else [c * t % GF_PRIME for c, t in zip(image, powers)]
+            if gf_gcd_degree(gf_b, image) < 1:
+                continue
+        if poly_gcd(b, sigma_poly(ds, a, h)).degree > 0:
+            hits.append(h)
+    return hits
 
 
 def dispersion(ds: DiffStructure, poly: Poly) -> int:

@@ -24,6 +24,12 @@ form: they go through ``over_monic``, ``divide_out_x``,
 ``integer_multiples``, ``coefficient_bits``, ``coefficient_bits_above`` and
 ``gf_coeffs``.
 
+``GF_PRIME`` is the largest safe prime below 2^31: p = 2r + 1 with r prime.
+Every q other than 0 and +-1 mod p then has order r or 2r, so the images
+mod p of a q-orbit do not repeat within any gap scan.  The Mersenne prime
+2^31 - 1 gives 2 and 4 the order 31, and the q = 2 and q = 1/4 scans then
+pass every 31st candidate on to an exact gcd of big polynomials.
+
 The root bounds read the integer form too: ``root_magnitude_bound`` and
 ``reciprocal_root_bound`` (the q windows and integer roots), and
 ``root_disc``, an integer centre and radius for the shift gap windows,
@@ -491,7 +497,8 @@ def format_poly(p: Poly) -> str:
 # gcd / resultant / factor-free primitives
 # ---------------------------------------------------------------------------
 
-GF_PRIME = (1 << 31) - 1
+# the largest safe prime below 2^31; see the module docstring
+GF_PRIME = 2147483579
 
 
 def gf_coeffs(p: Poly) -> list[int] | None:
@@ -758,7 +765,9 @@ def _magnitude_bound(ints) -> Rat:
         if a == 0:
             continue
         ratio_ceil = -(-a // lead)
-        fuji = max(fuji, _iroot_ceil(ratio_ceil, k))
+        # below 2^(k*(bits(fuji) - 1)) <= fuji^k the k-th root cannot raise fuji
+        if ratio_ceil.bit_length() > k * (fuji.bit_length() - 1):
+            fuji = max(fuji, _iroot_ceil(ratio_ceil, k))
     fuji = 2 * fuji + 1
     return Rat(cauchy, lead) if cauchy <= fuji * lead else Rat(fuji)
 

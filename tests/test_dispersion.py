@@ -29,7 +29,7 @@ from diffalg import (
     polar_dispersion,
     q_structure,
 )
-from diffalg.dispersion import _SCAN_LIMIT, _shift_gap_window, orbit_gaps, orbit_gaps_between, radical
+from diffalg.dispersion import _SCAN_LIMIT, _gap_window, orbit_gaps, orbit_gaps_between, radical
 from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
 
 # the package exports the function ``dispersion`` under the module's name
@@ -97,7 +97,7 @@ class TestDispersion:
 def _resultant_route(p: Poly) -> bool:
     """The shift gap scan of p takes the resultant route, not the direct one."""
     w = radical(p)
-    return _shift_gap_window(w, w) > _SCAN_LIMIT
+    return _gap_window(SHIFT, w, w) > _SCAN_LIMIT
 
 
 def _product(factors) -> Poly:
@@ -165,11 +165,11 @@ class TestShiftGapsAgainstSympy:
         # roots +-i*sqrt(k), k <= 30: no positive real difference, yet the
         # Fujiwara bound about the centroid alone gives a window of 91
         p = _product(pp(f"x^2 + {k}") for k in range(1, 31))
-        assert _shift_gap_window(p, p) <= 24
+        assert _gap_window(SHIFT, p, p) <= 24
         # every root of a left of every root of b: nothing to scan
         a = _product(pp(f"x + {k}") for k in range(20, 28))
         b = _product(pp(f"x^2 - {k}") for k in range(1, 5)) * pp("x - 1")
-        assert _shift_gap_window(a, b) < 1
+        assert _gap_window(SHIFT, a, b) < 1
         assert orbit_gaps_between(SHIFT, a, b) == []
 
     # the last one is an off-centre cluster whose roots +-i keep the window
@@ -209,6 +209,56 @@ class TestShiftGapsAgainstSympy:
             routes.add(_resultant_route(p))
             self._check(p)
         assert routes == {False, True}
+
+
+class TestQGapsAgainstSympy:
+    """q-case gaps against exact gcds that sympy computes h by h over a
+    window wider than any planted gap; sympy shares no code with the mod-p
+    filter or the root bounds of the scan."""
+
+    # prime to x, with roots of magnitude between 1/2 and 2
+    _bases = ("x - 1", "2*x + 1", "x^2 + 1", "x^2 - 3", "3*x^2 + x + 2", "x^3 - 2")
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 4), Fraction(-3), Fraction(3, 2)], ids=str)
+    def test_planted_orbits(self, q):
+        # a carries f(q^k x) and b carries f(q^(k+g) x), so g is a planted
+        # gap; g above 31 outruns the order of 2 and 4 modulo a Mersenne prime
+        ds = q_structure(q)
+        bases = [pp(t) for t in self._bases]
+        rng = random.Random(4409)
+        planted = set()
+        for _ in range(6):
+            a, b = rng.choice(bases), rng.choice(bases).scale_arg(q ** rng.randint(0, 3))
+            for _ in range(rng.randint(1, 2)):
+                f, k, g = rng.choice(bases), rng.randint(0, 3), rng.choice([1, 2, 33, 37])
+                a, b = a * f.scale_arg(q ** k), b * f.scale_arg(q ** (k + g))
+                planted.add(g)
+            # exponents reach 3 + 37 and every root ratio of two bases is
+            # below |q|^4, so no gap lies past 44
+            theirs_b = to_sympy(b)
+            expected = [h for h in range(1, 60) if theirs_b.gcd(to_sympy(a.scale_arg(q ** h))).degree() > 0]
+            assert orbit_gaps_between(ds, a, b) == expected, (q, a, b)
+        assert max(planted) > 31
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 4)], ids=str)
+    def test_only_hits_reach_an_exact_gcd(self, monkeypatch, q):
+        # the cube roots of 3 and of 3*2^700 lie 2^(700/3) apart, no power
+        # of q: the window holds over a hundred gaps and none is a hit, so
+        # the mod-p filter must reject every one of them
+        ds = q_structure(q)
+        p = pp(f"(x^3-3)*(x^3-{3 * 2**700})*(x^2+5)")
+        w = radical(p)
+        assert _gap_window(ds, w, w) > 3 * 31
+        exact = []
+        real = dispersion_module.poly_gcd
+
+        def counted(u, v):
+            exact.append((u, v))
+            return real(u, v)
+
+        monkeypatch.setattr(dispersion_module, "poly_gcd", counted)
+        assert orbit_gaps(ds, p) == []
+        assert exact == []
 
 
 class TestPolarDispersion:

@@ -20,7 +20,9 @@ from diffalg import (
     squarefree_decomposition,
 )
 from diffalg.numcore import (
+    GF_PRIME,
     _iroot_ceil,
+    _magnitude_bound,
     integer_roots,
     poly_lcm,
     poly_xgcd,
@@ -318,6 +320,32 @@ class TestRootBounds:
         for p in self._polys():
             if p[0] != 0:
                 assert reciprocal_root_bound(p) == root_magnitude_bound(Poly(list(reversed(p.coeffs)))), p
+
+    def test_magnitude_bound_matches_every_root_taken(self):
+        # the bound skips a k-th root that cannot raise the running maximum;
+        # a reference that takes every root must agree on every input
+        def reference(ints):
+            n, lead = len(ints) - 1, abs(ints[-1])
+            cauchy = lead + max(abs(c) for c in ints[:-1])
+            roots = [_iroot_ceil(-(-abs(ints[n - k]) // lead), k) for k in range(1, n + 1) if ints[n - k]]
+            fuji = 2 * max(roots, default=0) + 1
+            return Rat(cauchy, lead) if cauchy <= fuji * lead else Rat(fuji)
+
+        rng = random.Random(733)
+        for _ in range(3000):
+            bits = rng.choice([3, 12, 40, 200])
+            low = [rng.choice([0, rng.randint(-(2**bits), 2**bits)]) for _ in range(rng.randint(1, 12))]
+            lead = rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.choice([1, 8, 30]))
+            ints = low + [lead]
+            assert _magnitude_bound(ints) == reference(ints), ints
+
+
+def test_gf_prime_is_a_safe_prime():
+    # p = 2r + 1 with r prime: no q other than 0, +-1 has a short orbit mod p
+    sympy = pytest.importorskip("sympy")
+    assert GF_PRIME < 2**31
+    assert sympy.isprime(GF_PRIME) and sympy.isprime((GF_PRIME - 1) // 2)
+    assert pow(2, 31, GF_PRIME) != 1 and pow(4, 31, GF_PRIME) != 1
 
 
 class TestSquarefree:
