@@ -61,7 +61,6 @@ from .numcore import (
     partial_split,
     poly_gcd,
     poly_resultant,
-    squarefree_decomposition,
 )
 from .parsing import format_ratfun, parse_matrix, parse_ratfun
 from .solver import (
@@ -146,7 +145,6 @@ __all__ = [
     "solve_first_order",
     "solve_scalar",
     "solve_system",
-    "squarefree_decomposition",
     "universal_denominator",
     "verify_conjugating_matrix",
     "verify_first_order_witness",

@@ -16,11 +16,14 @@ in one scan for both structures (``orbit_gaps_between``).  Its window
 (``_gap_window``) reads root discs |alpha - c| <= r about integer centres
 (``numcore.root_disc``) in the shift case, so it is one-sided and empty when
 the roots of a lie left of those of b, and the root-magnitude bounds in the
-q case.  Past ``_SCAN_LIMIT`` the shift case reads the integer roots of an
+q case, capped at ``numcore.Q_WINDOW_CAP`` steps (bound-exceeded past it).
+Past ``_SCAN_LIMIT`` the shift case reads the integer roots of an
 interpolated resultant instead.  ``q_power_roots`` finds the integers v with
 p(q^v) = 0 over the same magnitude bounds: the solver's valuation and degree
 bounds read it, and it finds the exponent r of a constant c = q^r as the
-root of x - c.
+root of x - c.  Each standard-form step moves the orbit-primary part of a
+polynomial, the factor carrying the roots it shares with the orbit ends at
+full multiplicity, taken by repeated gcd (``_orbit_primary_part``).
 The power of x itself, which x -> q*x fixes, is split off by
 ``structures.split_x_power`` before any scan.
 """
@@ -46,7 +49,6 @@ from .numcore import (
     reciprocal_root_bound,
     root_disc,
     root_magnitude_bound,
-    squarefree_decomposition,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
@@ -245,12 +247,14 @@ def _orbit_ends(ds: DiffStructure, p: Poly, gap: int) -> Poly:
 
 
 def _orbit_primary_part(q: Poly, w: Poly) -> Poly:
-    """The factor of q carrying all roots shared with w, full multiplicity."""
-    d1 = Poly.one()
-    for factor, mult in squarefree_decomposition(q):
-        shared = poly_gcd(factor, w)
-        if shared.degree > 0:
-            d1 = d1 * shared ** mult
+    """The monic factor of the nonzero q carrying all roots shared with w,
+    at full multiplicity: each gcd with what is left of q takes one more
+    power of the shared roots that q still has."""
+    d1, g = Poly.one(), poly_gcd(q, w)
+    while g.degree > 0:
+        d1 = d1 * g
+        q = q.exact_div(g)
+        g = poly_gcd(q, g)
     return d1
 
 

@@ -15,7 +15,11 @@ pivot row is then made primitive.  The solver's ansatz systems are banded,
 with entries of hundreds of bits: this order touches only nonzeros, takes
 one gcd per row update, and never visits a row again once it reduces to
 zero, where sweeping every row at every pivot spends most of its time on
-zeros and gcds.  Rationals are only built for the entries that leave the
+zeros and gcds.  The solution space is read straight off the sparse pivot
+rows, with no dense matrix: the entry of a pivot row in a free column gives
+that column's nullspace vector, its right-hand entry the particular
+solution, and a row that reduced to zero on the left only marks the system
+inconsistent.  Rationals are only built for the entries that leave the
 kernel, as ``numerator / pivot``.
 
 Over Q(x) nothing is solved as fractions.  A caller clears its rows to
@@ -77,16 +81,21 @@ def solve_affine(rows, rhs, zero, one):
             if j in prow:
                 pivot_rows[k] = _primitive_row(_row_update(prow, row, j))
         pivot_rows[j] = row
-    pivots = sorted(pivot_rows)
-    aug = []
-    for pc in pivots:
-        dense = [0] * (ncols + 1)
-        for c, v in pivot_rows[pc].items():
-            dense[c] = v
-        aug.append(dense)
-    if inconsistent:
-        aug.append([0] * ncols + [1])
-    return _read_off(aug, pivots, ncols, zero, one)
+    # an entry v of the row with pivot pc stands for v / row[pc]; the
+    # other columns of a pivot row are free, since each pivot row is zero
+    # in every pivot column but its own
+    free = {c: [zero] * ncols for c in range(ncols) if c not in pivot_rows}
+    particular = [zero] * ncols
+    for pc, row in pivot_rows.items():
+        pv = row[pc]
+        for c, v in row.items():
+            if c == ncols:
+                particular[pc] = Rat(v, pv)
+            elif c != pc:
+                free[c][pc] = Rat(-v, pv)
+    for c, vec in free.items():
+        vec[c] = one
+    return None if inconsistent else particular, list(free.values())
 
 
 def _row_update(row, prow, j):
@@ -110,31 +119,6 @@ def _row_update(row, prow, j):
 def _primitive_row(row):
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
-
-
-def _read_off(aug, pivots, ncols, zero, one):
-    """(particular, canonical nullspace) of a reduced integer augmented
-    matrix whose row k has its pivot in column pivots[k]; an entry v of that
-    row stands for v / pivot.  Rows below the pivot rows are zero on the
-    left."""
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row, pc in zip(aug, pivots):
-            if row[fc]:
-                vec[pc] = Rat(-row[fc], row[pc])
-        basis.append(vec)
-    if any(row[ncols] for row in aug[len(pivots):]):
-        return None, basis
-    particular = [zero] * ncols
-    for row, pc in zip(aug, pivots):
-        if row[ncols]:
-            particular[pc] = Rat(row[ncols], row[pc])
-    return particular, basis
-
 
 
 class FractionFreeRows:

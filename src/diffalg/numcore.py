@@ -34,7 +34,11 @@ The root bounds read the integer form too: ``root_magnitude_bound`` and
 ``reciprocal_root_bound`` (the q windows and integer roots), and
 ``root_disc``, an integer centre and radius for the shift gap windows,
 the same bound read on a Graeffe root-squaring image.  ``_magnitude_bound``
-is the one root-bound formula behind all three.
+is the one root-bound formula behind all three.  ``q_window`` turns a
+magnitude ratio into a number of q steps and raises BoundExceededError once
+that number reaches ``Q_WINDOW_CAP`` = 2^14, before the powers of a q near 1
+grow huge.  ``radical`` is the one squarefree primitive; the standard forms
+read multiplicities by repeated gcd.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PreconditionError, ZeroInputError
+from .errors import BoundExceededError, PreconditionError, ZeroInputError
 
 Rat = Fraction
 
@@ -818,9 +822,17 @@ def _int_square(a: list[int]) -> list[int]:
     return out
 
 
+# every q window is below this: a q orbit gap scan or q-power root search
+# walks at most this many steps, and for q near 1, where the window runs to
+# millions, the powers of q stop growing before any scan starts
+Q_WINDOW_CAP = 1 << 14
+
+
 def q_window(q: Rat, bound: Rat) -> int:
     """Largest L >= 0 with Q^L <= bound, where Q = max(|q|, 1/|q|) > 1; 0 when
-    bound < Q.  Exact: binary search over the powers Q^(2^k)."""
+    bound < Q.  Exact: binary search over the powers Q^(2^k).  A window of
+    ``Q_WINDOW_CAP`` or more raises BoundExceededError before its powers
+    grow further."""
     a, b = abs(q.numerator), abs(q.denominator)
     if a == b:
         raise PreconditionError("q_window needs |q| != 1")
@@ -829,7 +841,9 @@ def q_window(q: Rat, bound: Rat) -> int:
     c, d = bound.numerator, bound.denominator
     # Q^L <= bound  <=>  a^L * d <= c * b^L
     squares = []
-    while a * d <= c * b:
+    while a * d <= c * b:  # Q^(2^k) <= bound for k = len(squares)
+        if 1 << len(squares) >= Q_WINDOW_CAP:
+            raise BoundExceededError(f"q orbit window of {Q_WINDOW_CAP} steps or more")
         squares.append((a, b))
         a, b = a * a, b * b
     window, pa, pb = 0, 1, 1
@@ -870,32 +884,6 @@ def integer_roots(p: Poly) -> set[int]:
 def radical(p: Poly) -> Poly:
     """The monic squarefree part of p."""
     return _gcd_cofactors(p, p.derivative())[1].monic()
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = lc * prod(factor^mult) with monic, squarefree,
-    pairwise-coprime factors."""
-    if p.is_zero():
-        raise ZeroInputError("squarefree decomposition of zero")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.is_constant():
-        return [(p, 1)]
-    out = []
-    c = p.exact_div(g)
-    d = dp.exact_div(g) - c.derivative()
-    i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c.exact_div(a)
-        d = d.exact_div(a) - c.derivative()
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

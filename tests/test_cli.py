@@ -183,9 +183,12 @@ class TestInputBoundary:
             ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
             ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 3000})"}, "bound-exceeded", EXIT_BOUND),
             ({"subcommand": "standard-form", "f": f"1/x + 1/(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
+            # a q orbit window of about 6.9 million gaps
+            ({"subcommand": "disp", "case": "q", "q": "1000001/1000000", "poly": "(x-1)*(x-1000)"},
+             "bound-exceeded", EXIT_BOUND),
         ],
         ids=["matrix-entry", "list-item", "superscript", "superscript-exponent", "nesting",
-             "deep-json", "huge-root", "sigma-2^900", "sigma-2^3000", "standard-form-2^900"],
+             "deep-json", "huge-root", "sigma-2^900", "sigma-2^3000", "standard-form-2^900", "q-near-1"],
     )
     def test_kind_and_exit_code(self, line, kind, code, tmp_path, capsys):
         path = tmp_path / "line.jsonl"

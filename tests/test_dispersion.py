@@ -29,7 +29,14 @@ from diffalg import (
     polar_dispersion,
     q_structure,
 )
-from diffalg.dispersion import _SCAN_LIMIT, _gap_window, orbit_gaps, orbit_gaps_between, radical
+from diffalg.dispersion import (
+    _SCAN_LIMIT,
+    _gap_window,
+    _orbit_primary_part,
+    orbit_gaps,
+    orbit_gaps_between,
+    radical,
+)
 from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
 
 # the package exports the function ``dispersion`` under the module's name
@@ -362,6 +369,38 @@ class TestMultiplicativeForm:
         m = multiplicative_standard_form(SHIFT, f)
         assert m.reconstruct() == f
         assert is_standard(SHIFT, m.standard_part)
+
+
+# pairwise coprime irreducible factors over Q
+_PRIMES = [pp(t) for t in ("x", "x - 1", "x + 2", "2*x - 3", "x^2 + 1", "x^2 - 2", "x^2 + x + 5", "x^3 - 3")]
+
+
+@st.composite
+def _primary_part_inputs(draw):
+    """(q, w): q a scaled product of 0-4 factors of multiplicity 1-4, and w
+    sharing none, some or all of them, times 0-2 factors q lacks."""
+    order = draw(st.permutations(range(len(_PRIMES))))
+    n = draw(st.integers(0, 4))
+    q = Poly.const(draw(st.sampled_from([1, Fraction(-3, 7), 5])))
+    for i in order[:n]:
+        q = q * _PRIMES[i] ** draw(st.integers(1, 4))
+    shared = draw(st.integers(0, n))
+    w = Poly.const(draw(st.sampled_from([1, Fraction(2, 9)])))
+    for i in order[:shared] + order[n : n + draw(st.integers(0, 2))]:
+        w = w * _PRIMES[i]
+    return q, w
+
+
+class TestOrbitPrimaryPart:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_primary_part_inputs())
+    def test_strips_shared_roots_at_full_multiplicity(self, inputs):
+        q, w = inputs
+        d1 = _orbit_primary_part(q, w)
+        rest, remainder = q.divmod(d1)
+        assert remainder.is_zero(), (q, w, d1)
+        assert poly_gcd(rest, w).degree == 0, (q, w, d1)
+        assert w % radical(d1) == Poly.zero(), (q, w, d1)
 
 
 class TestOneGapScan:

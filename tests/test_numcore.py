@@ -1,6 +1,6 @@
-"""Exact-arithmetic core: gcd, resultant, roots, squarefree, partial split,
-the q magnitude window; gcd, resultant, integer roots and squarefree
-decomposition are cross-checked against sympy."""
+"""Exact-arithmetic core: gcd, resultant, roots, partial split, the q
+magnitude window and its cap; gcd, resultant and integer roots are
+cross-checked against sympy."""
 
 import random
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 
 from conftest import pp, rand_poly, rf, to_sympy
 from diffalg import (
+    BoundExceededError,
     Poly,
     Rat,
     RatFun,
@@ -17,10 +18,10 @@ from diffalg import (
     partial_split,
     poly_gcd,
     poly_resultant,
-    squarefree_decomposition,
 )
 from diffalg.numcore import (
     GF_PRIME,
+    Q_WINDOW_CAP,
     _iroot_ceil,
     _magnitude_bound,
     integer_roots,
@@ -234,16 +235,6 @@ class TestAgainstSympy:
         assert poly_gcd(zero, zero) == zero
         assert poly_gcd(Poly.const(Fraction(-2, 3)), zero) == Poly.one()
 
-    def test_squarefree_decomposition_matches(self):
-        rng = random.Random(53)
-        for _ in range(60):
-            p = rand_poly(rng, 3, nonzero=True) * rand_poly(rng, 2, nonzero=True) ** rng.randint(1, 3)
-            if p.degree < 1:
-                continue
-            _, factors = to_sympy(p).sqf_list()
-            theirs = {(_from_sympy(f).monic(), m) for f, m in factors}
-            assert set(squarefree_decomposition(p)) == theirs
-
 
 class TestQWindow:
     @pytest.mark.parametrize("q", [Rat(2), Rat(1, 4), Rat(-3), Rat(3, 2)])
@@ -269,6 +260,13 @@ class TestQWindow:
         for k in range(40):
             assert q_window(q, base ** k) == k
             assert q_window(q, base ** k * Rat(1001, 1000)) == k
+
+    def test_cap(self):
+        assert q_window(Rat(2), Rat(2) ** (Q_WINDOW_CAP - 1)) == Q_WINDOW_CAP - 1
+        # q near 1: a window of about 6.9 million for roots 1 and 1000
+        for q, bound in [(Rat(2), Rat(2) ** Q_WINDOW_CAP), (Rat(1000001, 1000000), Rat(1000))]:
+            with pytest.raises(BoundExceededError):
+                q_window(q, bound)
 
 
 class TestIntegerRoot:
@@ -346,32 +344,6 @@ def test_gf_prime_is_a_safe_prime():
     assert GF_PRIME < 2**31
     assert sympy.isprime(GF_PRIME) and sympy.isprime((GF_PRIME - 1) // 2)
     assert pow(2, 31, GF_PRIME) != 1 and pow(4, 31, GF_PRIME) != 1
-
-
-class TestSquarefree:
-    def test_examples(self):
-        assert set(squarefree_decomposition(pp("x^2*(x+1)"))) == {(pp("x"), 2), (pp("x+1"), 1)}
-        assert squarefree_decomposition(pp("x^2+2*x+1")) == [(pp("x+1"), 2)]
-        assert squarefree_decomposition(pp("x^3-x")) == [(pp("x^3-x"), 1)]
-
-    def test_reassembly(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            p = rand_poly(rng, 3, nonzero=True) * rand_poly(rng, 2, nonzero=True) ** 2
-            rebuilt = Poly.const(p.lc())
-            for factor, mult in squarefree_decomposition(p):
-                rebuilt = rebuilt * factor ** mult
-            assert rebuilt == p
-
-    def test_factors_coprime_and_squarefree(self):
-        rng = random.Random(37)
-        for _ in range(40):
-            p = rand_poly(rng, 4, nonzero=True) ** 2 * rand_poly(rng, 2, nonzero=True)
-            factors = squarefree_decomposition(p)
-            for i, (f, _) in enumerate(factors):
-                assert poly_gcd(f, f.derivative()).degree == 0
-                for g, _ in factors[i + 1 :]:
-                    assert poly_gcd(f, g).degree == 0
 
 
 class TestPartialSplit:
