@@ -14,15 +14,14 @@ Exit codes: 0 = a verdict was produced (including negative verdicts),
 coefficient above ``parsing.MAX_COEFF_BITS`` bits, 3 = internal invariant
 violation, such as a certificate that failed its check.  A failed query
 reports ``{"error": {"message", "kind"}}`` on stderr, with kind ``parse``,
-``usage``, ``bound-exceeded`` or ``internal``; a batch reports it in place
-of the line's report, adds the line number, and exits with the largest
-per-line code.
+``usage``, ``bound-exceeded`` or ``internal``.  A batch runs its lines one
+at a time, prints each report, or a failed line's error with its line
+number, as soon as it is made, and exits with the largest per-line code.
 
 One process answers one query, so start-up is part of every query's
 latency.  The records are named tuples and the command line is read here,
 so a cold query imports no ``dataclasses``, ``inspect``, ``typing`` or
-``argparse``; it loads the thread pool only in ``run_batch`` and
-``traceback`` only for an internal error.
+``argparse``; it loads ``traceback`` only for an internal error.
 """
 
 from __future__ import annotations
@@ -350,7 +349,7 @@ def _da_certificate_dict(c: criteria.DACertificate) -> dict:
 # argument handling
 # ---------------------------------------------------------------------------
 
-_INTEGER_FIELDS = ("order_bound", "degree_cap", "workers")  # read as integers
+_INTEGER_FIELDS = ("order_bound", "degree_cap")  # read as integers
 
 
 def _read_command_line(argv: list[str]) -> tuple[dict, list[str]]:
@@ -387,7 +386,7 @@ def _help(sub: str | None) -> str:
         rows = [(_flag(key), (text or "") + " (required)" * required) for key, text, required in arguments]
         rows += [(_flag(k), text) for k, text in _QUERY_FLAGS if k != "order_bound" or sub == "telescope"]
     else:
-        head = "usage: diffalg SUBCOMMAND [--flag value ...]\n       diffalg batch PATH [--workers N]"
+        head = "usage: diffalg SUBCOMMAND [--flag value ...]\n       diffalg batch PATH"
         rows = [(name, summary) for name, (summary, _) in COMMANDS.items()]
     return head + "\n\n" + "\n".join(f"  {left:<18} {right}".rstrip() for left, right in rows)
 
@@ -461,30 +460,31 @@ def _error_report(exc: BaseException, **where) -> tuple[dict, int]:
     return {"error": {**where, "message": str(exc), "kind": kind}}, code
 
 
-def run_batch(path: str, workers: int = 4) -> tuple[list[dict], int]:
-    """Run newline-delimited JSON queries; one report per input line, order
-    preserved, independent queries executed concurrently.  A failed line
-    yields ``{"error": {"line", "message", "kind"}}``; the exit code is the
-    largest per-line code."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with open(path, "r", encoding="utf-8") as fh:
-        jobs = [(n, line) for n, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
-
-    def work(job) -> tuple[dict, int]:
-        lineno, line = job
-        try:
+def _batch_reports(path: str):
+    """Yield ``(report, exit_code)`` for each non-blank line of a batch file.
+    A BOM may open the file, and a line ends only at LF, CR LF or CR: a JSON
+    string may hold a raw U+2028, U+2029 or NEL, where ``splitlines`` splits."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             try:
-                obj = json.loads(line)
-            except RecursionError:  # nested deeper than the interpreter's limit
-                raise ParseError("batch line nested too deeply", 0) from None
-            report, code = run_query(query_from_dict(obj))
-            return report.to_json_dict(), code
-        except Exception as exc:  # one bad line must not lose the other reports
-            return _error_report(exc, line=lineno)
+                try:
+                    obj = json.loads(line.rstrip("\n"))
+                except RecursionError:  # nested deeper than the interpreter's limit
+                    raise ParseError("batch line nested too deeply", 0) from None
+                report, code = run_query(query_from_dict(obj))
+            except Exception as exc:  # one bad line must not lose the other reports
+                yield _error_report(exc, line=lineno)
+            else:
+                yield report.to_json_dict(), code
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(work, jobs))
+
+def run_batch(path: str, workers=None) -> tuple[list[dict], int]:
+    """A batch file's reports in line order and the largest per-line exit
+    code.  ``workers`` is ignored: ``perfbench/run.py`` passes it positionally
+    until the benchmark times ``main(["batch", path])`` instead."""
+    results = list(_batch_reports(path))
     return [report for report, _ in results], max((code for _, code in results), default=EXIT_OK)
 
 
@@ -496,12 +496,12 @@ def main(argv=None) -> int:
             print(_help(sub))
             return EXIT_OK
         if sub == "batch":
-            workers = fields.pop("workers", 4)
-            if fields.keys() != {"subcommand"} or len(positional) != 1 or not isinstance(workers, int):
-                raise ParseError("usage: diffalg batch PATH [--workers N]", 0)
-            reports, code = run_batch(positional[0], workers)
-            for report in reports:
-                print(json.dumps(report))
+            if fields.keys() != {"subcommand"} or len(positional) != 1:
+                raise ParseError("usage: diffalg batch PATH", 0)
+            code = EXIT_OK
+            for report, line_code in _batch_reports(positional[0]):
+                print(json.dumps(report), flush=True)
+                code = max(code, line_code)
             return code
         if positional:
             raise ParseError(f"unexpected argument {positional[0]!r}", 0)

@@ -511,16 +511,57 @@ class TestBatch:
         assert reports[1]["error"]["line"] == 2
         assert reports[2]["verdict"] == "TRIVIAL"
 
-    def test_concurrent_execution_matches_serial(self, tmp_path):
+    def test_main_prints_the_reports_of_run_batch(self, tmp_path, capsys):
+        # main prints run_batch's reports, and each is its line's report as a
+        # single query, timing aside
         lines = [{"subcommand": "da-hypergeom", "case": "shift", "b": f"{k}*(x+1)/x"} for k in range(1, 9)]
+        lines += [
+            {"subcommand": "classify-group", "case": "q", "q": "2", "f": "1/(x-1)"},
+            {"subcommand": "solve-scalar", "coeffs": "1;1", "rhs": "x^3", "degree_cap": 0},
+            {"subcommand": "telescope", "funcs": "1/(x^2+1)", "order_bound": 1},
+        ]
         path = tmp_path / "many.jsonl"
         path.write_text("\n".join(json.dumps(l) for l in lines))
-        serial, _ = run_batch(str(path), workers=1)
-        parallel, _ = run_batch(str(path), workers=8)
-        for a, b in zip(serial, parallel):
-            a.pop("timing_ms")
-            b.pop("timing_ms")
-        assert serial == parallel
+        reports, code = run_batch(str(path))
+        assert main(["batch", str(path)]) == code == EXIT_BOUND
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        singles = [run_query(query_from_dict(line))[0].to_json_dict() for line in lines]
+        for group in (reports, printed, singles):
+            for report in group:
+                del report["timing_ms"]
+        assert printed == reports == singles
+
+    def test_main_prints_each_report_before_the_next_line_runs(self, tmp_path, capsys, monkeypatch):
+        real, printed_before = cli.run_query, []
+
+        def counting(query):
+            printed_before.append(len(capsys.readouterr().out.splitlines()))
+            return real(query)
+
+        monkeypatch.setattr(cli, "run_query", counting)
+        path = self._write(tmp_path, [{"subcommand": "da-hypergeom", "b": f"{k}*x"} for k in range(1, 5)])
+        assert main(["batch", path]) == EXIT_OK
+        assert printed_before == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            '\ufeff{"subcommand": "da-hypergeom", "b": "x"}',
+            '{"subcommand": "da-hypergeom", "b": "x\u2028"}',
+            '{"subcommand": "da-hypergeom", "b": "x\u2029\x85"}',
+        ],
+        ids=["byte-order-mark", "u2028", "u2029-nel"],
+    )
+    def test_one_report_per_physical_line(self, tmp_path, first):
+        # a file may open with a BOM, and JSON strings may hold a raw U+2028,
+        # U+2029 or NEL; neither adds a report or shifts a line number
+        path = tmp_path / "lines.jsonl"
+        path.write_text(first + "\n\nnot json\r\n" + json.dumps({"subcommand": "classify-group", "f": "1"}),
+                        encoding="utf-8")
+        reports, code = run_batch(str(path))
+        assert code == EXIT_USAGE
+        assert [r.get("verdict") for r in reports] == ["DIFFERENTIALLY_TRANSCENDENTAL", None, "TRIVIAL"]
+        assert reports[1]["error"]["line"] == 3
 
     def test_main_prints_one_report_per_line(self, tmp_path, capsys):
         lines = [
@@ -786,9 +827,10 @@ class TestCommandLine:
         assert (code, out, json.loads(err)["error"]["kind"]) == (EXIT_USAGE, "", "parse")
 
     def test_batch_workers(self, tmp_path, capsys):
+        # a batch runs serially; --workers is an unknown flag like any other
         path = tmp_path / "lines.jsonl"
         path.write_text(json.dumps({"subcommand": "da-hypergeom", "b": "x"}) + "\n")
         for argv in (["batch", str(path), "--workers", "1"], ["batch", "--workers=2", str(path)]):
             code, out, err = _run_main(argv, capsys)
-            assert (code, err) == (EXIT_OK, "")
-            assert json.loads(out)["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
+            assert (code, out) == (EXIT_USAGE, "")
+            assert json.loads(err)["error"] == {"message": "usage: diffalg batch PATH (at position 0)", "kind": "parse"}

@@ -3,7 +3,8 @@ export behind; no module reaches into a sibling's private helpers or into
 the integer form of a ``Poly`` outside ``numcore``; no module reads the
 environment, so every setting is an option or an argument;
 the CLI substitutes nothing, since each procedure checks the certificate
-it makes; and a cold CLI query loads only the modules it computes with."""
+it makes; and a cold CLI query or batch loads only the modules it computes
+with."""
 
 import ast
 import json
@@ -91,27 +92,32 @@ def test_cli_runs_no_substitution():
     assert offenders == []
 
 
-def test_cli_import_loads_no_unused_stdlib_modules():
+def test_cli_import_loads_no_unused_stdlib_modules(tmp_path):
     # a fresh interpreter without site-packages, whose .pth files may import
-    # typing first, imports the CLI and answers one query through main; the
-    # thread pool and traceback load only when used, and the command line is
-    # read without argparse (whose help formatting loads shutil, bz2 and lzma)
+    # typing first, imports the CLI and answers one query and then a one-line
+    # batch through main; traceback loads only for an internal error, a batch
+    # starts no thread, and the command line is read without argparse (whose
+    # help formatting loads shutil, bz2 and lzma)
+    batch = tmp_path / "one.jsonl"
+    batch.write_text(json.dumps({"subcommand": "da-hypergeom", "b": "x"}) + "\n")
     code = (
         "import sys; before = set(sys.modules); import diffalg.cli; "
         "code = diffalg.cli.main(['solve-scalar', '--coeffs', '-1;1', '--rhs', '1/x']); "
+        "code += diffalg.cli.main(['batch', sys.argv[1]]); "
         "print(code, *sorted(set(sys.modules) - before))"
     )
     src = os.path.dirname(PACKAGE_DIR)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    report, modules = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    report, line_report, modules = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(batch)], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert json.loads(report)["verdict"] == "NO_SOLUTION"
+    assert json.loads(line_report)["verdict"] == "DIFFERENTIALLY_TRANSCENDENTAL"
     code, *out = modules.split()
     assert code == "0"
     assert "diffalg.cli" in out
     heavy = {
         "dataclasses", "inspect", "typing", "traceback", "concurrent.futures",
-        "argparse", "gettext", "locale", "shutil",
+        "argparse", "gettext", "locale", "shutil", "threading", "logging", "queue",
     }
     assert sorted(heavy.intersection(out)) == []
