@@ -69,7 +69,6 @@ from .solver import (
     SolutionSpace,
     Status,
     VectorSolutionSpace,
-    eliminate_coordinate,
     scalar_eq_from_ratfun_coeffs,
     solve_first_order,
     solve_scalar,
@@ -123,7 +122,6 @@ __all__ = [
     "apply_sigma",
     "companion_matrix",
     "dispersion",
-    "eliminate_coordinate",
     "find_telescoper",
     "format_ratfun",
     "group_classify_inhomog_sum",

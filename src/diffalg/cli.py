@@ -7,7 +7,8 @@ a newline-delimited batch mode.  The CLI substitutes nothing itself.
 is read into the fields of a batch line (the long flag name with ``_`` for
 ``-``) and goes through the same ``query_from_dict``, so a stray, repeated,
 valueless or unknown argument, a non-integer or negative ``order_bound`` or
-``degree_cap``, or an empty ``q`` is a ``parse`` error on either route.
+``degree_cap``, an empty ``q``, or a ``q`` without case ``q`` is a ``parse``
+error on either route.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
@@ -419,6 +420,8 @@ def query_from_dict(obj: dict) -> Query:
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise ParseError(f"field {key!r} must be an integer", 0)
     q_raw = obj.get("q")
+    if q_raw is not None and case != "q":
+        raise ParseError("q given without case q", 0)
     return Query(
         subcommand=sub,
         case=case,
@@ -463,12 +466,19 @@ def _error_report(exc: BaseException, **where) -> tuple[dict, int]:
 def _batch_reports(path: str):
     """Yield ``(report, exit_code)`` for each non-blank line of a batch file.
     A BOM may open the file, and a line ends only at LF, CR LF or CR: a JSON
-    string may hold a raw U+2028, U+2029 or NEL, where ``splitlines`` splits."""
-    with open(path, encoding="utf-8-sig") as fh:
+    string may hold a raw U+2028, U+2029 or NEL, where ``splitlines`` splits.
+    A byte that is not UTF-8 is decoded to a lone surrogate, which no UTF-8
+    text holds, so only its own line fails, as a ``parse`` error."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(f"batch line is not UTF-8: byte 0x{byte:02x}", exc.start) from None
                 try:
                     obj = json.loads(line.rstrip("\n"))
                 except RecursionError:  # nested deeper than the interpreter's limit

@@ -679,38 +679,9 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = 
 # ---------------------------------------------------------------------------
 
 
-def eliminate_coordinate(
-    ds: DiffStructure, m: MatrixRF, c, coord: int
-) -> ScalarDiffEq:
-    """The minimal-order scalar equation satisfied by coordinate ``coord`` of
-    every solution of sigma(v) = M v + c: that of y = t . v for the unit row
-    vector t = e_coord.
-
-    For any row vector t, only t . sigma^k(v) of sigma^k(v) = M_k v + c_k is
-    needed: sigma^k(y) = rho_k . v + gamma_k with rho_0 = t, gamma_0 = 0,
-    rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k),
-    that is [rho_(k+1) | gamma_(k+1)] = sigma([rho_k | gamma_k]) [[M, c], [0, 1]].
-    The first rho_k in the span of rho_0..rho_(k-1) gives the relation
-    sum_i e_i rho_i = 0 with e_k = 1, and the equation
-    sum_i e_i sigma^i(y) = sum_i e_i gamma_i, with its coefficients cleared
-    to coprime polynomials and sigma^k(y)'s made monic.
-
-    No rational function is formed on the way: with [[M, c], [0, 1]] = N/D
-    over one polynomial D and t polynomial, each row is a polynomial row
-    [P_k | G_k] over one denominator d_k, with P_0 = t and d_0 = 1,
-    [P_(k+1) | G_(k+1)] = sigma([P_k | G_k]) N and d_(k+1) = sigma(d_k) D.
-    Each P_k is added to one fraction-free elimination over Q[x]
-    (``linalg.FractionFreeRows``); the first dependent one returns
-    sum_i c_i P_i = 0, so e_i is proportional to c_i d_i and the right-hand
-    side to sum_i c_i G_i.
-    """
-    t = [Poly.one() if j == coord else Poly.zero() for j in range(m.n)]
-    return _eliminate(ds, m, [RatFun._coerce(v) for v in c], t)[0]
-
-
 class _ShiftRows:
     """The rows [rho_i | gamma_i] = [P_i | G_i] / d_i, i < k, of an
-    elimination (see ``eliminate_coordinate``), with the fraction-free
+    elimination (see ``_eliminate``), with the fraction-free
     elimination of P_0..P_(k-1); len is the order k of the equation."""
 
     __slots__ = ("elim", "dens", "gs")
@@ -743,9 +714,29 @@ class _ShiftRows:
 def _eliminate(
     ds: DiffStructure, m: MatrixRF, c: list[RatFun], t: list[Poly]
 ) -> tuple[ScalarDiffEq, _ShiftRows]:
-    """(equation, rows) for the equation of y = t . v (see
-    ``eliminate_coordinate``) and the rows rho_0..rho_(k-1) it came from;
-    k == n exactly when t is a cyclic vector."""
+    """(equation, rows) for a polynomial row vector t: the minimal-order
+    scalar equation satisfied by y = t . v for every solution v of
+    sigma(v) = M v + c, and the rows rho_0..rho_(k-1) it came from; k == n
+    exactly when t is a cyclic vector.
+
+    Only t . sigma^k(v) of sigma^k(v) = M_k v + c_k is needed:
+    sigma^k(y) = rho_k . v + gamma_k with rho_0 = t, gamma_0 = 0,
+    rho_(k+1) = sigma(rho_k) M and gamma_(k+1) = sigma(rho_k) . c + sigma(gamma_k),
+    that is [rho_(k+1) | gamma_(k+1)] = sigma([rho_k | gamma_k]) [[M, c], [0, 1]].
+    The first rho_k in the span of rho_0..rho_(k-1) gives the relation
+    sum_i e_i rho_i = 0 with e_k = 1, and the equation
+    sum_i e_i sigma^i(y) = sum_i e_i gamma_i, with its coefficients cleared
+    to coprime polynomials and sigma^k(y)'s made monic.
+
+    No rational function is formed on the way: with [[M, c], [0, 1]] = N/D
+    over one polynomial D, each row is a polynomial row [P_k | G_k] over one
+    denominator d_k, with P_0 = t and d_0 = 1,
+    [P_(k+1) | G_(k+1)] = sigma([P_k | G_k]) N and d_(k+1) = sigma(d_k) D.
+    Each P_k is added to one fraction-free elimination over Q[x]
+    (``linalg.FractionFreeRows``); the first dependent one returns
+    sum_i c_i P_i = 0, so e_i is proportional to c_i d_i and the right-hand
+    side to sum_i c_i G_i.
+    """
     n = m.n
     big_d, cleared = _common_denominator([*(v for row in m.entries for v in row), *c])
     num_m = [cleared[i * n : (i + 1) * n] for i in range(n)]
@@ -810,7 +801,7 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
     Put and Singer 1997).
 
     A row vector t of polynomials is eliminated to the equation e of
-    y = t . v (see ``eliminate_coordinate``).  t is cyclic when
+    y = t . v (see ``_eliminate``).  t is cyclic when
     rho_0..rho_(n-1) are independent, that is when e has order n; then
     R = (rho_i) is invertible and e carries the whole system:
 

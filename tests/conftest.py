@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from diffalg import (
     Poly,
     Rat,
@@ -35,11 +33,9 @@ Q14 = q_structure(Rat(1, 4))
 QM3 = q_structure(-3)
 
 
-def to_sympy(p: Poly):
-    """p as a sympy polynomial over QQ in x; skips the test without sympy."""
-    sympy = pytest.importorskip("sympy")
-    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+def unit_vector(n: int, j: int) -> list[Poly]:
+    """The row vector e_j of length n, as ``solver._eliminate`` takes t."""
+    return [Poly.one() if k == j else Poly.zero() for k in range(n)]
 
 
 def rf(text: str) -> RatFun:

@@ -2,17 +2,29 @@
 ``solve_system`` in tests.
 
 They share no linear algebra with the package: their linear solve is the
-textbook Gauss-Jordan elimination over ``Fraction`` below, not the integer
-kernel of ``diffalg.linalg``.
+textbook Gauss-Jordan elimination over ``Fraction`` below, or sympy's, not
+the integer kernel of ``diffalg.linalg``.  Besides the polynomial arithmetic
+of ``diffalg.numcore``, each still reuses these package stages:
+
+- ``brute_force_oracle``: ``universal_denominator`` (unless a denominator
+  is supplied) and ``_verify_space``;
+- ``two_sided_universal_denominator``: ``_prepare``, ``_q_valuation_floor``,
+  ``orbit_gaps`` and ``radical``;
+- ``system_oracle``: none; its denominator bound and its linear solve are
+  sympy's.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
+
+import pytest
 
 from diffalg.dispersion import orbit_gaps
 from diffalg.errors import PreconditionError
-from diffalg.numcore import Poly, RatFun, poly_gcd, poly_lcm, radical
+from diffalg.numcore import Poly, Rat, RatFun, poly_gcd, poly_lcm, radical
 from diffalg.solver import (
     MatrixRF,
     ScalarDiffEq,
@@ -22,10 +34,16 @@ from diffalg.solver import (
     _prepare,
     _q_valuation_floor,
     _verify_space,
-    eliminate_coordinate,
     universal_denominator,
 )
 from diffalg.structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
+
+
+def to_sympy(p: Poly):
+    """p as a sympy polynomial over QQ in x; skips the test without sympy."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
 
 
 def brute_force_oracle(
@@ -90,26 +108,56 @@ def brute_force_oracle(
     return space
 
 
-def system_oracle(ds: DiffStructure, m: MatrixRF, c, deg_bound: int) -> VectorSolutionSpace:
+def system_oracle(
+    ds: DiffStructure, m: MatrixRF, c, deg_bound: int, x_power: int = 0
+) -> VectorSolutionSpace:
     """Stacked-ansatz solver for cross-checking solve_system in tests.
 
-    Coordinate j of every solution of sigma(v) = M v + c solves the scalar
-    equation ``eliminate_coordinate(ds, m, c, j)``, so its denominator
-    divides that equation's universal denominator u_j.  The ansatz is
-    v_j = P_j / u_j with deg P_j <= deg u_j + deg_bound, the numerator
-    coefficients of all coordinates stacked into one unknown vector.  Each
-    residual sigma(v_i) - sum_j M_ij v_j - c_i is built with plain
-    rational-function arithmetic and cleared to a polynomial whose
-    coefficients must vanish: no cyclic vector, no lift and no solve over
-    Q(x).  The space is complete among the v whose coordinates have degree
-    (numerator minus denominator) at most ``deg_bound``.
+    Every coordinate of every solution v of sigma(v) = M v + c has its
+    denominator in one universal denominator U of the system (Abramov and
+    Barkatou, ISSAC 1998; in the q case Abramov, Discrete Math. 246, 2002),
+    which ``_system_denominator`` takes from the system alone.  Let
+    A = den(M) den(c) and B = den(M^-1) den(c), with x divided out in the
+    q case, and write o(d) for the largest pole order of v's coordinates
+    at a point d (0 when none has a pole there).
+
+    - From sigma(v) = M v + c at d: o(sigma(d)) <= o(d) + mult_d(A), since
+      M v has pole order at most ord_d(M) + o(d) there, and c at most
+      ord_d(c).
+    - From v = M^-1 (sigma(v) - c) at d, likewise:
+      o(d) <= o(sigma(d)) + mult_d(B).
+
+    The poles of v in one orbit, d != 0, run from a bottom pole beta (no
+    pole at sigma^-1(beta)) to a top pole sigma^h(beta) (none at
+    sigma^(h+1)(beta)).  The first bound at sigma^-1(beta) makes A vanish
+    there, and the second at the top makes B vanish there, so sigma^-1(A)
+    and sigma^h(B) share the root beta: h is a gap between the roots of
+    sigma^-1(A) and B, at most their largest gap N.  Summing the first
+    bound down from a pole d of the orbit to sigma^-1(beta), at most N + 1
+    steps, gives o(d) <= sum_(i=0..N) mult_d(sigma^(-1-i)(A)); summing the
+    second up to the top gives o(d) <= sum_(i=0..N) mult_d(sigma^i(B)).
+    So o(d) is at most the multiplicity of d in
+    U = gcd(prod_(i=0..N) sigma^(-1-i)(A), prod_(i=0..N) sigma^i(B)),
+    and every den(v_j) divides U, times a power of x in the q case, where
+    sigma fixes 0.  That power is the parameter ``x_power`` (ignored in the
+    shift case), as the numerator degree is ``deg_bound``.
+
+    The ansatz is v_j = P_j / u for u = U (times x^x_power in the q case)
+    and deg P_j <= deg u + deg_bound, the numerator coefficients of all
+    coordinates stacked into one unknown vector.  Each residual
+    sigma(v_i) - sum_j M_ij v_j - c_i is built with plain rational-function
+    arithmetic and cleared to a polynomial whose coefficients must vanish,
+    and sympy solves the stacked system: no cyclic vector, no lift and no
+    solve over Q(x).  The space is complete among the v whose coordinates
+    have degree (numerator minus denominator) at most ``deg_bound``, and in
+    the q case valuation at 0 at least -``x_power``.
     """
     n = m.n
     c = [RatFun._coerce(v) for v in c]
-    columns: list[tuple[int, RatFun]] = []  # (coordinate, ansatz function)
-    for j in range(n):
-        u = universal_denominator(eliminate_coordinate(ds, m, c, j))
-        columns += [(j, RatFun(Poly.monomial(1, e), u)) for e in range(u.degree + deg_bound + 1)]
+    u = _system_denominator(ds, m, c)
+    if not ds.is_shift:
+        u = u * Poly.monomial(1, x_power)
+    columns = [(j, RatFun(Poly.monomial(1, e), u)) for j in range(n) for e in range(u.degree + deg_bound + 1)]
     rows, rhs_vec = [], []
     for i in range(n):
         res = [(apply_sigma(ds, f) if j == i else RatFun.zero()) - m.entries[i][j] * f for j, f in columns]
@@ -122,7 +170,7 @@ def system_oracle(ds: DiffStructure, m: MatrixRF, c, deg_bound: int) -> VectorSo
         for e in range(max([p.degree for p in polys] + [target.degree, 0]) + 1):
             rows.append([p[e] for p in polys])
             rhs_vec.append(target[e])
-    particular, nullsp = fraction_solve(rows, rhs_vec)
+    particular, nullsp = sympy_solve(rows, rhs_vec)
 
     def unpack(vec) -> tuple[RatFun, ...]:
         out = [RatFun.zero()] * n
@@ -137,6 +185,73 @@ def system_oracle(ds: DiffStructure, m: MatrixRF, c, deg_bound: int) -> VectorSo
             Status.NO_SOLUTION, homogeneous_basis=basis, witness="oracle: no solution within the stacked ansatz"
         )
     return VectorSolutionSpace(Status.SOLVED, particular=unpack(particular), homogeneous_basis=basis)
+
+
+def _system_denominator(ds: DiffStructure, m: MatrixRF, c: list[RatFun]) -> Poly:
+    """The monic U of ``system_oracle``, computed in sympy: M^-1 from a
+    sympy ``Matrix``, inverted as a ``DomainMatrix`` over Z(x); the shift
+    gaps from sympy's ``dispersionset``; the q gaps from the irreducible
+    factors of ``factor_list``."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.dispersion import dispersionset
+    from sympy.polys.matrices import DomainMatrix
+
+    x = sympy.Symbol("x")
+    entries = [[to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr() for f in row] for row in m.entries]
+    inverse = DomainMatrix.from_Matrix(sympy.Matrix(entries)).to_field().inv()
+
+    def lcm(dens):
+        return functools.reduce(sympy.Poly.lcm, dens, sympy.Poly(1, x, domain="QQ"))
+
+    den_c = lcm(to_sympy(f.den) for f in c)
+    a = lcm(to_sympy(f.den) for row in m.entries for f in row) * den_c
+    b = lcm(
+        sympy.Poly(inverse.domain.to_sympy(e).as_numer_denom()[1], x, domain="QQ")
+        for row in inverse.to_list() for e in row
+    ) * den_c
+    if ds.is_shift:
+        def sigma(p, k):
+            return p.compose(sympy.Poly(x + k, x, domain="QQ"))
+    else:
+        q = sympy.Rational(ds.q.numerator, ds.q.denominator)
+        a, b = a.terms_gcd()[1], b.terms_gcd()[1]  # divide out x
+
+        def sigma(p, k):
+            return p.compose(sympy.Poly(q**k * x, x, domain="QQ"))
+    a_low = sigma(a, -1)
+    if a_low.degree() <= 0 or b.degree() <= 0:  # dispersionset gives {0} for a constant
+        return Poly.one()
+    gaps = dispersionset(a_low, b) if ds.is_shift else _q_gaps(a_low, b, q, sigma)
+    if not gaps:
+        return Poly.one()
+    chains_a = math.prod(sigma(a, -1 - i) for i in range(max(gaps) + 1))
+    chains_b = math.prod(sigma(b, i) for i in range(max(gaps) + 1))
+    u = chains_a.gcd(chains_b).monic()
+    return Poly([Rat(int(v.p), int(v.q)) for v in reversed(u.all_coeffs())])
+
+
+def _q_gaps(a, b, q, sigma) -> set[int]:
+    """The h >= 0 with a root of a equal to q^-h times a root of b.  For
+    irreducible factors f of a and g of b of one degree d, with nonzero
+    constant terms, g(q^h x) is proportional to f only if q^(h d) is the
+    ratio r of their monic constant terms, so h is read off r and then
+    checked on the whole factor."""
+    out = set()
+    b_factors = [g for g, _ in b.factor_list()[1]]
+    for f, _ in a.factor_list()[1]:
+        d = f.degree()
+        for g in b_factors:
+            if g.degree() != d:
+                continue
+            r = (g.nth(0) * f.LC()) / (g.LC() * f.nth(0))
+            step, power, h = q**d, q**0, 0
+            # |q^(h d)| moves monotonically away from 1: stop once past |r|
+            while abs(power) <= abs(r) if abs(step) > 1 else abs(power) >= abs(r):
+                if power == r and sigma(g, h).monic() == f.monic():
+                    out.add(h)
+                    break
+                power, h = power * step, h + 1
+    return out
 
 
 def two_sided_universal_denominator(eq: ScalarDiffEq) -> Poly:
@@ -187,7 +302,7 @@ def fraction_solve(rows, rhs):
     ncols = len(rows[0]) if rows else 0
     aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in range(ncols + 1):
         r = len(pivots)
         pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if pr is None:
@@ -200,18 +315,40 @@ def fraction_solve(rows, rhs):
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
+    return _read_off(aug, pivots, ncols)
+
+
+def sympy_solve(rows, rhs):
+    """The solve of ``fraction_solve``, read off sympy's sparse reduced row
+    echelon form of the augmented matrix (``DomainMatrix`` over QQ)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    ncols = len(rows[0]) if rows else 0
+    aug = [[qq(int(v.numerator), int(v.denominator)) for v in [*row, b]] for row, b in zip(rows, rhs)]
+    red, pivots = DomainMatrix(aug, (len(aug), ncols + 1), qq).to_sparse().rref(method="GJ")
+    red = [[Fraction(int(qq.numer(v)), int(qq.denom(v))) for v in row] for row in red.to_list()]
+    return _read_off(red, list(pivots), ncols)
+
+
+def _read_off(red, pivots, ncols):
+    """(particular or None, canonical nullspace) from the reduced row echelon
+    form ``red`` of an augmented matrix, whose row i has its pivot in column
+    pivots[i]; a pivot in the right-hand column ncols means no solution."""
+    pivot_rows = [(row, pc) for row, pc in zip(red, pivots) if pc < ncols]
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row, pc in zip(aug, pivots):
+        for row, pc in pivot_rows:
             vec[pc] = -row[fc]
         basis.append(vec)
-    if any(row[ncols] for row in aug[len(pivots):]):
+    if ncols in pivots:
         return None, basis
     particular = [Fraction(0)] * ncols
-    for row, pc in zip(aug, pivots):
+    for row, pc in pivot_rows:
         particular[pc] = row[ncols]
     return particular, basis

@@ -584,6 +584,25 @@ class TestBatch:
         assert reports[1]["error"]["kind"] == "parse"
         assert out.err == ""
 
+    def test_line_that_is_not_utf8_is_parse_error(self, tmp_path, capsys):
+        # a raw 0xff in line 2 fails that line alone: line 1's report is
+        # printed and line 3 still runs
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(
+            b'{"subcommand": "da-hypergeom", "b": "x"}\n'
+            b'{"subcommand": "disp", "poly": "x\xff"}\r\n'
+            b'{"subcommand": "classify-group", "f": "1"}\n'
+        )
+        assert main(["batch", str(path)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        reports = [json.loads(line) for line in out.out.splitlines()]
+        assert out.err == ""
+        assert [r.get("verdict") for r in reports] == ["DIFFERENTIALLY_TRANSCENDENTAL", None, "TRIVIAL"]
+        assert reports[1]["error"] == {
+            "line": 2, "message": "batch line is not UTF-8: byte 0xff (at position 33)", "kind": "parse",
+        }
+        assert run_batch(str(path))[0][1] == reports[1]
+
     def _write(self, tmp_path, lines):
         path = tmp_path / "lines.jsonl"
         path.write_text("\n".join(l if isinstance(l, str) else json.dumps(l) for l in lines) + "\n")
@@ -645,6 +664,7 @@ class TestBatch:
             ({"subcommand": "da-hypergeom", "case": "q", "q": "x", "b": "x"}, "--q must be a rational constant"),
             ({"subcommand": "standard-form", "f": "1/x", "a": "x"}, "--a must be a rational constant"),
             ({"subcommand": "disp"}, "disp needs --poly or --f"),
+            ({"subcommand": "disp", "q": "2", "poly": "x-1"}, "q given without case q"),
         ],
     )
     def test_rejected_line_is_parse_error(self, tmp_path, line, message):
@@ -767,10 +787,11 @@ class TestCommandLine:
             (["solve-scalar", "--coeffs", "1;1", "--rhs"], None),
             (["explode", "--b", "x"], {"subcommand": "explode", "b": "x"}),
             ([], {}),
+            (["disp", "--q", "2", "--poly", "x-1"], {"subcommand": "disp", "q": "2", "poly": "x-1"}),
         ],
         ids=["missing-required", "non-integer-cap", "unknown-case", "unknown-flag", "abbreviated-flag",
              "repeated-subcommand", "stray-argument", "repeated-flag", "flag-without-value",
-             "unknown-subcommand", "no-subcommand"],
+             "unknown-subcommand", "no-subcommand", "q-without-case"],
     )
     def test_usage_error_matches_batch_line(self, argv, line, tmp_path, capsys):
         code, out, err = _run_main(argv, capsys)

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import Q2, Q14, SHIFT, pp, rand_ratfun, rf
-from diffalg import criteria
+from conftest import Q2, Q14, SHIFT, pp, rand_ratfun, rf, unit_vector
+from diffalg import criteria, solver
 from diffalg import (
     BoundExceededError,
     ConstLinDiffOp,
@@ -25,7 +25,6 @@ from diffalg import (
     apply_op,
     apply_sigma,
     companion_matrix,
-    eliminate_coordinate,
     find_telescoper,
     group_classify_inhomog_sum,
     hypergeom_da_test,
@@ -278,7 +277,7 @@ class TestIntegrability:
         # eliminating the other entries, the matrix entry at row-major
         # position 1 satisfies exactly the displayed third-order equation
         big_m, c_vec = _flattened(SHIFT, MatrixRF([[0, -1], [1, rf("x")]]))
-        eq_b = eliminate_coordinate(SHIFT, big_m, c_vec, 1)
+        eq_b = solver._eliminate(SHIFT, big_m, c_vec, unit_vector(4, 1))[0]
         expected_coeffs = (
             pp("-(x+1)"),
             pp("x*(x^2+x-1)"),
@@ -329,7 +328,7 @@ class TestIntegrability:
 
         monkeypatch.setattr(MatrixRF, "inverse", refuse)
         for (big_m, c_vec), status in zip(flat, (Status.NO_SOLUTION, Status.SOLVED)):
-            entry_0_cyclic = eliminate_coordinate(SHIFT, big_m, c_vec, 0).order == 4
+            entry_0_cyclic = solver._eliminate(SHIFT, big_m, c_vec, unit_vector(4, 0))[0].order == 4
             assert entry_0_cyclic is (status is Status.NO_SOLUTION)
             assert solve_system(SHIFT, big_m, c_vec).status is status
         with pytest.raises(SingularMatrixError):

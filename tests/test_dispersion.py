@@ -16,7 +16,6 @@ from conftest import (
     rf,
     run_positive_pdisp_suite,
     run_standard_roundtrip_suite,
-    to_sympy,
 )
 from diffalg import (
     RatFun,
@@ -38,6 +37,7 @@ from diffalg.dispersion import (
     radical,
 )
 from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
+from oracle import to_sympy
 
 # the package exports the function ``dispersion`` under the module's name
 dispersion_module = importlib.import_module("diffalg.dispersion")

@@ -22,37 +22,7 @@ from diffalg import (
 from diffalg.linalg import solve_affine
 from diffalg.numcore import RAT_ONE, RAT_ZERO
 from diffalg.parsing import parse_poly
-from oracle import fraction_solve
-
-
-def _sympy_solution(rows, rhs, ncols):
-    """(particular or None, canonical nullspace) read off sympy's rref of the
-    augmented matrix: free variables 0, one basis vector per free column."""
-    sympy = pytest.importorskip("sympy")
-    aug = sympy.Matrix(
-        [[sympy.Rational(v.numerator, v.denominator) for v in list(row) + [b]] for row, b in zip(rows, rhs)]
-    )
-    red, pivots = aug.rref()
-
-    def entry(r, c):
-        return Fraction(int(red[r, c].p), int(red[r, c].q))
-
-    pivot_rows = [(r, pc) for r, pc in enumerate(pivots) if pc < ncols]
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in pivot_rows:
-            vec[pc] = -entry(r, fc)
-        basis.append(vec)
-    if ncols in pivots:
-        return None, basis
-    particular = [Fraction(0)] * ncols
-    for r, pc in pivot_rows:
-        particular[pc] = entry(r, ncols)
-    return particular, basis
+from oracle import fraction_solve, sympy_solve
 
 
 def _rand_rational(rng):
@@ -86,10 +56,9 @@ def _rand_system(rng):
 
 def _check(rows, rhs):
     """solve_affine agrees with the Fraction reference and with sympy."""
-    ncols = len(rows[0]) if rows else 0
     ours = solve_affine(rows, rhs, RAT_ZERO, RAT_ONE)
     assert ours == fraction_solve(rows, rhs)
-    assert ours == _sympy_solution(rows, rhs, ncols)
+    assert ours == sympy_solve(rows, rhs)
     return ours
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pp, rand_poly, rf, to_sympy
+from conftest import pp, rand_poly, rf
 from diffalg import (
     BoundExceededError,
     Poly,
@@ -32,6 +32,7 @@ from diffalg.numcore import (
     root_disc,
     root_magnitude_bound,
 )
+from oracle import to_sympy
 
 
 class TestPolyBasics:

@@ -20,6 +20,7 @@ from conftest import (
     rand_scalar_eq,
     rf,
     run_oracle_agreement_suite,
+    unit_vector,
 )
 from diffalg import (
     InternalVerificationError,
@@ -33,7 +34,6 @@ from diffalg import (
     Status,
     apply_sigma,
     cli,
-    eliminate_coordinate,
     q_structure,
     scalar_eq_from_ratfun_coeffs,
     solve_first_order,
@@ -462,7 +462,7 @@ class TestSolveSystem:
         sol = solve_system(SHIFT, m, c)
         assert sol.status is Status.NO_SOLUTION
         # the b-entry elimination recovers the third-order scalar equation
-        eq_b = eliminate_coordinate(SHIFT, m, c, 1)
+        eq_b = solver._eliminate(SHIFT, m, c, unit_vector(4, 1))[0]
         reference = shift_sl2_equation()
         assert _proportional(eq_b, reference)
 
@@ -574,8 +574,10 @@ def planted_systems(ds, seed: int, count: int, n: int = 2):
 def _matches_system_oracle(ds, m, c, sol):
     """The stacked-ansatz oracle finds the same status and, for a solved
     system, a space of the same dimension, each space lying in the other:
-    every basis vector, and the difference of the particular solutions."""
-    reference = system_oracle(ds, m, c, 4)
+    every basis vector, and the difference of the particular solutions.
+    The oracle allows numerator degree 4 above its denominator, and x^4 in
+    the denominator in the q case."""
+    reference = system_oracle(ds, m, c, 4, x_power=4)
     assert reference.status is sol.status
     if sol.status is not Status.SOLVED:
         return
@@ -595,7 +597,7 @@ class TestSystemRoutes:
     )
     def test_cyclic_route_planted(self, ds, seed, n):
         for m, c, v, k in planted_systems(ds, seed, 8 if n == 2 else 2, n):
-            eq0 = eliminate_coordinate(ds, m, c, 0)
+            eq0 = solver._eliminate(ds, m, c, unit_vector(n, 0))[0]
             assert eq0.order == n  # coordinate 0 is cyclic
             sol = solve_system(ds, m, c)
             assert sol.status is Status.SOLVED
@@ -606,31 +608,53 @@ class TestSystemRoutes:
             _matches_system_oracle(ds, m, c, sol)
 
     @pytest.mark.parametrize(
-        "entries, dim",
-        [([[1, 0], [1, 1]], 2), ([[2, 0], [0, 3]], 0), ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2)],
-        ids=["unipotent", "diagonal", "diagonal-3x3"],
+        "ds, entries, dim",
+        [
+            (SHIFT, [[1, 0], [1, 1]], 2),
+            (SHIFT, [[2, 0], [0, 3]], 0),
+            (SHIFT, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2),
+            # sigma(v_1) - v_1 = v_0 has no rational solution for a constant
+            # v_0 != 0 in the q case; x^k solves sigma(y) = 2y when q^k = 2
+            (Q2, [[1, 0], [1, 1]], 1),
+            (Q2, [[2, 0], [0, 3]], 1),
+            (Q2, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], 3),
+            (Q14, [[1, 0], [1, 1]], 1),
+            (Q14, [[2, 0], [0, 3]], 0),
+            (Q14, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2),
+        ],
+        ids=["unipotent", "diagonal", "diagonal-3x3", "unipotent-q2", "diagonal-q2", "diagonal-3x3-q2",
+             "unipotent-q1/4", "diagonal-q1/4", "diagonal-3x3-q1/4"],
     )
-    def test_fallback_route(self, entries, dim):
+    def test_fallback_route(self, ds, entries, dim):
         # coordinate 0 satisfies a first-order equation on its own, so the
         # search falls back to the next candidate, t = (1, x, ...), which is
         # cyclic here
         m = MatrixRF(entries)
         n = m.n
         v = [rf("1/(x+1)"), rf("x^2"), rf("x/(x+2)")][:n]
-        c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
-        assert eliminate_coordinate(SHIFT, m, c, 0).order < n
+        c = [apply_sigma(ds, f) - g for f, g in zip(v, m.mat_vec(v))]
+        assert solver._eliminate(ds, m, c, unit_vector(n, 0))[0].order < n
         t = [Poly.monomial(1, j) for j in range(n)]
-        sol = solve_system(SHIFT, m, c)
+        sol = solve_system(ds, m, c)
         assert sol.status is Status.SOLVED
-        assert sol.scalar_trace == solver._eliminate(SHIFT, m, c, t)[0]
+        assert sol.scalar_trace == solver._eliminate(ds, m, c, t)[0]
         assert len(sol.homogeneous_basis) == dim
         assert _in_span(sol.homogeneous_basis, [a - b for a, b in zip(v, sol.particular)])
-        _matches_system_oracle(SHIFT, m, c, sol)
+        _matches_system_oracle(ds, m, c, sol)
 
     @pytest.mark.parametrize(
-        "entries, cyclic", [([[0, 1], [1, 0]], True), ([[1, 0], [1, 1]], False)], ids=["cyclic", "fallback"]
+        "ds, entries, cyclic",
+        [
+            (SHIFT, [[0, 1], [1, 0]], True),
+            (SHIFT, [[1, 0], [1, 1]], False),
+            (Q2, [[0, 1], [1, 0]], True),
+            (Q2, [[1, 0], [1, 1]], False),
+            (Q14, [[0, 1], [1, 0]], True),
+            (Q14, [[1, 0], [1, 1]], False),
+        ],
+        ids=["cyclic", "fallback", "cyclic-q2", "fallback-q2", "cyclic-q1/4", "fallback-q1/4"],
     )
-    def test_system_substituted_once(self, monkeypatch, entries, cyclic):
+    def test_system_substituted_once(self, monkeypatch, ds, entries, cyclic):
         # the returned vectors are substituted into the system; the scalar
         # spaces they are built from are not checked on their own
         calls = []
@@ -639,12 +663,12 @@ class TestSystemRoutes:
             monkeypatch.setattr(solver, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
         m = MatrixRF(entries)
         v = [rf("1/(x+1)"), rf("x^2")]
-        c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
-        assert (eliminate_coordinate(SHIFT, m, c, 0).order == 2) is cyclic
-        sol = solve_system(SHIFT, m, c)
+        c = [apply_sigma(ds, f) - g for f, g in zip(v, m.mat_vec(v))]
+        assert (solver._eliminate(ds, m, c, unit_vector(2, 0))[0].order == 2) is cyclic
+        sol = solve_system(ds, m, c)
         assert sol.status is Status.SOLVED
         assert calls == ["_verify_system"]
-        _matches_system_oracle(SHIFT, m, c, sol)
+        _matches_system_oracle(ds, m, c, sol)
 
     def test_cyclic_route_obstruction(self):
         # sigma(v) = [[0, 1], [1, 0]] v + (1/x, 0): coordinate 0 is cyclic
@@ -653,7 +677,7 @@ class TestSystemRoutes:
         sol = solve_system(SHIFT, m, c)
         assert sol.status is Status.NO_SOLUTION
         assert sol.witness.startswith("coordinate 0: no rational solution: ")
-        assert sol.scalar_trace == eliminate_coordinate(SHIFT, m, c, 0)
+        assert sol.scalar_trace == solver._eliminate(SHIFT, m, c, unit_vector(2, 0))[0]
         _matches_system_oracle(SHIFT, m, c, sol)
 
 
@@ -709,6 +733,9 @@ def _rand_entry(rng, ds):
 
 
 class TestEliminateCoordinate:
+    """The equation of one coordinate: ``solver._eliminate`` for the unit
+    vector t = e_coord."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ds", [SHIFT, Q2, Q14], ids=["shift", "q2", "q1/4"])
     def test_matches_plain_recurrence(self, ds, n):
@@ -729,7 +756,7 @@ class TestEliminateCoordinate:
             m = MatrixRF(entries)
             c = [_rand_entry(rng, ds) for _ in range(n)]
             for coord in range(n):
-                eq = eliminate_coordinate(ds, m, c, coord)
+                eq = solver._eliminate(ds, m, c, unit_vector(n, coord))[0]
                 k = eq.order
                 orders.add(k == n)
                 plain = _plain_rows(ds, m, c, coord)
