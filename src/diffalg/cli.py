@@ -7,8 +7,8 @@ a newline-delimited batch mode.  The CLI substitutes nothing itself.
 is read into the fields of a batch line (the long flag name with ``_`` for
 ``-``) and goes through the same ``query_from_dict``, so a stray, repeated,
 valueless or unknown argument, a non-integer or negative ``order_bound`` or
-``degree_cap``, an empty ``q``, or a ``q`` without case ``q`` is a ``parse``
-error on either route.
+``degree_cap``, one above its cap, an empty ``q``, or a ``q`` without case
+``q`` is a ``parse`` error on either route.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
@@ -43,6 +43,7 @@ from .dispersion import (
 from .errors import BoundExceededError, DiffAlgError, InternalVerificationError, ParseError
 from .numcore import Rat, RatFun
 from .parsing import (
+    MAX_DEGREE_CAP,
     MAX_ORDER_BOUND,
     format_rat,
     format_ratfun,
@@ -92,7 +93,8 @@ COMMANDS = {
 _QUERY_FLAGS = (
     ("case", "shift (the default) or q"),
     ("q", "rational q for the q case, e.g. 1/4"),
-    ("degree_cap", f"numerator degree cap of every ansatz (default {solver.DEFAULT_DEGREE_CAP})"),
+    ("degree_cap", f"numerator degree cap of every ansatz, at most {MAX_DEGREE_CAP} "
+                   f"(default {solver.DEFAULT_DEGREE_CAP})"),
     ("order_bound", f"largest telescoper order, at most {MAX_ORDER_BOUND} (default 3)"),
 )
 
@@ -136,6 +138,8 @@ class Query(namedtuple("Query", "subcommand case q_value payload order_bound deg
             raise ParseError(f"order bound above the cap {MAX_ORDER_BOUND}", 0)
         if degree_cap is not None and degree_cap < 0:
             raise ParseError(f"degree cap must be >= 0, got {degree_cap}", 0)
+        if degree_cap is not None and degree_cap > MAX_DEGREE_CAP:
+            raise ParseError(f"degree cap above the cap {MAX_DEGREE_CAP}", 0)
         payload = {} if payload is None else payload
         return tuple.__new__(cls, (subcommand, case, q_value, payload, order_bound, degree_cap))
 

@@ -2,15 +2,16 @@
 solutions.
 
 Every positive verdict carries a certificate that is checked by exact
-substitution: a telescoper identity, a twisted-ratio witness, a first-order
-witness f (with the extra d*x^r term in the resonant q case), a conjugating
-matrix B, or a summation witness h.  Each kind has one ``verify_*``
-function here, and the procedure that makes the certificate runs it once,
-in the terms it returns, raising ``InternalVerificationError`` if it fails;
-a caller gets only checked certificates and need not check again.  Negative
-verdicts are certified by the rational-solution engines (pole-orbit or
-degree obstructions); the telescoper search alone is bounded by the caller's
-order bound and a None result means only "none of order <= bound".
+substitution: a twisted-ratio witness, a first-order witness f (with the
+extra d*x^r term in the resonant q case) or a conjugating matrix B.  The
+telescoper identity and the group witness (h, c) are first-order witnesses
+at a = 1, checked through ``verify_first_order_witness``.  The procedure
+that makes a certificate checks it once, raising
+``InternalVerificationError`` if it fails; a caller gets only checked
+certificates and need not check again.  Negative verdicts are certified by
+the rational-solution engines (pole-orbit or degree obstructions); the
+telescoper search alone is bounded by the caller's order bound and a None
+result means only "none of order <= bound".
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ def _check_bound(sol):  # a scalar or a system solution space
 
 
 def verify_telescoper(ds: DiffStructure, funcs, tele: Telescoper) -> bool:
+    """sum_i L_i(a_i) == sigma(g) - g with some L_i nonzero."""
     total = RatFun.zero()
     for op, fn in zip(tele.operators, funcs):
         total = total + apply_op(ds, op, fn)
-    lhs = apply_sigma(ds, tele.certificate_g) - tele.certificate_g
-    return total == lhs and tele.is_nonzero()
+    cert = DACertificate(f=tele.certificate_g)
+    return tele.is_nonzero() and verify_first_order_witness(ds, RatFun.one(), total, cert)
 
 
 def find_telescoper(
@@ -361,8 +363,8 @@ class GroupKind(Enum):
 
 
 class GroupClass(namedtuple("GroupClass", "kind certificate_h certificate_c", defaults=(None, None))):
-    """A ``GroupKind`` and the witness ``verify_summation`` reads: h with
-    f = sigma(h) - h, plus the constant c at the constants level."""
+    """A ``GroupKind`` and its witness: h with f = sigma(h) - h, plus the
+    constant c at the constants level; the first-order witness at a = 1."""
 
     __slots__ = ()
 
@@ -376,33 +378,22 @@ def group_classify_inhomog_sum(
     * (q case only) the derivation-constant points when f = sigma(h) - h + c
       with a nonzero constant c,
     * the full additive group otherwise.
+
+    This is ``inhomog_da_classify`` at a = 1 = q^0 with its d as c: one
+    solve, as sigma(h) - h has no constant term and so fixes d.
     """
-    f = RatFun._coerce(f)
-    one = RatFun.one()
-    sol = solve_first_order(ds, one, rhs_basis=[f], lambda_fixed=[RAT_ONE], degree_cap=degree_cap)
-    _check_bound(sol)
-    group = GroupClass(GroupKind.FULL_GA)
-    if sol.is_solved():
-        group = GroupClass(GroupKind.TRIVIAL, sol.particular[0])
-    elif not ds.is_shift:
-        sol = solve_first_order(
-            ds, one, rhs_basis=[f, RatFun.one()], lambda_fixed=[RAT_ONE, None], degree_cap=degree_cap
-        )
-        _check_bound(sol)
-        if sol.is_solved():
-            h, lam = sol.particular
-            group = GroupClass(GroupKind.CONSTANTS_GA, h, -lam[1])
-    if group.certificate_h is not None and not verify_summation(ds, f, group):
-        raise InternalVerificationError("summation witness failed substitution")
-    return group
+    cert = inhomog_da_classify(ds, RatFun.one(), f, degree_cap).certificate
+    if cert is None:
+        return GroupClass(GroupKind.FULL_GA)
+    if not cert.d:
+        return GroupClass(GroupKind.TRIVIAL, cert.f)
+    return GroupClass(GroupKind.CONSTANTS_GA, cert.f, cert.d)
 
 
 def verify_summation(ds: DiffStructure, f: RatFun, group: GroupClass) -> bool:
     """f == sigma(h) - h, plus a nonzero constant c at the constants level."""
-    h, c = group.certificate_h, group.certificate_c
-    expected = apply_sigma(ds, h) - h
-    if c is not None:
-        if c == 0:
-            return False
-        expected = expected + RatFun.const(c)
-    return expected == f
+    c = group.certificate_c
+    if c == 0:
+        return False
+    cert = DACertificate(f=group.certificate_h, d=c)
+    return verify_first_order_witness(ds, RatFun.one(), f, cert)

@@ -1,5 +1,6 @@
 """Brute-force ansatz solvers used to cross-check ``solve_scalar`` and
-``solve_system`` in tests.
+``solve_system`` in tests, and a summation criterion for the verdicts on
+sigma(y) - y = f.
 
 They share no linear algebra with the package: their linear solve is the
 textbook Gauss-Jordan elimination over ``Fraction`` below, or sympy's, not
@@ -11,7 +12,9 @@ of ``diffalg.numcore``, each still reuses these package stages:
 - ``two_sided_universal_denominator``: ``_prepare``, ``_q_valuation_floor``,
   ``orbit_gaps`` and ``radical``;
 - ``system_oracle``: none; its denominator bound and its linear solve are
-  sympy's.
+  sympy's;
+- ``summation_oracle``: none; its partial fractions, factors and orbit
+  matching are sympy's.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffalg.criteria import GroupKind
 from diffalg.dispersion import orbit_gaps
 from diffalg.errors import PreconditionError
 from diffalg.numcore import Poly, Rat, RatFun, poly_gcd, poly_lcm, radical
@@ -252,6 +256,84 @@ def _q_gaps(a, b, q, sigma) -> set[int]:
                     break
                 power, h = power * step, h + 1
     return out
+
+
+def summation_oracle(ds: DiffStructure, f: RatFun) -> tuple[GroupKind, Rat | None]:
+    """The group of sigma(y) - y = f by Abramov's criterion (Abramov, "The
+    rational component of the solution of a first-order linear recurrence
+    relation with rational right-hand side", USSR Comput. Math. Math. Phys.
+    15, 1975), with c the constant of a constants-level verdict.
+
+    sympy's ``apart`` writes f as a polynomial (Laurent, in the q case) part
+    plus terms a/p^j, p irreducible and monic, deg a < deg p.  Since
+    sigma^h(A) - A is summable, a term over p = sigma^h(p0) (up to a unit
+    kappa) may be moved back to the class base p0: a(x - h)/p0^j in the
+    shift case, a(q^-h x)/(kappa^j p0^j) in the q case.  sigma maps each
+    part of the decomposition to itself, so f is summable exactly when
+    every class sum of moved numerators, per power j, is zero, and its
+    polynomial part is summable: always in the shift case, and in the q case
+    when it has no constant term, as sigma(x^k) - x^k = (q^k - 1) x^k.  A
+    nonzero constant alone gives the constants level."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    q = None if ds.is_shift else sympy.Rational(ds.q.numerator, ds.q.denominator)
+    constant = sympy.Rational(0)
+    classes: list[tuple[object, dict]] = []  # (base p0, {power j: sum of moved numerators})
+    for term in sympy.Add.make_args(sympy.apart(to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr(), x)):
+        num, den = (sympy.Poly(e, x, domain="QQ") for e in term.as_numer_denom())
+        unit, factors = den.factor_list()
+        if not factors or (q is not None and factors[0][0].monic() == sympy.Poly(x, x, domain="QQ")):
+            j = factors[0][1] if factors else 0
+            constant += num.nth(j) / unit  # the x^0 coefficient of num / (unit x^j)
+            continue
+        ((p, j),) = factors
+        a, p = num.quo_ground(unit * p.LC() ** j), p.monic()
+        for base, sums in classes:
+            moved = _move_to_base(p, base, a, j, q, x)
+            if moved is not None:
+                sums[j] = sums.get(j, sympy.Poly(0, x, domain="QQ")) + moved
+                break
+        else:
+            classes.append((p, {j: a}))
+    if any(not v.is_zero for _, sums in classes for v in sums.values()):
+        return GroupKind.FULL_GA, None
+    if q is not None and constant != 0:
+        return GroupKind.CONSTANTS_GA, Rat(int(constant.p), int(constant.q))
+    return GroupKind.TRIVIAL, None
+
+
+def _move_to_base(p, base, a, j, q, x):
+    """The numerator of a/p^j moved back to base^j when the monic p is
+    sigma^h(base) up to a unit, else None."""
+    sympy = pytest.importorskip("sympy")
+    d = base.degree()
+    if p.degree() != d:
+        return None
+    if q is None:
+        h = (p.nth(d - 1) - base.nth(d - 1)) / d  # sigma^h shifts the x^(d-1) coefficient by d*h
+        if not h.is_integer or base.compose(sympy.Poly(x + h, x)) != p:
+            return None
+        return a.compose(sympy.Poly(x - h, x))
+    # p(x) = base(q^h x)/q^(h d): the constant terms give q^(-h d)
+    k = _q_log(q, p.nth(0) / base.nth(0))
+    if k is None or k % d:
+        return None
+    h = -k // d
+    if base.compose(sympy.Poly(q**h * x, x)).monic() != p:
+        return None
+    return a.compose(sympy.Poly(q ** (-h) * x, x)).mul_ground(q ** (h * d * j))
+
+
+def _q_log(q, r):
+    """The integer k with q^k = r, or None (|q| != 1)."""
+    step = q if (abs(q) > 1) == (abs(r) >= 1) else 1 / q
+    k, power = 0, 1
+    # |step^k| moves monotonically away from 1: stop once past |r|
+    while abs(power) <= abs(r) if abs(step) > 1 else abs(power) >= abs(r):
+        if power == r:
+            return k if step == q else -k
+        power, k = power * step, k + 1
+    return None
 
 
 def two_sided_universal_denominator(eq: ScalarDiffEq) -> Poly:

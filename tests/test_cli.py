@@ -183,12 +183,16 @@ class TestInputBoundary:
             ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
             ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 3000})"}, "bound-exceeded", EXIT_BOUND),
             ({"subcommand": "standard-form", "f": f"1/x + 1/(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
+            # an ansatz of degree 2^30 once ran out of memory as an internal error
+            ({"subcommand": "solve-scalar", "coeffs": f"x+{2 ** 30};-x", "degree_cap": 10 ** 12},
+             "parse", EXIT_USAGE),
             # a q orbit window of about 6.9 million gaps
             ({"subcommand": "disp", "case": "q", "q": "1000001/1000000", "poly": "(x-1)*(x-1000)"},
              "bound-exceeded", EXIT_BOUND),
         ],
         ids=["matrix-entry", "list-item", "superscript", "superscript-exponent", "nesting",
-             "deep-json", "huge-root", "sigma-2^900", "sigma-2^3000", "standard-form-2^900", "q-near-1"],
+             "deep-json", "huge-root", "sigma-2^900", "sigma-2^3000", "standard-form-2^900", "huge-degree-cap",
+             "q-near-1"],
     )
     def test_kind_and_exit_code(self, line, kind, code, tmp_path, capsys):
         path = tmp_path / "line.jsonl"
@@ -230,6 +234,10 @@ class TestNegativeDegreeCap:
         report, code = run_query(Query("solve-scalar", payload={"coeffs": "1;1", "rhs": "x^3"}, degree_cap=0))
         assert report.verdict == "BOUND_EXCEEDED"
         assert code == EXIT_BOUND
+
+    def test_cap_at_the_max_accepted(self):
+        line = {"subcommand": "solve-scalar", "coeffs": "1;1", "degree_cap": cli.MAX_DEGREE_CAP}
+        assert query_from_dict(line).degree_cap == cli.MAX_DEGREE_CAP
 
 
 class TestNegativeOrderBound:
@@ -350,7 +358,11 @@ class TestCertificateChecks:
         "first-order-rational": (criteria, "verify_first_order_witness", ["da-inhomog", "--a", "x", "--b", "1 - x"]),
         "telescoper": (criteria, "verify_telescoper", ["telescope", "--funcs", "1/x - 1/(x+1)"]),
         "conjugating-matrix": (criteria, "verify_conjugating_matrix", ["integrability", "--matrix", "[[1,x],[0,1]]"]),
-        "summation": (criteria, "verify_summation", ["classify-group", "--f", "1"]),
+        # the group certificate is the first-order witness at a = 1
+        "summation": (criteria, "verify_first_order_witness", ["classify-group", "--f", "1"]),
+        "summation-constants": (
+            criteria, "verify_first_order_witness", ["classify-group", "--case", "q", "--q", "2", "--f", "1"],
+        ),
         "additive-decomposition": (StandardDecomp, "reconstruct", ["standard-form", "--f", "1/x + 1/(x+2)"]),
         "multiplicative-form": (MultStandardForm, "reconstruct", ["mult-form", "--f", "(x+1)/x"]),
         "scalar-space": (solver, "_verify_space", ["solve-scalar", "--coeffs", "-1;1", "--rhs", "x"]),
@@ -393,6 +405,14 @@ class TestRunQuery:
         report, code = run_query(_query("classify-group", case="q", q="2", f="1/(x-1)"))
         assert report.verdict == "FULL_GA"
         assert code == EXIT_OK
+
+    def test_group_full_ga_is_one_solve(self, monkeypatch):
+        # the free constant term decides trivial, constants-level and full at once
+        real, calls = criteria.solve_first_order, []
+        monkeypatch.setattr(criteria, "solve_first_order", lambda *a, **k: calls.append(a) or real(*a, **k))
+        report, _ = run_query(_query("classify-group", case="q", q="2", f="1/(x-1)"))
+        assert report.verdict == "FULL_GA"
+        assert len(calls) == 1
 
     def test_integrability_negative(self):
         report, code = run_query(_query("integrability", matrix="[[0,-1],[1,x]]"))
@@ -776,6 +796,8 @@ class TestCommandLine:
             (["solve-scalar", "--rhs", "x"], {"subcommand": "solve-scalar", "rhs": "x"}),
             (["solve-scalar", "--coeffs", "1;1", "--degree-cap", "2.5"],
              {"subcommand": "solve-scalar", "coeffs": "1;1", "degree_cap": 2.5}),
+            (["solve-scalar", "--coeffs", "1;1", "--degree-cap", str(10 ** 12)],
+             {"subcommand": "solve-scalar", "coeffs": "1;1", "degree_cap": 10 ** 12}),
             (["solve-scalar", "--coeffs", "1;1", "--case", "z"],
              {"subcommand": "solve-scalar", "coeffs": "1;1", "case": "z"}),
             (["da-hypergeom", "--b", "x", "--foo", "1"], {"subcommand": "da-hypergeom", "b": "x", "foo": "1"}),
@@ -789,8 +811,8 @@ class TestCommandLine:
             ([], {}),
             (["disp", "--q", "2", "--poly", "x-1"], {"subcommand": "disp", "q": "2", "poly": "x-1"}),
         ],
-        ids=["missing-required", "non-integer-cap", "unknown-case", "unknown-flag", "abbreviated-flag",
-             "repeated-subcommand", "stray-argument", "repeated-flag", "flag-without-value",
+        ids=["missing-required", "non-integer-cap", "cap-above-max", "unknown-case", "unknown-flag",
+             "abbreviated-flag", "repeated-subcommand", "stray-argument", "repeated-flag", "flag-without-value",
              "unknown-subcommand", "no-subcommand", "q-without-case"],
     )
     def test_usage_error_matches_batch_line(self, argv, line, tmp_path, capsys):

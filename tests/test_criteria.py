@@ -4,6 +4,7 @@ first-order classification, matrix integrability, group classification."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Q2, Q14, SHIFT, pp, rand_ratfun, rf, unit_vector
 from diffalg import criteria, solver
@@ -39,6 +40,8 @@ from diffalg import (
     verify_telescoper,
     verify_twisted_ratio,
 )
+from diffalg.structures import sigma_poly
+from oracle import summation_oracle
 
 
 def _ops_proportional(ops_a, ops_b) -> bool:
@@ -417,6 +420,58 @@ class TestGroupClassification:
             g = group_classify_inhomog_sum(ds, f)
             assert g.kind is GroupKind.TRIVIAL
             assert apply_sigma(ds, g.certificate_h) - g.certificate_h == f
+
+
+# irreducible pole bases; in the q case none vanishes at 0
+_SUMMATION_BASES = {
+    True: [pp(t) for t in ("x", "x + 1/2", "2*x - 1", "x^2 + 1", "x^2 - 2")],
+    False: [pp(t) for t in ("x - 1", "x + 2", "3*x - 1", "x^2 + 1", "x^2 - x + 3")],
+}
+
+
+@st.composite
+def _planted_summand(draw, ds, kind):
+    """sigma(g) - g for g with poles along a few sigma-orbits and a
+    polynomial (Laurent, in the q case) part, plus a nonzero constant
+    (constants level, or either shift kind) or a lone pole (full)."""
+    base = st.sampled_from(_SUMMATION_BASES[ds.is_shift])
+    g = RatFun.x() ** draw(st.integers(0 if ds.is_shift else -2, 2)) * draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(1, 2))):
+        p, k, j = draw(base), draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+        num = Poly([draw(st.integers(-3, 3)) for _ in range(j * p.degree)])
+        g = g + RatFun(num, sigma_poly(ds, p, k) ** j)
+    f = apply_sigma(ds, g) - g
+    if kind is GroupKind.CONSTANTS_GA or (ds.is_shift and draw(st.booleans())):
+        f = f + draw(st.sampled_from([1, -2, Rat(3, 5)]))
+    if kind is GroupKind.FULL_GA:
+        p, k, j = draw(base), draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+        f = f + RatFun(draw(st.sampled_from([1, -3, Rat(1, 2)])), sigma_poly(ds, p, k) ** j)
+    return f
+
+
+class TestSummationOracle:
+    """Three summation verdicts against Abramov's criterion on sympy's
+    partial fractions (``oracle.summation_oracle``): the group, the rational
+    solution of sigma(y) - y = f, and the order-0 telescoper."""
+
+    @pytest.mark.parametrize(
+        "ds, kind",
+        [(SHIFT, GroupKind.TRIVIAL), (SHIFT, GroupKind.FULL_GA)]
+        + [(ds, kind) for ds in (Q2, Q14) for kind in GroupKind],
+        ids=["shift-trivial", "shift-full", "q2-trivial", "q2-constants", "q2-full",
+             "q1/4-trivial", "q1/4-constants", "q1/4-full"],
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_planted(self, ds, kind, data):
+        f = data.draw(_planted_summand(ds, kind))
+        expected, c = summation_oracle(ds, f)
+        assert expected is kind, f
+        group = group_classify_inhomog_sum(ds, f)
+        assert (group.kind, group.certificate_c) == (expected, c), f
+        space = solver.solve_scalar(solver.ScalarDiffEq(ds, (-1, 1), (f,), (1,)))
+        assert (space.status is Status.SOLVED) == (kind is GroupKind.TRIVIAL), f
+        assert (find_telescoper(ds, [f], 0) is not None) == (kind is GroupKind.TRIVIAL), f
 
 
 class TestCertificateVerifiers:

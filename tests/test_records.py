@@ -30,7 +30,7 @@ from diffalg import (
     VectorSolutionSpace,
 )
 from diffalg.cli import Query, VerdictReport
-from diffalg.parsing import MAX_ORDER_BOUND
+from diffalg.parsing import MAX_DEGREE_CAP, MAX_ORDER_BOUND
 from diffalg.structures import Variant
 
 EQ = ScalarDiffEq(SHIFT, (pp("x"), pp("-x-1")))
@@ -179,6 +179,8 @@ def test_verdict_report_json_keys_in_field_order():
         (lambda: Query("telescope", order_bound=MAX_ORDER_BOUND + 1), ParseError),
         (lambda: Query("disp", degree_cap=-1), ParseError),
         (lambda: Query("disp")._replace(degree_cap=-2), ParseError),
+        (lambda: Query("disp", degree_cap=MAX_DEGREE_CAP + 1), ParseError),
+        (lambda: Query("disp")._replace(degree_cap=10 ** 12), ParseError),
     ],
 )
 def test_invalid_record_rejected(build, error):
