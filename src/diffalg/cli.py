@@ -3,12 +3,16 @@ certificates that the library procedures have checked before returning, and
 a newline-delimited batch mode.  The CLI substitutes nothing itself.
 
 ``COMMANDS`` is the one list of subcommands and of the arguments each takes;
-``--help``, the batch reader and ``run_query`` all read it.  A command line
-is read into the fields of a batch line (the long flag name with ``_`` for
-``-``) and goes through the same ``query_from_dict``, so a stray, repeated,
-valueless or unknown argument, a non-integer or negative ``order_bound`` or
-``degree_cap``, one above its cap, an empty ``q``, or a ``q`` without case
-``q`` is a ``parse`` error on either route.
+``--help``, the batch reader and ``Query`` all read it.  A command line is
+read into the fields of a batch line (the long flag name with ``_`` for
+``-``) and goes through the same ``query_from_dict``, which rejects fields
+the subcommand does not take and reads ``case`` and ``q`` into one
+``DiffStructure``.  ``Query`` checks its other fields when it is made, so a
+query that exists is valid and ``run_query`` checks none of them again.  A
+stray, repeated, valueless or unknown argument, a non-string subcommand or
+expression, a non-integer or negative ``order_bound`` or ``degree_cap``, one
+above its cap, an empty ``q``, or a ``q`` without case ``q`` is a ``parse``
+error on either route.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
@@ -31,6 +35,7 @@ import json
 import sys
 import time
 from collections import namedtuple
+from types import MappingProxyType
 
 from . import criteria, solver
 from .dispersion import (
@@ -43,6 +48,7 @@ from .dispersion import (
 from .errors import BoundExceededError, DiffAlgError, InternalVerificationError, ParseError
 from .numcore import Rat, RatFun
 from .parsing import (
+    DEFAULT_ORDER_BOUND,
     MAX_DEGREE_CAP,
     MAX_ORDER_BOUND,
     format_rat,
@@ -95,7 +101,7 @@ _QUERY_FLAGS = (
     ("q", "rational q for the q case, e.g. 1/4"),
     ("degree_cap", f"numerator degree cap of every ansatz, at most {MAX_DEGREE_CAP} "
                    f"(default {solver.DEFAULT_DEGREE_CAP})"),
-    ("order_bound", f"largest telescoper order, at most {MAX_ORDER_BOUND} (default 3)"),
+    ("order_bound", f"largest telescoper order, at most {MAX_ORDER_BOUND} (default {DEFAULT_ORDER_BOUND})"),
 )
 
 # the verdicts whose reports are ``substitution_verified``: each carries a
@@ -116,45 +122,60 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-class Query(namedtuple("Query", "subcommand case q_value payload order_bound degree_cap")):
-    """One query: the subcommand, its case and q, the subcommand's
-    arguments in ``payload`` (an empty dict when None) and the order bound
-    and degree cap, checked against their caps."""
+def _arguments(sub) -> tuple:
+    """The arguments of a subcommand, each ``(payload key, help, required)``."""
+    if not isinstance(sub, str):
+        raise ParseError("field 'subcommand' must be a string", 0)
+    if sub not in COMMANDS:
+        raise ParseError(f"unknown subcommand {sub!r}", 0)
+    return COMMANDS[sub][1]
+
+
+def _check_integer(key: str, value, cap: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"field {key!r} must be an integer", 0)
+    name = key.replace("_", " ")
+    if value < 0:
+        raise ParseError(f"{name} must be >= 0, got {value}", 0)
+    if value > cap:
+        raise ParseError(f"{name} above the cap {cap}", 0)
+
+
+class Query(namedtuple("Query", "subcommand structure payload order_bound degree_cap")):
+    """One query: the subcommand, its structure (the shift by default), the
+    subcommand's arguments in ``payload`` (a read-only copy of the mapping
+    given, empty when None), and the order bound and degree cap.  The constructor checks every field, so a
+    query that exists names a known subcommand with its required arguments
+    as strings, and integer bounds within their caps."""
 
     __slots__ = ()
 
     def __new__(
         cls,
         subcommand: str,
-        case: str = "shift",
-        q_value: Rat | None = None,
+        structure: DiffStructure = shift_structure(),
         payload: dict | None = None,
-        order_bound: int = 3,
+        order_bound: int = DEFAULT_ORDER_BOUND,
         degree_cap: int | None = None,
     ):
-        if order_bound < 0:
-            raise ParseError(f"order bound must be >= 0, got {order_bound}", 0)
-        if order_bound > MAX_ORDER_BOUND:
-            raise ParseError(f"order bound above the cap {MAX_ORDER_BOUND}", 0)
-        if degree_cap is not None and degree_cap < 0:
-            raise ParseError(f"degree cap must be >= 0, got {degree_cap}", 0)
-        if degree_cap is not None and degree_cap > MAX_DEGREE_CAP:
-            raise ParseError(f"degree cap above the cap {MAX_DEGREE_CAP}", 0)
-        payload = {} if payload is None else payload
-        return tuple.__new__(cls, (subcommand, case, q_value, payload, order_bound, degree_cap))
+        arguments = _arguments(subcommand)
+        if not isinstance(structure, DiffStructure):
+            raise ParseError("structure must be a DiffStructure", 0)
+        payload = MappingProxyType({} if payload is None else dict(payload))
+        for key, value in payload.items():
+            if value is not None and not isinstance(value, str):
+                raise ParseError(f"field {key!r} must be a string", 0)
+        _check_integer("order_bound", order_bound, MAX_ORDER_BOUND)
+        if degree_cap is not None:
+            _check_integer("degree_cap", degree_cap, MAX_DEGREE_CAP)
+        for key, _, required in arguments:
+            if required and payload.get(key) is None:
+                raise ParseError(f"missing required argument {_flag(key)}", 0)
+        return tuple.__new__(cls, (subcommand, structure, payload, order_bound, degree_cap))
 
     @classmethod
     def _make(cls, fields):  # so that _replace validates like the constructor
         return cls(*fields)
-
-    def structure(self) -> DiffStructure:
-        if self.case == "shift":
-            return shift_structure()
-        if self.case == "q":
-            if self.q_value is None:
-                raise ParseError("q case requires --q", 0)
-            return q_structure(self.q_value)
-        raise ParseError(f"unknown case {self.case!r}", 0)
 
 
 class VerdictReport(namedtuple(
@@ -194,15 +215,10 @@ def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
 def run_query(query: Query) -> tuple[VerdictReport, int]:
     """Dispatch one query; returns (report, exit_code)."""
     start = time.monotonic()
-    ds = query.structure()
+    ds = query.structure
     payload = query.payload
     cap = query.degree_cap
     sub = query.subcommand
-    if sub not in COMMANDS:
-        raise ParseError(f"unknown subcommand {sub!r}", 0)
-    for key, _, required in COMMANDS[sub][1]:
-        if required and payload.get(key) is None:
-            raise ParseError(f"missing required argument {_flag(key)}", 0)
     verdict = "ERROR"
     cert: dict | None = None
     notes = ""
@@ -323,8 +339,8 @@ def run_query(query: Query) -> tuple[VerdictReport, int]:
         hypothesis_notes=notes,
         timing_ms=elapsed_ms,
         subcommand=sub,
-        case=query.case,
-        q=str(query.q_value) if query.q_value is not None else None,
+        case="shift" if ds.is_shift else "q",
+        q=None if ds.is_shift else str(ds.q),
     )
     return report, EXIT_BOUND if verdict == "BOUND_EXCEEDED" else EXIT_OK
 
@@ -398,40 +414,36 @@ def _help(sub: str | None) -> str:
 
 def query_from_dict(obj: dict) -> Query:
     """Build a query from one batch line or parsed command line, rejecting
-    unknown fields and fields of the wrong type."""
+    unknown fields and reading ``case`` and ``q`` into its structure;
+    ``Query`` checks the other fields."""
     if not isinstance(obj, dict):
         raise ParseError("batch line must be a JSON object", 0)
     sub = obj.get("subcommand")
     if sub is None:
         raise ParseError("missing subcommand", 0)
-    if sub not in COMMANDS:
-        raise ParseError(f"unknown subcommand {sub!r}", 0)
-    keys = [key for key, _, _ in COMMANDS[sub][1]]
+    keys = [key for key, _, _ in _arguments(sub)]
     flags = (key for key, _ in _QUERY_FLAGS if key != "order_bound" or sub == "telescope")
     fields = ("subcommand", *keys, *flags)
     for key in obj:
         if key not in fields:
             raise ParseError(f"unknown field {key!r} for {sub}", 0)
-    payload = {k: obj[k] for k in keys if k in obj}
-    for key, value in payload.items():
-        if value is not None and not isinstance(value, str):
-            raise ParseError(f"field {key!r} must be a string", 0)
-    case = obj.get("case", "shift")
-    if case not in ("shift", "q"):
+    case, q_raw = obj.get("case", "shift"), obj.get("q")
+    if case == "q":
+        if q_raw is None:
+            raise ParseError("q case requires --q", 0)
+        structure = q_structure(_parse_constant(str(q_raw), "--q"))
+    elif case == "shift":
+        if q_raw is not None:
+            raise ParseError("q given without case q", 0)
+        structure = shift_structure()
+    else:
         raise ParseError(f"unknown case {case!r}", 0)
-    for key in ("order_bound", "degree_cap"):
-        value = obj.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ParseError(f"field {key!r} must be an integer", 0)
-    q_raw = obj.get("q")
-    if q_raw is not None and case != "q":
-        raise ParseError("q given without case q", 0)
+    order_bound = obj.get("order_bound")
     return Query(
         subcommand=sub,
-        case=case,
-        q_value=_parse_constant(str(q_raw), "--q") if q_raw is not None else None,
-        payload=payload,
-        order_bound=3 if obj.get("order_bound") is None else obj["order_bound"],
+        structure=structure,
+        payload={k: obj[k] for k in keys if k in obj},
+        order_bound=DEFAULT_ORDER_BOUND if order_bound is None else order_bound,
         degree_cap=obj.get("degree_cap"),
     )
 

@@ -33,6 +33,7 @@ MAX_COEFF_BITS = 1 << 13
 # the largest telescoper order bound a query may ask for: the search grows
 # steeply with it (two functions at bound 128 take tens of seconds)
 MAX_ORDER_BOUND = 64
+DEFAULT_ORDER_BOUND = 3
 # the largest degree cap a query may ask for: the ansatz grows with it
 MAX_DEGREE_CAP = 512
 

@@ -204,31 +204,26 @@ class VectorSolutionSpace(namedtuple(
     __slots__ = ()
 
 
-class MatrixRF:
-    """Square matrix over Q(x).  Its inverse clears each row to a
-    polynomial row over its own denominator and runs one fraction-free
-    elimination over Q[x] (``linalg.FractionFreeRows``)."""
+class MatrixRF(namedtuple("MatrixRF", "entries")):
+    """Square matrix over Q(x), its rows a tuple of tuples.  Its inverse
+    clears each row to a polynomial row over its own denominator and runs
+    one fraction-free elimination over Q[x] (``linalg.FractionFreeRows``)."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         rows = tuple(tuple(RatFun._coerce(v) for v in row) for row in entries)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if not rows or any(len(r) != len(rows) for r in rows):
             raise PreconditionError("MatrixRF must be square and nonempty")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
+        return tuple.__new__(cls, (rows,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixRF is immutable")
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates like the constructor
+        return cls(*fields)
 
-    def __eq__(self, other):
-        if isinstance(other, MatrixRF):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
     def __matmul__(self, other: "MatrixRF") -> "MatrixRF":
         n = self.n
@@ -264,9 +259,6 @@ class MatrixRF:
         zero, det, n = Poly.zero(), elim.den, self.n
         cols = [elim.solve([dens[i] if k == i else zero for k in range(n)]) for i in range(n)]
         return MatrixRF([[RatFun(col[j], det) for col in cols] for j in range(n)])
-
-    def __repr__(self):
-        return f"MatrixRF({self.entries!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The two commuting automorphism/derivation structures on Q(x).
 
-``Shift`` pairs x -> x+1 with d/dx; ``QDilation`` pairs x -> q*x with x*d/dx
-for a rational q with |q| != 1 (which in particular rules out roots of
-unity).  Both satisfy sigma(d(f)) = d(sigma(f)) for every rational function
-f, and both expose sigma, its inverse, the derivation, and application of
-constant-coefficient operators in the derivation.
+A ``DiffStructure`` is its q.  q None is the shift: x -> x+1 with d/dx.
+Otherwise it is the q-dilation: x -> q*x with x*d/dx, for a rational q with
+|q| != 1 (which in particular rules out roots of unity).  Both satisfy
+sigma(d(f)) = d(sigma(f)) for every rational function f, and both expose
+sigma, its inverse, the derivation, and application of constant-coefficient
+operators in the derivation.
 
 x -> q*x fixes the point 0, so every q-case orbit argument runs over the
 part of a polynomial prime to x and treats the power of x on its own;
@@ -15,7 +16,6 @@ nothing in the shift case, which has no fixed point).
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .errors import BoundExceededError, PreconditionError
 from .numcore import Poly, Rat, RatFun, divide_out_x, over_monic
@@ -23,27 +23,20 @@ from .numcore import Poly, Rat, RatFun, divide_out_x, over_monic
 MAX_SIGMA_POWER = 2 ** 31
 
 
-class Variant(Enum):
-    SHIFT = "shift"
-    Q_DILATION = "q"
+class DiffStructure(namedtuple("DiffStructure", "q")):
+    """The shift structure when q is None, else the q-dilation by q."""
 
-
-class DiffStructure(namedtuple("DiffStructure", "variant q")):
     __slots__ = ()
 
-    def __new__(cls, variant: Variant, q: Rat | None = None):
-        if variant is Variant.Q_DILATION:
-            if q is None:
-                raise PreconditionError("q-dilation structure needs a q value")
+    def __new__(cls, q: Rat | None = None):
+        if q is not None:
             q = Rat(q)
             if q == 0 or abs(q.numerator) == abs(q.denominator):
                 raise PreconditionError(
                     "q must be a nonzero rational with |q| != 1 "
                     "(|numerator| != |denominator|)"
                 )
-        elif q is not None:
-            raise PreconditionError("shift structure takes no q value")
-        return tuple.__new__(cls, (variant, q))
+        return tuple.__new__(cls, (q,))
 
     @classmethod
     def _make(cls, fields):  # so that _replace validates like the constructor
@@ -51,15 +44,15 @@ class DiffStructure(namedtuple("DiffStructure", "variant q")):
 
     @property
     def is_shift(self) -> bool:
-        return self.variant is Variant.SHIFT
+        return self.q is None
 
 
 def shift_structure() -> DiffStructure:
-    return DiffStructure(Variant.SHIFT)
+    return DiffStructure()
 
 
 def q_structure(q) -> DiffStructure:
-    return DiffStructure(Variant.Q_DILATION, Rat(q))
+    return DiffStructure(Rat(q))
 
 
 def split_x_power(ds: DiffStructure, p: Poly) -> tuple[Poly, int]:

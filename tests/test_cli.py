@@ -12,6 +12,7 @@ import pytest
 from conftest import SHIFT, Q2, rand_ratfun, rf
 from diffalg import BoundExceededError, ParseError, Poly, Rat, RatFun, format_ratfun, parse_matrix, parse_ratfun
 from diffalg import MatrixRF, MultStandardForm, ScalarDiffEq, StandardDecomp, cli, criteria, solver
+from diffalg.structures import q_structure, shift_structure
 from diffalg.cli import (
     EXIT_BOUND,
     EXIT_INTERNAL,
@@ -112,8 +113,7 @@ class TestParser:
 def _query(sub: str, case: str = "shift", q: str | None = None, **payload) -> Query:
     return Query(
         subcommand=sub,
-        case=case,
-        q_value=Rat(*map(int, q.split("/"))) if q and "/" in q else (Rat(int(q)) if q else None),
+        structure=q_structure(Rat(q)) if case == "q" else shift_structure(),
         payload=payload,
         order_bound=payload.pop("order_bound", 3) if "order_bound" in payload else 3,
     )
@@ -685,6 +685,8 @@ class TestBatch:
             ({"subcommand": "standard-form", "f": "1/x", "a": "x"}, "--a must be a rational constant"),
             ({"subcommand": "disp"}, "disp needs --poly or --f"),
             ({"subcommand": "disp", "q": "2", "poly": "x-1"}, "q given without case q"),
+            ({"subcommand": ["disp"], "poly": "x"}, "field 'subcommand' must be a string"),
+            ({"subcommand": {"a": 1}}, "field 'subcommand' must be a string"),
         ],
     )
     def test_rejected_line_is_parse_error(self, tmp_path, line, message):

@@ -31,7 +31,6 @@ from diffalg import (
 )
 from diffalg.cli import Query, VerdictReport
 from diffalg.parsing import MAX_DEGREE_CAP, MAX_ORDER_BOUND
-from diffalg.structures import Variant
 
 EQ = ScalarDiffEq(SHIFT, (pp("x"), pp("-x-1")))
 
@@ -39,8 +38,8 @@ EQ = ScalarDiffEq(SHIFT, (pp("x"), pp("-x-1")))
 # omitted trailing fields, a field change that makes an unequal record,
 # whether it hashes)
 RECORDS = [
-    (DiffStructure, (Variant.Q_DILATION, Rat(2)), ("variant", "q"), {}, {"q": Rat(3)}, True),
-    (DiffStructure, (Variant.SHIFT,), ("variant", "q"), {"q": None}, {"variant": Variant.Q_DILATION, "q": Rat(2)}, True),
+    (DiffStructure, (Rat(2),), ("q",), {}, {"q": Rat(3)}, True),
+    (DiffStructure, (), ("q",), {"q": None}, {"q": Rat(2)}, True),
     (ConstLinDiffOp, (), ("coeffs",), {"coeffs": ()}, {"coeffs": (Rat(1),)}, True),
     (
         ScalarDiffEq,
@@ -82,6 +81,7 @@ RECORDS = [
         {"certificate_g": rf("x")},
         True,
     ),
+    (MatrixRF, (((rf("x"),),),), ("entries",), {}, {"entries": ((rf("1"),),)}, True),
     (Telescoper, ((ConstLinDiffOp((1,)),), rf("1/x")), ("operators", "certificate_g"), {}, {"certificate_g": rf("x")}, True),
     (DACertificate, (), ("f", "c", "n_or_r", "d"), {"f": None, "c": None, "n_or_r": None, "d": None}, {"c": Rat(2)}, True),
     (
@@ -111,8 +111,8 @@ RECORDS = [
     (
         Query,
         ("disp",),
-        ("subcommand", "case", "q_value", "payload", "order_bound", "degree_cap"),
-        {"case": "shift", "q_value": None, "payload": {}, "order_bound": 3, "degree_cap": None},
+        ("subcommand", "structure", "payload", "order_bound", "degree_cap"),
+        {"structure": SHIFT, "payload": {}, "order_bound": 3, "degree_cap": None},
         {"payload": {"poly": "x"}},
         False,
     ),
@@ -127,10 +127,19 @@ RECORDS = [
 ]
 
 
+def _record_id(row):
+    cls, args = row[0], row[1]
+    if cls is DiffStructure:
+        # the ids count a variant argument that DiffStructure no longer
+        # takes, so the q row stays -2 and the shift row stays -1
+        return f"DiffStructure-{len(args) + 1}"
+    return f"{cls.__name__}-{len(args)}"
+
+
 @pytest.mark.parametrize(
     "cls, args, fields, defaults, change, hashable",
     RECORDS,
-    ids=[f"{r[0].__name__}-{len(r[1])}" for r in RECORDS],
+    ids=[_record_id(r) for r in RECORDS],
 )
 def test_record_contract(cls, args, fields, defaults, change, hashable):
     rec = cls(*args)
@@ -153,6 +162,15 @@ def test_query_payload_default_is_not_shared():
     assert Query("disp").payload is not Query("disp").payload
 
 
+def test_query_payload_is_a_read_only_copy():
+    given = {"coeffs": "1;1"}
+    query = Query("solve-scalar", payload=given)
+    given.pop("coeffs")
+    assert query.payload == {"coeffs": "1;1"}
+    with pytest.raises(TypeError):
+        query.payload["coeffs"] = None
+
+
 def test_verdict_report_json_keys_in_field_order():
     report = VerdictReport("disp", "q", "2", "DISPERSION", {"dispersion": 0}, True, "", 3)
     out = report.to_json_dict()
@@ -163,18 +181,22 @@ def test_verdict_report_json_keys_in_field_order():
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: DiffStructure(Variant.Q_DILATION, 0), PreconditionError),
-        (lambda: DiffStructure(Variant.Q_DILATION, 1), PreconditionError),
-        (lambda: DiffStructure(Variant.Q_DILATION, -1), PreconditionError),
-        (lambda: DiffStructure(Variant.Q_DILATION, Rat(-3, 3)), PreconditionError),
-        (lambda: DiffStructure(Variant.Q_DILATION), PreconditionError),
-        (lambda: DiffStructure(Variant.SHIFT, 2), PreconditionError),
+        (lambda: DiffStructure(0), PreconditionError),
+        (lambda: DiffStructure(1), PreconditionError),
+        (lambda: DiffStructure(-1), PreconditionError),
+        (lambda: DiffStructure(Rat(-3, 3)), PreconditionError),
         (lambda: Q2._replace(q=Rat(-1)), PreconditionError),
         (lambda: ScalarDiffEq(SHIFT, ()), PreconditionError),
         (lambda: ScalarDiffEq(SHIFT, (0, pp("0"))), PreconditionError),
         (lambda: EQ._replace(coeffs=(0,)), PreconditionError),
         (lambda: ScalarDiffEq(SHIFT, (1, -1), (rf("x"),), (1, None)), PreconditionError),
         (lambda: ScalarDiffEq(SHIFT, (1, -1), (), (Rat(1),)), PreconditionError),
+        (lambda: MatrixRF([[1, 2]]), PreconditionError),
+        (lambda: MatrixRF([[1]])._replace(entries=((1, 2),)), PreconditionError),
+        (lambda: Query("explode"), ParseError),
+        (lambda: Query(["disp"]), ParseError),
+        (lambda: Query("solve-scalar"), ParseError),
+        (lambda: Query("disp", "q"), ParseError),
         (lambda: Query("telescope", order_bound=-1), ParseError),
         (lambda: Query("telescope", order_bound=MAX_ORDER_BOUND + 1), ParseError),
         (lambda: Query("disp", degree_cap=-1), ParseError),
@@ -189,7 +211,7 @@ def test_invalid_record_rejected(build, error):
 
 
 def test_constructors_coerce_their_fields():
-    assert DiffStructure(Variant.Q_DILATION, 2).q == Rat(2) and type(Q2.q) is Rat
+    assert DiffStructure(2).q == Rat(2) and type(Q2.q) is Rat
     assert ConstLinDiffOp((1,))._replace(coeffs=(3, 0)).coeffs == (Rat(3),)
     eq = ScalarDiffEq(SHIFT, (1, pp("x")), (2,), (1,))
     assert eq.coeffs == (pp("1"), pp("x")) and eq.rhs_basis == (rf("2"),)
