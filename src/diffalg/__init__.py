@@ -40,7 +40,6 @@ from .criteria import (
     mult_dependence_test,
     verify_conjugating_matrix,
     verify_first_order_witness,
-    verify_summation,
     verify_telescoper,
     verify_twisted_ratio,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "universal_denominator",
     "verify_conjugating_matrix",
     "verify_first_order_witness",
-    "verify_summation",
     "verify_telescoper",
     "verify_twisted_ratio",
 ]

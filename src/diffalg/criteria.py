@@ -388,12 +388,3 @@ def group_classify_inhomog_sum(
     if not cert.d:
         return GroupClass(GroupKind.TRIVIAL, cert.f)
     return GroupClass(GroupKind.CONSTANTS_GA, cert.f, cert.d)
-
-
-def verify_summation(ds: DiffStructure, f: RatFun, group: GroupClass) -> bool:
-    """f == sigma(h) - h, plus a nonzero constant c at the constants level."""
-    c = group.certificate_c
-    if c == 0:
-        return False
-    cert = DACertificate(f=group.certificate_h, d=c)
-    return verify_first_order_witness(ds, RatFun.one(), f, cert)

@@ -11,6 +11,7 @@ from diffalg import criteria, solver
 from diffalg import (
     BoundExceededError,
     ConstLinDiffOp,
+    DACertificate,
     DAStatus,
     GroupKind,
     IntegrabilityStatus,
@@ -36,7 +37,6 @@ from diffalg import (
     solve_system,
     verify_conjugating_matrix,
     verify_first_order_witness,
-    verify_summation,
     verify_telescoper,
     verify_twisted_ratio,
 )
@@ -512,13 +512,14 @@ class TestCertificateVerifiers:
             assert not verify_conjugating_matrix(ds, a, MatrixRF(entries))
 
     def test_summation(self):
-        for ds, f in ((SHIFT, RatFun.one()), (Q2, rf("2*x - x + 1")), (SHIFT, rf("1/x - 1/(x+1)"))):
+        # the group witness (h, c) is the first-order witness at a = 1
+        one = RatFun.one()
+        for ds, f in ((SHIFT, one), (Q2, rf("2*x - x + 1")), (SHIFT, rf("1/x - 1/(x+1)"))):
             group = group_classify_inhomog_sum(ds, f)
             assert group.kind is not GroupKind.FULL_GA
-            assert verify_summation(ds, f, group)
+            cert = DACertificate(f=group.certificate_h, d=group.certificate_c)
+            assert verify_first_order_witness(ds, one, f, cert)
             # h + 1 is itself a witness (constants telescope to 0), so add 1/x
-            h = group.certificate_h
-            assert not verify_summation(ds, f, group._replace(certificate_h=h + rf("1/x")))
-            if group.certificate_c is not None:
-                assert not verify_summation(ds, f, group._replace(certificate_c=group.certificate_c + 1))
-                assert not verify_summation(ds, f, group._replace(certificate_c=Rat(0)))
+            assert not verify_first_order_witness(ds, one, f, cert._replace(f=cert.f + rf("1/x")))
+            if cert.d is not None:
+                assert not verify_first_order_witness(ds, one, f, cert._replace(d=cert.d + 1))
