@@ -72,7 +72,6 @@ from .solver import (
     solve_first_order,
     solve_scalar,
     solve_system,
-    universal_denominator,
 )
 from .structures import (
     ConstLinDiffOp,
@@ -142,7 +141,6 @@ __all__ = [
     "solve_first_order",
     "solve_scalar",
     "solve_system",
-    "universal_denominator",
     "verify_conjugating_matrix",
     "verify_first_order_witness",
     "verify_telescoper",

@@ -71,8 +71,8 @@ class ScalarDiffEq(namedtuple("ScalarDiffEq", "structure coeffs rhs_basis lambda
     """sum_i coeffs[i] * sigma^i(y) = sum_k lambda_k * rhs_basis[k].
 
     ``lambda_fixed`` pins individual lambdas to rational values; a None entry
-    leaves that lambda as a free constant unknown.  When omitted entirely all
-    lambdas are free.
+    leaves that lambda as a free constant unknown.  It is stored with one
+    entry per basis function; a None argument makes every lambda free.
     """
 
     __slots__ = ()
@@ -86,7 +86,9 @@ class ScalarDiffEq(namedtuple("ScalarDiffEq", "structure coeffs rhs_basis lambda
     ):
         coeffs = tuple(c if isinstance(c, Poly) else Poly.const(c) for c in coeffs)
         rhs_basis = tuple(r if isinstance(r, RatFun) else RatFun._coerce(r) for r in rhs_basis)
-        if lambda_fixed is not None:
+        if lambda_fixed is None:
+            lambda_fixed = (None,) * len(rhs_basis)
+        else:
             lambda_fixed = tuple(None if v is None else Rat(v) for v in lambda_fixed)
             if len(lambda_fixed) != len(rhs_basis):
                 raise PreconditionError("lambda_fixed length must match rhs_basis")
@@ -102,17 +104,12 @@ class ScalarDiffEq(namedtuple("ScalarDiffEq", "structure coeffs rhs_basis lambda
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def fixed_mask(self) -> tuple[Rat | None, ...]:
-        if self.lambda_fixed is None:
-            return (None,) * len(self.rhs_basis)
-        return self.lambda_fixed
-
     def split_rhs(self) -> tuple[RatFun, list[RatFun]]:
         """(fixed part sum_k lambda_k * r_k over the pinned lambdas, basis
         functions of the free lambdas in slot order)."""
         fixed_rf = RatFun.zero()
         free_basis: list[RatFun] = []
-        for r, value in zip(self.rhs_basis, self.fixed_mask()):
+        for r, value in zip(self.rhs_basis, self.lambda_fixed):
             if value is None:
                 free_basis.append(r)
             else:
@@ -125,7 +122,7 @@ class ScalarDiffEq(namedtuple("ScalarDiffEq", "structure coeffs rhs_basis lambda
         free = iter(free_values)
         return tuple(
             next(free) if value is None else (RAT_ZERO if homogeneous else value)
-            for value in self.fixed_mask()
+            for value in self.lambda_fixed
         )
 
     def rhs_value(self, lambdas: tuple[Rat, ...]) -> RatFun:
@@ -302,9 +299,9 @@ def _prepare(eq: ScalarDiffEq) -> _Prepared:
 # ---------------------------------------------------------------------------
 
 
-def universal_denominator(eq: ScalarDiffEq) -> Poly:
+def _universal_denominator_prepared(prep: _Prepared) -> Poly:
     """A polynomial u such that den(g) | u for every rational solution g
-    (Abramov 1995).
+    of the prepared equation (Abramov 1995).
 
     Let p_0..p_m be the denominator-cleared coefficients.  The poles of g in
     one sigma-orbit run from a bottom pole beta up to a top pole
@@ -318,10 +315,6 @@ def universal_denominator(eq: ScalarDiffEq) -> Poly:
     chains run over the prime-to-x parts and the power of x is bounded by
     the valuation analysis of the equation at 0.
     """
-    return _universal_denominator_prepared(_prepare(eq))
-
-
-def _universal_denominator_prepared(prep: _Prepared) -> Poly:
     ds = prep.ds
     coeffs = prep.coeffs
     m = len(coeffs) - 1
@@ -337,10 +330,10 @@ def _universal_denominator_prepared(prep: _Prepared) -> Poly:
 def _orbit_chains(ds: DiffStructure, a_side: Poly, b_side: Poly) -> Poly:
     """The monic product of the forward orbit chains from roots beta of the
     shifted leading side b_side up to roots sigma^h(beta) of the trailing
-    side a_side, h >= 0 (see ``universal_denominator``), for the gaps h of
-    one scan of the pair, largest first; the ends of each chain are
-    stripped from both sides before shorter gaps.  The gaps depend only on
-    roots, so the scan reads the squarefree parts of the sides; repeated
+    side a_side, h >= 0 (see ``_universal_denominator_prepared``), for the
+    gaps h of one scan of the pair, largest first; the ends of each chain
+    are stripped from both sides before shorter gaps.  The gaps depend only
+    on roots, so the scan reads the squarefree parts of the sides; repeated
     factors would only raise the degree of every gcd it takes."""
     u = Poly.one()
     for h in [*reversed(orbit_gaps_between(ds, radical(a_side), radical(b_side))), 0]:
@@ -604,7 +597,7 @@ def solve_first_order(
         ds, [-a, RatFun.one()], rhs_basis=rhs_basis, lambda_fixed=lambda_fixed
     )
     if not a.is_constant() or not all(
-        _is_laurent(ds, r) for r, fixed in zip(eq.rhs_basis, eq.fixed_mask()) if fixed is None
+        _is_laurent(ds, r) for r, fixed in zip(eq.rhs_basis, eq.lambda_fixed) if fixed is None
     ):
         return solve_scalar(eq, degree_cap=degree_cap)
     space = _solve_first_order_const(eq, a.const_value(), degree_cap=degree_cap)

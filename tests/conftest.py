@@ -25,7 +25,7 @@ from diffalg import (
     solve_scalar,
 )
 from diffalg.structures import sigma_poly
-from oracle import brute_force_oracle, two_sided_universal_denominator
+from oracle import companion_system, system_oracle
 
 SHIFT = shift_structure()
 Q2 = q_structure(2)
@@ -149,13 +149,30 @@ def rand_scalar_eq(rng: random.Random, ds) -> ScalarDiffEq:
     return ScalarDiffEq(ds, tuple(coeffs), (rhs,), (Rat(1),))
 
 
-def run_oracle_agreement_suite(ds, count: int, seed: int, max_attempts: int = 10_000) -> int:
-    """solve_scalar vs the brute-force ansatz oracle on random instances.
+def companion_oracle(eq: ScalarDiffEq):
+    """``system_oracle`` on the companion system of ``eq``: solutions of
+    degree at most 12, and in the q case valuation at least -4 at 0.  Each
+    solution vector is (y, sigma(y), ..., free lambdas)."""
+    m, c, free = companion_system(eq)
+    return system_oracle(eq.structure, m, c, 12, x_power=4, free=free)
 
-    The oracle's numerator ansatz is hard-capped at degree 12, so instances
-    whose certified degree bound exceeds 12 are redrawn (the oracle could not
-    see the full space there); agreement must be exact on every compared
-    instance.
+
+def _oracle_covers(eq: ScalarDiffEq, sol) -> bool:
+    """Whether every solution within the solver's bounds lies in the ansatz
+    of ``companion_oracle``: y = z/u with deg z <= degree_bound has degree
+    at most degree_bound - deg u, and in the q case its pole at 0 has at
+    most the order of the power of x in u."""
+    u = sol.universal_den
+    return sol.degree_bound - u.degree <= 12 and (eq.structure.is_shift or u.valuation() <= 4)
+
+
+def run_oracle_agreement_suite(ds, count: int, seed: int, max_attempts: int = 10_000) -> int:
+    """solve_scalar vs ``companion_oracle`` on random instances.
+
+    Instances with a solution the oracle's ansatz could miss
+    (``_oracle_covers``) are redrawn, as are those whose bound exceeds the
+    solver's cap; agreement in status and homogeneous dimension must be
+    exact on every compared instance.
     """
     rng = random.Random(seed)
     compared = 0
@@ -165,13 +182,11 @@ def run_oracle_agreement_suite(ds, count: int, seed: int, max_attempts: int = 10
         assert attempts < max_attempts, "instance generator exhausted"
         eq = rand_scalar_eq(rng, ds)
         sol = solve_scalar(eq)
-        if sol.status is Status.BOUND_EXCEEDED:
+        if sol.status is Status.BOUND_EXCEEDED or not _oracle_covers(eq, sol):
             continue
-        if sol.degree_bound is not None and sol.degree_bound > 12:
-            continue
-        oracle = brute_force_oracle(ds, eq, 12)
+        oracle = companion_oracle(eq)
         assert (sol.status is Status.SOLVED) == (oracle.status is Status.SOLVED), eq
-        assert sol.homogeneous_dimension() == oracle.homogeneous_dimension(), eq
+        assert sol.homogeneous_dimension() == len(oracle.homogeneous_basis), eq
         compared += 1
     return compared
 
@@ -204,25 +219,20 @@ def planted_pole_chains(ds, seed: int, count: int):
 
 
 def run_planted_oracle_suite(ds, count: int, seed: int) -> int:
-    """solve_scalar vs the brute-force oracle on ``planted_pole_chains``
-    instances, where the universal denominator has positive degree.  The
-    oracle takes the wider ``two_sided_universal_denominator`` and the
-    solver's degree bound plus the degree it adds, so it checks that the
-    sharp u misses no pole; instances whose oracle bound exceeds its cap of
-    12 are skipped, and ``count`` are compared."""
+    """solve_scalar vs ``companion_oracle`` on ``planted_pole_chains``
+    instances, where the universal denominator has positive degree, so the
+    oracle's U checks that the sharp u misses no pole.  Instances with a
+    solution outside the oracle's ansatz (``_oracle_covers``) are skipped,
+    and ``count`` are compared."""
     compared = 0
     for eq, _, _ in planted_pole_chains(ds, seed, 4 * count):
         sol = solve_scalar(eq)
-        wide = two_sided_universal_denominator(eq)
-        assert sol.universal_den.degree > 0 and (wide % sol.universal_den).is_zero(), eq
-        if sol.status is Status.BOUND_EXCEEDED:
+        assert sol.universal_den.degree > 0, eq
+        if sol.status is Status.BOUND_EXCEEDED or not _oracle_covers(eq, sol):
             continue
-        bound = max(sol.degree_bound + wide.degree - sol.universal_den.degree, 0)
-        if bound > 12:
-            continue
-        oracle = brute_force_oracle(ds, eq, bound, universal_den=wide)
+        oracle = companion_oracle(eq)
         assert oracle.status is sol.status, eq
-        assert oracle.homogeneous_dimension() == sol.homogeneous_dimension(), eq
+        assert len(oracle.homogeneous_basis) == sol.homogeneous_dimension(), eq
         compared += 1
         if compared == count:
             return compared

@@ -1,134 +1,115 @@
-"""Brute-force ansatz solvers used to cross-check ``solve_scalar`` and
-``solve_system`` in tests, and a summation criterion for the verdicts on
-sigma(y) - y = f.
+"""Reference solvers used to cross-check ``solve_scalar`` and
+``solve_system`` in tests, a summation criterion for the verdicts on
+sigma(y) - y = f, and reference solves over Q for ``diffalg.linalg``.
 
-They share no linear algebra with the package: their linear solve is the
-textbook Gauss-Jordan elimination over ``Fraction`` below, or sympy's, not
-the integer kernel of ``diffalg.linalg``.  Besides the polynomial arithmetic
-of ``diffalg.numcore``, each still reuses these package stages:
+They share no pipeline stage with the package.  They take from it only
+its record types, the ``Poly`` and ``RatFun`` arithmetic of
+``diffalg.numcore`` and ``criteria.companion_matrix``, and compute the rest
+in sympy:
 
-- ``brute_force_oracle``: ``universal_denominator`` (unless a denominator
-  is supplied) and ``_verify_space``;
-- ``two_sided_universal_denominator``: ``_prepare``, ``_q_valuation_floor``,
-  ``orbit_gaps`` and ``radical``;
-- ``system_oracle``: none; its denominator bound and its linear solve are
+- ``system_oracle`` checks ``solve_system``, and ``solve_scalar`` on
+  ``companion_system``: its denominator bound and its linear solve are
   sympy's;
-- ``summation_oracle``: none; its partial fractions, factors and orbit
-  matching are sympy's.
+- ``summation_oracle``: its partial fractions, factors and orbit matching
+  are sympy's;
+- ``fraction_solve``, textbook Gauss-Jordan elimination over ``Fraction``,
+  and ``sympy_solve`` are the references of ``linalg.solve_affine``.
+
+``tests/test_exports.py`` parses this file and holds it to that.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
-import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from diffalg.criteria import GroupKind
-from diffalg.dispersion import orbit_gaps
+from diffalg.criteria import GroupKind, companion_matrix
 from diffalg.errors import PreconditionError
-from diffalg.numcore import Poly, Rat, RatFun, poly_gcd, poly_lcm, radical
-from diffalg.solver import (
-    MatrixRF,
-    ScalarDiffEq,
-    SolutionSpace,
-    Status,
-    VectorSolutionSpace,
-    _prepare,
-    _q_valuation_floor,
-    _verify_space,
-    universal_denominator,
-)
-from diffalg.structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
+from diffalg.numcore import Poly, Rat, RatFun
+from diffalg.solver import MatrixRF, ScalarDiffEq, Status, VectorSolutionSpace
+from diffalg.structures import DiffStructure
+
+X = sympy.Symbol("x")
+QQX = sympy.QQ[X]
+QQX_FRAC = sympy.QQ.frac_field(X)
 
 
 def to_sympy(p: Poly):
-    """p as a sympy polynomial over QQ in x; skips the test without sympy."""
-    sympy = pytest.importorskip("sympy")
+    """p as a sympy polynomial over QQ in x."""
     coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+    return sympy.Poly(coeffs, X, domain="QQ")
 
 
-def brute_force_oracle(
-    ds: DiffStructure,
-    eq: ScalarDiffEq,
-    deg_bound: int,
-    universal_den: Poly | None = None,
-) -> SolutionSpace:
-    """Exhaustive ansatz solver for cross-checking solve_scalar in tests.
+def companion_system(eq: ScalarDiffEq) -> tuple[MatrixRF, list[RatFun], list[list[RatFun]]]:
+    """(M, c, free) with sigma(v) = M v + c + sum_k lambda_k free[k] the
+    system of the order-m equation sum_i p_i sigma^i(y) = r + sum_k
+    lambda_k r_k (r its pinned part, r_k its free basis in slot order) on
+    v = (y, sigma(y), ..., sigma^(m-1)(y)): M = companion_matrix(ds, p),
+    c = (0, ..., 0, r/p_m) and free[k] = (0, ..., 0, r_k/p_m).  M must be
+    invertible, so m >= 1 and p_0 != 0.  The solutions (v, lambda) of the
+    system are the (y, lambda) of the equation, as v is y and its shifts.
 
-    Tries y = (sum_j alpha_j x^j)/u with j <= deg_bound and u a supplied
-    universal denominator, applying the operator to each basis function with
-    plain rational-function arithmetic (no degree analysis, no polynomial
-    identity shortcuts).
+    The solver's universal denominator u, with x divided out in the q case,
+    divides the U that ``system_oracle`` takes from this system when
+    p_0, ..., p_m have no common root.  Let D be the monic lcm of the
+    right-hand-side denominators; the solver's chains run from roots beta of
+    b = sigma^-m(p_m D) up to roots sigma^h(beta), h >= 0, of a = p_0 D,
+    each of multiplicity e at most that of beta in b and of sigma^h(beta)
+    in a, stripped from both before shorter gaps.  Without a common root,
+    den(M) = p_m and den(M^-1) = p_0 (its first row is -p_1/p_0, ...,
+    -p_m/p_0), and a pole of r_k keeps at least its order in r_k/p_m, so
+    p_m D divides A and p_0 D divides B.  A chain thus has a root of A at
+    sigma^-m(beta) and of B at sigma^h(beta), a gap h + m - 1 between the
+    roots of sigma^-1(A) and B, so h + m - 1 <= N.  A point
+    d = sigma^j(beta) of it, 0 <= j <= h, has that root of A at
+    sigma^(-1-i)(d) for i = j + m - 1 <= N, and that root of B at
+    sigma^i(d) for i = h - j <= N.  The chains through d with one bottom
+    beta sum to at most the multiplicity of beta in b, which A has at
+    sigma^-m(beta), and those with one top to at most its multiplicity in
+    a, which B has there; so the multiplicity of d in u is at most both
+    sums that define U.  A common root breaks it: x sigma(y) - x(x-1) y = 0
+    has u = x - 1 (the root 1 of sigma^-1(x) against that of x - 1), while
+    M = (x - 1) and A = 1 give U = 1.
     """
-    if deg_bound > 12:
-        raise PreconditionError("oracle degree bound capped at 12")
-    u = universal_den if universal_den is not None else universal_denominator(eq)
-    fixed_rhs, free_basis = eq.split_rhs()
+    fixed, free = eq.split_rhs()
+    p = [RatFun.from_poly(c) for c in eq.coeffs]
+    n = len(p) - 1
+    if n < 1 or p[0].is_zero():
+        raise PreconditionError("the companion system needs order >= 1 and p_0 != 0")
 
-    columns: list[RatFun] = []
-    for j in range(deg_bound + 1):
-        basis_fn = RatFun(Poly.monomial(1, j), u)
-        columns.append(eq.apply_operator(basis_fn))
-    for r in free_basis:
-        columns.append(-r)
+    def last(r: RatFun) -> list[RatFun]:
+        return [RatFun.zero()] * (n - 1) + [r / p[n]]
 
-    den = fixed_rhs.den
-    for col in columns:
-        den = poly_lcm(den, col.den)
-    den_rf = RatFun.from_poly(den)
-    col_polys = [(col * den_rf).num for col in columns]
-    rhs_poly = (fixed_rhs * den_rf).num
-    max_e = max([p.degree for p in col_polys] + [rhs_poly.degree, 0])
-    rows = [[p[e] for p in col_polys] for e in range(max_e + 1)]
-    rhs_vec = [rhs_poly[e] for e in range(max_e + 1)]
-    particular, nullsp = fraction_solve(rows, rhs_vec)
-
-    def unpack(vec, homogeneous: bool):
-        z = Poly(vec[: deg_bound + 1])
-        g = RatFun(z, u)
-        return g, eq.lambdas(vec[deg_bound + 1 :], homogeneous)
-
-    basis = tuple(unpack(v, True) for v in nullsp)
-    basis = tuple(p for p in basis if not (p[0].is_zero() and all(v == 0 for v in p[1])))
-    if particular is None:
-        return SolutionSpace(
-            Status.NO_SOLUTION,
-            homogeneous_basis=basis,
-            witness="oracle: no solution within the supplied ansatz",
-            universal_den=u,
-            degree_bound=deg_bound,
-        )
-    space = SolutionSpace(
-        Status.SOLVED,
-        particular=unpack(particular, False),
-        homogeneous_basis=basis,
-        universal_den=u,
-        degree_bound=deg_bound,
-    )
-    _verify_space(eq, space)
-    return space
+    return companion_matrix(eq.structure, p), last(fixed), [last(r) for r in free]
 
 
 def system_oracle(
-    ds: DiffStructure, m: MatrixRF, c, deg_bound: int, x_power: int = 0
+    ds: DiffStructure, m: MatrixRF, c, deg_bound: int, x_power: int = 0, free=()
 ) -> VectorSolutionSpace:
-    """Stacked-ansatz solver for cross-checking solve_system in tests.
+    """Stacked-ansatz solver for cross-checking solve_system, and
+    solve_scalar on ``companion_system``, in tests.
 
-    Every coordinate of every solution v of sigma(v) = M v + c has its
-    denominator in one universal denominator U of the system (Abramov and
-    Barkatou, ISSAC 1998; in the q case Abramov, Discrete Math. 246, 2002),
-    which ``_system_denominator`` takes from the system alone.  Let
-    A = den(M) den(c) and B = den(M^-1) den(c), with x divided out in the
-    q case, and write o(d) for the largest pole order of v's coordinates
-    at a point d (0 when none has a pole there).
+    With vectors ``free`` = (c_1, ..., c_t) the system is
+    sigma(v) = M v + c + sum_k lambda_k c_k in the unknowns v and the
+    constants lambda_k, and each solution vector is v followed by its t
+    lambdas as constant entries.  Every coordinate of every solution v has
+    its denominator in one universal denominator U of the system (Abramov
+    and Barkatou, ISSAC 1998; in the q case Abramov, Discrete Math. 246,
+    2002), which ``_system_denominator`` takes from the system alone.  Let
+    A = den(M) den(c) and B = den(M^-1) den(c), den(c) the lcm of the
+    denominators of c and every c_k, with x divided out in the q case, and
+    write o(d) for the largest pole order of v's coordinates at a point d
+    (0 when none has a pole there).
 
-    - From sigma(v) = M v + c at d: o(sigma(d)) <= o(d) + mult_d(A), since
-      M v has pole order at most ord_d(M) + o(d) there, and c at most
-      ord_d(c).
-    - From v = M^-1 (sigma(v) - c) at d, likewise:
+    - From sigma(v) = M v + c + sum_k lambda_k c_k at d:
+      o(sigma(d)) <= o(d) + mult_d(A), since M v has pole order at most
+      ord_d(M) + o(d) there, and the constant terms at most ord_d(den(c)).
+    - From v = M^-1 (sigma(v) - c - sum_k lambda_k c_k) at d, likewise:
       o(d) <= o(sigma(d)) + mult_d(B).
 
     The poles of v in one orbit, d != 0, run from a bottom pole beta (no
@@ -148,40 +129,54 @@ def system_oracle(
 
     The ansatz is v_j = P_j / u for u = U (times x^x_power in the q case)
     and deg P_j <= deg u + deg_bound, the numerator coefficients of all
-    coordinates stacked into one unknown vector.  Each residual
-    sigma(v_i) - sum_j M_ij v_j - c_i is built with plain rational-function
-    arithmetic and cleared to a polynomial whose coefficients must vanish,
-    and sympy solves the stacked system: no cyclic vector, no lift and no
-    solve over Q(x).  The space is complete among the v whose coordinates
-    have degree (numerator minus denominator) at most ``deg_bound``, and in
-    the q case valuation at 0 at least -``x_power``.
+    coordinates and the lambdas stacked into one unknown vector.  Each
+    residual sigma(v_i) - sum_j M_ij v_j - sum_k lambda_k c_k,i - c_i is
+    cleared over a common multiple of its denominators to a polynomial in
+    sympy's QQ[x] whose coefficients must vanish, and sympy solves the
+    stacked system: no cyclic vector, no lift and no solve over Q(x).  The
+    space is complete among the v whose coordinates have degree (numerator
+    minus denominator) at most ``deg_bound``, and in the q case valuation
+    at 0 at least -``x_power``.
     """
-    n = m.n
+    n, t = m.n, len(free)
     c = [RatFun._coerce(v) for v in c]
-    u = _system_denominator(ds, m, c)
+    u = _system_denominator(ds, m, [c, *free])
     if not ds.is_shift:
         u = u * Poly.monomial(1, x_power)
-    columns = [(j, RatFun(Poly.monomial(1, e), u)) for j in range(n) for e in range(u.degree + deg_bound + 1)]
-    rows, rhs_vec = [], []
+    q = _sympy_q(ds)
+    mk = [[_to_field(f) for f in row] for row in m.entries]
+    ck = [_to_field(f) for f in c]
+    u_ring = _to_ring(u)
+    width = u.degree + deg_bound + 1  # numerator coefficients per coordinate
+    ncols = n * width + t
+    s_u = _sigma(q, u_ring, 1)
+    both = u_ring.lcm(s_u)
+    aug, offset = {}, 0  # the augmented matrix {row: {column: value}}, right-hand column ncols
     for i in range(n):
-        res = [(apply_sigma(ds, f) if j == i else RatFun.zero()) - m.entries[i][j] * f for j, f in columns]
-        den = c[i].den
-        for r in res:
-            den = poly_lcm(den, r.den)
-        den_rf = RatFun.from_poly(den)
-        polys = [(r * den_rf).num for r in res]
-        target = (c[i] * den_rf).num
-        for e in range(max([p.degree for p in polys] + [target.degree, 0]) + 1):
-            rows.append([p[e] for p in polys])
-            rhs_vec.append(target[e])
-    particular, nullsp = sympy_solve(rows, rhs_vec)
+        # residual i times den, a multiple of every denominator in it: the
+        # unknown of x^e / u in coordinate j has the coefficient
+        # [j = i] sigma(x)^e den/sigma(u) - x^e den M_ij/u
+        consts = [-_to_field(vec[i]) for vec in free] + [ck[i]]
+        den = both * functools.reduce(lambda a, b: a.lcm(b), [f.denom for f in mk[i] + consts])
+        cols = {}
+        for j, f in enumerate(mk[i]):
+            if f:
+                weight = -f.numer * den.exquo(u_ring * f.denom)
+                cols.update((j * width + e, weight.mul_monom((e,))) for e in range(width))
+        power = den.exquo(s_u)
+        for e in range(width):
+            cols[i * width + e] = cols.get(i * width + e, 0) + power
+            power = power.mul_monom((1,)) + power if q is None else power.mul_term(((1,), q))
+        cols.update((n * width + k, f.numer * den.exquo(f.denom)) for k, f in enumerate(consts))
+        for col, poly in cols.items():
+            for (e,), v in poly.items():
+                aug.setdefault(offset + e, {})[col] = v
+        offset += max(poly.degree() for poly in cols.values() if poly) + 1
+    particular, nullsp = _solve_augmented(aug, offset, ncols)
 
     def unpack(vec) -> tuple[RatFun, ...]:
-        out = [RatFun.zero()] * n
-        for (j, f), a in zip(columns, vec):
-            if a:
-                out[j] = out[j] + RatFun.const(a) * f
-        return tuple(out)
+        coords = [RatFun(Poly(vec[j * width : (j + 1) * width]), u) for j in range(n)]
+        return (*coords, *(RatFun.const(a) for a in vec[n * width :]))
 
     basis = tuple(unpack(v) for v in nullsp)
     if particular is None:
@@ -191,71 +186,80 @@ def system_oracle(
     return VectorSolutionSpace(Status.SOLVED, particular=unpack(particular), homogeneous_basis=basis)
 
 
-def _system_denominator(ds: DiffStructure, m: MatrixRF, c: list[RatFun]) -> Poly:
-    """The monic U of ``system_oracle``, computed in sympy: M^-1 from a
-    sympy ``Matrix``, inverted as a ``DomainMatrix`` over Z(x); the shift
-    gaps from sympy's ``dispersionset``; the q gaps from the irreducible
-    factors of ``factor_list``."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.dispersion import dispersionset
-    from sympy.polys.matrices import DomainMatrix
+def _system_denominator(ds: DiffStructure, m: MatrixRF, vectors: list[list[RatFun]]) -> Poly:
+    """The monic U of ``system_oracle``, computed in sympy's QQ(x), for
+    den(c) the lcm over the entries of ``vectors``: M^-1 from a
+    ``DomainMatrix``, and U read off the irreducible factors of A and B,
+    taken from ``factor_list`` of each denominator.  sigma maps an
+    irreducible factor to one, so the gaps are the h with sigma^h(g)
+    proportional to sigma^-1(f) for factors f of A and g of B, and the
+    multiplicity of an irreducible in either product of U is the sum of
+    those of the factors of A (or B) that its shifts reach."""
+    q, x = _sympy_q(ds), QQX.ring.gens[0]
+    mk = [[_to_field(f) for f in row] for row in m.entries]
+    inverse = DomainMatrix(mk, (m.n, m.n), QQX_FRAC).inv()
 
-    x = sympy.Symbol("x")
-    entries = [[to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr() for f in row] for row in m.entries]
-    inverse = DomainMatrix.from_Matrix(sympy.Matrix(entries)).to_field().inv()
+    def lcm(dens) -> Counter:  # monic irreducible factors, x left out in the q case
+        out = Counter()
+        for d in set(dens):
+            out |= Counter({f.monic(): e for f, e in d.factor_list()[1] if q is None or f.monic() != x})
+        return out
 
-    def lcm(dens):
-        return functools.reduce(sympy.Poly.lcm, dens, sympy.Poly(1, x, domain="QQ"))
+    den_c = lcm(_to_ring(f.den) for vec in vectors for f in vec)
+    fa = lcm(f.denom for row in mk for f in row) + den_c
+    fb = lcm(f.denom for row in inverse.to_list() for f in row) + den_c
+    gaps = [h for f in fa for g in fb if (h := _gap(q, _sigma(q, f, -1).monic(), g)) is not None]
+    chain_a, chain_b = Counter(), Counter()
+    for i in range(max(gaps, default=-1) + 1):
+        for f, e in fa.items():
+            chain_a[_sigma(q, f, -1 - i).monic()] += e
+        for g, e in fb.items():
+            chain_b[_sigma(q, g, i).monic()] += e
+    u = math.prod((f ** min(e, chain_b[f]) for f, e in chain_a.items() if f in chain_b), start=QQX.ring.one)
+    return Poly([Rat(int(v.numerator), int(v.denominator)) for v in reversed(u.to_dense())])
 
-    den_c = lcm(to_sympy(f.den) for f in c)
-    a = lcm(to_sympy(f.den) for row in m.entries for f in row) * den_c
-    b = lcm(
-        sympy.Poly(inverse.domain.to_sympy(e).as_numer_denom()[1], x, domain="QQ")
-        for row in inverse.to_list() for e in row
-    ) * den_c
-    if ds.is_shift:
-        def sigma(p, k):
-            return p.compose(sympy.Poly(x + k, x, domain="QQ"))
+
+def _sympy_q(ds: DiffStructure):
+    """q in sympy's QQ, None in the shift case."""
+    return None if ds.is_shift else sympy.QQ(int(ds.q.numerator), int(ds.q.denominator))
+
+
+def _sigma(q, p, k: int):
+    """sigma^k(p) for p in sympy's QQ[x]: p(x + k), or p(q^k x) when q is
+    not None."""
+    if q is None:
+        return p.shift(k)
+    return p.ring({mon: v * q ** (k * mon[0]) for mon, v in p.items()})
+
+
+def _gap(q, f, g) -> int | None:
+    """The h >= 0 with sigma^h(g) = f, for monic irreducible f and g in
+    sympy's QQ[x], or None.  In the shift case g(x + h) raises the x^(d-1)
+    coefficient by d*h.  In the q case, with f and g prime to x, the
+    constant term of the monic g(q^h x) is g(0)/q^(h d), so q^(h d) is the
+    ratio of the constant terms and h is read off it."""
+    d = f.degree()
+    if g.degree() != d:
+        return None
+    fc, gc = f.to_dense(), g.to_dense()  # leading coefficient first
+    if q is None:
+        h = (fc[1] - gc[1]) / d
+        h = int(h.numerator) if h.denominator == 1 else None
     else:
-        q = sympy.Rational(ds.q.numerator, ds.q.denominator)
-        a, b = a.terms_gcd()[1], b.terms_gcd()[1]  # divide out x
-
-        def sigma(p, k):
-            return p.compose(sympy.Poly(q**k * x, x, domain="QQ"))
-    a_low = sigma(a, -1)
-    if a_low.degree() <= 0 or b.degree() <= 0:  # dispersionset gives {0} for a constant
-        return Poly.one()
-    gaps = dispersionset(a_low, b) if ds.is_shift else _q_gaps(a_low, b, q, sigma)
-    if not gaps:
-        return Poly.one()
-    chains_a = math.prod(sigma(a, -1 - i) for i in range(max(gaps) + 1))
-    chains_b = math.prod(sigma(b, i) for i in range(max(gaps) + 1))
-    u = chains_a.gcd(chains_b).monic()
-    return Poly([Rat(int(v.p), int(v.q)) for v in reversed(u.all_coeffs())])
+        h = _q_log(q**d, gc[-1] / fc[-1])
+    if h is None or h < 0 or _sigma(q, g, h).monic() != f:
+        return None
+    return h
 
 
-def _q_gaps(a, b, q, sigma) -> set[int]:
-    """The h >= 0 with a root of a equal to q^-h times a root of b.  For
-    irreducible factors f of a and g of b of one degree d, with nonzero
-    constant terms, g(q^h x) is proportional to f only if q^(h d) is the
-    ratio r of their monic constant terms, so h is read off r and then
-    checked on the whole factor."""
-    out = set()
-    b_factors = [g for g, _ in b.factor_list()[1]]
-    for f, _ in a.factor_list()[1]:
-        d = f.degree()
-        for g in b_factors:
-            if g.degree() != d:
-                continue
-            r = (g.nth(0) * f.LC()) / (g.LC() * f.nth(0))
-            step, power, h = q**d, q**0, 0
-            # |q^(h d)| moves monotonically away from 1: stop once past |r|
-            while abs(power) <= abs(r) if abs(step) > 1 else abs(power) >= abs(r):
-                if power == r and sigma(g, h).monic() == f.monic():
-                    out.add(h)
-                    break
-                power, h = power * step, h + 1
-    return out
+def _to_field(f: RatFun):
+    """f as an element of sympy's QQ(x), taken as it is: f is reduced."""
+    return QQX_FRAC.field.raw_new(_to_ring(f.num), _to_ring(f.den))
+
+
+def _to_ring(p: Poly):
+    """p as an element of sympy's QQ[x]."""
+    return QQX.ring.from_list([sympy.QQ(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)])
 
 
 def summation_oracle(ds: DiffStructure, f: RatFun) -> tuple[GroupKind, Rat | None]:
@@ -274,7 +278,6 @@ def summation_oracle(ds: DiffStructure, f: RatFun) -> tuple[GroupKind, Rat | Non
     polynomial part is summable: always in the shift case, and in the q case
     when it has no constant term, as sigma(x^k) - x^k = (q^k - 1) x^k.  A
     nonzero constant alone gives the constants level."""
-    sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     q = None if ds.is_shift else sympy.Rational(ds.q.numerator, ds.q.denominator)
     constant = sympy.Rational(0)
@@ -305,7 +308,6 @@ def summation_oracle(ds: DiffStructure, f: RatFun) -> tuple[GroupKind, Rat | Non
 def _move_to_base(p, base, a, j, q, x):
     """The numerator of a/p^j moved back to base^j when the monic p is
     sigma^h(base) up to a unit, else None."""
-    sympy = pytest.importorskip("sympy")
     d = base.degree()
     if p.degree() != d:
         return None
@@ -336,44 +338,6 @@ def _q_log(q, r):
     return None
 
 
-def two_sided_universal_denominator(eq: ScalarDiffEq) -> Poly:
-    """A wider universal denominator, kept as a reference for the sharp one
-    of ``diffalg.solver.universal_denominator``: besides each forward chain
-    from a root of the shifted leading coefficient up to a root of the
-    trailing one, it takes the squarefree chain of every reversed pairing,
-    and it scans the gaps of the product of the two sides, internal gaps
-    included.  It can only enlarge u."""
-    prep = _prepare(eq)
-    ds, coeffs = prep.ds, prep.coeffs
-    m = len(coeffs) - 1
-    u, _ = split_x_power(ds, coeffs[0].monic())
-    if m > 0:
-        a_side = u
-        b_side, _ = split_x_power(ds, sigma_poly(ds, coeffs[m], -m).monic())
-        u = reversed_chains = Poly.one()
-        for h in sorted(set([0] + orbit_gaps(ds, a_side * b_side)), reverse=True):
-            g1 = poly_gcd(sigma_poly(ds, a_side, h), b_side)
-            if g1.degree > 0:
-                a_side = a_side.exact_div(sigma_poly(ds, g1, -h))
-                b_side = b_side.exact_div(g1)
-                u = u * _chain(ds, g1, h)
-            if h > 0:
-                g2 = poly_gcd(sigma_poly(ds, b_side, h), a_side)
-                if g2.degree > 0:
-                    reversed_chains = poly_lcm(reversed_chains, _chain(ds, radical(g2), h))
-        u = poly_lcm(u, reversed_chains)
-    if not ds.is_shift:
-        u = u * Poly.monomial(1, max(0, -_q_valuation_floor(prep)))
-    return u
-
-
-def _chain(ds: DiffStructure, g: Poly, h: int) -> Poly:
-    chain = Poly.one()
-    for j in range(h + 1):
-        chain = chain * sigma_poly(ds, g, -j).monic()
-    return chain
-
-
 def fraction_solve(rows, rhs):
     """Reference solve of rows * v = rhs over Q by Gauss-Jordan on Fractions.
 
@@ -401,17 +365,28 @@ def fraction_solve(rows, rhs):
 
 
 def sympy_solve(rows, rhs):
-    """The solve of ``fraction_solve``, read off sympy's sparse reduced row
-    echelon form of the augmented matrix (``DomainMatrix`` over QQ)."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
+    """The solve of ``fraction_solve`` by ``_solve_augmented``."""
     qq = sympy.QQ
-    ncols = len(rows[0]) if rows else 0
-    aug = [[qq(int(v.numerator), int(v.denominator)) for v in [*row, b]] for row, b in zip(rows, rhs)]
-    red, pivots = DomainMatrix(aug, (len(aug), ncols + 1), qq).to_sparse().rref(method="GJ")
-    red = [[Fraction(int(qq.numer(v)), int(qq.denom(v))) for v in row] for row in red.to_list()]
-    return _read_off(red, list(pivots), ncols)
+    aug = {}
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        entries = {j: qq(int(v.numerator), int(v.denominator)) for j, v in enumerate([*row, b]) if v}
+        if entries:  # sympy's sparse rows hold no empty row
+            aug[i] = entries
+    return _solve_augmented(aug, len(rows), len(rows[0]) if rows else 0)
+
+
+def _solve_augmented(aug, nrows: int, ncols: int):
+    """The solve of ``fraction_solve`` for the augmented matrix
+    {row: {column: value}} over sympy's QQ, right-hand column ncols, read
+    off sympy's sparse reduced row echelon form (``DomainMatrix``)."""
+    red, pivots = DomainMatrix(aug, (nrows, ncols + 1), sympy.QQ).rref(method="GJ")
+    dense = []
+    for i in range(len(pivots)):
+        row = [Fraction(0)] * (ncols + 1)
+        for j, v in red.rep.get(i, {}).items():
+            row[j] = Fraction(int(v.numerator), int(v.denominator))
+        dense.append(row)
+    return _read_off(dense, list(pivots), ncols)
 
 
 def _read_off(red, pivots, ncols):

@@ -168,7 +168,8 @@ def test_criterion_7_oracle_equivalence():
     elapsed = time.monotonic() - start
     _report(7, "oracle equivalence (300 instances)", n_shift + n_q == 300, elapsed, budget)
     # the random instances above rarely give u a positive degree; planted
-    # pole chains always do, and the oracle there takes the wider two-sided u
+    # pole chains always do, so there the oracle's U, taken from both sides
+    # of the companion system, checks that u misses no pole
     start = time.monotonic()
     n_shift = run_planted_oracle_suite(SHIFT, 75, seed=20260817)
     n_q = run_planted_oracle_suite(Q2, 75, seed=20260818)

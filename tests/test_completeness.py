@@ -21,7 +21,6 @@ from diffalg import (
 )
 from diffalg.linalg import solve_affine
 from diffalg.numcore import RAT_ONE, RAT_ZERO, poly_lcm
-from oracle import brute_force_oracle
 
 
 def _ratfun_combo_solvable(target, basis):
@@ -143,20 +142,6 @@ class TestPlantedSystemSolutions:
             particular, _ = solve_affine(rows, goal, RAT_ZERO, RAT_ONE)
             assert particular is not None
             found += 1
-
-
-class TestOracleWithSuppliedDenominator:
-    def test_custom_universal_denominator(self):
-        eq = ScalarDiffEq(SHIFT, (pp("-1"), pp("1")), (rf("1/(x*(x+1))"),), (Rat(1),))
-        oracle = brute_force_oracle(SHIFT, eq, 4, universal_den=pp("x*(x+1)*(x+2)"))
-        assert oracle.status is Status.SOLVED
-        assert oracle.particular[0] == rf("-1/x")
-
-    def test_too_small_denominator_misses(self):
-        # honest behavior: an inadequate supplied ansatz reports no solution
-        eq = ScalarDiffEq(SHIFT, (pp("-1"), pp("1")), (rf("1/(x*(x+1))"),), (Rat(1),))
-        oracle = brute_force_oracle(SHIFT, eq, 4, universal_den=pp("x+3"))
-        assert oracle.status is Status.NO_SOLUTION
 
 
 class TestPlantedDispersionGaps:

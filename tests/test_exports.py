@@ -3,10 +3,12 @@ export behind; no module reaches into a sibling's private helpers or into
 the integer form of a ``Poly`` outside ``numcore``; no module reads the
 environment, so every setting is an option or an argument;
 the CLI substitutes nothing, since each procedure checks the certificate
-it makes; and a cold CLI query or batch loads only the modules it computes
-with."""
+it makes; a cold CLI query or batch loads only the modules it computes
+with; and the test oracles take no pipeline stage from the package."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -56,6 +58,29 @@ def test_only_numcore_reads_the_integer_form_of_a_poly():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in ("_ints", "_cn", "_cd")
         ]
+    assert offenders == []
+
+
+def test_oracle_takes_no_pipeline_stage():
+    # tests/oracle.py checks the solvers from outside: from diffalg it may
+    # take record types and numcore arithmetic, but no private name, no
+    # function of the solver, and neither orbit_gaps nor radical
+    with open(os.path.join(os.path.dirname(__file__), "oracle.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            offenders += [f"{node.lineno} {a.name}" for a in node.names if a.name.split(".")[0] == "diffalg"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "diffalg":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name)
+                if (
+                    alias.name.startswith("_")
+                    or alias.name in ("orbit_gaps", "radical")
+                    or (inspect.isfunction(obj) and obj.__module__ == "diffalg.solver")
+                ):
+                    offenders.append(f"{node.lineno} {alias.name}")
     assert offenders == []
 
 

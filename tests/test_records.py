@@ -45,7 +45,7 @@ RECORDS = [
         ScalarDiffEq,
         (SHIFT, (pp("x"), pp("-x-1"))),
         ("structure", "coeffs", "rhs_basis", "lambda_fixed"),
-        {"rhs_basis": (), "lambda_fixed": None},
+        {"rhs_basis": (), "lambda_fixed": ()},
         {"structure": Q2},
         True,
     ),

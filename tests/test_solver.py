@@ -1,6 +1,8 @@
 """Rational-solution engines: universal denominators, the scalar solver, the
-constant-twist first-order path, first-order systems, and the brute-force oracle."""
+constant-twist first-order path, first-order systems, and the scalar solver
+against the system oracle on its companion system."""
 
+import functools
 import importlib
 import itertools
 import math
@@ -13,6 +15,7 @@ from conftest import (
     Q14,
     QM3,
     SHIFT,
+    companion_oracle,
     planted_pole_chains,
     pp,
     rand_poly,
@@ -32,20 +35,21 @@ from diffalg import (
     ScalarDiffEq,
     SingularMatrixError,
     Status,
+    apply_derivation,
     apply_sigma,
     cli,
+    criteria,
     q_structure,
     scalar_eq_from_ratfun_coeffs,
     solve_first_order,
     solve_scalar,
     solve_system,
     solver,
-    universal_denominator,
 )
 from diffalg.dispersion import q_power_roots
-from diffalg.numcore import poly_lcm, radical
+from diffalg.numcore import poly_gcd, poly_lcm, radical
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
-from oracle import brute_force_oracle, fraction_solve, system_oracle, two_sided_universal_denominator
+from oracle import _system_denominator, companion_system, fraction_solve, system_oracle
 
 dispersion_module = importlib.import_module("diffalg.dispersion")
 
@@ -67,20 +71,21 @@ class TestUniversalDenominator:
         # orbit, so no solution has a pole and u = 1; there is none (the
         # harmonic numbers are not rational)
         eq = ScalarDiffEq(SHIFT, (pp("-x"), pp("x")), (RatFun.one(),), (Rat(1),))
-        assert universal_denominator(eq) == Poly.one()
-        assert solve_scalar(eq).status is Status.NO_SOLUTION
+        sol = solve_scalar(eq)
+        assert sol.universal_den == Poly.one()
+        assert sol.status is Status.NO_SOLUTION
 
     def test_constant_coefficients_polynomial_rhs(self):
         eq = ScalarDiffEq(SHIFT, (pp("1"), pp("1")), (rf("x"),), (Rat(1),))
-        assert universal_denominator(eq) == Poly.one()
+        assert solve_scalar(eq).universal_den == Poly.one()
 
     def test_q_candidate_chain(self):
         # the leading root 2 is q times the trailing root 1, a backward
         # pairing: the shifted leading root 4 lies on no forward chain to 1,
         # so u is the power of x from the valuation bound at 0 alone
         eq = ScalarDiffEq(Q2, (pp("-(x-1)"), pp("x-2")), (RatFun.one(),), (Rat(1),))
-        assert universal_denominator(eq) == pp("x")
         sol = solve_scalar(eq)
+        assert sol.universal_den == pp("x")
         assert sol.particular[0] == rf("-2/x")
         assert [g for g, _ in sol.homogeneous_basis] == [rf("(x-2)/x")]
 
@@ -98,8 +103,8 @@ class TestUniversalDenominator:
     )
     def test_forward_chain(self, ds, coeffs, y):
         eq = ScalarDiffEq(ds, tuple(pp(c) for c in coeffs))
-        assert universal_denominator(eq) == rf(y).den
         sol = solve_scalar(eq)
+        assert sol.universal_den == rf(y).den
         assert [g for g, _ in sol.homogeneous_basis] == [rf(y)]
 
     @pytest.mark.parametrize(
@@ -140,13 +145,12 @@ class TestUniversalDenominator:
         # x^2*(x-3)*y = x: in the shift case u is p_0 itself; in the q case
         # the power of x comes from the valuation bound at 0, and y = 1/(x*(x-3))
         eq = ScalarDiffEq(ds, (pp("x^2*(x-3)"),), (rf("x"),), (Rat(1),))
-        u = universal_denominator(eq)
-        assert u == pp(expected)
         sol = solve_scalar(eq)
+        u = sol.universal_den
+        assert u == pp(expected)
         assert sol.particular[0] == rf("1/(x*(x-3))")
         assert (u % sol.particular[0].den).is_zero()
-        # the solver's report names the same u
-        assert sol.universal_den == u
+        # the CLI report names the same u
         query = {"subcommand": "solve-scalar", "coeffs": "x^2*(x-3)", "rhs": "x", **case}
         report, _ = cli.run_query(cli.query_from_dict(query))
         assert report.to_json_dict()["certificate"]["universal_denominator"] == expected
@@ -166,7 +170,7 @@ class TestUniversalDenominator:
             eq = ScalarDiffEq(ds, base.coeffs, (rhs,), (Rat(1),))
             sol = solve_scalar(eq)
             assert sol.is_solved()
-            u = universal_denominator(eq)
+            u = sol.universal_den
             pairs = list(sol.homogeneous_basis) + [sol.particular]
             for gg, _ in pairs:
                 if gg.is_zero():
@@ -473,8 +477,7 @@ class TestSolveSystem:
         assert sol.homogeneous_basis == ()
         # oracle confirmation for the first coordinate
         eq = ScalarDiffEq(SHIFT, (pp("-2"), pp("1")))
-        oracle = brute_force_oracle(SHIFT, eq, 6)
-        assert oracle.homogeneous_dimension() == 0
+        assert companion_oracle(eq).homogeneous_basis == ()
 
     def test_inhomogeneous_particular(self):
         # sigma(v) = [[1,1],[0,2]] v + (1, -1): solvable with rational v
@@ -781,8 +784,8 @@ def _proportional(eq_a: ScalarDiffEq, eq_b: ScalarDiffEq) -> bool:
     if eq_a.order != eq_b.order:
         return False
     ca, cb = list(eq_a.coeffs), list(eq_b.coeffs)
-    ra = eq_a.rhs_value(tuple(v or Rat(0) for v in eq_a.fixed_mask()))
-    rb = eq_b.rhs_value(tuple(v or Rat(0) for v in eq_b.fixed_mask()))
+    ra = eq_a.rhs_value(tuple(v or Rat(0) for v in eq_a.lambda_fixed))
+    rb = eq_b.rhs_value(tuple(v or Rat(0) for v in eq_b.lambda_fixed))
     for pa, pb in zip(ca, cb):
         for qa, qb in zip(ca, cb):
             if pa * qb != pb * qa:
@@ -792,62 +795,113 @@ def _proportional(eq_a: ScalarDiffEq, eq_b: ScalarDiffEq) -> bool:
     return ra * RatFun.from_poly(cb[i]) == rb * RatFun.from_poly(ca[i])
 
 
+def _matches_companion_oracle(eq, sol):
+    """``companion_oracle`` finds the status and the homogeneous dimension
+    of ``sol`` and, for a solved equation, the same affine space of
+    vectors (y, free lambdas), read off its vectors (y, sigma(y), ...,
+    free lambdas)."""
+    reference = companion_oracle(eq)
+    free = [k for k, v in enumerate(eq.lambda_fixed) if v is None]
+
+    def mine(g, lam):
+        return (g, *(RatFun.const(lam[k]) for k in free))
+
+    def theirs(v):
+        return (v[0], *v[eq.order :])
+
+    basis = [mine(*pair) for pair in sol.homogeneous_basis]
+    reference_basis = [theirs(v) for v in reference.homogeneous_basis]
+    assert reference.status is sol.status, eq
+    assert len(basis) == len(reference_basis), eq
+    assert all(_in_span(reference_basis, v) for v in basis), eq
+    assert all(_in_span(basis, v) for v in reference_basis), eq
+    if sol.is_solved():
+        delta = [a - b for a, b in zip(mine(*sol.particular), theirs(reference.particular))]
+        assert _in_span(basis, delta), eq
+
+
+def _companion_denominator(eq) -> Poly:
+    """The U that ``system_oracle`` takes from the companion system of eq."""
+    m, c, free = companion_system(eq)
+    return _system_denominator(eq.structure, m, [c, *free])
+
+
 class TestBruteForceOracle:
+    """``solve_scalar`` against ``system_oracle`` on the companion system."""
+
     def test_matches_solver_on_fixture_equations(self):
         for eq in (
             shift_sl2_equation(),
             ScalarDiffEq(SHIFT, (pp("1"), pp("-2"), pp("1"))),
             ScalarDiffEq(SHIFT, (pp("-1"), pp("1")), (rf("1/(x*(x+1))"),), (Rat(1),)),
         ):
-            sol = solve_scalar(eq)
-            oracle = brute_force_oracle(eq.structure, eq, 8)
-            assert (sol.status is Status.SOLVED) == (oracle.status is Status.SOLVED)
-            assert sol.homogeneous_dimension() == oracle.homogeneous_dimension()
-
-    def test_indefinite_sum_of_zero(self):
-        eq = ScalarDiffEq(SHIFT, (pp("-1"), pp("1")))
-        oracle = brute_force_oracle(SHIFT, eq, 5)
-        assert oracle.homogeneous_dimension() == 1
-        assert oracle.homogeneous_basis[0][0].is_constant()
-
-    def test_indefinite_sum_of_one(self):
-        eq = ScalarDiffEq(SHIFT, (pp("-1"), pp("1")), (RatFun.one(),), (Rat(1),))
-        oracle = brute_force_oracle(SHIFT, eq, 5)
-        assert oracle.status is Status.SOLVED
-        g = oracle.particular[0]
-        assert apply_sigma(SHIFT, g) - g == RatFun.one()
-
-    def test_degree_cap_enforced(self):
-        eq = ScalarDiffEq(SHIFT, (pp("-1"), pp("1")))
-        with pytest.raises(PreconditionError):
-            brute_force_oracle(SHIFT, eq, 13)
+            _matches_companion_oracle(eq, solve_scalar(eq))
 
     def test_sharp_denominator_against_two_sided(self):
-        # acceptance-7 instances: the sharp u divides the wider two-sided one,
-        # and the ansatz over the wider u finds the same affine space; that
-        # ansatz needs the solver's degree bound plus the degree gained
-        compared = 0
+        # acceptance-7 instances whose coefficients have no common root: the
+        # sharp u, x divided out in the q case, divides the U that the
+        # oracle takes from both sides of the companion system (the proof is
+        # at ``oracle.companion_system``)
+        checked = 0
         for ds, seed in ((SHIFT, 20260814), (Q2, 20260815)):
             rng = random.Random(seed)
             for _ in range(150):
                 eq = rand_scalar_eq(rng, ds)
-                sol = solve_scalar(eq)
-                wide = two_sided_universal_denominator(eq)
-                assert (wide % sol.universal_den).is_zero(), eq
-                if sol.status is Status.BOUND_EXCEEDED:
+                if functools.reduce(poly_gcd, eq.coeffs).degree > 0:
                     continue
-                bound = max(sol.degree_bound + wide.degree - sol.universal_den.degree, 0)
-                if bound > 12:
-                    continue
-                oracle = brute_force_oracle(ds, eq, bound, universal_den=wide)
-                assert oracle.status is sol.status, eq
-                assert oracle.homogeneous_dimension() == sol.homogeneous_dimension(), eq
-                basis = [_pair_vector(*pair) for pair in sol.homogeneous_basis]
-                assert all(_in_span(basis, _pair_vector(*pair)) for pair in oracle.homogeneous_basis), eq
-                if sol.is_solved():
-                    assert _in_space(sol, *oracle.particular), eq
-                compared += 1
-        assert compared >= 280
+                u = solve_scalar(eq).universal_den
+                u = Poly(u.coeffs[u.valuation() :])
+                assert (_companion_denominator(eq) % u).is_zero(), eq
+                checked += 1
+        assert checked >= 280
+
+    def test_common_root_breaks_divisibility(self):
+        # x*sigma(y) - x*(x-1)*y = 0: the common root 0 of the coefficients
+        # gives the sharp u a chain the companion matrix (x - 1) cancels
+        eq = ScalarDiffEq(SHIFT, (pp("-x*(x-1)"), pp("x")))
+        sol = solve_scalar(eq)
+        assert sol.universal_den == pp("x-1")
+        assert _companion_denominator(eq) == Poly.one()
+        _matches_companion_oracle(eq, sol)
+
+    @pytest.mark.parametrize(
+        "ds, route",
+        [(ds, route) for route in ("first-order", "telescoper") for ds in (SHIFT, Q2, Q14)]
+        + [(Q2, "da-inhomog"), (Q14, "da-inhomog")],
+        ids=lambda v: v if isinstance(v, str) else "shift" if v.is_shift else f"q{v.q}",
+    )
+    def test_free_lambdas(self, monkeypatch, ds, route):
+        # every solve_first_order call of the route, free lambdas included,
+        # against the oracle on the same equation; the resonant da-inhomog
+        # basis (b, x^r) exists only in the q case
+        seen = []
+
+        def recording(ds, a, rhs_basis=(), lambda_fixed=None, degree_cap=None):
+            sol = solve_first_order(ds, a, rhs_basis, lambda_fixed, degree_cap)
+            seen.append((scalar_eq_from_ratfun_coeffs(ds, [-a, RatFun.one()], rhs_basis, lambda_fixed), sol))
+            return sol
+
+        monkeypatch.setattr(criteria, "solve_first_order", recording)
+        h = rf("1/(x-2) + x")
+        if route == "first-order":
+            # the constant-twist path, and the general one with a solution
+            recording(ds, rf("2"), [rf("x + 1/(x+1) - 2/x"), rf("1"), rf("x")], [Rat(1), None, None])
+            a = rf("(x+1)/(x+3)")
+            recording(ds, a, [apply_sigma(ds, h) - a * h, rf("1/(x*(x+2))"), rf("1")], [Rat(1), None, None])
+        elif route == "telescoper":
+            # d(f) - g = h - sigma(h): a telescoper of order 1 and none of order 0
+            f = rf("1/(x-1)")
+            g = apply_derivation(ds, f) + apply_sigma(ds, h) - h
+            tele = criteria.find_telescoper(ds, [f, g], 1)
+            assert tele is not None and any(op.coeffs[1:] and op.coeffs[1] for op in tele.operators)
+        else:
+            # a = q^2, b = sigma(h) - a*h + x^2
+            a = RatFun.const(ds.q**2)
+            verdict = criteria.inhomog_da_classify(ds, a, apply_sigma(ds, h) - a * h + rf("x^2"))
+            assert verdict.certificate.d == 1
+        assert any(None in eq.lambda_fixed for eq, _ in seen)
+        for eq, sol in seen:
+            _matches_companion_oracle(eq, sol)
 
     def test_agreement_sample(self):
         assert run_oracle_agreement_suite(SHIFT, 40, seed=301) == 40
