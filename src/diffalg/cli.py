@@ -15,10 +15,12 @@ above its cap, an empty ``q``, or a ``q`` without case ``q`` is a ``parse``
 error on either route.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
-1 = parse/usage error, 2 = a degree cap was exceeded or a result has a
-coefficient above ``parsing.MAX_COEFF_BITS`` bits, 3 = internal invariant
-violation, such as a certificate that failed its check.  A failed query
-reports ``{"error": {"message", "kind"}}`` on stderr, with kind ``parse``,
+1 = parse/usage error, 2 = a cap was exceeded: the degree cap, a result
+coefficient above ``parsing.MAX_COEFF_BITS`` bits, a q orbit window of
+``numcore.Q_WINDOW_CAP`` steps or more, or a sigma power above
+``structures.MAX_SIGMA_POWER``, 3 = internal invariant violation, such as a
+certificate that failed its check.  A failed query reports
+``{"error": {"message", "kind"}}`` on stderr, with kind ``parse``,
 ``usage``, ``bound-exceeded`` or ``internal``.  A batch runs its lines one
 at a time, prints each report, or a failed line's error with its line
 number, as soon as it is made, and exits with the largest per-line code.

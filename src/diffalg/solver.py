@@ -10,10 +10,10 @@ constant.  The pipeline is: clear denominators, normalise the operator
 support, bound every solution's denominator by Abramov's universal
 denominator (forward orbit chains from the roots of the shifted leading
 coefficient up to those of the trailing one), bound the numerator degree by
-the indicial analysis of the operator at infinity (plus the analogous
-valuation analysis at 0 in the q case), then
-solve one exact linear system for the numerator coefficients and the free
-lambdas.  Negative answers are certified: either the linear system is
+the indicial analysis of the operator at infinity, read off the difference
+basis sum_j r_j*Delta^j in the shift case (plus the analogous valuation
+analysis at 0 in the q case), then solve one exact linear system for the
+numerator coefficients and the free lambdas.  Negative answers are certified: either the linear system is
 inconsistent inside certified bounds (NoSolution, with a witness) or the
 certified bound exceeded the degree cap (BoundExceeded; never a wrong
 NoSolution).  In the q case the power of x comes from
@@ -26,7 +26,10 @@ and certifies a pole-orbit obstruction; the Laurent remainder then goes
 through the same ansatz as any other equation.  A first-order system is
 solved through the scalar equation of one cyclic vector, coordinate 0 when
 it is cyclic, else the first cyclic vector of a fixed search.  Each public
-solver substitutes the space it returns once, at its exit.
+solver splits the right-hand side into its fixed part and free basis
+(``ScalarDiffEq.split_rhs``) on entry, so the stages between see the free
+lambdas only, and substitutes the space it returns once, at its exit, where
+``_verify_space`` fills out a scalar space's full lambda vectors.
 """
 
 from __future__ import annotations
@@ -36,12 +39,7 @@ from enum import Enum
 from itertools import combinations, count, product
 
 from .dispersion import additive_standard_decomp, orbit_gaps_between, q_power_roots
-from .errors import (
-    InternalVerificationError,
-    PreconditionError,
-    SingularMatrixError,
-    ZeroInputError,
-)
+from .errors import InternalVerificationError, PreconditionError, SingularMatrixError
 from .linalg import FractionFreeRows, solve_affine
 from .numcore import (
     RAT_ONE,
@@ -271,11 +269,9 @@ class _Prepared(namedtuple("_Prepared", "ds coeffs rhs_fixed rhs_free")):
     __slots__ = ()
 
 
-def _prepare(eq: ScalarDiffEq) -> _Prepared:
-    ds = eq.structure
-    fixed_rf, free_rf = eq.split_rhs()
-    den, (rhs_fixed, *rhs_free) = _common_denominator([fixed_rf, *free_rf])
-    coeffs = [p * den for p in eq.coeffs]
+def _prepare(ds: DiffStructure, coeffs, rhs_fixed: RatFun, rhs_free: list[RatFun]) -> _Prepared:
+    den, (rhs_fixed, *rhs_free) = _common_denominator([rhs_fixed, *rhs_free])
+    coeffs = [p * den for p in coeffs]
 
     # normalise operator support: drop leading/trailing zero coefficients by
     # applying sigma^(-low) to the whole equation
@@ -351,7 +347,7 @@ def _q_valuation_floor(prep: _Prepared) -> int:
     vals = [p.valuation() for p in prep.coeffs if not p.is_zero()]
     vmin_coeff = min(vals)
     psi = Poly([p[vmin_coeff] for p in prep.coeffs])
-    cands = q_power_roots(prep.ds, psi) if not psi.is_zero() else []
+    cands = q_power_roots(prep.ds, psi)
     for r in [prep.rhs_fixed] + prep.rhs_free:
         if not r.is_zero():
             cands.append(r.valuation() - vmin_coeff)
@@ -367,45 +363,38 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
     """Certified bound on deg(z) for polynomial solutions z of
     sum_i coeffs[i]*sigma^i(z) = rhs, for coeffs[0] and coeffs[m] nonzero.
 
-    The shift case always meets a nonzero c_s with s <= D + m + 1.  The
-    coefficient of x^(D+d-s) in L(x^d) is c_s(d), and L(x^d) has degree at
-    most D + d, so if every such c_s vanished, L(x^d) = 0 for d = 0..m+1:
-    m + 2 solutions of distinct degrees, independent over Q, of an equation
-    of order m with p_0 and p_m nonzero, which has at most m.  Reaching the
-    end of the loop is therefore an internal fault.  In the q case phi, the
-    coefficients of x^D, is nonzero by the choice of D."""
-    m = len(coeffs) - 1
-    big_d = max(p.degree for p in coeffs)
+    Both cases read off an integer b and a nonzero polynomial P with
+    L(x^d) = P(d)*x^(d+b) + lower terms, so a solution of degree d has
+    P(d) = 0 or d + b = deg(rhs).  The shift case writes
+    L = sum_j r_j*Delta^j in the difference basis, Delta = sigma - 1, with
+    r_j = sum_(i>=j) binom(i,j)*coeffs[i] (Abramov, Bronstein and Petkovsek
+    1995).  Delta^j(x^d) = d(d-1)...(d-j+1)*x^(d-j) + lower terms, so
+    b = max_j (deg r_j - j) and P(d) sums lc(r_j)*d(d-1)...(d-j+1) over the
+    j that attain b; P is nonzero because falling factorials are
+    independent.  An operator whose r_j all vanish is zero, an internal
+    fault.  In the q case b = D, the largest coefficient degree, and
+    P(d) = phi(q^d) for phi the coefficients of x^D, nonzero by the choice
+    of D."""
     rhs_deg = max((r.degree for r in rhs_list if not r.is_zero()), default=None)
     if ds.is_shift:
-        # coefficient of x^(D+d-s) in sum_i Q_i*(x+i)^d is
-        # c_s(d) = sum_t binom(d,t) * [x^(D-(s-t))] A_t,  A_t = sum_i i^t Q_i;
-        # the binomials (polynomials in d) are built only as far as the first
-        # nonzero c_s needs them
-        binoms = [Poly.one()]
-        for s in range(big_d + m + 2):
-            while len(binoms) <= s:
-                t = len(binoms)
-                binoms.append(binoms[-1] * Poly([Rat(1 - t, t), Rat(1, t)]))
-            c_s = Poly.zero()
-            for t in range(s + 1):
-                k = big_d - (s - t)
-                if k < 0:
-                    continue
-                beta = sum((i ** t * p[k] for i, p in enumerate(coeffs)), RAT_ZERO)  # [x^k] A_t
-                if beta != 0:
-                    c_s = c_s + binoms[t] * beta
-            if not c_s.is_zero():
-                cands = [r for r in integer_roots(c_s)]
-                if rhs_deg is not None:
-                    cands.append(rhs_deg - big_d + s)
-                return max(cands, default=-1)
-        raise InternalVerificationError("no nonzero c_s below D + m + 2: coeffs[0] or coeffs[m] is zero")
-    # q case: coefficient of x^(d+D) is z_d * phi_D(q^d)
-    phi = Poly([p[big_d] for p in coeffs])
-    cands = q_power_roots(ds, phi)
+        # r_j by the Taylor shift of sum_i coeffs[i]*s^i to s = 1 + Delta
+        diffs = list(coeffs)
+        for k in range(len(diffs) - 1):
+            for i in range(len(diffs) - 2, k - 1, -1):
+                diffs[i] = diffs[i] + diffs[i + 1]
+        b = max((r.degree - j for j, r in enumerate(diffs) if r), default=None)
+        if b is None:
+            raise InternalVerificationError("zero operator: coeffs[0] or coeffs[m] is zero")
+        indicial = Poly.zero()  # by Horner's rule in the falling factorials
+        for j in reversed(range(len(diffs))):
+            r = diffs[j]
+            indicial = indicial * Poly([-j, 1]) + (r.lc() if r and r.degree - j == b else 0)
+        cands = list(integer_roots(indicial))
+    else:
+        b = max(p.degree for p in coeffs)
+        cands = q_power_roots(ds, Poly([p[b] for p in coeffs]))
     if rhs_deg is not None:
-        cands.append(rhs_deg - big_d)
+        cands.append(rhs_deg - b)
     return max(cands, default=-1)
 
 
@@ -416,19 +405,19 @@ def _degree_bound(ds: DiffStructure, coeffs: list[Poly], rhs_list: list[Poly]) -
 
 def solve_scalar(eq: ScalarDiffEq, degree_cap: int | None = None) -> SolutionSpace:
     """Complete affine solution space of the equation over Q(x) x Q^t."""
-    space = _solve_unverified(eq, degree_cap)
-    _verify_space(eq, space)
-    return space
+    prep = _prepare(eq.structure, eq.coeffs, *eq.split_rhs())
+    return _verify_space(eq, _solve_unverified(prep, degree_cap))
 
 
-def _solve_unverified(eq: ScalarDiffEq, degree_cap: int | None) -> SolutionSpace:
+def _solve_unverified(prep: _Prepared, degree_cap: int | None) -> SolutionSpace:
+    """The solution space of a prepared equation; each pair carries the
+    values of the free lambdas only."""
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    prep = _prepare(eq)
     ds = prep.ds
     m = len(prep.coeffs) - 1
 
     if m == 0:
-        return _solve_degenerate_division(eq, prep)
+        return _solve_degenerate_division(prep)
 
     u = _universal_denominator_prepared(prep)
     # y = z/u: sigma^i(y) = sigma^i(z)/sigma^i(u); the exact (non-monic in the
@@ -450,20 +439,17 @@ def _solve_unverified(eq: ScalarDiffEq, degree_cap: int | None) -> SolutionSpace
             degree_bound=bound,
         )
 
-    return _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound)
+    return _solve_with_ansatz(prep, u, q_coeffs, rhs_fixed, rhs_free, bound)
 
 
-def _solve_degenerate_division(eq: ScalarDiffEq, prep: _Prepared) -> SolutionSpace:
-    p0 = prep.coeffs[0]
-    p0_rf = RatFun.from_poly(p0)
+def _solve_degenerate_division(prep: _Prepared) -> SolutionSpace:
+    p0_rf = RatFun.from_poly(prep.coeffs[0])
     n_lam = len(prep.rhs_free)
-    units = [[RAT_ONE if i == k else RAT_ZERO for i in range(n_lam)] for k in range(n_lam)]
+    units = [tuple(RAT_ONE if i == k else RAT_ZERO for i in range(n_lam)) for k in range(n_lam)]
     return SolutionSpace(
         Status.SOLVED,
-        particular=(RatFun.from_poly(prep.rhs_fixed) / p0_rf, eq.lambdas([RAT_ZERO] * n_lam, False)),
-        homogeneous_basis=tuple(
-            (RatFun.from_poly(r) / p0_rf, eq.lambdas(unit, True)) for r, unit in zip(prep.rhs_free, units)
-        ),
+        particular=(RatFun.from_poly(prep.rhs_fixed) / p0_rf, (RAT_ZERO,) * n_lam),
+        homogeneous_basis=tuple((RatFun.from_poly(r) / p0_rf, unit) for r, unit in zip(prep.rhs_free, units)),
         universal_den=_universal_denominator_prepared(prep),
         degree_bound=None,
     )
@@ -513,7 +499,7 @@ def _sigma_basis_columns(ds: DiffStructure, q_coeffs: list[list[int]], bound: in
     return cols, b_pow[top]
 
 
-def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> SolutionSpace:
+def _solve_with_ansatz(prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> SolutionSpace:
     ds = prep.ds
     n_lam = len(rhs_free)
     n_z = bound + 1
@@ -540,12 +526,12 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
     rhs_vec = [at(fixed_int, e) for e in range(nrows)]
     particular, nullsp = solve_affine(rows, rhs_vec, RAT_ZERO, RAT_ONE)
 
-    def unpack(vec, homogeneous: bool) -> tuple[RatFun, tuple[Rat, ...]]:
+    def unpack(vec) -> tuple[RatFun, tuple[Rat, ...]]:
         z = Poly(vec[n_lam : n_lam + n_z])
         g = RatFun(z, u.monic()) if not z.is_zero() else RatFun.zero()
-        return g, eq.lambdas(vec[:n_lam], homogeneous)
+        return g, tuple(vec[:n_lam])
 
-    basis = tuple(unpack(v, True) for v in nullsp)
+    basis = tuple(unpack(v) for v in nullsp)
     if particular is None:
         u_text = format_poly(u) if u.degree <= 8 else f"a degree-{u.degree} polynomial"
         return SolutionSpace(
@@ -559,22 +545,27 @@ def _solve_with_ansatz(eq, prep, u, q_coeffs, rhs_fixed, rhs_free, bound) -> Sol
         )
     return SolutionSpace(
         Status.SOLVED,
-        particular=unpack(particular, False),
+        particular=unpack(particular),
         homogeneous_basis=basis,
         universal_den=u,
         degree_bound=bound,
     )
 
 
-def _verify_space(eq: ScalarDiffEq, space: SolutionSpace):
-    """Substitute the particular solution and every homogeneous basis vector."""
-    if space.particular is not None:
-        g, lam = space.particular
+def _verify_space(eq: ScalarDiffEq, space: SolutionSpace) -> SolutionSpace:
+    """``space`` with the free-lambda values of each pair filled out to the
+    full lambda vector of ``eq`` (``ScalarDiffEq.lambdas``), the particular
+    solution and every homogeneous basis vector substituted into ``eq``."""
+
+    def full(pair, homogeneous: bool, what: str):
+        g, lam = pair[0], eq.lambdas(pair[1], homogeneous)
         if not eq.residual(g, lam).is_zero():
-            raise InternalVerificationError("particular solution failed substitution")
-    for g, lam in space.homogeneous_basis:
-        if not eq.residual(g, lam).is_zero():
-            raise InternalVerificationError("homogeneous basis vector failed substitution")
+            raise InternalVerificationError(f"{what} failed substitution")
+        return g, lam
+
+    particular = None if space.particular is None else full(space.particular, False, "particular solution")
+    basis = tuple(full(pair, True, "homogeneous basis vector") for pair in space.homogeneous_basis)
+    return space._replace(particular=particular, homogeneous_basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +587,10 @@ def solve_first_order(
     eq = scalar_eq_from_ratfun_coeffs(
         ds, [-a, RatFun.one()], rhs_basis=rhs_basis, lambda_fixed=lambda_fixed
     )
-    if not a.is_constant() or not all(
-        _is_laurent(ds, r) for r, fixed in zip(eq.rhs_basis, eq.lambda_fixed) if fixed is None
-    ):
+    fixed, free = eq.split_rhs()
+    if not a.is_constant() or not all(_is_laurent(ds, r) for r in free):
         return solve_scalar(eq, degree_cap=degree_cap)
-    space = _solve_first_order_const(eq, a.const_value(), degree_cap=degree_cap)
-    _verify_space(eq, space)
-    return space
+    return _verify_space(eq, _solve_first_order_const(ds, a.const_value(), fixed, free, degree_cap))
 
 
 def _is_laurent(ds: DiffStructure, r: RatFun) -> bool:
@@ -610,21 +598,22 @@ def _is_laurent(ds: DiffStructure, r: RatFun) -> bool:
     return split_x_power(ds, r.den)[0].degree == 0
 
 
-def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = None) -> SolutionSpace:
-    """sigma(g) - a*g = rhs with constant a.  The additive standard
+def _solve_first_order_const(
+    ds: DiffStructure, a: Rat, rhs_fixed: RatFun, rhs_free: list[RatFun], degree_cap: int | None
+) -> SolutionSpace:
+    """sigma(g) - a*g = rhs_fixed + sum lambda_k rhs_free[k] with constant a,
+    each pair carrying the free lambdas only.  The additive standard
     decomposition rewrites the fixed rhs as s + (sigma - a)(w), which moves
     long pole orbits without building orbit chains; an s with a pole (a
     nonzero pole in the q case) is a certified obstruction, whatever the
     degree cap.  The Laurent remainder sigma(h) - a*h = s + sum lambda_k r_k
     is solved like any scalar equation, and g = h + w; the caller substitutes
-    g into ``eq``, which also checks h.
+    g into its equation, which also checks h.
 
     Requires every free rhs basis element to be polynomial (shift) or Laurent
     at 0 (q case); the caller guarantees this.
     """
-    ds = eq.structure
-    fixed_rf, free_basis = eq.split_rhs()
-    decomp = additive_standard_decomp(ds, fixed_rf, a)
+    decomp = additive_standard_decomp(ds, rhs_fixed, a)
     s_part = decomp.standard_part
     _, frac = s_part.poly_part()
     pole_witness = None
@@ -636,11 +625,8 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = 
         )
         s_part = RatFun.zero()  # solve on for the homogeneous kernel only
 
-    rest = _solve_unverified(
-        ScalarDiffEq(ds, (-a, 1), (s_part, *free_basis), (1,) + (None,) * len(free_basis)),
-        degree_cap,
-    )
-    basis = tuple((h, eq.lambdas(lam[1:], True)) for h, lam in rest.homogeneous_basis)
+    rest = _solve_unverified(_prepare(ds, [Poly.const(-a), Poly.one()], s_part, rhs_free), degree_cap)
+    basis = rest.homogeneous_basis
     if pole_witness is not None:
         if rest.status is Status.BOUND_EXCEEDED:
             pole_witness += f"; the homogeneous solutions are not listed: {rest.witness}"
@@ -655,8 +641,7 @@ def _solve_first_order_const(eq: ScalarDiffEq, a: Rat, degree_cap: int | None = 
             "cannot be matched by sigma(g) - a*g with the available free constants",
         )
     h, lam = rest.particular
-    particular = (h + decomp.certificate_g, eq.lambdas(lam[1:], False))
-    return SolutionSpace(Status.SOLVED, particular=particular, homogeneous_basis=basis)
+    return SolutionSpace(Status.SOLVED, particular=(h + decomp.certificate_g, lam), homogeneous_basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +832,7 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
             raise SingularMatrixError("system matrix must be invertible over Q(x)")
         if len(rows) == n:
             break
-    sol = _solve_unverified(eq, degree_cap)
+    sol = _solve_unverified(_prepare(ds, eq.coeffs, *eq.split_rhs()), degree_cap)
     if sol.status is not Status.SOLVED:
         name = "coordinate 0" if tried == 0 else f"y = t.v for t = ({', '.join(map(format_poly, t))})"
         return VectorSolutionSpace(sol.status, witness=f"{name}: {sol.witness}", scalar_trace=eq)

@@ -13,7 +13,6 @@ from diffalg import (
     ScalarDiffEq,
     Status,
     additive_standard_decomp,
-    apply_derivation,
     apply_sigma,
     is_standard,
     multiplicative_standard_form,

@@ -3,8 +3,6 @@ lie inside the reported solution spaces."""
 
 import random
 
-import pytest
-
 from conftest import Q2, Q14, SHIFT, pp, rand_poly, rand_ratfun, rf
 from diffalg import (
     MatrixRF,
@@ -55,13 +53,13 @@ class TestPlantedScalarSolutions:
                 continue
             eq = ScalarDiffEq(ds, tuple(coeffs), (rhs,), (Rat(1),))
             sol = solve_scalar(eq)
-            assert sol.status is Status.SOLVED, (ds.variant, coeffs, planted)
+            assert sol.status is Status.SOLVED, (ds, coeffs, planted)
             # planted - particular must lie in the homogeneous span
             delta = planted - sol.particular[0]
             if delta.is_zero():
                 continue
             basis = [g for g, _ in sol.homogeneous_basis]
-            assert basis and _ratfun_combo_solvable(delta, basis), (ds.variant, planted)
+            assert basis and _ratfun_combo_solvable(delta, basis), (ds, planted)
 
     def test_planted_laurent_solution_q(self):
         # solutions with poles at 0 exercise the valuation bound
@@ -110,7 +108,7 @@ class TestPlantedSystemSolutions:
             v = [rand_ratfun(rng, ds), rand_ratfun(rng, ds)]
             c = [apply_sigma(ds, v[i]) - sum(m.entries[i][j] * v[j] for j in range(2)) for i in range(2)]
             sol = solve_system(ds, m, c)
-            assert sol.status is Status.SOLVED, (ds.variant, entries, v)
+            assert sol.status is Status.SOLVED, (ds, entries, v)
             delta = [v[i] - sol.particular[i] for i in range(2)]
             if all(d.is_zero() for d in delta):
                 found += 1

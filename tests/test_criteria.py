@@ -33,7 +33,6 @@ from diffalg import (
     inhomog_da_classify,
     integrability_test,
     mult_dependence_test,
-    multiplicative_standard_form,
     solve_system,
     verify_conjugating_matrix,
     verify_first_order_witness,

@@ -21,7 +21,6 @@ from diffalg import (
     RatFun,
     ZeroInputError,
     additive_standard_decomp,
-    apply_sigma,
     dispersion,
     is_standard,
     multiplicative_standard_form,

@@ -4,7 +4,8 @@ the integer form of a ``Poly`` outside ``numcore``; no module reads the
 environment, so every setting is an option or an argument;
 the CLI substitutes nothing, since each procedure checks the certificate
 it makes; a cold CLI query or batch loads only the modules it computes
-with; and the test oracles take no pipeline stage from the package."""
+with; the test oracles take no pipeline stage from the package; and no
+module imports a name it never reads."""
 
 import ast
 import importlib
@@ -146,3 +147,44 @@ def test_cli_import_loads_no_unused_stdlib_modules(tmp_path):
         "argparse", "gettext", "locale", "shutil", "threading", "logging", "queue",
     }
     assert sorted(heavy.intersection(out)) == []
+
+
+def test_no_module_imports_an_unread_name():
+    # every package module but __init__.py, which re-exports, and every test
+    # module; a test module's import counts as read when another test module
+    # imports that name from it, as the tests do from conftest
+    tests_dir = os.path.dirname(__file__)
+    trees = []
+    for prefix, directory in (("diffalg.", PACKAGE_DIR), ("", tests_dir)):
+        for filename in sorted(os.listdir(directory)):
+            if filename.endswith(".py") and filename != "__init__.py":
+                with open(os.path.join(directory, filename), encoding="utf-8") as fh:
+                    trees.append((prefix + filename[:-3], ast.parse(fh.read(), filename)))
+    imported_from = {
+        (node.module, alias.name)
+        for module, tree in trees
+        if not module.startswith("diffalg.")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    offenders = []
+    for module, tree in trees:
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{module}:{node.lineno} {name}"
+                for name in names
+                if name not in read and (module, name) not in imported_from
+            ]
+    assert offenders == []

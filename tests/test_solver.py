@@ -49,6 +49,7 @@ from diffalg import (
 from diffalg.dispersion import q_power_roots
 from diffalg.numcore import poly_gcd, poly_lcm, radical
 from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
+from diffalg.structures import sigma_poly
 from oracle import _system_denominator, companion_system, fraction_solve, system_oracle
 
 dispersion_module = importlib.import_module("diffalg.dispersion")
@@ -221,15 +222,16 @@ class TestPlantedPoleChains:
 
 class TestDegreeBound:
     # (coefficients Q_0..Q_m, right-hand sides, bound recorded with the eager
-    # implementation); s is the index of the first nonzero c_s
+    # implementation); L(x^d) = P(d)*x^(d+b) + lower terms, and the bound is
+    # the largest of P's integer roots and deg(rhs) - b
     PINNED = [
-        (["-(x+2)", "x"], [], 2),  # s = 1, c_1 = d - 2
-        (["-(x+10)", "x"], ["x^2"], 10),  # s = 1, c_1 = d - 10
-        (["1", "-2", "1"], ["x^3"], 5),  # s = 2, c_2 = d*(d-1)
-        (["-1", "3", "-3", "1"], ["x^2"], 5),  # s = 3, c_3 = d*(d-1)*(d-2)
-        (["x^2+1", "-2*x^2+3", "x^2-x"], [], -1),  # s = 1, c_1 = -1
-        (["(x+1)*(x+2)", "-2*x*(x+2)", "x*(x+1)"], ["x"], 2),  # s = 2
-        (["-(2*x+5)/3", "2*x/3"], ["1/2"], 0),  # s = 1, root 5/2 not integral
+        (["-(x+2)", "x"], [], 2),  # b = 0, P(d) = d - 2
+        (["-(x+10)", "x"], ["x^2"], 10),  # b = 0, P(d) = d - 10
+        (["1", "-2", "1"], ["x^3"], 5),  # b = -2, P(d) = d*(d-1)
+        (["-1", "3", "-3", "1"], ["x^2"], 5),  # b = -3, P(d) = d*(d-1)*(d-2)
+        (["x^2+1", "-2*x^2+3", "x^2-x"], [], -1),  # b = 1, P(d) = -1
+        (["(x+1)*(x+2)", "-2*x*(x+2)", "x*(x+1)"], ["x"], 2),  # b = 0, P(d) = (d-1)*(d-2)
+        (["-(2*x+5)/3", "2*x/3"], ["1/2"], 0),  # b = 0, P(d) = (2*d-5)/3, root 5/2 not integral
     ]
 
     @pytest.mark.parametrize("coeffs, rhs, expected", PINNED)
@@ -238,15 +240,16 @@ class TestDegreeBound:
 
     @pytest.mark.parametrize("rhs", [[], ["x"]])
     def test_zero_operator_raises(self, rhs):
-        # no c_s is nonzero; a prepared equation never has this operator
+        # every r_j vanishes; a prepared equation never has this operator
         with pytest.raises(InternalVerificationError):
             _degree_bound(SHIFT, [pp("0"), pp("0")], [pp(r) for r in rhs])
 
     @pytest.mark.parametrize("ds", [SHIFT, Q2, Q14], ids=["shift", "q2", "q1/4"])
     def test_total_with_nonzero_ends(self, ds):
-        # with p_0 and p_m nonzero some c_s with s <= D + m + 1 is nonzero, so
-        # every order 0-4 operator gets an integer bound: Delta^k = (sigma - 1)^k,
-        # Delta^k times a polynomial, and random operators
+        # with p_0 and p_m nonzero some r_j is nonzero (the q case: the
+        # coefficients of x^D), so every order 0-4 operator gets an integer
+        # bound: Delta^k = (sigma - 1)^k, Delta^k times a polynomial, and
+        # random operators
         rng = random.Random(433)
         for m in range(5):
             delta = [Poly.const(math.comb(m, i) * (-1) ** (m - i)) for i in range(m + 1)]
@@ -256,6 +259,30 @@ class TestDegreeBound:
             for coeffs in ops:
                 for rhs in ([], [rand_poly(rng, 4, nonzero=True)]):
                     assert type(_degree_bound(ds, coeffs, rhs)) is int, (coeffs, rhs)
+
+    @pytest.mark.parametrize("ds, seed", [(SHIFT, 461), (Q2, 462), (Q14, 463)], ids=["shift", "q2", "q1/4"])
+    def test_bound_covers_planted_solution(self, ds, seed):
+        # z solves L(y) = L(z), so the bound must reach deg z
+        rng = random.Random(seed)
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            coeffs = [rand_poly(rng, 3, nonzero=i in (0, m)) for i in range(m + 1)]
+            z = rand_poly(rng, 12)
+            rhs = sum((p * sigma_poly(ds, z, i) for i, p in enumerate(coeffs)), Poly.zero())
+            assert _degree_bound(ds, coeffs, [rhs]) >= z.degree, (coeffs, z)
+
+    @pytest.mark.parametrize("ds", [SHIFT, Q2, Q14], ids=["shift", "q2", "q1/4"])
+    def test_bound_covers_planted_kernel(self, ds):
+        # shift: x*sigma(y) - (x+k)*y kills x(x+1)...(x+k-1); q: sigma(y) - q^k*y
+        # kills x^k; with no right-hand side only the indicial roots bound k
+        for k in range(41):
+            if ds.is_shift:
+                coeffs = [-Poly([k, 1]), Poly.x()]
+                z = math.prod((Poly([j, 1]) for j in range(k)), start=Poly.one())
+            else:
+                coeffs, z = [Poly.const(-ds.q**k), Poly.one()], Poly.monomial(1, k)
+            assert coeffs[0] * z + coeffs[1] * sigma_poly(ds, z) == Poly.zero()
+            assert _degree_bound(ds, coeffs, []) >= k
 
 
 def _lcm_rf(fs) -> RatFun:
@@ -284,8 +311,8 @@ class TestDenominatorClearing:
                 assert got == (c * d).num
             assert list(eq.rhs_basis) == [r * d for r in basis]
 
-            prep = _prepare(eq)
             fixed_rf, free_rf = eq.split_rhs()
+            prep = _prepare(ds, eq.coeffs, fixed_rf, free_rf)
             d = _lcm_rf([fixed_rf, *free_rf])
             assert prep.coeffs == [p * d.num for p in eq.coeffs]
             for got, r in zip([prep.rhs_fixed, *prep.rhs_free], [fixed_rf, *free_rf], strict=True):
@@ -402,15 +429,14 @@ class TestSolveFirstOrder:
             ds = SHIFT if rng.random() < 0.5 else Q2
             a = RatFun.const(Rat(rng.choice([1, 2, -1, 4, 3]), rng.choice([1, 2])))
             rhs = rand_ratfun(rng, ds)
-            fast = _solve_first_order_const(
-                ScalarDiffEq(ds, (pp("-1") * a.num, pp("1")), (rhs,), (Rat(1),)), a.const_value()
-            )
+            fast = _solve_first_order_const(ds, a.const_value(), rhs, [], None)
             eq = scalar_eq_from_ratfun_coeffs(ds, [-a, RatFun.one()], [rhs], [Rat(1)])
             general = solve_scalar(eq)
-            assert fast.is_solved() == general.is_solved(), (ds.variant, a, rhs)
+            assert fast.is_solved() == general.is_solved(), (ds, a, rhs)
             assert fast.homogeneous_dimension() == general.homogeneous_dimension()
             if fast.is_solved():
-                assert eq.residual(*fast.particular).is_zero()
+                g, free_lambdas = fast.particular
+                assert free_lambdas == () and eq.residual(g, (Rat(1),)).is_zero()
 
     def test_constant_twist_space_substituted_once(self, monkeypatch):
         # the Laurent remainder is not checked on its own: substituting

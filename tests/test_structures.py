@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import Q2, SHIFT, pp, rand_ratfun, rf
+from conftest import Q2, SHIFT, rand_ratfun, rf
 from diffalg import (
     BoundExceededError,
     ConstLinDiffOp,
