@@ -1,6 +1,7 @@
-"""Command-line interface: subcommand dispatch, JSON verdict reports with
-certificates that the library procedures have checked before returning, and
-a newline-delimited batch mode.  The CLI substitutes nothing itself.
+"""Command-line interface: subcommand dispatch, JSON verdict reports and a
+newline-delimited batch mode.  The CLI substitutes nothing itself.  A public
+solver substitutes the space it returns; a criteria procedure solves through
+the cores and substitutes only the certificate it publishes.
 
 ``COMMANDS`` is the one list of subcommands and of the arguments each takes;
 ``--help``, the batch reader and ``Query`` all read it.  A command line is
@@ -431,9 +432,9 @@ def query_from_dict(obj: dict) -> Query:
             raise ParseError(f"unknown field {key!r} for {sub}", 0)
     case, q_raw = obj.get("case", "shift"), obj.get("q")
     if case == "q":
-        if q_raw is None:
-            raise ParseError("q case requires --q", 0)
-        structure = q_structure(_parse_constant(str(q_raw), "--q"))
+        if not isinstance(q_raw, str):
+            raise ParseError("q case requires --q" if q_raw is None else "field 'q' must be a string", 0)
+        structure = q_structure(_parse_constant(q_raw, "--q"))
     elif case == "shift":
         if q_raw is not None:
             raise ParseError("q given without case q", 0)

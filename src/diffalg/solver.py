@@ -28,8 +28,10 @@ solved through the scalar equation of one cyclic vector, coordinate 0 when
 it is cyclic, else the first cyclic vector of a fixed search.  Each public
 solver splits the right-hand side into its fixed part and free basis
 (``ScalarDiffEq.split_rhs``) on entry, so the stages between see the free
-lambdas only, and substitutes the space it returns once, at its exit, where
-``_verify_space`` fills out a scalar space's full lambda vectors.
+lambdas only.  A public solver substitutes the space it returns; a criteria
+procedure solves through the cores and substitutes only the certificate it
+publishes.  The cores (``_solve_unverified``, ``first_order_space``,
+``system_space``) substitute nothing; ``_verify_space`` fills out lambdas.
 """
 
 from __future__ import annotations
@@ -574,23 +576,25 @@ def _verify_space(eq: ScalarDiffEq, space: SolutionSpace) -> SolutionSpace:
 
 
 def solve_first_order(
-    ds: DiffStructure,
-    a: RatFun,
-    rhs_basis=(),
-    lambda_fixed=None,
-    degree_cap: int | None = None,
+    ds: DiffStructure, a: RatFun, rhs_basis=(), lambda_fixed=None, degree_cap: int | None = None
 ) -> SolutionSpace:
     """Solutions of sigma(g) - a*g = sum_k lambda_k * rhs_basis[k], a != 0."""
+    return _verify_space(*first_order_space(ds, a, rhs_basis, lambda_fixed, degree_cap))
+
+
+def first_order_space(
+    ds: DiffStructure, a: RatFun, rhs_basis=(), lambda_fixed=None, degree_cap: int | None = None
+) -> tuple[ScalarDiffEq, SolutionSpace]:
+    """``solve_first_order``'s equation and its space, unsubstituted: each
+    pair carries the values of the free lambdas only."""
     a = RatFun._coerce(a)
     if a.is_zero():
         raise PreconditionError("twist a must be nonzero")
-    eq = scalar_eq_from_ratfun_coeffs(
-        ds, [-a, RatFun.one()], rhs_basis=rhs_basis, lambda_fixed=lambda_fixed
-    )
+    eq = scalar_eq_from_ratfun_coeffs(ds, [-a, RatFun.one()], rhs_basis, lambda_fixed)
     fixed, free = eq.split_rhs()
     if not a.is_constant() or not all(_is_laurent(ds, r) for r in free):
-        return solve_scalar(eq, degree_cap=degree_cap)
-    return _verify_space(eq, _solve_first_order_const(ds, a.const_value(), fixed, free, degree_cap))
+        return eq, _solve_unverified(_prepare(ds, eq.coeffs, fixed, free), degree_cap)
+    return eq, _solve_first_order_const(ds, a.const_value(), fixed, free, degree_cap)
 
 
 def _is_laurent(ds: DiffStructure, r: RatFun) -> bool:
@@ -607,8 +611,8 @@ def _solve_first_order_const(
     long pole orbits without building orbit chains; an s with a pole (a
     nonzero pole in the q case) is a certified obstruction, whatever the
     degree cap.  The Laurent remainder sigma(h) - a*h = s + sum lambda_k r_k
-    is solved like any scalar equation, and g = h + w; the caller substitutes
-    g into its equation, which also checks h.
+    is solved like any scalar equation, and g = h + w; a check of g against
+    the caller's equation also checks h.
 
     Requires every free rhs basis element to be polynomial (shift) or Laurent
     at 0 (q case); the caller guarantees this.
@@ -818,10 +822,17 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
        Schwartz-Zippel it cannot vanish on the whole grid with n + 1 values
        per coefficient, so some candidate of degree <= J is cyclic.
 
-    The vectors recovered from e are verified by substitution into the
-    system, once: the scalar space they come from is not substituted into
-    its own equation.
+    A public solver substitutes the space it returns; a criteria procedure
+    solves through the cores and substitutes only the certificate it
+    publishes.  Here the vectors recovered from e are substituted into the
+    system, not the scalar space into e; ``system_space`` skips that check.
     """
+    c = [RatFun._coerce(v) for v in c]
+    return _verify_system(ds, m, c, system_space(ds, m, c, degree_cap))
+
+
+def system_space(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = None) -> VectorSolutionSpace:
+    """``solve_system``'s space, unsubstituted."""
     c = [RatFun._coerce(v) for v in c]
     n = m.n
     if len(c) != n:
@@ -836,17 +847,15 @@ def solve_system(ds: DiffStructure, m: MatrixRF, c, degree_cap: int | None = Non
     if sol.status is not Status.SOLVED:
         name = "coordinate 0" if tried == 0 else f"y = t.v for t = ({', '.join(map(format_poly, t))})"
         return VectorSolutionSpace(sol.status, witness=f"{name}: {sol.witness}", scalar_trace=eq)
-    space = VectorSolutionSpace(
+    return VectorSolutionSpace(
         Status.SOLVED,
         particular=rows.lift(ds, sol.particular[0], True),
         homogeneous_basis=tuple(rows.lift(ds, y, False) for y, _ in sol.homogeneous_basis),
         scalar_trace=eq,
     )
-    _verify_system(ds, m, c, space)
-    return space
 
 
-def _verify_system(ds, m, c, space: VectorSolutionSpace):
+def _verify_system(ds, m, c, space: VectorSolutionSpace) -> VectorSolutionSpace:
     def check(vec, inhomog: bool):
         lhs = [apply_sigma(ds, v, 1) for v in vec]
         rhs = m.mat_vec(list(vec))
@@ -860,3 +869,4 @@ def _verify_system(ds, m, c, space: VectorSolutionSpace):
         check(space.particular, True)
     for vec in space.homogeneous_basis:
         check(vec, False)
+    return space

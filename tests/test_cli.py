@@ -349,11 +349,14 @@ class TestMainErrorPath:
 
 class TestCertificateChecks:
     """The procedure that makes a certificate checks it once; the CLI checks
-    nothing itself, so a failed check ends the query as ``internal``."""
+    nothing itself, so a failed check ends the query as ``internal``.  A
+    criteria procedure solves through the unverified solver cores, so on a
+    criteria route no solution space is substituted besides the certificate."""
 
     # kind -> (owner and name of its verifier, a query whose verdict carries it)
     CASES = {
-        "twisted-ratio": (criteria, "verify_twisted_ratio", ["da-hypergeom", "--b", "3*(x+1)/x"]),
+        # (c, n) is read exactly off the standard part of the substituted form
+        "twisted-ratio": (MultStandardForm, "reconstruct", ["da-hypergeom", "--b", "3*(x+1)/x"]),
         "first-order-da": (criteria, "verify_first_order_witness", ["da-inhomog", "--a", "2", "--b", "1"]),
         "first-order-rational": (criteria, "verify_first_order_witness", ["da-inhomog", "--a", "x", "--b", "1 - x"]),
         "telescoper": (criteria, "verify_telescoper", ["telescope", "--funcs", "1/x - 1/(x+1)"]),
@@ -369,6 +372,10 @@ class TestCertificateChecks:
         "first-order-space": (solver, "_verify_space", ["solve-first-order", "--a", "2", "--rhs", "1"]),
         "system-space": (solver, "_verify_system", ["solve-system", "--matrix", "[[1,0],[0,1]]"]),
     }
+    CRITERIA_KINDS = (
+        "first-order-da", "first-order-rational", "telescoper", "conjugating-matrix",
+        "summation", "summation-constants", "twisted-ratio",
+    )
     # the solution-space verifiers raise rather than return False: break
     # what they substitute through instead
     BREAK = {
@@ -381,9 +388,17 @@ class TestCertificateChecks:
         owner, name, argv = self.CASES[kind]
         real, calls = getattr(owner, name), []
         monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+        space_checks = []
+        if kind in self.CRITERIA_KINDS:
+            for verifier in self.BREAK:
+                check = getattr(solver, verifier)
+                monkeypatch.setattr(
+                    solver, verifier, lambda *args, v=verifier, f=check: space_checks.append(v) or f(*args)
+                )
         assert main(argv) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["substitution_verified"]
         assert len(calls) == 1
+        assert space_checks == []
 
     @pytest.mark.parametrize("kind", CASES)
     def test_failed_check_is_internal(self, kind, monkeypatch, capsys):
@@ -408,8 +423,8 @@ class TestRunQuery:
 
     def test_group_full_ga_is_one_solve(self, monkeypatch):
         # the free constant term decides trivial, constants-level and full at once
-        real, calls = criteria.solve_first_order, []
-        monkeypatch.setattr(criteria, "solve_first_order", lambda *a, **k: calls.append(a) or real(*a, **k))
+        real, calls = criteria.first_order_space, []
+        monkeypatch.setattr(criteria, "first_order_space", lambda *a, **k: calls.append(a) or real(*a, **k))
         report, _ = run_query(_query("classify-group", case="q", q="2", f="1/(x-1)"))
         assert report.verdict == "FULL_GA"
         assert len(calls) == 1
@@ -687,6 +702,9 @@ class TestBatch:
             ({"subcommand": "disp", "q": "2", "poly": "x-1"}, "q given without case q"),
             ({"subcommand": ["disp"], "poly": "x"}, "field 'subcommand' must be a string"),
             ({"subcommand": {"a": 1}}, "field 'subcommand' must be a string"),
+            # a numeric q would run as q = 2, or fail inside the constant parser
+            ({"subcommand": "da-hypergeom", "case": "q", "q": 2, "b": "x"}, "field 'q' must be a string"),
+            ({"subcommand": "da-hypergeom", "case": "q", "q": 0.25, "b": "x"}, "field 'q' must be a string"),
         ],
     )
     def test_rejected_line_is_parse_error(self, tmp_path, line, message):

@@ -3,9 +3,13 @@ export behind; no module reaches into a sibling's private helpers or into
 the integer form of a ``Poly`` outside ``numcore``; no module reads the
 environment, so every setting is an option or an argument;
 the CLI substitutes nothing, since each procedure checks the certificate
-it makes; a cold CLI query or batch loads only the modules it computes
-with; the test oracles take no pipeline stage from the package; and no
-module imports a name it never reads."""
+it makes; ``criteria`` calls no public solver; a cold CLI query or batch
+loads only the modules it computes with; the test oracles take no pipeline
+stage from the package; and no module imports a name it never reads.
+
+A public solver substitutes the space it returns; a criteria procedure
+solves through the cores and substitutes only the certificate it publishes.
+"""
 
 import ast
 import importlib
@@ -114,6 +118,22 @@ def test_cli_runs_no_substitution():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
                 if name.startswith("verify_") or name in ("reconstruct", "_verify_space"):
+                    offenders.append(f"{filename}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_criteria_solves_through_the_cores():
+    # a public solver would substitute a space the procedure substitutes
+    # again as its certificate
+    offenders = []
+    for filename, tree in _module_trees():
+        if filename != "criteria.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("solve_scalar", "solve_first_order", "solve_system"):
                     offenders.append(f"{filename}:{node.lineno} {name}")
     assert offenders == []
 

@@ -48,7 +48,7 @@ from diffalg import (
 )
 from diffalg.dispersion import q_power_roots
 from diffalg.numcore import poly_gcd, poly_lcm, radical
-from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const
+from diffalg.solver import _degree_bound, _prepare, _solve_first_order_const, first_order_space, system_space
 from diffalg.structures import sigma_poly
 from oracle import _system_denominator, companion_system, fraction_solve, system_oracle
 
@@ -448,6 +448,51 @@ class TestSolveFirstOrder:
         assert sol.status is Status.SOLVED and sol.homogeneous_basis
         assert len(calls) == 1
 
+    @staticmethod
+    def _lambda_layout(ds, a, basis, fixed):
+        """The core's space and the public solver's: the same functions g,
+        the core's pairs with the free lambdas only, the solver's with the
+        full vector, a pinned slot holding its value (0 in the kernel)."""
+        eq, space = first_order_space(ds, a, basis, fixed)
+        sol = solve_first_order(ds, a, basis, fixed)
+        assert eq == scalar_eq_from_ratfun_coeffs(ds, [-a, RatFun.one()], basis, fixed)
+        assert space.status is sol.status and space.witness == sol.witness
+        assert (space.particular is None) == (sol.particular is None)
+        pairs = [(space.particular, sol.particular, False)] if sol.particular else []
+        pairs += [(core, full, True) for core, full in zip(space.homogeneous_basis, sol.homogeneous_basis)]
+        assert len(space.homogeneous_basis) == len(sol.homogeneous_basis)
+        for (g, free), (g_full, lam), homogeneous in pairs:
+            assert g == g_full
+            assert len(free) == fixed.count(None) and len(lam) == len(basis)
+            it = iter(free)
+            assert lam == tuple(next(it) if v is None else (0 if homogeneous else v) for v in fixed)
+        return space, sol
+
+    @pytest.mark.parametrize("ds", [Q2, Q14], ids=["q2", "q1/4"])
+    def test_resonant_pairs_carry_the_free_lambda(self, ds):
+        # a = q^2 and b = sigma(h) - a*h - x^2 on the basis (b, x^2): the
+        # constant-twist path; x^2 is the kernel, so lambda = 1 is forced
+        h, a = rf("1/(x-2) + x"), RatFun.const(ds.q**2)
+        basis, fixed = [apply_sigma(ds, h) - a * h - rf("x^2"), rf("x^2")], [Rat(1), None]
+        space, sol = self._lambda_layout(ds, a, basis, fixed)
+        assert space.particular[1] == (1,) and sol.particular[1] == (1, 1)
+        assert [lam for _, lam in space.homogeneous_basis] == [(0,)]
+        assert [lam for _, lam in sol.homogeneous_basis] == [(0, 0)]
+
+    def test_pole_obstruction_pairs(self):
+        # the pole of 1/x is an obstruction; the kernel still carries free lambdas
+        basis, fixed = [rf("1/x"), rf("1"), rf("x")], [Rat(1), None, None]
+        space, sol = self._lambda_layout(SHIFT, RatFun.one(), basis, fixed)
+        assert sol.status is Status.NO_SOLUTION and "pole" in sol.witness
+        assert sol.homogeneous_basis
+
+    def test_nonconstant_twist_pairs(self):
+        # a not constant takes the general path
+        h, a = rf("1/(x-2) + x"), rf("(x+1)/(x+3)")
+        basis = [apply_sigma(SHIFT, h) - a * h, rf("1/(x*(x+2))"), rf("1")]
+        space, sol = self._lambda_layout(SHIFT, a, basis, [Rat(1), None, None])
+        assert sol.status is Status.SOLVED
+
     def test_q_resonant_kernel(self):
         # a = q^2: the homogeneous kernel is spanned by x^2
         sol = solve_first_order(Q2, rf("4"), rhs_basis=[])
@@ -471,6 +516,20 @@ class TestSolveFirstOrder:
 
 
 class TestSolveSystem:
+    def test_core_gives_the_same_space(self, monkeypatch):
+        # a planted 2x2 system: v = (1/x, x + 1) solves sigma(v) = M v + c;
+        # the core substitutes nothing, the public solver checks the same space
+        m, v = MatrixRF([[1, rf("x")], [0, 2]]), [rf("1/x"), rf("x + 1")]
+        c = [apply_sigma(SHIFT, f) - g for f, g in zip(v, m.mat_vec(v))]
+        checks = []
+        real = solver._verify_system
+        monkeypatch.setattr(solver, "_verify_system", lambda *args: checks.append(args) or real(*args))
+        space = system_space(SHIFT, m, c)
+        assert checks == []
+        sol = solve_system(SHIFT, m, c)
+        assert len(checks) == 1
+        assert space == sol and sol.status is Status.SOLVED
+
     def test_identity_constants(self):
         sol = solve_system(SHIFT, MatrixRF([[1, 0], [0, 1]]), [RatFun.zero(), RatFun.zero()])
         assert sol.status is Status.SOLVED
@@ -897,17 +956,18 @@ class TestBruteForceOracle:
         ids=lambda v: v if isinstance(v, str) else "shift" if v.is_shift else f"q{v.q}",
     )
     def test_free_lambdas(self, monkeypatch, ds, route):
-        # every solve_first_order call of the route, free lambdas included,
-        # against the oracle on the same equation; the resonant da-inhomog
-        # basis (b, x^r) exists only in the q case
+        # every first_order_space call of the route, free lambdas included,
+        # against the oracle on the same equation, its pairs filled out to
+        # full lambda vectors; the resonant da-inhomog basis (b, x^r) exists
+        # only in the q case
         seen = []
 
         def recording(ds, a, rhs_basis=(), lambda_fixed=None, degree_cap=None):
-            sol = solve_first_order(ds, a, rhs_basis, lambda_fixed, degree_cap)
-            seen.append((scalar_eq_from_ratfun_coeffs(ds, [-a, RatFun.one()], rhs_basis, lambda_fixed), sol))
-            return sol
+            eq, space = first_order_space(ds, a, rhs_basis, lambda_fixed, degree_cap)
+            seen.append((eq, solver._verify_space(eq, space)))
+            return eq, space
 
-        monkeypatch.setattr(criteria, "solve_first_order", recording)
+        monkeypatch.setattr(criteria, "first_order_space", recording)
         h = rf("1/(x-2) + x")
         if route == "first-order":
             # the constant-twist path, and the general one with a solution
