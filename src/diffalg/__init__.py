@@ -41,7 +41,6 @@ from .criteria import (
     verify_conjugating_matrix,
     verify_first_order_witness,
     verify_telescoper,
-    verify_twisted_ratio,
 )
 from .errors import (
     BoundExceededError,
@@ -144,5 +143,4 @@ __all__ = [
     "verify_conjugating_matrix",
     "verify_first_order_witness",
     "verify_telescoper",
-    "verify_twisted_ratio",
 ]

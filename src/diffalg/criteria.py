@@ -127,8 +127,10 @@ class DAStatus(Enum):
 
 class DACertificate(namedtuple("DACertificate", "f c n_or_r d", defaults=(None,) * 4)):
     """Witness of a DA verdict: the rational function f, the constants c
-    and d and the exponent n_or_r that ``verify_twisted_ratio`` or
-    ``verify_first_order_witness`` reads; a field it does not read is None."""
+    and d and the exponent n_or_r.  A twisted ratio b = c*x^n*sigma(f)/f
+    leaves d None and is read off the form ``multiplicative_standard_form``
+    checked; a first-order witness sets the fields
+    ``verify_first_order_witness`` reads, and the others are None."""
 
     __slots__ = ()
 
@@ -168,12 +170,6 @@ def hypergeom_da_test(ds: DiffStructure, b: RatFun) -> DAVerdict:
         return DAVerdict(DAStatus.DIFFERENTIALLY_TRANSCENDENTAL, None, notes)
     cert = DACertificate(f=g, c=shape[0], n_or_r=shape[1])
     return DAVerdict(DAStatus.DIFFERENTIALLY_ALGEBRAIC, cert, notes)
-
-
-def verify_twisted_ratio(ds: DiffStructure, b: RatFun, cert: DACertificate) -> bool:
-    """b == c * x^n * sigma(f)/f."""
-    twist = RatFun.const(cert.c) * RatFun.x() ** (cert.n_or_r or 0)
-    return twist * apply_sigma(ds, cert.f) / cert.f == b
 
 
 def verify_first_order_witness(ds: DiffStructure, a: RatFun, b: RatFun, cert: DACertificate) -> bool:

@@ -47,6 +47,19 @@ def pp(text: str) -> Poly:
     return f.num * (1 / f.den.lc())
 
 
+# irreducible bases for planting zero and pole orbits, by ds.is_shift; in
+# the q case none vanishes at 0
+ORBIT_BASES = {
+    True: [pp(t) for t in ("x", "x + 1/2", "2*x - 1", "x^2 + 1", "x^2 - 2")],
+    False: [pp(t) for t in ("x - 1", "x + 2", "3*x - 1", "x^2 + 1", "x^2 - x + 3")],
+}
+
+
+def rand_orbit_factor(rng: random.Random, ds) -> RatFun:
+    """A base of ``ORBIT_BASES`` moved -3 to 3 steps along its orbit."""
+    return RatFun.from_poly(sigma_poly(ds, rng.choice(ORBIT_BASES[ds.is_shift]), rng.randint(-3, 3)))
+
+
 def rand_poly(rng: random.Random, max_deg: int, lo: int = -6, hi: int = 6, nonzero: bool = False) -> Poly:
     while True:
         deg = rng.randint(0, max_deg)

@@ -1,6 +1,7 @@
 """Reference solvers used to cross-check ``solve_scalar`` and
 ``solve_system`` in tests, a summation criterion for the verdicts on
-sigma(y) - y = f, and reference solves over Q for ``diffalg.linalg``.
+sigma(y) - y = f, an orbit criterion for the verdict on sigma(u) = b*u,
+and reference solves over Q for ``diffalg.linalg``.
 
 They share no pipeline stage with the package.  They take from it only
 its record types, the ``Poly`` and ``RatFun`` arithmetic of
@@ -12,6 +13,10 @@ in sympy:
   sympy's;
 - ``summation_oracle``: its partial fractions, factors and orbit matching
   are sympy's;
+- ``hypergeom_oracle`` checks ``hypergeom_da_test`` on sympy's factors of
+  b, grouped into sigma-orbits by ``sigma_orbits``, which also checks that
+  a standard part keeps one factor per orbit.  The twisted-ratio
+  certificate's one in-package check is ``multiplicative_standard_form``'s;
 - ``fraction_solve``, textbook Gauss-Jordan elimination over ``Fraction``,
   and ``sympy_solve`` are the references of ``linalg.solve_affine``.
 
@@ -250,6 +255,39 @@ def _gap(q, f, g) -> int | None:
     if h is None or h < 0 or _sigma(q, g, h).monic() != f:
         return None
     return h
+
+
+def sigma_orbits(ds: DiffStructure, *polys: Poly) -> list[dict]:
+    """The monic irreducible factors over QQ of the nonzero ``polys``, x
+    left out in the q case, grouped into sigma-orbits: one dict per orbit,
+    from each factor (an element of sympy's QQ[x]) to its multiplicities in
+    ``polys``, in order.  sympy's ``factor_list`` factors, and ``_gap``,
+    tried both ways against an orbit's first factor, decides membership."""
+    q, x = _sympy_q(ds), QQX.ring.gens[0]
+    orbits: list[dict] = []
+    for i, p in enumerate(polys):
+        for f, e in _to_ring(p).factor_list()[1]:
+            f = f.monic()
+            if q is not None and f == x:
+                continue
+            for orbit in orbits:
+                g = next(iter(orbit))
+                if _gap(q, f, g) is not None or _gap(q, g, f) is not None:
+                    break
+            else:
+                orbits.append(orbit := {})
+            orbit.setdefault(f, [0] * len(polys))[i] += e
+    return orbits
+
+
+def hypergeom_oracle(ds: DiffStructure, b: RatFun) -> bool:
+    """Whether a nonzero solution of sigma(u) = b*u is differentially
+    algebraic, by the criterion that b = c*sigma(g)/g, times x^n in the q
+    case, for a constant c and a rational g: since sigma maps a monic
+    irreducible to a monic irreducible times a unit, b has that form exactly
+    when the multiplicities of every orbit of ``sigma_orbits`` sum to zero,
+    the numerator's counted positive and the denominator's negative."""
+    return all(sum(m[0] - m[1] for m in orbit.values()) == 0 for orbit in sigma_orbits(ds, b.num, b.den))
 
 
 def _to_field(f: RatFun):

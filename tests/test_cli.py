@@ -168,33 +168,43 @@ class TestParserCaps:
 
 
 class TestInputBoundary:
-    """Inputs that once escaped every parser cap as ``internal`` errors."""
+    """Inputs that once escaped every parser cap as ``internal`` errors, and
+    the parser's and procedures' own rejections; a message, where one is
+    given, is pinned too."""
 
     @pytest.mark.parametrize(
-        "line, kind, code",
+        "line, kind, code, message",
         [
-            ({"subcommand": "integrability", "matrix": "[[1,x+$],[0,1]]"}, "parse", EXIT_USAGE),
-            ({"subcommand": "solve-scalar", "coeffs": "x+1; x + $"}, "parse", EXIT_USAGE),
-            ({"subcommand": "da-hypergeom", "b": "\u00b2"}, "parse", EXIT_USAGE),
-            ({"subcommand": "da-hypergeom", "b": "x^\u00b2"}, "parse", EXIT_USAGE),
-            ({"subcommand": "da-hypergeom", "b": "(" * 250 + "x" + ")" * 250}, "parse", EXIT_USAGE),
-            ('{"subcommand": "disp", "poly": ' + "[" * 50000 + "]" * 50000 + "}", "parse", EXIT_USAGE),
-            ({"subcommand": "disp", "poly": f"x*(x+{2 ** 3000})"}, None, EXIT_OK),
-            ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
-            ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 3000})"}, "bound-exceeded", EXIT_BOUND),
-            ({"subcommand": "standard-form", "f": f"1/x + 1/(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND),
+            ({"subcommand": "integrability", "matrix": "[[1,x+$],[0,1]]"}, "parse", EXIT_USAGE, None),
+            ({"subcommand": "solve-scalar", "coeffs": "x+1; x + $"}, "parse", EXIT_USAGE, None),
+            ({"subcommand": "da-hypergeom", "b": "\u00b2"}, "parse", EXIT_USAGE, None),
+            ({"subcommand": "da-hypergeom", "b": "x^\u00b2"}, "parse", EXIT_USAGE, None),
+            ({"subcommand": "da-hypergeom", "b": "(" * 250 + "x" + ")" * 250}, "parse", EXIT_USAGE, None),
+            ('{"subcommand": "disp", "poly": ' + "[" * 50000 + "]" * 50000 + "}", "parse", EXIT_USAGE, None),
+            ({"subcommand": "disp", "poly": f"x*(x+{2 ** 3000})"}, None, EXIT_OK, None),
+            ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND, None),
+            ({"subcommand": "solve-scalar", "coeffs": f"x;-(x+{2 ** 3000})"}, "bound-exceeded", EXIT_BOUND, None),
+            ({"subcommand": "standard-form", "f": f"1/x + 1/(x+{2 ** 900})"}, "bound-exceeded", EXIT_BOUND, None),
             # an ansatz of degree 2^30 once ran out of memory as an internal error
             ({"subcommand": "solve-scalar", "coeffs": f"x+{2 ** 30};-x", "degree_cap": 10 ** 12},
-             "parse", EXIT_USAGE),
+             "parse", EXIT_USAGE, None),
             # a q orbit window of about 6.9 million gaps
             ({"subcommand": "disp", "case": "q", "q": "1000001/1000000", "poly": "(x-1)*(x-1000)"},
-             "bound-exceeded", EXIT_BOUND),
+             "bound-exceeded", EXIT_BOUND, None),
+            ({"subcommand": "disp", "f": "0^-1"}, "parse", EXIT_USAGE, "zero to a negative power (at position 4)"),
+            ({"subcommand": "disp", "f": "(x+1"}, "parse", EXIT_USAGE, "expected ')', found '' (at position 4)"),
+            ({"subcommand": "solve-system", "matrix": "[[1]]", "rhs_vector": "[1,2]"}, "usage", EXIT_USAGE,
+             "inhomogeneous term has wrong dimension"),
+            ({"subcommand": "da-inhomog", "a": "0", "b": "1"}, "usage", EXIT_USAGE, "twist a must be nonzero"),
+            ({"subcommand": "solve-first-order", "a": "0", "rhs": "1"}, "usage", EXIT_USAGE,
+             "twist a must be nonzero"),
         ],
         ids=["matrix-entry", "list-item", "superscript", "superscript-exponent", "nesting",
              "deep-json", "huge-root", "sigma-2^900", "sigma-2^3000", "standard-form-2^900", "huge-degree-cap",
-             "q-near-1"],
+             "q-near-1", "zero-negative-power", "unclosed-parenthesis", "rhs-vector-dimension",
+             "da-inhomog-zero-twist", "first-order-zero-twist"],
     )
-    def test_kind_and_exit_code(self, line, kind, code, tmp_path, capsys):
+    def test_kind_and_exit_code(self, line, kind, code, message, tmp_path, capsys):
         path = tmp_path / "line.jsonl"
         path.write_text((line if isinstance(line, str) else json.dumps(line)) + "\n")
         reports, batch_code = run_batch(str(path))
@@ -214,6 +224,24 @@ class TestInputBoundary:
         else:
             assert report["error"]["kind"] == kind
             assert main_report["error"]["kind"] == kind
+            assert report["error"]["message"] == main_report["error"]["message"]
+            if message is not None:
+                assert main_report["error"]["message"] == message
+
+    def test_zero_leading_coefficient_is_dropped(self, tmp_path, capsys):
+        # p_2 = 0 leaves the first-order equation, as a batch line and as a
+        # command line
+        lines = [{"subcommand": "solve-scalar", "coeffs": coeffs, "rhs": "1"} for coeffs in ("1;x;0", "1;x")]
+        path = tmp_path / "lines.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        reports, code = run_batch(str(path))
+        assert code == EXIT_OK
+        for line in lines:
+            assert main(["solve-scalar", "--coeffs", line["coeffs"], "--rhs", "1"]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        for report in reports:
+            del report["timing_ms"]
+        assert reports.count(reports[0]) == 4
 
 
 class TestNegativeDegreeCap:

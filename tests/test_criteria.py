@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Q2, Q14, SHIFT, pp, rand_ratfun, rf, unit_vector
+from conftest import ORBIT_BASES, Q2, Q14, QM3, SHIFT, pp, rand_orbit_factor, rand_ratfun, rf, unit_vector
 from diffalg import criteria, solver
 from diffalg import (
     BoundExceededError,
@@ -37,10 +37,10 @@ from diffalg import (
     verify_conjugating_matrix,
     verify_first_order_witness,
     verify_telescoper,
-    verify_twisted_ratio,
 )
+from diffalg.dispersion import _gap_window
 from diffalg.structures import sigma_poly
-from oracle import summation_oracle
+from oracle import hypergeom_oracle, summation_oracle
 
 
 def _ops_proportional(ops_a, ops_b) -> bool:
@@ -421,19 +421,12 @@ class TestGroupClassification:
             assert apply_sigma(ds, g.certificate_h) - g.certificate_h == f
 
 
-# irreducible pole bases; in the q case none vanishes at 0
-_SUMMATION_BASES = {
-    True: [pp(t) for t in ("x", "x + 1/2", "2*x - 1", "x^2 + 1", "x^2 - 2")],
-    False: [pp(t) for t in ("x - 1", "x + 2", "3*x - 1", "x^2 + 1", "x^2 - x + 3")],
-}
-
-
 @st.composite
 def _planted_summand(draw, ds, kind):
     """sigma(g) - g for g with poles along a few sigma-orbits and a
     polynomial (Laurent, in the q case) part, plus a nonzero constant
     (constants level, or either shift kind) or a lone pole (full)."""
-    base = st.sampled_from(_SUMMATION_BASES[ds.is_shift])
+    base = st.sampled_from(ORBIT_BASES[ds.is_shift])
     g = RatFun.x() ** draw(st.integers(0 if ds.is_shift else -2, 2)) * draw(st.integers(-3, 3))
     for _ in range(draw(st.integers(1, 2))):
         p, k, j = draw(base), draw(st.integers(-2, 2)), draw(st.integers(1, 2))
@@ -473,17 +466,69 @@ class TestSummationOracle:
         assert (find_telescoper(ds, [f], 0) is not None) == (kind is GroupKind.TRIVIAL), f
 
 
+def _planted_ratios(ds, seed: int, count: int):
+    """``count`` pairs (b, twisted): b = c*sigma(g)/g, times x^k in the q
+    case, for g a product of shifted bases to the powers +-1 and +-2; every
+    odd b is also multiplied by p^e1 * sigma^j(p)^e2, e1 + e2 != 0, which
+    leaves the orbit of p a nonzero multiplicity, so that b is no twisted
+    ratio."""
+    rng = random.Random(seed)
+    for i in range(count):
+        g = RatFun.one()
+        for _ in range(rng.randint(1, 3)):
+            g = g * rand_orbit_factor(rng, ds) ** rng.choice([1, 2, -1, -2])
+        b = RatFun.const(rng.choice([1, -1, 2, Rat(1, 3), -5])) * apply_sigma(ds, g) / g
+        if not ds.is_shift:
+            b = b * RatFun.x() ** rng.randint(-2, 2)
+        if i % 2:
+            p, e1 = rand_orbit_factor(rng, ds), rng.choice([1, 2, -1])
+            e2 = rng.choice([e for e in (-2, -1, 0, 1) if e + e1])
+            b = b * p ** e1 * apply_sigma(ds, p, rng.randint(1, 3)) ** e2
+        yield b, i % 2 == 0
+
+
+class TestHypergeomOracle:
+    """``hypergeom_da_test`` against ``oracle.hypergeom_oracle``, which reads
+    the verdict off sympy's factors of b grouped into sigma-orbits."""
+
+    @pytest.mark.parametrize("ds, seed", [(SHIFT, 421), (Q2, 422), (Q14, 423)], ids=["shift", "q2", "q1/4"])
+    def test_planted(self, ds, seed):
+        for b, twisted in _planted_ratios(ds, seed, 150):
+            algebraic = hypergeom_da_test(ds, b).status is DAStatus.DIFFERENTIALLY_ALGEBRAIC
+            assert algebraic is hypergeom_oracle(ds, b) is twisted, b
+
+    @pytest.mark.parametrize(
+        "ds, r",
+        [(Q14, Rat(1)), (Q14, Rat(1, 2)), (QM3, Rat(1)), (QM3, Rat(-1)), (QM3, Rat(5, 3))],
+        ids=["q1/4-1", "q1/4-1/2", "q-3-1", "q-3--1", "q-3-5/3"],
+    )
+    def test_gap_at_the_scan_window(self, ds, r):
+        # a zero and a pole h steps apart on one orbit, where the gap scan's
+        # window is h itself: a scan that stops one step short misses it
+        for h in range(1, 13):
+            low, high = Poly([-r, 1]), Poly([-r * ds.q ** -h, 1])
+            assert _gap_window(ds, low * high, low * high) == h
+            for b in (RatFun(high, low), RatFun(low, high)):
+                assert hypergeom_oracle(ds, b), b
+                assert hypergeom_da_test(ds, b).status is DAStatus.DIFFERENTIALLY_ALGEBRAIC, b
+
+
 class TestCertificateVerifiers:
     """Each verifier accepts the certificate its procedure returns and
     rejects a tampered copy."""
 
     def test_twisted_ratio(self):
+        # the one in-package check is multiplicative_standard_form's; here
+        # the certificate is read against b directly
+        def twisted_ratio(ds, cert):  # c * x^n * sigma(f)/f
+            return RatFun.const(cert.c) * RatFun.x() ** cert.n_or_r * apply_sigma(ds, cert.f) / cert.f
+
         for ds, b in ((SHIFT, rf("3*(x+1)/x")), (Q2, rf("5*x^3*(2*x+1)/(x+1)")), (Q2, rf("3/x^2"))):
             cert = hypergeom_da_test(ds, b).certificate
-            assert verify_twisted_ratio(ds, b, cert)
-            assert not verify_twisted_ratio(ds, b, cert._replace(c=cert.c + 1))
-            assert not verify_twisted_ratio(ds, b, cert._replace(n_or_r=cert.n_or_r + 1))
-            assert not verify_twisted_ratio(ds, b, cert._replace(f=cert.f * rf("x+1")))
+            assert twisted_ratio(ds, cert) == b
+            assert twisted_ratio(ds, cert._replace(c=cert.c + 1)) != b
+            assert twisted_ratio(ds, cert._replace(n_or_r=cert.n_or_r + 1)) != b
+            assert twisted_ratio(ds, cert._replace(f=cert.f * rf("x+1"))) != b
 
     def test_first_order_witness(self):
         cases = (

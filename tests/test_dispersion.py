@@ -10,17 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     Q2,
+    Q14,
+    QM3,
     SHIFT,
     pp,
+    rand_orbit_factor,
     rand_poly,
     rf,
     run_positive_pdisp_suite,
     run_standard_roundtrip_suite,
 )
 from diffalg import (
+    Rat,
     RatFun,
     ZeroInputError,
     additive_standard_decomp,
+    cli,
     dispersion,
     is_standard,
     multiplicative_standard_form,
@@ -36,7 +41,8 @@ from diffalg.dispersion import (
     radical,
 )
 from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
-from oracle import to_sympy
+from oracle import sigma_orbits, to_sympy
+from test_golden import QUERIES, run_one
 
 # the package exports the function ``dispersion`` under the module's name
 dispersion_module = importlib.import_module("diffalg.dispersion")
@@ -433,6 +439,59 @@ class TestOneGapScan:
         assert len(calls) == 2
 
 
+def _orbit_inputs(ds, seed: int, count: int):
+    """``count`` triples (product, total, a): a product of 3-5 shifted bases
+    to the powers +-1 and +-2, times a power of x in the q case, a sum of
+    constants over powers of 3-5 shifted bases plus a power of x, and a
+    twist a.  Their zeros and poles share orbits, so most of them are not
+    standard."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        product = RatFun.const(rng.choice([1, -2, Rat(1, 3)]))
+        if not ds.is_shift:
+            product = product * RatFun.x() ** rng.randint(-2, 2)
+        total = RatFun.x() ** rng.randint(0, 2)
+        for _ in range(rng.randint(3, 5)):
+            product = product * rand_orbit_factor(rng, ds) ** rng.choice([1, 2, -1, -2])
+            c = RatFun.const(rng.choice([1, -3, Rat(1, 2)]))
+            total = total + c / rand_orbit_factor(rng, ds) ** rng.randint(1, 2)
+        yield product, total, rng.choice([1, 2, -1, Rat(1, 2)])
+
+
+class TestStandardPartOrbits:
+    """No two monic irreducible factors of a standard part share a
+    sigma-orbit, by ``oracle.sigma_orbits`` on sympy's factors: its zeros
+    and poles together for the multiplicative form, its poles for the
+    additive one, x left out in the q case."""
+
+    @staticmethod
+    def _one_factor_per_orbit(ds, *polys) -> bool:
+        return all(len(orbit) == 1 for orbit in sigma_orbits(ds, *polys))
+
+    @pytest.mark.parametrize(
+        "line", [l for l in QUERIES if l["subcommand"] in ("mult-form", "standard-form") and l["f"] != "0"]
+    )
+    def test_golden_reports(self, line):
+        report, _ = run_one(line)
+        part = rf(report["certificate"]["standard_part"])
+        polys = (part.num, part.den) if line["subcommand"] == "mult-form" else (part.den,)
+        assert self._one_factor_per_orbit(cli.query_from_dict(line).structure, *polys)
+
+    @pytest.mark.parametrize(
+        "ds, seed", [(SHIFT, 461), (Q2, 463), (Q14, 467), (QM3, 479)], ids=["shift", "q2", "q1/4", "q-3"]
+    )
+    def test_planted(self, ds, seed):
+        merged = 0
+        for product, total, a in _orbit_inputs(ds, seed, 40):
+            merged += not self._one_factor_per_orbit(ds, product.num, product.den)
+            merged += not self._one_factor_per_orbit(ds, total.den)
+            part = multiplicative_standard_form(ds, product).standard_part
+            assert self._one_factor_per_orbit(ds, part.num, part.den), product
+            part = additive_standard_decomp(ds, total, a).standard_part
+            assert self._one_factor_per_orbit(ds, part.den), (total, a)
+        assert merged >= 40, merged
+
+
 class TestRandomSuites:
     def test_positive_pdisp_shift(self):
         assert run_positive_pdisp_suite(SHIFT, 60, seed=101) == 60
@@ -447,11 +506,7 @@ class TestRandomSuites:
         assert run_standard_roundtrip_suite(Q2, 60, seed=109) == 60
 
     def test_roundtrip_fractional_q(self):
-        from conftest import Q14
-
         assert run_standard_roundtrip_suite(Q14, 40, seed=113) == 40
 
     def test_roundtrip_negative_q(self):
-        from conftest import QM3
-
         assert run_standard_roundtrip_suite(QM3, 40, seed=127) == 40
