@@ -58,7 +58,6 @@ from .numcore import (
     RatFun,
     partial_split,
     poly_gcd,
-    poly_resultant,
 )
 from .parsing import format_ratfun, parse_matrix, parse_ratfun
 from .solver import (
@@ -133,7 +132,6 @@ __all__ = [
     "partial_split",
     "polar_dispersion",
     "poly_gcd",
-    "poly_resultant",
     "q_structure",
     "scalar_eq_from_ratfun_coeffs",
     "shift_structure",

@@ -17,11 +17,11 @@ in one scan for both structures (``orbit_gaps_between``).  Its window
 (``numcore.root_disc``) in the shift case, so it is one-sided and empty when
 the roots of a lie left of those of b, and the root-magnitude bounds in the
 q case, capped at ``numcore.Q_WINDOW_CAP`` steps (bound-exceeded past it).
-Past ``_SCAN_LIMIT`` the shift case reads the integer roots of an
-interpolated resultant instead.  ``q_power_roots`` finds the integers v with
-p(q^v) = 0 over the same magnitude bounds: the solver's valuation and degree
-bounds read it, and it finds the exponent r of a constant c = q^r as the
-root of x - c.  Each standard-form step moves the orbit-primary part of a
+Past ``_SCAN_LIMIT`` the shift case reads the integer roots of
+``numcore.root_differences`` instead.  ``q_power_roots`` finds the integers
+v with p(q^v) = 0 over the same magnitude bounds: the solver's valuation and
+degree bounds read it, and it finds the exponent r of a constant c = q^r as
+the root of x - c.  Each standard-form step moves the orbit-primary part of a
 polynomial, the factor carrying the roots it shares with the orbit ends at
 full multiplicity, taken by repeated gcd (``_orbit_primary_part``).
 The power of x itself, which x -> q*x fixes, is split off by
@@ -43,17 +43,17 @@ from .numcore import (
     integer_roots,
     partial_split,
     poly_gcd,
-    poly_resultant,
     q_window,
     radical,
     reciprocal_root_bound,
+    root_differences,
     root_disc,
     root_magnitude_bound,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
-# direct gap scans are capped here; beyond it the shift case falls back to
-# integer roots of the interpolated resultant Res_x(Q(x), Q(x+y))
+# direct gap scans are capped here; beyond it the shift case takes the
+# integer roots of the root differences of a and b, Res_x(b(x), a(x+y))
 _SCAN_LIMIT = 1024
 
 
@@ -96,33 +96,6 @@ def _gap_window(ds: DiffStructure, a: Poly, b: Poly) -> int:
     if abs(ds.q) < 1:
         a, b = b, a
     return q_window(ds.q, root_magnitude_bound(a) * reciprocal_root_bound(b))
-
-
-def _resultant_gaps(a: Poly, b: Poly) -> list[int]:
-    """Positive integers h, ascending, with gcd(a(x+h), b) nonconstant, for
-    shift windows past ``_SCAN_LIMIT``: R(y) = Res_x(b(x), a(x+y)) vanishes
-    exactly at the root differences; interpolate R from deg(a)*deg(b) + 1
-    values."""
-    n = a.degree * b.degree
-    pts = [(Rat(k), poly_resultant(b, a.shift_arg(k))) for k in range(n + 1)]
-    res_poly = _interpolate(pts)
-    if res_poly.is_zero():  # cannot happen for nonzero a, b; guard anyway
-        raise InternalVerificationError("interpolated resultant vanished identically")
-    return [h for h in sorted(integer_roots(res_poly)) if h >= 1 and poly_gcd(b, a.shift_arg(h)).degree > 0]
-
-
-def _interpolate(points: list[tuple[Rat, Rat]]) -> Poly:
-    """Lagrange interpolation through exact points (Newton form)."""
-    xs = [p[0] for p in points]
-    coeffs = [p[1] for p in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly.zero()
-    for i in range(n - 1, -1, -1):
-        poly = poly * Poly([-xs[i], 1]) + Poly.const(coeffs[i])
-    return poly
 
 
 def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
@@ -170,12 +143,14 @@ def orbit_gaps_between(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
     image of sigma^h(a) mod GF_PRIME is stepped from that of sigma^(h-1)(a)
     (a Taylor shift by one, or coefficient j times q^j), so only the few h
     whose image shares a factor with b's pay for an exact gcd of
-    big-rational polynomials."""
+    big-rational polynomials.  A shift window past ``_SCAN_LIMIT`` gives way
+    to the integer roots of ``root_differences``, each checked the same way."""
     if a.degree < 1 or b.degree < 1:
         return []
     window = _gap_window(ds, a, b)
     if ds.is_shift and window > _SCAN_LIMIT:
-        return _resultant_gaps(a, b)
+        hs = sorted(integer_roots(root_differences(a, b)))
+        return [h for h in hs if h >= 1 and poly_gcd(b, a.shift_arg(h)).degree > 0]
     image, gf_b = gf_coeffs(a), gf_coeffs(b)
     qmod = None if ds.is_shift else _gf_unit(ds.q)
     # the leading coefficient of each image stays a unit (q is one), so a
@@ -312,6 +287,8 @@ def multiplicative_standard_form(ds: DiffStructure, f: RatFun) -> MultStandardFo
     G = prod_{j=1}^{L} sigma^{-j}(v) is absorbed into the certificate.  A
     step moves roots onto roots, so the gaps of the first scan are the only
     candidates; a gap that an earlier step removed has constant orbit ends.
+    The standard part is what the loop leaves of num/den, so the final
+    ``reconstruct`` check tests every step's ratio.
     """
     if f.is_zero():
         raise ZeroInputError("multiplicative standard form of zero")
@@ -327,15 +304,14 @@ def multiplicative_standard_form(ds: DiffStructure, f: RatFun) -> MultStandardFo
             chain = Poly.one()
             for j in range(1, gap + 1):
                 chain = chain * sigma_poly(ds, v, -j)
-            moved.append(source.exact_div(v) * sigma_poly(ds, v, -gap).monic())
+            moved.append(source.exact_div(v) * sigma_poly(ds, v, -gap))
             chains.append(chain)
         cert = cert * RatFun(*chains)
         reduced = RatFun(*moved)
         num, den = reduced.num, reduced.den
     if not cert.num.is_zero() and cert.num.lc() != 1:
         cert = cert * RatFun.const(1 / cert.num.lc())  # sigma(g)/g is scale-invariant
-    sigma_cert = apply_sigma(ds, cert)
-    standard = f * cert / sigma_cert
+    standard = RatFun(num, den, _reduced=True)
     result = MultStandardForm(ds, standard, cert)
     if result.reconstruct() != f or not is_standard(ds, standard):
         raise InternalVerificationError("multiplicative standard form failed")

@@ -1,12 +1,13 @@
 """Exact arithmetic core: rationals, dense univariate polynomials, reduced
-rational functions, and the gcd / resultant / root primitives everything else
-consumes.
+rational functions, and the gcd / root-difference / root primitives
+everything else consumes.
 
 All coefficients live in Q.  The ``Rat`` type is the stdlib
 ``fractions.Fraction`` (reduced, gcd(|num|, den) = 1, den > 0), which mixes
-freely with ints; the kernels run on Python ints, and a ``Rat`` is built
-only at the API edge, where a caller reads one (``coeffs``, ``lc``, ``p[i]``,
-``eval``, ``RatFun.const_value``).
+freely with ints; the kernels run on Python ints, the root kernels
+(``root_differences``, the Sturm chains of ``integer_roots``) included, and
+a ``Rat`` is built only at the API edge, where a caller reads one
+(``coeffs``, ``lc``, ``p[i]``, ``eval``, ``RatFun.const_value``).
 
 A ``Poly`` is stored as a content times a primitive integer polynomial
 (coprime integer coefficients, positive leading coefficient), the canonical
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BoundExceededError, PreconditionError, ZeroInputError
+from .errors import BoundExceededError, InternalVerificationError, PreconditionError, ZeroInputError
 
 Rat = Fraction
 
@@ -276,13 +277,10 @@ class Poly:
         if not ints:
             return RAT_ZERO
         u, v = _pair(point)
-        acc = 0
         if v == 1:
-            for a in reversed(ints):
-                acc = acc * u + a
-            return Rat(self._cn * acc, self._cd)
+            return Rat(self._cn * _horner(ints, u), self._cd)
         # acc = v^n * P(u/v), homogeneous Horner
-        vp = 1
+        acc, vp = 0, 1
         for a in reversed(ints):
             acc = acc * u + a * vp
             vp *= v
@@ -498,7 +496,7 @@ def format_poly(p: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# gcd / resultant / factor-free primitives
+# gcd / root-difference / factor-free primitives
 # ---------------------------------------------------------------------------
 
 # the largest safe prime below 2^31; see the module docstring
@@ -671,47 +669,70 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     return g, s0, over_monic(t0, r0)[0]
 
 
-def poly_resultant(p: Poly, q: Poly) -> Rat:
-    """Resultant with the convention Res(p, q) = lc(p)^deg(q) * prod q(roots of p).
+def root_differences(a: Poly, b: Poly) -> Poly:
+    """A polynomial whose roots are alpha - beta over the roots alpha of a
+    and beta of b (degrees >= 1), with multiplicity: Res_x(b(x), a(x+y)) up
+    to a constant, as a composed sum (Bostan, Flajolet, Salvy and Schost,
+    J. Symbolic Comput. 41, 2006).  With l = lc(A)*lc(B) for the primitive
+    parts A, B, the l*alpha and -l*beta have integer power sums; a binomial
+    sum gives those of the l*(alpha - beta), and Newton's identities, each
+    division by k exact, their monic polynomial E.  Returns E(l*y)."""
+    A, B = a._ints, b._ints
+    n = (len(A) - 1) * (len(B) - 1)
+    l = A[-1] * B[-1]
+    S, T = _power_sums(A, l, n), _power_sums(B, -l, n)
+    sums = [sum(math.comb(k, t) * S[t] * T[k - t] for t in range(k + 1) if S[t] and T[k - t]) for k in range(n + 1)]
+    e = [1]  # e[j] is the coefficient of y^(n-j) in E
+    for k in range(1, n + 1):
+        ek, rem = divmod(-sum(e[j] * sums[k - j] for j in range(k) if e[j] and sums[k - j]), k)
+        if rem:
+            raise InternalVerificationError("power sums of root differences are not integral")
+        e.append(ek)
+    return _normal([e[n - i] * l ** i for i in range(n + 1)], 1, 1)
 
-    Euclidean remainder sequence: with r = a mod b,
-    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r), and
-    Res(a, c) = c^(deg a) for a constant c.  Each remainder is kept as a
-    primitive integer polynomial times its content.  Zero iff p and q share a
-    nonconstant factor.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ZeroInputError("resultant of a zero polynomial")
-    a, b, res = p, q, RAT_ONE
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero():
-            return RAT_ZERO
-        if a.degree % 2 and b.degree % 2:
-            res = -res
-        res = res * b.lc() ** (a.degree - r.degree)
-        a, b = b, r
-    return res * b.lc() ** a.degree
+
+def _power_sums(ints, scale: int, count: int) -> list[int]:
+    """Power sums p_0 .. p_count of scale*alpha over the roots alpha of
+    sum(ints[i] * x^i), whose leading entry lc divides scale: Newton's
+    identities on the monic e_j = ints[n-j] * scale^j / lc, in integers."""
+    n = len(ints) - 1
+    e = [ints[n - j] * scale ** j // ints[-1] for j in range(n + 1)] + [0] * count
+    p = [n]
+    for k in range(1, count + 1):
+        p.append(-k * e[k] - sum(e[j] * p[k - j] for j in range(1, min(k, n + 1)) if e[j] and p[k - j]))
+    return p
 
 
 # -- Sturm sequences: integer roots without factoring ------------------------
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+def _sturm_chain(ints) -> list[list[int]]:
+    """The Sturm chain of a squarefree integer polynomial on primitive
+    integer lists: after A, B comes -R / sign(s), made primitive, from
+    ``_pseudo_divmod``'s s*A = Q*B + R, that is -(A mod B) times a positive
+    rational.  s < 0 when lc(B) < 0, as it may be from the third entry on."""
+    chain = [list(ints)]
+    # the derivative enters as an R with s = -1: made primitive, sign kept
+    s, r = -1, [i * v for i, v in enumerate(ints)][1:]
+    while r:
+        g = math.gcd(*r) if s < 0 else -math.gcd(*r)
+        chain.append([v // g for v in r])
+        s, r = _pseudo_divmod(chain[-2], chain[-1])[2:]
     return chain
 
 
-def _sign_changes(chain: list[Poly], point: Rat) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval(point)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _horner(ints, x: int) -> int:
+    """The integer polynomial sum(ints[i] * x^i) at the integer x."""
+    acc = 0
+    for v in reversed(ints):
+        acc = acc * x + v
+    return acc
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    """Sign changes along the chain at the integer x, zeros skipped."""
+    signs = [v > 0 for v in (_horner(ints, x) for ints in chain) if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 def _iroot_floor(n: int, k: int) -> int:
@@ -862,7 +883,7 @@ def integer_roots(p: Poly) -> set[int]:
     if p.degree == 0:
         return set()
     sqfree = radical(p)
-    chain = _sturm_chain(sqfree)
+    chain = _sturm_chain(sqfree._ints)
     bound = math.floor(root_magnitude_bound(sqfree)) + 1  # above every root's magnitude
     roots: set[int] = set()
     # Sturm: v_lo - v_hi roots in the half-open interval (lo, hi]; bisected
@@ -876,7 +897,7 @@ def integer_roots(p: Poly) -> set[int]:
             mid = (lo + hi) // 2
             v_mid = _sign_changes(chain, mid)
             stack += ((lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi))
-        elif sqfree.eval(hi) == 0:
+        elif not _horner(chain[0], hi):
             roots.add(hi)
     return roots
 

@@ -612,8 +612,9 @@ class TestBatch:
             '\ufeff{"subcommand": "da-hypergeom", "b": "x"}',
             '{"subcommand": "da-hypergeom", "b": "x\u2028"}',
             '{"subcommand": "da-hypergeom", "b": "x\u2029\x85"}',
+            '\ufeff{"subcommand": "da-hypergeom", "b": "x\u2028+1"}',
         ],
-        ids=["byte-order-mark", "u2028", "u2029-nel"],
+        ids=["byte-order-mark", "u2028", "u2029-nel", "byte-order-mark-and-u2028"],
     )
     def test_one_report_per_physical_line(self, tmp_path, first):
         # a file may open with a BOM, and JSON strings may hold a raw U+2028,

@@ -53,7 +53,7 @@ class TestDispersion:
         assert dispersion(SHIFT, pp("x*(x+3)")) == 3
 
     def test_complex_roots_no_factoring(self):
-        # roots differ by 2i; the gcd/resultant route reports 0 without factoring
+        # roots differ by 2i; the gap scan reports 0 without factoring
         assert dispersion(SHIFT, pp("x^2+1")) == 0
 
     def test_q_power_gap(self):
@@ -100,16 +100,19 @@ class TestDispersion:
         assert dispersion(SHIFT, p) == 2
 
     def test_huge_root_bound_falls_back_to_resultant(self):
-        # gap 10^6: the direct scan is capped, the interpolated-resultant
-        # route must still find it
+        # gap 10^6: the direct scan is capped, the integer roots of the root
+        # differences must still find it
         p = pp("x*(x-1000000)")
         assert dispersion(SHIFT, p) == 1000000
 
 
-def _resultant_route(p: Poly) -> bool:
-    """The shift gap scan of p takes the resultant route, not the direct one."""
-    w = radical(p)
-    return _gap_window(SHIFT, w, w) > _SCAN_LIMIT
+def _root_difference_route(a: Poly, b: Poly | None = None) -> bool:
+    """The shift gap scan of a against b (the radical of a against itself
+    when b is left out) reads the integer roots of the root differences,
+    not the direct scan."""
+    if b is None:
+        a = b = radical(a)
+    return _gap_window(SHIFT, a, b) > _SCAN_LIMIT
 
 
 def _product(factors) -> Poly:
@@ -144,7 +147,7 @@ _planted = st.lists(st.tuples(st.integers(0, 2), st.integers(-6, 6)), min_size=1
 class TestShiftGapsAgainstSympy:
     """Shift-case gaps against sympy's factor-based dispersion (Man and
     Wright, ISSAC 1994), which shares no code with diffalg's gcd and
-    resultant scans."""
+    root-difference scans."""
 
     @staticmethod
     def _check(p: Poly):
@@ -173,6 +176,25 @@ class TestShiftGapsAgainstSympy:
         expected = sorted(dispersionset(theirs_b, theirs_a) - {0})
         assert orbit_gaps_between(SHIFT, a, b) == expected, (a, b)
 
+    def test_gaps_past_the_scan_limit_between_two_polynomials(self):
+        # a carries shifts of factors of b planted 1500-3000 steps to the
+        # right, so the window passes _SCAN_LIMIT and the gaps come from the
+        # integer roots of the root differences; unplanted factors of b and
+        # a factor of a with no partner make the degrees unequal
+        bases = [pp(t) for t in ("x", "2*x + 1", "x^2 + 1", "x^2 - 2", "x^2 + x + 1", "x^3 - 2")]
+        from sympy.polys.dispersion import dispersionset
+
+        rng = random.Random(2203)
+        for _ in range(10):
+            a, b = pp("x^2 + 3"), rng.choice(bases[:2] + bases[5:]).shift_arg(rng.randint(-6, 6))
+            for _ in range(rng.randint(1, 2)):
+                f, k, h = rng.choice(bases), rng.randint(-6, 6), rng.randint(1500, 3000)
+                a, b = a * f.shift_arg(-k - h), b * f.shift_arg(-k)
+            assert a.degree != b.degree and _root_difference_route(a, b)
+            expected = sorted(dispersionset(to_sympy(b), to_sympy(a)) - {0})
+            assert max(expected) >= 1500
+            assert orbit_gaps_between(SHIFT, a, b) == expected, (a, b)
+
     def test_window_is_sharp(self):
         # roots +-i*sqrt(k), k <= 30: no positive real difference, yet the
         # Fujiwara bound about the centroid alone gives a window of 91
@@ -191,7 +213,7 @@ class TestShiftGapsAgainstSympy:
     )
     def test_large_roots(self, text):
         p = pp(text)
-        assert _resultant_route(p)
+        assert _root_difference_route(p)
         self._check(p)
 
     @pytest.mark.parametrize(
@@ -199,10 +221,11 @@ class TestShiftGapsAgainstSympy:
     )
     def test_off_centre_clusters_scan_directly(self, text):
         # roots far from 0 but close together: the bound about 0 would take
-        # the resultant route, the window about the centroid scans directly
+        # the root-difference route, the window about the centroid scans
+        # directly
         p = pp(text)
         assert 2 * root_magnitude_bound(radical(p)) > _SCAN_LIMIT
-        assert not _resultant_route(p)
+        assert not _root_difference_route(p)
         self._check(p)
 
     def test_seeded_products_of_shifted_factors(self):
@@ -218,7 +241,7 @@ class TestShiftGapsAgainstSympy:
                 base = rng.choice(bases[:2] if large else bases)
                 shift = rng.randint(600, 3000) if large and k == 0 else rng.randint(-6, 6)
                 p = p * base.shift_arg(shift) ** rng.choice([1, 1, 2])
-            routes.add(_resultant_route(p))
+            routes.add(_root_difference_route(p))
             self._check(p)
         assert routes == {False, True}
 

@@ -1,6 +1,6 @@
-"""Exact-arithmetic core: gcd, resultant, roots, partial split, the q
-magnitude window and its cap; gcd, resultant and integer roots are
-cross-checked against sympy."""
+"""Exact-arithmetic core: gcd, root differences, roots, partial split, the
+q magnitude window and its cap; gcd, root differences (against sympy's
+resultant) and integer roots are cross-checked against sympy."""
 
 import random
 from fractions import Fraction
@@ -14,21 +14,22 @@ from diffalg import (
     Rat,
     RatFun,
     PreconditionError,
-    ZeroInputError,
     partial_split,
     poly_gcd,
-    poly_resultant,
 )
 from diffalg.numcore import (
     GF_PRIME,
     Q_WINDOW_CAP,
     _iroot_ceil,
     _magnitude_bound,
+    _sturm_chain,
     integer_roots,
     poly_lcm,
     poly_xgcd,
     q_window,
+    radical,
     reciprocal_root_bound,
+    root_differences,
     root_disc,
     root_magnitude_bound,
 )
@@ -102,76 +103,36 @@ def _from_sympy(sp) -> Poly:
     return Poly([Rat(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
 
 
-def _sylvester_resultant(p: Poly, q: Poly) -> Fraction:
-    """Independent oracle: the determinant of the Sylvester matrix of p and q
-    (deg q shifted rows of p, then deg p shifted rows of q), by exact
-    Fraction elimination."""
-    m, n = p.degree, q.degree
-    size = m + n
-    rows = []
-    for poly, count in ((p, n), (q, m)):
-        lead_first = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(poly.coeffs)]
-        for i in range(count):
-            rows.append([Fraction(0)] * i + lead_first + [Fraction(0)] * (size - len(lead_first) - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, size):
-            f = rows[r][col] / rows[col][col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+class TestRootDifferences:
+    def test_linear(self):
+        # the one root difference of x - 2 and x - 3 is 2 - 3
+        assert root_differences(pp("x-2"), pp("x-3")) == pp("x+1")
 
+    def test_leading_coefficient(self):
+        # E(l*y) for l = lc(a)*lc(b) = 12 has the leading coefficient 12^(2*1),
+        # and the roots +-1/2 - 1/3
+        p = root_differences(pp("4*x^2 - 1"), pp("3*x - 1"))
+        assert p == pp("144*(x + 5/6)*(x - 1/6)")
 
-class TestResultant:
-    def test_linear_convention(self):
-        # Res(x-a, x-b) = a - b under Res(p, q) = lc(p)^deg q * prod q(roots p)
-        assert poly_resultant(pp("x-2"), pp("x-3")) == Rat(-1)
-
-    def test_common_root_vanishes(self):
-        assert poly_resultant(pp("x-1"), pp("x-1")) == 0
-        assert poly_resultant(pp("x^2-2"), pp("x^2-2")) == 0
-
-    def test_zero_input_rejected(self):
-        with pytest.raises(ZeroInputError):
-            poly_resultant(Poly.zero(), pp("x"))
-
-    def test_vanishes_iff_common_factor(self):
-        rng = random.Random(17)
-        for _ in range(120):
-            p = rand_poly(rng, 6, nonzero=True)
-            q = rand_poly(rng, 6, nonzero=True)
-            if rng.random() < 0.4:
-                common = Poly([rng.randint(-3, 3), 1])
-                p = p * common
-                q = q * common
-            nontrivial = poly_gcd(p, q).degree >= 1
-            assert (poly_resultant(p, q) == 0) == nontrivial
-
-    def test_matches_euclidean_oracle(self):
-        rng = random.Random(19)
-        for _ in range(120):
-            p = rand_poly(rng, 6, nonzero=True)
-            q = rand_poly(rng, 6, nonzero=True)
-            assert poly_resultant(p, q) == _sylvester_resultant(p, q)
-
-    def test_matches_sympy_up_to_convention(self):
+    def test_matches_sympy_resultant(self):
+        # Res_x(b(x), a(x + y)) in y, on rational coefficients and unequal
+        # degrees, leading coefficients of either sign
         sympy = pytest.importorskip("sympy")
-        xs = sympy.symbols("x")
-        rng = random.Random(23)
-        for _ in range(40):
-            p = rand_poly(rng, 5, nonzero=True)
-            q = rand_poly(rng, 5, nonzero=True)
-            sp = sum(int(c) * xs ** i for i, c in enumerate(p.coeffs))
-            sq = sum(int(c) * xs ** i for i, c in enumerate(q.coeffs))
-            theirs = sympy.resultant(sp, sq, xs)
-            assert abs(Fraction(str(poly_resultant(p, q)))) == abs(Fraction(str(theirs)))
+        xs, ys = sympy.symbols("x y")
+        rng = random.Random(43)
+
+        def rational_poly(deg):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)]
+            return Poly(coeffs + [Fraction(rng.choice([-7, -3, -1, 2, 5]), rng.randint(1, 4))])
+
+        def to_expr(p, var):
+            return sum(sympy.Rational(c.numerator, c.denominator) * var ** i for i, c in enumerate(p.coeffs))
+
+        for _ in range(30):
+            da = rng.randint(1, 4)
+            a, b = rational_poly(da), rational_poly(rng.choice([d for d in range(1, 5) if d != da]))
+            theirs = sympy.Poly(sympy.resultant(to_expr(b, xs), to_expr(a, xs + ys), xs), ys).monic()
+            assert root_differences(a, b).monic() == _from_sympy(theirs), (a, b)
 
 
 class TestIntegerRoots:
@@ -183,6 +144,17 @@ class TestIntegerRoots:
 
     def test_repeated_roots(self):
         assert integer_roots(pp("(x-4)^3*(x+5)")) == {4, -5}
+
+    def test_chain_with_negative_leads_and_large_coefficients(self):
+        # the chain of this product has entries with negative leading
+        # coefficients (so a pseudo-division scale below 0) and coefficients
+        # of several hundred bits
+        p = pp("(x - 10^40)*(x + 3)*(x^2 + 10^30)*(2*x - 7)")
+        chain = _sturm_chain(radical(p)._ints)
+        assert any(entry[-1] < 0 for entry in chain)
+        assert max(abs(v) for entry in chain for v in entry).bit_length() > 100
+        roots = to_sympy(p).ground_roots()
+        assert integer_roots(p) == {int(r) for r in roots if r.is_integer} == {-3, 10 ** 40}
 
     def test_matches_rational_roots(self):
         rng = random.Random(29)
