@@ -23,7 +23,10 @@ image mod ``GF_PRIME`` and checks it by trial division, and the primitive
 PRS runs only when that lift is rejected.  No other module reads the integer
 form: they go through ``over_monic``, ``divide_out_x``,
 ``integer_multiples``, ``coefficient_bits``, ``coefficient_bits_above`` and
-``gf_coeffs``.
+``gf_coeffs``.  The parser computes on bare integer coefficient lists, with
+the one schoolbook product ``int_poly_mul`` (which ``Poly`` multiplication
+runs too) and ``int_poly_add``, and crosses to and from a reduced
+``RatFun`` through ``ratfun_from_ints`` and ``ratfun_ints``.
 
 ``GF_PRIME`` is the largest safe prime below 2^31: p = 2r + 1 with r prime.
 Every q other than 0 and +-1 mod p then has order r or 2r, so the images
@@ -210,12 +213,7 @@ class Poly:
         # Gauss's lemma: the product of primitive parts is primitive
         if len(a) == 1 or len(b) == 1:
             return _poly(b if len(a) == 1 else a, cn, cd)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _poly(tuple(out), cn, cd)
+        return _poly(tuple(int_poly_mul(a, b)), cn, cd)
 
     __rmul__ = __mul__
 
@@ -399,6 +397,35 @@ def _normal(ints: list, cn: int, cd: int, s: int = 1) -> Poly:
     """The polynomial (cn/cd) * (1/s) * sum(ints[i] * x^i), any integer list
     (see ``_primitive``)."""
     return _poly(*_primitive(ints, cn, cd, s))
+
+
+def int_poly_mul(a, b) -> list[int]:
+    """The product of two integer coefficient lists, lowest degree first, by
+    the schoolbook rule; an empty list is the zero polynomial, and lists
+    without trailing zeros give a product without them."""
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def int_poly_add(a, b) -> list[int]:
+    """The sum of two integer coefficient lists, lowest degree first, with
+    no trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -1080,6 +1107,8 @@ class RatFun:
         return f"RatFun(({format_poly(self.num)})/({format_poly(self.den)}))"
 
 
+_set_num = RatFun.num.__set__
+_set_den = RatFun.den.__set__
 RF_ZERO = RatFun.__new__(RatFun)
 object.__setattr__(RF_ZERO, "num", _PZERO)
 object.__setattr__(RF_ZERO, "den", _PONE)
@@ -1089,6 +1118,41 @@ object.__setattr__(RF_ONE, "den", _PONE)
 RF_X = RatFun.__new__(RatFun)
 object.__setattr__(RF_X, "num", _PX)
 object.__setattr__(RF_X, "den", _PONE)
+
+
+def ratfun_from_ints(num, den) -> RatFun:
+    """The reduced rational function num/den of two integer coefficient
+    lists, lowest degree first, den nonzero: one gcd, as ``RatFun`` takes,
+    and none over a constant denominator."""
+    if len(den) > 1:
+        return RatFun(_normal(list(num), 1, 1), _normal(list(den), 1, 1))
+    if len(num) == 1 and num[0]:
+        ints, cn, cd = _PONE._ints, num[0], den[0]
+        g = math.gcd(cn, cd)
+        if cd < 0:
+            g = -g
+        cn, cd = cn // g, cd // g
+    else:
+        ints, cn, cd = _primitive(list(num), 1, 1)
+        if not ints:
+            return RF_ZERO
+        if den[0] != 1:
+            cn, cd = _qmul(cn, cd, 1, den[0])
+    f = object.__new__(RatFun)
+    _set_num(f, _poly(ints, cn, cd))
+    _set_den(f, _PONE)
+    return f
+
+
+def ratfun_ints(f: RatFun) -> tuple[list[int], list[int]]:
+    """Integer coefficient lists (num, den), lowest degree first, with
+    num/den = f: (cn/cd) P / ((dn/dd) Q) = (k P) / (m Q) for k/m the reduced
+    quotient of the contents."""
+    n, d = f.num, f.den
+    if not n._ints:
+        return [], [1]
+    k, m = _qmul(n._cn, n._cd, d._cd, d._cn)
+    return [k * v for v in n._ints], [m * v for v in d._ints]
 
 
 def partial_split(f: RatFun, d1: Poly, d2: Poly) -> tuple[RatFun, RatFun]:

@@ -16,18 +16,59 @@ degree above ``MAX_DEGREE`` or with coefficients above ``MAX_COEFF_BITS``
 bits is a parse error.  The same bit cap bounds what is printed: a result
 coefficient above it is a BoundExceededError (kind ``bound-exceeded`` in a
 report), never a report too large to print.
+
+An expression is evaluated by one loop over its tokens, with a stack of
+left operands and one of pending operators and open parentheses.  A value
+is an unreduced pair (N, D) of integer coefficient lists; each item (a
+field, a ``;`` item, a matrix or vector entry) becomes one reduced
+``RatFun`` at its end.
+
+The caps hold for the reduced value after every binary operator, and
+are tested only where they could fail.  A polynomial over a constant d
+reduces to the same degree, and each coefficient c/d to at most
+bits(c) + bits(d) bits.  Otherwise let N = G N' and D = G D' for the
+primitive gcd G; by Gauss's lemma N' and D' lie in Z[x].  The reduced value
+is (N'/c) / (D'/c) with c = lc(D'), which divides lc(D), so its degree is
+at most max(deg N, deg D) and a coefficient of its numerator (denominator)
+has at most B(N) + bits(lc D) (B(D) + bits(lc D)) bits, where B(f) bounds
+the bit length of a coefficient of a factor of f in Z[x].  A factor h of
+degree k of f has |h_i| <= C(k, i) M(h) <= 2^k M(f) <= 2^k ||f||_2
+(Mignotte's bound and Landau's inequality, M the Mahler measure), and
+||f||_2 < sqrt(m+1) 2^b for f of degree m with coefficients of at most b
+bits, so B(f) = m + b + ceil(log2 sqrt(m+1)), the last term at most
+((m+1).bit_length() + 1) // 2.  Both sums are at most 2 (n + b + L) for n
+the larger degree, b the larger bit length and L its log term.  Where a
+bound could pass a cap the value is reduced, checked at the operator's
+position, and carried on reduced.  A pair with a nonconstant denominator
+is also reduced when its degree passes max(32, twice the degree of the last
+reduced value): a telescoping sum stays small, and an irreducible one is
+reduced a logarithmic number of times.  A reduction applies the operator in
+``RatFun`` arithmetic to the two reduced operands, whose gcds are smaller
+than the unreduced result's.  A power reads its estimates off the reduced
+base.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import BoundExceededError, ParseError
-from .numcore import Poly, RatFun, coefficient_bits, coefficient_bits_above, format_poly
+from .numcore import (
+    Poly,
+    RatFun,
+    coefficient_bits,
+    coefficient_bits_above,
+    format_poly,
+    int_poly_add,
+    int_poly_mul,
+    ratfun_from_ints,
+    ratfun_ints,
+)
 from .solver import MatrixRF
 
 MAX_DEGREE = 256
-# open parentheses; at a few frames each, far below the recursion limit
+# open parentheses
 MAX_NESTING = 64
 MAX_COEFF_BITS = 1 << 13
 # the largest telescoper order bound a query may ask for: the search grows
@@ -38,224 +79,339 @@ DEFAULT_ORDER_BOUND = 3
 MAX_DEGREE_CAP = 512
 
 _TOKEN = re.compile(r"\s*(\d+|\S)")
+# the pair of a constant's denominator; never changed in place
+_ONE = [1]
+_X = [0, 1]
+# the degree past which a pair is reduced when no reduction came before
+_REDUCE_FROM = 32
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_DEGREE_ABOVE_CAP = f"expression of degree above the cap {MAX_DEGREE}"
 
 
-class _Scanner:
-    """The tokens of a field (digit runs, other characters one by one) with
-    their start offsets.  Taking a token leaves ``pos`` at its end; peeking
-    moves ``pos`` to the next token's start, or to the end of the text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = [(m.start(1), m[1]) for m in _TOKEN.finditer(text)]
-        self.tokens.append((len(text), ""))
-        self.index = 0
-        self.pos = 0
-        self.depth = 0  # parentheses open
-
-    def peek(self) -> str:
-        self.pos, token = self.tokens[self.index]
-        return token
-
-    def take(self) -> str:
-        token = self.peek()
-        self.index += 1
-        self.pos += len(token)
-        return token
-
-    def expect(self, token: str):
-        if self.peek() != token:
-            self.fail(f"expected '{token}', found {self.peek()[:1]!r}")
-        self.take()
-
-    def fail(self, message: str):
-        raise ParseError(message, self.pos)
+def _tokens(text: str) -> list[str]:
+    """The tokens of a field (digit runs, other characters one by one),
+    closed by an empty token at its end."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    return tokens
 
 
-def _parse_expr(sc: _Scanner) -> RatFun:
-    value = _parse_term(sc)
+def _offset(text: str, tokens: list[str], index: int, end: bool = False) -> int:
+    """The offset in text of the start of token ``index``, or of its end;
+    the end of text for the closing empty token.  Only whitespace lies
+    between tokens, so each starts at the first occurrence of its first
+    character after the one before.  Read only for an error."""
+    position = 0
+    for token in tokens[:index]:
+        position = text.find(token[0], position) + len(token)
+    token = tokens[index]
+    if not token:
+        return len(text)
+    position = text.find(token[0], position)
+    return position + len(token) if end else position
+
+
+def _fail(text: str, tokens: list[str], index: int, message: str, end: bool = False):
+    raise ParseError(message, _offset(text, tokens, index, end))
+
+
+def _expect(text: str, tokens: list[str], i: int, token: str) -> int:
+    if tokens[i] != token:
+        _fail(text, tokens, i, f"expected '{token}', found {tokens[i][:1]!r}")
+    return i + 1
+
+
+def _expression(text: str, tokens: list[str], i: int) -> tuple[list[int], list[int], int]:
+    """The value (N, D) of the expression that starts at token i, and the
+    index of the token after it.
+
+    A product or quotient is checked at the end of its right operand's
+    exponent, if it has one, else at the start of the token after it; a sum
+    or difference at the start of the token after its right operand."""
+    operands = []  # left operands of the pending operators
+    pending = []  # "+", "-", "*", "/", or the sign before an open parenthesis
+    depth = 0
+    limit = _REDUCE_FROM
     while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take()
-            value = _checked(sc, value + _parse_term(sc))
-        elif ch == "-":
-            sc.take()
-            value = _checked(sc, value - _parse_term(sc))
+        sign = 1
+        token = tokens[i]
+        while token == "+" or token == "-":
+            if token == "-":
+                sign = -sign
+            i += 1
+            token = tokens[i]
+        if token == "(":
+            i += 1
+            if depth == MAX_NESTING:
+                _fail(text, tokens, i - 1, f"parentheses nested above the cap {MAX_NESTING}", end=True)
+            depth += 1
+            pending.append(sign)
+            continue
+        if token == "x":
+            num, den = _X, _ONE
+        elif token.isdecimal():
+            # log2(10) < 10/3: a literal of this many digits fits the bit cap
+            if len(token) * 10 > MAX_COEFF_BITS * 3:
+                _fail(text, tokens, i, f"integer literal above the cap of {MAX_COEFF_BITS} bits", end=True)
+            v = int(token)
+            num, den = [v] if v else [], _ONE
         else:
-            return value
+            _fail(text, tokens, i, f"unexpected character {token!r}" if token else "unexpected end of input")
+        i += 1
+        while True:
+            # an operand (a literal, x, or a closed parenthesis) ends before
+            # token i: its power binds first, then its sign
+            powered = tokens[i] == "^"
+            if powered:
+                num, den, i = _power(text, tokens, i + 1, num, den)
+            if sign < 0:
+                num = [-c for c in num]
+            # a pending product ends with its right operand; its checks read
+            # the position after the exponent, or the next token's start
+            op = pending[-1] if pending else None
+            if op == "*" or op == "/":
+                pending.pop()
+                at = i - 1 if powered else i
+                if op == "/" and not num:
+                    _fail(text, tokens, at, "division by zero", end=powered)
+                num, den, limit = _apply(text, tokens, at, powered, op, operands.pop(), num, den, limit)
+            token = tokens[i]
+            if token == "*" or token == "/":
+                operands.append((num, den))
+                pending.append(token)
+                i += 1
+                break
+            op = pending[-1] if pending else None
+            if op == "+" or op == "-":
+                pending.pop()
+                num, den, limit = _apply(text, tokens, i, False, op, operands.pop(), num, den, limit)
+            if token == "+" or token == "-":
+                operands.append((num, den))
+                pending.append(token)
+                i += 1
+                break
+            if not depth:
+                return num, den, i
+            if token != ")":
+                _fail(text, tokens, i, f"expected ')', found {token[:1]!r}")
+            sign = pending.pop()
+            depth -= 1
+            i += 1
 
 
-def _parse_term(sc: _Scanner) -> RatFun:
-    value = _parse_unary(sc)
-    while True:
-        ch = sc.peek()
-        if ch == "*":
-            sc.take()
-            value = _checked(sc, value * _parse_unary(sc))
-        elif ch == "/":
-            sc.take()
-            divisor = _parse_unary(sc)
-            if divisor.is_zero():
-                sc.fail("division by zero")
-            value = _checked(sc, value / divisor)
+def _apply(
+    text: str,
+    tokens: list[str],
+    index: int,
+    end: bool,
+    op: str,
+    left: tuple,
+    num: list[int],
+    den: list[int],
+    limit: int,
+) -> tuple[list[int], list[int], int]:
+    """left op num/den as a pair, and the next reduction limit.  The caps
+    are tested on the reduced value where they could fail (at the start of
+    token ``index``, or at its end); a reduction runs ``RatFun``
+    arithmetic on the reduced operands, whose gcds are smaller than that of
+    the unreduced result."""
+    lnum, lden = left
+    if op == "*":
+        rnum, rden = int_poly_mul(lnum, num), int_poly_mul(lden, den)
+    elif op == "/":
+        rnum, rden = int_poly_mul(lnum, den), int_poly_mul(lden, num)
+    else:
+        rnum = [-c for c in num] if op == "-" else num
+        if not lnum:
+            rden = den
+        elif not rnum:
+            rnum, rden = lnum, lden
+        elif lden == den:
+            rnum, rden = int_poly_add(lnum, rnum), den
         else:
-            return value
+            rnum = int_poly_add(int_poly_mul(lnum, den), int_poly_mul(rnum, lden))
+            rden = int_poly_mul(lden, den)
+    if not rnum:
+        return rnum, _ONE, limit
+    if len(rden) == 1:
+        # a polynomial: reducing keeps its degree, and divides a coefficient
+        # c / d by at most gcd(c, d)
+        if len(rnum) - 1 > MAX_DEGREE:
+            _fail(text, tokens, index, _DEGREE_ABOVE_CAP, end)
+        fits = max(map(int.bit_length, rnum)) + rden[0].bit_length() <= MAX_COEFF_BITS
+    else:
+        lead = rden[-1].bit_length()
+        fits = (
+            max(len(rnum), len(rden)) - 1 <= limit
+            and _factor_bits(rnum) + lead <= MAX_COEFF_BITS
+            and _factor_bits(rden) + lead <= MAX_COEFF_BITS
+        )
+    if fits:
+        return rnum, rden, limit
+    value = _OPERATORS[op](ratfun_from_ints(lnum, lden), ratfun_from_ints(num, den))
+    if max(value.num.degree, value.den.degree) > MAX_DEGREE:
+        _fail(text, tokens, index, _DEGREE_ABOVE_CAP, end)
+    if coefficient_bits_above(MAX_COEFF_BITS, value.num, value.den) is not None:
+        _fail(text, tokens, index, f"expression with coefficients above the cap of {MAX_COEFF_BITS} bits", end)
+    num, den = ratfun_ints(value)
+    return num, den, min(MAX_DEGREE, max(_REDUCE_FROM, 2 * (max(len(num), len(den)) - 1)))
 
 
-def _parse_unary(sc: _Scanner) -> RatFun:
+def _factor_bits(ints: list[int]) -> int:
+    """A bound on the bit length of each coefficient of a factor in Z[x] of
+    the nonzero polynomial ``ints`` (Mignotte's bound, module docstring)."""
+    n = len(ints)
+    return n - 1 + max(map(int.bit_length, ints)) + (n.bit_length() + 1) // 2
+
+
+def _power(
+    text: str, tokens: list[str], i: int, num: list[int], den: list[int]
+) -> tuple[list[int], list[int], int]:
+    """num/den to the exponent that starts at token i, and the index after
+    the exponent."""
     sign = 1
-    while sc.peek() in ("+", "-"):
-        if sc.take() == "-":
-            sign = -sign
-    value = _parse_power(sc)
-    return -value if sign < 0 else value
+    if tokens[i] == "-":
+        i += 1
+        sign = -1
+    digits = tokens[i]
+    if not digits.isdecimal():
+        _fail(text, tokens, i, "expected an integer exponent")
+    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        _fail(text, tokens, i, f"exponent above the cap {MAX_DEGREE}", end=True)
+    exponent = sign * int(digits)
+    # estimates made on the reduced base before the power is computed
+    if den == _ONE:
+        degree = len(num) - 1
+        bits = max(map(int.bit_length, num), default=1) + 1
+        top = max(degree, 0)
+    else:
+        base = ratfun_from_ints(num, den)
+        degree = base.num.degree
+        bits = _coeff_bits(base)
+        top = max(degree, base.den.degree)
+        num, den = ratfun_ints(base)
+    if exponent < 0 and not num:
+        _fail(text, tokens, i, "zero to a negative power", end=True)
+    if abs(exponent) * top > MAX_DEGREE:
+        _fail(text, tokens, i, f"power of degree above the cap {MAX_DEGREE}", end=True)
+    if abs(exponent) * (bits + degree.bit_length()) > MAX_COEFF_BITS:
+        _fail(text, tokens, i, f"power with coefficients above the cap of {MAX_COEFF_BITS} bits", end=True)
+    if exponent < 0:
+        num, den = den, num
+    return _int_power(num, abs(exponent)), _int_power(den, abs(exponent)), i + 1
 
 
-def _parse_power(sc: _Scanner) -> RatFun:
-    base = _parse_atom(sc)
-    if sc.peek() == "^":
-        sc.take()
-        exponent = _parse_exponent(sc)
-        if exponent < 0 and base.is_zero():
-            sc.fail("zero to a negative power")
-        # estimates made before the power is computed
-        if abs(exponent) * max(base.num.degree, base.den.degree) > MAX_DEGREE:
-            sc.fail(f"power of degree above the cap {MAX_DEGREE}")
-        if abs(exponent) * (_coeff_bits(base) + base.num.degree.bit_length()) > MAX_COEFF_BITS:
-            sc.fail(f"power with coefficients above the cap of {MAX_COEFF_BITS} bits")
-        return base ** exponent
-    return base
+def _int_power(ints: list[int], n: int) -> list[int]:
+    result = _ONE
+    while n:
+        if n & 1:
+            result = int_poly_mul(result, ints)
+        n >>= 1
+        if n:
+            ints = int_poly_mul(ints, ints)
+    return result
 
 
 def _coeff_bits(value: RatFun) -> int:
     return max(coefficient_bits(value.num, value.den))
 
 
-def _checked(sc: _Scanner, value: RatFun) -> RatFun:
-    if max(value.num.degree, value.den.degree) > MAX_DEGREE:
-        sc.fail(f"expression of degree above the cap {MAX_DEGREE}")
-    if coefficient_bits_above(MAX_COEFF_BITS, value.num, value.den) is not None:
-        sc.fail(f"expression with coefficients above the cap of {MAX_COEFF_BITS} bits")
-    return value
+def _at_end(text: str, tokens: list[str], i: int) -> None:
+    if tokens[i]:
+        position = _offset(text, tokens, i)
+        raise ParseError(f"trailing input {text[position:]!r}", position)
 
 
-def _parse_exponent(sc: _Scanner) -> int:
-    sign = 1
-    if sc.peek() == "-":
-        sc.take()
-        sign = -1
-    digits = sc.peek()
-    if not digits.isdecimal():
-        sc.fail("expected an integer exponent")
-    sc.take()
-    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-        sc.fail(f"exponent above the cap {MAX_DEGREE}")
-    return sign * int(digits)
-
-
-def _parse_atom(sc: _Scanner) -> RatFun:
-    token = sc.peek()
-    if token == "(":
-        sc.take()
-        if sc.depth == MAX_NESTING:
-            sc.fail(f"parentheses nested above the cap {MAX_NESTING}")
-        sc.depth += 1
-        value = _parse_expr(sc)
-        sc.expect(")")
-        sc.depth -= 1
-        return value
-    if token == "x":
-        sc.take()
-        return RatFun.x()
-    if token.isdecimal():
-        sc.take()
-        # log2(10) < 10/3: a literal of this many digits fits the bit cap
-        if len(token) * 10 > MAX_COEFF_BITS * 3:
-            sc.fail(f"integer literal above the cap of {MAX_COEFF_BITS} bits")
-        return RatFun.const(int(token))
-    sc.fail(f"unexpected character {token!r}" if token else "unexpected end of input")
-
-
-def _parse_whole(text: str, rule):
-    """``rule`` applied to a scanner over text, which it must consume."""
-    sc = _Scanner(text)
-    value = rule(sc)
-    if sc.peek():
-        sc.fail(f"trailing input {sc.text[sc.pos:]!r}")
-    return value
-
-
-def _polynomial(f: RatFun, position: int) -> Poly:
-    if not f.is_polynomial():
-        raise ParseError("expected a polynomial (no denominator)", position)
-    return f.num * (1 / f.den.lc())
+def _item(text: str, tokens: list[str], i: int) -> tuple[RatFun, int]:
+    num, den, i = _expression(text, tokens, i)
+    return ratfun_from_ints(num, den), i
 
 
 def parse_ratfun(text: str) -> RatFun:
     """Parse an expression into an exact reduced rational function."""
-    return _parse_whole(text, _parse_expr)
+    tokens = _tokens(text)
+    value, i = _item(text, tokens, 0)
+    _at_end(text, tokens, i)
+    return value
 
 
 def parse_poly(text: str) -> Poly:
-    return _polynomial(parse_ratfun(text), 0)
+    f = parse_ratfun(text)
+    if not f.is_polynomial():
+        raise ParseError("expected a polynomial (no denominator)", 0)
+    return f.num
 
 
 def parse_ratfun_list(text: str) -> list[RatFun]:
     """Parse ``e; e; ...``, skipping empty items."""
-    return [f for _, f in _parse_whole(text, _semicolon_list)]
+    return [f for _, f in _semicolon_list(text)[1]]
 
 
 def parse_poly_list(text: str) -> list[Poly]:
     """Parse ``p; p; ...``, skipping empty items; each item must be a
     polynomial, checked once the whole list has parsed."""
-    return [_polynomial(f, start) for start, f in _parse_whole(text, _semicolon_list)]
+    tokens, items = _semicolon_list(text)
+    for start, f in items:
+        if not f.is_polynomial():
+            _fail(text, tokens, start, "expected a polynomial (no denominator)")
+    return [f.num for _, f in items]
 
 
-def _semicolon_list(sc: _Scanner) -> list[tuple[int, RatFun]]:
-    """The items of ``e; e; ...``, each with the offset where it starts."""
+def _semicolon_list(text: str) -> tuple[list[str], list[tuple[int, RatFun]]]:
+    """The tokens of ``e; e; ...`` and its items, each with the index of
+    its first token."""
+    tokens = _tokens(text)
     items = []
-    while sc.peek():
-        if sc.peek() != ";":
-            start = sc.pos
-            items.append((start, _parse_expr(sc)))
-        if sc.peek():
-            sc.expect(";")
-    return items
+    i = 0
+    while tokens[i]:
+        if tokens[i] != ";":
+            start = i
+            value, i = _item(text, tokens, i)
+            items.append((start, value))
+        if tokens[i]:
+            i = _expect(text, tokens, i, ";")
+    return tokens, items
 
 
 def parse_matrix(text: str) -> MatrixRF:
     """Parse ``[[e, e, ...], ...]`` into a square matrix over Q(x)."""
-    rows = _parse_whole(text, lambda sc: _bracketed(sc, _parse_row))
+    tokens = _tokens(text)
+    rows, i = _bracketed(text, tokens, 0, _row)
+    _at_end(text, tokens, i)
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("matrix must be square", len(text))
     return MatrixRF(rows)
 
 
 def parse_vector(text: str) -> list[RatFun]:
-    return _parse_whole(text, _parse_row)
+    tokens = _tokens(text)
+    entries, i = _row(text, tokens, 0)
+    _at_end(text, tokens, i)
+    return entries
 
 
-def _bracketed(sc: _Scanner, item) -> list:
-    """``[item, item, ...]``: one or more items, comma separated."""
-    sc.expect("[")
-    items = [item(sc)]
-    while sc.peek() == ",":
-        sc.take()
-        items.append(item(sc))
-    sc.expect("]")
-    return items
+def _bracketed(text: str, tokens: list[str], i: int, item) -> tuple[list, int]:
+    """``[item, item, ...]`` from token i: one or more items, comma
+    separated, and the index after the closing bracket."""
+    i = _expect(text, tokens, i, "[")
+    items = []
+    while True:
+        value, i = item(text, tokens, i)
+        items.append(value)
+        if tokens[i] != ",":
+            return items, _expect(text, tokens, i, "]")
+        i += 1
 
 
-def _parse_row(sc: _Scanner) -> list[RatFun]:
-    return _bracketed(sc, _parse_entry)
+def _row(text: str, tokens: list[str], i: int) -> tuple[list[RatFun], int]:
+    return _bracketed(text, tokens, i, _entry)
 
 
-def _parse_entry(sc: _Scanner) -> RatFun:
-    start = sc.pos
-    if sc.peek() in (",", "]", ""):
-        raise ParseError("empty matrix entry", start)
-    return _parse_expr(sc)
+def _entry(text: str, tokens: list[str], i: int) -> tuple[RatFun, int]:
+    if tokens[i] in (",", "]", ""):
+        # at the end of the bracket or comma before it
+        _fail(text, tokens, i - 1, "empty matrix entry", end=True)
+    return _item(text, tokens, i)
 
 
 def _check_printable(*polys: Poly) -> None:

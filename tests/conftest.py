@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from diffalg import (
     Poly,
     Rat,
@@ -25,6 +27,10 @@ from diffalg import (
 )
 from diffalg.structures import sigma_poly
 from oracle import companion_system, system_oracle
+
+# test_parser_oracle.py's long run: pytest --hypothesis-profile=parser-oracle
+# (registered here, where pytest reads it before it loads a profile)
+settings.register_profile("parser-oracle", max_examples=2000)
 
 SHIFT = shift_structure()
 Q2 = q_structure(2)

@@ -119,24 +119,25 @@ def _query(sub: str, case: str = "shift", q: str | None = None, **payload) -> Qu
     )
 
 
+OVERSIZED = {
+    "x^99999999": "exponent above the cap 256 (at position 10)",
+    "x^-99999999": "exponent above the cap 256 (at position 11)",
+    "x^257": "exponent above the cap 256 (at position 5)",
+    "(x^2+1)^200": "power of degree above the cap 256 (at position 11)",
+    "x^200*x^100": "expression of degree above the cap 256 (at position 11)",
+    "(9^256)^256": "power with coefficients above the cap of 8192 bits (at position 11)",
+    "9" * 5000: "integer literal above the cap of 8192 bits (at position 5000)",
+    "*".join(["9^256"] * 20): "expression with coefficients above the cap of 8192 bits (at position 65)",
+    "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1): "parentheses nested above the cap 64 (at position 65)",
+}
+
+
 class TestParserCaps:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x^99999999",
-            "x^-99999999",
-            "x^257",
-            "(x^2+1)^200",
-            "x^200*x^100",
-            "(9^256)^256",
-            "9" * 5000,
-            "*".join(["9^256"] * 20),
-            "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
-        ],
-    )
+    @pytest.mark.parametrize("text", list(OVERSIZED))
     def test_oversized_input_is_parse_error(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_ratfun(text)
+        assert str(err.value) == OVERSIZED[text]
 
     def test_inputs_at_the_caps_parse(self):
         assert parse_ratfun("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == rf("x")

@@ -5,7 +5,8 @@ environment, so every setting is an option or an argument;
 the CLI substitutes nothing, since each procedure checks the certificate
 it makes; ``criteria`` calls no public solver; a cold CLI query or batch
 loads only the modules it computes with; the test oracles take no pipeline
-stage from the package; and no module imports a name it never reads.
+stage from the package, and the parser's oracle nothing but the parser;
+and no module imports a name it never reads.
 
 A public solver substitutes the space it returns; a criteria procedure
 solves through the cores and substitutes only the certificate it publishes.
@@ -87,6 +88,16 @@ def test_oracle_takes_no_pipeline_stage():
                 ):
                     offenders.append(f"{node.lineno} {alias.name}")
     assert offenders == []
+
+
+def test_parser_oracle_takes_only_the_parser():
+    # tests/test_parser_oracle.py checks parsing against sympy; from diffalg
+    # it may import parsing and nothing else
+    with open(os.path.join(os.path.dirname(__file__), "test_parser_oracle.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert sorted(m for m in modules if m.split(".")[0] == "diffalg") == ["diffalg.parsing"]
 
 
 def test_no_module_reads_the_environment():

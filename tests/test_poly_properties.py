@@ -13,7 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import Poly, Rat, RatFun, poly_gcd
-from diffalg.numcore import GF_PRIME, _gcd_cofactors, coefficient_bits_above, gf_coeffs, gf_gcd_degree
+from diffalg.numcore import (
+    GF_PRIME,
+    _gcd_cofactors,
+    coefficient_bits_above,
+    gf_coeffs,
+    gf_gcd_degree,
+    int_poly_add,
+    int_poly_mul,
+    ratfun_from_ints,
+    ratfun_ints,
+)
 from diffalg.parsing import _coeff_bits
 
 # derandomized: tier-1 runs the same examples every time
@@ -414,6 +424,24 @@ def test_kernels_with_wide_contents_match_the_reference(a, b, common, k, c):
     check_canonical(f.den)
     assert f.den.lc() == 1
     assert f.num * pb == pa * f.den
+
+
+# the parser's integer coefficient lists: zeros inside and at the top
+int_lists = st.lists(st.one_of(st.just(0), st.integers(-(2**70), 2**70)), max_size=7)
+
+
+@props
+@given(int_lists, int_lists, int_lists.filter(any))
+def test_integer_list_kernels_match_the_reference(a, b, d):
+    assert int_poly_mul(ref_trim(a), ref_trim(b)) == ref_mul(a, b)
+    assert int_poly_add(a, b) == ref_add(a, b)
+    f = ratfun_from_ints(a, d)
+    check_canonical(f.num)
+    check_canonical(f.den)
+    assert f == RatFun(Poly(a), Poly(d))
+    n, m = ratfun_ints(f)
+    assert ref_mul(as_list(f.num), m) == ref_mul(n, as_list(f.den))
+    assert ratfun_from_ints(n, m) == f
 
 
 def _count_fractions(monkeypatch):
