@@ -5,8 +5,8 @@ everything else consumes.
 All coefficients live in Q.  The ``Rat`` type is the stdlib
 ``fractions.Fraction`` (reduced, gcd(|num|, den) = 1, den > 0), which mixes
 freely with ints; the kernels run on Python ints, the root kernels
-(``root_differences``, the Sturm chains of ``integer_roots``) included, and
-a ``Rat`` is built only at the API edge, where a caller reads one
+(``root_differences``, the p-adic lifting of ``integer_roots``) included,
+and a ``Rat`` is built only at the API edge, where a caller reads one
 (``coeffs``, ``lc``, ``p[i]``, ``eval``, ``RatFun.const_value``).
 
 A ``Poly`` is stored as a content times a primitive integer polynomial
@@ -25,7 +25,8 @@ form: they go through ``over_monic``, ``divide_out_x``,
 ``integer_multiples``, ``coefficient_bits``, ``coefficient_bits_above`` and
 ``gf_coeffs``.  The parser computes on bare integer coefficient lists, with
 the one schoolbook product ``int_poly_mul`` (which ``Poly`` multiplication
-runs too) and ``int_poly_add``, and crosses to and from a reduced
+runs too), its square and multiply ``int_poly_pow`` (which ``Poly`` powers
+run too) and ``int_poly_add``, and crosses to and from a reduced
 ``RatFun`` through ``ratfun_from_ints`` and ``ratfun_ints``.
 
 ``GF_PRIME`` is the largest safe prime below 2^31: p = 2r + 1 with r prime.
@@ -35,14 +36,22 @@ mod p of a q-orbit do not repeat within any gap scan.  The Mersenne prime
 pass every 31st candidate on to an exact gcd of big polynomials.
 
 The root bounds read the integer form too: ``root_magnitude_bound`` and
-``reciprocal_root_bound`` (the q windows and integer roots), and
-``root_disc``, an integer centre and radius for the shift gap windows,
-the same bound read on a Graeffe root-squaring image.  ``_magnitude_bound``
-is the one root-bound formula behind all three.  ``q_window`` turns a
+``reciprocal_root_bound`` (the q windows), and ``root_disc``, an integer
+centre and radius for the shift gap windows, the same bound read on a
+Graeffe root-squaring image.  ``_magnitude_bound`` is the one root-bound
+formula behind all three and ``integer_roots``.  ``q_window`` turns a
 magnitude ratio into a number of q steps and raises BoundExceededError once
 that number reaches ``Q_WINDOW_CAP`` = 2^14, before the powers of a q near 1
 grow huge.  ``radical`` is the one squarefree primitive; the standard forms
 read multiplicities by repeated gcd.
+
+``integer_roots`` lifts the roots of the squarefree primitive P mod one
+small prime l to l-adic roots by Newton's iteration, and keeps each
+symmetric residue that is an exact root.  l divides neither lc(P) nor P' at
+any root mod l, so every root mod l is simple: Hensel's lemma lifts it
+uniquely, and an integer root, of magnitude at most the root bound B, is
+its own lift once the modulus passes 2B.  Only the finitely many primes
+dividing lc(P)*disc(P) are rejected, so the search for l ends.
 """
 
 from __future__ import annotations
@@ -220,14 +229,12 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = _PONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not n:
+            return _PONE
+        if not self._ints:
+            return _PZERO
+        # (cn/cd)^n stays reduced, and by Gauss's lemma the power is primitive
+        return _poly(tuple(int_poly_pow(self._ints, n)), self._cn ** n, self._cd ** n)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """(quotient, remainder) over Q, by pseudo-division of the primitive
@@ -414,6 +421,19 @@ def int_poly_mul(a, b) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def int_poly_pow(ints, n: int) -> list[int]:
+    """The n-th power (n >= 0) of an integer coefficient list, by square and
+    multiply on ``int_poly_mul``."""
+    result = [1]
+    while n:
+        if n & 1:
+            result = int_poly_mul(result, ints)
+        n >>= 1
+        if n:
+            ints = int_poly_mul(ints, ints)
+    return result
 
 
 def int_poly_add(a, b) -> list[int]:
@@ -730,36 +750,15 @@ def _power_sums(ints, scale: int, count: int) -> list[int]:
     return p
 
 
-# -- Sturm sequences: integer roots without factoring ------------------------
-
-
-def _sturm_chain(ints) -> list[list[int]]:
-    """The Sturm chain of a squarefree integer polynomial on primitive
-    integer lists: after A, B comes -R / sign(s), made primitive, from
-    ``_pseudo_divmod``'s s*A = Q*B + R, that is -(A mod B) times a positive
-    rational.  s < 0 when lc(B) < 0, as it may be from the third entry on."""
-    chain = [list(ints)]
-    # the derivative enters as an R with s = -1: made primitive, sign kept
-    s, r = -1, [i * v for i, v in enumerate(ints)][1:]
-    while r:
-        g = math.gcd(*r) if s < 0 else -math.gcd(*r)
-        chain.append([v // g for v in r])
-        s, r = _pseudo_divmod(chain[-2], chain[-1])[2:]
-    return chain
-
-
-def _horner(ints, x: int) -> int:
-    """The integer polynomial sum(ints[i] * x^i) at the integer x."""
+def _horner(ints, x: int, m: int = 0) -> int:
+    """The integer polynomial sum(ints[i] * x^i) at the integer x, reduced
+    mod m at each step when m > 0."""
     acc = 0
     for v in reversed(ints):
         acc = acc * x + v
+        if m:
+            acc %= m
     return acc
-
-
-def _sign_changes(chain: list[list[int]], x: int) -> int:
-    """Sign changes along the chain at the integer x, zeros skipped."""
-    signs = [v > 0 for v in (_horner(ints, x) for ints in chain) if v]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 def _iroot_floor(n: int, k: int) -> int:
@@ -850,24 +849,11 @@ def root_disc(p: Poly) -> tuple[int, int]:
         return c, 0
     for _ in range(_GRAEFFE_STEPS):
         # g(x) = e(x^2) + x*o(x^2), and e(y)^2 - y*o(y)^2 = +-g(x)g(-x) at y = x^2
-        odd = _int_square(g[1::2])
-        g = _int_square(g[0::2]) + [0] * (n % 2)
+        odd = int_poly_mul(g[1::2], g[1::2])
+        g = int_poly_mul(g[0::2], g[0::2]) + [0] * (n % 2)
         for i, v in enumerate(odd):
             g[i + 1] -= v
     return c, _iroot_ceil(math.ceil(_magnitude_bound(g)), 1 << _GRAEFFE_STEPS)
-
-
-def _int_square(a: list[int]) -> list[int]:
-    """Coefficients of A(x)^2 for the integer coefficient list a (lowest
-    first, nonempty)."""
-    out = [0] * (2 * len(a) - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[2 * i] += x * x
-            x2 = 2 * x
-            for j in range(i + 1, len(a)):
-                out[i + j] += x2 * a[j]
-    return out
 
 
 # every q window is below this: a q orbit gap scan or q-power root search
@@ -904,29 +890,46 @@ def q_window(q: Rat, bound: Rat) -> int:
 
 
 def integer_roots(p: Poly) -> set[int]:
-    """Integer roots of p via Sturm-sequence isolation (no factorization)."""
+    """Integer roots of p by p-adic Newton lifting from one small prime, with
+    no factoring (Loos, SIAM J. Comput. 12, 1983).
+
+    P is the primitive ``radical`` of p, and l the first prime that divides
+    neither lc(P) nor P'(r) at any root r of P mod l, the roots found by
+    evaluating at 0 .. l-1.  Each root is lifted by r <- r - P(r)/P'(r) mod
+    l^(2^k) until the modulus m passes 2*floor(B) + 2 for the root bound
+    B = ``_magnitude_bound(P)``, and each symmetric residue that P takes to
+    zero exactly is kept.  Sound: an integer root reduces to a root of P mod
+    l, simple there since l divides no P' value at a root, so Hensel's lemma
+    lifts it uniquely and the lift is the root itself; |root| <= B < m/2, so
+    it is that symmetric residue.  The search for l ends because P is
+    squarefree: only the finitely many primes dividing lc(P)*disc(P) are
+    rejected."""
     if p.is_zero():
         raise ZeroInputError("integer_roots of the zero polynomial")
     if p.degree == 0:
         return set()
-    sqfree = radical(p)
-    chain = _sturm_chain(sqfree._ints)
-    bound = math.floor(root_magnitude_bound(sqfree)) + 1  # above every root's magnitude
-    roots: set[int] = set()
-    # Sturm: v_lo - v_hi roots in the half-open interval (lo, hi]; bisected
-    # on integer endpoints down to (hi - 1, hi], whose one integer is hi
-    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
-    while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo == v_hi:
+    P = radical(p)._ints
+    dP = [i * v for i, v in enumerate(P)][1:]
+    ell = 1
+    while True:
+        ell += 1
+        if P[-1] % ell == 0 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
             continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            v_mid = _sign_changes(chain, mid)
-            stack += ((lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi))
-        elif not _horner(chain[0], hi):
-            roots.add(hi)
-    return roots
+        small, dsmall, roots = [v % ell for v in P], [v % ell for v in dP], []
+        for r in range(ell):
+            if not _horner(small, r, ell):
+                if not _horner(dsmall, r, ell):
+                    break  # a multiple root mod ell: try the next prime
+                roots.append(r)
+        else:
+            break
+    bound, m = 2 * math.floor(_magnitude_bound(P)) + 2, ell
+    while roots and m <= bound:
+        m *= m
+        small, dsmall = [v % m for v in P], [v % m for v in dP]
+        roots = [(r - _horner(small, r, m) * pow(_horner(dsmall, r, m), -1, m)) % m for r in roots]
+    roots = [r - m if 2 * r > m else r for r in roots]
+    return {r for r in roots if not _horner(P, r)}
 
 
 def radical(p: Poly) -> Poly:

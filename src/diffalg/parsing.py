@@ -62,6 +62,7 @@ from .numcore import (
     format_poly,
     int_poly_add,
     int_poly_mul,
+    int_poly_pow,
     ratfun_from_ints,
     ratfun_ints,
 )
@@ -298,18 +299,7 @@ def _power(
         _fail(text, tokens, i, f"power with coefficients above the cap of {MAX_COEFF_BITS} bits", end=True)
     if exponent < 0:
         num, den = den, num
-    return _int_power(num, abs(exponent)), _int_power(den, abs(exponent)), i + 1
-
-
-def _int_power(ints: list[int], n: int) -> list[int]:
-    result = _ONE
-    while n:
-        if n & 1:
-            result = int_poly_mul(result, ints)
-        n >>= 1
-        if n:
-            ints = int_poly_mul(ints, ints)
-    return result
+    return int_poly_pow(num, abs(exponent)), int_poly_pow(den, abs(exponent)), i + 1
 
 
 def _coeff_bits(value: RatFun) -> int:

@@ -31,6 +31,8 @@ from oracle import companion_system, system_oracle
 # test_parser_oracle.py's long run: pytest --hypothesis-profile=parser-oracle
 # (registered here, where pytest reads it before it loads a profile)
 settings.register_profile("parser-oracle", max_examples=2000)
+# test_numcore.py's long integer-roots run: pytest --hypothesis-profile=integer-roots
+settings.register_profile("integer-roots", max_examples=2000)
 
 SHIFT = shift_structure()
 Q2 = q_structure(2)

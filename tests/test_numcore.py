@@ -1,11 +1,20 @@
 """Exact-arithmetic core: gcd, root differences, roots, partial split, the
 q magnitude window and its cap; gcd, root differences (against sympy's
-resultant) and integer roots are cross-checked against sympy."""
+resultant) and integer roots are cross-checked against sympy.
 
+Tier-1 runs the integer-roots comparison with sympy on a small derandomized
+sample; a long run loads the ``integer-roots`` profile registered in
+conftest.py:
+
+    python -m pytest tests/test_numcore.py -k against_ground_roots --hypothesis-profile=integer-roots
+"""
+
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pp, rand_poly, rf
 from diffalg import (
@@ -22,12 +31,10 @@ from diffalg.numcore import (
     Q_WINDOW_CAP,
     _iroot_ceil,
     _magnitude_bound,
-    _sturm_chain,
     integer_roots,
     poly_lcm,
     poly_xgcd,
     q_window,
-    radical,
     reciprocal_root_bound,
     root_differences,
     root_disc,
@@ -135,6 +142,9 @@ class TestRootDifferences:
             assert root_differences(a, b).monic() == _from_sympy(theirs), (a, b)
 
 
+BIG = 10 ** 40
+
+
 class TestIntegerRoots:
     def test_simple(self):
         assert integer_roots(pp("x*(x-3)*(x+2)")) == {0, 3, -2}
@@ -146,15 +156,31 @@ class TestIntegerRoots:
         assert integer_roots(pp("(x-4)^3*(x+5)")) == {4, -5}
 
     def test_chain_with_negative_leads_and_large_coefficients(self):
-        # the chain of this product has entries with negative leading
-        # coefficients (so a pseudo-division scale below 0) and coefficients
-        # of several hundred bits
+        # roots of both signs 40 digits apart, a rational root that is no
+        # integer, and complex roots of magnitude 10^15
         p = pp("(x - 10^40)*(x + 3)*(x^2 + 10^30)*(2*x - 7)")
-        chain = _sturm_chain(radical(p)._ints)
-        assert any(entry[-1] < 0 for entry in chain)
-        assert max(abs(v) for entry in chain for v in entry).bit_length() > 100
         roots = to_sympy(p).ground_roots()
         assert integer_roots(p) == {int(r) for r in roots if r.is_integer} == {-3, 10 ** 40}
+
+    @pytest.mark.parametrize(
+        "text, roots",
+        [
+            # mod each prime below 61 every residue is a multiple root, so
+            # P' vanishes there and the lifting starts from 61
+            ("*".join(f"(x - {k})" for k in range(60)), set(range(60))),
+            # 30030 = 2*3*5*7*11*13, so the first usable prime is 17
+            ("(30030*x - 1)*(x - 5)", {5}),
+            ("30030*x - 1", set()),
+            # odd values at 0 and 1: no root mod 2, so nothing is lifted
+            ("x^2 + x + 1", set()),
+            (f"((x - {2 * BIG})^2 + (x - {2 * BIG}) + 1)*((x + {2 * BIG})^2 + (x + {2 * BIG}) + 3)", set()),
+            (f"(x + {BIG})*(x - {BIG} - 7)*(x + 3)*(3*x + {BIG} + 1)*(x^2 - 2)", {-BIG, BIG + 7, -3}),
+            (f"(x - {BIG})^3*(x + 2)^2*(x - 1)", {BIG, -2, 1}),
+        ],
+        ids=["prod-x-k-60", "lc-30030", "lc-30030-linear", "no-root-mod-2", "no-root-mod-2-huge", "huge-both-signs", "repeated-huge"],
+    )
+    def test_exact(self, text, roots):
+        assert integer_roots(pp(text)) == roots
 
     def test_matches_rational_roots(self):
         rng = random.Random(29)
@@ -165,6 +191,40 @@ class TestIntegerRoots:
             roots = to_sympy(p).ground_roots()
             expected = {int(r) for r in roots if r.is_integer}
             assert integer_roots(p) == expected
+
+
+if settings.get_current_profile_name() == "integer-roots":
+    roots_settings = settings(deadline=None, database=None)
+else:
+    roots_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# (a*x - b, e): a leading coefficient a made of small primes pushes the
+# prime l past them, and b = a*r, or a*r + 1, which no a > 1 divides
+small_prime_products = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=4).map(math.prod)
+planted_factors = st.tuples(
+    small_prime_products,
+    st.one_of(st.integers(-20, 20), st.integers(-(10**40), 10**40)),
+    st.integers(0, 1),
+    st.integers(1, 2),
+).map(lambda t: (t[0], t[0] * t[1] + t[2], t[3]))
+random_factors = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any)
+
+
+@roots_settings
+@given(st.lists(planted_factors, min_size=1, max_size=5), st.lists(random_factors, max_size=2))
+def test_integer_roots_against_ground_roots(planted, extra):
+    """Planted factors (a*x - b)^e, integer roots when a divides b, times
+    small random factors: the integer roots of sympy's ``ground_roots``."""
+    p = Poly.one()
+    for a, b, e in planted:
+        p = p * Poly([-b, a]) ** e
+    for coeffs in extra:
+        p = p * Poly(coeffs)
+    if p.degree < 1:
+        return
+    expected = {int(r) for r in to_sympy(p).ground_roots() if r.is_integer}
+    assert {b // a for a, b, _ in planted if b % a == 0} <= expected
+    assert integer_roots(p) == expected
 
 
 class TestAgainstSympy:

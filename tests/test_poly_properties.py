@@ -21,6 +21,7 @@ from diffalg.numcore import (
     gf_gcd_degree,
     int_poly_add,
     int_poly_mul,
+    int_poly_pow,
     ratfun_from_ints,
     ratfun_ints,
 )
@@ -65,6 +66,13 @@ def ref_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return ref_trim(out)
+
+
+def ref_pow(a, n):
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
 
 
 def ref_divmod(a, b):
@@ -402,6 +410,8 @@ def test_kernels_with_wide_contents_match_the_reference(a, b, common, k, c):
         (pa - pb, ref_add(a, ref_neg(b))),
         (pa * pb, ref_mul(a, b)),
         (pa * c, [v * c for v in a]),
+        # zero to the power 0 is one, as for any base
+        (pa ** abs(k), ref_pow(a, abs(k))),
         (q, ref_divmod(a, b)[0]),
         (r, ref_divmod(a, b)[1]),
         (Poly(ab).exact_div(pb), ref_mul(a, common) if a else []),
@@ -435,6 +445,8 @@ int_lists = st.lists(st.one_of(st.just(0), st.integers(-(2**70), 2**70)), max_si
 def test_integer_list_kernels_match_the_reference(a, b, d):
     assert int_poly_mul(ref_trim(a), ref_trim(b)) == ref_mul(a, b)
     assert int_poly_add(a, b) == ref_add(a, b)
+    for n in range(4):
+        assert int_poly_pow(ref_trim(a), n) == ref_pow(a, n)
     f = ratfun_from_ints(a, d)
     check_canonical(f.num)
     check_canonical(f.den)
