@@ -16,30 +16,50 @@ integers.  Ring operations, division, argument substitution, evaluation and
 the gcd run on the integer parts; contents combine through one integer
 helper, ``_qmul``, which multiplies reduced pairs by the cross gcds
 (Knuth, TAOCP 4.5.1), and ``RatFun`` and ``structures.apply_sigma``
-normalise a denominator to monic the same way (``over_monic``).  Division,
-exact division and the gcd share one integer pseudo-division loop,
-``_pseudo_divmod``, and one mod-p Euclid, ``_gf_gcd``: the gcd lifts its
-image mod ``GF_PRIME`` and checks it by trial division, and the primitive
-PRS runs only when that lift is rejected.  No other module reads the integer
-form: they go through ``over_monic``, ``divide_out_x``,
-``integer_multiples``, ``coefficient_bits``, ``coefficient_bits_above`` and
-``gf_coeffs``.  The parser computes on bare integer coefficient lists, with
-the one schoolbook product ``int_poly_mul`` (which ``Poly`` multiplication
-runs too), its square and multiply ``int_poly_pow`` (which ``Poly`` powers
-run too) and ``int_poly_add``, and crosses to and from a reduced
-``RatFun`` through ``ratfun_from_ints`` and ``ratfun_ints``.
+normalise a denominator to monic the same way (``over_monic``).  Division
+runs one integer pseudo-division loop, ``_pseudo_divmod``; exact division,
+``_exact_quotient``, runs it without scaling and stops at the first digit
+lc(d) does not divide, so a rejected trial division of the gcd is cheap.
+No other module reads the integer form: they go through ``over_monic``,
+``divide_out_x``, ``integer_multiples``, ``coefficient_bits``,
+``coefficient_bits_above`` and ``gf_coeffs``.  The parser computes on bare
+integer coefficient lists, with the one schoolbook product ``int_poly_mul``
+(which ``Poly`` multiplication runs too), its square and multiply
+``int_poly_pow`` (which ``Poly`` powers run too) and ``int_poly_add``, and
+crosses to and from a reduced ``RatFun`` through ``ratfun_from_ints`` and
+``ratfun_ints``.
 
-``GF_PRIME`` is the largest safe prime below 2^31: p = 2r + 1 with r prime.
-Every q other than 0 and +-1 mod p then has order r or 2r, so the images
-mod p of a q-orbit do not repeat within any gap scan.  The Mersenne prime
-2^31 - 1 gives 2 and 4 the order 31, and the q = 2 and q = 1/4 scans then
-pass every 31st candidate on to an exact gcd of big polynomials.
+Every residue mod p is a one-digit CPython int (30-bit digits).
+``GF_PRIME`` = 32603 is the largest safe prime below 2^15, p = 2r + 1 with r
+prime, so there every product and ``acc*q + c`` stays below 2^30 too: the
+first gcd image, the gap scans' Taylor shifts and q steps, and the Horner
+filter of the q-power roots.  The gcd (``_int_gcd``) is Brown's multi-prime
+loop (J. ACM 18, 1971) over GF_PRIME and then the primes below 2^30, skipping
+primes that divide a leading coefficient: a constant image certifies 1 (the
+common case), lower image degrees restart the run, equal ones combine by
+CRT, and a symmetric lift (gamma times the monic image, the monic image, or
+the cofactor) is accepted when it divides both operands.  A prime dividing
+neither leading coefficient gives an image of degree at least deg G and an
+accepted lift has degree at most deg G, so it is G; the loop ends because
+only finitely many primes are unlucky and the gamma lift is exact once the
+modulus passes twice the Mignotte bound on gamma*G/lc(G).  There is no
+other gcd path.
+
+The scans take the first safe prime below 2^15 (``scan_primes``) at which
+the leading coefficients are units and, in the q case, q is a unit other
+than +-1.  Such a q has order r or 2r >= r = 16301 at GF_PRIME, so the
+images along a q orbit do not repeat within a window below r, and in the
+windows between r and ``Q_WINDOW_CAP`` = 2^14 each repeat costs one exact
+gcd.  The Mersenne prime 2^31 - 1 gives 2 and 4 the order 31, and the q = 2
+and q = 1/4 scans then pass every 31st candidate on to an exact gcd of big
+polynomials.
 
 The root bounds read the integer form too: ``root_magnitude_bound`` and
 ``reciprocal_root_bound`` (the q windows), and ``root_disc``, an integer
 centre and radius for the shift gap windows, the same bound read on a
-Graeffe root-squaring image.  ``_magnitude_bound`` is the one root-bound
-formula behind all three and ``integer_roots``.  ``q_window`` turns a
+Graeffe root-squaring image (the exact radius for degrees 1 and 2).
+``_magnitude_bound`` is the one root-bound formula behind all three and
+``integer_roots``.  ``q_window`` turns a
 magnitude ratio into a number of q steps and raises BoundExceededError once
 that number reaches ``Q_WINDOW_CAP`` = 2^14, before the powers of a q near 1
 grow huge.  ``radical`` is the one squarefree primitive; the standard forms
@@ -504,12 +524,25 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int, list[int]]:
 
 def _exact_quotient(a, d) -> tuple | None:
     """a / d when the integer polynomial d divides a in Z[x], else None
-    (coefficient sequences as in ``_pseudo_divmod``): a division that never
-    scales records its quotient digits exactly."""
+    (coefficient sequences as in ``_pseudo_divmod``): the division loop
+    without scaling, which stops at the first leading coefficient lc(d)
+    does not divide, so a trial division that fails is cheap."""
     if d == a:
         return (1,)
-    quo, _, s, r = _pseudo_divmod(a, d)
-    return tuple(quo) if s == 1 and not r else None
+    db, lb = len(d) - 1, d[-1]
+    r = list(a)
+    quo = [0] * (len(a) - db)
+    if not quo:
+        return None
+    for k in range(len(quo) - 1, -1, -1):
+        lr = r.pop()
+        if lr % lb:
+            return None
+        if lr:
+            quo[k] = f = lr // lb
+            for j in range(db):
+                r[k + j] -= f * d[j]
+    return None if any(r) else tuple(quo)
 
 
 _PZERO = _poly((), 1, 1)
@@ -546,24 +579,23 @@ def format_poly(p: Poly) -> str:
 # gcd / root-difference / factor-free primitives
 # ---------------------------------------------------------------------------
 
-# the largest safe prime below 2^31; see the module docstring
-GF_PRIME = 2147483579
+# the largest safe prime below 2^15; see the module docstring
+GF_PRIME = 32603
 
 
-def gf_coeffs(p: Poly) -> list[int] | None:
-    """Coefficients of the primitive integer part of p mod GF_PRIME, lowest
+def gf_coeffs(p: Poly, prime: int = GF_PRIME) -> list[int] | None:
+    """Coefficients of the primitive integer part of p mod prime, lowest
     first; None when the reduction degenerates (leading coefficient
     vanishes)."""
-    out = [v % GF_PRIME for v in p._ints]
+    out = [v % prime for v in p._ints]
     if not out or out[-1] == 0:
         return None
     return out
 
 
-def _gf_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The monic gcd over GF(GF_PRIME) of two coefficient lists (lowest
-    first, trailing zeros allowed); [] when both are zero."""
-    prime = GF_PRIME
+def _gf_gcd(a: list[int], b: list[int], prime: int = GF_PRIME) -> list[int]:
+    """The monic gcd over GF(prime) of two coefficient lists (lowest first,
+    trailing zeros allowed); [] when both are zero."""
     a, b = list(a), list(b)
     da, db = len(a) - 1, len(b) - 1
     while da >= 0 and not a[da]:
@@ -586,9 +618,90 @@ def _gf_gcd(a: list[int], b: list[int]) -> list[int]:
     return [v * inv % prime for v in a[: da + 1]]
 
 
-def gf_gcd_degree(a: list[int], b: list[int]) -> int:
-    """Degree of gcd over GF(GF_PRIME); inputs are coefficient lists."""
-    return len(_gf_gcd(a, b)) - 1
+def _gf_quotient(a: list[int], g: list[int], prime: int) -> list[int]:
+    """The quotient over GF(prime) of a by the monic g, deg a >= deg g, both
+    reduced with no trailing zeros."""
+    r, dg = list(a), len(g) - 1
+    quo = [0] * (len(a) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        f = quo[k] = r[k + dg]
+        if f:
+            for j in range(dg):
+                r[k + j] = (r[k + j] - f * g[j]) % prime
+    return quo
+
+
+def gf_gcd_degree(a: list[int], b: list[int], prime: int = GF_PRIME) -> int:
+    """Degree of gcd over GF(prime); inputs are coefficient lists."""
+    return len(_gf_gcd(a, b, prime)) - 1
+
+
+def _is_small_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def scan_primes():
+    """The safe primes p = 2r + 1 (r prime) below 2^15, largest (GF_PRIME)
+    first: the moduli of the gap scans and the q-power filter."""
+    yield GF_PRIME
+    for p in range(GF_PRIME - 2, 4, -2):
+        if _is_small_prime(p) and _is_small_prime(p >> 1):
+            yield p
+
+
+# the odd primes up to 61, for one gcd of trial division
+_SMALL_ODD_PRIMES = math.prod([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
+
+
+def _is_word_prime(n: int) -> bool:
+    """Primality of an odd n with 61 < n < 2^32: trial division by the odd
+    primes to 61, then Miller-Rabin to the bases 2, 7 and 61, deterministic
+    below 4759123141 (Jaeschke, Math. Comp. 61, 1993)."""
+    if math.gcd(n, _SMALL_ODD_PRIMES) != 1:
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in (2, 7, 61):
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# the primes below 2^30, largest first, found on demand in blocks of 16,
+# each prime paired with the product of its block; a thread that grows the
+# tuple rebinds it whole, so a reader never sees a partial one
+_WORD_PRIMES: tuple = ()
+
+
+def _lift_primes():
+    """(prime, block) for GF_PRIME (block None), then for the primes below
+    2^30 in descending order, block the product of the 16 primes of its
+    block: the moduli of the gcd images, every residue a one-digit CPython
+    int.  Reducing big coefficients by the block first makes the 16
+    reductions by its primes short."""
+    global _WORD_PRIMES
+    yield GF_PRIME, None
+    i = 0
+    while True:
+        primes = _WORD_PRIMES
+        if i == len(primes):
+            n, more = primes[-1][0] if primes else (1 << 30) + 1, []
+            while len(more) < 16:
+                n -= 2
+                if _is_word_prime(n):
+                    more.append(n)
+            block = math.prod(more)
+            primes = _WORD_PRIMES = primes + tuple((p, block) for p in more)
+        yield primes[i]
+        i += 1
 
 
 def primitive_ints(values) -> list[int]:
@@ -645,53 +758,135 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, p/g, q/g) for g the monic gcd; a constant or zero operand gives
-    (1, p, q) and runs no gcd.
-
-    The gcd mod GF_PRIME is lifted first (Brown 1971): with
-    gamma = gcd(lc p, lc q), the symmetric residues of gamma times the monic
-    image, made primitive, are the gcd if they divide both operands.  When
-    the prime divides neither leading coefficient no image has lower degree
-    than the gcd, so a constant image certifies 1 and a lift that divides
-    both is the gcd; the two trial divisions give the cofactors.  A rejected
-    lift falls back to the primitive PRS (Collins 1967) on the integer
-    coefficients, and only then are the cofactors divided out.
-    """
-    if p.degree < 1 or q.degree < 1:
-        return _PONE, p, q
+    (1, p, q) and runs no gcd.  The gcd runs on the primitive integer parts
+    (``_int_gcd``)."""
     a, b = p._ints, q._ints
-    ga, gb = gf_coeffs(p), gf_coeffs(q)
-    if ga is not None and gb is not None:
-        image = _gf_gcd(ga, gb)
-        if len(image) == 1:
-            return _PONE, p, q
-        gamma = math.gcd(a[-1], b[-1])
-        half = GF_PRIME // 2
-        lift = [v - GF_PRIME if v > half else v for v in (gamma * v % GF_PRIME for v in image)]
-        lift = _primitive(lift, 1, 1)[0]
-        lc = lift[-1]
-        qa = None if gamma % lc else _exact_quotient(a, lift)
-        qb = None if qa is None else _exact_quotient(b, lift)
-        if qb is not None:
-            # p = c*a = (c*lc) * qa * (lift/lc), with lift/lc the monic gcd
-            return (
-                _poly(lift, 1, lc),
-                _poly(qa, *_qmul(p._cn, p._cd, lc, 1)),
-                _poly(qb, *_qmul(q._cn, q._cd, lc, 1)),
-            )
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _pseudo_divmod(a, b)[3]
-        if not r:
-            break
-        if len(r) == 1:
-            return _PONE, p, q
-        g = math.gcd(*r)
-        a, b = b, ([v // g for v in r] if g > 1 else r)
-    if b[-1] < 0:
-        b = [-v for v in b]
-    g = _poly(tuple(b), 1, b[-1])
-    return g, p.exact_div(g), q.exact_div(g)
+    if len(a) < 2 or len(b) < 2:
+        return _PONE, p, q
+    found = _int_gcd(a, b)
+    if found is None:
+        return _PONE, p, q
+    g, qa, qb = found
+    lc = g[-1]
+    # p = c*a = (c*lc) * qa * (g/lc), with g/lc the monic gcd
+    return _poly(g, 1, lc), _poly(qa, *_qmul(p._cn, p._cd, lc, 1)), _poly(qb, *_qmul(q._cn, q._cd, lc, 1))
+
+
+def _symmetric(values, m: int) -> list[int]:
+    """The residues mod m of ``values`` in (-m/2, m/2]."""
+    half = m >> 1
+    return [v - m if v > half else v for v in values]
+
+
+def _int_gcd(a, b) -> tuple[tuple, tuple, tuple] | None:
+    """(G, a/G, b/G) for G the gcd in Z[x] of two primitive integer
+    polynomials of degree >= 1 with positive leading coefficients, G
+    primitive with a positive leading coefficient; None when G = 1.
+
+    Brown's multi-prime gcd (J. ACM 18, 1971) over ``_lift_primes``,
+    skipping the primes that divide lc(a) or lc(b).  Each prime gives the
+    monic gcd image and the image of the cofactor a/G times lc(G); a
+    constant image certifies G = 1, a lower image degree restarts the run,
+    and images of equal degree combine by the Chinese remainder theorem.  A
+    candidate is the symmetric lift of one combination: gamma times the
+    monic image, gamma = gcd(lc a, lc b), made primitive (tried at once on
+    the first two primes, as most gcds lift from one); the monic image
+    itself; and the cofactor, made primitive, whose quotient a/C is the
+    candidate.  After the second prime a candidate is tried only when the
+    last prime left its lift unchanged.  A candidate is accepted when it
+    divides a and b exactly.
+
+    Sound: a prime dividing neither leading coefficient gives an image of
+    degree at least deg G, a candidate dividing both operands has degree at
+    most deg G, and deg(a/C) is the image degree, so an accepted candidate
+    is G.  The loop ends: only finitely many primes give an image of degree
+    above deg G, and the gamma lift is exact once the product of the primes
+    of one run passes twice the Mignotte bound on gamma*G/lc(G).  After the
+    first lift fails, gcd(x^i A(x^k), x^j B(x^k)) = x^min(i,j) gcd(A, B)(x^k)
+    deflates the operands: the radical of y^30 S(y^30) runs its gcd of
+    degree 449 as one of degree 14."""
+    la, lb = a[-1], b[-1]
+    gamma = math.gcd(la, lb)
+    deg, count, held = len(a), 0, None
+    for prime, block in _lift_primes():
+        if not (la % prime and lb % prime):
+            continue
+        if block is None:
+            ra, rb = a, b
+        elif block is not held:
+            held, ra, rb = block, [v % block for v in a], [v % block for v in b]
+        ap = [v % prime for v in ra]
+        image = _gf_gcd(ap, [v % prime for v in rb], prime)
+        d = len(image) - 1
+        if not d:
+            return None
+        count += 1
+        if d > deg:
+            continue
+        if d < deg:
+            deg, m, monic, cof, last = d, 1, [0] * (d + 1), [0] * (len(a) - d), [None] * 3
+        inv, mp = pow(m, -1, prime), m * prime
+        monic = [c + m * ((r - c % prime) * inv % prime) for c, r in zip(monic, image)]
+        lift = _symmetric(monic if gamma == 1 else [gamma * v % mp for v in monic], mp)
+        if (count <= 2 or lift == last[0]) and (found := _divides_both(a, b, lift, gamma)):
+            return found
+        if count == 1 and (found := _deflated_gcd(a, b)) is not False:
+            return found
+        cof = [c + m * ((r - c % prime) * inv % prime) for c, r in zip(cof, _gf_quotient(ap, image, prime))]
+        m = mp
+        # with gamma = 1 the monic lift is the gamma lift
+        lifts = [lift, lift if gamma == 1 else _symmetric(monic, m), _symmetric(cof, m)]
+        if gamma != 1 and lifts[1] == last[1] and (found := _divides_both(a, b, lifts[1], gamma)):
+            return found
+        if lifts[2] == last[2] and (found := _cofactor_divides(a, b, lifts[2])):
+            return found
+        last = lifts
+
+
+def _divides_both(a, b, lift, gamma: int):
+    """(G, a/G, b/G) for G the primitive lift when lc(G) divides gamma and
+    G divides a and b; else None."""
+    g = _primitive(lift, 1, 1)[0]
+    if gamma % g[-1]:
+        return None
+    qa = _exact_quotient(a, g)
+    qb = None if qa is None else _exact_quotient(b, g)
+    return None if qb is None else (g, qa, qb)
+
+
+def _cofactor_divides(a, b, lift):
+    """(G, C, b/G) for C the primitive lift and G = a/C when C divides a and
+    G divides b; else None."""
+    c = _primitive(lift, 1, 1)[0]
+    g = _exact_quotient(a, c)
+    qb = None if g is None else _exact_quotient(b, g)
+    return None if qb is None else (g, c, qb)
+
+
+def _deflated_gcd(a, b):
+    """``_int_gcd`` through gcd(x^i A(x^k), x^j B(x^k)) = x^m gcd(A, B)(x^k)
+    with m = min(i, j), i and j the orders at 0 and k the gcd of the other
+    exponents; False when i = j = 0 and k = 1, where nothing deflates."""
+    i = next(e for e, v in enumerate(a) if v)
+    j = next(e for e, v in enumerate(b) if v)
+    k = math.gcd(*[e - i for e in range(i + 1, len(a)) if a[e]], *[e - j for e in range(j + 1, len(b)) if b[e]]) or 1
+    if not (i or j or k > 1):
+        return False
+    m = min(i, j)
+    A, B = a[i::k], b[j::k]
+    inner = _int_gcd(A, B) if len(A) > 1 and len(B) > 1 else None
+    if inner is None:
+        if not m:
+            return None
+        inner = (1,), A, B
+
+    def inflate(f, shift):
+        out = [0] * (shift + (len(f) - 1) * k + 1)
+        out[shift::k] = f
+        return tuple(out)
+
+    g, ca, cb = inner
+    return inflate(g, m), inflate(ca, i - m), inflate(cb, j - m)
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -839,11 +1034,24 @@ def root_disc(p: Poly) -> tuple[int, int]:
     the least integer at or above that root of ceil(B(G)).  Fujiwara's bound
     overestimates clustered roots by up to a factor 2n (van der Sluis,
     Numer. Math. 15, 1970); on G that factor shrinks to its 2^K-th root.
-    r is 0 when P = x^n."""
+    r is 0 when P = x^n.
+
+    Degrees 1 and 2 read r off the roots themselves, the centroid
+    -b/(2a) +- sqrt(D)/(2a) of a*x^2 + b*x + c0 with D = b^2 - 4*a*c0 (and
+    the one root -c0/b of b*x + c0): with e = |b + 2*a*c|, 2*a times the
+    distance of the centroid from c, r is the least integer at or above
+    (e + sqrt(D))/(2a) for real roots and sqrt(e^2 - D)/(2a) for complex
+    ones, with sqrt(D) rounded up by ``math.isqrt``."""
     ints = p._ints
     n = len(ints) - 1
     lead = ints[-1]
     c = (n * lead - 2 * ints[-2]) // (2 * n * lead)  # floor(centroid + 1/2)
+    if n == 1:
+        return c, -(-abs(ints[0] + c * lead) // lead)
+    if n == 2:
+        e, disc = abs(ints[1] + 2 * lead * c), ints[1] ** 2 - 4 * lead * ints[0]
+        root = _iroot_ceil(disc if disc >= 0 else e * e - disc, 2)
+        return c, -(-(e + root if disc >= 0 else root) // (2 * lead))
     g = list(p.shift_arg(c)._ints)
     if not any(g[:-1]):
         return c, 0
@@ -933,7 +1141,15 @@ def integer_roots(p: Poly) -> set[int]:
 
 
 def radical(p: Poly) -> Poly:
-    """The monic squarefree part of p."""
+    """The monic squarefree part of p.  A squarefree image mod GF_PRIME
+    (prime to the derivative image, which keeps its degree) certifies that p
+    is squarefree before the derivative is built."""
+    ints = p._ints
+    n = len(ints) - 1
+    if n > 0 and ints[-1] % GF_PRIME and n % GF_PRIME:
+        image = [v % GF_PRIME for v in ints]
+        if len(_gf_gcd(image, [i * v % GF_PRIME for i, v in enumerate(image)][1:])) == 1:
+            return p.monic()
     return _gcd_cofactors(p, p.derivative())[1].monic()
 
 

@@ -201,6 +201,9 @@ class VectorSolutionSpace(namedtuple(
     __slots__ = ()
 
 
+_RATFUN_ONLY = {RatFun}
+
+
 class MatrixRF(namedtuple("MatrixRF", "entries")):
     """Square matrix over Q(x), its rows a tuple of tuples.  Its inverse
     clears each row to a polynomial row over its own denominator and runs
@@ -209,7 +212,11 @@ class MatrixRF(namedtuple("MatrixRF", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries):
-        rows = tuple(tuple(RatFun._coerce(v) for v in row) for row in entries)
+        # rows of RatFun entries, as the parser and the matrix operations
+        # build them, are kept; only other rows are coerced
+        rows = tuple(
+            tuple(row) if set(map(type, row)) == _RATFUN_ONLY else tuple(map(RatFun._coerce, row)) for row in entries
+        )
         if not rows or any(len(r) != len(rows) for r in rows):
             raise PreconditionError("MatrixRF must be square and nonempty")
         return tuple.__new__(cls, (rows,))

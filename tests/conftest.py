@@ -33,6 +33,8 @@ from oracle import companion_system, system_oracle
 settings.register_profile("parser-oracle", max_examples=2000)
 # test_numcore.py's long integer-roots run: pytest --hypothesis-profile=integer-roots
 settings.register_profile("integer-roots", max_examples=2000)
+# test_poly_properties.py's long gcd run: pytest --hypothesis-profile=gcd-oracle
+settings.register_profile("gcd-oracle", max_examples=2000)
 
 SHIFT = shift_structure()
 Q2 = q_structure(2)

@@ -35,12 +35,13 @@ from diffalg import (
 from diffalg.dispersion import (
     _SCAN_LIMIT,
     _gap_window,
+    _scan_images,
     _orbit_primary_part,
     orbit_gaps,
     orbit_gaps_between,
     radical,
 )
-from diffalg.numcore import Poly, poly_gcd, root_magnitude_bound
+from diffalg.numcore import GF_PRIME, Poly, poly_gcd, root_magnitude_bound
 from oracle import sigma_orbits, to_sympy
 from test_golden import QUERIES, run_one
 
@@ -206,6 +207,19 @@ class TestShiftGapsAgainstSympy:
         assert _gap_window(SHIFT, a, b) < 1
         assert orbit_gaps_between(SHIFT, a, b) == []
 
+    @pytest.mark.parametrize("r", [1, 2, -1, 3, -5, 7, Fraction(1, 2), Fraction(5, 3)], ids=str)
+    def test_window_of_two_linear_factors(self, r):
+        # w = (x + r)(x + r + h): the window is never below the gap h, at
+        # most h + 2, and exactly h when the centroid -r - h/2 is an integer,
+        # so the gap sits at the window's last step
+        for h in range(1, 13):
+            w = Poly([r, 1]) * Poly([r + h, 1])
+            window = _gap_window(SHIFT, w, w)
+            assert h <= window <= h + 2, (r, h, window)
+            if Fraction(r).denominator == 1 and h % 2 == 0:
+                assert window == h, (r, h)
+            assert orbit_gaps(SHIFT, w) == [h]
+
     # the last one is an off-centre cluster whose roots +-i keep the window
     # about the centroid wide
     @pytest.mark.parametrize(
@@ -294,6 +308,48 @@ class TestQGapsAgainstSympy:
         monkeypatch.setattr(dispersion_module, "poly_gcd", counted)
         assert orbit_gaps(ds, p) == []
         assert exact == []
+
+
+class TestScanPrime:
+    """The modulus of the gap scans and the q-power filter: the first safe
+    prime below 2^15 with unit leading coefficients and, in the q case, a
+    unit q other than +-1."""
+
+    def test_first_safe_prime(self):
+        prime, images, qmod = _scan_images(Q2, pp("x^2 + 1"), pp("3*x - 1"))
+        assert (prime, images, qmod) == (GF_PRIME, [[1, 0, 1], [GF_PRIME - 1, 3]], 2)
+
+    def test_leading_coefficient_divisible_by_the_first_prime(self):
+        w = Poly([1, 0, GF_PRIME])
+        assert _scan_images(SHIFT, w)[0] == 32507
+        assert _scan_images(SHIFT, Poly([1, 0, GF_PRIME * 32507]))[0] == 32183
+
+    @pytest.mark.parametrize(
+        "q", [Fraction(1032603, 1000000), Fraction(-1, GF_PRIME - 1), Fraction(GF_PRIME, 2)], ids=str
+    )
+    def test_q_of_order_one_or_two_or_no_unit(self, q):
+        prime, _, qmod = _scan_images(q_structure(q), pp("x - 1"))
+        assert prime == 32507 and qmod not in (1, prime - 1)
+
+    def test_q_congruent_to_one_reaches_only_the_hits(self, monkeypatch):
+        # q = 1 mod GF_PRIME repeats the image of a at every step of a
+        # window of over 200; the scan takes the next safe prime, where the
+        # one planted gap, 7 and 7*q^3, and two images that share a root
+        # only mod the prime pay for an exact gcd
+        q = Fraction(1032603, 1000000)
+        ds = q_structure(q)
+        p = _product(pp(f"x - {k}") for k in (1, 3, 11, 29, 70, 141, 260, 433, 650, 1000, 7)) * Poly([-7 * q**3, 1])
+        assert _gap_window(ds, radical(p), radical(p)) > 200
+        exact = []
+        real = dispersion_module.poly_gcd
+
+        def counted(u, v):
+            exact.append((u, v))
+            return real(u, v)
+
+        monkeypatch.setattr(dispersion_module, "poly_gcd", counted)
+        assert orbit_gaps(ds, p) == [3]
+        assert len(exact) == 3
 
 
 class TestPolarDispersion:

@@ -9,6 +9,7 @@ conftest.py:
     python -m pytest tests/test_numcore.py -k against_ground_roots --hypothesis-profile=integer-roots
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from diffalg.numcore import (
     GF_PRIME,
     Q_WINDOW_CAP,
     _iroot_ceil,
+    _lift_primes,
     _magnitude_bound,
     integer_roots,
     poly_lcm,
@@ -39,6 +41,7 @@ from diffalg.numcore import (
     root_differences,
     root_disc,
     root_magnitude_bound,
+    scan_primes,
 )
 from oracle import to_sympy
 
@@ -347,6 +350,16 @@ class TestRootBounds:
         assert root_disc(pp("(x-7)^5")) == (7, 0)
         assert root_disc(pp("3*x+12")) == (-4, 0)
 
+    def test_disc_is_the_least_integer_radius_up_to_degree_two(self):
+        # degrees 1 and 2 read the radius off the roots: it holds every root
+        # and one less does not
+        rng = random.Random(4613)
+        for _ in range(300):
+            p = Poly([rng.randint(-60, 60) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 12)])
+            c, r = root_disc(p)
+            far = max(abs(complex(root) - c) for root in to_sympy(p).nroots(n=30))
+            assert far <= r + 1e-9 and (r == 0 or far > r - 1 + 1e-9), (p, c, r, far)
+
     def test_reciprocal_bound_is_bound_of_reversal(self):
         for p in self._polys():
             if p[0] != 0:
@@ -372,11 +385,28 @@ class TestRootBounds:
 
 
 def test_gf_prime_is_a_safe_prime():
-    # p = 2r + 1 with r prime: no q other than 0, +-1 has a short orbit mod p
+    # p = 2r + 1 with r prime: no q other than 0, +-1 has a short orbit mod
+    # p; every residue, product and acc*q + c stays one CPython digit
     sympy = pytest.importorskip("sympy")
-    assert GF_PRIME < 2**31
+    assert GF_PRIME**2 + GF_PRIME < 2**30
     assert sympy.isprime(GF_PRIME) and sympy.isprime((GF_PRIME - 1) // 2)
     assert pow(2, 31, GF_PRIME) != 1 and pow(4, 31, GF_PRIME) != 1
+    safe = list(itertools.islice(scan_primes(), 40))
+    assert safe[:3] == [32603, 32507, 32183]
+    assert safe == [p for p in range(GF_PRIME, safe[-1] - 1, -1) if sympy.isprime(p) and sympy.isprime(p // 2)]
+
+
+def test_lift_primes_are_the_primes_below_2_to_the_30():
+    # GF_PRIME, then the primes below 2^30 in descending order, each with
+    # the product of its block of 16
+    sympy = pytest.importorskip("sympy")
+    pairs = list(itertools.islice(_lift_primes(), 49))
+    primes = [p for p, _ in pairs]
+    assert pairs[0] == (GF_PRIME, None)
+    assert primes[1:] == [sympy.prevprime(2**30)] + [sympy.prevprime(p) for p in primes[1:-1]]
+    for k in range(3):
+        block = pairs[1 + 16 * k: 17 + 16 * k]
+        assert {b for _, b in block} == {math.prod(p for p, _ in block)}
 
 
 class TestPartialSplit:

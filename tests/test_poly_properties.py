@@ -2,9 +2,16 @@
 a plain reference on lists of ``Fraction`` coefficients, plus the canonical
 form: primitive part, positive leading entry, and ``==``/``hash`` agreeing
 for equal polynomials built different ways.  ``poly_gcd`` is also checked
-against sympy's gcd on every branch (lifted mod-p image, rejected lift,
-no image), and ``RatFun`` arithmetic by Henrici's rule against the
-unreduced construction it replaces."""
+against sympy's gcd on every branch of its lift loop (a lift from one
+prime, from several, from the cofactor, rejected lifts, no image), and
+``RatFun`` arithmetic by Henrici's rule against the unreduced construction
+it replaces.
+
+Tier-1 runs the gcd comparison with sympy on a small derandomized sample; a
+long run loads the ``gcd-oracle`` profile registered in conftest.py:
+
+    python -m pytest tests/test_poly_properties.py -k against_sympy --hypothesis-profile=gcd-oracle
+"""
 
 import math
 from fractions import Fraction
@@ -13,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import Poly, Rat, RatFun, poly_gcd
+from diffalg import numcore
 from diffalg.numcore import (
     GF_PRIME,
     _gcd_cofactors,
@@ -241,30 +249,46 @@ def sympy_gcd(a: Poly, b: Poly) -> Poly:
     return Poly([Rat(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())])
 
 
-# integer coefficients beyond GF_PRIME/2 defeat the lift of the mod-p image,
-# and multiples of GF_PRIME leave no image at all
+# integer coefficients beyond GF_PRIME/2 defeat the lift of one mod-p image,
+# those past 31, 62 and 124 bits that of one, two and four primes below
+# 2^30, and multiples of GF_PRIME leave no image at all
 wide_ints = st.one_of(
     st.integers(-40, 40),
-    st.integers(-(2**40), 2**40),
+    *[st.integers(-(2**bits), 2**bits) for bits in (16, 32, 63, 125)],
     st.sampled_from([GF_PRIME, -GF_PRIME, 3 * GF_PRIME, GF_PRIME + 1]),
 )
 planted_factors = st.lists(wide_ints, min_size=1, max_size=4).map(ref_trim).filter(bool)
 
+if settings.get_current_profile_name() == "gcd-oracle":
+    gcd_settings = settings(deadline=None, database=None)
+else:
+    gcd_settings = props
 
-@props
-@given(nonzero_lists, nonzero_lists, planted_factors)
-def test_gcd_of_planted_factors_against_sympy(a, b, common):
-    p, q = Poly(ref_mul(a, common)), Poly(ref_mul(b, common))
-    g = poly_gcd(p, q)
+
+def ref_inflate(cs, k, shift):
+    """The coefficients of x^shift * c(x^k) for c with coefficients cs."""
+    out = [0] * (shift + k * (len(cs) - 1) + 1)
+    out[shift::k] = cs
+    return out
+
+
+@gcd_settings
+@given(nonzero_lists, nonzero_lists, planted_factors, st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
+def test_gcd_of_planted_factors_against_sympy(a, b, common, i, j, k):
+    # x^i * A(x^k) and x^j * B(x^k) share x^min(i, j) * common(x^k)
+    p = Poly(ref_inflate(ref_mul(a, common), k, i))
+    q = Poly(ref_inflate(ref_mul(b, common), k, j))
+    g, cp, cq = _gcd_cofactors(p, q)
     check_canonical(g)
-    assert g == sympy_gcd(p, q)
+    assert g == sympy_gcd(p, q) if p.degree > 0 and q.degree > 0 else g == Poly.one()
+    assert g * cp == p and g * cq == q
 
 
 class TestGcdBranches:
-    """One deterministic input per fallback of ``poly_gcd``, each against
-    sympy."""
+    """One deterministic input per branch of the lift loop of ``poly_gcd``,
+    each against sympy."""
 
-    def test_lift_beyond_half_the_prime_falls_back_to_the_prs(self):
+    def test_lift_beyond_half_the_prime_takes_more_primes(self):
         # the image x + (2^40 mod p) lifts to the wrong symmetric residue
         big = Poly([2**40, 1])
         assert 2**40 > GF_PRIME // 2
@@ -281,6 +305,25 @@ class TestGcdBranches:
         p, q = Poly([1, GF_PRIME]) * common, Poly([-2, 1]) * common
         assert gf_coeffs(p) is None
         assert poly_gcd(p, q) == common.monic() == sympy_gcd(p, q)
+
+    def test_only_the_cofactor_lifts_from_one_prime(self, monkeypatch):
+        # the gcd x + 2^200 needs seven primes below 2^30, its cofactors
+        # x + 1 and x + 2 one: the cofactor lift of the first prime is
+        # unchanged by the second, which ends the loop
+        big = Poly([2**200, 1])
+        p, q = big * Poly([1, 1]), big * Poly([2, 1])
+        images = []
+        real = numcore._gf_gcd
+
+        def counted(*args):
+            images.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(numcore, "_gf_gcd", counted)
+        g, cp, cq = _gcd_cofactors(p, q)
+        assert g == big == sympy_gcd(p, q)
+        assert (cp, cq) == (Poly([1, 1]), Poly([2, 1]))
+        assert len(images) == 2 and images[0] == GF_PRIME and images[1] < 2**30
 
 
 # RatFun operands of every shape: constants, polynomials, and fractions whose
@@ -500,7 +543,7 @@ def test_kernels_build_no_fraction(monkeypatch):
         lambda: q.shift_arg(-2),
         lambda: q.monic(),
         lambda: _gcd_cofactors(p, q),
-        lambda: _gcd_cofactors(Poly([2**40, 1]) * p, Poly([2**40, 1]) * q),  # PRS fallback
+        lambda: _gcd_cofactors(Poly([2**40, 1]) * p, Poly([2**40, 1]) * q),  # lifted over two primes
         lambda: f + h,
         lambda: f * h,
         lambda: f / h,
