@@ -603,13 +603,15 @@ def _gf_gcd(a: list[int], b: list[int], prime: int = GF_PRIME) -> list[int]:
     while db >= 0 and not b[db]:
         db -= 1
     while db >= 0:
-        inv = pow(b[db], -1, prime)
+        # adding f*b with f = -a[da]/lc(b) keeps every operand non-negative,
+        # which CPython reduces faster than a negative difference
+        inv = prime - pow(b[db], -1, prime)
         while da >= db:
             f = a[da] * inv % prime
             if f:
                 k = da - db
                 for i in range(db):
-                    a[k + i] = (a[k + i] - f * b[i]) % prime
+                    a[k + i] = (a[k + i] + f * b[i]) % prime
             da -= 1
             while da >= 0 and not a[da]:
                 da -= 1
@@ -626,8 +628,9 @@ def _gf_quotient(a: list[int], g: list[int], prime: int) -> list[int]:
     for k in range(len(quo) - 1, -1, -1):
         f = quo[k] = r[k + dg]
         if f:
+            f = prime - f
             for j in range(dg):
-                r[k + j] = (r[k + j] - f * g[j]) % prime
+                r[k + j] = (r[k + j] + f * g[j]) % prime
     return quo
 
 

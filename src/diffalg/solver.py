@@ -201,9 +201,6 @@ class VectorSolutionSpace(namedtuple(
     __slots__ = ()
 
 
-_RATFUN_ONLY = {RatFun}
-
-
 class MatrixRF(namedtuple("MatrixRF", "entries")):
     """Square matrix over Q(x), its rows a tuple of tuples.  Its inverse
     clears each row to a polynomial row over its own denominator and runs
@@ -215,7 +212,7 @@ class MatrixRF(namedtuple("MatrixRF", "entries")):
         # rows of RatFun entries, as the parser and the matrix operations
         # build them, are kept; only other rows are coerced
         rows = tuple(
-            tuple(row) if set(map(type, row)) == _RATFUN_ONLY else tuple(map(RatFun._coerce, row)) for row in entries
+            tuple(row) if all(type(v) is RatFun for v in row) else tuple(map(RatFun._coerce, row)) for row in entries
         )
         if not rows or any(len(r) != len(rows) for r in rows):
             raise PreconditionError("MatrixRF must be square and nonempty")
