@@ -52,6 +52,7 @@ from .errors import (
     SingularMatrixError,
     ZeroInputError,
 )
+from .linalg import MatrixRF
 from .numcore import (
     Poly,
     Rat,
@@ -61,7 +62,6 @@ from .numcore import (
 )
 from .parsing import format_ratfun, parse_matrix, parse_ratfun
 from .solver import (
-    MatrixRF,
     ScalarDiffEq,
     SolutionSpace,
     Status,

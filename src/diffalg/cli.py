@@ -3,17 +3,20 @@ newline-delimited batch mode.  The CLI substitutes nothing itself.  A public
 solver substitutes the space it returns; a criteria procedure solves through
 the cores and substitutes only the certificate it publishes.
 
-``COMMANDS`` is the one list of subcommands and of the arguments each takes;
-``--help``, the batch reader and ``Query`` all read it.  A command line is
-read into the fields of a batch line (the long flag name with ``_`` for
-``-``) and goes through the same ``query_from_dict``, which rejects fields
-the subcommand does not take and reads ``case`` and ``q`` into one
-``DiffStructure``.  ``Query`` checks its other fields when it is made, so a
-query that exists is valid and ``run_query`` checks none of them again.  A
-stray, repeated, valueless or unknown argument, a non-string subcommand or
-expression, a non-integer or negative ``order_bound`` or ``degree_cap``, one
-above its cap, an empty ``q``, or a ``q`` without case ``q`` is a ``parse``
-error on either route.
+A ``COMMANDS`` row is the whole definition of one subcommand: its summary,
+its arguments, the ``INTEGER_FIELDS`` it reads (``degree_cap`` for the
+seven that run an ansatz, ``order_bound`` for ``telescope`` alone) and its
+handler.  ``run_query`` calls the handler and builds the report; ``--help``,
+the batch reader and ``Query`` read the same row.  A command line is read
+into the fields of a batch line (the long flag name with ``_`` for ``-``)
+and goes through the same ``query_from_dict``, which rejects fields the
+subcommand does not take and reads ``case`` and ``q`` into one
+``DiffStructure``.  ``Query`` checks its other fields when it is made, an
+integer field the row does not list included, so a query that exists is
+valid and ``run_query`` checks none of them again.  A stray, repeated,
+valueless or unknown argument, a non-string subcommand or expression, a
+non-integer or negative integer field, one above its cap, an empty ``q``,
+or a ``q`` without case ``q`` is a ``parse`` error on either route.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 1 = parse/usage error, 2 = a cap was exceeded: the degree cap, a result
@@ -66,46 +69,18 @@ from .parsing import (
 from .solver import ScalarDiffEq
 from .structures import DiffStructure, q_structure, shift_structure
 
-# subcommand -> (help, arguments); each argument is (payload key, help,
-# required), its flag the key with "-" for "_"; all also take _QUERY_FLAGS.
-COMMANDS = {
-    "disp": ("dispersion / polar dispersion / standardness", (("poly", None, False), ("f", None, False))),
-    "standard-form": ("additive standard decomposition", (
-        ("f", None, True),
-        ("a", "constant twist (default 1)", False),
-    )),
-    "mult-form": ("multiplicative standard form", (("f", None, True),)),
-    "solve-first-order": ("sigma(g) - a*g = rhs", (
-        ("a", None, True),
-        ("rhs", "fixed right-hand side", False),
-        ("rhs_basis", "semicolon-separated free basis", False),
-    )),
-    "solve-scalar": ("sum p_i sigma^i(y) = rhs", (
-        ("coeffs", "semicolon-separated p_0;...;p_m", True),
-        ("rhs", None, False),
-        ("rhs_basis", None, False),
-    )),
-    "solve-system": ("sigma(v) = M v + c", (
-        ("matrix", None, True),
-        ("rhs_vector", "[e1, ..., en]", False),
-    )),
-    "telescope": ("constant-operator telescoper search", (
-        ("funcs", "semicolon-separated inputs a_1;...;a_n", True),
-    )),
-    "da-hypergeom": ("sigma(u) = b*u differential algebraicity", (("b", None, True),)),
-    "da-inhomog": ("sigma(z) = a*z + b classification", (("a", None, True), ("b", None, True))),
-    "integrability": ("sigma(B) = A B A^-1 + d(A) A^-1 test", (("matrix", None, True),)),
-    "classify-group": ("group of sigma(y) - y = f", (("f", None, True),)),
+# each integer field of a Query: name -> (cap, default, help); a COMMANDS row
+# lists those its subcommand reads, and the others must keep their default
+INTEGER_FIELDS = {
+    "order_bound": (MAX_ORDER_BOUND, DEFAULT_ORDER_BOUND,
+                    "largest telescoper order, at most {cap} (default {default})"),
+    # None leaves the cap to each procedure
+    "degree_cap": (MAX_DEGREE_CAP, None,
+                   f"numerator degree cap of every ansatz, at most {{cap}} (default {solver.DEFAULT_DEGREE_CAP})"),
 }
 
-# the Query fields that subcommands take besides payload; only telescope takes order_bound
-_QUERY_FLAGS = (
-    ("case", "shift (the default) or q"),
-    ("q", "rational q for the q case, e.g. 1/4"),
-    ("degree_cap", f"numerator degree cap of every ansatz, at most {MAX_DEGREE_CAP} "
-                   f"(default {solver.DEFAULT_DEGREE_CAP})"),
-    ("order_bound", f"largest telescoper order, at most {MAX_ORDER_BOUND} (default {DEFAULT_ORDER_BOUND})"),
-)
+# the fields every subcommand takes besides its arguments and integer fields
+_STRUCTURE_FIELDS = (("case", "shift (the default) or q"), ("q", "rational q for the q case, e.g. 1/4"))
 
 # the verdicts whose reports are ``substitution_verified``: each carries a
 # certificate that the procedure making it checked exactly
@@ -125,56 +100,56 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _arguments(sub) -> tuple:
-    """The arguments of a subcommand, each ``(payload key, help, required)``."""
+def _command(sub) -> Command:
+    """The ``COMMANDS`` row of a subcommand."""
     if not isinstance(sub, str):
         raise ParseError("field 'subcommand' must be a string", 0)
     if sub not in COMMANDS:
         raise ParseError(f"unknown subcommand {sub!r}", 0)
-    return COMMANDS[sub][1]
+    return COMMANDS[sub]
 
 
-def _check_integer(key: str, value, cap: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"field {key!r} must be an integer", 0)
-    name = key.replace("_", " ")
-    if value < 0:
-        raise ParseError(f"{name} must be >= 0, got {value}", 0)
-    if value > cap:
-        raise ParseError(f"{name} above the cap {cap}", 0)
-
-
-class Query(namedtuple("Query", "subcommand structure payload order_bound degree_cap")):
+class Query(namedtuple(
+    "Query",
+    ("subcommand", "structure", "payload", *INTEGER_FIELDS),
+    defaults=(shift_structure(), None, *(default for _, default, _ in INTEGER_FIELDS.values())),
+)):
     """One query: the subcommand, its structure (the shift by default), the
     subcommand's arguments in ``payload`` (a read-only copy of the mapping
-    given, empty when None), and the order bound and degree cap.  The constructor checks every field, so a
-    query that exists names a known subcommand with its required arguments
-    as strings, and integer bounds within their caps."""
+    given, empty when None), and one field per ``INTEGER_FIELDS`` entry.
+    The constructor checks every field against the subcommand's row: only
+    listed fields, string arguments, required ones present, capped integers."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        subcommand: str,
-        structure: DiffStructure = shift_structure(),
-        payload: dict | None = None,
-        order_bound: int = DEFAULT_ORDER_BOUND,
-        degree_cap: int | None = None,
-    ):
-        arguments = _arguments(subcommand)
-        if not isinstance(structure, DiffStructure):
+    def __new__(cls, *args, **kwargs):
+        query = super().__new__(cls, *args, **kwargs)
+        command = _command(query.subcommand)
+        if not isinstance(query.structure, DiffStructure):
             raise ParseError("structure must be a DiffStructure", 0)
-        payload = MappingProxyType({} if payload is None else dict(payload))
+        payload = MappingProxyType({} if query.payload is None else dict(query.payload))
+        keys = [key for key, _, _ in command.arguments]
         for key, value in payload.items():
+            if key not in keys:
+                raise ParseError(f"unknown field {key!r} for {query.subcommand}", 0)
             if value is not None and not isinstance(value, str):
                 raise ParseError(f"field {key!r} must be a string", 0)
-        _check_integer("order_bound", order_bound, MAX_ORDER_BOUND)
-        if degree_cap is not None:
-            _check_integer("degree_cap", degree_cap, MAX_DEGREE_CAP)
-        for key, _, required in arguments:
+        for key, (cap, default, _) in INTEGER_FIELDS.items():
+            value = getattr(query, key)
+            if type(value) is type(default) and value == default:
+                continue
+            if key not in command.fields:
+                raise ParseError(f"unknown field {key!r} for {query.subcommand}", 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParseError(f"field {key!r} must be an integer", 0)
+            if value < 0:
+                raise ParseError(f"{key.replace('_', ' ')} must be >= 0, got {value}", 0)
+            if value > cap:
+                raise ParseError(f"{key.replace('_', ' ')} above the cap {cap}", 0)
+        for key, _, required in command.arguments:
             if required and payload.get(key) is None:
                 raise ParseError(f"missing required argument {_flag(key)}", 0)
-        return tuple.__new__(cls, (subcommand, structure, payload, order_bound, degree_cap))
+        return tuple.__new__(cls, (query.subcommand, query.structure, payload, *query[3:]))
 
     @classmethod
     def _make(cls, fields):  # so that _replace validates like the constructor
@@ -193,6 +168,20 @@ class VerdictReport(namedtuple(
         return self._asdict()
 
 
+def run_query(query: Query) -> tuple[VerdictReport, int]:
+    """Run one query through its row's handler; returns (report, exit_code)."""
+    start = time.monotonic()
+    verdict, cert, notes = COMMANDS[query.subcommand].handler(query)
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    case, q = ("shift", None) if query.structure.is_shift else ("q", str(query.structure.q))
+    report = VerdictReport(query.subcommand, case, q, verdict, cert, verdict in POSITIVE_VERDICTS, notes, elapsed_ms)
+    return report, EXIT_BOUND if verdict == "BOUND_EXCEEDED" else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: query -> (verdict, certificate or None, notes)
+# ---------------------------------------------------------------------------
+
 def _parse_constant(text: str, flag: str) -> Rat:
     f = parse_ratfun(text)
     if not f.is_constant():
@@ -200,7 +189,15 @@ def _parse_constant(text: str, flag: str) -> Rat:
     return f.const_value()
 
 
-def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
+def _rhs_arguments(payload) -> tuple[list[RatFun], tuple]:
+    """--rhs is a fixed right-hand side (lambda pinned to 1); --rhs-basis
+    adds free-lambda basis functions."""
+    fixed = [parse_ratfun(payload["rhs"])] if payload.get("rhs") else []
+    free = parse_ratfun_list(payload.get("rhs_basis") or "")
+    return fixed + free, (Rat(1),) * len(fixed) + (None,) * len(free)
+
+
+def _space_report(space: solver.SolutionSpace) -> tuple[str, dict, str]:
     def solution(g: RatFun, lam: tuple) -> dict:
         return {"g": format_ratfun(g), "lambda": [format_rat(v) for v in lam]}
 
@@ -212,169 +209,170 @@ def _solution_space_payload(space: solver.SolutionSpace) -> tuple[str, dict]:
         cert["universal_denominator"] = format_ratfun(RatFun.from_poly(space.universal_den))
     if space.degree_bound is not None:
         cert["degree_bound"] = space.degree_bound
-    return space.status.name, cert
+    return space.status.name, cert, ""
 
 
-def run_query(query: Query) -> tuple[VerdictReport, int]:
-    """Dispatch one query; returns (report, exit_code)."""
-    start = time.monotonic()
-    ds = query.structure
-    payload = query.payload
-    cap = query.degree_cap
-    sub = query.subcommand
-    verdict = "ERROR"
-    cert: dict | None = None
-    notes = ""
-
-    if sub == "disp":
-        verdict = "DISPERSION"
+def _da_report(v: criteria.DAVerdict) -> tuple[str, dict | None, str]:
+    c, cert = v.certificate, None
+    if c is not None:
         cert = {}
-        if payload.get("poly"):
-            p = parse_poly(payload["poly"])
-            cert["dispersion"] = dispersion_of(ds, p)
-        if payload.get("f"):
-            f = parse_ratfun(payload["f"])
-            cert["polar_dispersion"] = polar_dispersion(ds, f)
-            if not f.is_zero():
-                cert["is_standard"] = is_standard(ds, f)
-        if not cert:
-            raise ParseError("disp needs --poly or --f", 0)
-    elif sub == "standard-form":
-        f = parse_ratfun(payload["f"])
-        a = _parse_constant(payload.get("a") or "1", "--a")
-        decomp = additive_standard_decomp(ds, f, a)
-        verdict = "STANDARD_DECOMP"
-        cert = {
-            "standard_part": format_ratfun(decomp.standard_part),
-            "certificate_g": format_ratfun(decomp.certificate_g),
-            "twist_a": format_rat(decomp.twist_a),
-        }
-    elif sub == "mult-form":
-        f = parse_ratfun(payload["f"])
-        mform = multiplicative_standard_form(ds, f)
-        verdict = "MULT_STANDARD_FORM"
-        cert = {
-            "standard_part": format_ratfun(mform.standard_part),
-            "certificate_g": format_ratfun(mform.certificate_g),
-        }
-    elif sub == "solve-first-order":
-        a = parse_ratfun(payload["a"])
-        basis, fixed = _rhs_arguments(payload)
-        space = solver.solve_first_order(ds, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=cap)
-        verdict, cert = _solution_space_payload(space)
-    elif sub == "solve-scalar":
-        coeffs = parse_poly_list(payload["coeffs"])
-        basis, fixed = _rhs_arguments(payload)
-        eq = ScalarDiffEq(ds, tuple(coeffs), tuple(basis), fixed)
-        space = solver.solve_scalar(eq, degree_cap=cap)
-        verdict, cert = _solution_space_payload(space)
-    elif sub == "solve-system":
-        m = parse_matrix(payload["matrix"])
-        rhs_vec = (
-            parse_vector(payload["rhs_vector"])
-            if payload.get("rhs_vector")
-            else [RatFun.zero()] * m.n
-        )
-        space = solver.solve_system(ds, m, rhs_vec, degree_cap=cap)
-        verdict = space.status.name
-        cert = {}
-        if space.particular is not None:
-            cert["particular"] = [format_ratfun(v) for v in space.particular]
-        cert["homogeneous_basis"] = [
-            [format_ratfun(v) for v in vec] for vec in space.homogeneous_basis
-        ]
-        if space.witness:
-            cert["witness"] = space.witness
-    elif sub == "telescope":
-        funcs = parse_ratfun_list(payload["funcs"])
-        tele = criteria.find_telescoper(ds, funcs, query.order_bound, degree_cap=cap)
-        if tele is None:
-            verdict = "NO_TELESCOPER"
-            notes = f"no telescoper of order <= {query.order_bound}; not a transcendence proof"
-        else:
-            verdict = "TELESCOPER_FOUND"
-            cert = {
-                "operators": [[format_rat(c) for c in op.coeffs] for op in tele.operators],
-                "certificate_g": format_ratfun(tele.certificate_g),
-            }
-    elif sub == "da-hypergeom":
-        b = parse_ratfun(payload["b"])
-        v = criteria.hypergeom_da_test(ds, b)
-        verdict = v.status.name
-        notes = v.hypothesis_notes
-        if v.certificate is not None:
-            cert = _da_certificate_dict(v.certificate)
-    elif sub == "da-inhomog":
-        a = parse_ratfun(payload["a"])
-        b = parse_ratfun(payload["b"])
-        v = criteria.inhomog_da_classify(ds, a, b, degree_cap=cap)
-        verdict = v.status.name
-        notes = v.hypothesis_notes
-        if v.certificate is not None:
-            cert = _da_certificate_dict(v.certificate)
-    elif sub == "integrability":
-        m = parse_matrix(payload["matrix"])
-        result = criteria.integrability_test(ds, m, degree_cap=cap)
-        verdict = result.status.name
-        if result.b_matrix is not None:
-            cert = {"B": [[format_ratfun(v) for v in row] for row in result.b_matrix.entries]}
-        else:
-            cert = {}
-            if result.scalar_trace is not None:
-                cert["scalar_trace"] = {
-                    "coeffs": [format_ratfun(RatFun.from_poly(p)) for p in result.scalar_trace.coeffs],
-                    "rhs": [format_ratfun(r) for r in result.scalar_trace.rhs_basis],
-                }
-    elif sub == "classify-group":
-        f = parse_ratfun(payload["f"])
-        g = criteria.group_classify_inhomog_sum(ds, f, degree_cap=cap)
-        verdict = g.kind.name
-        if g.certificate_h is not None:
-            cert = {"h": format_ratfun(g.certificate_h)}
-            if g.certificate_c is not None:
-                cert["c"] = format_rat(g.certificate_c)
+        if c.f is not None:
+            cert["f"] = format_ratfun(c.f)
+        if c.c is not None:
+            cert["c"] = format_rat(c.c)
+        if c.n_or_r is not None:
+            cert["n_or_r"] = c.n_or_r
+        if c.d is not None:
+            cert["d"] = format_rat(c.d)
+    return v.status.name, cert, v.hypothesis_notes
 
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    report = VerdictReport(
-        verdict=verdict,
-        certificate=cert,
-        substitution_verified=verdict in POSITIVE_VERDICTS,
-        hypothesis_notes=notes,
-        timing_ms=elapsed_ms,
-        subcommand=sub,
-        case="shift" if ds.is_shift else "q",
-        q=None if ds.is_shift else str(ds.q),
+
+def _disp(query):
+    ds, payload, cert = query.structure, query.payload, {}
+    if payload.get("poly"):
+        cert["dispersion"] = dispersion_of(ds, parse_poly(payload["poly"]))
+    if payload.get("f"):
+        f = parse_ratfun(payload["f"])
+        cert["polar_dispersion"] = polar_dispersion(ds, f)
+        if not f.is_zero():
+            cert["is_standard"] = is_standard(ds, f)
+    if not cert:
+        raise ParseError("disp needs --poly or --f", 0)
+    return "DISPERSION", cert, ""
+
+
+def _standard_form(query):
+    f = parse_ratfun(query.payload["f"])
+    a = _parse_constant(query.payload.get("a") or "1", "--a")
+    decomp = additive_standard_decomp(query.structure, f, a)
+    return "STANDARD_DECOMP", {
+        "standard_part": format_ratfun(decomp.standard_part),
+        "certificate_g": format_ratfun(decomp.certificate_g),
+        "twist_a": format_rat(decomp.twist_a),
+    }, ""
+
+
+def _mult_form(query):
+    mform = multiplicative_standard_form(query.structure, parse_ratfun(query.payload["f"]))
+    return "MULT_STANDARD_FORM", {
+        "standard_part": format_ratfun(mform.standard_part),
+        "certificate_g": format_ratfun(mform.certificate_g),
+    }, ""
+
+
+def _solve_first_order(query):
+    a = parse_ratfun(query.payload["a"])
+    basis, fixed = _rhs_arguments(query.payload)
+    space = solver.solve_first_order(
+        query.structure, a, rhs_basis=basis, lambda_fixed=fixed, degree_cap=query.degree_cap
     )
-    return report, EXIT_BOUND if verdict == "BOUND_EXCEEDED" else EXIT_OK
+    return _space_report(space)
 
 
-def _rhs_arguments(payload) -> tuple[list[RatFun], tuple]:
-    """--rhs is a fixed right-hand side (lambda pinned to 1); --rhs-basis
-    adds free-lambda basis functions."""
-    fixed = [parse_ratfun(payload["rhs"])] if payload.get("rhs") else []
-    free = parse_ratfun_list(payload.get("rhs_basis") or "")
-    return fixed + free, (Rat(1),) * len(fixed) + (None,) * len(free)
+def _solve_scalar(query):
+    coeffs = parse_poly_list(query.payload["coeffs"])
+    basis, fixed = _rhs_arguments(query.payload)
+    eq = ScalarDiffEq(query.structure, tuple(coeffs), tuple(basis), fixed)
+    return _space_report(solver.solve_scalar(eq, degree_cap=query.degree_cap))
 
 
-def _da_certificate_dict(c: criteria.DACertificate) -> dict:
+def _solve_system(query):
+    m = parse_matrix(query.payload["matrix"])
+    rhs = query.payload.get("rhs_vector")
+    rhs_vec = parse_vector(rhs) if rhs else [RatFun.zero()] * m.n
+    space = solver.solve_system(query.structure, m, rhs_vec, degree_cap=query.degree_cap)
+    cert = {} if space.particular is None else {"particular": [format_ratfun(v) for v in space.particular]}
+    cert["homogeneous_basis"] = [[format_ratfun(v) for v in vec] for vec in space.homogeneous_basis]
+    if space.witness:
+        cert["witness"] = space.witness
+    return space.status.name, cert, ""
+
+
+def _telescope(query):
+    funcs = parse_ratfun_list(query.payload["funcs"])
+    tele = criteria.find_telescoper(query.structure, funcs, query.order_bound, degree_cap=query.degree_cap)
+    if tele is None:
+        return "NO_TELESCOPER", None, f"no telescoper of order <= {query.order_bound}; not a transcendence proof"
+    return "TELESCOPER_FOUND", {
+        "operators": [[format_rat(c) for c in op.coeffs] for op in tele.operators],
+        "certificate_g": format_ratfun(tele.certificate_g),
+    }, ""
+
+
+def _da_hypergeom(query):
+    return _da_report(criteria.hypergeom_da_test(query.structure, parse_ratfun(query.payload["b"])))
+
+
+def _da_inhomog(query):
+    a = parse_ratfun(query.payload["a"])
+    b = parse_ratfun(query.payload["b"])
+    return _da_report(criteria.inhomog_da_classify(query.structure, a, b, degree_cap=query.degree_cap))
+
+
+def _integrability(query):
+    m = parse_matrix(query.payload["matrix"])
+    result = criteria.integrability_test(query.structure, m, degree_cap=query.degree_cap)
     cert = {}
-    if c.f is not None:
-        cert["f"] = format_ratfun(c.f)
-    if c.c is not None:
-        cert["c"] = format_rat(c.c)
-    if c.n_or_r is not None:
-        cert["n_or_r"] = c.n_or_r
-    if c.d is not None:
-        cert["d"] = format_rat(c.d)
-    return cert
+    if result.b_matrix is not None:
+        cert["B"] = [[format_ratfun(v) for v in row] for row in result.b_matrix.entries]
+    elif result.scalar_trace is not None:
+        cert["scalar_trace"] = {
+            "coeffs": [format_ratfun(RatFun.from_poly(p)) for p in result.scalar_trace.coeffs],
+            "rhs": [format_ratfun(r) for r in result.scalar_trace.rhs_basis],
+        }
+    return result.status.name, cert, ""
+
+
+def _classify_group(query):
+    f = parse_ratfun(query.payload["f"])
+    g = criteria.group_classify_inhomog_sum(query.structure, f, degree_cap=query.degree_cap)
+    cert = None
+    if g.certificate_h is not None:
+        cert = {"h": format_ratfun(g.certificate_h)}
+        if g.certificate_c is not None:
+            cert["c"] = format_rat(g.certificate_c)
+    return g.kind.name, cert, ""
+
+
+# A row is the whole definition of its subcommand: its summary; its
+# arguments, each (payload key, help, required) with the flag the key with
+# "-" for "_"; the INTEGER_FIELDS it reads; and its handler.
+Command = namedtuple("Command", "summary arguments fields handler")
+
+COMMANDS = {
+    "disp": Command("dispersion / polar dispersion / standardness",
+                    (("poly", None, False), ("f", None, False)), (), _disp),
+    "standard-form": Command("additive standard decomposition",
+                             (("f", None, True), ("a", "constant twist (default 1)", False)), (), _standard_form),
+    "mult-form": Command("multiplicative standard form", (("f", None, True),), (), _mult_form),
+    "solve-first-order": Command("sigma(g) - a*g = rhs", (
+        ("a", None, True),
+        ("rhs", "fixed right-hand side", False),
+        ("rhs_basis", "semicolon-separated free basis", False),
+    ), ("degree_cap",), _solve_first_order),
+    "solve-scalar": Command("sum p_i sigma^i(y) = rhs", (
+        ("coeffs", "semicolon-separated p_0;...;p_m", True),
+        ("rhs", None, False),
+        ("rhs_basis", None, False),
+    ), ("degree_cap",), _solve_scalar),
+    "solve-system": Command("sigma(v) = M v + c",
+                            (("matrix", None, True), ("rhs_vector", "[e1, ..., en]", False)),
+                            ("degree_cap",), _solve_system),
+    "telescope": Command("constant-operator telescoper search",
+                         (("funcs", "semicolon-separated inputs a_1;...;a_n", True),),
+                         ("degree_cap", "order_bound"), _telescope),
+    "da-hypergeom": Command("sigma(u) = b*u differential algebraicity", (("b", None, True),), (), _da_hypergeom),
+    "da-inhomog": Command("sigma(z) = a*z + b classification",
+                          (("a", None, True), ("b", None, True)), ("degree_cap",), _da_inhomog),
+    "integrability": Command("sigma(B) = A B A^-1 + d(A) A^-1 test",
+                             (("matrix", None, True),), ("degree_cap",), _integrability),
+    "classify-group": Command("group of sigma(y) - y = f", (("f", None, True),), ("degree_cap",), _classify_group),
+}
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
-
-_INTEGER_FIELDS = ("order_bound", "degree_cap")  # read as integers
-
 
 def _read_command_line(argv: list[str]) -> tuple[dict, list[str]]:
     """``SUBCOMMAND --flag value ...`` as batch-line fields and the other
@@ -393,7 +391,7 @@ def _read_command_line(argv: list[str]) -> tuple[dict, list[str]]:
             raise ParseError(f"{arg} needs a value", 0)
         if key in fields:
             raise ParseError(f"repeated argument {_flag(key)}", 0)
-        if key in _INTEGER_FIELDS:
+        if key in INTEGER_FIELDS:
             try:
                 value = int(value)
             except ValueError:
@@ -405,13 +403,16 @@ def _read_command_line(argv: list[str]) -> tuple[dict, list[str]]:
 def _help(sub: str | None) -> str:
     """The ``--help`` text of a subcommand, or the list of subcommands."""
     if sub in COMMANDS:
-        summary, arguments = COMMANDS[sub]
-        head = f"usage: diffalg {sub} [--flag value ...]\n\n{summary}"
-        rows = [(_flag(key), (text or "") + " (required)" * required) for key, text, required in arguments]
-        rows += [(_flag(k), text) for k, text in _QUERY_FLAGS if k != "order_bound" or sub == "telescope"]
+        command = COMMANDS[sub]
+        head = f"usage: diffalg {sub} [--flag value ...]\n\n{command.summary}"
+        rows = [(_flag(key), (text or "") + " (required)" * required) for key, text, required in command.arguments]
+        rows += [(_flag(key), text) for key, text in _STRUCTURE_FIELDS]
+        for key in command.fields:
+            cap, default, text = INTEGER_FIELDS[key]
+            rows.append((_flag(key), text.format(cap=cap, default=default)))
     else:
         head = "usage: diffalg SUBCOMMAND [--flag value ...]\n       diffalg batch PATH"
-        rows = [(name, summary) for name, (summary, _) in COMMANDS.items()]
+        rows = [(name, command.summary) for name, command in COMMANDS.items()]
     return head + "\n\n" + "\n".join(f"  {left:<18} {right}".rstrip() for left, right in rows)
 
 
@@ -424,9 +425,9 @@ def query_from_dict(obj: dict) -> Query:
     sub = obj.get("subcommand")
     if sub is None:
         raise ParseError("missing subcommand", 0)
-    keys = [key for key, _, _ in _arguments(sub)]
-    flags = (key for key, _ in _QUERY_FLAGS if key != "order_bound" or sub == "telescope")
-    fields = ("subcommand", *keys, *flags)
+    command = _command(sub)
+    keys = [key for key, _, _ in command.arguments]
+    fields = ("subcommand", *keys, *(key for key, _ in _STRUCTURE_FIELDS), *command.fields)
     for key in obj:
         if key not in fields:
             raise ParseError(f"unknown field {key!r} for {sub}", 0)
@@ -441,14 +442,9 @@ def query_from_dict(obj: dict) -> Query:
         structure = shift_structure()
     else:
         raise ParseError(f"unknown case {case!r}", 0)
-    order_bound = obj.get("order_bound")
-    return Query(
-        subcommand=sub,
-        structure=structure,
-        payload={k: obj[k] for k in keys if k in obj},
-        order_bound=DEFAULT_ORDER_BOUND if order_bound is None else order_bound,
-        degree_cap=obj.get("degree_cap"),
-    )
+    # a null integer field is its default
+    integers = {key: obj[key] for key in command.fields if obj.get(key) is not None}
+    return Query(sub, structure, {k: obj[k] for k in keys if k in obj}, **integers)
 
 
 # exception -> (error kind, exit code), first match wins

@@ -28,8 +28,9 @@ from .errors import (
     PreconditionError,
     ZeroInputError,
 )
+from .linalg import MatrixRF
 from .numcore import RAT_ONE, Poly, Rat, RatFun
-from .solver import MatrixRF, Status, first_order_space, system_space
+from .solver import Status, first_order_space, system_space
 from .structures import ConstLinDiffOp, DiffStructure, apply_derivation, apply_op, apply_sigma, split_x_power
 
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra: the solve over Q and the one elimination over Q[x].
+"""Exact linear algebra: the solve over Q, the one elimination over Q[x],
+and ``MatrixRF``, the square matrix over Q(x) whose inverse runs it.
 
 ``solve_affine`` brings an augmented system over Q to reduced row echelon
 form and returns the solution space as a particular solution (free variables
@@ -33,14 +34,16 @@ rows of length n are kept, the same elimination continues by back
 substitution to adj(P)*b for any b, with det(P) its denominator, so
 P^-1 b = adj(P) b / det(P) needs no second elimination.  This is the one
 elimination over Q(x): it gives the cyclic equation of a first-order system
-and its lift (``solver._eliminate``), and the inverse of ``solver.MatrixRF``.
+and its lift (``solver._eliminate``), and the inverse of ``MatrixRF``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
-from .numcore import Poly, Rat, primitive_ints
+from .errors import PreconditionError, SingularMatrixError
+from .numcore import Poly, Rat, RatFun, poly_lcm, primitive_ints
 
 
 def solve_affine(rows, rhs, zero, one):
@@ -203,3 +206,72 @@ def _bareiss_step(p: Poly, a: Poly, f: Poly, b: Poly, prev: Poly) -> Poly:
     """(p*a - f*b) / prev, an exact division."""
     v = p * a - f * b if f and b else p * a
     return v.exact_div(prev) if prev != Poly.one() else v
+
+
+def common_denominator(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
+    """(d, [f * d for f in fs]) for d the monic lcm of the denominators."""
+    d = Poly.one()
+    for f in fs:
+        d = poly_lcm(d, f.den)
+    return d, [f.num * d.exact_div(f.den) for f in fs]
+
+
+class MatrixRF(namedtuple("MatrixRF", "entries")):
+    """Square matrix over Q(x), its rows a tuple of tuples.  Its inverse
+    clears each row to a polynomial row over its own denominator and runs
+    one fraction-free elimination over Q[x] (``FractionFreeRows``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        # rows of RatFun entries, as the parser and the matrix operations
+        # build them, are kept; only other rows are coerced
+        rows = tuple(
+            tuple(row) if all(type(v) is RatFun for v in row) else tuple(map(RatFun._coerce, row)) for row in entries
+        )
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise PreconditionError("MatrixRF must be square and nonempty")
+        return tuple.__new__(cls, (rows,))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates like the constructor
+        return cls(*fields)
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def __matmul__(self, other: "MatrixRF") -> "MatrixRF":
+        n = self.n
+        return MatrixRF(
+            [
+                [
+                    sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), RatFun.zero())
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+
+    def mat_vec(self, vec) -> list[RatFun]:
+        return [
+            sum((self.entries[i][k] * vec[k] for k in range(self.n)), RatFun.zero())
+            for i in range(self.n)
+        ]
+
+    def map(self, fn) -> "MatrixRF":
+        return MatrixRF([[fn(v) for v in row] for row in self.entries])
+
+    def inverse(self) -> "MatrixRF":
+        """A^-1 = P^-1 diag(l_i) for P = diag(l_i) A, where l_i clears the
+        denominators of row i: column i is adj(P) (l_i e_i) / det(P), one
+        normalised ``RatFun`` per entry."""
+        elim, dens = FractionFreeRows(), []
+        for row in self.entries:
+            den, prow = common_denominator(list(row))
+            if elim.add(prow) is not None:
+                raise SingularMatrixError("matrix is singular over Q(x)")
+            dens.append(den)
+        zero, det, n = Poly.zero(), elim.den, self.n
+        cols = [elim.solve([dens[i] if k == i else zero for k in range(n)]) for i in range(n)]
+        return MatrixRF([[RatFun(col[j], det) for col in cols] for j in range(n)])

@@ -1124,7 +1124,7 @@ def integer_roots(p: Poly) -> set[int]:
     ell = 1
     while True:
         ell += 1
-        if P[-1] % ell == 0 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
+        if P[-1] % ell == 0 or not _is_small_prime(ell):
             continue
         small, dsmall, roots = [v % ell for v in P], [v % ell for v in dP], []
         for r in range(ell):
@@ -1139,8 +1139,7 @@ def integer_roots(p: Poly) -> set[int]:
         m *= m
         small, dsmall = [v % m for v in P], [v % m for v in dP]
         roots = [(r - _horner(small, r, m) * pow(_horner(dsmall, r, m), -1, m)) % m for r in roots]
-    roots = [r - m if 2 * r > m else r for r in roots]
-    return {r for r in roots if not _horner(P, r)}
+    return {r for r in _symmetric(roots, m) if not _horner(P, r)}
 
 
 def radical(p: Poly) -> Poly:

@@ -54,6 +54,7 @@ import operator
 import re
 
 from .errors import BoundExceededError, ParseError
+from .linalg import MatrixRF
 from .numcore import (
     Poly,
     RatFun,
@@ -66,7 +67,6 @@ from .numcore import (
     ratfun_from_ints,
     ratfun_ints,
 )
-from .solver import MatrixRF
 
 MAX_DEGREE = 256
 # open parentheses

@@ -42,7 +42,7 @@ from itertools import combinations, count, product
 
 from .dispersion import additive_standard_decomp, orbit_gaps_between, q_power_roots
 from .errors import InternalVerificationError, PreconditionError, SingularMatrixError
-from .linalg import FractionFreeRows, solve_affine
+from .linalg import FractionFreeRows, MatrixRF, common_denominator, solve_affine
 from .numcore import (
     RAT_ONE,
     RAT_ZERO,
@@ -152,18 +152,10 @@ def scalar_eq_from_ratfun_coeffs(
     """Build a ScalarDiffEq from rational-function coefficients by clearing
     their common denominator (the rhs basis is scaled by the same factor, so
     the lambda semantics are unchanged)."""
-    den, poly_coeffs = _common_denominator([RatFun._coerce(c) for c in coeffs])
+    den, poly_coeffs = common_denominator([RatFun._coerce(c) for c in coeffs])
     den_rf = RatFun.from_poly(den)
     basis = tuple(RatFun._coerce(r) * den_rf for r in rhs_basis)
     return ScalarDiffEq(ds, tuple(poly_coeffs), basis, lambda_fixed)
-
-
-def _common_denominator(fs: list[RatFun]) -> tuple[Poly, list[Poly]]:
-    """(d, [f * d for f in fs]) for d the monic lcm of the denominators."""
-    d = Poly.one()
-    for f in fs:
-        d = poly_lcm(d, f.den)
-    return d, [f.num * d.exact_div(f.den) for f in fs]
 
 
 class SolutionSpace(namedtuple(
@@ -201,67 +193,6 @@ class VectorSolutionSpace(namedtuple(
     __slots__ = ()
 
 
-class MatrixRF(namedtuple("MatrixRF", "entries")):
-    """Square matrix over Q(x), its rows a tuple of tuples.  Its inverse
-    clears each row to a polynomial row over its own denominator and runs
-    one fraction-free elimination over Q[x] (``linalg.FractionFreeRows``)."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries):
-        # rows of RatFun entries, as the parser and the matrix operations
-        # build them, are kept; only other rows are coerced
-        rows = tuple(
-            tuple(row) if all(type(v) is RatFun for v in row) else tuple(map(RatFun._coerce, row)) for row in entries
-        )
-        if not rows or any(len(r) != len(rows) for r in rows):
-            raise PreconditionError("MatrixRF must be square and nonempty")
-        return tuple.__new__(cls, (rows,))
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates like the constructor
-        return cls(*fields)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __matmul__(self, other: "MatrixRF") -> "MatrixRF":
-        n = self.n
-        return MatrixRF(
-            [
-                [
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), RatFun.zero())
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
-    def mat_vec(self, vec) -> list[RatFun]:
-        return [
-            sum((self.entries[i][k] * vec[k] for k in range(self.n)), RatFun.zero())
-            for i in range(self.n)
-        ]
-
-    def map(self, fn) -> "MatrixRF":
-        return MatrixRF([[fn(v) for v in row] for row in self.entries])
-
-    def inverse(self) -> "MatrixRF":
-        """A^-1 = P^-1 diag(l_i) for P = diag(l_i) A, where l_i clears the
-        denominators of row i: column i is adj(P) (l_i e_i) / det(P), one
-        normalised ``RatFun`` per entry."""
-        elim, dens = FractionFreeRows(), []
-        for row in self.entries:
-            den, prow = _common_denominator(list(row))
-            if elim.add(prow) is not None:
-                raise SingularMatrixError("matrix is singular over Q(x)")
-            dens.append(den)
-        zero, det, n = Poly.zero(), elim.den, self.n
-        cols = [elim.solve([dens[i] if k == i else zero for k in range(n)]) for i in range(n)]
-        return MatrixRF([[RatFun(col[j], det) for col in cols] for j in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # normalisation
 # ---------------------------------------------------------------------------
@@ -276,7 +207,7 @@ class _Prepared(namedtuple("_Prepared", "ds coeffs rhs_fixed rhs_free")):
 
 
 def _prepare(ds: DiffStructure, coeffs, rhs_fixed: RatFun, rhs_free: list[RatFun]) -> _Prepared:
-    den, (rhs_fixed, *rhs_free) = _common_denominator([rhs_fixed, *rhs_free])
+    den, (rhs_fixed, *rhs_free) = common_denominator([rhs_fixed, *rhs_free])
     coeffs = [p * den for p in coeffs]
 
     # normalise operator support: drop leading/trailing zero coefficients by
@@ -716,7 +647,7 @@ def _eliminate(
     side to sum_i c_i G_i.
     """
     n = m.n
-    big_d, cleared = _common_denominator([*(v for row in m.entries for v in row), *c])
+    big_d, cleared = common_denominator([*(v for row in m.entries for v in row), *c])
     num_m = [cleared[i * n : (i + 1) * n] for i in range(n)]
     num_c = cleared[n * n :]
     zero = Poly.zero()

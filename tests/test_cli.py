@@ -927,3 +927,79 @@ class TestCommandLine:
             code, out, err = _run_main(argv, capsys)
             assert (code, out) == (EXIT_USAGE, "")
             assert json.loads(err)["error"] == {"message": "usage: diffalg batch PATH (at position 0)", "kind": "parse"}
+
+
+# one valid payload per subcommand, for the field-table tests
+SAMPLE_PAYLOADS = {
+    "disp": {"poly": "x*(x+2)"},
+    "standard-form": {"f": "1/x"},
+    "mult-form": {"f": "x"},
+    "solve-first-order": {"a": "2", "rhs": "1"},
+    "solve-scalar": {"coeffs": "1;1", "rhs": "1"},
+    "solve-system": {"matrix": "[[1]]"},
+    "telescope": {"funcs": "1/x - 1/(x+1)"},
+    "da-hypergeom": {"b": "x"},
+    "da-inhomog": {"a": "2", "b": "1"},
+    "integrability": {"matrix": "[[1]]"},
+    "classify-group": {"f": "1"},
+}
+
+# a valid non-default value of each integer field
+SAMPLE_INTEGERS = {"degree_cap": 100, "order_bound": 1}
+
+
+class TestFieldTable:
+    """Each COMMANDS row lists the integer fields its subcommand reads; the
+    batch line, the command line, ``Query`` and ``--help`` all follow it."""
+
+    def test_samples_cover_the_table(self):
+        assert SAMPLE_PAYLOADS.keys() == cli.COMMANDS.keys()
+        assert SAMPLE_INTEGERS.keys() == cli.INTEGER_FIELDS.keys()
+
+    def test_rows_list_their_integer_fields(self):
+        # the degree cap for each subcommand that runs an ansatz, the order
+        # bound for the telescoper search alone
+        ansatz = ("solve-first-order", "solve-scalar", "solve-system", "da-inhomog", "integrability", "classify-group")
+        expected = {**{sub: ("degree_cap",) for sub in ansatz}, "telescope": ("degree_cap", "order_bound")}
+        assert {sub: command.fields for sub, command in cli.COMMANDS.items() if command.fields} == expected
+
+    def test_schema_lists_every_subcommand(self):
+        with open(SCHEMA_PATH) as fh:
+            schema = json.load(fh)
+        assert set(schema["properties"]["subcommand"]["enum"]) == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("field", sorted(SAMPLE_INTEGERS))
+    @pytest.mark.parametrize("sub", sorted(SAMPLE_PAYLOADS))
+    def test_integer_field_accepted_exactly_where_listed(self, sub, field, tmp_path, capsys):
+        payload, value = SAMPLE_PAYLOADS[sub], SAMPLE_INTEGERS[field]
+        line = {"subcommand": sub, **payload, field: value}
+        path = tmp_path / "line.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        reports, batch_code = run_batch(str(path))
+        argv = [sub] + [f"--{k.replace('_', '-')}={v}" for k, v in line.items() if k != "subcommand"]
+        code, out, err = _run_main(argv, capsys)
+        if field in cli.COMMANDS[sub].fields:
+            assert (batch_code, code, err) == (EXIT_OK, EXIT_OK, "")
+            report = json.loads(out)
+            assert reports[0] == {**report, "timing_ms": reports[0]["timing_ms"]}
+            assert getattr(Query(sub, payload=payload, **{field: value}), field) == value
+        else:
+            message = f"unknown field {field!r} for {sub} (at position 0)"
+            assert (batch_code, code, out) == (EXIT_USAGE, EXIT_USAGE, "")
+            assert reports[0]["error"] == {"line": 1, "message": message, "kind": "parse"}
+            assert json.loads(err)["error"] == {"message": message, "kind": "parse"}
+            with pytest.raises(ParseError) as exc:
+                Query(sub, payload=payload, **{field: value})
+            assert str(exc.value) == message
+            # the default value is not a setting
+            default = cli.INTEGER_FIELDS[field][1]
+            assert Query(sub, payload=payload, **{field: default}) == Query(sub, payload=payload)
+
+    @pytest.mark.parametrize("sub", sorted(SAMPLE_PAYLOADS))
+    def test_help_lists_exactly_the_row_flags(self, sub, capsys):
+        code, out, err = _run_main([sub, "--help"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        flags = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+        command = cli.COMMANDS[sub]
+        keys = [key for key, _, _ in command.arguments] + ["case", "q"] + list(command.fields)
+        assert sorted(flags) == sorted("--" + key.replace("_", "-") for key in keys)

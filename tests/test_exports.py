@@ -1,12 +1,12 @@
 """The package's public names all resolve, so a deletion cannot leave a stale
 export behind; no module reaches into a sibling's private helpers or into
-the integer form of a ``Poly`` outside ``numcore``; no module reads the
-environment, so every setting is an option or an argument;
-the CLI substitutes nothing, since each procedure checks the certificate
-it makes; ``criteria`` calls no public solver; a cold CLI query or batch
-loads only the modules it computes with; the test oracles take no pipeline
-stage from the package, and the parser's oracle nothing but the parser;
-and no module imports a name it never reads.
+the integer form of a ``Poly`` outside ``numcore``; the parser imports no
+solver; no module reads the environment, so every setting is an option or
+an argument; the CLI substitutes nothing, since each procedure checks the
+certificate it makes; ``criteria`` calls no public solver; a cold CLI query
+or batch loads only the modules it computes with; the test oracles take no
+pipeline stage from the package, and the parser's oracle nothing but the
+parser; and no module imports a name it never reads.
 
 A public solver substitutes the space it returns; a criteria procedure
 solves through the cores and substitutes only the certificate it publishes.
@@ -98,6 +98,19 @@ def test_parser_oracle_takes_only_the_parser():
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert sorted(m for m in modules if m.split(".")[0] == "diffalg") == ["diffalg.parsing"]
+
+
+def test_parsing_imports_no_solver():
+    # the parser builds polynomials, rational functions and matrices: it
+    # reads numcore, linalg (for MatrixRF) and errors, and no procedure
+    modules = {
+        node.module
+        for filename, tree in _module_trees()
+        if filename == "parsing.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert modules == {"numcore", "linalg", "errors"}
 
 
 def test_no_module_reads_the_environment():

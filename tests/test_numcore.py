@@ -179,8 +179,11 @@ class TestIntegerRoots:
             (f"((x - {2 * BIG})^2 + (x - {2 * BIG}) + 1)*((x + {2 * BIG})^2 + (x + {2 * BIG}) + 3)", set()),
             (f"(x + {BIG})*(x - {BIG} - 7)*(x + 3)*(3*x + {BIG} + 1)*(x^2 - 2)", {-BIG, BIG + 7, -3}),
             (f"(x - {BIG})^3*(x + 2)^2*(x - 1)", {BIG, -2, 1}),
+            # two simple roots mod 2: lifted over the even moduli 2^(2^k)
+            ("(x - 5)*(x + 2^70)", {5, -(2 ** 70)}),
         ],
-        ids=["prod-x-k-60", "lc-30030", "lc-30030-linear", "no-root-mod-2", "no-root-mod-2-huge", "huge-both-signs", "repeated-huge"],
+        ids=["prod-x-k-60", "lc-30030", "lc-30030-linear", "no-root-mod-2", "no-root-mod-2-huge", "huge-both-signs",
+             "repeated-huge", "lift-from-2"],
     )
     def test_exact(self, text, roots):
         assert integer_roots(pp(text)) == roots

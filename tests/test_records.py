@@ -33,6 +33,7 @@ from diffalg.cli import Query, VerdictReport
 from diffalg.parsing import MAX_DEGREE_CAP, MAX_ORDER_BOUND
 
 EQ = ScalarDiffEq(SHIFT, (pp("x"), pp("-x-1")))
+SCALAR_PAYLOAD = {"coeffs": "1;1"}  # a solve-scalar query's one required argument
 
 # (record, positional arguments, field names in order, defaults of the
 # omitted trailing fields, a field change that makes an unequal record,
@@ -199,10 +200,11 @@ def test_verdict_report_json_keys_in_field_order():
         (lambda: Query("disp", "q"), ParseError),
         (lambda: Query("telescope", order_bound=-1), ParseError),
         (lambda: Query("telescope", order_bound=MAX_ORDER_BOUND + 1), ParseError),
-        (lambda: Query("disp", degree_cap=-1), ParseError),
-        (lambda: Query("disp")._replace(degree_cap=-2), ParseError),
-        (lambda: Query("disp", degree_cap=MAX_DEGREE_CAP + 1), ParseError),
-        (lambda: Query("disp")._replace(degree_cap=10 ** 12), ParseError),
+        (lambda: Query("solve-scalar", payload=SCALAR_PAYLOAD, degree_cap=-1), ParseError),
+        (lambda: Query("solve-scalar", payload=SCALAR_PAYLOAD)._replace(degree_cap=-2), ParseError),
+        (lambda: Query("solve-scalar", payload=SCALAR_PAYLOAD, degree_cap=MAX_DEGREE_CAP + 1), ParseError),
+        (lambda: Query("solve-scalar", payload=SCALAR_PAYLOAD)._replace(degree_cap=10 ** 12), ParseError),
+        (lambda: Query("da-hypergeom", payload={"b": "x", "a": "1"}), ParseError),
     ],
 )
 def test_invalid_record_rejected(build, error):
