@@ -32,12 +32,20 @@ number, as soon as it is made, and exits with the largest per-line code.
 One process answers one query, so start-up is part of every query's
 latency.  The records are named tuples and the command line is read here,
 so a cold query imports no ``dataclasses``, ``inspect``, ``typing`` or
-``argparse``; it loads ``traceback`` only for an internal error.
+``argparse``; it loads ``traceback`` only for an internal error.  The
+process (``python -m diffalg.cli`` or the ``diffalg`` script, both through
+``run_and_exit``) flushes stdout and stderr after ``main`` returns and ends
+without interpreter teardown, which has nothing to save: the reports are
+flushed, a batch file is closed by ``with`` and no import registers an
+``atexit`` callback.  A stdout that cannot take a report, such as a pipe
+whose reader has gone, is a ``usage`` error with exit 1, reported once on
+stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from collections import namedtuple
@@ -539,5 +547,31 @@ def main(argv=None) -> int:
         return code
 
 
+def run_and_exit():
+    """The process entry point: run ``main`` on ``sys.argv``, flush stdout
+    and stderr, and end the process with ``os._exit``, skipping interpreter
+    teardown.  A failed stdout flush is a ``usage`` error, exit 1.  A write
+    that fails inside ``main`` (each batch report is flushed there) is
+    already reported and returned as ``EXIT_USAGE``, and its text stays
+    buffered, so the flush here fails again and reports nothing more."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_USAGE:
+            error, code = _error_report(exc)
+            try:
+                print(json.dumps(error), file=sys.stderr)
+            except OSError:
+                pass
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_and_exit()

@@ -1,5 +1,9 @@
-"""Expression parsing, query dispatch, JSON reports, batch mode, exit codes."""
+"""Expression parsing, query dispatch, JSON reports, batch mode, exit codes,
+and the CLI process."""
 
+import ast
+import errno
+import importlib
 import json
 import os
 import random
@@ -1003,3 +1007,150 @@ class TestFieldTable:
         command = cli.COMMANDS[sub]
         keys = [key for key, _, _ in command.arguments] + ["case", "q"] + list(command.fields)
         assert sorted(flags) == sorted("--" + key.replace("_", "-") for key in keys)
+
+
+# each way to start the CLI process: ``python -m diffalg.cli`` and what the
+# ``diffalg`` console script runs
+PROCESS_ROUTES = {
+    "module": ["-m", "diffalg.cli"],
+    "console-script": ["-c", "import sys; from diffalg.cli import run_and_exit; sys.exit(run_and_exit())"],
+}
+
+_SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _process_env(unbuffered: bool = False) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC_DIR, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _without_timing(text: str) -> list:
+    """The lines of an output, each JSON report without its ``timing_ms``."""
+    lines = []
+    for line in text.splitlines():
+        try:
+            value = json.loads(line)
+        except ValueError:
+            lines.append(line)
+            continue
+        if isinstance(value, dict):
+            value.pop("timing_ms", None)
+        lines.append(value)
+    return lines
+
+
+class TestProcess:
+    """A CLI process gives the exit code, stdout and stderr that ``main``
+    gives in-process, apart from ``timing_ms``, and ends through
+    ``run_and_exit`` whichever way it starts."""
+
+    def _batch(self, tmp_path) -> str:
+        path = tmp_path / "mixed.jsonl"
+        lines = [
+            json.dumps({"subcommand": "da-hypergeom", "b": "x"}),
+            json.dumps({"subcommand": "disp", "poly": "x +"}),
+            json.dumps({"subcommand": "solve-scalar", "coeffs": "1;1", "rhs": "x^3", "degree_cap": 0}),
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def _run_broken(self, route, argv, streams, unbuffered=False) -> subprocess.CompletedProcess:
+        """Run a CLI process whose ``streams`` are a pipe with no reader;
+        the other standard streams are captured."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        pipes = {name: write_end if name in streams else subprocess.PIPE for name in ("stdout", "stderr")}
+        try:
+            return subprocess.run(
+                [sys.executable, *PROCESS_ROUTES[route], *argv], env=_process_env(unbuffered), text=True, **pipes
+            )
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("route", sorted(PROCESS_ROUTES))
+    @pytest.mark.parametrize("case, expected_code", [
+        ("success", EXIT_OK), ("parse-error", EXIT_USAGE), ("bound", EXIT_BOUND), ("help", EXIT_OK), ("batch", EXIT_BOUND),
+    ])
+    def test_process_matches_main(self, route, case, expected_code, tmp_path, capsys):
+        argv = {
+            "success": ["da-hypergeom", "--b", "3*(x+1)/x"],
+            "parse-error": ["da-hypergeom", "--b", "x +"],
+            "bound": ["solve-scalar", "--coeffs", "1;1", "--rhs", "x^3", "--degree-cap", "0"],
+            "help": ["solve-scalar", "--help"],
+            "batch": ["batch", self._batch(tmp_path)],
+        }[case]
+        proc = subprocess.run(
+            [sys.executable, *PROCESS_ROUTES[route], *argv], env=_process_env(), capture_output=True, text=True
+        )
+        code, out, err = _run_main(argv, capsys)
+        assert proc.returncode == code == expected_code
+        assert _without_timing(proc.stdout) == _without_timing(out)
+        assert proc.stderr == err
+        if case == "parse-error":
+            assert (out, json.loads(err)["error"]["kind"]) == ("", "parse")
+        if case == "batch":
+            reports = _without_timing(out)
+            assert [report.get("verdict") for report in reports] == ["DIFFERENTIALLY_TRANSCENDENTAL", None, "BOUND_EXCEEDED"]
+            assert reports[1]["error"]["line"] == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("route", sorted(PROCESS_ROUTES))
+    @pytest.mark.parametrize("case", ["single", "batch"])
+    def test_broken_stdout_is_one_usage_error(self, case, route, unbuffered, tmp_path):
+        # stdout is a pipe whose reader has gone: the report cannot be
+        # written, which is one usage error on stderr and exit 1 whether
+        # the failed write is the flush at exit or a batch line's own
+        argv = ["disp", "--poly", "x*(x+3)"] if case == "single" else ["batch", self._batch(tmp_path)]
+        proc = self._run_broken(route, argv, ["stdout"], unbuffered)
+        message = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+        assert proc.returncode == EXIT_USAGE
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [{"error": {"message": message, "kind": "usage"}}]
+
+    @pytest.mark.parametrize("route", sorted(PROCESS_ROUTES))
+    @pytest.mark.parametrize("stdout_broken", [False, True], ids=["stderr", "stdout-and-stderr"])
+    def test_broken_stderr(self, route, stdout_broken):
+        # a success keeps exit 0; with stdout broken as well, the error
+        # cannot be reported but the exit code is still 1
+        streams = ["stdout", "stderr"] if stdout_broken else ["stderr"]
+        proc = self._run_broken(route, ["disp", "--poly", "x*(x+3)"], streams)
+        if stdout_broken:
+            assert proc.returncode == EXIT_USAGE
+        else:
+            assert proc.returncode == EXIT_OK
+            assert json.loads(proc.stdout)["certificate"] == {"dispersion": 3}
+
+    @pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+    @pytest.mark.parametrize("route", sorted(PROCESS_ROUTES))
+    def test_stream_closed_at_start_keeps_a_success(self, route, fd):
+        # the interpreter sets sys.stdout or sys.stderr to None; there is
+        # nothing to flush and the query still exits 0
+        proc = subprocess.run(
+            [sys.executable, *PROCESS_ROUTES[route], "disp", "--poly", "x*(x+3)"],
+            env=_process_env(), capture_output=True, text=True, preexec_fn=lambda: os.close(fd),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        if fd == 1:
+            assert proc.stdout == ""
+        else:
+            assert json.loads(proc.stdout)["certificate"] == {"dispersion": 3}
+
+    def test_console_script_is_the_main_block_function(self):
+        # pyproject's ``diffalg`` script and ``python -m diffalg.cli`` end
+        # the process through the same function
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["diffalg"]
+        module, _, name = target.partition(":")
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        main_block = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(main_block) == 1
+        call = main_block[0].body[0].value
+        assert isinstance(call, ast.Call) and not call.args
+        assert getattr(importlib.import_module(module), name) is getattr(cli, call.func.id) is cli.run_and_exit
