@@ -37,7 +37,6 @@ from .numcore import (
     Poly,
     Rat,
     RatFun,
-    gf_coeffs,
     gf_gcd_degree,
     integer_roots,
     partial_split,
@@ -48,7 +47,7 @@ from .numcore import (
     root_differences,
     root_disc,
     root_magnitude_bound,
-    scan_primes,
+    scan_images,
 )
 from .structures import DiffStructure, apply_sigma, sigma_poly, split_x_power
 
@@ -66,30 +65,6 @@ def _gf_shift(cs: list[int], prime: int) -> list[int]:
         for j in range(n - 1, i - 1, -1):
             out[j] = (out[j] + out[j + 1]) % prime
     return out
-
-
-def _scan_images(ds: DiffStructure, *polys: Poly) -> tuple[int, list, int | None] | None:
-    """(prime, images, qmod) for the first of ``numcore.scan_primes`` at
-    which every leading coefficient of the polys is a unit and, in the q
-    case, q is a unit other than +-1: the images of the polys and q mod the
-    prime (None in the shift case).  None when no safe prime below 2^15
-    qualifies, and the scan runs unfiltered.
-
-    With p = 2r + 1 and r prime, every such q has order r or 2r mod p, so
-    the images along a q orbit repeat only after r steps (r = 16301 at
-    GF_PRIME): a window below r meets no repeat, and each repeat in a longer
-    one (up to ``Q_WINDOW_CAP`` = 2^14) costs one exact gcd or evaluation."""
-    for prime in scan_primes():
-        images = [gf_coeffs(p, prime) for p in polys]
-        if None in images:
-            continue
-        if ds.is_shift:
-            return prime, images, None
-        qn, qd = ds.q.numerator % prime, ds.q.denominator % prime
-        qmod = qn * pow(qd, -1, prime) % prime if qn and qd else None
-        if qmod is not None and qmod not in (1, prime - 1):
-            return prime, images, qmod
-    return None
 
 
 def _gap_window(ds: DiffStructure, a: Poly, b: Poly) -> int:
@@ -118,28 +93,23 @@ def _gap_window(ds: DiffStructure, a: Poly, b: Poly) -> int:
 
 def q_power_roots(ds: DiffStructure, p: Poly) -> list[int]:
     """All integers v with p(q^v) = 0, found by scanning the magnitude window
-    allowed by the root bounds (no factoring); evaluation mod a safe prime
-    (``_scan_images``) certifies the nonroots cheaply."""
+    allowed by the root bounds (no factoring); evaluation mod the prime of
+    ``numcore.scan_images`` certifies the nonroots cheaply."""
     if p.is_zero():
         raise ZeroInputError("q-power roots of the zero polynomial")
     w, _ = split_x_power(ds, p)
     if w.degree < 1:
         return []
     vbound = q_window(ds.q, max(root_magnitude_bound(w), reciprocal_root_bound(w)))
-    scan = _scan_images(ds, w)
+    prime, (gf,), qmod = scan_images(ds.q, w)
+    qv = pow(qmod, -vbound, prime)  # q^v mod prime
     out = []
-    if scan is not None:
-        prime, (gf,), qmod = scan
-        qv = pow(qmod, -vbound, prime)  # q^v mod prime
     for v in range(-vbound, vbound + 1):
-        if scan is not None:
-            acc = 0
-            for c in reversed(gf):
-                acc = (acc * qv + c) % prime
-            qv = qv * qmod % prime
-            if acc != 0:
-                continue
-        if w.eval(ds.q ** v) == 0:
+        acc = 0
+        for c in reversed(gf):
+            acc = (acc * qv + c) % prime
+        qv = qv * qmod % prime
+        if acc == 0 and w.eval(ds.q ** v) == 0:
             out.append(v)
     return out
 
@@ -159,10 +129,10 @@ def orbit_gaps_between(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
     and coprime to x in the q case.
 
     One scan serves both structures: h runs over ``_gap_window``, and the
-    image of sigma^h(a) mod a safe prime (``_scan_images``) is stepped from
-    that of sigma^(h-1)(a) (a Taylor shift by one, or coefficient j times
-    q^j), so only the few h whose image shares a factor with b's pay for an
-    exact gcd of big-rational polynomials.  A shift window past
+    image of sigma^h(a) mod the prime of ``numcore.scan_images`` is stepped
+    from that of sigma^(h-1)(a) (a Taylor shift by one, or coefficient j
+    times q^j), so only the few h whose image shares a factor with b's pay
+    for an exact gcd of big-rational polynomials.  A shift window past
     ``_SCAN_LIMIT`` gives way to the integer roots of ``root_differences``,
     each checked the same way."""
     if a.degree < 1 or b.degree < 1:
@@ -173,17 +143,12 @@ def orbit_gaps_between(ds: DiffStructure, a: Poly, b: Poly) -> list[int]:
         return [h for h in hs if h >= 1 and poly_gcd(b, a.shift_arg(h)).degree > 0]
     # the leading coefficient of each image stays a unit (q is one), so a
     # gcd constant mod the prime certifies the exact gcd is constant
-    scan = _scan_images(ds, a, b)
-    if scan is not None:
-        prime, (image, gf_b), qmod = scan
-        powers = [pow(qmod, j, prime) for j in range(a.degree + 1)] if qmod is not None else []
+    prime, (image, gf_b), qmod = scan_images(ds.q, a, b)
+    powers = [pow(qmod, j, prime) for j in range(a.degree + 1)] if qmod is not None else []
     hits = []
     for h in range(1, window + 1):
-        if scan is not None:
-            image = _gf_shift(image, prime) if ds.is_shift else [c * t % prime for c, t in zip(image, powers)]
-            if gf_gcd_degree(gf_b, image, prime) < 1:
-                continue
-        if poly_gcd(b, sigma_poly(ds, a, h)).degree > 0:
+        image = _gf_shift(image, prime) if ds.is_shift else [c * t % prime for c, t in zip(image, powers)]
+        if gf_gcd_degree(gf_b, image, prime) > 0 and poly_gcd(b, sigma_poly(ds, a, h)).degree > 0:
             hits.append(h)
     return hits
 

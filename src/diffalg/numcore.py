@@ -34,25 +34,29 @@ Every residue mod p is a one-digit CPython int (30-bit digits).
 prime, so there every product and ``acc*q + c`` stays below 2^30 too: the
 first gcd image, the gap scans' Taylor shifts and q steps, and the Horner
 filter of the q-power roots.  The gcd (``_int_gcd``) is Brown's multi-prime
-loop (J. ACM 18, 1971) over GF_PRIME and then the primes below 2^30, skipping
-primes that divide a leading coefficient: a constant image certifies 1 (the
-common case), lower image degrees restart the run, equal ones combine by
-CRT, and a symmetric lift (gamma times the monic image, the monic image, or
-the cofactor) is accepted when it divides both operands.  A prime dividing
-neither leading coefficient gives an image of degree at least deg G and an
-accepted lift has degree at most deg G, so it is G; the loop ends because
-only finitely many primes are unlucky and the gamma lift is exact once the
-modulus passes twice the Mignotte bound on gamma*G/lc(G).  There is no
-other gcd path.
+loop (J. ACM 18, 1971) over GF_PRIME and then the primes below 2^30
+(``_lift_primes``), skipping primes that divide a leading coefficient: a
+constant image certifies 1 (the common case), lower image degrees restart
+the run, equal ones combine by CRT, and a symmetric lift (gamma times the
+monic image, the monic image, or the cofactor) is accepted when it divides
+both operands.  A prime dividing neither leading coefficient gives an image
+of degree at least deg G and an accepted lift has degree at most deg G, so
+it is G; the loop ends because only finitely many primes are unlucky and
+the gamma lift is exact once the modulus passes twice the Mignotte bound on
+gamma*G/lc(G).  ``poly_gcd``, ``poly_lcm``, ``radical`` and ``RatFun`` run
+only this loop; ``poly_xgcd`` runs a rational Euclid for the Bezout
+cofactor of ``partial_split``.
 
-The scans take the first safe prime below 2^15 (``scan_primes``) at which
-the leading coefficients are units and, in the q case, q is a unit other
-than +-1.  Such a q has order r or 2r >= r = 16301 at GF_PRIME, so the
-images along a q orbit do not repeat within a window below r, and in the
-windows between r and ``Q_WINDOW_CAP`` = 2^14 each repeat costs one exact
-gcd.  The Mersenne prime 2^31 - 1 gives 2 and 4 the order 31, and the q = 2
-and q = 1/4 scans then pass every 31st candidate on to an exact gcd of big
-polynomials.
+The scans take their prime from the same sequence (``scan_images``): the
+first at which the leading coefficients are units and, in the q case, q is
+a unit other than +-1.  GF_PRIME comes first: such a q has order r or
+2r >= r = 16301 there, so the images along a q orbit do not repeat within a
+window below r, and in the windows between r and ``Q_WINDOW_CAP`` = 2^14
+each repeat costs one exact gcd.  The primes below 2^30 follow, where q
+may have a short order and each repeat costs one exact gcd; only finitely
+many primes are passed over, so the search ends.  The Mersenne prime
+2^31 - 1 gives 2 and 4 the order 31, and the q = 2 and q = 1/4 scans then
+pass every 31st candidate on to an exact gcd of big polynomials.
 
 The root bounds read the integer form too: ``root_magnitude_bound`` and
 ``reciprocal_root_bound`` (the q windows), and ``root_disc``, an integer
@@ -643,15 +647,6 @@ def _is_small_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def scan_primes():
-    """The safe primes p = 2r + 1 (r prime) below 2^15, largest (GF_PRIME)
-    first: the moduli of the gap scans and the q-power filter."""
-    yield GF_PRIME
-    for p in range(GF_PRIME - 2, 4, -2):
-        if _is_small_prime(p) and _is_small_prime(p >> 1):
-            yield p
-
-
 # the odd primes up to 61, for one gcd of trial division
 _SMALL_ODD_PRIMES = math.prod([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
 
@@ -705,6 +700,26 @@ def _lift_primes():
             primes = _WORD_PRIMES = primes + tuple((p, block) for p in more)
         yield primes[i]
         i += 1
+
+
+def scan_images(q: Rat | None, *polys: Poly) -> tuple[int, list, int | None]:
+    """The modulus of the gap scans and the q-power filter: (prime, images,
+    qmod) for the first of ``_lift_primes`` at which every leading
+    coefficient of the polys is a unit and, unless q is None (the shift
+    case), q is a unit other than +-1, with the images of the polys and of
+    q mod the prime (qmod None in the shift case).  Only the finitely many
+    primes dividing a leading coefficient, the numerator or denominator of
+    q, or the numerator of q - 1 or q + 1 are passed over, so one is
+    found."""
+    for prime, _ in _lift_primes():
+        images = [gf_coeffs(p, prime) for p in polys]
+        if None in images:
+            continue
+        if q is None:
+            return prime, images, None
+        qn, qd = q.numerator % prime, q.denominator % prime
+        if qn and qd and (qmod := qn * pow(qd, -1, prime) % prime) not in (1, prime - 1):
+            return prime, images, qmod
 
 
 def primitive_ints(values) -> list[int]:

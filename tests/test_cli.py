@@ -57,6 +57,13 @@ class TestParser:
     def test_negative_exponent(self):
         assert parse_ratfun("x^-2") == rf("1/x^2")
 
+    def test_constant_over_a_negative_constant(self):
+        half, three_halves = RatFun.const(Rat(-1, 2)), RatFun.const(Rat(-3, 2))
+        assert parse_ratfun("1/(-2)") == half
+        assert parse_ratfun("6/(-4)") == three_halves
+        assert parse_ratfun_list("1/(-2); 6/(-4)") == [half, three_halves]
+        assert parse_matrix("[[1/(-2),0],[0,6/(-4)]]").entries == ((half, RatFun.zero()), (RatFun.zero(), three_halves))
+
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_ratfun("x + $")

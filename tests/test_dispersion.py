@@ -35,13 +35,13 @@ from diffalg import (
 from diffalg.dispersion import (
     _SCAN_LIMIT,
     _gap_window,
-    _scan_images,
     _orbit_primary_part,
     orbit_gaps,
     orbit_gaps_between,
+    q_power_roots,
     radical,
 )
-from diffalg.numcore import GF_PRIME, Poly, poly_gcd, root_magnitude_bound
+from diffalg.numcore import GF_PRIME, Poly, poly_gcd, root_magnitude_bound, scan_images
 from oracle import sigma_orbits, to_sympy
 from test_golden import QUERIES, run_one
 
@@ -311,31 +311,31 @@ class TestQGapsAgainstSympy:
 
 
 class TestScanPrime:
-    """The modulus of the gap scans and the q-power filter: the first safe
-    prime below 2^15 with unit leading coefficients and, in the q case, a
-    unit q other than +-1."""
+    """The modulus of the gap scans and the q-power filter: the first of the
+    gcd's primes (GF_PRIME, then the primes below 2^30) with unit leading
+    coefficients and, in the q case, a unit q other than +-1."""
 
     def test_first_safe_prime(self):
-        prime, images, qmod = _scan_images(Q2, pp("x^2 + 1"), pp("3*x - 1"))
+        prime, images, qmod = scan_images(Q2.q, pp("x^2 + 1"), pp("3*x - 1"))
         assert (prime, images, qmod) == (GF_PRIME, [[1, 0, 1], [GF_PRIME - 1, 3]], 2)
 
     def test_leading_coefficient_divisible_by_the_first_prime(self):
+        # 1073741789 and 1073741783 are the two largest primes below 2^30
         w = Poly([1, 0, GF_PRIME])
-        assert _scan_images(SHIFT, w)[0] == 32507
-        assert _scan_images(SHIFT, Poly([1, 0, GF_PRIME * 32507]))[0] == 32183
+        assert scan_images(None, w)[0] == 1073741789
+        assert scan_images(None, Poly([1, 0, GF_PRIME * 1073741789]))[0] == 1073741783
 
     @pytest.mark.parametrize(
         "q", [Fraction(1032603, 1000000), Fraction(-1, GF_PRIME - 1), Fraction(GF_PRIME, 2)], ids=str
     )
     def test_q_of_order_one_or_two_or_no_unit(self, q):
-        prime, _, qmod = _scan_images(q_structure(q), pp("x - 1"))
-        assert prime == 32507 and qmod not in (1, prime - 1)
+        prime, _, qmod = scan_images(q, pp("x - 1"))
+        assert prime == 1073741789 and qmod not in (1, prime - 1)
 
     def test_q_congruent_to_one_reaches_only_the_hits(self, monkeypatch):
         # q = 1 mod GF_PRIME repeats the image of a at every step of a
-        # window of over 200; the scan takes the next safe prime, where the
-        # one planted gap, 7 and 7*q^3, and two images that share a root
-        # only mod the prime pay for an exact gcd
+        # window of over 200; the scan takes the next prime, below 2^30,
+        # where only the one planted gap, 7 and 7*q^3, pays for an exact gcd
         q = Fraction(1032603, 1000000)
         ds = q_structure(q)
         p = _product(pp(f"x - {k}") for k in (1, 3, 11, 29, 70, 141, 260, 433, 650, 1000, 7)) * Poly([-7 * q**3, 1])
@@ -349,7 +349,24 @@ class TestScanPrime:
 
         monkeypatch.setattr(dispersion_module, "poly_gcd", counted)
         assert orbit_gaps(ds, p) == [3]
-        assert len(exact) == 3
+        assert len(exact) == 1
+
+    def test_q_power_filter_evaluates_only_the_roots(self, monkeypatch):
+        # the root 10^30 widens the window to over 300 exponents; the
+        # filter mod the prime leaves only v = 5 to an exact evaluation
+        q = Fraction(3, 2)
+        ds = q_structure(q)
+        p = Poly([-(q**5), 1]) * Poly([-(10**30), 1])
+        points = []
+        real = Poly.eval
+
+        def counted(self, point):
+            points.append(point)
+            return real(self, point)
+
+        monkeypatch.setattr(Poly, "eval", counted)
+        assert q_power_roots(ds, p) == [5]
+        assert points == [q**5]
 
 
 class TestPolarDispersion:

@@ -1,9 +1,10 @@
 """The package's public names all resolve, so a deletion cannot leave a stale
 export behind; no module reaches into a sibling's private helpers or into
 the integer form of a ``Poly`` outside ``numcore``; the parser imports no
-solver; no module reads the environment, so every setting is an option or
-an argument; the CLI substitutes nothing, since each procedure checks the
-certificate it makes; ``criteria`` calls no public solver; a cold CLI query
+solver; ``dispersion`` imports no prime, since ``numcore`` alone picks the
+moduli of the gap scans; no module reads the environment, so every setting
+is an option or an argument; the CLI substitutes nothing, since each
+procedure checks the certificate it makes; ``criteria`` calls no public solver; a cold CLI query
 or batch loads only the modules it computes with; the test oracles take no
 pipeline stage from the package, and the parser's oracle nothing but the
 parser; and no module imports a name it never reads.
@@ -111,6 +112,20 @@ def test_parsing_imports_no_solver():
         if isinstance(node, ast.ImportFrom) and node.level > 0
     }
     assert modules == {"numcore", "linalg", "errors"}
+
+
+def test_dispersion_imports_no_prime():
+    # numcore alone picks the prime of a modular image (``scan_images``)
+    names = [
+        alias.name
+        for filename, tree in _module_trees()
+        if filename == "dispersion.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numcore"
+        for alias in node.names
+    ]
+    assert "scan_images" in names
+    assert [name for name in names if "prime" in name.lower()] == []
 
 
 def test_no_module_reads_the_environment():

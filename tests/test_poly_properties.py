@@ -325,6 +325,21 @@ class TestGcdBranches:
         assert (cp, cq) == (Poly([1, 1]), Poly([2, 1]))
         assert len(images) == 2 and images[0] == GF_PRIME and images[1] < 2**30
 
+    def test_later_image_of_higher_degree_is_skipped(self):
+        # the gcd x + 2^40 needs more primes; the first prime below 2^30,
+        # 1073741789, shares the root -1 of both cofactors, so its image
+        # has degree 2 and is passed over
+        big = Poly([2**40, 1])
+        p, q = big * Poly([1, 1]), big * Poly([1 + 1073741789, 1])
+        assert poly_gcd(p, q) == big == sympy_gcd(p, q)
+
+    def test_deflated_parts_coprime_share_a_power_of_x(self):
+        # x^2 (x + 1) and x (x + 1 + GF_PRIME) share x + 1 mod GF_PRIME only;
+        # the common power x splits off, and x + 1 and x + 1 + GF_PRIME are
+        # coprime
+        p, q = Poly([0, 0, 1]) * Poly([1, 1]), Poly([0, 1]) * Poly([1 + GF_PRIME, 1])
+        assert poly_gcd(p, q) == Poly.x() == sympy_gcd(p, q)
+
 
 # RatFun operands of every shape: constants, polynomials, and fractions whose
 # numerators and denominators draw on a few shared factors, so cross terms
